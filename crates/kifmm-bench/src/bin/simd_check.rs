@@ -11,7 +11,12 @@
 //! 2. a full FMM evaluation (near-field P2P is the consumer) for a
 //!    point-kernel and a matrix-kernel case.
 //!
-//! On hosts without AVX2 both runs take the scalar path and the gate is
+//! 3. the length checks the `unsafe` vector loads rest on: this is a
+//!    release binary (debug assertions off), so a mismatched `dot`/`axpy`
+//!    or a short density slice into `Laplace.p2p` must still panic rather
+//!    than read past a buffer.
+//!
+//! On hosts without AVX2 both runs take the scalar path and levels 1–2 are
 //! vacuous — the binary says so rather than failing. Exits nonzero
 //! (panics) on any divergence.
 
@@ -78,6 +83,29 @@ fn check_fmm<K: Kernel>(kernel: K, n: usize, seed: u64) {
     println!("simd-check {name}: full FMM eval bit-identical OK");
 }
 
+/// Wrong-length slices must panic in a release build: `simd::dot`/`axpy`
+/// are safe functions over `unsafe` loads out to `x.len()`, and the kernel
+/// entry points hand them caller-supplied density slices.
+fn check_length_asserts() {
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {})); // the panics below are the expected outcome
+    let (x, y) = (noise(12, 5), noise(8, 6));
+    let dot = panics(|| {
+        std::hint::black_box(simd::dot(&x, &y));
+    });
+    let axpy = panics(|| simd::axpy(0.5, &x, &mut y.clone()));
+    let pts = kifmm::geom::uniform_cube(8, 7);
+    let p2p = panics(|| Laplace.p2p(&pts, &pts, &noise(7, 8), &mut [0.0; 8]));
+    std::panic::set_hook(hook);
+    assert!(dot, "simd::dot accepted slices of different lengths");
+    assert!(axpy, "simd::axpy accepted slices of different lengths");
+    assert!(p2p, "Laplace.p2p accepted a density slice shorter than its sources");
+    println!("simd-check length asserts: mismatched dot/axpy/p2p panic in release OK");
+}
+
 fn main() {
     simd::set_force_scalar(false);
     if simd::simd_active() {
@@ -86,6 +114,7 @@ fn main() {
         println!("simd-check: no vector path on this host — gate is scalar-vs-scalar");
     }
     check_microkernels();
+    check_length_asserts();
     check_fmm(Laplace, 800, 41);
     check_fmm(Stokes::default(), 500, 43);
     println!("simd-check: ALL OK");

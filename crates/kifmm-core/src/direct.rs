@@ -17,16 +17,7 @@ pub fn direct_eval_src_trg<K: Kernel>(
     densities: &[f64],
     targets: &[Point3],
 ) -> Vec<f64> {
-    let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
-    assert_eq!(densities.len(), sources.len() * sd);
-    let mut out = vec![0.0; targets.len() * td];
-    // Chunk targets so tasks have useful grain without per-target overhead.
-    let chunk = 64;
-    kifmm_runtime::par_chunks_mut(&mut out, chunk * td, |i, o| {
-        let t = &targets[i * chunk..(i * chunk + o.len() / td)];
-        kernel.p2p(t, sources, densities, o);
-    });
-    out
+    direct_sum(kernel, sources, densities, targets, false).0
 }
 
 /// Exact potentials *and* gradients: `(u_i, ∇u_i)` with the self term
@@ -48,16 +39,34 @@ pub fn direct_eval_grad_src_trg<K: Kernel>(
     densities: &[f64],
     targets: &[Point3],
 ) -> (Vec<f64>, Vec<f64>) {
+    direct_sum(kernel, sources, densities, targets, true)
+}
+
+/// The one chunked body of the direct sums: potentials, plus gradients
+/// when `with_grad` (empty otherwise). Targets are chunked so tasks have
+/// useful grain without per-target overhead; each task owns one disjoint
+/// target range of both output buffers.
+fn direct_sum<K: Kernel>(
+    kernel: &K,
+    sources: &[Point3],
+    densities: &[f64],
+    targets: &[Point3],
+    with_grad: bool,
+) -> (Vec<f64>, Vec<f64>) {
+    const CHUNK: usize = 64;
     let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
     assert_eq!(densities.len(), sources.len() * sd);
     let mut pots = vec![0.0; targets.len() * td];
-    let mut grads = vec![0.0; targets.len() * td * 3];
-    // Parallelize over target chunks; both output buffers are carved with
-    // matching strides so each task owns one disjoint target range.
-    let chunk = 64;
-    kifmm_runtime::par_chunks2_mut(&mut pots, chunk * td, &mut grads, chunk * td * 3, |i, p, g| {
-        let t = &targets[i * chunk..(i * chunk + p.len() / td)];
-        kernel.p2p_grad(t, sources, densities, p, g);
+    let mut grads = vec![0.0; if with_grad { targets.len() * td * 3 } else { 0 }];
+    let mut gchunks = with_grad.then(|| grads.chunks_mut(CHUNK * td * 3));
+    let tasks: Vec<_> = targets
+        .chunks(CHUNK)
+        .zip(pots.chunks_mut(CHUNK * td))
+        .map(|(t, p)| (t, p, gchunks.as_mut().and_then(Iterator::next)))
+        .collect();
+    kifmm_runtime::par_for_each(tasks, |_, (t, p, g)| match g {
+        Some(g) => kernel.p2p_grad(t, sources, densities, p, g),
+        None => kernel.p2p(t, sources, densities, p),
     });
     (pots, grads)
 }

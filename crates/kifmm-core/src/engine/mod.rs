@@ -32,9 +32,10 @@
 //! [`kifmm_linalg::gemm_slices`] accumulates independently in identical
 //! `p`-order, so widening is bitwise-safe per column), the FFT M2L loops
 //! RHS **innermost** per `(source, direction)` so the direction tensors
-//! stay cache-hot, and the dense passes use [`Kernel::p2p_many`] which
-//! hoists pair geometry across the batch. With `k = 1` every pass takes
-//! exactly the original single-RHS code path.
+//! stay cache-hot, and the dense passes go through one near-field helper
+//! onto [`Kernel::p2p_many`] / [`Kernel::p2p_grad_many`], which share pair
+//! geometry across the batch. `k = 1` is the same code with a batch of
+//! one — there is no single-RHS path.
 
 mod store;
 
@@ -219,46 +220,49 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         (start, start + idxs.len())
     }
 
-    /// Dense accumulation of box `a`'s sources into per-RHS output rows:
-    /// single-RHS calls take the kernel's fused [`Kernel::p2p`] (the
-    /// historical instruction stream), batches take [`Kernel::p2p_many`]
-    /// whose contract makes each RHS bit-identical to the former.
-    fn p2p_box<S: SourceProvider>(
+    /// The engine's one near-field call: accumulate `dens` (one density
+    /// vector per RHS) at `pts` onto the per-RHS rows `outs` at `trg` —
+    /// and, when `gouts` is given, the target gradients with them in one
+    /// fused loop. The near field is the only place the kernel is
+    /// differentiated: real sources in the U pass, equivalent densities in
+    /// W and L2T (no gradient-specific translation operators exist).
+    /// Returns the exact flop count of the call.
+    fn near_field(
         &self,
-        src: &S,
-        a: u32,
-        targets: &[Point3],
+        trg: &[Point3],
+        pts: &[Point3],
+        dens: &[&[f64]],
         outs: &mut [&mut [f64]],
-    ) {
-        if outs.len() == 1 {
-            let (pts, d) = src.sources(a, 0);
-            self.kernel.p2p(targets, pts, d, outs[0]);
-        } else {
-            let (pts, _) = src.sources(a, 0);
-            let dens: Vec<&[f64]> = (0..outs.len()).map(|q| src.sources(a, q).1).collect();
-            self.kernel.p2p_many(targets, pts, &dens, outs);
+        gouts: Option<&mut [&mut [f64]]>,
+    ) -> u64 {
+        let pairs = (trg.len() * pts.len() * dens.len()) as u64;
+        match gouts {
+            Some(gouts) => {
+                self.kernel.p2p_grad_many(trg, pts, dens, outs, gouts);
+                pairs * self.kernel.flops_per_grad_eval()
+            }
+            None => {
+                self.kernel.p2p_many(trg, pts, dens, outs);
+                pairs * self.kernel.flops_per_eval()
+            }
         }
     }
 
-    /// Fused potential+gradient analogue of [`PassEngine::p2p_box`]:
-    /// single-RHS calls take [`Kernel::p2p_grad`], batches take
-    /// [`Kernel::p2p_grad_many`] (same bitwise-per-RHS contract).
-    fn p2p_grad_box<S: SourceProvider>(
+    /// [`PassEngine::near_field`] from box `a` of a [`SourceProvider`].
+    /// `dens` is the caller's per-leaf scratch for the batch's density
+    /// slices, so a call allocates nothing.
+    fn p2p_box<'s, S: SourceProvider>(
         &self,
-        src: &S,
+        src: &'s S,
         a: u32,
-        targets: &[Point3],
+        trg: &[Point3],
+        dens: &mut Vec<&'s [f64]>,
         outs: &mut [&mut [f64]],
-        gouts: &mut [&mut [f64]],
-    ) {
-        if outs.len() == 1 {
-            let (pts, d) = src.sources(a, 0);
-            self.kernel.p2p_grad(targets, pts, d, outs[0], gouts[0]);
-        } else {
-            let (pts, _) = src.sources(a, 0);
-            let dens: Vec<&[f64]> = (0..outs.len()).map(|q| src.sources(a, q).1).collect();
-            self.kernel.p2p_grad_many(targets, pts, &dens, outs, gouts);
-        }
+        gouts: Option<&mut [&mut [f64]]>,
+    ) -> u64 {
+        dens.clear();
+        dens.extend((0..outs.len()).map(|q| src.sources(a, q).1));
+        self.near_field(trg, src.sources(a, 0).0, dens, outs, gouts)
     }
 
     /// Upward pass: S2M at active leaves, M2M at active internal boxes,
@@ -303,7 +307,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                     let c = self.tree.domain.box_center(&node.key);
                     let uc = surface_points(self.order, RAD_OUTER, c, lops.box_half);
                     let mut outs: Vec<&mut [f64]> = chk.chunks_mut(cs).collect();
-                    self.p2p_box(src, ni, &uc, &mut outs);
+                    self.p2p_box(src, ni, &uc, &mut Vec::with_capacity(nrhs), &mut outs, None);
                 }
             });
             for &ni in act {
@@ -809,8 +813,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 let c = self.tree.domain.box_center(&node.key);
                 let dc = surface_points(self.order, RAD_INNER, c, half);
                 let mut outs: Vec<&mut [f64]> = slot.chunks_mut(cs).collect();
+                let mut dens = Vec::with_capacity(nrhs);
                 for &a in &self.lists.x[ni] {
-                    self.p2p_box(src, a, &dc, &mut outs);
+                    self.p2p_box(src, a, &dc, &mut dens, &mut outs, None);
                 }
             });
             for &ni in &self.active.levels[level as usize] {
@@ -910,61 +915,40 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         flops
     }
 
-    /// Split each of the `k` potential vectors into disjoint
-    /// per-active-leaf `&mut` slices (the active leaves partition the
-    /// local target range in point order) and run `f` on every leaf under
-    /// the engine's dispatch, handing it the leaf's `k` output rows.
+    /// Split each of the `k` potential vectors (and, when given, the `k`
+    /// gradient vectors, stride `trg_dim·3` per point, in lockstep) into
+    /// disjoint per-active-leaf `&mut` slices — the active leaves
+    /// partition the local target range and [`ActiveSet::build`] keeps
+    /// them in point order — and run `f` on every leaf under the engine's
+    /// dispatch, handing it the leaf's output rows. Returns the sum of the
+    /// flop counts `f` returns.
     fn for_each_active_leaf(
         &self,
         pots: &mut [&mut [f64]],
-        f: impl Fn(u32, &[Point3], &mut [&mut [f64]]) + Sync,
-    ) {
-        // Leaves of different levels interleave in BFS id order, so sort
-        // by point range before carving the potential vectors into
-        // disjoint per-leaf slices.
-        let mut order: Vec<u32> = self.active.leaves.to_vec();
-        order.sort_unstable_by_key(|&ni| self.tree.nodes[ni as usize].pt_start);
-        let carved = self.carve_leaf_slices(pots, self.kernel.trg_dim(), &order);
-        let items: Vec<(u32, &[Point3], Vec<&mut [f64]>)> = order
+        grads: Option<&mut [&mut [f64]]>,
+        f: impl Fn(u32, &[Point3], &mut [&mut [f64]], Option<&mut [&mut [f64]]>) -> u64 + Sync,
+    ) -> u64 {
+        let td = self.kernel.trg_dim();
+        if let Some(grads) = &grads {
+            assert_eq!(grads.len(), pots.len(), "one gradient vector per RHS");
+        }
+        let leaves = &self.active.leaves;
+        let pcarved = self.carve_leaf_slices(pots, td, leaves);
+        let mut gcarved = grads.map(|g| self.carve_leaf_slices(g, td * 3, leaves).into_iter());
+        let items: Vec<_> = leaves
             .iter()
-            .zip(carved)
+            .zip(pcarved)
             .map(|(&ni, outs)| {
                 let node = &self.tree.nodes[ni as usize];
-                (ni, &self.targets[node.pt_start as usize..node.pt_end as usize], outs)
+                let trg = &self.targets[node.pt_start as usize..node.pt_end as usize];
+                (ni, trg, outs, gcarved.as_mut().and_then(Iterator::next))
             })
             .collect();
-        par_for_each_with(self.dispatch.threads(), items, |_, (ni, trg, mut outs)| {
-            f(ni, trg, &mut outs)
+        let flops = AtomicU64::new(0);
+        par_for_each_with(self.dispatch.threads(), items, |_, (ni, trg, mut outs, mut gouts)| {
+            flops.fetch_add(f(ni, trg, &mut outs, gouts.as_deref_mut()), Ordering::Relaxed);
         });
-    }
-
-    /// As [`PassEngine::for_each_active_leaf`], but carving a second set
-    /// of per-RHS gradient vectors (stride `trg_dim·3` per point) in
-    /// lockstep with the potentials, for the fused gradient passes.
-    fn for_each_active_leaf_grad(
-        &self,
-        pots: &mut [&mut [f64]],
-        grads: &mut [&mut [f64]],
-        f: impl Fn(u32, &[Point3], &mut [&mut [f64]], &mut [&mut [f64]]) + Sync,
-    ) {
-        let td = self.kernel.trg_dim();
-        let mut order: Vec<u32> = self.active.leaves.to_vec();
-        order.sort_unstable_by_key(|&ni| self.tree.nodes[ni as usize].pt_start);
-        let pcarved = self.carve_leaf_slices(pots, td, &order);
-        let gcarved = self.carve_leaf_slices(grads, td * 3, &order);
-        let items: Vec<(u32, &[Point3], Vec<&mut [f64]>, Vec<&mut [f64]>)> = order
-            .iter()
-            .zip(pcarved.into_iter().zip(gcarved))
-            .map(|(&ni, (outs, gouts))| {
-                let node = &self.tree.nodes[ni as usize];
-                (ni, &self.targets[node.pt_start as usize..node.pt_end as usize], outs, gouts)
-            })
-            .collect();
-        par_for_each_with(
-            self.dispatch.threads(),
-            items,
-            |_, (ni, trg, mut outs, mut gouts)| f(ni, trg, &mut outs, &mut gouts),
-        );
+        flops.into_inner()
     }
 
     /// Carve each of the `k` per-RHS vectors in `bufs` into disjoint
@@ -999,209 +983,98 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     }
 
     /// Dense U-list pass onto the local potentials (`k` vectors, one per
-    /// RHS). Returns the flop count.
-    pub fn u_pass<S: SourceProvider>(&self, src: &S, pots: &mut [&mut [f64]]) -> u64 {
-        let nrhs = src.nrhs();
-        assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        let kf = self.kernel.flops_per_eval();
-        self.for_each_active_leaf(pots, |ni, trg, outs| {
-            for &a in &self.lists.u[ni as usize] {
-                self.p2p_box(src, a, trg, outs);
-            }
-        });
-        let mut flops = 0u64;
-        for &ni in &self.active.leaves {
-            let t = self.tree.nodes[ni as usize].num_points() as u64;
-            for &a in &self.lists.u[ni as usize] {
-                flops += t * (src.sources(a, 0).0.len() * nrhs) as u64 * kf;
-            }
-        }
-        flops
-    }
-
-    /// W-list pass: upward equivalents of finer separated boxes onto the
-    /// local potentials. The equivalent surface is built once per
-    /// `(leaf, W source)` and shared by the batch. Returns the flop count.
-    pub fn w_pass(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
-        let (ns, _, _) = self.dims();
-        let nrhs = store.nrhs();
-        assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        let kf = self.kernel.flops_per_eval();
-        self.for_each_active_leaf(pots, |ni, trg, outs| {
-            for &a in &self.lists.w[ni as usize] {
-                let akey = self.tree.nodes[a as usize].key;
-                let ac = self.tree.domain.box_center(&akey);
-                let ah = self.tree.domain.box_half(akey.level);
-                let ue = surface_points(self.order, RAD_INNER, ac, ah);
-                if nrhs == 1 {
-                    self.kernel.p2p(trg, &ue, store.up(a), outs[0]);
-                } else {
-                    let dens: Vec<&[f64]> = (0..nrhs).map(|q| store.up_rhs(a, q)).collect();
-                    self.kernel.p2p_many(trg, &ue, &dens, outs);
-                }
-            }
-        });
-        self.active
-            .leaves
-            .iter()
-            .map(|&ni| {
-                (self.tree.nodes[ni as usize].num_points()
-                    * self.lists.w[ni as usize].len()
-                    * ns
-                    * nrhs) as u64
-                    * kf
-            })
-            .sum()
-    }
-
-    /// L2T pass: downward equivalent densities at the local targets.
-    /// Returns the flop count.
-    pub fn l2t(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
-        if self.tree.depth() < FIRST_FMM_LEVEL {
-            return 0;
-        }
-        let (ns, _, _) = self.dims();
-        let nrhs = store.nrhs();
-        assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        let kf = self.kernel.flops_per_eval();
-        self.for_each_active_leaf(pots, |ni, trg, outs| {
-            let node = &self.tree.nodes[ni as usize];
-            if node.key.level < FIRST_FMM_LEVEL {
-                return;
-            }
-            let c = self.tree.domain.box_center(&node.key);
-            let half = self.tree.domain.box_half(node.key.level);
-            let de = surface_points(self.order, RAD_OUTER, c, half);
-            if nrhs == 1 {
-                self.kernel.p2p(trg, &de, store.down(ni), outs[0]);
-            } else {
-                let dens: Vec<&[f64]> = (0..nrhs).map(|q| store.down_rhs(ni, q)).collect();
-                self.kernel.p2p_many(trg, &de, &dens, outs);
-            }
-        });
-        self.active
-            .leaves
-            .iter()
-            .filter(|&&ni| self.tree.nodes[ni as usize].key.level >= FIRST_FMM_LEVEL)
-            .map(|&ni| {
-                (self.tree.nodes[ni as usize].num_points() * ns * nrhs) as u64 * kf
-            })
-            .sum()
-    }
-
-    /// Fused potential+gradient U-list pass
-    /// ([`crate::evaluator::OutputSpec::PotentialAndGradient`]): same
-    /// source traversal as [`PassEngine::u_pass`], dispatching the fused
-    /// [`Kernel::p2p_grad`] / [`Kernel::p2p_grad_many`]. The near field is
-    /// the only place real sources are differentiated; everything else
-    /// reads `∇G` off equivalent densities. Returns the flop count.
-    pub fn u_pass_grad<S: SourceProvider>(
+    /// RHS) and, when `grads` is given
+    /// ([`crate::evaluator::OutputSpec::PotentialAndGradient`]), the local
+    /// gradients, fused. Returns the flop count.
+    pub fn u_pass_into<S: SourceProvider>(
         &self,
         src: &S,
         pots: &mut [&mut [f64]],
-        grads: &mut [&mut [f64]],
+        grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
         let nrhs = src.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        assert_eq!(grads.len(), nrhs, "one gradient vector per RHS");
-        let kf = self.kernel.flops_per_grad_eval();
-        self.for_each_active_leaf_grad(pots, grads, |ni, trg, outs, gouts| {
-            for &a in &self.lists.u[ni as usize] {
-                self.p2p_grad_box(src, a, trg, outs, gouts);
-            }
-        });
-        let mut flops = 0u64;
-        for &ni in &self.active.leaves {
-            let t = self.tree.nodes[ni as usize].num_points() as u64;
-            for &a in &self.lists.u[ni as usize] {
-                flops += t * (src.sources(a, 0).0.len() * nrhs) as u64 * kf;
-            }
-        }
-        flops
+        self.for_each_active_leaf(pots, grads, |ni, trg, outs, mut gouts| {
+            let mut dens = Vec::with_capacity(nrhs);
+            self.lists.u[ni as usize]
+                .iter()
+                .map(|&a| self.p2p_box(src, a, trg, &mut dens, outs, gouts.as_deref_mut()))
+                .sum()
+        })
     }
 
-    /// Fused potential+gradient W-list pass: `∇G` evaluated from the W
-    /// sources' **upward equivalent densities** — the same densities the
-    /// potential read, no new operators. Returns the flop count.
-    pub fn w_pass_grad(
+    /// W-list pass: upward equivalents of finer separated boxes onto the
+    /// local potentials (and gradients — `∇G` read off the same densities
+    /// the potential reads). The equivalent surface is built once per
+    /// `(leaf, W source)` and shared by the batch. Returns the flop count.
+    pub fn w_pass_into(
         &self,
         store: &ExpansionStore,
         pots: &mut [&mut [f64]],
-        grads: &mut [&mut [f64]],
+        grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
-        let (ns, _, _) = self.dims();
         let nrhs = store.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        assert_eq!(grads.len(), nrhs, "one gradient vector per RHS");
-        let kf = self.kernel.flops_per_grad_eval();
-        self.for_each_active_leaf_grad(pots, grads, |ni, trg, outs, gouts| {
+        self.for_each_active_leaf(pots, grads, |ni, trg, outs, mut gouts| {
+            let mut dens = Vec::with_capacity(nrhs);
+            let mut flops = 0;
             for &a in &self.lists.w[ni as usize] {
                 let akey = self.tree.nodes[a as usize].key;
                 let ac = self.tree.domain.box_center(&akey);
                 let ah = self.tree.domain.box_half(akey.level);
                 let ue = surface_points(self.order, RAD_INNER, ac, ah);
-                if nrhs == 1 {
-                    self.kernel.p2p_grad(trg, &ue, store.up(a), outs[0], gouts[0]);
-                } else {
-                    let dens: Vec<&[f64]> = (0..nrhs).map(|q| store.up_rhs(a, q)).collect();
-                    self.kernel.p2p_grad_many(trg, &ue, &dens, outs, gouts);
-                }
+                dens.clear();
+                dens.extend((0..nrhs).map(|q| store.up_rhs(a, q)));
+                flops += self.near_field(trg, &ue, &dens, outs, gouts.as_deref_mut());
             }
-        });
-        self.active
-            .leaves
-            .iter()
-            .map(|&ni| {
-                (self.tree.nodes[ni as usize].num_points()
-                    * self.lists.w[ni as usize].len()
-                    * ns
-                    * nrhs) as u64
-                    * kf
-            })
-            .sum()
+            flops
+        })
     }
 
-    /// Fused potential+gradient L2T pass: `∇G` evaluated from the leaf's
-    /// **downward equivalent densities** at the `RAD_OUTER` surface —
-    /// the entire V+X far field arrives differentiated through the local
-    /// expansion, with no gradient-specific translation operators.
-    /// Returns the flop count.
-    pub fn l2t_grad(
+    /// L2T pass: downward equivalent densities at the local targets — the
+    /// entire V+X far field arrives (differentiated, when `grads` is
+    /// given) through the leaf's local expansion at the `RAD_OUTER`
+    /// surface. Returns the flop count.
+    pub fn l2t_into(
         &self,
         store: &ExpansionStore,
         pots: &mut [&mut [f64]],
-        grads: &mut [&mut [f64]],
+        grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
         if self.tree.depth() < FIRST_FMM_LEVEL {
             return 0;
         }
-        let (ns, _, _) = self.dims();
         let nrhs = store.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        assert_eq!(grads.len(), nrhs, "one gradient vector per RHS");
-        let kf = self.kernel.flops_per_grad_eval();
-        self.for_each_active_leaf_grad(pots, grads, |ni, trg, outs, gouts| {
+        self.for_each_active_leaf(pots, grads, |ni, trg, outs, gouts| {
             let node = &self.tree.nodes[ni as usize];
             if node.key.level < FIRST_FMM_LEVEL {
-                return;
+                return 0;
             }
             let c = self.tree.domain.box_center(&node.key);
             let half = self.tree.domain.box_half(node.key.level);
             let de = surface_points(self.order, RAD_OUTER, c, half);
-            if nrhs == 1 {
-                self.kernel.p2p_grad(trg, &de, store.down(ni), outs[0], gouts[0]);
-            } else {
-                let dens: Vec<&[f64]> = (0..nrhs).map(|q| store.down_rhs(ni, q)).collect();
-                self.kernel.p2p_grad_many(trg, &de, &dens, outs, gouts);
-            }
-        });
-        self.active
-            .leaves
-            .iter()
-            .filter(|&&ni| self.tree.nodes[ni as usize].key.level >= FIRST_FMM_LEVEL)
-            .map(|&ni| {
-                (self.tree.nodes[ni as usize].num_points() * ns * nrhs) as u64 * kf
-            })
-            .sum()
+            let dens: Vec<&[f64]> = (0..nrhs).map(|q| store.down_rhs(ni, q)).collect();
+            self.near_field(trg, &de, &dens, outs, gouts)
+        })
+    }
+
+    /// Potential-only [`PassEngine::u_pass_into`]. Kept as a forward only
+    /// because `benchmark/src/traced.rs` (frozen with `BENCHMARK.json`)
+    /// calls it; a later benchmark change can drop it.
+    pub fn u_pass<S: SourceProvider>(&self, src: &S, pots: &mut [&mut [f64]]) -> u64 {
+        self.u_pass_into(src, pots, None)
+    }
+
+    /// Potential-only [`PassEngine::w_pass_into`]; kept for
+    /// `benchmark/src/traced.rs` (see [`PassEngine::u_pass`]).
+    pub fn w_pass(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
+        self.w_pass_into(store, pots, None)
+    }
+
+    /// Potential-only [`PassEngine::l2t_into`]; kept for
+    /// `benchmark/src/traced.rs` (see [`PassEngine::u_pass`]).
+    pub fn l2t(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
+        self.l2t_into(store, pots, None)
     }
 }

@@ -44,7 +44,7 @@ pub enum OutputSpec {
     /// Potentials plus spatial gradients `∂u_t/∂x_d`: the far field comes
     /// free from the equivalent densities (the L2T/W read-off evaluates
     /// `∇G` from the same equivalent sources; only the near field runs the
-    /// fused `p2p_grad`), so no new translation operators are built.
+    /// fused `p2p_grad_many`), so no new translation operators are built.
     PotentialAndGradient,
 }
 

@@ -620,13 +620,13 @@ impl<K: Kernel> Plan<K> {
     /// components per point), running every FMM pass **once** over the
     /// whole batch: the per-level translation GEMMs widen their column
     /// blocks `k`-fold, the FFT M2L reuses each direction tensor across
-    /// the batch, and the dense passes hoist pair geometry with
+    /// the batch, and the dense passes share pair geometry through
     /// [`Kernel::p2p_many`]. Returns one potential vector per RHS
     /// (original point order) and the per-phase statistics of the batch.
     ///
     /// Each output vector is bit-identical to what a single-RHS execution
-    /// of that density vector produces (asserted in tests), and `k = 1`
-    /// takes exactly the single-RHS code path.
+    /// of that density vector produces (asserted in tests); `k = 1` is the
+    /// same code with a batch of one.
     ///
     /// The caller provides the mutable evaluation state; `store`/`ws` are
     /// reshaped as needed ([`Session`] pools them, so steady-state
@@ -659,7 +659,6 @@ impl<K: Kernel> Plan<K> {
                 "each density vector must have src_dim entries per point"
             );
         }
-        let wants_grad = self.opts.output.wants_gradient();
         let mut stats = PhaseStats::new();
         let rt = trace.rank(0);
         let n = self.num_points;
@@ -734,19 +733,18 @@ impl<K: Kernel> Plan<K> {
 
         let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
         let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(Vec::as_mut_slice).collect();
+        // Gradient outputs exist only when the plan asks for them; the
+        // leaf passes take them as an `Option` and fuse when present.
+        let wants_grad = self.opts.output.wants_gradient();
         let mut grads: Vec<Vec<f64>> =
             if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
-        let mut grad_refs: Vec<&mut [f64]> =
-            grads.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut grad_refs: Option<Vec<&mut [f64]>> =
+            wants_grad.then(|| grads.iter_mut().map(Vec::as_mut_slice).collect());
         rt.add(Counter::CellsTouched, engine.active_leaves().len() as u64);
         {
             let _span = rt.span("DownU", "u-list");
             let t0 = now();
-            let flops = if wants_grad {
-                engine.u_pass_grad(&src, &mut pot_refs, &mut grad_refs)
-            } else {
-                engine.u_pass(&src, &mut pot_refs)
-            };
+            let flops = engine.u_pass_into(&src, &mut pot_refs, grad_refs.as_deref_mut());
             stats.add_seconds(Phase::DownU, now() - t0);
             stats.add_flops(Phase::DownU, flops);
             rt.add(Counter::Flops, flops);
@@ -754,11 +752,7 @@ impl<K: Kernel> Plan<K> {
         {
             let _span = rt.span("DownW", "w-list");
             let t0 = now();
-            let flops = if wants_grad {
-                engine.w_pass_grad(store, &mut pot_refs, &mut grad_refs)
-            } else {
-                engine.w_pass(store, &mut pot_refs)
-            };
+            let flops = engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut());
             stats.add_seconds(Phase::DownW, now() - t0);
             stats.add_flops(Phase::DownW, flops);
             rt.add(Counter::Flops, flops);
@@ -766,11 +760,7 @@ impl<K: Kernel> Plan<K> {
         {
             let _span = rt.span("Eval", "l2t");
             let t0 = now();
-            let flops = if wants_grad {
-                engine.l2t_grad(store, &mut pot_refs, &mut grad_refs)
-            } else {
-                engine.l2t(store, &mut pot_refs)
-            };
+            let flops = engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut());
             stats.add_seconds(Phase::Eval, now() - t0);
             stats.add_flops(Phase::Eval, flops);
             rt.add(Counter::Flops, flops);

@@ -15,9 +15,9 @@
 //! matrix is excluded from the N-body sum, and GP users add the
 //! `1 + noise` diagonal themselves.
 
-use crate::kernel::{displacement, with_weight_buf, Kernel};
+use crate::fused::{radial_p2p_grad_many, radial_p2p_many};
+use crate::kernel::{displacement, Kernel};
 use crate::Point3;
-use kifmm_linalg::simd;
 
 /// Squared-exponential kernel `exp(−r²/(2σ²))` with bandwidth `σ`.
 #[derive(Clone, Copy, Debug)]
@@ -110,34 +110,9 @@ impl Kernel for Gaussian {
         block[2] = -dz * s;
     }
 
-    /// Per target: fill the pair-weight buffer `w = e^{−r²/(2σ²)}` (the
-    /// `exp` stays scalar for determinism, as in ModifiedLaplace; `w = 0`
-    /// marks a coincident pair), then reduce with the vector
-    /// [`simd::dot`]. [`Gaussian::p2p_many`] runs the identical chain, so
-    /// results are bit-identical per RHS.
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        let inv2s2 = self.inv_two_sigma2();
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = if r2 > 0.0 { (-r2 * inv2s2).exp() } else { 0.0 };
-                }
-                potentials[ti] += simd::dot(densities, w);
-            }
-        });
-    }
-
-    /// Hoists the pair weight `w = e^{−r²/(2σ²)}` out of the RHS loop;
-    /// bit-identical per RHS to [`Gaussian::p2p`].
+    /// Weight buffer `w = e^{−r²/(2σ²)}` (the `exp` stays scalar for
+    /// determinism, as in ModifiedLaplace; `w = 0` marks a coincident
+    /// pair — the FMM convention, not `G(0) = 1`).
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -145,62 +120,16 @@ impl Kernel for Gaussian {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
         let inv2s2 = self.inv_two_sigma2();
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = if r2 > 0.0 { (-r2 * inv2s2).exp() } else { 0.0 };
-                }
-                for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                    pot[ti] += simd::dot(dens, w);
-                }
+        radial_p2p_many(targets, sources, densities, potentials, 1.0, |w| {
+            for r2 in w.iter_mut() {
+                *r2 = if *r2 > 0.0 { (-*r2 * inv2s2).exp() } else { 0.0 };
             }
         });
     }
 
-    /// Fused scalar loop sharing the `exp` between the potential and the
-    /// three gradient components.
-    fn p2p_grad(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-        gradients: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        debug_assert_eq!(gradients.len(), 3 * targets.len());
-        let inv2s2 = self.inv_two_sigma2();
-        let invs2 = self.inv_sigma2();
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut u = 0.0;
-            let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let e = (-r2 * inv2s2).exp();
-                let we = e * invs2;
-                let q = densities[si];
-                u += q * e;
-                let s = q * we;
-                gx -= dx * s;
-                gy -= dy * s;
-                gz -= dz * s;
-            }
-            potentials[ti] += u;
-            gradients[3 * ti] += gx;
-            gradients[3 * ti + 1] += gy;
-            gradients[3 * ti + 2] += gz;
-        }
-    }
-
-    /// Hoisted-geometry multi-RHS variant of [`Gaussian::p2p_grad`]
-    /// (bit-identical per RHS).
+    /// Shares the `exp` between the potential and the three gradient
+    /// components.
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -209,45 +138,12 @@ impl Kernel for Gaussian {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
-        let inv2s2 = self.inv_two_sigma2();
-        let invs2 = self.inv_sigma2();
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 5]; ns]; // dx, dy, dz, e, e/σ²
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let e = (-r2 * inv2s2).exp();
-                geo[si] = [dx, dy, dz, e, e * invs2];
-            }
-            for ((dens, pot), grad) in
-                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-            {
-                let mut u = 0.0;
-                let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, e, we] = *g;
-                    if e == 0.0 {
-                        continue;
-                    }
-                    let q = dens[si];
-                    u += q * e;
-                    let s = q * we;
-                    gx -= dx * s;
-                    gy -= dy * s;
-                    gz -= dz * s;
-                }
-                pot[ti] += u;
-                grad[3 * ti] += gx;
-                grad[3 * ti + 1] += gy;
-                grad[3 * ti + 2] += gz;
-            }
-        }
+        let (inv2s2, invs2) = (self.inv_two_sigma2(), self.inv_sigma2());
+        let weights = |r2: f64| {
+            let e = (-r2 * inv2s2).exp();
+            (e, e * invs2)
+        };
+        radial_p2p_grad_many(targets, sources, densities, potentials, gradients, 1.0, weights);
     }
 }
 

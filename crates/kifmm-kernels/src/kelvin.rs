@@ -9,6 +9,7 @@
 //! `ν → 1/2` up to the `1/(2μ)` prefactor), so the same equivalent-density
 //! machinery applies: homogeneous of degree −1, 3×3 blocks.
 
+use crate::fused::{stokeslet_p2p_grad_many, stokeslet_p2p_many};
 use crate::kernel::{displacement, Kernel};
 use crate::Point3;
 
@@ -140,47 +141,7 @@ impl Kernel for Kelvin {
         }
     }
 
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), 3 * sources.len());
-        debug_assert_eq!(potentials.len(), 3 * targets.len());
-        let c = self.prefactor();
-        let a = self.a();
-        for (ti, &x) in targets.iter().enumerate() {
-            let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                let f0 = densities[3 * si];
-                let f1 = densities[3 * si + 1];
-                let f2 = densities[3 * si + 2];
-                let rdotf = dx * f0 + dy * f1 + dz * f2;
-                let iso = a * inv_r;
-                let s = rdotf * inv_r3;
-                u0 += f0 * iso + dx * s;
-                u1 += f1 * iso + dy * s;
-                u2 += f2 * iso + dz * s;
-            }
-            potentials[3 * ti] += c * u0;
-            potentials[3 * ti + 1] += c * u1;
-            potentials[3 * ti + 2] += c * u2;
-        }
-    }
-
-    /// Hoists the pair geometry (`dx,dy,dz,(3−4ν)/r,1/r³`; iso `= 0` marks
-    /// a coincident pair) out of the RHS loop; each RHS then runs the
-    /// exact per-source arithmetic of [`Kelvin::p2p`], so results are
-    /// bit-identical per RHS.
+    /// Displacement loop with the `3−4ν` weight on the isotropic term.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -188,102 +149,10 @@ impl Kernel for Kelvin {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        let c = self.prefactor();
-        let a = self.a();
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 5]; ns]; // dx, dy, dz, (3−4ν)/r, inv_r3
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                geo[si] = [dx, dy, dz, a * inv_r, inv_r / r2];
-            }
-            for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, iso, inv_r3] = *g;
-                    if iso == 0.0 {
-                        continue;
-                    }
-                    let f0 = dens[3 * si];
-                    let f1 = dens[3 * si + 1];
-                    let f2 = dens[3 * si + 2];
-                    let rdotf = dx * f0 + dy * f1 + dz * f2;
-                    let s = rdotf * inv_r3;
-                    u0 += f0 * iso + dx * s;
-                    u1 += f1 * iso + dy * s;
-                    u2 += f2 * iso + dz * s;
-                }
-                pot[3 * ti] += c * u0;
-                pot[3 * ti + 1] += c * u1;
-                pot[3 * ti + 2] += c * u2;
-            }
-        }
+        stokeslet_p2p_many(targets, sources, densities, potentials, self.prefactor(), self.a());
     }
 
-    /// Fused displacement + displacement-gradient loop sharing `1/r`,
-    /// `1/r³`, `1/r⁵` and `r·f` per pair.
-    fn p2p_grad(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-        gradients: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), 3 * sources.len());
-        debug_assert_eq!(potentials.len(), 3 * targets.len());
-        debug_assert_eq!(gradients.len(), 9 * targets.len());
-        let c = self.prefactor();
-        let a = self.a();
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut u = [0.0f64; 3];
-            let mut g = [0.0f64; 9];
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                let inv_r5x3 = 3.0 * inv_r3 / r2;
-                let iso = a * inv_r;
-                let rv = [dx, dy, dz];
-                let fv =
-                    [densities[3 * si], densities[3 * si + 1], densities[3 * si + 2]];
-                let rdotf = rv[0] * fv[0] + rv[1] * fv[1] + rv[2] * fv[2];
-                let s = rdotf * inv_r3;
-                let s5 = rdotf * inv_r5x3;
-                for i in 0..3 {
-                    u[i] += fv[i] * iso + rv[i] * s;
-                    for k in 0..3 {
-                        let mut v = (rv[i] * fv[k] - a * fv[i] * rv[k]) * inv_r3
-                            - rv[i] * rv[k] * s5;
-                        if i == k {
-                            v += s;
-                        }
-                        g[i * 3 + k] += v;
-                    }
-                }
-            }
-            for i in 0..3 {
-                potentials[3 * ti + i] += c * u[i];
-                for k in 0..3 {
-                    gradients[9 * ti + i * 3 + k] += c * g[i * 3 + k];
-                }
-            }
-        }
-    }
-
-    /// Hoisted-geometry multi-RHS variant of [`Kelvin::p2p_grad`]
-    /// (bit-identical per RHS, same contract as [`Kelvin::p2p_many`]).
+    /// Displacement + displacement gradient, see [`Kelvin::p2p_many`].
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -292,59 +161,8 @@ impl Kernel for Kelvin {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
-        let c = self.prefactor();
-        let a = self.a();
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 7]; ns]; // dx,dy,dz, inv_r, inv_r3, 3/r⁵, iso
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                geo[si] = [dx, dy, dz, inv_r, inv_r3, 3.0 * inv_r3 / r2, a * inv_r];
-            }
-            for ((dens, pot), grad) in
-                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-            {
-                let mut u = [0.0f64; 3];
-                let mut g = [0.0f64; 9];
-                for (si, geo_s) in geo.iter().enumerate() {
-                    let [dx, dy, dz, inv_r, inv_r3, inv_r5x3, iso] = *geo_s;
-                    if inv_r == 0.0 {
-                        continue;
-                    }
-                    let rv = [dx, dy, dz];
-                    let fv = [dens[3 * si], dens[3 * si + 1], dens[3 * si + 2]];
-                    let rdotf = rv[0] * fv[0] + rv[1] * fv[1] + rv[2] * fv[2];
-                    let s = rdotf * inv_r3;
-                    let s5 = rdotf * inv_r5x3;
-                    for i in 0..3 {
-                        u[i] += fv[i] * iso + rv[i] * s;
-                        for k in 0..3 {
-                            let mut v = (rv[i] * fv[k] - a * fv[i] * rv[k]) * inv_r3
-                                - rv[i] * rv[k] * s5;
-                            if i == k {
-                                v += s;
-                            }
-                            g[i * 3 + k] += v;
-                        }
-                    }
-                }
-                for i in 0..3 {
-                    pot[3 * ti + i] += c * u[i];
-                    for k in 0..3 {
-                        grad[9 * ti + i * 3 + k] += c * g[i * 3 + k];
-                    }
-                }
-            }
-        }
+        let (c, a) = (self.prefactor(), self.a());
+        stokeslet_p2p_grad_many(targets, sources, densities, potentials, gradients, c, a);
     }
 }
 

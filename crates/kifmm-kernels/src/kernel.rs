@@ -8,14 +8,26 @@ use crate::Point3;
 /// equivalent-density machinery can compress (e.g. the Gaussian of
 /// kernel-matrix matvecs).
 ///
-/// The FMM interacts with the PDE *only* through this trait: pairwise
-/// evaluation ([`eval`](Kernel::eval)) and a fused particle-to-particle
-/// accumulation ([`p2p`](Kernel::p2p)). Matrix-valued kernels (Stokes,
-/// Kelvin) declare `src_dim`/`trg_dim > 1` and fill a `trg_dim × src_dim`
-/// block per point pair. The dimensions are **runtime methods**, not
-/// associated constants, so closure-backed kernels ([`crate::CustomKernel`])
-/// with caller-chosen dimensions drive the identical pipeline — the
-/// kernel-independence claim made executable.
+/// **A kernel is [`eval`](Kernel::eval)** (plus, optionally, an analytic
+/// [`eval_grad`](Kernel::eval_grad)): the FMM interacts with the PDE only
+/// through pairwise evaluations, and everything else here has a default
+/// built on them. Matrix-valued kernels (Stokes, Kelvin) declare
+/// `src_dim`/`trg_dim > 1` and fill a `trg_dim × src_dim` block per point
+/// pair. The dimensions are **runtime methods**, not associated constants,
+/// so closure-backed kernels ([`crate::CustomKernel`]) with caller-chosen
+/// dimensions drive the identical pipeline — the kernel-independence claim
+/// made executable.
+///
+/// The near field runs through two accumulators, one per output kind:
+/// [`p2p_many`](Kernel::p2p_many) (potentials) and
+/// [`p2p_grad_many`](Kernel::p2p_grad_many) (potentials + gradients), each
+/// over `k ≥ 1` right-hand sides. Their defaults evaluate the block once
+/// per pair; an analytic kernel **may** override each with one hand-written
+/// loop that shares the pair geometry across the batch. The single-RHS
+/// [`p2p`](Kernel::p2p) / [`p2p_grad`](Kernel::p2p_grad) are provided
+/// forwards with `k = 1` and are not meant to be overridden (no kernel in
+/// this workspace does; `scripts/verify.sh` greps for it), so each RHS of
+/// a batch is bit-identical to a single-RHS call by construction.
 ///
 /// Requirements inherited from the paper (§2): `G` is smooth away from the
 /// singularity and its far field is low-rank enough for the equivalent
@@ -48,8 +60,9 @@ pub trait Kernel: Clone + Send + Sync + 'static {
     fn flops_per_eval(&self) -> u64;
 
     /// Flop count charged per pair for a **fused** potential + gradient
-    /// accumulation ([`p2p_grad`](Kernel::p2p_grad)). The default models
-    /// the generic path (one block eval plus three derivative components).
+    /// accumulation ([`p2p_grad_many`](Kernel::p2p_grad_many)). The default
+    /// models the generic path (one block eval plus three derivative
+    /// components).
     fn flops_per_grad_eval(&self) -> u64 {
         4 * self.flops_per_eval()
     }
@@ -81,12 +94,11 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         0
     }
 
-    /// Accumulate `u(x_i) += Σ_j G(x_i, y_j) φ_j` for all targets.
+    /// Accumulate `u(x_i) += Σ_j G(x_i, y_j) φ_j` for all targets:
+    /// [`p2p_many`](Kernel::p2p_many) with one right-hand side.
     ///
     /// `densities` has `src_dim` interleaved components per source;
-    /// `potentials` has `trg_dim` per target. Implementations override this
-    /// with a fused loop — it is the `DownU` (dense interaction) microkernel
-    /// and dominates the flop count at small `s`.
+    /// `potentials` has `trg_dim` per target.
     fn p2p(
         &self,
         targets: &[Point3],
@@ -94,35 +106,22 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         densities: &[f64],
         potentials: &mut [f64],
     ) {
-        let (sd, td) = (self.src_dim(), self.trg_dim());
-        debug_assert_eq!(densities.len(), sources.len() * sd);
-        debug_assert_eq!(potentials.len(), targets.len() * td);
-        let mut block = vec![0.0; td * sd];
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                self.eval(x, y, &mut block);
-                for a in 0..td {
-                    let mut acc = 0.0;
-                    for b in 0..sd {
-                        acc += block[a * sd + b] * densities[si * sd + b];
-                    }
-                    potentials[ti * td + a] += acc;
-                }
-            }
-        }
+        self.p2p_many(targets, sources, &[densities], &mut [potentials]);
     }
 
-    /// Multi-RHS [`p2p`](Kernel::p2p): accumulate the same target/source
-    /// geometry against `k = densities.len()` independent density vectors
-    /// into `k` potential vectors.
+    /// Accumulate `u_q(x_i) += Σ_j G(x_i, y_j) φ_{q,j}` for `k =
+    /// densities.len()` independent density vectors over one target/source
+    /// geometry — the `DownU` (dense interaction) microkernel, which
+    /// dominates the flop count at small `s`. Every slice length is
+    /// checked (`src_dim` per source, `trg_dim` per target); a mismatch
+    /// panics.
     ///
-    /// **Bitwise contract:** `potentials[q]` must be bit-identical to what
-    /// `self.p2p(targets, sources, densities[q], potentials[q])` would
-    /// produce — overrides may hoist pair geometry (distances, `sqrt`,
-    /// `exp`) out of the RHS loop (those values are deterministic IEEE
-    /// functions of the points alone) but must replicate the per-RHS
-    /// accumulation order of their `p2p` exactly. The default delegates
-    /// per RHS.
+    /// The default evaluates each pair's block once — one target's row of
+    /// blocks at a time — and applies the row to every right-hand side. An
+    /// override must leave each `potentials[q]` independent of `k` and of
+    /// the other right-hand sides: pair geometry (distances, `sqrt`, `exp`)
+    /// is a deterministic function of the points alone and may be shared,
+    /// the accumulation order over sources may not depend on the batch.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -130,21 +129,21 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        for (d, p) in densities.iter().zip(potentials.iter_mut()) {
-            self.p2p(targets, sources, d, p);
+        let (sd, td) = (self.src_dim(), self.trg_dim());
+        check_shapes((sd, td), targets.len(), sources.len(), densities, potentials, None);
+        let mut blocks = vec![0.0; sources.len() * td * sd];
+        for (ti, &x) in targets.iter().enumerate() {
+            for (block, &y) in blocks.chunks_exact_mut(td * sd).zip(sources) {
+                self.eval(x, y, block);
+            }
+            for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
+                apply_blocks(&blocks, sd, dens, &mut pot[ti * td..(ti + 1) * td]);
+            }
         }
     }
 
-    /// Fused potential **and** gradient accumulation:
-    /// `u(x_i) += Σ_j G(x_i, y_j) φ_j` into `potentials` (`trg_dim` per
-    /// target) and `∇u(x_i) += Σ_j ∇ₓG(x_i, y_j) φ_j` into `gradients`
-    /// (`trg_dim·3` per target, component-major: entry
-    /// `[i·trg_dim·3 + t·3 + d] = ∂u_t/∂x_d`).
-    ///
-    /// The default evaluates [`eval`](Kernel::eval) and
-    /// [`eval_grad`](Kernel::eval_grad) per pair; analytic kernels override
-    /// with a fused loop sharing the pair geometry.
+    /// Fused potential **and** gradient accumulation for one right-hand
+    /// side: [`p2p_grad_many`](Kernel::p2p_grad_many) with `k = 1`.
     fn p2p_grad(
         &self,
         targets: &[Point3],
@@ -153,38 +152,21 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         potentials: &mut [f64],
         gradients: &mut [f64],
     ) {
-        let (sd, td) = (self.src_dim(), self.trg_dim());
-        debug_assert_eq!(densities.len(), sources.len() * sd);
-        debug_assert_eq!(potentials.len(), targets.len() * td);
-        debug_assert_eq!(gradients.len(), targets.len() * td * 3);
-        let mut block = vec![0.0; td * sd];
-        let mut gblock = vec![0.0; td * 3 * sd];
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                self.eval(x, y, &mut block);
-                self.eval_grad(x, y, &mut gblock);
-                for a in 0..td {
-                    let mut acc = 0.0;
-                    for b in 0..sd {
-                        acc += block[a * sd + b] * densities[si * sd + b];
-                    }
-                    potentials[ti * td + a] += acc;
-                }
-                for row in 0..td * 3 {
-                    let mut acc = 0.0;
-                    for b in 0..sd {
-                        acc += gblock[row * sd + b] * densities[si * sd + b];
-                    }
-                    gradients[ti * td * 3 + row] += acc;
-                }
-            }
-        }
+        self.p2p_grad_many(targets, sources, &[densities], &mut [potentials], &mut [gradients]);
     }
 
-    /// Multi-RHS [`p2p_grad`](Kernel::p2p_grad), under the same bitwise
-    /// contract as [`p2p_many`](Kernel::p2p_many): `potentials[q]` /
-    /// `gradients[q]` must match what `p2p_grad` on RHS `q` alone would
-    /// produce. The default delegates per RHS.
+    /// Fused potential **and** gradient accumulation over `k` right-hand
+    /// sides: `u_q(x_i) += Σ_j G(x_i, y_j) φ_{q,j}` into `potentials[q]`
+    /// (`trg_dim` per target) and `∇u_q(x_i) += Σ_j ∇ₓG(x_i, y_j) φ_{q,j}`
+    /// into `gradients[q]` (`trg_dim·3` per target, component-major: entry
+    /// `[i·trg_dim·3 + t·3 + d] = ∂u_t/∂x_d`). Lengths are checked as in
+    /// [`p2p_many`](Kernel::p2p_many).
+    ///
+    /// The default evaluates [`eval`](Kernel::eval) and
+    /// [`eval_grad`](Kernel::eval_grad) once per pair and applies each
+    /// target's row of blocks to every right-hand side; analytic kernels
+    /// override with a loop sharing the pair geometry, under the same
+    /// per-RHS independence rule.
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -193,11 +175,71 @@ pub trait Kernel: Clone + Send + Sync + 'static {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
+        let (sd, td) = (self.src_dim(), self.trg_dim());
+        let (nt, ns) = (targets.len(), sources.len());
+        check_shapes((sd, td), nt, ns, densities, potentials, Some(gradients));
+        let mut blocks = vec![0.0; ns * td * sd];
+        let mut gblocks = vec![0.0; ns * td * 3 * sd];
+        for (ti, &x) in targets.iter().enumerate() {
+            for ((block, gblock), &y) in blocks
+                .chunks_exact_mut(td * sd)
+                .zip(gblocks.chunks_exact_mut(td * 3 * sd))
+                .zip(sources)
+            {
+                self.eval(x, y, block);
+                self.eval_grad(x, y, gblock);
+            }
+            for ((dens, pot), grad) in
+                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
+            {
+                apply_blocks(&blocks, sd, dens, &mut pot[ti * td..(ti + 1) * td]);
+                apply_blocks(&gblocks, sd, dens, &mut grad[ti * td * 3..(ti + 1) * td * 3]);
+            }
+        }
+    }
+}
+
+/// One target's row of per-source kernel (or gradient) blocks applied to
+/// one density vector: `out[row] += Σ_b block[row·sd + b] · dens[b]`,
+/// source after source. Rows are outermost so each output's running sum
+/// stays in a register; the order of additions into it is the source order.
+fn apply_blocks(blocks: &[f64], sd: usize, dens: &[f64], out: &mut [f64]) {
+    let rows = out.len();
+    for (row, o) in out.iter_mut().enumerate() {
+        let mut sum = *o;
+        for (block, d) in blocks.chunks_exact(rows * sd).zip(dens.chunks_exact(sd)) {
+            let mut acc = 0.0;
+            for (g, dj) in block[row * sd..(row + 1) * sd].iter().zip(d) {
+                acc += g * dj;
+            }
+            sum += acc;
+        }
+        *o = sum;
+    }
+}
+
+/// Panic unless the batch is well-formed: one potential (and gradient)
+/// vector per density vector, `sd` density entries per source, `td`
+/// potential and `3·td` gradient entries per target. These are real
+/// `assert`s: the fused loops index — and [`kifmm_linalg::simd::dot`]
+/// loads — out to exactly these lengths.
+pub(crate) fn check_shapes(
+    (sd, td): (usize, usize),
+    nt: usize,
+    ns: usize,
+    densities: &[&[f64]],
+    potentials: &[&mut [f64]],
+    gradients: Option<&[&mut [f64]]>,
+) {
+    assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
+    for (dens, pot) in densities.iter().zip(potentials) {
+        assert_eq!(dens.len(), ns * sd, "src_dim density entries per source");
+        assert_eq!(pot.len(), nt * td, "trg_dim potential entries per target");
+    }
+    if let Some(gradients) = gradients {
         assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
-        for ((d, p), g) in densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-        {
-            self.p2p_grad(targets, sources, d, p, g);
+        for grad in gradients {
+            assert_eq!(grad.len(), nt * td * 3, "3·trg_dim gradient entries per target");
         }
     }
 }
@@ -238,21 +280,6 @@ pub fn central_difference_grad<K: Kernel + ?Sized>(
     }
 }
 
-/// Run `f` over a zeroed per-source weight buffer, stack-allocated when the
-/// source box is small (the common U-list case — `max_pts_per_leaf`
-/// defaults to 60) so the restructured `p2p` loops stay allocation-free.
-#[inline]
-pub(crate) fn with_weight_buf<R>(ns: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-    const STACK: usize = 128;
-    if ns <= STACK {
-        let mut buf = [0.0f64; STACK];
-        f(&mut buf[..ns])
-    } else {
-        let mut buf = vec![0.0f64; ns];
-        f(&mut buf)
-    }
-}
-
 /// Squared distance plus the displacement, shared by all kernels.
 #[inline(always)]
 pub(crate) fn displacement(x: Point3, y: Point3) -> (f64, f64, f64, f64) {
@@ -267,13 +294,23 @@ mod tests {
     use super::*;
     use crate::{Gaussian, Kelvin, Laplace, LaplaceDipole, ModifiedLaplace, Stokes};
 
-    /// `p2p_many` promises bitwise identity with k independent `p2p`
-    /// calls — the property `eval_many` relies on. Exercised on every
-    /// kernel's override, including a coincident target/source pair.
+    /// Each RHS of a batch must be bit-identical to a single-RHS call —
+    /// the property `eval_many` relies on. `p2p`/`p2p_grad` forward to the
+    /// `_many` loops with k = 1, so what this pins is that a right-hand
+    /// side's result does not depend on the batch around it: k crosses the
+    /// `SWEEP`-RHS boundary of the one-pass loops (8 | 9, 16 | 17), ns the
+    /// 128-entry stack/heap boundary of the weight buffer, and empty
+    /// source/target sets must be no-ops. Every non-empty shape carries a
+    /// coincident target/source pair (the self-skip path).
     fn check_p2p_many_bitwise<K: Kernel>(kernel: &K) {
-        let nt = 7;
-        let ns = 9;
-        let k = 5;
+        for (nt, ns) in [(7, 9), (7, 0), (7, 1), (7, 129), (0, 9)] {
+            for k in [1, 2, 8, 9, 17] {
+                check_p2p_many_bitwise_at(kernel, nt, ns, k);
+            }
+        }
+    }
+
+    fn check_p2p_many_bitwise_at<K: Kernel>(kernel: &K, nt: usize, ns: usize, k: usize) {
         let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
         let targets: Vec<Point3> = (0..nt)
             .map(|i| {
@@ -287,7 +324,9 @@ mod tests {
                 [(t * 0.23).cos(), (t * 0.41).sin() * 0.9, (t * 0.11).cos() * 0.7]
             })
             .collect();
-        sources[4] = targets[2]; // coincident pair: the self-skip path
+        if nt > 2 && ns > 0 {
+            sources[ns / 2] = targets[2];
+        }
         let dens: Vec<Vec<f64>> = (0..k)
             .map(|q| {
                 (0..ns * sd)
@@ -295,6 +334,7 @@ mod tests {
                     .collect()
             })
             .collect();
+        let what = format!("{} nt={nt} ns={ns} k={k}", kernel.name());
 
         // Reference: k independent p2p calls into pre-seeded outputs.
         let seed: Vec<f64> = (0..nt * td).map(|i| (i as f64 * 0.7).sin()).collect();
@@ -311,7 +351,10 @@ mod tests {
             kernel.p2p_many(&targets, &sources, &dens_refs, &mut pot_refs);
         }
         for q in 0..k {
-            assert_eq!(got[q], expect[q], "{} RHS {q} not bitwise equal", kernel.name());
+            assert_eq!(got[q], expect[q], "{what}: RHS {q} not bitwise equal");
+        }
+        if ns == 0 {
+            assert_eq!(got[0], seed, "{what}: no sources must leave the output untouched");
         }
 
         // The same promise for the fused gradient accumulators.
@@ -332,8 +375,37 @@ mod tests {
             kernel.p2p_grad_many(&targets, &sources, &dens_refs, &mut pot_refs, &mut grad_refs);
         }
         for q in 0..k {
-            assert_eq!(pgot[q], pexp[q], "{} grad-pot RHS {q}", kernel.name());
-            assert_eq!(ggot[q], gexp[q], "{} grad RHS {q}", kernel.name());
+            assert_eq!(pgot[q], pexp[q], "{what}: grad-pot RHS {q}");
+            assert_eq!(ggot[q], gexp[q], "{what}: grad RHS {q}");
+        }
+        // The fused loop's potential is the potential loop's, to rounding
+        // (the two may associate the per-pair products differently).
+        for (a, b) in pgot.iter().flatten().zip(got.iter().flatten()) {
+            assert!((a - b).abs() <= 1e-12 * (1.0 + b.abs()), "{what}: fused potential {a} vs {b}");
+        }
+    }
+
+    /// A Laplace `eval` behind the trait's generic (eval-based) defaults.
+    #[derive(Clone)]
+    struct Generic;
+    impl Kernel for Generic {
+        fn src_dim(&self) -> usize {
+            1
+        }
+        fn trg_dim(&self) -> usize {
+            1
+        }
+        fn name(&self) -> &str {
+            "generic"
+        }
+        fn homogeneity(&self) -> Option<f64> {
+            Some(-1.0)
+        }
+        fn flops_per_eval(&self) -> u64 {
+            12
+        }
+        fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
+            Laplace.eval(x, y, block)
         }
     }
 
@@ -349,31 +421,55 @@ mod tests {
 
     #[test]
     fn p2p_many_default_matches_loop() {
-        // A kernel without an override goes through the default per-RHS
-        // delegation.
-        #[derive(Clone)]
-        struct Generic;
-        impl Kernel for Generic {
-            fn src_dim(&self) -> usize {
-                1
-            }
-            fn trg_dim(&self) -> usize {
-                1
-            }
-            fn name(&self) -> &str {
-                "generic"
-            }
-            fn homogeneity(&self) -> Option<f64> {
-                Some(-1.0)
-            }
-            fn flops_per_eval(&self) -> u64 {
-                12
-            }
-            fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
-                Laplace.eval(x, y, block)
-            }
-        }
+        // Kernels without an override go through the trait's eval-based
+        // defaults: a unit struct, and a 2×3 closure with runtime dims.
         check_p2p_many_bitwise(&Generic);
+        let closure = crate::CustomKernel::new("rect", 3, 2, Some(-2.0), |x, y, block| {
+            let mut b = [0.0; 3];
+            LaplaceDipole.eval(x, y, &mut b);
+            block[..3].copy_from_slice(&b);
+            block[3..].copy_from_slice(&[b[2], -b[0], 0.5 * b[1]]);
+        });
+        check_p2p_many_bitwise(&closure);
+    }
+
+    /// The entry points check every slice length for real (not
+    /// `debug_assert`): the fused loops index, and `simd::dot` loads, out
+    /// to the lengths the shape implies.
+    #[test]
+    fn wrong_length_slices_panic() {
+        fn assert_panics(what: &str, f: impl FnOnce()) {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            assert!(caught.is_err(), "{what} must panic");
+        }
+        fn check<K: Kernel>(k: &K) {
+            let t = [[0.1, 0.2, 0.3], [0.5, 0.1, 0.9]];
+            let s = [[1.0, 0.0, 0.0], [0.0, 1.5, 0.0], [0.3, 0.3, 2.0]];
+            let (sd, td) = (k.src_dim(), k.trg_dim());
+            let (dens, short) = (vec![0.5; 3 * sd], vec![0.5; 3 * sd - 1]);
+            let (mut pot, mut grad) = (vec![0.0; 2 * td], vec![0.0; 2 * td * 3]);
+            let name = k.name();
+            assert_panics(&format!("{name}: short densities"), || k.p2p(&t, &s, &short, &mut pot));
+            assert_panics(&format!("{name}: long potentials"), || {
+                k.p2p(&t, &s, &dens, &mut vec![0.0; 2 * td + 1])
+            });
+            assert_panics(&format!("{name}: RHS count mismatch"), || {
+                k.p2p_many(&t, &s, &[&dens, &dens], &mut [&mut pot])
+            });
+            assert_panics(&format!("{name}: short densities (grad)"), || {
+                k.p2p_grad(&t, &s, &short, &mut pot, &mut grad)
+            });
+            assert_panics(&format!("{name}: short gradients"), || {
+                k.p2p_grad(&t, &s, &dens, &mut pot, &mut vec![0.0; 2 * td * 3 - 1])
+            });
+        }
+        check(&Laplace);
+        check(&ModifiedLaplace::new(1.3));
+        check(&Gaussian::new(0.8));
+        check(&Stokes::new(0.7));
+        check(&Kelvin::new(1.1, 0.3));
+        check(&LaplaceDipole);
+        check(&Generic);
     }
 
     /// The analytic `eval_grad` overrides must agree with the generic

@@ -1,6 +1,7 @@
 //! The 3-D Laplace single-layer kernel `G(x, y) = 1/(4π|x − y|)`.
 
-use crate::kernel::{displacement, with_weight_buf, Kernel};
+use crate::fused::{radial_p2p_grad_many, radial_p2p_many};
+use crate::kernel::{displacement, Kernel};
 use crate::Point3;
 use kifmm_linalg::simd;
 
@@ -60,36 +61,9 @@ impl Kernel for Laplace {
         block[2] = -dz * inv_r3;
     }
 
-    /// Per target: fill the squared-distance buffer, turn it into weights
-    /// `w = 1/√r²` with the vector [`simd::recip_sqrt`] microkernel
-    /// (`w = 0` marks a coincident pair), then reduce with [`simd::dot`].
-    /// [`Laplace::p2p_many`] runs the identical chain, so results are
-    /// bit-identical per RHS.
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = r2;
-                }
-                simd::recip_sqrt(w);
-                potentials[ti] += FOUR_PI_INV * simd::dot(densities, w);
-            }
-        });
-    }
-
-    /// Hoists the full pair weight `w = 1/√r²` out of the RHS loop; the
-    /// marginal cost of each extra RHS is one dot product over the shared
-    /// weights. [`Laplace::p2p`] computes the identical weight buffer and
-    /// reduction, so results are bit-identical per RHS.
+    /// Weight buffer `w = 1/√r²` from the vector [`simd::recip_sqrt`]
+    /// microkernel (`w = 0` marks a coincident pair), reduced per RHS with
+    /// [`simd::dot`].
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -97,62 +71,11 @@ impl Kernel for Laplace {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = r2;
-                }
-                simd::recip_sqrt(w);
-                for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                    pot[ti] += FOUR_PI_INV * simd::dot(dens, w);
-                }
-            }
-        });
+        radial_p2p_many(targets, sources, densities, potentials, FOUR_PI_INV, simd::recip_sqrt);
     }
 
-    /// Fused scalar loop sharing `1/r` and `1/r³` between the potential
-    /// and the three gradient components.
-    fn p2p_grad(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-        gradients: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        debug_assert_eq!(gradients.len(), 3 * targets.len());
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut u = 0.0;
-            let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let inv_r = 1.0 / r2.sqrt();
-                let inv_r3 = inv_r / r2;
-                let q = densities[si];
-                u += q * inv_r;
-                let s = q * inv_r3;
-                gx -= dx * s;
-                gy -= dy * s;
-                gz -= dz * s;
-            }
-            potentials[ti] += FOUR_PI_INV * u;
-            gradients[3 * ti] += FOUR_PI_INV * gx;
-            gradients[3 * ti + 1] += FOUR_PI_INV * gy;
-            gradients[3 * ti + 2] += FOUR_PI_INV * gz;
-        }
-    }
-
-    /// Hoists the pair geometry (`dx,dy,dz,1/r,1/r³`; `1/r = 0` marks a
-    /// coincident pair) out of the RHS loop; each RHS then runs the exact
-    /// per-source arithmetic of [`Laplace::p2p_grad`], so results are
-    /// bit-identical per RHS.
+    /// Shares `1/r` and `1/r³` between the potential and the three
+    /// gradient components.
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -161,43 +84,13 @@ impl Kernel for Laplace {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 5]; ns]; // dx, dy, dz, inv_r, inv_r3
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let inv_r = 1.0 / r2.sqrt();
-                geo[si] = [dx, dy, dz, inv_r, inv_r / r2];
-            }
-            for ((dens, pot), grad) in
-                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-            {
-                let mut u = 0.0;
-                let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, inv_r, inv_r3] = *g;
-                    if inv_r == 0.0 {
-                        continue;
-                    }
-                    let q = dens[si];
-                    u += q * inv_r;
-                    let s = q * inv_r3;
-                    gx -= dx * s;
-                    gy -= dy * s;
-                    gz -= dz * s;
-                }
-                pot[ti] += FOUR_PI_INV * u;
-                grad[3 * ti] += FOUR_PI_INV * gx;
-                grad[3 * ti + 1] += FOUR_PI_INV * gy;
-                grad[3 * ti + 2] += FOUR_PI_INV * gz;
-            }
-        }
+        let weights = |r2: f64| {
+            let inv_r = 1.0 / r2.sqrt();
+            (inv_r, inv_r / r2)
+        };
+        radial_p2p_grad_many(
+            targets, sources, densities, potentials, gradients, FOUR_PI_INV, weights,
+        );
     }
 }
 

@@ -9,7 +9,8 @@
 //! The far field of a dipole cloud carries no monopole moment, so the
 //! dipole-valued equivalent densities of the KIFMM represent it.
 
-use crate::kernel::{displacement, Kernel};
+use crate::fused::SWEEP;
+use crate::kernel::{check_shapes, displacement, Kernel};
 use crate::Point3;
 
 const FOUR_PI_INV: f64 = 1.0 / (4.0 * std::f64::consts::PI);
@@ -57,35 +58,8 @@ impl Kernel for LaplaceDipole {
         block[2] = dz * inv_r3;
     }
 
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), 3 * sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut acc = 0.0;
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let inv_r3 = 1.0 / (r2 * r2.sqrt());
-                acc += (dx * densities[3 * si]
-                    + dy * densities[3 * si + 1]
-                    + dz * densities[3 * si + 2])
-                    * inv_r3;
-            }
-            potentials[ti] += FOUR_PI_INV * acc;
-        }
-    }
-
-    /// Hoists `dx,dy,dz,1/r³` (`1/r³ = 0` marks a coincident pair) out of
-    /// the RHS loop; each RHS then runs the exact per-source arithmetic of
-    /// [`LaplaceDipole::p2p`], so results are bit-identical per RHS.
+    /// One pass over the sources per target with `dx,dy,dz,1/r³` in
+    /// registers, the batch innermost.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -93,28 +67,23 @@ impl Kernel for LaplaceDipole {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 4]; ns]; // dx, dy, dz, inv_r3
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                geo[si][3] = 0.0;
-                if r2 > 0.0 {
-                    geo[si] = [dx, dy, dz, 1.0 / (r2 * r2.sqrt())];
-                }
-            }
-            for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                let mut acc = 0.0;
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, inv_r3] = *g;
-                    if inv_r3 == 0.0 {
+        check_shapes((3, 1), targets.len(), sources.len(), densities, potentials, None);
+        for (dens, pots) in densities.chunks(SWEEP).zip(potentials.chunks_mut(SWEEP)) {
+            for (ti, &x) in targets.iter().enumerate() {
+                let mut acc = [0.0f64; SWEEP];
+                for (si, &y) in sources.iter().enumerate() {
+                    let (dx, dy, dz, r2) = displacement(x, y);
+                    if r2 == 0.0 {
                         continue;
                     }
-                    acc += (dx * dens[3 * si] + dy * dens[3 * si + 1] + dz * dens[3 * si + 2])
-                        * inv_r3;
+                    let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                    for (a, d) in acc.iter_mut().zip(dens) {
+                        *a += (dx * d[3 * si] + dy * d[3 * si + 1] + dz * d[3 * si + 2]) * inv_r3;
+                    }
                 }
-                pot[ti] += FOUR_PI_INV * acc;
+                for (a, pot) in acc.iter().zip(pots.iter_mut()) {
+                    pot[ti] += FOUR_PI_INV * a;
+                }
             }
         }
     }

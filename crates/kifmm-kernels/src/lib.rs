@@ -13,19 +13,23 @@
 //! | GP / kriging covariance | [`Gaussian`]: `e^{−r²/(2σ²)}` |
 //! | user black box | [`CustomKernel`]: any closure, runtime dims |
 //!
-//! The FMM core is generic over the [`Kernel`] trait: it only ever calls
-//! [`Kernel::eval`] / [`Kernel::p2p`] (and their `_grad` variants for
-//! first-class gradient outputs), which is exactly the paper's notion of
-//! kernel independence — no analytic expansions anywhere. Dimensions are
-//! runtime values, so closure-supplied kernels with caller-chosen block
-//! shapes run the identical pipeline; [`DynKernel`]/[`BoxedKernel`] add
-//! an object-safe layer for type-erased registries.
+//! The FMM core is generic over the [`Kernel`] trait. A kernel is
+//! [`Kernel::eval`] (plus [`Kernel::eval_grad`] for first-class gradient
+//! outputs), which is exactly the paper's notion of kernel independence —
+//! no analytic expansions anywhere; the near field runs through
+//! [`Kernel::p2p_many`] / [`Kernel::p2p_grad_many`], whose eval-based
+//! defaults an analytic kernel may replace with one hand-written
+//! multi-RHS loop per output kind. Dimensions are runtime values, so
+//! closure-supplied kernels with caller-chosen block shapes run the
+//! identical pipeline; [`DynKernel`]/[`BoxedKernel`] add an object-safe
+//! layer for type-erased registries.
 //!
 //! Every kernel declares an exact per-evaluation flop count so the bench
 //! harness can report the counted Gflop/s figures of Tables 4.1–4.3.
 
 pub mod assemble;
 pub mod custom;
+mod fused;
 pub mod gaussian;
 pub mod kelvin;
 pub mod kernel;

@@ -6,9 +6,9 @@
 //! molecular dynamics, one of the motivating applications in the
 //! introduction.
 
-use crate::kernel::{displacement, with_weight_buf, Kernel};
+use crate::fused::{radial_p2p_grad_many, radial_p2p_many};
+use crate::kernel::{displacement, Kernel};
 use crate::Point3;
-use kifmm_linalg::simd;
 
 const FOUR_PI_INV: f64 = 1.0 / (4.0 * std::f64::consts::PI);
 
@@ -102,42 +102,10 @@ impl Kernel for ModifiedLaplace {
         block[2] = -dz * s;
     }
 
-    /// Per target: fill the pair-weight buffer `w = e^{−λr}/r` (the `exp`
-    /// stays scalar — `libm` exp is not required to be correctly rounded,
-    /// so a vector variant could drift from the scalar path), then reduce
-    /// with the vector [`simd::dot`]. [`ModifiedLaplace::p2p_many`] runs
-    /// the identical chain, so results are bit-identical per RHS.
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        let lambda = self.lambda;
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = if r2 > 0.0 {
-                        let r = r2.sqrt();
-                        (-lambda * r).exp() / r
-                    } else {
-                        0.0
-                    };
-                }
-                potentials[ti] += FOUR_PI_INV * simd::dot(densities, w);
-            }
-        });
-    }
-
-    /// Hoists the full pair weight `w = e^{−λr}/r` — including the
-    /// expensive `exp` — out of the RHS loop (`w = 0` marks a coincident
-    /// pair); the marginal cost of each extra RHS is one dot product over
-    /// the shared weights. [`ModifiedLaplace::p2p`] computes the identical
-    /// weight buffer and reduction, so results are bit-identical per RHS.
+    /// Weight buffer `w = e^{−λr}/r` — the expensive `exp` is paid once per
+    /// pair, not per RHS, and stays scalar (`libm` exp is not required to be
+    /// correctly rounded, so a vector variant could drift from the scalar
+    /// path); `w = 0` marks a coincident pair.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -145,70 +113,21 @@ impl Kernel for ModifiedLaplace {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
         let lambda = self.lambda;
-        with_weight_buf(sources.len(), |w| {
-            for (ti, &x) in targets.iter().enumerate() {
-                for (si, &y) in sources.iter().enumerate() {
-                    let (_, _, _, r2) = displacement(x, y);
-                    w[si] = if r2 > 0.0 {
-                        let r = r2.sqrt();
-                        (-lambda * r).exp() / r
-                    } else {
-                        0.0
-                    };
-                }
-                for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                    pot[ti] += FOUR_PI_INV * simd::dot(dens, w);
-                }
+        radial_p2p_many(targets, sources, densities, potentials, FOUR_PI_INV, |w| {
+            for r2 in w.iter_mut() {
+                *r2 = if *r2 > 0.0 {
+                    let r = r2.sqrt();
+                    (-lambda * r).exp() / r
+                } else {
+                    0.0
+                };
             }
         });
     }
 
-    /// Fused scalar loop sharing `e^{−λr}` between the potential and the
-    /// three gradient components.
-    fn p2p_grad(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-        gradients: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), sources.len());
-        debug_assert_eq!(potentials.len(), targets.len());
-        debug_assert_eq!(gradients.len(), 3 * targets.len());
-        let lambda = self.lambda;
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut u = 0.0;
-            let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let r = r2.sqrt();
-                let e = (-lambda * r).exp();
-                let wp = e / r;
-                let wg = e * (1.0 + lambda * r) / (r2 * r);
-                let q = densities[si];
-                u += q * wp;
-                let s = q * wg;
-                gx -= dx * s;
-                gy -= dy * s;
-                gz -= dz * s;
-            }
-            potentials[ti] += FOUR_PI_INV * u;
-            gradients[3 * ti] += FOUR_PI_INV * gx;
-            gradients[3 * ti + 1] += FOUR_PI_INV * gy;
-            gradients[3 * ti + 2] += FOUR_PI_INV * gz;
-        }
-    }
-
-    /// Hoists the pair geometry — including the expensive `exp` — out of
-    /// the RHS loop (`pot-weight = 0` marks a coincident pair); each RHS
-    /// then runs the exact per-source arithmetic of
-    /// [`ModifiedLaplace::p2p_grad`], so results are bit-identical per RHS.
+    /// Shares `e^{−λr}` between the potential and the three gradient
+    /// components.
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -217,45 +136,15 @@ impl Kernel for ModifiedLaplace {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
         let lambda = self.lambda;
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 5]; ns]; // dx, dy, dz, e/r, e(1+λr)/r³
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let r = r2.sqrt();
-                let e = (-lambda * r).exp();
-                geo[si] = [dx, dy, dz, e / r, e * (1.0 + lambda * r) / (r2 * r)];
-            }
-            for ((dens, pot), grad) in
-                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-            {
-                let mut u = 0.0;
-                let (mut gx, mut gy, mut gz) = (0.0, 0.0, 0.0);
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, wp, wg] = *g;
-                    if wp == 0.0 {
-                        continue;
-                    }
-                    let q = dens[si];
-                    u += q * wp;
-                    let s = q * wg;
-                    gx -= dx * s;
-                    gy -= dy * s;
-                    gz -= dz * s;
-                }
-                pot[ti] += FOUR_PI_INV * u;
-                grad[3 * ti] += FOUR_PI_INV * gx;
-                grad[3 * ti + 1] += FOUR_PI_INV * gy;
-                grad[3 * ti + 2] += FOUR_PI_INV * gz;
-            }
-        }
+        let weights = |r2: f64| {
+            let r = r2.sqrt();
+            let e = (-lambda * r).exp();
+            (e / r, e * (1.0 + lambda * r) / (r2 * r))
+        };
+        radial_p2p_grad_many(
+            targets, sources, densities, potentials, gradients, FOUR_PI_INV, weights,
+        );
     }
 }
 

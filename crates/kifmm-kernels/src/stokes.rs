@@ -7,6 +7,7 @@
 //! billion-unknown runs of Table 4.3 (each particle carries 3 force
 //! components and receives 3 velocity components, hence "unknowns = 3N").
 
+use crate::fused::{stokeslet_p2p_grad_many, stokeslet_p2p_many};
 use crate::kernel::{displacement, Kernel};
 use crate::Point3;
 
@@ -125,50 +126,12 @@ impl Kernel for Stokes {
         }
     }
 
-    fn p2p(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), 3 * sources.len());
-        debug_assert_eq!(potentials.len(), 3 * targets.len());
-        let c = self.prefactor();
-        for (ti, &x) in targets.iter().enumerate() {
-            let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                let f0 = densities[3 * si];
-                let f1 = densities[3 * si + 1];
-                let f2 = densities[3 * si + 2];
-                let rdotf = dx * f0 + dy * f1 + dz * f2;
-                let s = rdotf * inv_r3;
-                u0 += f0 * inv_r + dx * s;
-                u1 += f1 * inv_r + dy * s;
-                u2 += f2 * inv_r + dz * s;
-            }
-            potentials[3 * ti] += c * u0;
-            potentials[3 * ti + 1] += c * u1;
-            potentials[3 * ti + 2] += c * u2;
-        }
-    }
-
     /// The operator tables depend on `μ`.
     fn id_bits(&self) -> u64 {
         self.mu.to_bits()
     }
 
-    /// Hoists the pair geometry (`dx,dy,dz,1/r,1/r³`; `1/r = 0` marks a
-    /// coincident pair) out of the RHS loop; each RHS then runs the exact
-    /// per-source arithmetic of [`Stokes::p2p`], so results are
-    /// bit-identical per RHS.
+    /// The Stokeslet is the Kelvin form with unit isotropic weight.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -176,102 +139,10 @@ impl Kernel for Stokes {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        let c = self.prefactor();
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 5]; ns]; // dx, dy, dz, inv_r, inv_r3
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                geo[si] = [dx, dy, dz, inv_r, inv_r3];
-            }
-            for (dens, pot) in densities.iter().zip(potentials.iter_mut()) {
-                let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-                for (si, g) in geo.iter().enumerate() {
-                    let [dx, dy, dz, inv_r, inv_r3] = *g;
-                    if inv_r == 0.0 {
-                        continue;
-                    }
-                    let f0 = dens[3 * si];
-                    let f1 = dens[3 * si + 1];
-                    let f2 = dens[3 * si + 2];
-                    let rdotf = dx * f0 + dy * f1 + dz * f2;
-                    let s = rdotf * inv_r3;
-                    u0 += f0 * inv_r + dx * s;
-                    u1 += f1 * inv_r + dy * s;
-                    u2 += f2 * inv_r + dz * s;
-                }
-                pot[3 * ti] += c * u0;
-                pot[3 * ti + 1] += c * u1;
-                pot[3 * ti + 2] += c * u2;
-            }
-        }
+        stokeslet_p2p_many(targets, sources, densities, potentials, self.prefactor(), 1.0);
     }
 
-    /// Fused velocity + velocity-gradient loop sharing `1/r`, `1/r³`,
-    /// `1/r⁵` and `r·f` per pair.
-    fn p2p_grad(
-        &self,
-        targets: &[Point3],
-        sources: &[Point3],
-        densities: &[f64],
-        potentials: &mut [f64],
-        gradients: &mut [f64],
-    ) {
-        debug_assert_eq!(densities.len(), 3 * sources.len());
-        debug_assert_eq!(potentials.len(), 3 * targets.len());
-        debug_assert_eq!(gradients.len(), 9 * targets.len());
-        let c = self.prefactor();
-        for (ti, &x) in targets.iter().enumerate() {
-            let mut u = [0.0f64; 3];
-            let mut g = [0.0f64; 9];
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                let inv_r5x3 = 3.0 * inv_r3 / r2;
-                let rv = [dx, dy, dz];
-                let fv =
-                    [densities[3 * si], densities[3 * si + 1], densities[3 * si + 2]];
-                let rdotf = rv[0] * fv[0] + rv[1] * fv[1] + rv[2] * fv[2];
-                let s = rdotf * inv_r3;
-                let s5 = rdotf * inv_r5x3;
-                for i in 0..3 {
-                    u[i] += fv[i] * inv_r + rv[i] * s;
-                    for k in 0..3 {
-                        let mut v = (rv[i] * fv[k] - fv[i] * rv[k]) * inv_r3
-                            - rv[i] * rv[k] * s5;
-                        if i == k {
-                            v += s;
-                        }
-                        g[i * 3 + k] += v;
-                    }
-                }
-            }
-            for i in 0..3 {
-                potentials[3 * ti + i] += c * u[i];
-                for k in 0..3 {
-                    gradients[9 * ti + i * 3 + k] += c * g[i * 3 + k];
-                }
-            }
-        }
-    }
-
-    /// Hoists the pair geometry (`dx,dy,dz,1/r,1/r³,3/r⁵`; `1/r = 0` marks
-    /// a coincident pair) out of the RHS loop; each RHS then runs the
-    /// exact per-source arithmetic of [`Stokes::p2p_grad`], so results are
-    /// bit-identical per RHS.
+    /// Velocity + velocity gradient, see [`Stokes::p2p_many`].
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -280,58 +151,8 @@ impl Kernel for Stokes {
         potentials: &mut [&mut [f64]],
         gradients: &mut [&mut [f64]],
     ) {
-        assert_eq!(densities.len(), potentials.len(), "one potential vector per RHS");
-        assert_eq!(densities.len(), gradients.len(), "one gradient vector per RHS");
         let c = self.prefactor();
-        let ns = sources.len();
-        let mut geo = vec![[0.0f64; 6]; ns]; // dx, dy, dz, inv_r, inv_r3, 3/r⁵
-        for (ti, &x) in targets.iter().enumerate() {
-            for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
-                if r2 == 0.0 {
-                    geo[si][3] = 0.0;
-                    continue;
-                }
-                let r = r2.sqrt();
-                let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                geo[si] = [dx, dy, dz, inv_r, inv_r3, 3.0 * inv_r3 / r2];
-            }
-            for ((dens, pot), grad) in
-                densities.iter().zip(potentials.iter_mut()).zip(gradients.iter_mut())
-            {
-                let mut u = [0.0f64; 3];
-                let mut g = [0.0f64; 9];
-                for (si, geo_s) in geo.iter().enumerate() {
-                    let [dx, dy, dz, inv_r, inv_r3, inv_r5x3] = *geo_s;
-                    if inv_r == 0.0 {
-                        continue;
-                    }
-                    let rv = [dx, dy, dz];
-                    let fv = [dens[3 * si], dens[3 * si + 1], dens[3 * si + 2]];
-                    let rdotf = rv[0] * fv[0] + rv[1] * fv[1] + rv[2] * fv[2];
-                    let s = rdotf * inv_r3;
-                    let s5 = rdotf * inv_r5x3;
-                    for i in 0..3 {
-                        u[i] += fv[i] * inv_r + rv[i] * s;
-                        for k in 0..3 {
-                            let mut v = (rv[i] * fv[k] - fv[i] * rv[k]) * inv_r3
-                                - rv[i] * rv[k] * s5;
-                            if i == k {
-                                v += s;
-                            }
-                            g[i * 3 + k] += v;
-                        }
-                    }
-                }
-                for i in 0..3 {
-                    pot[3 * ti + i] += c * u[i];
-                    for k in 0..3 {
-                        grad[9 * ti + i * 3 + k] += c * g[i * 3 + k];
-                    }
-                }
-            }
-        }
+        stokeslet_p2p_grad_many(targets, sources, densities, potentials, gradients, c, 1.0);
     }
 }
 

@@ -108,7 +108,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     /// # Safety
-    /// Caller must have verified AVX2 support ([`super::simd_active`]).
+    /// Caller must have verified AVX2 support ([`super::simd_active`]) and
+    /// that `y.len() == x.len()`: `y` is read out to `x.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(x: &[f64], y: &[f64]) -> f64 {
         let n = x.len();
@@ -116,6 +117,10 @@ mod x86 {
         let (xp, yp) = (x.as_ptr(), y.as_ptr());
         // One vector accumulator = the scalar path's four lane sums.
         let mut acc = _mm256_setzero_pd();
+        // SAFETY (every pointer access below): all offsets are < n — the
+        // vector loop reads [4c, 4c + 4) with 4c + 4 ≤ 4·⌊n/4⌋ ≤ n, the
+        // tail reads single elements in [4·⌊n/4⌋, n) — and both slices hold
+        // n elements (caller contract); `loadu` has no alignment demand.
         for c in 0..chunks {
             let i = 4 * c;
             let xv = _mm256_loadu_pd(xp.add(i));
@@ -134,7 +139,8 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support ([`super::simd_active`]).
+    /// Caller must have verified AVX2 support ([`super::simd_active`]) and
+    /// that `y.len() == x.len()`: `y` is read and written out to `x.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         let n = x.len();
@@ -142,6 +148,9 @@ mod x86 {
         let av = _mm256_set1_pd(alpha);
         let xp = x.as_ptr();
         let yp = y.as_mut_ptr();
+        // SAFETY (every pointer access below): offsets stay < n as in
+        // `dot`; both slices hold n elements (caller contract) and `x`
+        // cannot overlap the exclusively borrowed `y`.
         for c in 0..chunks {
             let i = 4 * c;
             let xv = _mm256_loadu_pd(xp.add(i));
@@ -162,6 +171,8 @@ mod x86 {
         let one = _mm256_set1_pd(1.0);
         let zero = _mm256_setzero_pd();
         let p = v.as_mut_ptr();
+        // SAFETY (every pointer access below): offsets stay < n = v.len()
+        // as in `dot`, and `v` is exclusively borrowed.
         for c in 0..chunks {
             let i = 4 * c;
             let vv = _mm256_loadu_pd(p.add(i));
@@ -178,23 +189,29 @@ mod x86 {
 }
 
 /// Dot product with four-way accumulator splitting; vector and scalar
-/// paths are bit-identical.
+/// paths are bit-identical. Panics if the lengths differ (a real check:
+/// the vector path loads both slices out to `x.len()`).
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "dot: slices must have equal lengths");
     #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
     if simd_active() {
+        // SAFETY: `simd_active` returns true only after `detect` saw AVX2
+        // on this CPU, and the lengths were asserted equal just above.
         return unsafe { x86::dot(x, y) };
     }
     dot_scalar(x, y)
 }
 
-/// `y += alpha * x`; vector and scalar paths are bit-identical.
+/// `y += alpha * x`; vector and scalar paths are bit-identical. Panics
+/// if the lengths differ.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
+    assert_eq!(x.len(), y.len(), "axpy: slices must have equal lengths");
     #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
     if simd_active() {
+        // SAFETY: AVX2 verified by `simd_active`; lengths asserted equal
+        // just above.
         return unsafe { x86::axpy(alpha, x, y) };
     }
     axpy_scalar(alpha, x, y)
@@ -208,6 +225,8 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn recip_sqrt(v: &mut [f64]) {
     #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
     if simd_active() {
+        // SAFETY: AVX2 verified by `simd_active`; the kernel touches only
+        // `v[..v.len()]`.
         return unsafe { x86::recip_sqrt(v) };
     }
     recip_sqrt_scalar(v)

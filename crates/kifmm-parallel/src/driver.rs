@@ -552,15 +552,11 @@ impl<K: Kernel> ParallelFmm<K> {
 
         let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
         let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(|v| v.as_mut_slice()).collect();
-        let mut grad_refs: Vec<&mut [f64]> =
-            grads.iter_mut().map(|v| v.as_mut_slice()).collect();
+        let mut grad_refs: Option<Vec<&mut [f64]>> =
+            wants_grad.then(|| grads.iter_mut().map(|v| v.as_mut_slice()).collect());
         let span = rt.span("DownU", "u-list");
         let t0 = thread_cpu_time();
-        let flops = if wants_grad {
-            engine.u_pass_grad(&ghost_src, &mut pot_refs, &mut grad_refs)
-        } else {
-            engine.u_pass(&ghost_src, &mut pot_refs)
-        };
+        let flops = engine.u_pass_into(&ghost_src, &mut pot_refs, grad_refs.as_deref_mut());
         stats.add_seconds(Phase::DownU, thread_cpu_time() - t0);
         stats.add_flops(Phase::DownU, flops);
         rt.add(Counter::Flops, flops);
@@ -587,22 +583,14 @@ impl<K: Kernel> ParallelFmm<K> {
             drop(span);
             let span = rt.span("DownW", "w-list");
             let t0 = thread_cpu_time();
-            let flops = if wants_grad {
-                engine.w_pass_grad(&store, &mut pot_refs, &mut grad_refs)
-            } else {
-                engine.w_pass(&store, &mut pot_refs)
-            };
+            let flops = engine.w_pass_into(&store, &mut pot_refs, grad_refs.as_deref_mut());
             stats.add_seconds(Phase::DownW, thread_cpu_time() - t0);
             stats.add_flops(Phase::DownW, flops);
             rt.add(Counter::Flops, flops);
             drop(span);
             let span = rt.span("Eval", "l2t");
             let t0 = thread_cpu_time();
-            let flops = if wants_grad {
-                engine.l2t_grad(&store, &mut pot_refs, &mut grad_refs)
-            } else {
-                engine.l2t(&store, &mut pot_refs)
-            };
+            let flops = engine.l2t_into(&store, &mut pot_refs, grad_refs.as_deref_mut());
             stats.add_seconds(Phase::Eval, thread_cpu_time() - t0);
             stats.add_flops(Phase::Eval, flops);
             rt.add(Counter::Flops, flops);
@@ -626,12 +614,12 @@ impl<K: Kernel> ParallelFmm<K> {
             }
             out
         };
+        let mut grads = grads.iter();
         let reports: Vec<EvalReport> = pots
-            .into_iter()
-            .enumerate()
-            .map(|(q, pot)| EvalReport {
-                potentials: unpermute(&pot, td),
-                gradients: if wants_grad { unpermute(&grads[q], td * 3) } else { Vec::new() },
+            .iter()
+            .map(|pot| EvalReport {
+                potentials: unpermute(pot, td),
+                gradients: grads.next().map_or_else(Vec::new, |g| unpermute(g, td * 3)),
                 stats: stats.clone(),
                 trace: self.trace.clone(),
             })

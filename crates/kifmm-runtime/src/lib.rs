@@ -128,6 +128,10 @@ pub fn par_index_init<S>(n: usize, init: impl Fn() -> S + Sync, f: impl Fn(&mut 
 /// exactly one task, and tasks only touch the disjoint region derived
 /// from their index.
 struct SyncPtr<T>(*mut T);
+// SAFETY: the one field is a raw pointer into a slice the spawning call
+// holds `&mut` for the whole pool run; threads sharing the wrapper only
+// derive pairwise disjoint sub-slices from it (one per claimed index), and
+// every user bounds `T: Send`, so each element is touched by one thread.
 unsafe impl<T> Sync for SyncPtr<T> {}
 
 impl<T> SyncPtr<T> {
@@ -183,8 +187,10 @@ pub fn par_chunks_mut_init_with<T: Send, S>(
     run_pool(threads, len.div_ceil(size), &init, &|state, i| {
         let start = i * size;
         let end = (start + size).min(len);
-        // Safety: chunk i covers [i*size, min((i+1)*size, len)); chunks are
-        // pairwise disjoint and each index is claimed by exactly one task.
+        // SAFETY: chunk i covers [i*size, min((i+1)*size, len)) of the
+        // exclusively borrowed `data`, so it is in bounds; chunks are
+        // pairwise disjoint and `run_pool` hands each index to exactly one
+        // task, so no two `&mut` chunks alias.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
         f(state, i, chunk);
     });
@@ -209,9 +215,12 @@ pub fn par_chunks2_mut<A: Send, B: Send>(
     run_pool(num_threads(), n, &|| (), &|(), i| {
         let (sa, sb) = (i * size_a, i * size_b);
         let (ea, eb) = ((sa + size_a).min(la), (sb + size_b).min(lb));
-        // Safety: as in `par_chunks_mut_init` — disjoint chunks, one task
-        // per index, for both slices.
+        // SAFETY: as in `par_chunks_mut_init_with` — [sa, ea) ⊆ [0, la) and
+        // [sb, eb) ⊆ [0, lb) are in bounds of the exclusively borrowed `a`
+        // and `b`, chunks of one slice are pairwise disjoint, and each
+        // index is claimed by exactly one task.
         let ca = unsafe { std::slice::from_raw_parts_mut(pa.get().add(sa), ea - sa) };
+        // SAFETY: see `ca`.
         let cb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(sb), eb - sb) };
         f(i, ca, cb);
     });
@@ -340,8 +349,10 @@ impl<T> Freelist<T> {
         for slot in self.slots.iter() {
             let p = slot.swap(std::ptr::null_mut(), atomic::Ordering::AcqRel);
             if !p.is_null() {
-                // Owned by this thread now: the swap made the slot null,
-                // so no other checkout can observe `p`.
+                // SAFETY: every non-null slot value came from
+                // `Box::into_raw` in `checkin`; the swap made the slot
+                // null, so no other checkout can observe `p` and this
+                // thread is its only owner.
                 return Some(unsafe { Box::from_raw(p) });
             }
         }
@@ -365,6 +376,8 @@ impl<T> Freelist<T> {
             }
         }
         // Pool full: reclaim and drop.
+        // SAFETY: `p` came from `Box::into_raw` above and no slot accepted
+        // it, so it was never published to another thread.
         drop(unsafe { Box::from_raw(p) });
     }
 
@@ -384,15 +397,23 @@ impl<T> Drop for Freelist<T> {
         for slot in self.slots.iter() {
             let p = slot.swap(std::ptr::null_mut(), atomic::Ordering::AcqRel);
             if !p.is_null() {
+                // SAFETY: non-null slot values come from `Box::into_raw`
+                // in `checkin`; `&mut self` plus the swap-to-null make
+                // this the only owner.
                 drop(unsafe { Box::from_raw(p) });
             }
         }
     }
 }
 
-// The pool owns its `T`s; moving/sharing the pool across threads is
-// moving/sharing those owned objects.
+// SAFETY: the one field is a boxed slice of `AtomicPtr<T>`, each null or
+// the unique owner of a `Box<T>`. Moving the pool moves those boxes to
+// another thread, which `T: Send` permits.
 unsafe impl<T: Send> Send for Freelist<T> {}
+// SAFETY: through `&Freelist` a thread can only move a whole `Box<T>` in
+// or out (atomic swap / compare-exchange, AcqRel, so the box's contents are
+// published with the pointer); no `&T` is ever shared, so `T: Send`
+// suffices.
 unsafe impl<T: Send> Sync for Freelist<T> {}
 
 use std::sync::atomic;
@@ -419,6 +440,8 @@ mod tests {
             run_pool(threads, len.div_ceil(16), &|| (), &|(), c| {
                 let start = c * 16;
                 let end = (start + 16).min(len);
+                // SAFETY: [start, end) ⊆ [0, len) of `out`, disjoint per
+                // chunk index, and `run_pool` claims each index once.
                 let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
                 for (j, v) in chunk.iter_mut().enumerate() {
                     let i = start + j;

@@ -20,8 +20,10 @@ pub fn thread_cpu_time() -> f64 {
     }
     let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
     let ret: isize;
-    // Safety: clock_gettime only writes the timespec we hand it; the
-    // clock id is valid on all Linux kernels this crate supports.
+    // SAFETY: clock_gettime only writes the `repr(C)` timespec we hand it
+    // (a live, exclusively borrowed local of the kernel's 64-bit layout);
+    // the clock id is valid on all Linux kernels this crate supports; the
+    // syscall clobbers rcx/r11, both declared.
     #[cfg(target_arch = "x86_64")]
     unsafe {
         std::arch::asm!(
@@ -34,6 +36,7 @@ pub fn thread_cpu_time() -> f64 {
             options(nostack),
         );
     }
+    // SAFETY: as above; `svc #0` clobbers only x0, declared as the output.
     #[cfg(target_arch = "aarch64")]
     unsafe {
         std::arch::asm!(

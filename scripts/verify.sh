@@ -31,9 +31,12 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "dependency audit: OK (path-only)"
 
-# 2. Offline release build + full test suite.
+# 2. Offline release build + full test suite, the suite once more on the
+#    scalar code path (`KIFMM_SIMD=0`: the AVX2 microkernels and their
+#    scalar twins promise identical bits, so every test must pass on both).
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+KIFMM_SIMD=0 cargo test -q --offline --workspace
 
 # 3. Observability artifact gate + comm-regression gate: a tiny
 #    distributed run must emit BENCH_*.json summaries with all seven
@@ -78,6 +81,23 @@ if [ -n "$shim_calls$shim_attrs" ]; then
 fi
 echo "shim gate: OK (no deprecated shims, no shim callers)"
 
+# 5b. One-near-field-path gate: the multi-RHS loops are the only
+#     hand-written near-field loops. `fn p2p(` / `fn p2p_grad(` may be
+#     defined only in kernel.rs (as provided forwards with k = 1 — stable
+#     Rust cannot forbid an override, this grep does), and the engine's
+#     leaf passes take `grads: Option<..>`: no `_grad(` pass twin may
+#     reappear under engine/.
+p2p_defs=$(grep -rnE 'fn p2p(_grad)?\(' crates tests examples --include='*.rs' \
+    | grep -v '^crates/kifmm-kernels/src/kernel.rs:' || true)
+grad_twins=$(grep -rnE 'fn [a-z0-9_]+_grad\(' crates/kifmm-core/src/engine || true)
+if [ -n "$p2p_defs$grad_twins" ]; then
+    echo "FAIL: single-RHS p2p override or engine _grad pass twin reintroduced:"
+    echo "$p2p_defs"
+    echo "$grad_twins"
+    exit 1
+fi
+echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins)"
+
 # 6. Service-throughput gate: the plan/execute service bench (small N)
 #    must emit a valid kifmm-service-v1 artifact with a warm plan-cache
 #    hit, and eval_many(k=8) must amortize to at most 0.55x the wall time
@@ -101,7 +121,9 @@ echo "m2l-ablation gate: OK"
 
 # 8. SIMD gate: the vector microkernels and the FMM evaluations built on
 #    them must be bit-identical to the scalar reference path (flipped
-#    in-process via set_force_scalar).
+#    in-process via set_force_scalar), and — this being a release binary,
+#    debug assertions off — mismatched `dot`/`axpy` lengths and a short
+#    density slice into `Laplace.p2p` must panic, not read out of bounds.
 cargo run -q --release --offline -p kifmm-bench --bin simd_check > /dev/null
 echo "simd gate: OK"
 
@@ -130,4 +152,13 @@ KIFMM_N=8000 KIFMM_BENCH_DIR="$artifacts" \
 "$validate" "$artifacts/BENCH_kernel_suite.json" \
     --kernel-suite --max-overhead 2.5
 echo "kernel-suite gate: OK"
+
+# 11. Benchmark gate: `benchmark/` is a workspace of its own, so the root
+#     `cargo test` never compiles it. Build and test it against the
+#     current API, then drive a smoke-sized traced run: it calls
+#     `Kernel::{p2p, p2p_many, p2p_grad}` and sequences the engine passes
+#     itself, checking them bitwise against `Session::eval`.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+benchmark/run.sh --smoke --trace > /dev/null
+echo "benchmark gate: OK"
 echo "verify: ALL OK"
