@@ -1,179 +1,112 @@
-//! **Ablation — FFT vs dense vs SVD-compressed M2L** (paper footnote 5).
+//! **Ablation — FFT vs dense M2L** (paper footnote 5).
 //!
 //! "We could easily increase the flop rate by switching from the
 //! algorithmically fast, but implementationally slower FFT M2L
 //! translations to the slower direct evaluation. But the speed gains are
 //! negligible compared to the algorithmic savings."
 //!
-//! This binary measures all three M2L execution paths on the same tree
-//! and reports the DownV phase's time, counted flops, and flop rate. The
-//! expected shape: dense M2L achieves a *higher flop rate* (clean GEMV
-//! streams) but burns *far more flops*, so the FFT path wins on time; the
-//! SVD path trades a small rank-truncation setup for GEMM-shaped
-//! per-direction cores. It also plans each case once in `M2lMode::Auto`
-//! and prints the plan-time autotuner's per-level verdicts (chosen mode,
-//! modeled flops per candidate, measured ranks, compression).
+//! This binary measures both M2L execution paths on the same tree and
+//! reports the DownV phase's time, counted flops, and flop rate. The
+//! paper's shape: dense M2L achieves a *higher flop rate* (clean GEMV
+//! streams) but burns *far more flops*, so the FFT path wins on time.
 //!
-//! With `KIFMM_BENCH_DIR` set, writes `BENCH_m2l_ablation.json`
-//! (schema `kifmm-m2l-ablation-v1`) containing both the measured
-//! per-mode DownV numbers and the autotuner rows.
+//! The binary is its own gate: every case must produce FFT and dense
+//! potentials that agree to 1e-9, and at `p = 6` the dense path must
+//! count more flops *and* run at a higher flop rate than the FFT path.
+//! It exits non-zero otherwise.
 //!
 //! `cargo run --release -p kifmm-bench --bin ablation_m2l`
 //! (`KIFMM_N` default 40 000).
 
-use kifmm::{Fmm, FmmOptions, Kernel, Laplace, M2lChoice, M2lMode, Phase, Stokes};
+use kifmm::{rel_l2_error, Fmm, FmmOptions, Kernel, Laplace, M2lMode, Phase, Stokes};
 use kifmm_bench::env_usize;
 
-/// Measured DownV numbers for one concrete mode.
+/// Measured DownV numbers for one mode.
 struct Measured {
-    mode: M2lMode,
     seconds: f64,
     flops: u64,
+    potentials: Vec<f64>,
 }
 
-/// Everything one (kernel, order) case contributes to the artifact.
-struct CaseReport {
-    kernel: String,
-    order: usize,
-    tree_depth: usize,
-    measured: Vec<Measured>,
-    auto: Vec<M2lChoice>,
-}
-
-fn mode_key(mode: M2lMode) -> &'static str {
-    match mode {
-        M2lMode::Fft => "fft",
-        M2lMode::Direct => "direct",
-        M2lMode::Svd => "svd",
-        M2lMode::Auto => "auto",
+impl Measured {
+    fn mflops(&self) -> f64 {
+        self.flops as f64 / self.seconds.max(1e-12) / 1e6
     }
 }
 
-fn case<K: Kernel>(kernel: K, points: &[[f64; 3]], order: usize) -> CaseReport {
-    let kname = kernel.name().to_string();
+fn measure<K: Kernel>(kernel: &K, points: &[[f64; 3]], order: usize, mode: M2lMode) -> Measured {
     let dens = kifmm::geom::random_densities(points.len(), kernel.src_dim(), 3);
-    let mut measured = Vec::new();
-    let mut tree_depth = 0usize;
-    for mode in [M2lMode::Fft, M2lMode::Direct, M2lMode::Svd] {
-        let fmm = Fmm::new(
-            kernel.clone(),
-            points,
-            FmmOptions { order, max_pts_per_leaf: 60, m2l_mode: mode, ..Default::default() },
-        );
-        tree_depth = fmm.tree.depth() as usize;
-        // Warm the lazy dense cache outside the measurement.
-        let _ = fmm.eval(&dens);
-        let stats = fmm.eval(&dens).stats;
-        let seconds = stats.seconds[Phase::DownV as usize];
-        let flops = stats.flops[Phase::DownV as usize];
-        println!(
-            "{:>8} p={order} {:>7} M2L: DownV {:>8.3}s {:>9} Mflop {:>9.0} Mflop/s",
-            kname,
-            format!("{mode:?}"),
-            seconds,
-            flops / 1_000_000,
-            flops as f64 / seconds.max(1e-12) / 1e6
-        );
-        measured.push(Measured { mode, seconds, flops });
-    }
-    let (fft, direct) = (&measured[0], &measured[1]);
+    let fmm = Fmm::new(
+        kernel.clone(),
+        points,
+        FmmOptions { order, max_pts_per_leaf: 60, m2l_mode: mode, ..Default::default() },
+    );
+    // Warm the lazy dense cache outside the measurement.
+    let _ = fmm.eval(&dens);
+    let report = fmm.eval(&dens);
+    let m = Measured {
+        seconds: report.stats.seconds[Phase::DownV as usize],
+        flops: report.stats.flops[Phase::DownV as usize],
+        potentials: report.potentials,
+    };
     println!(
-        "{:>8} p={order} summary: dense does {:.1}x the flops; FFT is {:.1}x faster in time",
-        kname,
+        "{:>8} p={order} {:>7} M2L: DownV {:>8.3}s {:>9} Mflop {:>9.0} Mflop/s",
+        kernel.name(),
+        format!("{mode:?}"),
+        m.seconds,
+        m.flops / 1_000_000,
+        m.mflops()
+    );
+    m
+}
+
+/// Run one (kernel, order) case; returns the violated expectations.
+fn case<K: Kernel>(kernel: K, points: &[[f64; 3]], order: usize) -> Vec<String> {
+    let fft = measure(&kernel, points, order, M2lMode::Fft);
+    let direct = measure(&kernel, points, order, M2lMode::Direct);
+    let err = rel_l2_error(&fft.potentials, &direct.potentials);
+    println!(
+        "{:>8} p={order} summary: dense does {:.1}x the flops; FFT is {:.1}x faster in time; \
+         potentials agree to {err:.1e}\n",
+        kernel.name(),
         direct.flops as f64 / fft.flops as f64,
         direct.seconds / fft.seconds
     );
-
-    // One Auto plan per case: the autotuner's per-level verdicts.
-    let auto_fmm = Fmm::new(
-        kernel,
-        points,
-        FmmOptions { order, max_pts_per_leaf: 60, m2l_mode: M2lMode::Auto, ..Default::default() },
-    );
-    let auto: Vec<M2lChoice> = auto_fmm.plan().m2l_report().to_vec();
-    for c in &auto {
-        println!(
-            "{:>8} p={order} auto level {}: {:<6} (fft {:>9} / svd {:>9} / direct {:>9} kflop, \
-             rank {}x{}, stored/dense {:.3})",
-            kname,
-            c.level,
-            format!("{:?}", c.mode),
-            c.fft_flops / 1_000,
-            c.svd_flops / 1_000,
-            c.direct_flops / 1_000,
-            c.rank_trg,
-            c.rank_src,
-            c.compression
-        );
+    let tag = format!("{} p={order}", kernel.name());
+    let mut failures = Vec::new();
+    if err.is_nan() || err > 1e-9 {
+        failures.push(format!("{tag}: FFT vs dense potentials differ by {err:.3e} (> 1e-9)"));
     }
-    println!();
-    CaseReport { kernel: kname, order, tree_depth, measured, auto }
-}
-
-/// Hand-rolled `kifmm-m2l-ablation-v1` document (hermetic: no serde).
-/// All strings are static identifiers, so no escaping is needed.
-fn to_json(n: usize, cases: &[CaseReport]) -> String {
-    let mut o = String::with_capacity(1 << 12);
-    o.push_str("{\n  \"schema\":\"kifmm-m2l-ablation-v1\",\n");
-    o.push_str(&format!("  \"n\":{n},\n  \"cases\":["));
-    for (i, c) in cases.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str(&format!(
-            "\n    {{\"kernel\":\"{}\",\"order\":{},\"tree_depth\":{},\n     \"measured\":{{",
-            c.kernel, c.order, c.tree_depth
-        ));
-        for (j, m) in c.measured.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!(
-                "\"{}\":{{\"seconds\":{:?},\"flops\":{}}}",
-                mode_key(m.mode),
-                m.seconds,
-                m.flops
+    if order == 6 {
+        if direct.flops <= fft.flops {
+            failures.push(format!(
+                "{tag}: dense counted {} flops, FFT {} — dense must count more",
+                direct.flops, fft.flops
             ));
         }
-        o.push_str("},\n     \"auto\":[");
-        for (j, a) in c.auto.iter().enumerate() {
-            if j > 0 {
-                o.push(',');
-            }
-            o.push_str(&format!(
-                "\n       {{\"level\":{},\"mode\":\"{}\",\"fft_flops\":{},\"svd_flops\":{},\
-                 \"direct_flops\":{},\"rank_trg\":{},\"rank_src\":{},\"compression\":{:?}}}",
-                a.level,
-                mode_key(a.mode),
-                a.fft_flops,
-                a.svd_flops,
-                a.direct_flops,
-                a.rank_trg,
-                a.rank_src,
-                a.compression
+        if direct.mflops() <= fft.mflops() {
+            failures.push(format!(
+                "{tag}: dense ran at {:.0} Mflop/s, FFT at {:.0} — dense must rate higher",
+                direct.mflops(),
+                fft.mflops()
             ));
         }
-        o.push_str("\n     ]}");
     }
-    o.push_str("\n  ]\n}\n");
-    o
+    failures
 }
 
 fn main() {
     let n = env_usize("KIFMM_N", 40_000);
-    println!(
-        "M2L ablation (paper footnote 5): FFT vs dense vs SVD translation, N = {n}\n"
-    );
+    println!("M2L ablation (paper footnote 5): FFT vs dense translation, N = {n}\n");
     let points = kifmm::geom::sphere_grid(n, 8);
-    let cases = vec![
-        case(Laplace, &points, 4),
-        case(Laplace, &points, 6),
-        case(Stokes::new(1.0), &points, 4),
-    ];
-    if let Ok(dir) = std::env::var("KIFMM_BENCH_DIR") {
-        std::fs::create_dir_all(&dir).expect("create KIFMM_BENCH_DIR");
-        let path = std::path::Path::new(&dir).join("BENCH_m2l_ablation.json");
-        std::fs::write(&path, to_json(n, &cases)).expect("write BENCH_m2l_ablation.json");
-        println!("wrote {}", path.display());
+    let mut failures = case(Laplace, &points, 4);
+    failures.extend(case(Laplace, &points, 6));
+    failures.extend(case(Stokes::new(1.0), &points, 4));
+    if !failures.is_empty() {
+        for f in &failures {
+            eprintln!("FAIL: {f}");
+        }
+        std::process::exit(1);
     }
+    println!("m2l ablation: paper footnote-5 shape holds");
 }

@@ -3,8 +3,7 @@
 //! agree — serial vs pool bit-identically (one engine, one task order),
 //! distributed vs serial to 1e-12 relative l2 (owner-side summation of
 //! partial equivalents reassociates additions, nothing more). The matrix
-//! covers every M2L execution mode: Fft, Svd and plan-time Auto (Direct
-//! rides along inside Auto's candidate set).
+//! covers both M2L execution modes per kernel: Fft and the dense oracle.
 //!
 //! Exits nonzero (panics) on any disagreement.
 
@@ -33,9 +32,8 @@ fn main() {
     let uni = kifmm::geom::uniform_cube(600, 31);
     let clu = kifmm::geom::corner_clusters(450, 32);
     check_paths("laplace/uniform/fft", Laplace, uni.clone(), M2lMode::Fft);
-    check_paths("laplace/uniform/svd", Laplace, uni.clone(), M2lMode::Svd);
-    check_paths("laplace/uniform/auto", Laplace, uni, M2lMode::Auto);
+    check_paths("laplace/uniform/direct", Laplace, uni, M2lMode::Direct);
     check_paths("stokes/clustered/fft", Stokes::default(), clu.clone(), M2lMode::Fft);
-    check_paths("stokes/clustered/svd", Stokes::default(), clu, M2lMode::Svd);
+    check_paths("stokes/clustered/direct", Stokes::default(), clu, M2lMode::Direct);
     println!("cross-path gate: ALL OK");
 }

@@ -134,18 +134,13 @@ pub struct PassEngine<'a, K: Kernel> {
     /// Morton-sorted local target points (leaf ranges index into this).
     targets: &'a [Point3],
     order: usize,
-    /// Resolved M2L execution mode per level (index = level). Drivers
-    /// resolve [`M2lMode::Auto`] before constructing an engine; a slice
-    /// shorter than the tree depth falls back to its last entry.
-    m2l_modes: &'a [M2lMode],
+    m2l_mode: M2lMode,
     dispatch: Dispatch,
     active: &'a ActiveSet,
 }
 
 impl<'a, K: Kernel> PassEngine<'a, K> {
-    /// Borrow a driver's prepared state into an engine. `m2l_modes` holds
-    /// the resolved per-level M2L mode (a uniform mode is a one-element
-    /// slice).
+    /// Borrow a driver's prepared state into an engine.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         kernel: &'a K,
@@ -154,20 +149,11 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         pre: &'a Precomputed<K>,
         targets: &'a [Point3],
         order: usize,
-        m2l_modes: &'a [M2lMode],
+        m2l_mode: M2lMode,
         dispatch: Dispatch,
         active: &'a ActiveSet,
     ) -> Self {
-        assert!(!m2l_modes.is_empty(), "at least one M2L mode");
-        PassEngine { kernel, tree, lists, pre, targets, order, m2l_modes, dispatch, active }
-    }
-
-    /// The resolved M2L mode executing `level`.
-    pub fn m2l_mode_at(&self, level: u8) -> M2lMode {
-        *self
-            .m2l_modes
-            .get(level as usize)
-            .unwrap_or_else(|| self.m2l_modes.last().expect("nonempty mode slice"))
+        PassEngine { kernel, tree, lists, pre, targets, order, m2l_mode, dispatch, active }
     }
 
     /// `(n_s, es, cs)`: surface points per box, equivalent row length,
@@ -442,13 +428,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if self.tree.depth() < FIRST_FMM_LEVEL {
             return 0;
         }
-        match self.m2l_mode_at(level) {
+        match self.m2l_mode {
             M2lMode::Fft => self.m2l_fft_level(level, store, ws, pred),
             M2lMode::Direct => self.m2l_direct_level(level, store, pred),
-            M2lMode::Svd => self.m2l_svd_level(level, store, ws, pred),
-            M2lMode::Auto => {
-                unreachable!("drivers resolve Auto to a concrete mode before engine construction")
-            }
         }
     }
 
@@ -559,7 +541,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         flops
     }
 
-    /// Dense M2L over one level (ablation baseline). The RHS loop is
+    /// Dense M2L over one level (ablation baseline and test oracle). Each
+    /// target sums its V list in list order, so serial, pool and
+    /// `pred`-split executions agree bitwise. The RHS loop is
     /// innermost per `(source, direction)`, reusing the cached dense
     /// operator across the batch.
     fn m2l_direct_level(
@@ -573,17 +557,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let (_, es, cs) = self.dims();
         let nrhs = store.nrhs();
         let (esb, csb) = (es * nrhs, cs * nrhs);
-        let (ls, _) = self.level_range(level);
+        let (ls, le) = self.level_range(level);
         let mask = &self.active.mask;
         let threads = self.dispatch.threads();
         let flops = AtomicU64::new(0);
-        let (ls_cs, le_cs) = {
-            let (s, e) = self.level_range(level);
-            (s * csb, e * csb)
-        };
         let ExpansionStore { up, check, .. } = store;
         let up: &[f64] = up;
-        par_chunks_mut_with(threads, &mut check[ls_cs..le_cs], csb, |i, slot| {
+        par_chunks_mut_with(threads, &mut check[ls * csb..le * csb], csb, |i, slot| {
             let ni = ls + i;
             if !mask[ni] || !pred(ni) {
                 return;
@@ -606,184 +586,6 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             flops.fetch_add(f, Ordering::Relaxed);
         });
         flops.into_inner()
-    }
-
-    /// SVD-compressed M2L over one level, in three BLAS-3 stages over the
-    /// level-contiguous store:
-    ///
-    /// 1. **project** — gather the level's needed upward equivalents into
-    ///    one column-major block and compress through the shared source
-    ///    basis (`Y = Vᵀ·X`, one wide GEMM);
-    /// 2. **cores** — for each of the 316 directions, one small
-    ///    `r_t × r_s` GEMM over every `(target, source)` pair sharing
-    ///    that direction, scatter-added into per-target compressed check
-    ///    rows;
-    /// 3. **expand** — per selected target, expand through the shared
-    ///    target basis (`check += scale · U · w`).
-    ///
-    /// Determinism: a target box has at most **one** V-list source at any
-    /// given relative direction, so accumulating directions in the
-    /// canonical sorted order of [`crate::m2l::M2lSvd::dirs`] gives every
-    /// target one well-defined addition sequence — independent of how
-    /// targets are blocked across threads. Together with the column
-    /// independence of [`gemm_slices`], serial and pool execution are
-    /// bit-identical, and a level split into complementary `pred` subsets
-    /// reproduces the unsplit results exactly.
-    fn m2l_svd_level(
-        &self,
-        level: u8,
-        store: &mut ExpansionStore,
-        ws: &mut EngineWorkspace,
-        pred: &(dyn Fn(usize) -> bool + Sync),
-    ) -> u64 {
-        let svd = self.pre.m2l_svd.as_ref().expect("SVD tables present in Svd mode");
-        let (_, es, cs) = self.dims();
-        let nrhs = store.nrhs();
-        let csb = cs * nrhs;
-        let (ls, le) = self.level_range(level);
-        let (slot, scale) = svd.slot(level);
-        let (rt, rs) = (slot.rank_trg(), slot.rank_src());
-        let EngineWorkspace { rows, xin, yout, needed, .. } = ws;
-        // Selected targets (active ∧ pred ∧ nonempty V list) and the
-        // sorted union of their V sources.
-        needed.clear();
-        let mut sel: Vec<u32> = Vec::new();
-        for &ni in &self.active.levels[level as usize] {
-            if pred(ni as usize) && !self.lists.v[ni as usize].is_empty() {
-                sel.push(ni);
-                needed.extend_from_slice(&self.lists.v[ni as usize]);
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        if sel.is_empty() {
-            return 0;
-        }
-        // Stage 1: project. Columns are (source, RHS) pairs; each output
-        // column depends on its own input column only, so the projection
-        // of a source is identical whichever pred subset requests it.
-        let ncols = needed.len() * nrhs;
-        xin.clear();
-        xin.resize(es * ncols, 0.0);
-        for (j, &a) in needed.iter().enumerate() {
-            let blk = store.up(a);
-            for q in 0..nrhs {
-                for r in 0..es {
-                    xin[r * ncols + j * nrhs + q] = blk[q * es + r];
-                }
-            }
-        }
-        yout.clear();
-        yout.resize(rs * ncols, 0.0);
-        self.apply_op_cols(&slot.vt, xin, yout, ncols);
-        // Stage 2: per-direction cores. Each target's V pairs as
-        // (canonical direction index, source column), sorted by direction.
-        let needed: &[u32] = needed;
-        let pairs: Vec<Vec<(u32, u32)>> = sel
-            .iter()
-            .map(|&ni| {
-                let bkey = self.tree.nodes[ni as usize].key;
-                let mut v: Vec<(u32, u32)> = self.lists.v[ni as usize]
-                    .iter()
-                    .map(|&a| {
-                        let akey = self.tree.nodes[a as usize].key;
-                        let di = svd
-                            .dir_index(bkey.offset_to(&akey))
-                            .expect("V offset is one of the 316 directions");
-                        let si =
-                            needed.binary_search(&a).expect("V source in needed set") as u32;
-                        (di, si)
-                    })
-                    .collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let np_total: u64 = pairs.iter().map(|p| p.len() as u64).sum();
-        let rtb = rt * nrhs;
-        let nsel = sel.len();
-        rows.clear();
-        rows.resize(nsel * rtb, 0.0);
-        let threads = self.dispatch.threads();
-        let tb = nsel.div_ceil(threads.max(1));
-        let ndirs = svd.dirs().len();
-        let y: &[f64] = yout;
-        let cores = &slot.cores;
-        par_chunks_mut_with(threads, rows, tb * rtb, |blk, wchunk| {
-            let t0 = blk * tb;
-            let nt = wchunk.len() / rtb;
-            let mut groups: Vec<Vec<(u32, u32)>> = vec![Vec::new(); ndirs];
-            for t in 0..nt {
-                for &(di, si) in &pairs[t0 + t] {
-                    groups[di as usize].push((t as u32, si));
-                }
-            }
-            let mut yd: Vec<f64> = Vec::new();
-            let mut zd: Vec<f64> = Vec::new();
-            for (di, grp) in groups.iter().enumerate() {
-                if grp.is_empty() {
-                    continue;
-                }
-                let npn = grp.len() * nrhs;
-                yd.clear();
-                yd.resize(rs * npn, 0.0);
-                for (j, &(_, si)) in grp.iter().enumerate() {
-                    let si = si as usize;
-                    for r in 0..rs {
-                        yd[r * npn + j * nrhs..r * npn + (j + 1) * nrhs].copy_from_slice(
-                            &y[r * ncols + si * nrhs..r * ncols + (si + 1) * nrhs],
-                        );
-                    }
-                }
-                zd.clear();
-                zd.resize(rt * npn, 0.0);
-                gemm_slices(1.0, cores[di].as_slice(), &yd, 0.0, &mut zd, rt, rs, npn);
-                for (j, &(t, _)) in grp.iter().enumerate() {
-                    let w = &mut wchunk[t as usize * rtb..(t as usize + 1) * rtb];
-                    for r in 0..rt {
-                        for q in 0..nrhs {
-                            w[r * nrhs + q] += zd[r * npn + j * nrhs + q];
-                        }
-                    }
-                }
-            }
-        });
-        // Stage 3: expand per selected target into its check block.
-        let mut sel_of: Vec<Option<u32>> = vec![None; le - ls];
-        for (t, &ni) in sel.iter().enumerate() {
-            sel_of[ni as usize - ls] = Some(t as u32);
-        }
-        let w: &[f64] = rows;
-        let u = &slot.u;
-        let expand = |tmp: &mut Vec<f64>, i: usize, chk: &mut [f64]| {
-            let Some(t) = sel_of[i] else { return };
-            let wt = &w[t as usize * rtb..(t as usize + 1) * rtb];
-            tmp.clear();
-            tmp.resize(cs * nrhs, 0.0);
-            gemm_slices(1.0, u.as_slice(), wt, 0.0, tmp, cs, rt, nrhs);
-            for q in 0..nrhs {
-                for r in 0..cs {
-                    chk[q * cs + r] += scale * tmp[r * nrhs + q];
-                }
-            }
-        };
-        let check = &mut store.check[ls * csb..le * csb];
-        if threads <= 1 {
-            let mut tmp = Vec::new();
-            for (i, chk) in check.chunks_mut(csb).enumerate() {
-                expand(&mut tmp, i, chk);
-            }
-        } else {
-            par_chunks_mut_init_with(threads, check, csb, Vec::new, |tmp, i, chk| {
-                expand(tmp, i, chk)
-            });
-        }
-        // Exact accounting: one basis projection per needed (source, RHS)
-        // column, one core column per (pair, RHS), one expansion per
-        // selected (target, RHS).
-        (2 * rs * es) as u64 * ncols as u64
-            + (2 * rt * rs * nrhs) as u64 * np_total
-            + (2 * cs * rt) as u64 * (nsel * nrhs) as u64
     }
 
     /// X-list pass: sources of coarser leaves onto the downward check

@@ -243,7 +243,8 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     ///
     /// # Panics
     /// On any [`BuildError`] — if [`FmmBuilder::points`] was never
-    /// supplied, the point set is empty, or the order is below 2. Use
+    /// supplied, the point set is empty or holds a non-finite coordinate,
+    /// or the order is below 2. Use
     /// [`FmmBuilder::try_build`] for a `Result`.
     pub fn build(self) -> Fmm<K> {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))

@@ -47,11 +47,10 @@ pub use engine::{ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassE
 pub use evaluator::{EvalReport, Evaluator, FmmBuilder, OutputSpec};
 pub use fmm::{Fmm, FmmOptions};
 pub use plan::{
-    geometry_hash, kernel_name_hash, resolve_m2l_modes, BuildError, M2lChoice, Plan, PlanCache,
-    PlanKey, Session, UpdateError,
+    geometry_hash, kernel_name_hash, BuildError, Plan, PlanCache, PlanKey, Session, UpdateError,
 };
 pub use kifmm_tree::TreeBuild;
-pub use m2l::{v_list_directions, M2lDirect, M2lFft, M2lMode, M2lSvd, SvdSlot};
+pub use m2l::{v_list_directions, M2lDirect, M2lFft, M2lMode};
 pub use operators::{LevelOps, OperatorTable, FIRST_FMM_LEVEL};
 pub use precompute::{Precomputed, PrecomputeCache};
 pub use stats::{thread_cpu_time, Phase, PhaseStats, PHASES, PHASE_NAMES};

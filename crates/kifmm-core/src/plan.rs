@@ -16,9 +16,6 @@
 //!   `(kernel id, order, M2L mode, leaf capacity, depth cap, geometry)`
 //!   with an LRU byte bound, so a service answering repeated requests
 //!   against recurring geometries skips setup entirely on a warm hit.
-//!
-//! [`crate::Fmm`] is now a thin plan-then-execute wrapper (one `Session`
-//! over one private plan), so existing callers keep working unchanged.
 
 use crate::engine::{
     ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine,
@@ -28,13 +25,14 @@ use crate::m2l::M2lMode;
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
 use crate::stats::{thread_cpu_time, Phase, PhaseStats};
-use crate::surface::num_surface_points;
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{Dispatch, Freelist};
-use kifmm_tree::{build_lists, build_lists_sorted, update_octree, InteractionLists, Octree};
+use kifmm_tree::{
+    build_lists, build_lists_sorted, first_non_finite, update_octree, InteractionLists, Octree,
+};
 use kifmm_trace::{Counter, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Why a plan (or evaluator) could not be built.
@@ -46,6 +44,15 @@ pub enum BuildError {
     EmptyPoints,
     /// Surface order below the minimum of 2.
     OrderTooSmall(usize),
+    /// A point has a NaN or infinite coordinate. A tree would build over
+    /// it and the potentials would come back silently wrong.
+    NonFinitePoint {
+        /// Index of the first offending point (in a distributed build,
+        /// within the local points of the lowest rank that has one).
+        point: usize,
+        /// Coordinate axis (0/1/2) that is not finite.
+        dim: usize,
+    },
     /// The precomputed operator table lacks a level the tree requires.
     /// Surfaced at build time as a typed error instead of the
     /// `OperatorTable::at` panic a later evaluation would hit.
@@ -66,6 +73,9 @@ impl std::fmt::Display for BuildError {
             BuildError::EmptyPoints => write!(f, "empty point set"),
             BuildError::OrderTooSmall(p) => {
                 write!(f, "surface order must be ≥ 2 (got {p})")
+            }
+            BuildError::NonFinitePoint { point, dim } => {
+                write!(f, "point {point} has a non-finite coordinate on axis {dim}")
             }
             BuildError::MissingOperators { level, depth } => {
                 write!(
@@ -198,119 +208,6 @@ pub fn geometry_hash(points: &[Point3]) -> u64 {
     h
 }
 
-/// One level's verdict from the plan-time M2L autotuner (populated when
-/// the plan was built with [`M2lMode::Auto`]).
-#[derive(Clone, Copy, Debug)]
-pub struct M2lChoice {
-    /// Tree level the verdict applies to.
-    pub level: u8,
-    /// The winning execution mode for this level.
-    pub mode: M2lMode,
-    /// Modeled flops of one single-RHS FFT pass over the level.
-    pub fft_flops: u64,
-    /// Modeled flops of one single-RHS SVD pass over the level.
-    pub svd_flops: u64,
-    /// Modeled flops of one single-RHS dense pass over the level.
-    pub direct_flops: u64,
-    /// Measured SVD target-side rank at this level (out of `n_s·TRG_DIM`).
-    pub rank_trg: usize,
-    /// Measured SVD source-side rank at this level (out of `n_s·SRC_DIM`).
-    pub rank_src: usize,
-    /// Stored-entry fraction of the level's SVD tables relative to 316
-    /// dense operators (smaller is better; 1.0 means no compression).
-    pub compression: f64,
-}
-
-/// Resolve an [`FmmOptions`] M2L mode into the per-level execution modes a
-/// [`PassEngine`] runs with, plus the autotuner report. Concrete modes pass
-/// through as a one-entry slice (the engine broadcasts it to every level);
-/// [`M2lMode::Auto`] scores the three candidate families per level with the
-/// engine's exact single-RHS flop formulas over the full tree's V-list
-/// statistics and picks the cheapest, ties resolved Svd → Fft → Direct.
-///
-/// The score is a deterministic function of `(kernel, order, tree, lists)`
-/// and the measured SVD ranks — never wall-clock — so every rank of a
-/// distributed run resolves `Auto` to the identical mode vector and the
-/// cross-path equivalence gates keep holding. (Wall-clock microbenching of
-/// the resolved plan lives in the `ablation_m2l` bench, which feeds
-/// `BENCH_m2l_ablation.json`.)
-pub fn resolve_m2l_modes<K: Kernel>(
-    kernel: &K,
-    pre: &Precomputed<K>,
-    tree: &Octree,
-    lists: &InteractionLists,
-    opts: &FmmOptions,
-) -> (Vec<M2lMode>, Vec<M2lChoice>) {
-    if opts.m2l_mode != M2lMode::Auto {
-        return (vec![opts.m2l_mode], Vec::new());
-    }
-    let depth = tree.depth();
-    if depth < FIRST_FMM_LEVEL {
-        // No M2L ever runs; any concrete mode will do.
-        return (vec![M2lMode::Fft], Vec::new());
-    }
-    let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
-    let ns = num_surface_points(opts.order);
-    let (es, cs) = (ns * sd, ns * td);
-    let fft = pre.m2l_fft.as_ref().expect("Auto plans build FFT tables");
-    let svd = pre.m2l_svd.as_ref().expect("Auto plans build SVD tables");
-    let mut modes = vec![M2lMode::Fft; depth as usize + 1];
-    let mut report = Vec::with_capacity((depth - FIRST_FMM_LEVEL + 1) as usize);
-    let hadamard = (td * sd * fft.slab_len() * 8) as u64;
-    for level in FIRST_FMM_LEVEL..=depth {
-        // Deterministic level statistics: selected targets, V pairs and
-        // distinct sources — the same quantities the engine's per-mode
-        // flop counters charge against.
-        let mut nsel = 0u64;
-        let mut np = 0u64;
-        let mut needed: Vec<u32> = Vec::new();
-        for &ni in &tree.levels[level as usize] {
-            let vlist = &lists.v[ni as usize];
-            if !vlist.is_empty() {
-                nsel += 1;
-                np += vlist.len() as u64;
-                needed.extend_from_slice(vlist);
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        let nneeded = needed.len() as u64;
-        let fft_cost =
-            nneeded * fft.fft_flops(sd) + np * hadamard + nsel * fft.fft_flops(td);
-        let (slot, _) = svd.slot(level);
-        let (rt, rs) = (slot.rank_trg() as u64, slot.rank_src() as u64);
-        let svd_cost = 2 * rs * es as u64 * nneeded
-            + 2 * rt * rs * np
-            + 2 * cs as u64 * rt * nsel;
-        let direct_cost = 2 * (cs * es) as u64 * np;
-        let mode = if svd_cost <= fft_cost && svd_cost <= direct_cost {
-            M2lMode::Svd
-        } else if fft_cost <= direct_cost {
-            M2lMode::Fft
-        } else {
-            M2lMode::Direct
-        };
-        modes[level as usize] = mode;
-        report.push(M2lChoice {
-            level,
-            mode,
-            fft_flops: fft_cost,
-            svd_flops: svd_cost,
-            direct_flops: direct_cost,
-            rank_trg: rt as usize,
-            rank_src: rs as usize,
-            compression: slot.compression(),
-        });
-    }
-    // Levels above FIRST_FMM_LEVEL never run M2L; fill them with the first
-    // real verdict so the vector is total over the tree.
-    let first = modes[FIRST_FMM_LEVEL as usize];
-    for m in modes.iter_mut().take(FIRST_FMM_LEVEL as usize) {
-        *m = first;
-    }
-    (modes, report)
-}
-
 /// FNV-1a of a kernel's [`Kernel::name`] — folded into [`PlanKey`] so two
 /// kernels behind the same Rust type (type-erased [`kifmm_kernels::BoxedKernel`]s,
 /// or [`kifmm_kernels::CustomKernel`] closures under one caller tag scheme) with
@@ -386,11 +283,6 @@ pub struct Plan<K: Kernel> {
     pub(crate) num_points: usize,
     /// Every box is active: a plan covers the whole tree.
     pub(crate) active: ActiveSet,
-    /// Per-level resolved M2L execution modes (see [`resolve_m2l_modes`]);
-    /// a one-entry vector broadcasts one concrete mode to every level.
-    pub(crate) m2l_modes: Vec<M2lMode>,
-    /// Autotuner verdicts (empty unless built with [`M2lMode::Auto`]).
-    pub(crate) m2l_report: Vec<M2lChoice>,
     geometry: u64,
 }
 
@@ -419,6 +311,9 @@ impl<K: Kernel> Plan<K> {
         if points.is_empty() {
             return Err(BuildError::EmptyPoints);
         }
+        if let Some((point, dim)) = first_non_finite(points) {
+            return Err(BuildError::NonFinitePoint { point, dim });
+        }
         let geometry = geometry_hash(points);
         let tree = Octree::build(points, opts.max_pts_per_leaf, opts.max_level);
         let lists = build_lists(&tree);
@@ -429,7 +324,6 @@ impl<K: Kernel> Plan<K> {
         let sorted_points: Vec<Point3> =
             tree.perm.iter().map(|&i| points[i as usize]).collect();
         let active = ActiveSet::build(&tree, |_| true);
-        let (m2l_modes, m2l_report) = resolve_m2l_modes(&kernel, &pre, &tree, &lists, &opts);
         Ok(Plan {
             kernel,
             opts,
@@ -439,8 +333,6 @@ impl<K: Kernel> Plan<K> {
             sorted_points,
             num_points: points.len(),
             active,
-            m2l_modes,
-            m2l_report,
             geometry,
         })
     }
@@ -448,10 +340,9 @@ impl<K: Kernel> Plan<K> {
     /// Patch this plan for a moved point set instead of rebuilding it:
     /// re-sort with the old permutation as a near-sorted hint, re-derive
     /// the structure, and — when the structure is unchanged, the common
-    /// case for small motion — reuse the interaction lists and resolved
-    /// M2L modes wholesale. The operator tables (`Arc<Precomputed>`) are
-    /// always shared: they depend on the domain and depth, not on the
-    /// points.
+    /// case for small motion — reuse the interaction lists wholesale. The
+    /// operator tables (`Arc<Precomputed>`) are always shared: they depend
+    /// on the domain and depth, not on the points.
     ///
     /// Errors ([`UpdateError`]) mean the plan cannot be patched and a
     /// full rebuild is required; [`PlanCache::get_or_update`] performs
@@ -471,14 +362,11 @@ impl<K: Kernel> Plan<K> {
             });
         }
         let tree = upd.tree;
-        let (lists, m2l_modes, m2l_report) = if upd.same_structure {
+        let lists = if upd.same_structure {
             // Same structure: the lists are valid verbatim — share them.
-            (Arc::clone(&self.lists), self.m2l_modes.clone(), self.m2l_report.clone())
+            Arc::clone(&self.lists)
         } else {
-            let lists = build_lists_sorted(&tree);
-            let (modes, report) =
-                resolve_m2l_modes(&self.kernel, &self.pre, &tree, &lists, &self.opts);
-            (Arc::new(lists), modes, report)
+            Arc::new(build_lists_sorted(&tree))
         };
         let mut sorted_points = vec![[0.0f64; 3]; new_points.len()];
         const CHUNK: usize = 1 << 16;
@@ -499,8 +387,6 @@ impl<K: Kernel> Plan<K> {
             sorted_points,
             num_points: new_points.len(),
             active,
-            m2l_modes,
-            m2l_report,
             geometry,
         })
     }
@@ -540,19 +426,6 @@ impl<K: Kernel> Plan<K> {
         &self.pre
     }
 
-    /// Per-level resolved M2L execution modes; index = level, and a
-    /// one-entry slice broadcasts a single concrete mode to every level.
-    pub fn m2l_modes(&self) -> &[M2lMode] {
-        &self.m2l_modes
-    }
-
-    /// Per-level autotuner verdicts (modeled costs, winning mode, measured
-    /// SVD ranks and compression). Empty unless the plan was built with
-    /// [`M2lMode::Auto`].
-    pub fn m2l_report(&self) -> &[M2lChoice] {
-        &self.m2l_report
-    }
-
     /// The points in Morton order (leaf point ranges index into this).
     pub fn morton_points(&self) -> &[Point3] {
         &self.sorted_points
@@ -576,19 +449,17 @@ impl<K: Kernel> Plan<K> {
         // 8 M2M + 8 L2L forward maps and 2 inversions per level, all
         // es×cs-sized.
         let ops = op_levels * 18 * es * cs * 8;
+        // One table family per level for inhomogeneous kernels, one shared
+        // reference level otherwise — FFT tensors and dense matrices alike.
+        let tensor_levels = if self.kernel.homogeneity().is_some() { 1 } else { op_levels };
         let mut m2l = 0usize;
         if let Some(fft) = &self.pre.m2l_fft {
-            let tensor_levels =
-                if self.kernel.homogeneity().is_some() { 1 } else { op_levels };
             m2l += tensor_levels * 316 * sd * td * fft.grid_len() * 16;
-        }
-        if let Some(svd) = &self.pre.m2l_svd {
-            m2l += svd.bytes();
         }
         if self.pre.m2l_direct.is_some() {
             // Dense tables fill lazily; charge the same footprint the
             // fully-warm cache would reach.
-            m2l += 316 * es * cs * 8;
+            m2l += tensor_levels * 316 * es * cs * 8;
         }
         let tree = self.tree.num_nodes() * 96 + self.num_points * 4;
         let lists: usize = [&self.lists.u, &self.lists.v, &self.lists.w, &self.lists.x]
@@ -609,7 +480,7 @@ impl<K: Kernel> Plan<K> {
             &self.pre,
             &self.sorted_points,
             self.opts.order,
-            &self.m2l_modes,
+            self.opts.m2l_mode,
             dispatch,
             &self.active,
         )
@@ -939,6 +810,17 @@ struct CacheEntry<K: Kernel> {
     stamp: u64,
 }
 
+/// One in-progress build: the first thread to miss on a key initializes
+/// the cell, later same-key callers block in `get_or_init` and share its
+/// outcome. (If the builder panics the cell stays empty and the next
+/// caller builds.)
+type Flight<K> = Arc<OnceLock<Result<Arc<Plan<K>>, BuildError>>>;
+
+struct CacheState<K: Kernel> {
+    entries: Vec<CacheEntry<K>>,
+    building: std::collections::HashMap<PlanKey, Flight<K>>,
+}
+
 /// An LRU-bounded memoization of [`Plan`]s keyed by [`PlanKey`]. One
 /// cache serves one kernel *type* (the type parameter); kernel
 /// *parameters* are distinguished through [`Kernel::id_bits`].
@@ -948,7 +830,7 @@ struct CacheEntry<K: Kernel> {
 /// the [`Counter::PlanCacheHits`] / [`Counter::PlanCacheMisses`] trace
 /// counters.
 pub struct PlanCache<K: Kernel> {
-    inner: Mutex<Vec<CacheEntry<K>>>,
+    inner: Mutex<CacheState<K>>,
     clock: AtomicU64,
     max_bytes: usize,
     hits: AtomicU64,
@@ -963,7 +845,7 @@ impl<K: Kernel> PlanCache<K> {
     /// once the bound is exceeded (the most recent plan is always kept).
     pub fn new(max_bytes: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(Vec::new()),
+            inner: Mutex::new(CacheState { entries: Vec::new(), building: Default::default() }),
             clock: AtomicU64::new(0),
             max_bytes,
             hits: AtomicU64::new(0),
@@ -1001,7 +883,7 @@ impl<K: Kernel> PlanCache<K> {
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.state().entries.len()
     }
 
     /// True when no plan is resident.
@@ -1009,11 +891,18 @@ impl<K: Kernel> PlanCache<K> {
         self.len() == 0
     }
 
+    /// The cache state. A poisoned lock only means another user panicked
+    /// between two consistent states, so the guard is recovered.
+    fn state(&self) -> std::sync::MutexGuard<'_, CacheState<K>> {
+        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Fetch the plan for `(kernel, points, opts)`, building it on a
     /// miss. A warm hit performs no tree construction and no operator
     /// precomputation — only the geometry hash (one linear scan of the
-    /// points). Concurrent misses for the same key may build the plan
-    /// more than once; one build wins insertion and the others share it.
+    /// points). Concurrent misses on one key build once: the others wait
+    /// for the first and share its plan, counted as hits (or its error,
+    /// which is not cached). Misses on other keys build concurrently.
     pub fn get_or_plan(
         &self,
         kernel: &K,
@@ -1021,23 +910,7 @@ impl<K: Kernel> PlanCache<K> {
         opts: FmmOptions,
     ) -> Result<Arc<Plan<K>>, BuildError> {
         let key = PlanKey::new(kernel, &opts, geometry_hash(points));
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner =
-                self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(e) = inner.iter_mut().find(|e| e.key == key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.trace.rank(0).add(Counter::PlanCacheHits, 1);
-                return Ok(e.plan.clone());
-            }
-        }
-        // Build outside the lock: a slow build must not serialize hits on
-        // other keys.
-        let plan = Arc::new(Plan::try_new(kernel.clone(), points, opts)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.trace.rank(0).add(Counter::PlanCacheMisses, 1);
-        Ok(self.insert_entry(key, plan, stamp))
+        self.get_or_build(key, || self.plan_miss(kernel, points, opts))
     }
 
     /// Fetch the plan for `base`'s kernel/options over `new_points`,
@@ -1047,7 +920,7 @@ impl<K: Kernel> PlanCache<K> {
     /// permutation and the operator tables are shared). When the patch is
     /// impossible ([`UpdateError`]: domain drift, changed point count,
     /// deeper structure than the operators cover) this falls back to a
-    /// full [`PlanCache::get_or_plan`] build.
+    /// full build. Single-flight per key, like [`PlanCache::get_or_plan`].
     ///
     /// Counters: a cached plan for the new geometry counts as a hit, a
     /// successful patch as an *update* ([`PlanCache::updates`]), and the
@@ -1059,51 +932,94 @@ impl<K: Kernel> PlanCache<K> {
     ) -> Result<Arc<Plan<K>>, BuildError> {
         let opts = *base.options();
         let key = PlanKey::new(base.kernel(), &opts, geometry_hash(new_points));
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut inner =
-                self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(e) = inner.iter_mut().find(|e| e.key == key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.trace.rank(0).add(Counter::PlanCacheHits, 1);
-                return Ok(e.plan.clone());
-            }
-        }
-        match base.update_points(new_points) {
+        self.get_or_build(key, || match base.update_points(new_points) {
             Ok(plan) => {
                 self.updates.fetch_add(1, Ordering::Relaxed);
-                Ok(self.insert_entry(key, Arc::new(plan), stamp))
+                Ok(plan)
             }
-            Err(_) => self.get_or_plan(base.kernel(), new_points, opts),
-        }
+            Err(_) => self.plan_miss(base.kernel(), new_points, opts),
+        })
     }
 
-    /// Insert a freshly built plan (outside the lock) and run LRU
-    /// eviction. If a concurrent builder won the race for `key`, its plan
-    /// is shared instead.
-    fn insert_entry(&self, key: PlanKey, plan: Arc<Plan<K>>, stamp: u64) -> Arc<Plan<K>> {
-        let bytes = plan.approx_bytes();
-        let mut inner =
-            self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(e) = inner.iter_mut().find(|e| e.key == key) {
-            e.stamp = stamp;
-            return e.plan.clone();
+    /// A full build, counted as a miss when it succeeds.
+    fn plan_miss(
+        &self,
+        kernel: &K,
+        points: &[Point3],
+        opts: FmmOptions,
+    ) -> Result<Plan<K>, BuildError> {
+        let plan = Plan::try_new(kernel.clone(), points, opts)?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.trace.rank(0).add(Counter::PlanCacheMisses, 1);
+        Ok(plan)
+    }
+
+    /// Serve `key` from the cache or from a build already in flight;
+    /// otherwise run `build` outside the lock (a slow build must not
+    /// serialize lookups of other keys) and make its plan resident.
+    fn get_or_build(
+        &self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<Plan<K>, BuildError>,
+    ) -> Result<Arc<Plan<K>>, BuildError> {
+        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+        let flight = {
+            let mut state = self.state();
+            if let Some(e) = state.entries.iter_mut().find(|e| e.key == key) {
+                e.stamp = stamp;
+                self.count_hit();
+                return Ok(e.plan.clone());
+            }
+            state.building.entry(key).or_default().clone()
+        };
+        let mut ran = false;
+        let result = flight
+            .get_or_init(|| {
+                ran = true;
+                build().map(Arc::new)
+            })
+            .clone();
+        if ran {
+            // Errors are not cached: the next caller retries.
+            let resident = result.as_ref().ok().map(|plan| CacheEntry {
+                key,
+                plan: plan.clone(),
+                bytes: plan.approx_bytes(),
+                stamp,
+            });
+            self.retire_flight(key, resident);
+        } else if result.is_ok() {
+            self.count_hit();
         }
-        inner.push(CacheEntry { key, plan: plan.clone(), bytes, stamp });
-        let newest = stamp;
-        let mut total: usize = inner.iter().map(|e| e.bytes).sum();
-        while total > self.max_bytes && inner.len() > 1 {
-            let (idx, _) = inner
+        result
+    }
+
+    fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.trace.rank(0).add(Counter::PlanCacheHits, 1);
+    }
+
+    /// Drop `key`'s finished flight (only the caller that ran its build
+    /// does) and, when it produced a plan, make that plan resident and run
+    /// LRU eviction.
+    fn retire_flight(&self, key: PlanKey, resident: Option<CacheEntry<K>>) {
+        let mut state = self.state();
+        state.building.remove(&key);
+        let Some(entry) = resident else { return };
+        let newest = entry.stamp;
+        let entries = &mut state.entries;
+        entries.push(entry);
+        let mut total: usize = entries.iter().map(|e| e.bytes).sum();
+        while total > self.max_bytes && entries.len() > 1 {
+            let (idx, _) = entries
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.stamp != newest)
                 .min_by_key(|(_, e)| e.stamp)
                 .expect("len > 1 so a non-newest entry exists");
-            total -= inner[idx].bytes;
-            inner.remove(idx);
+            total -= entries[idx].bytes;
+            entries.remove(idx);
         }
-        plan
     }
 }
 
@@ -1206,6 +1122,14 @@ mod tests {
         assert_eq!(
             plan.update_points(&out).map(|_| ()).unwrap_err(),
             UpdateError::DomainOverflow { point: 137, dim: 2 },
+        );
+        // A NaN compares outside the cube too (the rebuild an updater
+        // then falls back to reports it as `BuildError::NonFinitePoint`).
+        let mut nan = pts.clone();
+        nan[7][1] = f64::NAN;
+        assert_eq!(
+            plan.update_points(&nan).map(|_| ()).unwrap_err(),
+            UpdateError::DomainOverflow { point: 7, dim: 1 },
         );
         // Different cardinality.
         assert_eq!(
@@ -1499,61 +1423,114 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_keys_on_m2l_mode_including_auto() {
-        // Auto and Fft resolve to different table sets; sharing a cache
-        // slot would hand one mode the other's plan. They must miss each
-        // other and hit themselves.
+    fn plan_cache_keys_on_m2l_mode() {
+        // Fft and Direct build different table sets; sharing a cache slot
+        // would hand one mode the other's plan. They must miss each other
+        // and hit themselves.
         let pts = cloud(300, 3);
         let cache = PlanCache::unbounded();
-        let auto_opts = FmmOptions { m2l_mode: M2lMode::Auto, ..opts_small() };
-        let a = cache.get_or_plan(&Laplace, &pts, auto_opts).unwrap();
+        let dense_opts = FmmOptions { m2l_mode: M2lMode::Direct, ..opts_small() };
+        let d = cache.get_or_plan(&Laplace, &pts, dense_opts).unwrap();
         let f = cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
-        assert!(!Arc::ptr_eq(&a, &f));
+        assert!(!Arc::ptr_eq(&d, &f));
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        let a2 = cache.get_or_plan(&Laplace, &pts, auto_opts).unwrap();
-        assert!(Arc::ptr_eq(&a, &a2));
+        let d2 = cache.get_or_plan(&Laplace, &pts, dense_opts).unwrap();
+        assert!(Arc::ptr_eq(&d, &d2));
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
+    /// Inhomogeneous kernels cache one dense matrix per (level,
+    /// direction); the LRU budget must charge every level of them.
     #[test]
-    fn auto_mode_resolves_per_level_and_matches_fft() {
-        let pts = cloud(800, 19);
-        let d = densities(800, 1, 0);
-        let auto_plan = Plan::try_new(
-            Laplace,
-            &pts,
-            FmmOptions { m2l_mode: M2lMode::Auto, ..opts_small() },
-        )
-        .unwrap();
-        // The tuner resolved Auto away: every executed level carries a
-        // concrete mode and a report row with real ranks.
-        assert!(!auto_plan.m2l_modes().contains(&M2lMode::Auto));
-        assert_eq!(auto_plan.m2l_modes().len(), auto_plan.tree.depth() as usize + 1);
-        assert!(!auto_plan.m2l_report().is_empty());
-        let (_, es, _) = {
-            let ns = num_surface_points(4);
-            (ns, ns, ns)
-        };
-        for c in auto_plan.m2l_report() {
-            assert!(c.rank_trg > 0 && c.rank_src > 0, "level {}: empty basis", c.level);
-            assert!(c.rank_trg <= es && c.rank_src <= es, "rank exceeds dimension");
-            // The machine-precision truncation keeps SVD results inside
-            // the 1e-12 cross-mode gate; at order 4 the kernel matrices
-            // are numerically full-rank, so the worst case is the dense
-            // footprint plus the two shared bases: 318/316 ≈ 1.0064.
-            assert!(
-                c.compression < 1.01,
-                "level {}: SVD stores more than full rank allows ({})",
-                c.level,
-                c.compression
-            );
-            assert_ne!(c.mode, M2lMode::Auto);
-        }
-        let fft_plan = Plan::try_new(Laplace, &pts, opts_small()).unwrap();
-        let auto_pot = Session::from_plan(auto_plan).eval(&d).potentials;
-        let fft_pot = Session::from_plan(fft_plan).eval(&d).potentials;
-        let err = crate::direct::rel_l2_error(&auto_pot, &fft_pot);
-        assert!(err < 1e-12, "Auto vs Fft rel error {err}");
+    fn approx_bytes_charges_dense_tables_per_level_when_inhomogeneous() {
+        let pts = cloud(900, 19);
+        let opts = FmmOptions { m2l_mode: M2lMode::Direct, ..opts_small() };
+        let homog = Plan::try_new(Laplace, &pts, opts).unwrap();
+        let inhomog = Plan::try_new(ModifiedLaplace::new(1.0), &pts, opts).unwrap();
+        let depth = homog.tree.depth() as usize;
+        assert!(depth >= 3, "need several operator levels (depth {depth})");
+        let op_levels = depth - FIRST_FMM_LEVEL as usize + 1;
+        let ns = crate::surface::num_surface_points(opts.order);
+        let dense = 316 * ns * ns * 8;
+        // Same tree, lists, points and operator shapes: the estimates differ
+        // exactly by the extra levels of dense tables (homog charges one).
+        assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * dense);
+    }
+
+    #[test]
+    fn plan_cache_concurrent_misses_on_one_key_build_once() {
+        let pts = cloud(600, 37);
+        // Plan construction is the kernel's only caller here, so its call
+        // count measures how many plans were built.
+        let evals = Arc::new(AtomicU64::new(0));
+        let counter = evals.clone();
+        let kernel =
+            kifmm_kernels::CustomKernel::new("counting", 1, 1, Some(-1.0), move |x, y, block| {
+                counter.fetch_add(1, Ordering::Relaxed);
+                Kernel::eval(&Laplace, x, y, block)
+            });
+        Plan::try_new(kernel.clone(), &pts, opts_small()).unwrap();
+        let evals_per_build = evals.swap(0, Ordering::Relaxed);
+        assert!(evals_per_build > 0);
+
+        const THREADS: usize = 8;
+        let cache = PlanCache::unbounded();
+        let start = std::sync::Barrier::new(THREADS);
+        let plans: Vec<Arc<Plan<_>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.get_or_plan(&kernel, &pts, opts_small()).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("lookup thread panicked")).collect()
+        });
+        assert_eq!(evals.load(Ordering::Relaxed), evals_per_build, "exactly one plan was built");
+        assert_eq!((cache.misses(), cache.hits()), (1, THREADS as u64 - 1));
+        assert!(plans.iter().all(|p| Arc::ptr_eq(p, &plans[0])), "every caller shares one plan");
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// Two keys miss at once: each build stalls in its first kernel call
+    /// until the other build has made its own — possible only if neither
+    /// waits for the other to finish.
+    #[test]
+    fn plan_cache_misses_on_different_keys_build_concurrently() {
+        let pts = cloud(400, 38);
+        let started = [Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))];
+        let kernels: Vec<_> = (0..2)
+            .map(|i| {
+                let (mine, other) = (started[i].clone(), started[1 - i].clone());
+                kifmm_kernels::CustomKernel::new(
+                    ["first", "second"][i],
+                    1,
+                    1,
+                    Some(-1.0),
+                    move |x, y, block| {
+                        if mine.swap(1, Ordering::SeqCst) == 0 {
+                            let t0 = Instant::now();
+                            while other.load(Ordering::SeqCst) == 0 {
+                                assert!(
+                                    t0.elapsed().as_secs() < 60,
+                                    "the other key's build never started: builds are serialized"
+                                );
+                                std::thread::yield_now();
+                            }
+                        }
+                        Kernel::eval(&Laplace, x, y, block)
+                    },
+                )
+            })
+            .collect();
+        let cache = PlanCache::unbounded();
+        std::thread::scope(|scope| {
+            for k in &kernels {
+                scope.spawn(|| cache.get_or_plan(k, &pts, opts_small()).unwrap());
+            }
+        });
+        assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 0, 2));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! read-only and bit-identical, so the ranks share one `Arc`.
 
 use crate::fmm::FmmOptions;
-use crate::m2l::{M2lDirect, M2lFft, M2lMode, M2lSvd};
+use crate::m2l::{M2lDirect, M2lFft, M2lMode};
 use crate::operators::{OperatorTable, FIRST_FMM_LEVEL};
 use kifmm_kernels::Kernel;
 use std::collections::HashMap;
@@ -23,43 +23,22 @@ use std::sync::{Arc, Mutex};
 pub struct Precomputed<K: Kernel> {
     /// Per-level UC2UE/UE2UC/DC2DE/DE2DC operators.
     pub ops: OperatorTable,
-    /// FFT M2L tables (in [`M2lMode::Fft`] and [`M2lMode::Auto`]).
+    /// FFT M2L tables (in [`M2lMode::Fft`]).
     pub m2l_fft: Option<M2lFft<K>>,
-    /// Dense M2L cache (in [`M2lMode::Direct`] and [`M2lMode::Auto`] —
-    /// lazy, so holding it costs nothing until a direct translation runs).
+    /// Dense M2L cache (in [`M2lMode::Direct`]), filled lazily.
     pub m2l_direct: Option<M2lDirect<K>>,
-    /// SVD-compressed M2L tables (in [`M2lMode::Svd`] and
-    /// [`M2lMode::Auto`]).
-    pub m2l_svd: Option<M2lSvd<K>>,
 }
 
 impl<K: Kernel> Precomputed<K> {
     /// Assemble the tables for a tree of the given depth and root size.
-    /// [`M2lMode::Auto`] builds every candidate family the autotuner may
-    /// pick from (the dense one is lazy, so it is always included).
     pub fn build(kernel: &K, opts: &FmmOptions, root_half: f64, depth: u8) -> Self {
         let ops = OperatorTable::build(kernel, opts.order, root_half, depth, opts.pinv_tol);
-        let (m2l_fft, m2l_direct, m2l_svd) = if depth >= FIRST_FMM_LEVEL {
-            match opts.m2l_mode {
-                M2lMode::Fft => {
-                    (Some(M2lFft::build(kernel, opts.order, root_half, depth)), None, None)
-                }
-                M2lMode::Direct => {
-                    (None, Some(M2lDirect::new(kernel, opts.order, root_half, depth)), None)
-                }
-                M2lMode::Svd => {
-                    (None, None, Some(M2lSvd::build(kernel, opts.order, root_half, depth)))
-                }
-                M2lMode::Auto => (
-                    Some(M2lFft::build(kernel, opts.order, root_half, depth)),
-                    Some(M2lDirect::new(kernel, opts.order, root_half, depth)),
-                    Some(M2lSvd::build(kernel, opts.order, root_half, depth)),
-                ),
-            }
-        } else {
-            (None, None, None)
+        let (m2l_fft, m2l_direct) = match opts.m2l_mode {
+            _ if depth < FIRST_FMM_LEVEL => (None, None),
+            M2lMode::Fft => (Some(M2lFft::build(kernel, opts.order, root_half, depth)), None),
+            M2lMode::Direct => (None, Some(M2lDirect::new(kernel, opts.order, root_half, depth))),
         };
-        Precomputed { ops, m2l_fft, m2l_direct, m2l_svd }
+        Precomputed { ops, m2l_fft, m2l_direct }
     }
 }
 
@@ -94,9 +73,7 @@ impl<K: Kernel> PrecomputeCache<K> {
         root_half: f64,
         depth: u8,
     ) -> Arc<Precomputed<K>> {
-        // The full mode is part of the key: Fft, Direct, Svd and Auto
-        // each build a different table set (the old boolean key would
-        // have handed an Svd evaluator an Fft-only table).
+        // Fft and Direct build different tables, so the mode is in the key.
         let key = (depth, root_half.to_bits(), opts.order, opts.m2l_mode);
         // A poisoned lock only means some other cache user panicked
         // mid-build; the map itself is always in a consistent state, so
@@ -128,7 +105,7 @@ mod tests {
     fn shallow_build_has_no_m2l() {
         let opts = FmmOptions { order: 3, ..Default::default() };
         let p = Precomputed::build(&Laplace, &opts, 1.0, 1);
-        assert!(p.m2l_fft.is_none() && p.m2l_direct.is_none() && p.m2l_svd.is_none());
+        assert!(p.m2l_fft.is_none() && p.m2l_direct.is_none());
     }
 
     #[test]
@@ -136,14 +113,9 @@ mod tests {
         let cache = PrecomputeCache::new();
         let mk = |mode| FmmOptions { order: 3, m2l_mode: mode, ..Default::default() };
         let fft = cache.get_or_build(&Laplace, &mk(M2lMode::Fft), 1.0, 3);
-        let svd = cache.get_or_build(&Laplace, &mk(M2lMode::Svd), 1.0, 3);
         let direct = cache.get_or_build(&Laplace, &mk(M2lMode::Direct), 1.0, 3);
-        assert!(!Arc::ptr_eq(&fft, &svd) && !Arc::ptr_eq(&svd, &direct));
-        assert!(fft.m2l_fft.is_some() && fft.m2l_svd.is_none());
-        assert!(svd.m2l_svd.is_some() && svd.m2l_fft.is_none());
-        assert!(direct.m2l_direct.is_some());
-        // Auto holds every candidate family the tuner may pick from.
-        let auto = cache.get_or_build(&Laplace, &mk(M2lMode::Auto), 1.0, 3);
-        assert!(auto.m2l_fft.is_some() && auto.m2l_svd.is_some() && auto.m2l_direct.is_some());
+        assert!(!Arc::ptr_eq(&fft, &direct));
+        assert!(fft.m2l_fft.is_some() && fft.m2l_direct.is_none());
+        assert!(direct.m2l_direct.is_some() && direct.m2l_fft.is_none());
     }
 }

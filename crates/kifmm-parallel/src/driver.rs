@@ -46,14 +46,14 @@ use kifmm_core::engine::{
 };
 use kifmm_core::stats::thread_cpu_time;
 use kifmm_core::{
-    resolve_m2l_modes, BuildError, EvalReport, Evaluator, FmmBuilder, FmmOptions, M2lMode,
-    Phase, PhaseStats, PrecomputeCache, Precomputed, FIRST_FMM_LEVEL,
+    BuildError, EvalReport, Evaluator, FmmBuilder, FmmOptions, Phase, PhaseStats,
+    PrecomputeCache, Precomputed, FIRST_FMM_LEVEL,
 };
 use kifmm_kernels::{Kernel, Point3};
-use kifmm_mpi::Comm;
+use kifmm_mpi::{allgatherv_u64, Comm};
 use kifmm_runtime::Dispatch;
 use kifmm_trace::{Counter, Tracer};
-use kifmm_tree::{build_lists, build_lists_sorted, InteractionLists};
+use kifmm_tree::{build_lists, build_lists_sorted, first_non_finite, InteractionLists};
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -129,11 +129,6 @@ pub struct ParallelFmm<K: Kernel> {
     /// Contributor/user masks and owners.
     pub own: Ownership,
     pre: std::sync::Arc<Precomputed<K>>,
-    /// Per-level resolved M2L execution modes. [`M2lMode::Auto`] is
-    /// resolved here at construction from full-tree statistics — a
-    /// deterministic function of the globally agreed tree and lists, never
-    /// wall-clock — so every rank runs the identical mode vector.
-    m2l_modes: Vec<M2lMode>,
     /// This rank's ownership filter: the boxes it holds points in.
     active: ActiveSet,
     /// Pooled expansion storage + scratch, reused across evaluations.
@@ -205,7 +200,6 @@ impl<K: Kernel> ParallelFmm<K> {
         // operator tables are particle-independent and shared.
         let tree_seconds = t0.elapsed().as_secs_f64();
         let pre = cache.get_or_build(&kernel, &opts, root_half, depth);
-        let (m2l_modes, _) = resolve_m2l_modes(&kernel, &pre, &dtree.tree, &lists, &opts);
         let t1 = Instant::now();
 
         // Exchange ghost geometry once (positions are fixed across the
@@ -249,7 +243,6 @@ impl<K: Kernel> ParallelFmm<K> {
             lists,
             own,
             pre,
-            m2l_modes,
             active,
             scratch: Mutex::new(Vec::new()),
             ghost_points,
@@ -279,11 +272,6 @@ impl<K: Kernel> ParallelFmm<K> {
         self.dtree.sorted_points.len()
     }
 
-    /// Per-level resolved M2L execution modes (identical on every rank).
-    pub fn m2l_modes(&self) -> &[M2lMode] {
-        &self.m2l_modes
-    }
-
     /// Predicted per-point workload (flops) for this rank's points, in
     /// the caller's original local order — the "work estimates from a
     /// previous time step" the paper proposes for better load balancing.
@@ -311,7 +299,7 @@ impl<K: Kernel> ParallelFmm<K> {
             &self.pre,
             &self.dtree.sorted_points,
             self.opts.order,
-            &self.m2l_modes,
+            self.opts.m2l_mode,
             Dispatch::Serial,
             &self.active,
         )
@@ -695,6 +683,13 @@ impl<K: Kernel> BuildParallel<K> for FmmBuilder<'_, K> {
         if opts.order < 2 {
             return Err(BuildError::OrderTooSmall(opts.order));
         }
+        // Agree on the verdict collectively: a rank returning alone would
+        // leave its peers blocked in the tree build's collectives.
+        let local: Vec<u64> = first_non_finite(points)
+            .map_or(Vec::new(), |(point, dim)| vec![point as u64, dim as u64]);
+        if let Some(bad) = allgatherv_u64(comm, &local).iter().find(|v| !v.is_empty()) {
+            return Err(BuildError::NonFinitePoint { point: bad[0] as usize, dim: bad[1] as usize });
+        }
         let mut pfmm = match cache {
             Some(cache) => ParallelFmm::with_cache(comm, kernel, points, opts, cache),
             None => ParallelFmm::new(comm, kernel, points, opts),
@@ -747,6 +742,24 @@ mod tests {
         });
         let e = rel_l2_error(&out[0], &serial);
         assert!(e < 1e-12, "single rank should match serial: {e}");
+    }
+
+    /// One rank's NaN must fail the collective build on every rank (a
+    /// lone early return would leave the others blocked in the tree build).
+    #[test]
+    fn non_finite_point_fails_the_build_on_every_rank() {
+        let mut chunks = split_points(&uniform_cube(600, 78), 3);
+        chunks[1][5][2] = f64::NAN;
+        chunks[2][0][0] = f64::INFINITY;
+        let out = run(3, move |comm| {
+            Fmm::builder(Laplace)
+                .points(&chunks[comm.rank()])
+                .try_build_parallel(comm)
+                .map(|_| ())
+        });
+        for verdict in out {
+            assert_eq!(verdict, Err(BuildError::NonFinitePoint { point: 5, dim: 2 }));
+        }
     }
 
     /// Builder construction + comm binding + tracing: every rank records
@@ -854,41 +867,6 @@ mod tests {
             let after = pfmm.eval(comm, &dens).potentials;
             assert_eq!(before, after, "recovered pool must not change results");
         });
-    }
-
-    #[test]
-    fn auto_mode_resolves_identically_across_ranks() {
-        // Auto resolves from full-tree statistics before any engine runs,
-        // so both ranks execute the same concrete per-level modes and the
-        // distributed result stays within the cross-path tolerance.
-        let all = uniform_cube(900, 31);
-        let chunks = split_points(&all, 2);
-        let opts = FmmOptions {
-            order: 4,
-            max_pts_per_leaf: 25,
-            m2l_mode: kifmm_core::M2lMode::Auto,
-            ..Default::default()
-        };
-        let dens: Vec<Vec<f64>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(r, c)| random_densities(c.len(), 1, 40 + r as u64))
-            .collect();
-        let serial = serial_reference(Laplace, &chunks, &dens, opts);
-        let dens2 = dens.clone();
-        let out = run(2, move |comm| {
-            let r = comm.rank();
-            let pfmm = ParallelFmm::new(comm, Laplace, &chunks[r], opts);
-            assert!(
-                !pfmm.m2l_modes().contains(&kifmm_core::M2lMode::Auto),
-                "Auto must be resolved before execution"
-            );
-            pfmm.eval(comm, &dens2[r]).potentials
-        });
-        for (r, pot) in out.iter().enumerate() {
-            let e = rel_l2_error(pot, &serial[r]);
-            assert!(e <= 1e-12, "rank {r} Auto-mode error {e}");
-        }
     }
 
     #[test]

@@ -37,10 +37,10 @@
 //! [`Comm::wait_any`] instead of spinning. The combine folds contributor
 //! parts in ascending rank order with this rank's part produced by the
 //! same payload closure, so results are bitwise identical to the per-box
-//! path — [`legacy_exchange`] keeps that path alive for equivalence tests.
+//! path.
 
 use crate::ownership::Ownership;
-use kifmm_mpi::{decode_f64s, decode_packet, encode_f64s, encode_packet, encode_tag, Comm};
+use kifmm_mpi::{decode_packet, encode_packet, encode_tag, Comm};
 use std::collections::HashMap;
 
 /// Tag namespace of gather (contributor → owner) packets.
@@ -64,8 +64,7 @@ pub enum Combine {
 }
 
 /// Fold one contributor part into the accumulator (ascending-rank order is
-/// the caller's responsibility). Shared by the coalesced and legacy paths
-/// so both produce bitwise-identical combines.
+/// the caller's responsibility).
 fn combine_fold(acc: Option<Vec<f64>>, part: Vec<f64>, combine: Combine) -> Vec<f64> {
     match (acc, combine) {
         (None, _) => part,
@@ -300,8 +299,9 @@ impl ExchangePlan<'_> {
         }
         self.pending_gather = still;
 
-        // 2. All parts in: combine (ascending contributor order, identical
-        //    fold to the legacy per-box path) and post scatter packets.
+        // 2. All parts in: combine (ascending contributor order, the fold
+        //    `tests/parallel_consistency.rs` holds bitwise against a
+        //    per-box reference) and post scatter packets.
         if !self.scattered && self.pending_gather.is_empty() {
             let me = comm.rank();
             let mut combined: HashMap<u32, Vec<f64>> =
@@ -391,76 +391,6 @@ impl ExchangePlan<'_> {
         );
         self.global
     }
-}
-
-/// The original per-box blocking exchange, kept as the reference
-/// implementation: one gather message per (contributed box, owner) and one
-/// scatter message per (owned box, user), tagged per box. Used by the
-/// coalesced-vs-legacy equivalence tests; production code uses
-/// [`ExchangeRoute`].
-pub fn legacy_exchange(
-    comm: &Comm,
-    own: &Ownership,
-    boxes: &[u32],
-    salt: u64,
-    combine: Combine,
-    users: UserKind,
-    mut payload: impl FnMut(u32) -> Vec<f64>,
-) -> HashMap<u32, Vec<f64>> {
-    let me = comm.rank();
-    let is_user = |bi: usize, rank: usize| match users {
-        UserKind::Source => own.is_src_user(bi, rank),
-        UserKind::Equiv => own.is_equiv_user(bi, rank),
-    };
-    // Contributor sends (eager, so no deadlock against the owner loop).
-    for &b in boxes {
-        let bi = b as usize;
-        if own.is_contributor(bi, me) && own.owner[bi] as usize != me {
-            let tag = encode_tag(NS_GATHER, salt, b as u64);
-            comm.send(own.owner[bi] as usize, tag, &encode_f64s(&payload(b)));
-        }
-    }
-    let mut global: HashMap<u32, Vec<f64>> = HashMap::new();
-    // Owner duties: gather + combine + scatter.
-    for &b in boxes {
-        let bi = b as usize;
-        if own.owner[bi] as usize != me {
-            continue;
-        }
-        let mut acc: Option<Vec<f64>> = None;
-        for src in own.contributors(bi) {
-            let part = if src == me {
-                payload(b)
-            } else {
-                decode_f64s(&comm.recv(src, encode_tag(NS_GATHER, salt, b as u64)))
-            };
-            acc = Some(combine_fold(acc, part, combine));
-        }
-        let combined = acc.expect("owner contributes, so at least one part");
-        let wire = encode_f64s(&combined);
-        let user_ranks = match users {
-            UserKind::Source => own.src_users(bi),
-            UserKind::Equiv => own.equiv_users(bi),
-        };
-        for dst in user_ranks {
-            if dst != me {
-                comm.send(dst, encode_tag(NS_SCATTER, salt, b as u64), &wire);
-            }
-        }
-        if is_user(bi, me) {
-            global.insert(b, combined);
-        }
-    }
-    // User duties: receive from owners.
-    for &b in boxes {
-        let bi = b as usize;
-        let owner = own.owner[bi] as usize;
-        if owner != me && is_user(bi, me) {
-            let payload = decode_f64s(&comm.recv(owner, encode_tag(NS_SCATTER, salt, b as u64)));
-            global.insert(b, payload);
-        }
-    }
-    global
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub mod global_tree;
 pub mod ownership;
 
 pub use driver::{BoundParallelFmm, BuildParallel, ParallelFmm};
-pub use exchange::{legacy_exchange, Combine, ExchangePlan, ExchangeRoute, UserKind};
+pub use exchange::{Combine, ExchangePlan, ExchangeRoute, UserKind};
 pub use global_tree::{build_distributed_tree, build_distributed_tree_with, DistributedTree};
 pub use kifmm_tree::TreeBuild;
 pub use ownership::Ownership;

@@ -13,9 +13,6 @@
 //!                                           # optionally require
 //!                                           # batch.ratio <= R (the
 //!                                           # multi-RHS amortization gate)
-//! validate_json <file> --m2l-ablation      # kifmm-m2l-ablation-v1
-//!                                           # invariants: measured modes
-//!                                           # + coherent autotuner rows
 //! validate_json <file> --kernel-suite [--max-overhead R]
 //!                                           # kifmm-kernel-suite-v1
 //!                                           # invariants: a row per kernel
@@ -90,12 +87,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 "{path}: valid kifmm-service-v1 summary (batch ratio {ratio:.3})"
             ))
         }
-        Some("--m2l-ablation") => {
-            let (cases, rows) = check_m2l_ablation(&doc).map_err(|e| format!("{path}: {e}"))?;
-            Ok(format!(
-                "{path}: valid kifmm-m2l-ablation-v1 summary ({cases} cases, {rows} autotuner rows)"
-            ))
-        }
         Some("--tree-build") => {
             let max_ratio: Option<f64> = match args.get(2).map(String::as_str) {
                 Some("--max-update-ratio") => {
@@ -141,7 +132,7 @@ fn run(args: &[String]) -> Result<String, String> {
 fn usage() -> String {
     "usage: validate_json <file> [--bench-summary [--max-eval-messages N] | \
      --chrome [min_ranks] | --service-throughput [--max-batch-ratio R] | \
-     --m2l-ablation | --tree-build [--max-update-ratio R] | \
+     --tree-build [--max-update-ratio R] | \
      --kernel-suite [--max-overhead R]]"
         .to_string()
 }
@@ -229,119 +220,6 @@ fn check_tree_build(doc: &Json, max_ratio: Option<f64>) -> Result<(usize, f64), 
         }
     }
     Ok((builds.len(), ratio))
-}
-
-/// `BENCH_m2l_ablation.json` invariants: schema tag, a nonempty `cases`
-/// array where every case measured all three concrete M2L modes (fft,
-/// direct, svd) with positive flop counts, and a nonempty `auto` block
-/// of plan-time autotuner rows whose verdicts are *coherent*: the chosen
-/// mode's modeled flops is the minimum of the three candidates, ranks
-/// are positive, and the SVD storage ratio stays below 1.01 (full rank
-/// stores dense + two shared bases, (316+2)/316 ≈ 1.0064; anything more
-/// means the truncation is broken). Returns (cases, autotuner rows).
-fn check_m2l_ablation(doc: &Json) -> Result<(usize, usize), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'schema'")?;
-    if schema != "kifmm-m2l-ablation-v1" {
-        return Err(format!("unexpected schema '{schema}'"));
-    }
-    let n = doc.get("n").and_then(Json::as_f64).ok_or("missing numeric field 'n'")?;
-    if n < 1.0 {
-        return Err(format!("implausible n = {n}"));
-    }
-    let cases = doc.get("cases").and_then(Json::as_arr).ok_or("missing 'cases' array")?;
-    if cases.is_empty() {
-        return Err("empty 'cases' array".into());
-    }
-    let mut rows = 0usize;
-    for (i, case) in cases.iter().enumerate() {
-        case.get("kernel")
-            .and_then(Json::as_str)
-            .ok_or(format!("cases[{i}] missing string 'kernel'"))?;
-        for key in ["order", "tree_depth"] {
-            case.get(key)
-                .and_then(Json::as_f64)
-                .ok_or(format!("cases[{i}] missing numeric '{key}'"))?;
-        }
-        let measured = case.get("measured").ok_or(format!("cases[{i}] missing 'measured'"))?;
-        for mode in ["fft", "direct", "svd"] {
-            let m = measured
-                .get(mode)
-                .ok_or(format!("cases[{i}].measured missing mode '{mode}'"))?;
-            let secs = m
-                .get("seconds")
-                .and_then(Json::as_f64)
-                .ok_or(format!("cases[{i}].measured.{mode} missing 'seconds'"))?;
-            let flops = m
-                .get("flops")
-                .and_then(Json::as_f64)
-                .ok_or(format!("cases[{i}].measured.{mode} missing 'flops'"))?;
-            if !(secs >= 0.0) || flops <= 0.0 {
-                return Err(format!(
-                    "cases[{i}].measured.{mode}: implausible seconds={secs} flops={flops}"
-                ));
-            }
-        }
-        let auto = case
-            .get("auto")
-            .and_then(Json::as_arr)
-            .ok_or(format!("cases[{i}] missing 'auto' array"))?;
-        if auto.is_empty() {
-            return Err(format!("cases[{i}].auto is empty (autotuner produced no verdicts)"));
-        }
-        for (j, row) in auto.iter().enumerate() {
-            let at = |key: &str| {
-                row.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("cases[{i}].auto[{j}] missing numeric '{key}'"))
-            };
-            let fft = at("fft_flops")?;
-            let svd = at("svd_flops")?;
-            let direct = at("direct_flops")?;
-            let level = at("level")?;
-            let (rt, rs) = (at("rank_trg")?, at("rank_src")?);
-            let comp = at("compression")?;
-            let mode = row
-                .get("mode")
-                .and_then(Json::as_str)
-                .ok_or(format!("cases[{i}].auto[{j}] missing string 'mode'"))?;
-            let chosen = match mode {
-                "fft" => fft,
-                "svd" => svd,
-                "direct" => direct,
-                other => {
-                    return Err(format!(
-                        "cases[{i}].auto[{j}]: unresolved mode '{other}' (Auto must not survive \
-                         planning)"
-                    ))
-                }
-            };
-            if fft <= 0.0 || svd <= 0.0 || direct <= 0.0 {
-                return Err(format!("cases[{i}].auto[{j}]: non-positive modeled flops"));
-            }
-            if chosen > fft.min(svd).min(direct) {
-                return Err(format!(
-                    "cases[{i}].auto[{j}]: incoherent verdict — chose '{mode}' ({chosen} flop) \
-                     over a cheaper candidate (fft {fft} / svd {svd} / direct {direct})"
-                ));
-            }
-            if level < 2.0 || rt < 1.0 || rs < 1.0 {
-                return Err(format!(
-                    "cases[{i}].auto[{j}]: implausible level/ranks ({level}, {rt}x{rs})"
-                ));
-            }
-            if !(comp > 0.0 && comp < 1.01) {
-                return Err(format!(
-                    "cases[{i}].auto[{j}]: compression {comp} outside (0, 1.01) — SVD stores \
-                     more than dense plus the shared bases"
-                ));
-            }
-            rows += 1;
-        }
-    }
-    Ok((cases.len(), rows))
 }
 
 /// `BENCH_kernel_suite.json` invariants: schema tag, a `kernels` array

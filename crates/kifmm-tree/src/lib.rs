@@ -29,7 +29,7 @@ pub use linearize::{
 };
 pub use lists::{build_lists, build_lists_sorted, InteractionLists, SortedKeyIndex};
 pub use morton::{point_in_domain, point_key, try_point_key, MortonKey, MAX_LEVEL};
-pub use octree::{Domain, Node, Octree, NO_NODE};
+pub use octree::{first_non_finite, Domain, Node, Octree, NO_NODE};
 pub use partition::{
     partition_patches, partition_points, partition_weighted_points, split_by_weight, Partition,
 };

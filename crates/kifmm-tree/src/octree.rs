@@ -56,6 +56,17 @@ impl Domain {
     }
 }
 
+/// `(point, axis)` of the first NaN or infinite coordinate, if any.
+/// [`Domain::containing`]'s min/max skip NaN and the Morton cast saturates,
+/// so a tree builds over such a point without complaint — callers taking
+/// points from outside reject them with this scan first.
+pub fn first_non_finite(points: &[[f64; 3]]) -> Option<(usize, usize)> {
+    points
+        .iter()
+        .enumerate()
+        .find_map(|(i, p)| p.iter().position(|c| !c.is_finite()).map(|d| (i, d)))
+}
+
 /// One box of the tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Node {

@@ -63,7 +63,7 @@ pub use kifmm_tree as tree;
 pub use kifmm_core::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, geometry_hash,
     kernel_name_hash, rel_l2_error, BuildError,
-    EvalReport, Evaluator, Fmm, FmmBuilder, FmmOptions, M2lChoice, M2lMode, OutputSpec, Phase,
+    EvalReport, Evaluator, Fmm, FmmBuilder, FmmOptions, M2lMode, OutputSpec, Phase,
     PhaseStats, Plan, PlanCache, PlanKey, Session, TreeBuild, UpdateError, PHASES, PHASE_NAMES,
 };
 pub use kifmm_kernels::{

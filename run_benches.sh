@@ -12,6 +12,6 @@ OUT=bench_results
 { time KIFMM_MAXP=32 KIFMM_GRAIN=2500 $B/figure_4_3 ; }> $OUT/figure_4_3.txt 2>&1
 { time KIFMM_MAXP=32 KIFMM_SCALE=4 $B/table_4_3 ; }    > $OUT/table_4_3.txt 2>&1
 { time $B/accuracy_table ; }                           > $OUT/accuracy_table.txt 2>&1
-{ time KIFMM_N=40000 $B/ablation_m2l ; }               > $OUT/ablation_m2l.txt 2>&1
+{ time KIFMM_N=40000 $B/ablation_m2l ; }               > $OUT/ablation_m2l_two_mode.txt 2>&1
 { time KIFMM_N=48000 KIFMM_MAXP=16 $B/ablation_balance ; } > $OUT/ablation_balance.txt 2>&1
 echo ALL-DONE

@@ -98,6 +98,18 @@ if [ -n "$p2p_defs$grad_twins" ]; then
 fi
 echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins)"
 
+# 5c. One-M2L-path gate: `M2lMode` is `Fft | Direct`. The SVD-compressed
+#     family, the `Auto` mode and the plan-time autotuner were deleted and
+#     may not come back under another spelling.
+m2l_extras=$(grep -rnE 'M2lMode::(Svd|Auto)|M2lSvd|resolve_m2l_modes|m2l_svd' \
+    crates tests examples --include='*.rs' || true)
+if [ -n "$m2l_extras" ]; then
+    echo "FAIL: a deleted M2L mode or the autotuner reintroduced:"
+    echo "$m2l_extras"
+    exit 1
+fi
+echo "m2l gate: OK (Fft + dense oracle only)"
+
 # 6. Service-throughput gate: the plan/execute service bench (small N)
 #    must emit a valid kifmm-service-v1 artifact with a warm plan-cache
 #    hit, and eval_many(k=8) must amortize to at most 0.55x the wall time
@@ -109,14 +121,11 @@ KIFMM_N=8000 KIFMM_REQUESTS=1 KIFMM_BENCH_DIR="$artifacts" \
     --service-throughput --max-batch-ratio 0.55
 echo "service-throughput gate: OK"
 
-# 7. M2L ablation gate: the three-mode ablation (small N) must emit a
-#    valid kifmm-m2l-ablation-v1 artifact whose plan-time autotuner rows
-#    are coherent — every level resolved to a concrete mode, the chosen
-#    mode's modeled flops is the minimum of the three candidates, and the
-#    SVD storage ratio stays below dense + shared-basis overhead.
-KIFMM_N=3000 KIFMM_BENCH_DIR="$artifacts" \
-    cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
-"$validate" "$artifacts/BENCH_m2l_ablation.json" --m2l-ablation
+# 7. M2L ablation gate: the FFT-vs-dense ablation (small N) checks the
+#    paper's footnote-5 shape itself — FFT and dense potentials agree to
+#    1e-9 in every case, and at p = 6 the dense path counts more flops at
+#    a higher flop rate — and exits nonzero otherwise.
+KIFMM_N=3000 cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
 echo "m2l-ablation gate: OK"
 
 # 8. SIMD gate: the vector microkernels and the FMM evaluations built on
@@ -161,4 +170,8 @@ echo "kernel-suite gate: OK"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 benchmark/run.sh --smoke --trace > /dev/null
 echo "benchmark gate: OK"
+
+# ROADMAP item 3's size measure, printed so the number quoted there is
+# reproducible.
+echo "core+kernels source lines: $(find crates/kifmm-core/src crates/kifmm-kernels/src -name '*.rs' | xargs cat | wc -l)"
 echo "verify: ALL OK"

@@ -4,7 +4,8 @@
 //! same instruction order), and to 1e-12 for the distributed path (the
 //! owner-side Sum of partial equivalents reassociates additions).
 //!
-//! Matrix: 4 kernels × 2 distributions (uniform, clustered) × 3 paths.
+//! Matrix: every shipped kernel × 2 distributions (uniform, clustered) ×
+//! 3 paths, the same under the dense M2L oracle, and FFT vs that oracle.
 
 use kifmm::{CustomKernel, Fmm, FmmOptions, Gaussian, Kelvin, Kernel, Laplace, M2lMode, ModifiedLaplace, Stokes};
 use kifmm_kernels::LaplaceDipole;
@@ -18,11 +19,18 @@ fn clustered(n: usize, seed: u64) -> Vec<[f64; 3]> {
     kifmm::geom::corner_clusters(n, seed)
 }
 
+fn opts(m2l_mode: M2lMode) -> FmmOptions {
+    FmmOptions { order: 4, max_pts_per_leaf: 20, m2l_mode, ..Default::default() }
+}
+
 /// Serial vs shared-memory pool: bit-identical on the same Fmm.
 fn check_pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
+    check_pool_bitwise_opts(kernel, pts, opts(M2lMode::Fft));
+}
+
+fn check_pool_bitwise_opts<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>, opts: FmmOptions) {
     let n = pts.len();
     let dens = kifmm::geom::random_densities(n, kernel.src_dim(), 7);
-    let opts = FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() };
     let mut fmm = Fmm::new(kernel, &pts, opts);
     let serial = fmm.eval(&dens).potentials;
     fmm.set_parallel_eval(true);
@@ -95,14 +103,14 @@ mod gaussian_clustered {
 /// built-ins: a `CustomKernel` whose closure shadows Laplace must hold
 /// the pool/distributed gates AND agree with native Laplace — the
 /// closure layer cannot change the math.
+fn shadow_laplace() -> CustomKernel {
+    CustomKernel::new("shadow-laplace", 1, 1, Some(-1.0), |x, y, block| {
+        Kernel::eval(&Laplace, x, y, block)
+    })
+}
+
 mod closure_kernels {
     use super::*;
-
-    fn shadow_laplace() -> CustomKernel {
-        CustomKernel::new("shadow-laplace", 1, 1, Some(-1.0), |x, y, block| {
-            Kernel::eval(&Laplace, x, y, block)
-        })
-    }
 
     #[test]
     fn pool_bitwise() {
@@ -128,74 +136,102 @@ mod closure_kernels {
     }
 }
 
-/// The same gates under the SVD-compressed (and autotuned) M2L: the SVD
-/// pass groups V-list pairs by direction and runs batched GEMMs, so its
-/// serial/pool identity and its pred-split determinism (the distributed
-/// driver runs each level as two complementary target subsets) are
-/// independently at risk from the Fft path's.
-mod svd_mode {
+/// The same gates under the dense M2L oracle: it is the reference the FFT
+/// path is held to, so its own serial/pool identity and its pred-split
+/// determinism (the distributed driver runs each level as two
+/// complementary target subsets) must hold independently.
+mod direct_mode {
     use super::*;
 
-    fn opts(mode: M2lMode) -> FmmOptions {
-        FmmOptions { order: 4, max_pts_per_leaf: 20, m2l_mode: mode, ..Default::default() }
+    fn pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
+        check_pool_bitwise_opts(kernel, pts, opts(M2lMode::Direct));
     }
 
-    fn pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>, mode: M2lMode) {
-        let n = pts.len();
-        let dens = kifmm::geom::random_densities(n, kernel.src_dim(), 7);
-        let mut fmm = Fmm::new(kernel, &pts, opts(mode));
-        let serial = fmm.eval(&dens).potentials;
-        fmm.set_parallel_eval(true);
-        let pool = fmm.eval(&dens).potentials;
-        assert_eq!(serial, pool, "pool path must be bit-identical to serial");
+    fn distributed<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
+        let sd = kernel.src_dim();
+        check_matches_serial_opts(kernel, pts, 4, sd, 1e-12, opts(M2lMode::Direct));
     }
 
     #[test]
-    fn svd_laplace_uniform_pool_bitwise() {
-        pool_bitwise(Laplace, uniform(700, 11), M2lMode::Svd);
+    fn laplace_uniform_pool_bitwise() {
+        pool_bitwise(Laplace, uniform(700, 11));
     }
 
     #[test]
-    fn svd_laplace_clustered_pool_bitwise() {
-        pool_bitwise(Laplace, clustered(700, 12), M2lMode::Svd);
+    fn laplace_clustered_pool_bitwise() {
+        pool_bitwise(Laplace, clustered(700, 12));
     }
 
     #[test]
-    fn svd_modified_laplace_uniform_pool_bitwise() {
-        // Inhomogeneous: per-level SVD slots.
-        pool_bitwise(ModifiedLaplace::new(1.5), uniform(600, 15), M2lMode::Svd);
+    fn laplace_clustered_seed19_pool_bitwise() {
+        pool_bitwise(Laplace, clustered(700, 19));
     }
 
     #[test]
-    fn svd_stokes_clustered_pool_bitwise() {
-        // Matrix kernel: interleaved SRC/TRG components through the bases.
-        pool_bitwise(Stokes::default(), clustered(450, 18), M2lMode::Svd);
+    fn modified_laplace_uniform_pool_bitwise() {
+        // Inhomogeneous: one cached dense matrix per (level, direction).
+        pool_bitwise(ModifiedLaplace::new(1.5), uniform(600, 15));
     }
 
     #[test]
-    fn auto_laplace_clustered_pool_bitwise() {
-        pool_bitwise(Laplace, clustered(700, 19), M2lMode::Auto);
+    fn stokes_clustered_pool_bitwise() {
+        // Matrix kernel: interleaved SRC/TRG components.
+        pool_bitwise(Stokes::default(), clustered(450, 18));
     }
 
     #[test]
-    fn svd_laplace_uniform_distributed_1e12() {
-        check_matches_serial_opts(Laplace, uniform(700, 11), 4, 1, 1e-12, opts(M2lMode::Svd));
+    fn laplace_uniform_distributed_1e12() {
+        distributed(Laplace, uniform(700, 11));
     }
 
     #[test]
-    fn svd_modified_laplace_clustered_distributed_1e12() {
-        check_matches_serial_opts(
-            ModifiedLaplace::new(1.5),
-            clustered(600, 16),
-            4,
-            1,
-            1e-12,
-            opts(M2lMode::Svd),
+    fn laplace_uniform_seed21_distributed_1e12() {
+        distributed(Laplace, uniform(700, 21));
+    }
+
+    #[test]
+    fn modified_laplace_clustered_distributed_1e12() {
+        distributed(ModifiedLaplace::new(1.5), clustered(600, 16));
+    }
+}
+
+/// The one cross-mode check: on a clustered cloud (non-empty W and X
+/// lists), the FFT M2L and the dense oracle produce the same potentials
+/// to 1e-9 for every shipped kernel — they compute the same discrete sums
+/// and differ only by FFT round-off.
+mod fft_vs_dense_oracle {
+    use super::*;
+
+    fn agrees<K: Kernel>(kernel: K) {
+        agrees_with_leaf(kernel, 20);
+    }
+
+    fn agrees_with_leaf<K: Kernel>(kernel: K, max_pts_per_leaf: usize) {
+        let opts = |mode| FmmOptions { max_pts_per_leaf, ..opts(mode) };
+        let pts = clustered(600, 41);
+        let dens = kifmm::geom::random_densities(pts.len(), kernel.src_dim(), 7);
+        let fft = Fmm::new(kernel.clone(), &pts, opts(M2lMode::Fft));
+        assert!(
+            fft.lists.w.iter().any(|w| !w.is_empty()) && fft.lists.x.iter().any(|x| !x.is_empty()),
+            "geometry must exercise the W and X lists"
         );
+        assert!(fft.tree.depth() >= 3, "several M2L levels");
+        let dense = Fmm::new(kernel.clone(), &pts, opts(M2lMode::Direct));
+        let err = kifmm::rel_l2_error(&fft.eval(&dens).potentials, &dense.eval(&dens).potentials);
+        assert!(err < 1e-9, "{}: FFT vs dense oracle {err}", kernel.name());
     }
 
     #[test]
-    fn auto_laplace_uniform_distributed_1e12() {
-        check_matches_serial_opts(Laplace, uniform(700, 21), 4, 1, 1e-12, opts(M2lMode::Auto));
+    fn every_shipped_kernel() {
+        agrees(Laplace);
+        agrees(ModifiedLaplace::new(1.5));
+        agrees(Stokes::default());
+        agrees(Kelvin::new(1.0, 0.3));
+        // Boxes far smaller than σ make the check matrix numerically
+        // rank-deficient and the pinv amplifies the FFT round-off past
+        // 1e-9 (see `gaussian_clustered`): hold the tree shallower.
+        agrees_with_leaf(Gaussian::new(0.35), 60);
+        agrees(LaplaceDipole);
+        agrees(shadow_laplace());
     }
 }

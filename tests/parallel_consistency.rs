@@ -3,8 +3,9 @@
 //! rank count and distribution, and its communication accounting must
 //! behave (comm grows with P; phases populated).
 
-use kifmm::parallel::exchange::{legacy_exchange, Combine, ExchangeRoute, UserKind};
-use kifmm::parallel::ParallelFmm;
+use kifmm::mpi::{encode_tag, Comm};
+use kifmm::parallel::exchange::{Combine, ExchangeRoute, UserKind, NS_GATHER, NS_SCATTER};
+use kifmm::parallel::{Ownership, ParallelFmm};
 use kifmm_testkit::serial_reference;
 use kifmm::tree::{partition_patches, partition_points};
 use kifmm::{rel_l2_error, FmmOptions, Laplace, Phase, Stokes};
@@ -117,6 +118,90 @@ fn patch_partitioned_input_matches_serial() {
 /// payloads **bitwise** (same ascending-contributor fold), while sending
 /// exactly one gather message per owning peer and one scatter message per
 /// using peer.
+/// The original per-box blocking exchange — one gather message per
+/// (contributed box, owner) and one scatter message per (owned box, user),
+/// tagged per box — as an independent reference for the coalesced
+/// [`ExchangeRoute`] path: it shares no wire codec and no combine code
+/// with it, only `Comm::{send, recv}` and `Ownership`'s queries.
+fn legacy_exchange(
+    comm: &Comm,
+    own: &Ownership,
+    boxes: &[u32],
+    salt: u64,
+    combine: Combine,
+    users: UserKind,
+    mut payload: impl FnMut(u32) -> Vec<f64>,
+) -> std::collections::HashMap<u32, Vec<f64>> {
+    let encode = |v: &[f64]| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+    let decode = |b: Vec<u8>| -> Vec<f64> {
+        b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
+    };
+    let fold = |acc: Option<Vec<f64>>, part: Vec<f64>| -> Vec<f64> {
+        match (acc, combine) {
+            (None, _) => part,
+            (Some(mut a), Combine::Concat) => {
+                a.extend(part);
+                a
+            }
+            (Some(a), Combine::Sum) => a.iter().zip(&part).map(|(x, p)| x + p).collect(),
+            (Some(_), Combine::ConcatRhs(_)) => unimplemented!("reference covers Concat and Sum"),
+        }
+    };
+    let me = comm.rank();
+    let is_user = |bi: usize, rank: usize| match users {
+        UserKind::Source => own.is_src_user(bi, rank),
+        UserKind::Equiv => own.is_equiv_user(bi, rank),
+    };
+    // Contributor sends (eager, so no deadlock against the owner loop).
+    for &b in boxes {
+        let bi = b as usize;
+        if own.is_contributor(bi, me) && own.owner[bi] as usize != me {
+            let tag = encode_tag(NS_GATHER, salt, b as u64);
+            comm.send(own.owner[bi] as usize, tag, &encode(&payload(b)));
+        }
+    }
+    let mut global = std::collections::HashMap::new();
+    // Owner duties: gather + combine + scatter.
+    for &b in boxes {
+        let bi = b as usize;
+        if own.owner[bi] as usize != me {
+            continue;
+        }
+        let mut acc: Option<Vec<f64>> = None;
+        for src in own.contributors(bi) {
+            let part = if src == me {
+                payload(b)
+            } else {
+                decode(comm.recv(src, encode_tag(NS_GATHER, salt, b as u64)))
+            };
+            acc = Some(fold(acc, part));
+        }
+        let combined = acc.expect("owner contributes, so at least one part");
+        let wire = encode(&combined);
+        let user_ranks = match users {
+            UserKind::Source => own.src_users(bi),
+            UserKind::Equiv => own.equiv_users(bi),
+        };
+        for dst in user_ranks {
+            if dst != me {
+                comm.send(dst, encode_tag(NS_SCATTER, salt, b as u64), &wire);
+            }
+        }
+        if is_user(bi, me) {
+            global.insert(b, combined);
+        }
+    }
+    // User duties: receive from owners.
+    for &b in boxes {
+        let bi = b as usize;
+        let owner = own.owner[bi] as usize;
+        if owner != me && is_user(bi, me) {
+            global.insert(b, decode(comm.recv(owner, encode_tag(NS_SCATTER, salt, b as u64))));
+        }
+    }
+    global
+}
+
 #[test]
 fn coalesced_exchange_matches_legacy_bitwise() {
     let all = kifmm::geom::sphere_grid(2500, 8);

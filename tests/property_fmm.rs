@@ -3,7 +3,7 @@
 //! invariance, and tree/list invariants under random input.
 
 use kifmm::tree::{build_lists, Octree};
-use kifmm::{direct_eval, rel_l2_error, Fmm, FmmOptions, Laplace};
+use kifmm::{direct_eval, rel_l2_error, BuildError, Fmm, FmmOptions, Laplace, PlanCache};
 use kifmm_testkit::{check, prop_assert, prop_assert_eq, Gen};
 
 /// Random point clouds: uniform boxes and anisotropic slabs. Between 64
@@ -155,4 +155,31 @@ fn duplicate_points_capped_by_max_level() {
     let truth = direct_eval(&Laplace, &pts, &dens);
     let err = rel_l2_error(&approx, &truth);
     assert!(err < 1e-3, "duplicate-point cloud error {err}");
+}
+
+/// NaN and ±∞ coordinates would build a tree (min/max skip NaN, the Morton
+/// cast saturates) and come back as silently wrong potentials (Laplace
+/// drops the point: its `r² > 0` mask is false for NaN); every way into a
+/// plan rejects them, naming the first offending point and axis.
+#[test]
+fn non_finite_points_are_a_typed_build_error() {
+    let clean = kifmm::geom::uniform_cube(300, 29);
+    let cache = PlanCache::unbounded();
+    let base = cache.get_or_plan(&Laplace, &clean, FmmOptions::default()).unwrap();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for dim in 0..3 {
+            let mut pts = clean.clone();
+            pts[41][dim] = bad;
+            pts[200][(dim + 1) % 3] = bad; // a later offender is not the one reported
+            let expect = Err(BuildError::NonFinitePoint { point: 41, dim });
+            assert_eq!(Fmm::builder(Laplace).points(&pts).try_build().map(|_| ()), expect);
+            assert_eq!(Fmm::builder(Laplace).points(&pts).try_plan().map(|_| ()), expect);
+            let opts = FmmOptions::default();
+            assert_eq!(cache.get_or_plan(&Laplace, &pts, opts).map(|_| ()), expect);
+            // The patch refuses the point as domain drift; the full
+            // rebuild it falls back to must refuse it too.
+            assert_eq!(cache.get_or_update(&base, &pts).map(|_| ()), expect);
+        }
+    }
+    assert_eq!((cache.len(), cache.misses(), cache.updates()), (1, 1, 0), "failures not cached");
 }
