@@ -139,11 +139,14 @@ fn bench_tree(filter: &str) {
 fn bench_fmm(filter: &str) {
     let pts = kifmm::geom::sphere_grid(10_000, 8);
     let dens = kifmm::geom::random_densities(10_000, 1, 1);
-    let fmm = Fmm::new(Laplace, &pts, FmmOptions::default());
+    let fmm = Fmm::builder(Laplace).points(&pts).build();
     bench(filter, "fmm/evaluate_laplace_10k_p6", || {
         std::hint::black_box(fmm.eval(&dens).potentials);
     });
-    let fmm4 = Fmm::new(Laplace, &pts, FmmOptions { order: 4, ..Default::default() });
+    let fmm4 = Fmm::builder(Laplace)
+        .points(&pts)
+        .options(FmmOptions { order: 4, ..Default::default() })
+        .build();
     bench(filter, "fmm/evaluate_laplace_10k_p4", || {
         std::hint::black_box(fmm4.eval(&dens).potentials);
     });
@@ -165,11 +168,10 @@ fn bench_engine(filter: &str) {
     let pts = kifmm::geom::uniform_cube(n, 5);
     let dens = vec![1.0; n];
     let order = 6;
-    let fmm = Fmm::new(
-        Laplace,
-        &pts,
-        FmmOptions { order, max_pts_per_leaf: 60, ..Default::default() },
-    );
+    let fmm = Fmm::builder(Laplace)
+        .points(&pts)
+        .options(FmmOptions { order, max_pts_per_leaf: 60, ..Default::default() })
+        .build();
     let tree = &fmm.tree;
     let depth = tree.depth();
     assert!(depth >= FIRST_FMM_LEVEL, "bench tree must reach FMM levels");

@@ -36,11 +36,10 @@ impl Measured {
 
 fn measure<K: Kernel>(kernel: &K, points: &[[f64; 3]], order: usize, mode: M2lMode) -> Measured {
     let dens = kifmm::geom::random_densities(points.len(), kernel.src_dim(), 3);
-    let fmm = Fmm::new(
-        kernel.clone(),
-        points,
-        FmmOptions { order, max_pts_per_leaf: 60, m2l_mode: mode, ..Default::default() },
-    );
+    let fmm = Fmm::builder(kernel.clone())
+        .points(points)
+        .options(FmmOptions { order, max_pts_per_leaf: 60, m2l_mode: mode, ..Default::default() })
+        .build();
     // Warm the lazy dense cache outside the measurement.
     let _ = fmm.eval(&dens);
     let report = fmm.eval(&dens);

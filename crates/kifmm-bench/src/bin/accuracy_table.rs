@@ -20,11 +20,10 @@ fn sweep<K: Kernel>(kernel: K, points: &[[f64; 3]], orders: &[usize]) {
     let truth = direct_eval(&kernel, points, &dens);
     for &p in orders {
         let t0 = Instant::now();
-        let fmm = Fmm::new(
-            kernel.clone(),
-            points,
-            FmmOptions { order: p, max_pts_per_leaf: 60, ..Default::default() },
-        );
+        let fmm = Fmm::builder(kernel.clone())
+            .points(points)
+            .options(FmmOptions { order: p, max_pts_per_leaf: 60, ..Default::default() })
+            .build();
         let setup = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let report = fmm.eval(&dens);

@@ -16,7 +16,7 @@ fn check_paths<K: Kernel>(name: &str, kernel: K, pts: Vec<[f64; 3]>, mode: M2lMo
     let opts =
         FmmOptions { order: 4, max_pts_per_leaf: 20, m2l_mode: mode, ..Default::default() };
 
-    let mut fmm = Fmm::new(kernel.clone(), &pts, opts);
+    let mut fmm = Fmm::builder(kernel.clone()).points(&pts).options(opts).build();
     let serial = fmm.eval(&dens).potentials;
     fmm.set_parallel_eval(true);
     let pool = fmm.eval(&dens).potentials;

@@ -74,9 +74,10 @@ fn check_fmm<K: Kernel>(kernel: K, n: usize, seed: u64) {
     let opts = FmmOptions { order: 4, max_pts_per_leaf: 30, ..Default::default() };
 
     simd::set_force_scalar(false);
-    let vector = Fmm::new(kernel.clone(), &pts, opts).eval(&dens).potentials;
+    let vector =
+        Fmm::builder(kernel.clone()).points(&pts).options(opts).build().eval(&dens).potentials;
     simd::set_force_scalar(true);
-    let scalar = Fmm::new(kernel, &pts, opts).eval(&dens).potentials;
+    let scalar = Fmm::builder(kernel).points(&pts).options(opts).build().eval(&dens).potentials;
     simd::set_force_scalar(false);
 
     assert_eq!(vector, scalar, "{name}: FMM potentials diverge between SIMD and scalar");

@@ -1,9 +1,10 @@
 //! The unified evaluation API: [`Evaluator`], [`EvalReport`] and
 //! [`FmmBuilder`].
 //!
-//! The legacy surface grew one entry point per execution strategy, each
-//! with its own return shape. Everything now funnels through one verb
-//! ([`Evaluator::eval`], batched as [`Evaluator::eval_many`]):
+//! Every execution strategy is reached through one verb
+//! ([`Evaluator::eval`], batched as [`Evaluator::eval_many`]) on what
+//! [`FmmBuilder::build`] returns — a [`Session`] over a freshly built
+//! [`Plan`] ([`Fmm`](crate::Fmm) is an alias of `Session`):
 //!
 //! ```
 //! use kifmm_core::{Evaluator, Fmm};
@@ -27,13 +28,14 @@
 //! [`FmmBuilder::trace`] to capture per-rank span timelines exportable as
 //! chrome-trace JSON.
 
-use crate::fmm::{Fmm, FmmOptions};
+use crate::fmm::FmmOptions;
 use crate::m2l::M2lMode;
 use crate::plan::{BuildError, Plan, Session};
 use crate::precompute::PrecomputeCache;
 use crate::stats::PhaseStats;
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_trace::Tracer;
+use kifmm_tree::Octree;
 
 /// What an evaluation produces per target point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -72,8 +74,35 @@ pub struct EvalReport {
     pub trace: Tracer,
 }
 
+impl EvalReport {
+    /// One report per RHS from a driver's Morton-ordered outputs:
+    /// potentials (`trg_dim` per point) and gradients (empty, or one
+    /// `trg_dim·3` vector per RHS) scattered back to the caller's point
+    /// order, every report carrying the batch's `stats`. Takes the
+    /// vectors by value so each is freed as soon as it is scattered (a
+    /// batch never holds both orders of all `k` outputs at once).
+    pub fn assemble(
+        tree: &Octree,
+        trg_dim: usize,
+        pots: Vec<Vec<f64>>,
+        grads: Vec<Vec<f64>>,
+        stats: &PhaseStats,
+        trace: &Tracer,
+    ) -> Vec<EvalReport> {
+        let mut grads = grads.into_iter();
+        pots.into_iter()
+            .map(|pot| EvalReport {
+                potentials: tree.from_morton(&pot, trg_dim),
+                gradients: grads.next().map_or_else(Vec::new, |g| tree.from_morton(&g, trg_dim * 3)),
+                stats: stats.clone(),
+                trace: trace.clone(),
+            })
+            .collect()
+    }
+}
+
 /// Anything that evaluates `u_i = Σ_j G(x_i, x_j) φ_j` over a fixed
-/// point set: the shared-memory [`Fmm`] or a comm-bound distributed
+/// point set: a shared-memory [`Session`] or a comm-bound distributed
 /// driver.
 pub trait Evaluator {
     /// Evaluate potentials for `densities` (`src_dim()` interleaved
@@ -99,8 +128,9 @@ pub trait Evaluator {
     fn trg_dim(&self) -> usize;
 }
 
-/// Builder for [`Fmm`] (see [`Fmm::builder`]): options, execution
-/// strategy and observability in one fluent chain.
+/// Builder for a [`Session`] (see [`Session::builder`], spelled
+/// `Fmm::builder` through the alias): options, execution strategy and
+/// observability in one fluent chain.
 ///
 /// ```
 /// use kifmm_core::{Fmm, M2lMode};
@@ -176,12 +206,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// Pseudoinverse truncation tolerance.
-    pub fn pinv_tol(mut self, tol: f64) -> Self {
-        self.opts.pinv_tol = tol;
-        self
-    }
-
     /// Replace the whole option set at once.
     pub fn options(mut self, opts: FmmOptions) -> Self {
         self.opts = opts;
@@ -211,7 +235,7 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     }
 
     /// Decompose the builder for drivers that construct something other
-    /// than a shared-memory [`Fmm`] (e.g. the distributed driver's
+    /// than a shared-memory [`Session`] (e.g. the distributed driver's
     /// `build_parallel`). Returns
     /// `(kernel, points, options, tracer, parallel, cache)`.
     #[doc(hidden)]
@@ -223,30 +247,25 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         (self.kernel, self.points, self.opts, self.trace, self.parallel, self.cache)
     }
 
-    /// Build the evaluator, reporting configuration problems as a typed
+    /// Build the plan and open a [`Session`] over it with this builder's
+    /// execution policy, reporting configuration problems as a typed
     /// [`BuildError`] instead of panicking.
-    pub fn try_build(self) -> Result<Fmm<K>, BuildError> {
-        let (kernel, points, opts, trace, parallel, cache) = self.into_parts();
-        let points = points.ok_or(BuildError::MissingPoints)?;
-        let plan = match cache {
-            Some(c) => Plan::try_new_with_cache(kernel, points, opts, c)?,
-            None => Plan::try_new(kernel, points, opts)?,
-        };
-        let mut session = Session::from_plan(plan);
+    pub fn try_build(self) -> Result<Session<K>, BuildError> {
+        let (trace, parallel) = (self.trace.clone(), self.parallel);
+        let mut session = Session::from_plan(self.try_plan()?);
         session.set_trace(trace);
         session.set_parallel_eval(parallel);
-        Ok(Fmm { session })
+        Ok(session)
     }
 
-    /// Build the evaluator: tree, interaction lists and translation
-    /// operators.
+    /// As [`FmmBuilder::try_build`]: tree, interaction lists and
+    /// translation operators, wrapped in a ready-to-evaluate [`Session`].
     ///
     /// # Panics
     /// On any [`BuildError`] — if [`FmmBuilder::points`] was never
     /// supplied, the point set is empty or holds a non-finite coordinate,
-    /// or the order is below 2. Use
-    /// [`FmmBuilder::try_build`] for a `Result`.
-    pub fn build(self) -> Fmm<K> {
+    /// or the order is below 2.
+    pub fn build(self) -> Session<K> {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -270,28 +289,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     /// On any [`BuildError`].
     pub fn plan(self) -> Plan<K> {
         self.try_plan().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<K: Kernel> Evaluator for Fmm<K> {
-    fn eval(&self, densities: &[f64]) -> EvalReport {
-        Fmm::eval(self, densities)
-    }
-
-    fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        Fmm::eval_many(self, densities)
-    }
-
-    fn num_points(&self) -> usize {
-        self.len()
-    }
-
-    fn src_dim(&self) -> usize {
-        self.kernel.src_dim()
-    }
-
-    fn trg_dim(&self) -> usize {
-        self.kernel.trg_dim()
     }
 }
 

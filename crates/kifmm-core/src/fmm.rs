@@ -1,10 +1,11 @@
 //! The kernel-independent FMM evaluator.
 //!
-//! [`Fmm::new`] builds the adaptive tree, interaction lists and per-level
-//! operators for a point set (sources ≡ targets, the setting of the paper's
-//! experiments, where the same discretization points carry densities and
-//! receive potentials across tens of Krylov iterations).
-//! [`Fmm::eval`] then computes `u_i = Σ_j G(x_i, x_j) φ_j` in `O(N)`:
+//! [`FmmBuilder::build`](crate::FmmBuilder::build) builds the adaptive
+//! tree, interaction lists and per-level operators for a point set
+//! (sources ≡ targets, the setting of the paper's experiments, where the
+//! same discretization points carry densities and receive potentials
+//! across tens of Krylov iterations) and returns a [`Session`] over them.
+//! [`Session::eval`] then computes `u_i = Σ_j G(x_i, x_j) φ_j` in `O(N)`:
 //!
 //! 1. **Upward pass** — S2M at leaves (evaluate the upward check potential
 //!    from the sources, invert to the upward equivalent density, eq. 2.1)
@@ -17,21 +18,19 @@
 //!    targets.
 //!
 //! All pass mathematics lives in [`crate::engine`]; the setup/execute
-//! split lives in [`crate::plan`]: `Fmm` is literally a [`Session`] over a
-//! privately-owned [`Plan`] (it `Deref`s through both), kept as the
-//! convenient build-and-evaluate entry point. Callers that build once and
-//! evaluate from many threads, batch right-hand sides, or reuse setup
-//! across requests should use [`Plan`]/[`Session`]/[`PlanCache`]
-//! directly.
+//! split lives in [`crate::plan`]. [`Fmm`] is an alias of [`Session`]:
+//! `Fmm::builder(kernel).points(&pts).build()` returns a `Session` over a
+//! freshly built [`Plan`], ready for `eval`/`eval_many`/`evaluate_at`.
+//! Callers that evaluate from many threads or reuse setup across requests
+//! share the `Arc<Plan>` between sessions, or resolve it through a
+//! [`PlanCache`].
 //!
 //! [`Plan`]: crate::plan::Plan
 //! [`PlanCache`]: crate::plan::PlanCache
 
-use crate::evaluator::{EvalReport, FmmBuilder, OutputSpec};
+use crate::evaluator::OutputSpec;
 use crate::m2l::M2lMode;
-use crate::plan::{Plan, Session};
-use crate::precompute::PrecomputeCache;
-use kifmm_kernels::{Kernel, Point3};
+use crate::plan::Session;
 use kifmm_tree::TreeBuild;
 
 /// Evaluator configuration.
@@ -47,8 +46,6 @@ pub struct FmmOptions {
     pub max_level: u8,
     /// M2L execution mode (FFT or dense).
     pub m2l_mode: M2lMode,
-    /// Relative truncation for the check-to-equivalent pseudoinverses.
-    pub pinv_tol: f64,
     /// Distributed tree construction algorithm (sample sort vs the
     /// paper's per-level Allreduce). Both yield bitwise-identical
     /// structure; serial builds ignore this.
@@ -66,7 +63,6 @@ impl Default for FmmOptions {
             max_pts_per_leaf: 60,
             max_level: 12,
             m2l_mode: M2lMode::Fft,
-            pinv_tol: 1e-10,
             tree_build: TreeBuild::default(),
             output: OutputSpec::Potential,
         }
@@ -80,86 +76,9 @@ impl FmmOptions {
     }
 }
 
-/// A prepared FMM: a [`Session`] over a privately-built [`Plan`] for one
-/// point set. `Deref`s to the session (execution policy) and through it
-/// to the plan (tree, lists, operators), so `fmm.tree`, `fmm.eval(..)`
-/// and `fmm.set_parallel_eval(..)` all resolve as before the split.
-pub struct Fmm<K: Kernel> {
-    pub(crate) session: Session<K>,
-}
-
-impl<K: Kernel> Fmm<K> {
-    /// Start a fluent [`FmmBuilder`]:
-    /// `Fmm::builder(kernel).points(&pts).order(6).build()`.
-    pub fn builder<'a>(kernel: K) -> FmmBuilder<'a, K> {
-        FmmBuilder::new(kernel)
-    }
-
-    /// Build tree, interaction lists and translation operators.
-    ///
-    /// # Panics
-    /// On an empty point set, a non-finite coordinate or a surface order
-    /// below 2; use [`FmmBuilder::try_build`] for a `Result`.
-    pub fn new(kernel: K, points: &[Point3], opts: FmmOptions) -> Self {
-        let cache = PrecomputeCache::new();
-        Self::with_cache(kernel, points, opts, &cache)
-    }
-
-    /// As [`Fmm::new`], but sharing particle-independent operator tables
-    /// through `cache` (parameter sweeps, virtual-rank benches).
-    pub fn with_cache(
-        kernel: K,
-        points: &[Point3],
-        opts: FmmOptions,
-        cache: &PrecomputeCache<K>,
-    ) -> Self {
-        let plan = Plan::try_new_with_cache(kernel, points, opts, cache)
-            .unwrap_or_else(|e| panic!("{e}"));
-        Fmm { session: Session::from_plan(plan) }
-    }
-
-    /// Wrap an existing session (e.g. one opened over a [`PlanCache`]d
-    /// plan) in the `Fmm` front end, for code written against `Fmm`.
-    ///
-    /// [`PlanCache`]: crate::plan::PlanCache
-    pub fn from_session(session: Session<K>) -> Self {
-        Fmm { session }
-    }
-
-    /// Evaluate potentials for `densities` (original point order,
-    /// `SRC_DIM` interleaved components per point). The report carries
-    /// `TRG_DIM` components per point in the original order, the
-    /// per-phase statistics, and the attached tracer.
-    ///
-    /// Runs the serial path unless the shared-memory parallel path was
-    /// selected ([`FmmBuilder::parallel`] / [`Session::set_parallel_eval`]).
-    pub fn eval(&self, densities: &[f64]) -> EvalReport {
-        self.session.eval(densities)
-    }
-
-    /// Evaluate a batch of `k` density vectors through **one** set of FMM
-    /// passes (see [`Plan::execute`]): the per-level translation GEMMs
-    /// widen `k`-fold, the FFT M2L reuses each direction tensor across
-    /// the batch, and the dense passes hoist pair geometry. Each report's
-    /// potentials are bit-identical to the corresponding [`Fmm::eval`].
-    pub fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        self.session.eval_many(densities)
-    }
-}
-
-impl<K: Kernel> std::ops::Deref for Fmm<K> {
-    type Target = Session<K>;
-
-    fn deref(&self) -> &Session<K> {
-        &self.session
-    }
-}
-
-impl<K: Kernel> std::ops::DerefMut for Fmm<K> {
-    fn deref_mut(&mut self) -> &mut Session<K> {
-        &mut self.session
-    }
-}
+/// The build-and-evaluate spelling of [`Session`]: `Fmm::builder(..)` is
+/// [`Session::builder`].
+pub type Fmm<K> = Session<K>;
 
 #[cfg(test)]
 mod tests {
@@ -183,11 +102,10 @@ mod tests {
     fn laplace_matches_direct_uniform() {
         let pts = cloud(600, 17);
         let dens = densities(600, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         assert!(fmm.tree.depth() >= 2, "tree must be deep enough to exercise M2L");
         let u = fmm.eval(&dens).potentials;
         let truth = direct_eval(&Laplace, &pts, &dens);
@@ -202,11 +120,10 @@ mod tests {
         let truth = direct_eval(&Laplace, &pts, &dens);
         let mut last = f64::INFINITY;
         for p in [4usize, 6, 8] {
-            let fmm = Fmm::new(
-                Laplace,
-                &pts,
-                FmmOptions { order: p, max_pts_per_leaf: 15, ..Default::default() },
-            );
+            let fmm = Fmm::builder(Laplace)
+                .points(&pts)
+                .options(FmmOptions { order: p, max_pts_per_leaf: 15, ..Default::default() })
+                .build();
             let e = rel_err(&fmm.eval(&dens).potentials, &truth);
             assert!(e < last, "p={p}: error {e} should beat {last}");
             last = e;
@@ -219,11 +136,10 @@ mod tests {
         let k = ModifiedLaplace::new(1.5);
         let pts = cloud(500, 29);
         let dens = densities(500, 1);
-        let fmm = Fmm::new(
-            k,
-            &pts,
-            FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(k)
+            .points(&pts)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let u = fmm.eval(&dens).potentials;
         let truth = direct_eval(&k, &pts, &dens);
         let e = rel_err(&u, &truth);
@@ -235,11 +151,10 @@ mod tests {
         let k = Stokes::new(0.8);
         let pts = cloud(400, 41);
         let dens = densities(400, 3);
-        let fmm = Fmm::new(
-            k,
-            &pts,
-            FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(k)
+            .points(&pts)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let u = fmm.eval(&dens).potentials;
         let truth = direct_eval(&k, &pts, &dens);
         let e = rel_err(&u, &truth);
@@ -254,11 +169,10 @@ mod tests {
             pts.push([0.95 + p[0] * 0.04, 0.95 + p[1] * 0.04, 0.95 + p[2] * 0.04]);
         }
         let dens = densities(600, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 6, max_pts_per_leaf: 10, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 10, ..Default::default() })
+            .build();
         let has_w = fmm.lists.w.iter().any(|w| !w.is_empty());
         let has_x = fmm.lists.x.iter().any(|x| !x.is_empty());
         assert!(has_w && has_x, "test geometry must exercise W and X lists");
@@ -273,8 +187,14 @@ mod tests {
         let pts = cloud(500, 77);
         let dens = densities(500, 1);
         let base = FmmOptions { order: 5, max_pts_per_leaf: 15, ..Default::default() };
-        let fft = Fmm::new(Laplace, &pts, FmmOptions { m2l_mode: M2lMode::Fft, ..base });
-        let dir = Fmm::new(Laplace, &pts, FmmOptions { m2l_mode: M2lMode::Direct, ..base });
+        let fft = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { m2l_mode: M2lMode::Fft, ..base })
+            .build();
+        let dir = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { m2l_mode: M2lMode::Direct, ..base })
+            .build();
         let uf = fft.eval(&dens).potentials;
         let ud = dir.eval(&dens).potentials;
         // The two paths differ only by FFT round-off accumulated over the
@@ -288,11 +208,10 @@ mod tests {
         // Few points: depth < 2, everything goes through U lists.
         let pts = cloud(50, 8);
         let dens = densities(50, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 60, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 60, ..Default::default() })
+            .build();
         assert!(fmm.tree.depth() < 2);
         let u = fmm.eval(&dens).potentials;
         let truth = direct_eval(&Laplace, &pts, &dens);
@@ -303,11 +222,10 @@ mod tests {
     #[test]
     fn linearity_of_evaluation() {
         let pts = cloud(300, 15);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let d1 = densities(300, 1);
         let d2: Vec<f64> = (0..300).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let combined: Vec<f64> = d1.iter().zip(&d2).map(|(a, b)| 2.0 * a - 0.5 * b).collect();
@@ -324,11 +242,10 @@ mod tests {
     fn stats_are_populated() {
         let pts = cloud(800, 21);
         let dens = densities(800, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let stats = fmm.eval(&dens).stats;
         assert!(stats.flops[Phase::Up as usize] > 0);
         assert!(stats.flops[Phase::DownU as usize] > 0);
@@ -343,11 +260,10 @@ mod tests {
         // The pooled store/workspace must not leak state between calls.
         let pts = cloud(500, 91);
         let dens = densities(500, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let first = fmm.eval(&dens).potentials;
         for _ in 0..3 {
             assert_eq!(fmm.eval(&dens).potentials, first);
@@ -357,7 +273,7 @@ mod tests {
     #[test]
     fn zero_density_gives_zero_potential() {
         let pts = cloud(200, 33);
-        let fmm = Fmm::new(Laplace, &pts, FmmOptions::with_order(4));
+        let fmm = Fmm::builder(Laplace).points(&pts).options(FmmOptions::with_order(4)).build();
         let u = fmm.eval(&vec![0.0; 200]).potentials;
         assert!(u.iter().all(|&v| v == 0.0));
     }
@@ -366,11 +282,10 @@ mod tests {
     fn eval_many_single_rhs_equals_eval() {
         let pts = cloud(400, 51);
         let dens = densities(400, 1);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let single = fmm.eval(&dens).potentials;
         let batch = fmm.eval_many(&[&dens]);
         assert_eq!(batch.len(), 1);
@@ -392,11 +307,10 @@ mod dipole_tests {
     fn laplace_dipole_matches_direct() {
         let pts = cloud(600, 77);
         let dens: Vec<f64> = (0..600 * 3).map(|i| ((i * 19 % 23) as f64) / 23.0 - 0.4).collect();
-        let fmm = Fmm::new(
-            LaplaceDipole,
-            &pts,
-            FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(LaplaceDipole)
+            .points(&pts)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         assert!(fmm.tree.depth() >= 2);
         let u = fmm.eval(&dens).potentials;
         let truth = direct_eval(&LaplaceDipole, &pts, &dens);
@@ -415,11 +329,10 @@ mod dipole_tests {
                     .collect()
             })
             .collect();
-        let fmm = Fmm::new(
-            LaplaceDipole,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(LaplaceDipole)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
         for (q, rep) in fmm.eval_many(&refs).iter().enumerate() {
             assert_eq!(rep.potentials, fmm.eval(&dens[q]).potentials, "RHS {q}");

@@ -32,7 +32,6 @@ pub mod evaluator;
 pub mod fmm;
 pub mod m2l;
 pub mod operators;
-pub mod par_eval;
 pub mod plan;
 pub mod precompute;
 pub mod stats;
@@ -53,6 +52,6 @@ pub use kifmm_tree::TreeBuild;
 pub use m2l::{v_list_directions, M2lDirect, M2lFft, M2lMode};
 pub use operators::{LevelOps, OperatorTable, FIRST_FMM_LEVEL};
 pub use precompute::{Precomputed, PrecomputeCache};
-pub use stats::{thread_cpu_time, Phase, PhaseStats, PHASES, PHASE_NAMES};
+pub use stats::{thread_cpu_time, Meter, Phase, PhaseStats, PHASES, PHASE_NAMES};
 pub use surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
 pub use work::{leaf_work_rates, point_work_estimates};

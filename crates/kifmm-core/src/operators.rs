@@ -53,16 +53,16 @@ pub struct OperatorTable {
 /// The coarsest level that carries equivalent densities.
 pub const FIRST_FMM_LEVEL: u8 = 2;
 
+/// Relative singular-value truncation of the check-to-equivalent
+/// pseudoinverses. A constant, not an option: the operator tables are
+/// cached by `(depth, root half-width, order, M2L mode)`, so a settable
+/// tolerance that is not part of those keys would be served stale tables.
+pub const PINV_TOL: f64 = 1e-10;
+
 impl OperatorTable {
     /// Assemble operators for a tree of the given depth whose root box has
     /// half-width `root_half`.
-    pub fn build<K: Kernel>(
-        kernel: &K,
-        order: usize,
-        root_half: f64,
-        depth: u8,
-        pinv_tol: f64,
-    ) -> OperatorTable {
+    pub fn build<K: Kernel>(kernel: &K, order: usize, root_half: f64, depth: u8) -> OperatorTable {
         let mut levels: Vec<Option<LevelOps>> = vec![None; depth as usize + 1];
         if depth < FIRST_FMM_LEVEL {
             return OperatorTable { levels, order };
@@ -72,7 +72,7 @@ impl OperatorTable {
                 // Reference level, then rescale.
                 let ref_level = FIRST_FMM_LEVEL;
                 let ref_half = root_half / (1u64 << ref_level) as f64;
-                let base = build_level(kernel, order, ref_half, pinv_tol);
+                let base = build_level(kernel, order, ref_half);
                 for l in FIRST_FMM_LEVEL..=depth {
                     let half = root_half / (1u64 << l) as f64;
                     let lam = half / ref_half;
@@ -91,7 +91,7 @@ impl OperatorTable {
             None => {
                 for l in FIRST_FMM_LEVEL..=depth {
                     let half = root_half / (1u64 << l) as f64;
-                    levels[l as usize] = Some(build_level(kernel, order, half, pinv_tol));
+                    levels[l as usize] = Some(build_level(kernel, order, half));
                 }
             }
         }
@@ -126,7 +126,7 @@ impl OperatorTable {
 }
 
 /// Assemble the four operators for boxes of half-width `half`.
-fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64, pinv_tol: f64) -> LevelOps {
+fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64) -> LevelOps {
     let origin = [0.0; 3];
     // This box's surfaces.
     let ue = surface_points(order, RAD_INNER, origin, half);
@@ -134,8 +134,8 @@ fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64, pinv_tol: f64) ->
     let de = surface_points(order, RAD_OUTER, origin, half);
     let dc = surface_points(order, RAD_INNER, origin, half);
 
-    let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), pinv_tol);
-    let dc2de = pinv_with_tol(&assemble(kernel, &dc, &de), pinv_tol);
+    let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), PINV_TOL);
+    let dc2de = pinv_with_tol(&assemble(kernel, &dc, &de), PINV_TOL);
 
     // Children of this box (for UE2UC): half-width half/2, offset ±half/2.
     let mut ue2uc = Vec::with_capacity(8);
@@ -207,7 +207,7 @@ mod tests {
         // Check potential from sources, then invert.
         let mut check = vec![0.0; uc.len() * kernel.trg_dim()];
         kernel.p2p(&uc, &srcs, &dens, &mut check);
-        let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), 1e-10);
+        let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), PINV_TOL);
         let equiv = uc2ue.matvec(&check);
         // Compare fields at far points (outside the 3r near range).
         let far: Vec<Point3> = vec![
@@ -251,8 +251,8 @@ mod tests {
     fn homogeneous_scaling_matches_direct_assembly() {
         // Operators built by rescaling must equal operators assembled at
         // the target level directly.
-        let table = OperatorTable::build(&Laplace, 4, 1.0, 4, 1e-12);
-        let direct = build_level(&Laplace, 4, 1.0 / 16.0, 1e-12);
+        let table = OperatorTable::build(&Laplace, 4, 1.0, 4);
+        let direct = build_level(&Laplace, 4, 1.0 / 16.0);
         let scaled = table.at(4);
         assert!((scaled.box_half - 1.0 / 16.0).abs() < 1e-15);
         for (a, b) in [
@@ -295,13 +295,13 @@ mod tests {
         // Child S2M.
         let cue = surface_points(order, RAD_INNER, cc, parent_half / 2.0);
         let cuc = surface_points(order, RAD_OUTER, cc, parent_half / 2.0);
-        let c_uc2ue = pinv_with_tol(&assemble(&kernel, &cuc, &cue), 1e-12);
+        let c_uc2ue = pinv_with_tol(&assemble(&kernel, &cuc, &cue), PINV_TOL);
         let mut c_check = vec![0.0; cuc.len()];
         kernel.p2p(&cuc, &srcs, &dens, &mut c_check);
         let c_equiv = c_uc2ue.matvec(&c_check);
 
         // M2M via the operator table geometry.
-        let ops = build_level(&kernel, order, parent_half, 1e-12);
+        let ops = build_level(&kernel, order, parent_half);
         let p_check = ops.ue2uc[oct as usize].matvec(&c_equiv);
         let p_equiv = ops.uc2ue.matvec(&p_check);
 
@@ -335,13 +335,13 @@ mod tests {
 
     #[test]
     fn shallow_tree_has_no_operators() {
-        let t = OperatorTable::build(&Laplace, 4, 1.0, 1, 1e-12);
+        let t = OperatorTable::build(&Laplace, 4, 1.0, 1);
         assert!(t.levels.iter().all(|l| l.is_none()));
     }
 
     #[test]
     fn try_at_covers_exactly_the_fmm_levels() {
-        let t = OperatorTable::build(&Laplace, 3, 1.0, 4, 1e-12);
+        let t = OperatorTable::build(&Laplace, 3, 1.0, 4);
         assert!(t.try_at(0).is_none() && t.try_at(1).is_none());
         for level in FIRST_FMM_LEVEL..=4 {
             assert!(t.try_at(level).is_some(), "level {level} missing");
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no operators at level 1")]
     fn at_panics_with_level_and_coverage() {
-        let t = OperatorTable::build(&Laplace, 3, 1.0, 3, 1e-12);
+        let t = OperatorTable::build(&Laplace, 3, 1.0, 3);
         let _ = t.at(1);
     }
 }

@@ -20,11 +20,12 @@
 use crate::engine::{
     ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine,
 };
+use crate::evaluator::{EvalReport, FmmBuilder};
 use crate::fmm::FmmOptions;
 use crate::m2l::M2lMode;
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
-use crate::stats::{thread_cpu_time, Phase, PhaseStats};
+use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{Dispatch, Freelist};
 use kifmm_tree::{
@@ -33,7 +34,6 @@ use kifmm_tree::{
 use kifmm_trace::{Counter, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Why a plan (or evaluator) could not be built.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -486,14 +486,41 @@ impl<K: Kernel> Plan<K> {
         )
     }
 
+    /// The far-field half of an evaluation — Up → M2L → X → L2L — for the
+    /// Morton-sorted batch in `src`, every pass charged through `meter`.
+    /// Reshapes `store` for the batch and leaves its `up`/`down` rows
+    /// final: the leaf passes of [`Plan::execute`] and the arbitrary-target
+    /// read-off of [`Session::evaluate_at`] both start from here.
+    pub(crate) fn far_field(
+        &self,
+        engine: &PassEngine<'_, K>,
+        src: &LocalSources<'_>,
+        store: &mut ExpansionStore,
+        ws: &mut EngineWorkspace,
+        meter: &mut Meter<'_>,
+    ) {
+        engine.prepare_store(store, src.dens.len());
+        let depth = self.tree.depth();
+        if depth < FIRST_FMM_LEVEL {
+            return;
+        }
+        meter.compute(Phase::Up, "Up", None, || engine.upward(src, store, ws));
+        meter.touched(engine.active_cell_count());
+        for level in FIRST_FMM_LEVEL..=depth {
+            meter.compute(Phase::DownV, "m2l", Some(level), || engine.m2l_level(level, store, ws));
+        }
+        meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(src, store));
+        meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
+    }
+
     /// Execute the plan for a batch of `k = densities.len()` charge
     /// vectors (each in original point order, `SRC_DIM` interleaved
     /// components per point), running every FMM pass **once** over the
     /// whole batch: the per-level translation GEMMs widen their column
     /// blocks `k`-fold, the FFT M2L reuses each direction tensor across
     /// the batch, and the dense passes share pair geometry through
-    /// [`Kernel::p2p_many`]. Returns one potential vector per RHS
-    /// (original point order) and the per-phase statistics of the batch.
+    /// [`Kernel::p2p_many`]. Returns one report per RHS (original point
+    /// order), each carrying the per-phase statistics of the batch.
     ///
     /// Each output vector is bit-identical to what a single-RHS execution
     /// of that density vector produces (asserted in tests); `k = 1` is the
@@ -503,15 +530,10 @@ impl<K: Kernel> Plan<K> {
     /// reshaped as needed ([`Session`] pools them, so steady-state
     /// evaluations allocate only their output vectors).
     ///
-    /// Phase seconds are thread-CPU time under [`Dispatch::Serial`] and
-    /// wall-clock under [`Dispatch::Pool`] (work spreads across the pool;
-    /// per-thread CPU time would under-count). Flop counts come from the
-    /// engine and are identical for both policies.
-    ///
-    /// Returns `(potentials, gradients, stats)`; the gradient vectors
-    /// (`trg_dim·3` interleaved per point) are produced only when the plan
-    /// was built with [`crate::OutputSpec::PotentialAndGradient`] — the
-    /// outer `Vec` is empty otherwise.
+    /// Phase seconds are on the [`Meter`]'s clock for `dispatch`; flop
+    /// counts come from the engine and are identical for both policies.
+    /// Gradients (`trg_dim·3` interleaved per point) are produced only when
+    /// the plan was built with [`crate::OutputSpec::PotentialAndGradient`].
     pub fn execute(
         &self,
         densities: &[&[f64]],
@@ -519,7 +541,7 @@ impl<K: Kernel> Plan<K> {
         trace: &Tracer,
         store: &mut ExpansionStore,
         ws: &mut EngineWorkspace,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, PhaseStats) {
+    ) -> Vec<EvalReport> {
         let k = densities.len();
         assert!(k >= 1, "at least one density vector");
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
@@ -530,77 +552,20 @@ impl<K: Kernel> Plan<K> {
                 "each density vector must have src_dim entries per point"
             );
         }
-        let mut stats = PhaseStats::new();
         let rt = trace.rank(0);
+        let mut meter = Meter::new(&rt, dispatch);
         let n = self.num_points;
-        // Permute each density vector into Morton order.
-        let mut dens_sorted: Vec<Vec<f64>> = Vec::with_capacity(k);
-        for d in densities {
-            let mut s = vec![0.0; n * sd];
-            for (sorted_i, &orig) in self.tree.perm.iter().enumerate() {
-                for c in 0..sd {
-                    s[sorted_i * sd + c] = d[orig as usize * sd + c];
-                }
-            }
-            dens_sorted.push(s);
-        }
+        let dens_sorted: Vec<Vec<f64>> =
+            densities.iter().map(|d| self.tree.to_morton(d, sd)).collect();
         let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(Vec::as_slice).collect();
-
         let engine = self.engine(dispatch);
-        engine.prepare_store(store, k);
         let src = LocalSources {
             tree: &self.tree,
             points: &self.sorted_points,
             dens: &dens_refs,
             src_dim: sd,
         };
-        let wall = Instant::now();
-        let now = || match dispatch {
-            Dispatch::Serial => thread_cpu_time(),
-            Dispatch::Pool => wall.elapsed().as_secs_f64(),
-        };
-        let depth = self.tree.depth();
-
-        if depth >= FIRST_FMM_LEVEL {
-            {
-                let _span = rt.span("Up", "Up");
-                let t0 = now();
-                let flops = engine.upward(&src, store, ws);
-                stats.add_seconds(Phase::Up, now() - t0);
-                stats.add_flops(Phase::Up, flops);
-                rt.add(Counter::Flops, flops);
-                if dispatch == Dispatch::Serial {
-                    rt.add(Counter::CellsTouched, engine.active_cell_count());
-                }
-            }
-            {
-                let t0 = now();
-                let mut vflops = 0u64;
-                for level in FIRST_FMM_LEVEL..=depth {
-                    let _v = rt.span("DownV", "m2l").with_n(level as u64);
-                    vflops += engine.m2l_level(level, store, ws);
-                }
-                stats.add_seconds(Phase::DownV, now() - t0);
-                stats.add_flops(Phase::DownV, vflops);
-                rt.add(Counter::Flops, vflops);
-            }
-            {
-                let _span = rt.span("DownX", "x-list");
-                let t0 = now();
-                let flops = engine.x_pass(&src, store);
-                stats.add_seconds(Phase::DownX, now() - t0);
-                stats.add_flops(Phase::DownX, flops);
-                rt.add(Counter::Flops, flops);
-            }
-            {
-                let _span = rt.span("Eval", "l2l");
-                let t0 = now();
-                let flops = engine.l2l(store, ws);
-                stats.add_seconds(Phase::Eval, now() - t0);
-                stats.add_flops(Phase::Eval, flops);
-                rt.add(Counter::Flops, flops);
-            }
-        }
+        self.far_field(&engine, &src, store, ws, &mut meter);
 
         let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
         let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(Vec::as_mut_slice).collect();
@@ -611,71 +576,19 @@ impl<K: Kernel> Plan<K> {
             if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
         let mut grad_refs: Option<Vec<&mut [f64]>> =
             wants_grad.then(|| grads.iter_mut().map(Vec::as_mut_slice).collect());
-        rt.add(Counter::CellsTouched, engine.active_leaves().len() as u64);
-        {
-            let _span = rt.span("DownU", "u-list");
-            let t0 = now();
-            let flops = engine.u_pass_into(&src, &mut pot_refs, grad_refs.as_deref_mut());
-            stats.add_seconds(Phase::DownU, now() - t0);
-            stats.add_flops(Phase::DownU, flops);
-            rt.add(Counter::Flops, flops);
-        }
-        {
-            let _span = rt.span("DownW", "w-list");
-            let t0 = now();
-            let flops = engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut());
-            stats.add_seconds(Phase::DownW, now() - t0);
-            stats.add_flops(Phase::DownW, flops);
-            rt.add(Counter::Flops, flops);
-        }
-        {
-            let _span = rt.span("Eval", "l2t");
-            let t0 = now();
-            let flops = engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut());
-            stats.add_seconds(Phase::Eval, now() - t0);
-            stats.add_flops(Phase::Eval, flops);
-            rt.add(Counter::Flops, flops);
-        }
+        meter.touched(engine.active_leaves().len() as u64);
+        meter.compute(Phase::DownU, "u-list", None, || {
+            engine.u_pass_into(&src, &mut pot_refs, grad_refs.as_deref_mut())
+        });
+        meter.compute(Phase::DownW, "w-list", None, || {
+            engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut())
+        });
+        meter.compute(Phase::Eval, "l2t", None, || {
+            engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut())
+        });
         drop(pot_refs);
         drop(grad_refs);
-
-        // Un-permute each output vector back to the caller's point order.
-        let unpermute = |v: Vec<f64>, dim: usize| {
-            let mut out = vec![0.0; n * dim];
-            for (sorted_i, &orig) in self.tree.perm.iter().enumerate() {
-                out[orig as usize * dim..(orig as usize + 1) * dim]
-                    .copy_from_slice(&v[sorted_i * dim..(sorted_i + 1) * dim]);
-            }
-            out
-        };
-        let outs = pots.into_iter().map(|pot| unpermute(pot, td)).collect();
-        let grad_outs = grads.into_iter().map(|g| unpermute(g, td * 3)).collect();
-        (outs, grad_outs, stats)
-    }
-
-    /// Upward + downward expansions for Morton-sorted densities, without
-    /// spans or timing (the arbitrary-target evaluator reads `up`/`down`
-    /// rows directly).
-    pub(crate) fn compute_expansions(&self, dens: &[f64]) -> ExpansionStore {
-        let engine = self.engine(Dispatch::Serial);
-        let src = LocalSources {
-            tree: &self.tree,
-            points: &self.sorted_points,
-            dens: &[dens],
-            src_dim: self.kernel.src_dim(),
-        };
-        let mut store = engine.new_store();
-        let mut ws = EngineWorkspace::default();
-        engine.upward(&src, &mut store, &mut ws);
-        let depth = self.tree.depth();
-        if depth >= FIRST_FMM_LEVEL {
-            for level in FIRST_FMM_LEVEL..=depth {
-                engine.m2l_level(level, &mut store, &mut ws);
-            }
-        }
-        engine.x_pass(&src, &mut store);
-        engine.l2l(&mut store, &mut ws);
-        store
+        EvalReport::assemble(&self.tree, td, pots, grads, &meter.stats, trace)
     }
 
     /// Sorted points and density slice of a box.
@@ -711,6 +624,12 @@ pub struct Session<K: Kernel> {
 }
 
 impl<K: Kernel> Session<K> {
+    /// Start a fluent [`FmmBuilder`]:
+    /// `Fmm::builder(kernel).points(&pts).order(6).build()`.
+    pub fn builder<'a>(kernel: K) -> FmmBuilder<'a, K> {
+        FmmBuilder::new(kernel)
+    }
+
     /// Open a session over a shared plan.
     pub fn new(plan: Arc<Plan<K>>) -> Self {
         Session {
@@ -748,7 +667,7 @@ impl<K: Kernel> Session<K> {
         self.parallel_eval = parallel;
     }
 
-    fn dispatch(&self) -> Dispatch {
+    pub(crate) fn dispatch(&self) -> Dispatch {
         if self.parallel_eval {
             Dispatch::Pool
         } else {
@@ -756,15 +675,24 @@ impl<K: Kernel> Session<K> {
         }
     }
 
-    fn checkout(&self) -> Box<Scratch> {
-        self.pool.checkout().unwrap_or_else(|| {
+    /// Run `f` on a scratch pair checked out of the pool (a fresh one when
+    /// more than [`POOL_SLOTS`] evaluations are in flight), returning the
+    /// pair afterwards.
+    pub(crate) fn with_scratch<T>(
+        &self,
+        f: impl FnOnce(&mut ExpansionStore, &mut EngineWorkspace) -> T,
+    ) -> T {
+        let mut scratch = self.pool.checkout().unwrap_or_else(|| {
             Box::new((ExpansionStore::new(0, 1, 1), EngineWorkspace::default()))
-        })
+        });
+        let out = f(&mut scratch.0, &mut scratch.1);
+        self.pool.checkin(scratch);
+        out
     }
 
     /// Evaluate potentials for one density vector (original point order,
     /// `SRC_DIM` interleaved components per point).
-    pub fn eval(&self, densities: &[f64]) -> crate::evaluator::EvalReport {
+    pub fn eval(&self, densities: &[f64]) -> EvalReport {
         self.eval_many(&[densities]).pop().expect("one report per RHS")
     }
 
@@ -772,26 +700,10 @@ impl<K: Kernel> Session<K> {
     /// passes (see [`Plan::execute`]). Returns one report per RHS; the
     /// per-phase statistics describe the shared batch execution and are
     /// carried by every report.
-    pub fn eval_many(&self, densities: &[&[f64]]) -> Vec<crate::evaluator::EvalReport> {
-        let mut scratch = self.checkout();
-        let (store, ws) = &mut *scratch;
-        let (pots, mut grads, stats) =
-            self.plan.execute(densities, self.dispatch(), &self.trace, store, ws);
-        self.pool.checkin(scratch);
-        // Gradients are per-RHS when produced, empty otherwise.
-        pots.into_iter()
-            .enumerate()
-            .map(|(q, potentials)| crate::evaluator::EvalReport {
-                potentials,
-                gradients: if grads.is_empty() {
-                    Vec::new()
-                } else {
-                    std::mem::take(&mut grads[q])
-                },
-                stats: stats.clone(),
-                trace: self.trace.clone(),
-            })
-            .collect()
+    pub fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
+        self.with_scratch(|store, ws| {
+            self.plan.execute(densities, self.dispatch(), &self.trace, store, ws)
+        })
     }
 }
 
@@ -1030,6 +942,7 @@ mod tests {
     use crate::fmm::Fmm;
     use kifmm_kernels::{Laplace, ModifiedLaplace, Stokes};
     use kifmm_testkit::cloud;
+    use std::time::Instant;
 
     fn densities(n: usize, dim: usize, seed: usize) -> Vec<f64> {
         (0..n * dim).map(|i| (((i * 31 + seed * 17) % 101) as f64) / 101.0 - 0.3).collect()
@@ -1372,14 +1285,14 @@ mod tests {
         // A table built for a depth-1 tree has no level-2 operators; a
         // depth-3 tree demanding them must get a typed error, not the
         // mid-evaluation `OperatorTable::at` panic.
-        let shallow = OperatorTable::build(&Laplace, 3, 1.0, 1, 1e-12);
+        let shallow = OperatorTable::build(&Laplace, 3, 1.0, 1);
         assert_eq!(
             check_operator_coverage(&shallow, 3),
             Err(BuildError::MissingOperators { level: 2, depth: 3 })
         );
         let err = BuildError::MissingOperators { level: 2, depth: 3 };
         assert!(err.to_string().contains("level-2"), "{err}");
-        let full = OperatorTable::build(&Laplace, 3, 1.0, 3, 1e-12);
+        let full = OperatorTable::build(&Laplace, 3, 1.0, 3);
         assert_eq!(check_operator_coverage(&full, 3), Ok(()));
         // Shallow trees demand nothing and pass vacuously.
         assert_eq!(check_operator_coverage(&shallow, 1), Ok(()));
@@ -1560,14 +1473,97 @@ mod tests {
 
     #[test]
     fn eval_many_matches_fmm_wrapper() {
-        // Fmm::eval (plan-then-execute wrapper) and a standalone Session
-        // over an identical plan agree bitwise.
+        // The builder's session and a standalone Session over an
+        // identically built plan agree bitwise, through the inherent
+        // method and the `Evaluator` trait alike.
         let pts = cloud(350, 13);
         let d = densities(350, 1, 2);
-        let fmm = Fmm::new(Laplace, &pts, opts_small());
+        let fmm = Fmm::builder(Laplace).points(&pts).options(opts_small()).build();
         let session =
             Session::from_plan(Plan::try_new(Laplace, &pts, opts_small()).unwrap());
         assert_eq!(fmm.eval(&d).potentials, session.eval(&d).potentials);
         assert_eq!(Evaluator::eval(&fmm, &d).potentials, session.eval(&d).potentials);
+    }
+
+    // Pool dispatch (`FmmBuilder::parallel` / `Session::set_parallel_eval`):
+    // each output element is computed by exactly one task in the serial
+    // instruction order, so results and flop counts equal the serial path's.
+
+    #[test]
+    fn parallel_equals_serial_laplace() {
+        let pts = cloud(1500, 4);
+        let dens: Vec<f64> = (0..1500).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
+        let mut fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 5, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
+        let serial = fmm.eval(&dens).potentials;
+        fmm.set_parallel_eval(true);
+        let parallel = fmm.eval(&dens).potentials;
+        assert_eq!(serial, parallel, "parallel path must be bit-identical");
+    }
+
+    #[test]
+    fn parallel_equals_serial_stokes_clustered() {
+        let mut pts = cloud(400, 9);
+        for p in cloud(400, 10) {
+            pts.push([0.9 + p[0] * 0.05, 0.9 + p[1] * 0.05, 0.9 + p[2] * 0.05]);
+        }
+        let dens = kifmm_geom::random_densities(800, 3, 3);
+        let fmm = Fmm::builder(Stokes::default())
+            .points(&pts)
+            .order(4)
+            .max_pts_per_leaf(12)
+            .build();
+        let par = Fmm::builder(Stokes::default())
+            .points(&pts)
+            .order(4)
+            .max_pts_per_leaf(12)
+            .parallel(true)
+            .build();
+        assert_eq!(fmm.eval(&dens).potentials, par.eval(&dens).potentials);
+    }
+
+    #[test]
+    fn parallel_flop_counts_match_serial() {
+        let pts = cloud(1200, 77);
+        let dens = vec![1.0; 1200];
+        let mut fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 15, ..Default::default() })
+            .build();
+        let s = fmm.eval(&dens).stats;
+        fmm.set_parallel_eval(true);
+        let p = fmm.eval(&dens).stats;
+        assert_eq!(s.flops, p.flops, "flop accounting must agree exactly");
+    }
+
+    #[test]
+    fn parallel_shallow_tree() {
+        let pts = cloud(40, 3);
+        let dens = vec![1.0; 40];
+        let mut fmm = Fmm::builder(Laplace).points(&pts).options(FmmOptions::with_order(4)).build();
+        let serial = fmm.eval(&dens).potentials;
+        fmm.set_parallel_eval(true);
+        assert_eq!(serial, fmm.eval(&dens).potentials);
+    }
+
+    #[test]
+    fn parallel_direct_m2l_mode_equals_serial() {
+        // Dense M2L under pool dispatch.
+        let pts = cloud(700, 12);
+        let dens: Vec<f64> = (0..700).map(|i| ((i % 11) as f64) - 5.0).collect();
+        let mut fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions {
+                order: 4,
+                max_pts_per_leaf: 20,
+                m2l_mode: M2lMode::Direct,
+                ..Default::default()
+            })
+            .build();
+        let serial = fmm.eval(&dens).potentials;
+        fmm.set_parallel_eval(true);
+        assert_eq!(serial, fmm.eval(&dens).potentials);
     }
 }

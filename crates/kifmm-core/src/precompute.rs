@@ -32,7 +32,7 @@ pub struct Precomputed<K: Kernel> {
 impl<K: Kernel> Precomputed<K> {
     /// Assemble the tables for a tree of the given depth and root size.
     pub fn build(kernel: &K, opts: &FmmOptions, root_half: f64, depth: u8) -> Self {
-        let ops = OperatorTable::build(kernel, opts.order, root_half, depth, opts.pinv_tol);
+        let ops = OperatorTable::build(kernel, opts.order, root_half, depth);
         let (m2l_fft, m2l_direct) = match opts.m2l_mode {
             _ if depth < FIRST_FMM_LEVEL => (None, None),
             M2lMode::Fft => (Some(M2lFft::build(kernel, opts.order, root_half, depth)), None),

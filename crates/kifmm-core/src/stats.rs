@@ -26,6 +26,9 @@
 /// while wall time would charge a rank for time it spent descheduled. On a
 /// dedicated core the two clocks agree.
 pub use kifmm_runtime::thread_cpu_time;
+use kifmm_runtime::Dispatch;
+use kifmm_trace::{Counter, RankTracer};
+use std::time::Instant;
 
 /// The seven instrumented stages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +66,10 @@ pub const PHASE_NAMES: [&str; Phase::COUNT] =
 /// Per-phase timing and flop accounting for one interaction calculation.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseStats {
-    /// Seconds charged per phase. Compute phases charge **thread-CPU
-    /// time** (see [`thread_cpu_time`]); the parallel evaluator's
-    /// fork-join stages and the distributed driver's `Comm` phase charge
-    /// wall-clock time and document that choice at the charging site.
+    /// Seconds charged per phase, on the clock [`Meter`] documents:
+    /// thread-CPU time for serial compute passes (see
+    /// [`thread_cpu_time`]), wall-clock for pool-dispatched passes and
+    /// for `Comm`.
     pub seconds: [f64; Phase::COUNT],
     /// Exact counted floating-point operations per phase.
     pub flops: [u64; Phase::COUNT],
@@ -145,28 +148,85 @@ impl PhaseStats {
         self.comm_bytes.iter().sum()
     }
 
-    /// Charge `f(…)`'s thread-CPU time and returned flop count to
-    /// `phase`. Producers that deliberately want wall time (fork-join
-    /// stages, communication waits) use [`PhaseStats::add_seconds`] with
-    /// their own clock instead.
-    pub fn timed<T>(&mut self, phase: Phase, f: impl FnOnce(&mut u64) -> T) -> T {
-        let start = thread_cpu_time();
-        let mut flops = 0u64;
-        let out = f(&mut flops);
-        self.seconds[phase as usize] += (thread_cpu_time() - start).max(0.0);
+    /// Add flops to a phase ([`Meter`] is the only caller).
+    fn add_flops(&mut self, phase: Phase, flops: u64) {
         self.flops[phase as usize] += flops;
+    }
+
+    /// Add seconds to a phase ([`Meter`] is the only caller).
+    fn add_seconds(&mut self, phase: Phase, secs: f64) {
+        self.seconds[phase as usize] += secs;
+    }
+}
+
+/// The one place a pass is charged. Every driver — serial and pool
+/// (`Plan::execute`), distributed (`ParallelFmm::eval_many`) — runs each
+/// pass through [`Meter::compute`] and each communication step through
+/// [`Meter::comm`], so the span timeline, [`PhaseStats`] and
+/// [`Counter::Flops`] are sinks of the same event and cannot drift apart.
+///
+/// Compute seconds are thread-CPU time under [`Dispatch::Serial`] and
+/// wall-clock under [`Dispatch::Pool`] (work spreads across the pool;
+/// per-thread CPU time would under-count). `Comm` seconds are always
+/// wall-clock: a rank waiting on a peer burns no CPU.
+pub struct Meter<'t> {
+    rt: &'t RankTracer,
+    /// The wall-clock origin under `Dispatch::Pool`; `None` reads the
+    /// thread-CPU clock.
+    wall: Option<Instant>,
+    /// What has been charged so far.
+    pub stats: PhaseStats,
+}
+
+impl<'t> Meter<'t> {
+    /// A zeroed meter recording spans and counters into `rt`.
+    pub fn new(rt: &'t RankTracer, dispatch: Dispatch) -> Self {
+        let wall = (dispatch == Dispatch::Pool).then(Instant::now);
+        Meter { rt, wall, stats: PhaseStats::new() }
+    }
+
+    fn now(&self) -> f64 {
+        self.wall.map_or_else(thread_cpu_time, |t| t.elapsed().as_secs_f64())
+    }
+
+    /// Run one compute pass under the span `(PHASE_NAMES[phase], name)` —
+    /// tagged `n = level` for per-level passes — and charge its seconds
+    /// and the flop count it returns to `phase`.
+    pub fn compute(
+        &mut self,
+        phase: Phase,
+        name: &'static str,
+        level: Option<u8>,
+        pass: impl FnOnce() -> u64,
+    ) {
+        let span = self.rt.span(PHASE_NAMES[phase as usize], name);
+        let _span = match level {
+            Some(l) => span.with_n(l as u64),
+            None => span,
+        };
+        let t0 = self.now();
+        let flops = pass();
+        self.stats.add_seconds(phase, self.now() - t0);
+        self.stats.add_flops(phase, flops);
+        self.rt.add(Counter::Flops, flops);
+    }
+
+    /// Run one communication step, charging its wall-clock seconds to
+    /// [`Phase::Comm`], under a `Comm` span when `name` is given (the
+    /// between-level exchange polls stay span-less).
+    pub fn comm<T>(&mut self, name: Option<&'static str>, step: impl FnOnce() -> T) -> T {
+        let _span = name.map(|n| self.rt.span(PHASE_NAMES[Phase::Comm as usize], n));
+        let t0 = Instant::now();
+        let out = step();
+        self.stats.add_seconds(Phase::Comm, t0.elapsed().as_secs_f64());
         out
     }
 
-    /// Add flops to a phase without timing (inner loops time themselves at
-    /// a coarser granularity).
-    pub fn add_flops(&mut self, phase: Phase, flops: u64) {
-        self.flops[phase as usize] += flops;
-    }
-
-    /// Add seconds to a phase.
-    pub fn add_seconds(&mut self, phase: Phase, secs: f64) {
-        self.seconds[phase as usize] += secs;
+    /// Count boxes a pass visited ([`Counter::CellsTouched`]): the upward
+    /// pass charges the boxes it touched, the U pass its active leaves —
+    /// the same two charges on every driver.
+    pub fn touched(&self, cells: u64) {
+        self.rt.add(Counter::CellsTouched, cells);
     }
 }
 
@@ -174,18 +234,22 @@ impl PhaseStats {
 mod tests {
     use super::*;
 
+    fn nap() -> u64 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        0
+    }
+
     #[test]
     fn timed_accumulates() {
-        let mut s = PhaseStats::new();
-        let v = s.timed(Phase::Up, |fl| {
-            *fl = 100;
-            42
-        });
-        assert_eq!(v, 42);
-        assert_eq!(s.flops[0], 100);
-        assert!(s.seconds[0] >= 0.0);
-        s.timed(Phase::Up, |fl| *fl = 50);
-        assert_eq!(s.flops[0], 150);
+        let rt = RankTracer::disabled();
+        let mut m = Meter::new(&rt, Dispatch::Serial);
+        m.compute(Phase::Up, "Up", None, || 100);
+        assert_eq!(m.stats.flops[0], 100);
+        assert!(m.stats.seconds[0] >= 0.0);
+        m.compute(Phase::Up, "Up", None, || 50);
+        assert_eq!(m.stats.flops[0], 150);
+        assert_eq!(m.comm(None, || 42), 42);
+        assert_eq!(m.stats.total_flops(), 150);
     }
 
     #[test]
@@ -226,16 +290,24 @@ mod tests {
     #[test]
     fn timed_charges_cpu_not_wall() {
         // The documented clock: a sleeping thread consumes no thread-CPU
-        // time, so timed() must not charge the 20 ms nap to the phase.
-        let mut s = PhaseStats::new();
-        s.timed(Phase::Comm, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        });
-        assert!(
-            s.seconds[Phase::Comm as usize] < 0.010,
-            "sleep charged to phase: {}s",
-            s.seconds[Phase::Comm as usize]
-        );
+        // time, so a serial compute pass is not charged the 20 ms nap.
+        let rt = RankTracer::disabled();
+        let mut m = Meter::new(&rt, Dispatch::Serial);
+        m.compute(Phase::DownU, "u-list", None, nap);
+        let charged = m.stats.seconds[Phase::DownU as usize];
+        assert!(charged < 0.010, "sleep charged to a thread-CPU phase: {charged}s");
+    }
+
+    #[test]
+    fn pool_and_comm_clocks_charge_wall() {
+        let rt = RankTracer::disabled();
+        let mut m = Meter::new(&rt, Dispatch::Pool);
+        m.compute(Phase::DownU, "u-list", None, nap);
+        m.comm(None, nap);
+        for phase in [Phase::DownU, Phase::Comm] {
+            let charged = m.stats.seconds[phase as usize];
+            assert!(charged >= 0.020, "{phase:?} must charge wall time: {charged}s");
+        }
     }
 
     #[test]

@@ -16,29 +16,42 @@
 //! computational domain) fall back to exact direct summation — correct
 //! always, and rare when targets live near the geometry.
 
-use crate::fmm::Fmm;
+use crate::engine::{ExpansionStore, LocalSources};
 use crate::operators::FIRST_FMM_LEVEL;
+use crate::plan::Session;
+use crate::stats::Meter;
 use crate::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_tree::{point_key, MAX_LEVEL};
 
-impl<K: Kernel> Fmm<K> {
+impl<K: Kernel> Session<K> {
     /// Evaluate the potential at arbitrary `targets` (not necessarily the
-    /// source points). Returns `TRG_DIM` components per target.
+    /// source points). Returns `TRG_DIM` components per target. The
+    /// far-field passes run under this session's dispatch, tracer and
+    /// pooled scratch, like [`Session::eval`].
     pub fn evaluate_at(&self, densities: &[f64], targets: &[Point3]) -> Vec<f64> {
-        let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
+        let sd = self.kernel.src_dim();
         assert_eq!(densities.len(), self.num_points * sd, "density length");
+        let dens = self.tree.to_morton(densities, sd);
+        let engine = self.engine(self.dispatch());
+        let src = LocalSources {
+            tree: &self.tree,
+            points: &self.sorted_points,
+            dens: &[&dens],
+            src_dim: sd,
+        };
+        let rt = self.trace().rank(0);
+        self.with_scratch(|store, ws| {
+            self.far_field(&engine, &src, store, ws, &mut Meter::new(&rt, self.dispatch()));
+            self.read_off(&dens, store, targets)
+        })
+    }
+
+    /// Per-target U + W + L2T read-off against the final expansions of
+    /// one Morton-sorted density vector.
+    fn read_off(&self, dens: &[f64], store: &ExpansionStore, targets: &[Point3]) -> Vec<f64> {
+        let td = self.kernel.trg_dim();
         let tree = &self.tree;
-
-        // Morton-sort densities and run the standard two passes.
-        let mut dens = vec![0.0; densities.len()];
-        for (si, &orig) in tree.perm.iter().enumerate() {
-            for c in 0..sd {
-                dens[si * sd + c] = densities[orig as usize * sd + c];
-            }
-        }
-        let store = self.compute_expansions(&dens);
-
         let mut out = vec![0.0; targets.len() * td];
         let domain = tree.domain;
         for (ti, &t) in targets.iter().enumerate() {
@@ -47,7 +60,7 @@ impl<K: Kernel> Fmm<K> {
             // direction — fall back to the exact sum.
             let inside = (0..3).all(|d| (t[d] - domain.center[d]).abs() <= domain.half);
             if !inside {
-                self.direct_all(t, &dens, slot);
+                self.direct_all(t, dens, slot);
                 continue;
             }
             let key = point_key(t, domain.center, domain.half, MAX_LEVEL);
@@ -55,12 +68,12 @@ impl<K: Kernel> Fmm<K> {
             let node = &tree.nodes[ni as usize];
             if !node.is_leaf() {
                 // Source-free pocket inside an internal box: exact sum.
-                self.direct_all(t, &dens, slot);
+                self.direct_all(t, dens, slot);
                 continue;
             }
             // U: direct near-field.
             for &a in &self.lists.u[ni as usize] {
-                let (pts, d) = self.leaf_data(a, &dens);
+                let (pts, d) = self.leaf_data(a, dens);
                 self.kernel.p2p(std::slice::from_ref(&t), pts, d, slot);
             }
             // W: separated finer boxes via their upward equivalents.
@@ -92,7 +105,7 @@ impl<K: Kernel> Fmm<K> {
 mod tests {
     use super::*;
     use crate::direct::{direct_eval_src_trg, rel_l2_error};
-    use crate::fmm::FmmOptions;
+    use crate::fmm::{Fmm, FmmOptions};
     use kifmm_kernels::{Laplace, Stokes};
     use kifmm_testkit::cloud;
 
@@ -103,11 +116,10 @@ mod tests {
         // Targets scattered through the same volume (but distinct points).
         let targets: Vec<Point3> =
             cloud(200, 99).iter().map(|p| [p[0] * 0.95, p[1] * 0.95, p[2] * 0.95]).collect();
-        let fmm = Fmm::new(
-            Laplace,
-            &srcs,
-            FmmOptions { order: 6, max_pts_per_leaf: 25, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&srcs)
+            .options(FmmOptions { order: 6, max_pts_per_leaf: 25, ..Default::default() })
+            .build();
         let u = fmm.evaluate_at(&dens, &targets);
         let truth = direct_eval_src_trg(&Laplace, &srcs, &dens, &targets);
         let e = rel_l2_error(&u, &truth);
@@ -119,7 +131,7 @@ mod tests {
         let srcs = cloud(500, 7);
         let dens = vec![1.0; 500];
         let targets = vec![[5.0, 0.0, 0.0], [-3.0, 4.0, 2.0], [0.0, 0.0, 100.0]];
-        let fmm = Fmm::new(Laplace, &srcs, FmmOptions::with_order(4));
+        let fmm = Fmm::builder(Laplace).points(&srcs).options(FmmOptions::with_order(4)).build();
         let u = fmm.evaluate_at(&dens, &targets);
         let truth = direct_eval_src_trg(&Laplace, &srcs, &dens, &targets);
         for (a, b) in u.iter().zip(&truth) {
@@ -131,11 +143,10 @@ mod tests {
     fn targets_at_source_locations_match_evaluate() {
         let srcs = cloud(800, 21);
         let dens: Vec<f64> = (0..800).map(|i| (i as f64 * 0.37).sin()).collect();
-        let fmm = Fmm::new(
-            Laplace,
-            &srcs,
-            FmmOptions { order: 5, max_pts_per_leaf: 20, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&srcs)
+            .options(FmmOptions { order: 5, max_pts_per_leaf: 20, ..Default::default() })
+            .build();
         let via_eval = fmm.eval(&dens).potentials;
         let via_at = fmm.evaluate_at(&dens, &srcs);
         let e = rel_l2_error(&via_at, &via_eval);
@@ -157,11 +168,10 @@ mod tests {
         );
         let dens = kifmm_geom::random_densities(600, 3, 5);
         let targets: Vec<Point3> = (0..50).map(|i| [0.0, i as f64 * 0.01, 0.0]).collect();
-        let fmm = Fmm::new(
-            Stokes::default(),
-            &srcs,
-            FmmOptions { order: 5, max_pts_per_leaf: 15, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Stokes::default())
+            .points(&srcs)
+            .options(FmmOptions { order: 5, max_pts_per_leaf: 15, ..Default::default() })
+            .build();
         let u = fmm.evaluate_at(&dens, &targets);
         let truth = direct_eval_src_trg(&Stokes::default(), &srcs, &dens, &targets);
         let e = rel_l2_error(&u, &truth);

@@ -96,12 +96,7 @@ pub fn point_work_estimates<K: Kernel>(
             sorted[i as usize] = rates[ni as usize];
         }
     }
-    // Un-permute to the original order.
-    let mut out = vec![0.0; tree.perm.len()];
-    for (si, &orig) in tree.perm.iter().enumerate() {
-        out[orig as usize] = sorted[si];
-    }
-    out
+    tree.from_morton(&sorted, 1)
 }
 
 #[cfg(test)]
@@ -177,11 +172,10 @@ mod tests {
         // counted flops (it is an a-priori model, not an exact charge).
         let pts = clustered(3000);
         let dens = vec![1.0; 3000];
-        let fmm = crate::Fmm::new(
-            Laplace,
-            &pts,
-            crate::FmmOptions { order: 6, max_pts_per_leaf: 30, ..Default::default() },
-        );
+        let fmm = crate::Fmm::builder(Laplace)
+            .points(&pts)
+            .options(crate::FmmOptions { order: 6, max_pts_per_leaf: 30, ..Default::default() })
+            .build();
         let lists = build_lists(&fmm.tree);
         let w = point_work_estimates(&Laplace, &fmm.tree, &lists, 6, |b| {
             fmm.tree.nodes[b as usize].num_points() as f64

@@ -44,18 +44,16 @@ use crate::ownership::Ownership;
 use kifmm_core::engine::{
     ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, SourceProvider,
 };
-use kifmm_core::stats::thread_cpu_time;
 use kifmm_core::{
-    BuildError, EvalReport, Evaluator, FmmBuilder, FmmOptions, Phase, PhaseStats,
-    PrecomputeCache, Precomputed, FIRST_FMM_LEVEL,
+    BuildError, EvalReport, Evaluator, FmmBuilder, FmmOptions, Meter, Phase, PrecomputeCache,
+    Precomputed, FIRST_FMM_LEVEL,
 };
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_mpi::{allgatherv_u64, Comm};
-use kifmm_runtime::Dispatch;
-use kifmm_trace::{Counter, Tracer};
+use kifmm_runtime::{Dispatch, Freelist};
+use kifmm_trace::Tracer;
 use kifmm_tree::{build_lists, build_lists_sorted, first_non_finite, InteractionLists};
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Exchange tag salts (disjoint sub-spaces per payload kind; packed into
@@ -94,28 +92,30 @@ impl SourceProvider for GhostSources<'_> {
     }
 }
 
-/// Charges sent-traffic deltas from [`Comm::stats`] to [`PhaseStats`]
-/// phases, so the BENCH summary can report per-phase message counts and
-/// bytes (the comm-regression gate's input).
-struct CommMeter {
-    msgs: u64,
-    bytes: u64,
+/// One communication step of an evaluation: `step` runs under
+/// [`Meter::comm`] (wall seconds, optional `Comm` span), and everything
+/// this rank sent since the previous step — tracked in `sent` as
+/// `(messages, bytes)` of [`Comm::stats`] — is charged to [`Phase::Comm`],
+/// so the BENCH summary can report per-phase message counts and bytes (the
+/// comm-regression gate's input).
+fn comm_step<T>(
+    meter: &mut Meter<'_>,
+    comm: &Comm,
+    sent: &mut (u64, u64),
+    name: Option<&'static str>,
+    step: impl FnOnce() -> T,
+) -> T {
+    let out = meter.comm(name, step);
+    let st = comm.stats();
+    meter.stats.add_comm(Phase::Comm, st.messages_sent - sent.0, st.bytes_sent - sent.1);
+    *sent = (st.messages_sent, st.bytes_sent);
+    out
 }
 
-impl CommMeter {
-    fn new(comm: &Comm) -> CommMeter {
-        let st = comm.stats();
-        CommMeter { msgs: st.messages_sent, bytes: st.bytes_sent }
-    }
-
-    /// Attribute everything sent since the last charge to `phase`.
-    fn charge(&mut self, comm: &Comm, stats: &mut PhaseStats, phase: Phase) {
-        let st = comm.stats();
-        stats.add_comm(phase, st.messages_sent - self.msgs, st.bytes_sent - self.bytes);
-        self.msgs = st.messages_sent;
-        self.bytes = st.bytes_sent;
-    }
-}
+/// Pooled scratch pairs kept per [`ParallelFmm`]: a rank runs one
+/// evaluation at a time, so one pair serves the steady state; extra
+/// concurrent evaluations allocate and drop their own.
+const POOL_SLOTS: usize = 2;
 
 /// A distributed FMM, built once per particle configuration and evaluated
 /// many times (the Krylov-iteration workload of the paper).
@@ -132,7 +132,7 @@ pub struct ParallelFmm<K: Kernel> {
     /// This rank's ownership filter: the boxes it holds points in.
     active: ActiveSet,
     /// Pooled expansion storage + scratch, reused across evaluations.
-    scratch: Mutex<Vec<(ExpansionStore, EngineWorkspace)>>,
+    scratch: Freelist<(ExpansionStore, EngineWorkspace)>,
     /// Global source points of every leaf this rank uses (ghost geometry,
     /// exchanged once at construction).
     ghost_points: HashMap<u32, Vec<Point3>>,
@@ -244,7 +244,7 @@ impl<K: Kernel> ParallelFmm<K> {
             own,
             pre,
             active,
-            scratch: Mutex::new(Vec::new()),
+            scratch: Freelist::new(POOL_SLOTS),
             ghost_points,
             src_leaves,
             equiv_boxes,
@@ -323,7 +323,7 @@ impl<K: Kernel> ParallelFmm<K> {
     /// segments per leaf box into the same one-message-per-peer wire
     /// format ([`Combine::ConcatRhs`]), and the equivalent exchange sums
     /// whole `es·k` blocks. Returns one [`EvalReport`] per RHS, in input
-    /// order (each report carries the shared per-sweep [`PhaseStats`]).
+    /// order (each report carries the shared per-sweep [`kifmm_core::PhaseStats`]).
     pub fn eval_many(&self, comm: &Comm, densities: &[&[f64]]) -> Vec<EvalReport> {
         let k = densities.len();
         assert!(k >= 1, "at least one right-hand side");
@@ -333,25 +333,13 @@ impl<K: Kernel> ParallelFmm<K> {
         for d in densities {
             assert_eq!(d.len(), n * sd, "density length");
         }
-        let mut stats = PhaseStats::new();
         let tree = &self.dtree.tree;
         let depth = tree.depth();
         let rt = self.trace.rank(comm.rank());
         comm.attach_tracer(rt.clone());
+        let mut meter = Meter::new(&rt, Dispatch::Serial);
 
-        // Morton-sort each RHS's local densities.
-        let dens_sorted: Vec<Vec<f64>> = densities
-            .iter()
-            .map(|d| {
-                let mut v = vec![0.0; n * sd];
-                for (si, &orig) in tree.perm.iter().enumerate() {
-                    for c in 0..sd {
-                        v[si * sd + c] = d[orig as usize * sd + c];
-                    }
-                }
-                v
-            })
-            .collect();
+        let dens_sorted: Vec<Vec<f64>> = densities.iter().map(|d| tree.to_morton(d, sd)).collect();
         let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(|v| v.as_slice()).collect();
 
         let engine = self.engine();
@@ -361,22 +349,19 @@ impl<K: Kernel> ParallelFmm<K> {
             dens: &dens_refs,
             src_dim: sd,
         };
-        // A panicking evaluation elsewhere poisons this mutex, but the
-        // pooled Vec is never left mid-invariant (push/pop are atomic with
-        // respect to panics), so recover the guard instead of turning one
-        // dead evaluation into a poisoned pool for every later one.
-        let (mut store, mut ws) = self
+        // A pair checked out by an evaluation that panics is simply dropped.
+        let mut scratch = self
             .scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop()
-            .unwrap_or_else(|| (engine.new_store_many(k), EngineWorkspace::default()));
-        engine.prepare_store(&mut store, k);
+            .checkout()
+            .unwrap_or_else(|| Box::new((engine.new_store_many(k), EngineWorkspace::default())));
+        let (store, ws) = &mut *scratch;
+        engine.prepare_store(store, k);
 
         // 1. Ghost density gather packets (one packed send per owning
         //    peer, all k RHS inside), overlapped with everything up to the
         //    U/X passes.
-        let mut meter = CommMeter::new(comm);
+        let st = comm.stats();
+        let mut sent = (st.messages_sent, st.bytes_sent);
         let mut dens_payload = |b: u32| -> Vec<f64> {
             let nd = &tree.nodes[b as usize];
             let (s, e) = (nd.pt_start as usize * sd, nd.pt_end as usize * sd);
@@ -386,43 +371,32 @@ impl<K: Kernel> ParallelFmm<K> {
             }
             v
         };
-        let tcomm = Instant::now();
         rt.async_begin("dens-exchange", ASYNC_DENS);
-        let span = rt.span("Comm", "dens-gather");
-        let mut dens_plan =
-            self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), &mut dens_payload);
+        let mut dens_plan = comm_step(&mut meter, comm, &mut sent, Some("dens-gather"), || {
+            self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), &mut dens_payload)
+        });
         let mut dens_done = false;
-        drop(span);
-        stats.add_seconds(Phase::Comm, tcomm.elapsed().as_secs_f64());
-        meter.charge(comm, &mut stats, Phase::Comm);
 
         // 2. Upward pass on contributed boxes (partial equivalents).
-        let span = rt.span("Up", "Up");
-        if depth >= FIRST_FMM_LEVEL {
-            let t0 = thread_cpu_time();
-            let flops = engine.upward(&local_src, &mut store, &mut ws);
-            stats.add_seconds(Phase::Up, thread_cpu_time() - t0);
-            stats.add_flops(Phase::Up, flops);
-            rt.add(Counter::Flops, flops);
-        }
-        drop(span);
+        meter.compute(Phase::Up, "Up", None, || engine.upward(&local_src, store, ws));
+        meter.touched(engine.active_cell_count());
 
         // 3. Post the partial-equivalent gather packets. The payloads are
         //    snapshotted from `store.up` first (the partials don't change
         //    until the global sums are installed), so the plan holds no
         //    borrow of the store and M2L can run while it is in flight.
-        let tcomm = Instant::now();
         rt.async_begin("equiv-exchange", ASYNC_EQUIV);
-        let span = rt.span("Comm", "equiv-post");
-        let snap: HashMap<u32, Vec<f64>> =
-            self.equiv_route.payload_boxes().map(|b| (b, store.up(b).to_vec())).collect();
+        let (snap, mut equiv_plan) =
+            comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
+                let snap: HashMap<u32, Vec<f64>> =
+                    self.equiv_route.payload_boxes().map(|b| (b, store.up(b).to_vec())).collect();
+                let plan = self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, &mut |b| {
+                    snap[&b].clone()
+                });
+                (snap, plan)
+            });
         let mut equiv_payload = |b: u32| snap[&b].clone();
-        let mut equiv_plan =
-            self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, &mut equiv_payload);
         let mut equiv_done = false;
-        drop(span);
-        stats.add_seconds(Phase::Comm, tcomm.elapsed().as_secs_f64());
-        meter.charge(comm, &mut stats, Phase::Comm);
 
         // 4a. M2L over the targets whose V lists read no in-flight box.
         //    A box is in flight iff the exchange will overwrite it with
@@ -444,44 +418,21 @@ impl<K: Kernel> ParallelFmm<K> {
         let vready: Vec<bool> = (0..tree.nodes.len())
             .map(|ni| self.lists.v[ni].iter().all(|&a| !inflight[a as usize]))
             .collect();
-        let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
-        // Gradient accumulators ride alongside the potentials; both
-        // exchanges move densities/equivalents only, so the widened
-        // `td·(1+3)` output needs no new communication.
-        let mut grads: Vec<Vec<f64>> =
-            if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
-        rt.add(Counter::CellsTouched, engine.active_leaves().len() as u64);
-        let m2l = |pred: &(dyn Fn(usize) -> bool + Sync),
-                   level: u8,
-                   store: &mut _,
-                   ws: &mut _,
-                   stats: &mut PhaseStats| {
-            let span = rt.span("DownV", "m2l").with_n(level as u64);
-            let t0 = thread_cpu_time();
-            let flops = engine.m2l_level_where(level, store, ws, pred);
-            stats.add_seconds(Phase::DownV, thread_cpu_time() - t0);
-            stats.add_flops(Phase::DownV, flops);
-            rt.add(Counter::Flops, flops);
-            drop(span);
-        };
-        if depth >= FIRST_FMM_LEVEL {
-            for level in FIRST_FMM_LEVEL..=depth {
-                m2l(&|ni| vready[ni], level, &mut store, &mut ws, &mut stats);
-                let tpoll = Instant::now();
+        for level in FIRST_FMM_LEVEL..=depth {
+            meter.compute(Phase::DownV, "m2l", Some(level), || {
+                engine.m2l_level_where(level, store, ws, &|ni| vready[ni])
+            });
+            comm_step(&mut meter, comm, &mut sent, None, || {
                 equiv_done = equiv_done || equiv_plan.poll(comm, &mut equiv_payload);
                 dens_done = dens_done || dens_plan.poll(comm, &mut dens_payload);
-                stats.add_seconds(Phase::Comm, tpoll.elapsed().as_secs_f64());
-                meter.charge(comm, &mut stats, Phase::Comm);
-            }
+            });
         }
 
         // 4b. Drive the equivalent exchange to completion — the held-back
         //    boundary targets need the globally summed ghosts. The wait loop
         //    parks on *both* exchanges' keys, so ghost-density packets
         //    still drain opportunistically while this rank synchronizes.
-        let tcomm = Instant::now();
-        let span = rt.span("Comm", "equiv-drive");
-        let global_equiv = {
+        let global_equiv = comm_step(&mut meter, comm, &mut sent, Some("equiv-drive"), || {
             let mut keys = Vec::new();
             loop {
                 equiv_done = equiv_done || equiv_plan.poll(comm, &mut equiv_payload);
@@ -497,11 +448,8 @@ impl<K: Kernel> ParallelFmm<K> {
                 comm.wait_any(&keys);
             }
             equiv_plan.finish()
-        };
-        drop(span);
+        });
         rt.async_end("equiv-exchange", ASYNC_EQUIV);
-        stats.add_seconds(Phase::Comm, tcomm.elapsed().as_secs_f64());
-        meter.charge(comm, &mut stats, Phase::Comm);
         // Install the global sums over this rank's partials (`store.up`
         // was unchanged while the exchange ran).
         for (b, v) in &global_equiv {
@@ -512,112 +460,66 @@ impl<K: Kernel> ParallelFmm<K> {
         //    sums. Every target is computed in exactly one of the two
         //    passes with identical inputs, so the split changes nothing —
         //    not even rounding.
-        if depth >= FIRST_FMM_LEVEL {
-            for level in FIRST_FMM_LEVEL..=depth {
-                m2l(&|ni| !vready[ni], level, &mut store, &mut ws, &mut stats);
-                if !dens_done {
-                    let tpoll = Instant::now();
+        for level in FIRST_FMM_LEVEL..=depth {
+            meter.compute(Phase::DownV, "m2l", Some(level), || {
+                engine.m2l_level_where(level, store, ws, &|ni| !vready[ni])
+            });
+            if !dens_done {
+                comm_step(&mut meter, comm, &mut sent, None, || {
                     dens_done = dens_plan.poll(comm, &mut dens_payload);
-                    stats.add_seconds(Phase::Comm, tpoll.elapsed().as_secs_f64());
-                    meter.charge(comm, &mut stats, Phase::Comm);
-                }
+                });
             }
         }
 
         // 5. Complete the ghost-density exchange (usually already drained
         //    by the polls above) and run the U/X passes on ghost sources.
-        let tcomm = Instant::now();
-        let span = rt.span("Comm", "dens-complete");
-        let ghost_dens = if dens_done {
-            dens_plan.finish()
-        } else {
-            dens_plan.complete(comm, dens_payload)
-        };
-        drop(span);
+        let ghost_dens = comm_step(&mut meter, comm, &mut sent, Some("dens-complete"), || {
+            if dens_done {
+                dens_plan.finish()
+            } else {
+                dens_plan.complete(comm, dens_payload)
+            }
+        });
         rt.async_end("dens-exchange", ASYNC_DENS);
-        stats.add_seconds(Phase::Comm, tcomm.elapsed().as_secs_f64());
-        meter.charge(comm, &mut stats, Phase::Comm);
 
         let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
+        let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
         let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(|v| v.as_mut_slice()).collect();
+        // Gradient accumulators ride alongside the potentials; both
+        // exchanges move densities/equivalents only, so the widened
+        // `td·(1+3)` output needs no new communication.
+        let mut grads: Vec<Vec<f64>> =
+            if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
         let mut grad_refs: Option<Vec<&mut [f64]>> =
             wants_grad.then(|| grads.iter_mut().map(|v| v.as_mut_slice()).collect());
-        let span = rt.span("DownU", "u-list");
-        let t0 = thread_cpu_time();
-        let flops = engine.u_pass_into(&ghost_src, &mut pot_refs, grad_refs.as_deref_mut());
-        stats.add_seconds(Phase::DownU, thread_cpu_time() - t0);
-        stats.add_flops(Phase::DownU, flops);
-        rt.add(Counter::Flops, flops);
-        drop(span);
-        let span = rt.span("DownX", "x-list");
-        if depth >= FIRST_FMM_LEVEL {
-            let t0 = thread_cpu_time();
-            let flops = engine.x_pass(&ghost_src, &mut store);
-            stats.add_seconds(Phase::DownX, thread_cpu_time() - t0);
-            stats.add_flops(Phase::DownX, flops);
-            rt.add(Counter::Flops, flops);
-        }
-        drop(span);
+        meter.touched(engine.active_leaves().len() as u64);
+        meter.compute(Phase::DownU, "u-list", None, || {
+            engine.u_pass_into(&ghost_src, &mut pot_refs, grad_refs.as_deref_mut())
+        });
+        meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
 
         // 6. Remaining downward computation (check potentials now hold
         //    both M2L and X contributions).
         if depth >= FIRST_FMM_LEVEL {
-            let span = rt.span("Eval", "l2l");
-            let t0 = thread_cpu_time();
-            let flops = engine.l2l(&mut store, &mut ws);
-            stats.add_seconds(Phase::Eval, thread_cpu_time() - t0);
-            stats.add_flops(Phase::Eval, flops);
-            rt.add(Counter::Flops, flops);
-            drop(span);
-            let span = rt.span("DownW", "w-list");
-            let t0 = thread_cpu_time();
-            let flops = engine.w_pass_into(&store, &mut pot_refs, grad_refs.as_deref_mut());
-            stats.add_seconds(Phase::DownW, thread_cpu_time() - t0);
-            stats.add_flops(Phase::DownW, flops);
-            rt.add(Counter::Flops, flops);
-            drop(span);
-            let span = rt.span("Eval", "l2t");
-            let t0 = thread_cpu_time();
-            let flops = engine.l2t_into(&store, &mut pot_refs, grad_refs.as_deref_mut());
-            stats.add_seconds(Phase::Eval, thread_cpu_time() - t0);
-            stats.add_flops(Phase::Eval, flops);
-            rt.add(Counter::Flops, flops);
-            drop(span);
+            meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
+            meter.compute(Phase::DownW, "w-list", None, || {
+                engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut())
+            });
+            meter.compute(Phase::Eval, "l2t", None, || {
+                engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut())
+            });
         }
         drop(pot_refs);
         drop(grad_refs);
-        self.scratch
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push((store, ws));
+        self.scratch.checkin(scratch);
 
-        // Un-permute local potentials (and gradients, when produced) —
-        // "scatter" back to caller order.
-        let span = rt.span("Eval", "scatter");
-        let unpermute = |v: &[f64], dim: usize| {
-            let mut out = vec![0.0; n * dim];
-            for (si, &orig) in tree.perm.iter().enumerate() {
-                out[orig as usize * dim..(orig as usize + 1) * dim]
-                    .copy_from_slice(&v[si * dim..(si + 1) * dim]);
-            }
-            out
-        };
-        let mut grads = grads.iter();
-        let reports: Vec<EvalReport> = pots
-            .iter()
-            .map(|pot| EvalReport {
-                potentials: unpermute(pot, td),
-                gradients: grads.next().map_or_else(Vec::new, |g| unpermute(g, td * 3)),
-                stats: stats.clone(),
-                trace: self.trace.clone(),
-            })
-            .collect();
-        drop(span);
-        reports
+        // "Scatter" the local outputs back to caller order.
+        let _span = rt.span("Eval", "scatter");
+        EvalReport::assemble(tree, td, pots, grads, &meter.stats, &self.trace)
     }
 
     /// Bind to a communicator, yielding an [`Evaluator`]: the distributed
-    /// analogue of a shared-memory [`Fmm`], usable by generic solver code.
+    /// analogue of a shared-memory `Session`, usable by generic solver code.
     pub fn bind<'c>(&'c self, comm: &'c Comm) -> BoundParallelFmm<'c, K> {
         BoundParallelFmm { fmm: self, comm }
     }
@@ -653,7 +555,7 @@ impl<K: Kernel> Evaluator for BoundParallelFmm<'_, K> {
 }
 
 /// Distributed construction from the same fluent [`FmmBuilder`] chain that
-/// builds a shared-memory [`Fmm`]:
+/// builds a shared-memory `Session`:
 ///
 /// ```ignore
 /// let pfmm = Fmm::builder(Laplace)
@@ -733,7 +635,12 @@ mod tests {
         let all = uniform_cube(700, 23);
         let dens = random_densities(700, 1, 5);
         let opts = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
-        let serial = Fmm::new(Laplace, &all, opts).eval(&dens).potentials;
+        let serial = Fmm::builder(Laplace)
+            .points(&all)
+            .options(opts)
+            .build()
+            .eval(&dens)
+            .potentials;
         let all2 = all.clone();
         let dens2 = dens.clone();
         let out = run(1, move |comm| {
@@ -842,30 +749,6 @@ mod tests {
                 let e = rel_l2_error(&many[q].potentials, &one.potentials);
                 assert!(e <= 1e-12, "RHS {q} diverged from its independent eval: {e}");
             }
-        });
-    }
-
-    #[test]
-    fn scratch_pool_survives_poisoned_lock() {
-        // Regression: a panic in a thread holding the scratch lock used to
-        // make every later eval on this ParallelFmm panic on `unwrap()`.
-        let all = uniform_cube(500, 13);
-        let dens = random_densities(500, 1, 9);
-        let opts = FmmOptions { order: 3, max_pts_per_leaf: 25, ..Default::default() };
-        run(1, move |comm| {
-            let pfmm = ParallelFmm::new(comm, Laplace, &all, opts);
-            let before = pfmm.eval(comm, &dens).potentials;
-            let injected = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _guard = pfmm.scratch.lock().unwrap();
-                    panic!("injected panic while holding the scratch lock");
-                })
-                .join()
-            });
-            assert!(injected.is_err(), "the injected panic must fire");
-            assert!(pfmm.scratch.lock().is_err(), "lock must actually be poisoned");
-            let after = pfmm.eval(comm, &dens).potentials;
-            assert_eq!(before, after, "recovered pool must not change results");
         });
     }
 

@@ -11,7 +11,7 @@
 //! scenario).
 
 use crate::gmres::{gmres, GmresOptions, GmresResult};
-use kifmm_core::{direct_eval, Fmm, FmmOptions, PlanCache, Session};
+use kifmm_core::{direct_eval, FmmOptions, Plan, PlanCache, Session};
 use kifmm_geom::{fibonacci_sphere, Point3};
 use kifmm_kernels::Kernel;
 
@@ -62,10 +62,17 @@ impl SurfaceQuadrature {
     }
 }
 
+/// `density` (`src_dim` interleaved components per node) scaled by the
+/// quadrature weights: the charge vector of the Nyström sum.
+fn weighted(quad: &SurfaceQuadrature, density: &[f64], src_dim: usize) -> Vec<f64> {
+    assert_eq!(density.len(), quad.len() * src_dim, "src_dim density entries per node");
+    density.iter().enumerate().map(|(i, &v)| v * quad.weights[i / src_dim]).collect()
+}
+
 /// The discretized single-layer operator `(Sφ)(x_i) = Σ_j G(x_i, y_j) w_j
 /// φ_j` with the FMM as the summation engine.
 pub struct SingleLayerOperator<K: Kernel> {
-    fmm: Fmm<K>,
+    fmm: Session<K>,
     quad: SurfaceQuadrature,
     /// Matvecs performed so far (the paper's "tens of interaction
     /// calculations per solve").
@@ -75,7 +82,7 @@ pub struct SingleLayerOperator<K: Kernel> {
 impl<K: Kernel> SingleLayerOperator<K> {
     /// Build the FMM over the quadrature nodes.
     pub fn new(kernel: K, quad: SurfaceQuadrature, opts: FmmOptions) -> Self {
-        let fmm = Fmm::new(kernel, &quad.points, opts);
+        let fmm = Session::builder(kernel).points(&quad.points).options(opts).build();
         SingleLayerOperator { fmm, quad, matvecs: std::cell::Cell::new(0) }
     }
 
@@ -97,22 +104,20 @@ impl<K: Kernel> SingleLayerOperator<K> {
         let plan = cache
             .get_or_plan(&kernel, &quad.points, opts)
             .unwrap_or_else(|e| panic!("{e}"));
-        let fmm = Fmm::from_session(Session::new(plan));
-        SingleLayerOperator { fmm, quad, matvecs: std::cell::Cell::new(0) }
+        Self::with_plan(quad, plan)
     }
 
     /// Wrap an already-resolved plan (e.g. one obtained from
     /// [`PlanCache::get_or_update`] after patching a previous time step's
     /// plan for the moved quadrature nodes). The plan must have been
     /// built over exactly `quad.points`.
-    pub fn with_plan(quad: SurfaceQuadrature, plan: std::sync::Arc<kifmm_core::Plan<K>>) -> Self {
+    pub fn with_plan(quad: SurfaceQuadrature, plan: std::sync::Arc<Plan<K>>) -> Self {
         assert_eq!(
             plan.len(),
             quad.len(),
             "plan was built over a different number of points than the quadrature"
         );
-        let fmm = Fmm::from_session(Session::new(plan));
-        SingleLayerOperator { fmm, quad, matvecs: std::cell::Cell::new(0) }
+        SingleLayerOperator { fmm: Session::new(plan), quad, matvecs: std::cell::Cell::new(0) }
     }
 
     /// The quadrature.
@@ -123,15 +128,8 @@ impl<K: Kernel> SingleLayerOperator<K> {
     /// Apply the operator: weight the density, evaluate one FMM
     /// interaction.
     pub fn apply(&self, density: &[f64]) -> Vec<f64> {
-        let sd = self.fmm.kernel().src_dim();
-        assert_eq!(density.len(), self.quad.len() * sd);
-        let weighted: Vec<f64> = density
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| v * self.quad.weights[i / sd])
-            .collect();
         self.matvecs.set(self.matvecs.get() + 1);
-        self.fmm.eval(&weighted).potentials
+        self.fmm.eval(&weighted(&self.quad, density, self.fmm.kernel().src_dim())).potentials
     }
 
     /// Solve the first-kind equation `Sφ = u_bc` by GMRES.
@@ -140,15 +138,9 @@ impl<K: Kernel> SingleLayerOperator<K> {
     }
 
     /// Evaluate the layer potential at off-surface points, reusing the
-    /// FMM's equivalent densities (`Fmm::evaluate_at`).
+    /// FMM's equivalent densities ([`Session::evaluate_at`]).
     pub fn evaluate_off_surface(&self, density: &[f64], targets: &[Point3]) -> Vec<f64> {
-        let sd = self.fmm.kernel().src_dim();
-        let weighted: Vec<f64> = density
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| v * self.quad.weights[i / sd])
-            .collect();
-        self.fmm.evaluate_at(&weighted, targets)
+        self.fmm.evaluate_at(&weighted(&self.quad, density, self.fmm.kernel().src_dim()), targets)
     }
 }
 
@@ -188,13 +180,7 @@ pub fn apply_single_layer_direct<K: Kernel>(
     quad: &SurfaceQuadrature,
     density: &[f64],
 ) -> Vec<f64> {
-    let sd = kernel.src_dim();
-    let weighted: Vec<f64> = density
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| v * quad.weights[i / sd])
-        .collect();
-    direct_eval(kernel, &quad.points, &weighted)
+    direct_eval(kernel, &quad.points, &weighted(quad, density, kernel.src_dim()))
 }
 
 #[cfg(test)]
@@ -299,6 +285,31 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 1), "second build is a warm hit");
         let density: Vec<f64> = (0..300).map(|i| (i as f64 * 0.01).cos()).collect();
         assert_eq!(op1.apply(&density), op2.apply(&density));
+    }
+
+    /// `evaluate_off_surface` on an operator opened over a `PlanCache`d
+    /// plan: the session reads the shared plan's expansions through its
+    /// own pooled scratch.
+    #[test]
+    fn off_surface_through_plan_cache_matches_direct() {
+        let cache = PlanCache::unbounded();
+        let q = SurfaceQuadrature::sphere([0.0; 3], 1.0, 900);
+        let opts = FmmOptions { order: 6, max_pts_per_leaf: 30, ..Default::default() };
+        let op = SingleLayerOperator::with_plan_cache(Laplace, q.clone(), opts, &cache);
+        let density: Vec<f64> = (0..900).map(|i| (i as f64 * 0.02).sin()).collect();
+        // Just inside the surface: in leaf boxes of the tree, so the
+        // U/W/L2T read-off runs (outside the root cube it would be the
+        // exact fallback sum).
+        let targets = fibonacci_sphere([0.0; 3], 0.9, 60);
+        let via_fmm = op.evaluate_off_surface(&density, &targets);
+        let charges = weighted(&q, &density, 1);
+        let truth = kifmm_core::direct_eval_src_trg(&Laplace, &q.points, &charges, &targets);
+        let err = kifmm_core::rel_l2_error(&via_fmm, &truth);
+        assert!(err < 1e-5, "off-surface error through a cached plan: {err}");
+        assert!(err > 1e-14, "targets must exercise the expansions, not only the exact fallback");
+        // The plan stays shared and the matvec path is unaffected.
+        assert_eq!(op.apply(&density), op.apply(&density));
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]

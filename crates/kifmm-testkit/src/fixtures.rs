@@ -46,7 +46,7 @@ pub fn serial_reference<K: Kernel>(
     let all_points: Vec<Point3> = chunks.iter().flatten().copied().collect();
     let all_dens: Vec<f64> = densities.iter().flatten().copied().collect();
     let td = kernel.trg_dim();
-    let fmm = Fmm::new(kernel, &all_points, opts);
+    let fmm = Fmm::builder(kernel).points(&all_points).options(opts).build();
     let all_pot = fmm.eval(&all_dens).potentials;
     // Split back per rank.
     let mut out = Vec::with_capacity(chunks.len());

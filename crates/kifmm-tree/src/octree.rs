@@ -313,6 +313,26 @@ impl Octree {
         &self.perm[nd.pt_start as usize..nd.pt_end as usize]
     }
 
+    /// Gather per-point data (`dim` interleaved components per point) from
+    /// the caller's original point order into Morton order.
+    pub fn to_morton(&self, orig: &[f64], dim: usize) -> Vec<f64> {
+        let mut sorted = vec![0.0; self.perm.len() * dim];
+        for (row, &o) in sorted.chunks_exact_mut(dim).zip(&self.perm) {
+            row.copy_from_slice(&orig[o as usize * dim..(o as usize + 1) * dim]);
+        }
+        sorted
+    }
+
+    /// Scatter Morton-ordered per-point data back to the caller's original
+    /// point order (the inverse of [`Octree::to_morton`]).
+    pub fn from_morton(&self, sorted: &[f64], dim: usize) -> Vec<f64> {
+        let mut orig = vec![0.0; self.perm.len() * dim];
+        for (row, &o) in sorted.chunks_exact(dim).zip(&self.perm) {
+            orig[o as usize * dim..(o as usize + 1) * dim].copy_from_slice(row);
+        }
+        orig
+    }
+
     /// Same-level adjacent boxes that exist in the tree ("colleagues").
     pub fn colleagues(&self, node: u32) -> Vec<u32> {
         let key = self.nodes[node as usize].key;
@@ -417,6 +437,18 @@ mod tests {
             seen[i as usize] = true;
         }
         assert!(seen.iter().all(|&b| b));
+    }
+
+    #[test]
+    fn morton_gather_and_scatter_are_inverse() {
+        let pts = cloud(300);
+        let t = Octree::build(&pts, 20, MAX_LEVEL);
+        let data: Vec<f64> = (0..900).map(|i| i as f64).collect();
+        let sorted = t.to_morton(&data, 3);
+        for (si, &o) in t.perm.iter().enumerate() {
+            assert_eq!(sorted[si * 3..si * 3 + 3], data[o as usize * 3..o as usize * 3 + 3]);
+        }
+        assert_eq!(t.from_morton(&sorted, 3), data);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! assert!(report.stats.total_flops() > 0);
 //! ```
 //!
-//! Under the hood `build()` produces an immutable, shareable [`Plan`]
-//! (tree + interaction lists + precomputed operators) wrapped in a
-//! [`Session`] (pooled evaluation scratch). Long-running services keep a
+//! `build()` returns a [`Session`] (pooled evaluation scratch + execution
+//! policy; [`Fmm`] is an alias of it) over an immutable, shareable
+//! [`Plan`] (tree + interaction lists + precomputed operators).
+//! Long-running services keep a
 //! [`PlanCache`] keyed on (kernel, order, M2L mode, geometry) so repeated
 //! geometries skip setup entirely, and batch `k` charge vectors through
 //! one sweep with [`Evaluator::eval_many`].
@@ -39,7 +40,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`kernels`] | [`Laplace`], [`ModifiedLaplace`], [`Stokes`], the [`Kernel`] trait |
-//! | [`core`] | [`Fmm`], surfaces, translation operators, FFT M2L, phase stats |
+//! | [`core`] | [`Plan`] / [`Session`] (alias [`Fmm`]), surfaces, translation operators, FFT M2L, the phase meter |
 //! | [`tree`] | Morton keys, adaptive octrees, U/V/W/X lists, partitioning |
 //! | [`parallel`] | [`ParallelFmm`]: the distributed driver of paper §3 |
 //! | [`mpi`] | the in-process message-passing substrate |

@@ -12,7 +12,7 @@
 //! cargo run --release --example screened_coulomb
 //! ```
 
-use kifmm::{Fmm, FmmOptions, ModifiedLaplace};
+use kifmm::{Fmm, ModifiedLaplace};
 use std::time::Instant;
 
 fn main() {
@@ -29,7 +29,7 @@ fn main() {
     for lambda in [0.1, 1.0, 5.0] {
         let kernel = ModifiedLaplace::new(lambda);
         let t0 = Instant::now();
-        let fmm = Fmm::new(kernel, &points, FmmOptions::default());
+        let fmm = Fmm::builder(kernel).points(&points).build();
         let setup = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let u = fmm.eval(&densities).potentials;

@@ -110,6 +110,33 @@ if [ -n "$m2l_extras" ]; then
 fi
 echo "m2l gate: OK (Fft + dense oracle only)"
 
+# 5d. One-evaluator / one-charging-site gate: `Fmm` is an alias of
+#     `Session`, and a pass is charged in exactly one place
+#     (`kifmm_core::stats::Meter`) on all three drivers. The hand-written
+#     forms — `add_seconds`/`add_flops` next to a span, a driver reading
+#     the clock itself, a Morton permute loop outside `Octree`, the `Fmm`
+#     shell, the untimed `compute_expansions` schedule, the unkeyed
+#     `pinv_tol` knob — may not come back.
+rs() { grep -rnE "$1" crates tests examples --include='*.rs' || true; }
+charges=$(rs 'add_seconds\(|add_flops\(' | grep -v '^crates/kifmm-core/src/stats.rs:' || true)
+comm_sites=$(rs 'add_comm\(' | grep -vc '^crates/kifmm-core/src/stats.rs:' || true)
+clocks=$(grep -n 'thread_cpu_time()' crates/kifmm-core/src/plan.rs \
+    crates/kifmm-parallel/src/driver.rs || true)
+perms=$(rs 'perm\.iter\(\)\.enumerate\(\)' | grep -v '^crates/kifmm-tree/src/' || true)
+shells=$(rs 'struct Fmm\b|from_session|compute_expansions')
+knob=$(rs 'pinv_tol' | grep -v '^crates/kifmm-core/src/operators.rs:' || true)
+if [ -n "$charges$clocks$perms$shells$knob" ] || [ "$comm_sites" -gt 1 ]; then
+    echo "FAIL: a second evaluator shell or a hand-written charging site reintroduced:"
+    echo "$charges"
+    echo "$clocks"
+    echo "$perms"
+    echo "$shells"
+    echo "$knob"
+    echo "add_comm call sites outside stats.rs: $comm_sites (at most 1)"
+    exit 1
+fi
+echo "one-evaluator gate: OK (Fmm = Session, one Meter, no pinv_tol)"
+
 # 6. Service-throughput gate: the plan/execute service bench (small N)
 #    must emit a valid kifmm-service-v1 artifact with a warm plan-cache
 #    hit, and eval_many(k=8) must amortize to at most 0.55x the wall time
@@ -174,4 +201,10 @@ echo "benchmark gate: OK"
 # ROADMAP item 3's size measure, printed so the number quoted there is
 # reproducible.
 echo "core+kernels source lines: $(find crates/kifmm-core/src crates/kifmm-kernels/src -name '*.rs' | xargs cat | wc -l)"
+nontest() { awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' "$1"; }
+front=0
+for f in plan fmm evaluator stats targets; do
+    front=$((front + $(nontest "crates/kifmm-core/src/$f.rs")))
+done
+echo "non-test lines: evaluation front end (plan+fmm+evaluator+stats+targets) $front, driver.rs $(nontest crates/kifmm-parallel/src/driver.rs)"
 echo "verify: ALL OK"

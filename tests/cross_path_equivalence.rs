@@ -31,7 +31,7 @@ fn check_pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
 fn check_pool_bitwise_opts<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>, opts: FmmOptions) {
     let n = pts.len();
     let dens = kifmm::geom::random_densities(n, kernel.src_dim(), 7);
-    let mut fmm = Fmm::new(kernel, &pts, opts);
+    let mut fmm = Fmm::builder(kernel).points(&pts).options(opts).build();
     let serial = fmm.eval(&dens).potentials;
     fmm.set_parallel_eval(true);
     let pool = fmm.eval(&dens).potentials;
@@ -129,8 +129,14 @@ mod closure_kernels {
         let pts = uniform(900, 34);
         let dens = kifmm::geom::random_densities(900, 1, 7);
         let opts = FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() };
-        let native = Fmm::new(Laplace, &pts, opts).eval(&dens).potentials;
-        let shadow = Fmm::new(shadow_laplace(), &pts, opts).eval(&dens).potentials;
+        let native =
+            Fmm::builder(Laplace).points(&pts).options(opts).build().eval(&dens).potentials;
+        let shadow = Fmm::builder(shadow_laplace())
+            .points(&pts)
+            .options(opts)
+            .build()
+            .eval(&dens)
+            .potentials;
         let err = kifmm::rel_l2_error(&shadow, &native);
         assert!(err < 1e-9, "closure kernel must match native Laplace: {err}");
     }
@@ -210,13 +216,14 @@ mod fft_vs_dense_oracle {
         let opts = |mode| FmmOptions { max_pts_per_leaf, ..opts(mode) };
         let pts = clustered(600, 41);
         let dens = kifmm::geom::random_densities(pts.len(), kernel.src_dim(), 7);
-        let fft = Fmm::new(kernel.clone(), &pts, opts(M2lMode::Fft));
+        let fft = Fmm::builder(kernel.clone()).points(&pts).options(opts(M2lMode::Fft)).build();
         assert!(
             fft.lists.w.iter().any(|w| !w.is_empty()) && fft.lists.x.iter().any(|x| !x.is_empty()),
             "geometry must exercise the W and X lists"
         );
         assert!(fft.tree.depth() >= 3, "several M2L levels");
-        let dense = Fmm::new(kernel.clone(), &pts, opts(M2lMode::Direct));
+        let dense =
+            Fmm::builder(kernel.clone()).points(&pts).options(opts(M2lMode::Direct)).build();
         let err = kifmm::rel_l2_error(&fft.eval(&dens).potentials, &dense.eval(&dens).potentials);
         assert!(err < 1e-9, "{}: FFT vs dense oracle {err}", kernel.name());
     }

@@ -9,11 +9,10 @@ const N: usize = 4000;
 
 fn check<K: kifmm::Kernel>(kernel: K, points: Vec<[f64; 3]>, tol: f64) {
     let dens = kifmm::geom::random_densities(points.len(), kernel.src_dim(), 11);
-    let fmm = Fmm::new(
-        kernel.clone(),
-        &points,
-        FmmOptions { max_pts_per_leaf: 40, ..Default::default() },
-    );
+    let fmm = Fmm::builder(kernel.clone())
+        .points(&points)
+        .options(FmmOptions { max_pts_per_leaf: 40, ..Default::default() })
+        .build();
     assert!(fmm.tree.depth() >= 2, "workload must exercise the far field");
     let approx = fmm.eval(&dens).potentials;
     let truth = direct_eval(&kernel, &points, &dens);
@@ -57,7 +56,7 @@ fn stokes_corner_clusters() {
 fn paper_accuracy_setting() {
     let points = kifmm::geom::sphere_grid(8000, 8);
     let dens = kifmm::geom::random_densities(points.len(), 1, 3);
-    let fmm = Fmm::new(Laplace, &points, FmmOptions::default());
+    let fmm = Fmm::builder(Laplace).points(&points).build();
     let approx = fmm.eval(&dens).potentials;
     let truth = direct_eval(&Laplace, &points, &dens);
     let err = rel_l2_error(&approx, &truth);
@@ -76,7 +75,7 @@ fn linear_complexity_in_counted_flops() {
     for n in [8000usize, 32000] {
         let points = kifmm::geom::sphere_grid(n, 8);
         let dens = vec![1.0; n];
-        let fmm = Fmm::new(Laplace, &points, opts);
+        let fmm = Fmm::builder(Laplace).points(&points).options(opts).build();
         let stats = fmm.eval(&dens).stats;
         flops.push(stats.total_flops() as f64);
     }

@@ -135,12 +135,11 @@ fn gradient_request_keeps_potentials() {
     let pts = cloud(1500, 3);
     let dens = kifmm::geom::random_densities(1500, 1, 7);
     let base = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
-    let plain = Fmm::new(Laplace, &pts, base);
-    let grad = Fmm::new(
-        Laplace,
-        &pts,
-        FmmOptions { output: OutputSpec::PotentialAndGradient, ..base },
-    );
+    let plain = Fmm::builder(Laplace).points(&pts).options(base).build();
+    let grad = Fmm::builder(Laplace)
+        .points(&pts)
+        .options(FmmOptions { output: OutputSpec::PotentialAndGradient, ..base })
+        .build();
     let rp = plain.eval(&dens);
     let rg = grad.eval(&dens);
     let drift = rel_l2_error(&rg.potentials, &rp.potentials);

@@ -30,11 +30,10 @@ fn fmm_matches_direct_on_random_clouds() {
         let pts = gen_cloud(g);
         let seed = g.u64_range(0, 1000);
         let dens = kifmm::geom::random_densities(pts.len(), 1, seed);
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 5, max_pts_per_leaf: 12, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 5, max_pts_per_leaf: 12, ..Default::default() })
+            .build();
         let approx = fmm.eval(&dens).potentials;
         let truth = direct_eval(&Laplace, &pts, &dens);
         let err = rel_l2_error(&approx, &truth);
@@ -50,11 +49,10 @@ fn evaluation_is_linear() {
         let a = g.f64(-3.0, 3.0);
         let b = g.f64(-3.0, 3.0);
         let n = pts.len();
-        let fmm = Fmm::new(
-            Laplace,
-            &pts,
-            FmmOptions { order: 4, max_pts_per_leaf: 15, ..Default::default() },
-        );
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 15, ..Default::default() })
+            .build();
         let d1 = kifmm::geom::random_densities(n, 1, 1);
         let d2 = kifmm::geom::random_densities(n, 1, 2);
         let mix: Vec<f64> = d1.iter().zip(&d2).map(|(x, y)| a * x + b * y).collect();
@@ -76,13 +74,14 @@ fn permutation_invariance() {
         let n = pts.len();
         let dens = kifmm::geom::random_densities(n, 1, 99);
         let opts = FmmOptions { order: 4, max_pts_per_leaf: 10, ..Default::default() };
-        let base = Fmm::new(Laplace, &pts, opts).eval(&dens).potentials;
+        let base = Fmm::builder(Laplace).points(&pts).options(opts).build().eval(&dens).potentials;
 
         let mut order: Vec<usize> = (0..n).collect();
         g.shuffle(&mut order);
         let pts2: Vec<[f64; 3]> = order.iter().map(|&i| pts[i]).collect();
         let dens2: Vec<f64> = order.iter().map(|&i| dens[i]).collect();
-        let out2 = Fmm::new(Laplace, &pts2, opts).eval(&dens2).potentials;
+        let out2 =
+            Fmm::builder(Laplace).points(&pts2).options(opts).build().eval(&dens2).potentials;
         let scale = base.iter().fold(0.0f64, |m, &v| m.max(v.abs())).max(1e-12);
         for (k, &i) in order.iter().enumerate() {
             prop_assert!(
@@ -129,11 +128,10 @@ fn tree_invariants() {
 fn degenerate_colinear_points() {
     let pts: Vec<[f64; 3]> = (0..300).map(|i| [i as f64 * 1e-3, 0.0, 0.0]).collect();
     let dens = vec![1.0; 300];
-    let fmm = Fmm::new(
-        Laplace,
-        &pts,
-        FmmOptions { order: 4, max_pts_per_leaf: 10, ..Default::default() },
-    );
+    let fmm = Fmm::builder(Laplace)
+        .points(&pts)
+        .options(FmmOptions { order: 4, max_pts_per_leaf: 10, ..Default::default() })
+        .build();
     let approx = fmm.eval(&dens).potentials;
     let truth = direct_eval(&Laplace, &pts, &dens);
     let err = rel_l2_error(&approx, &truth);
@@ -145,11 +143,10 @@ fn duplicate_points_capped_by_max_level() {
     let mut pts = vec![[0.25, 0.25, 0.25]; 50];
     pts.extend(kifmm::geom::uniform_cube(200, 4));
     let dens = vec![1.0; pts.len()];
-    let fmm = Fmm::new(
-        Laplace,
-        &pts,
-        FmmOptions { order: 4, max_pts_per_leaf: 8, max_level: 6, ..Default::default() },
-    );
+    let fmm = Fmm::builder(Laplace)
+        .points(&pts)
+        .options(FmmOptions { order: 4, max_pts_per_leaf: 8, max_level: 6, ..Default::default() })
+        .build();
     // Coincident points produce zero self-terms; still finite and accurate.
     let approx = fmm.eval(&dens).potentials;
     let truth = direct_eval(&Laplace, &pts, &dens);

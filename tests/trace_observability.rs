@@ -170,3 +170,128 @@ fn bench_summary_agrees_with_eval_report() {
         Some(report.stats.total_flops() as f64)
     );
 }
+
+/// `(depth, cat, name, n)` of one rank's spans, in open order.
+type SpanShape = (u32, &'static str, &'static str, Option<u64>);
+
+fn span_shapes(t: &Tracer, rank: usize) -> Vec<SpanShape> {
+    t.span_records()[rank].iter().map(|s| (s.depth, s.cat, s.name, s.n)).collect()
+}
+
+/// The literal span sequence of one evaluation on a depth-3 tree, serial
+/// and on rank 0 of a P=2 run: the shared charging site may not rename,
+/// reorder, nest or drop a span. (The distributed driver runs M2L twice
+/// per level — interior targets under the equivalent exchange, boundary
+/// targets after it — and X after U.)
+#[test]
+fn span_sequences_are_pinned() {
+    let pts = points(700, 5);
+    let opts = FmmOptions { order: 4, max_pts_per_leaf: 10, ..Default::default() };
+
+    let tracer = Tracer::enabled();
+    let fmm = Fmm::builder(Laplace).points(&pts).options(opts).trace(tracer.clone()).build();
+    assert_eq!(fmm.tree.depth(), 3);
+    fmm.eval(&vec![1.0; pts.len()]);
+    let serial: [SpanShape; 8] = [
+        (0, "Up", "Up", None),
+        (0, "DownV", "m2l", Some(2)),
+        (0, "DownV", "m2l", Some(3)),
+        (0, "DownX", "x-list", None),
+        (0, "Eval", "l2l", None),
+        (0, "DownU", "u-list", None),
+        (0, "DownW", "w-list", None),
+        (0, "Eval", "l2t", None),
+    ];
+    assert_eq!(span_shapes(&tracer, 0), serial);
+
+    let part = partition_points(&pts, 2);
+    let chunks: Vec<Vec<[f64; 3]>> =
+        part.groups.iter().map(|g| g.iter().map(|&i| pts[i]).collect()).collect();
+    let tracer = Tracer::enabled();
+    let tracer2 = tracer.clone();
+    kifmm::mpi::run(2, move |comm| {
+        let r = comm.rank();
+        let mut pfmm = ParallelFmm::new(comm, Laplace, &chunks[r], opts);
+        assert_eq!(pfmm.dtree.tree.depth(), 3);
+        pfmm.set_trace(tracer2.clone());
+        pfmm.eval(comm, &vec![1.0; chunks[r].len()]);
+    });
+    let rank0: [SpanShape; 15] = [
+        (0, "Comm", "dens-gather", None),
+        (0, "Up", "Up", None),
+        (0, "Comm", "equiv-post", None),
+        (0, "DownV", "m2l", Some(2)),
+        (0, "DownV", "m2l", Some(3)),
+        (0, "Comm", "equiv-drive", None),
+        (0, "DownV", "m2l", Some(2)),
+        (0, "DownV", "m2l", Some(3)),
+        (0, "Comm", "dens-complete", None),
+        (0, "DownU", "u-list", None),
+        (0, "DownX", "x-list", None),
+        (0, "Eval", "l2l", None),
+        (0, "DownW", "w-list", None),
+        (0, "Eval", "l2t", None),
+        (0, "Eval", "scatter", None),
+    ];
+    assert_eq!(span_shapes(&tracer, 0), rank0);
+}
+
+/// Spans and `PhaseStats` are two sinks of one charging event: on the
+/// serial path both read the thread-CPU clock around the same pass, so per
+/// compute phase the summed span CPU time matches the charged seconds.
+#[test]
+fn span_cpu_matches_phase_seconds_serial() {
+    let pts = points(3000, 17);
+    let tracer = Tracer::enabled();
+    let fmm = Fmm::builder(Laplace).points(&pts).order(4).trace(tracer.clone()).build();
+    let stats = fmm.eval(&vec![1.0; pts.len()]).stats;
+    let spans = &tracer.span_records()[0];
+    for (i, phase) in PHASE_NAMES.iter().enumerate().filter(|(_, p)| **p != "Comm") {
+        let span_cpu: f64 = spans.iter().filter(|s| s.cat == *phase).map(|s| s.cpu).sum();
+        let charged = stats.seconds[i];
+        assert!(
+            (span_cpu - charged).abs() <= 0.05 * charged + 200e-6,
+            "{phase}: spans {span_cpu} s vs PhaseStats {charged} s"
+        );
+    }
+}
+
+/// One point set through the serial, pool and P=1 distributed drivers:
+/// the tracer's `CellsTouched` (boxes the upward pass touched + active
+/// leaves) and `Flops` counters do not depend on the driver, and the flop
+/// counter is the `PhaseStats` total.
+#[test]
+fn counters_agree_across_drivers() {
+    let pts = points(1500, 23);
+    let dens = vec![1.0; pts.len()];
+    let opts = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
+    // (cells touched, flop counter, PhaseStats flop total) of one run.
+    let counters = |t: &Tracer, flops: u64| {
+        (t.counter_total(Counter::CellsTouched), t.counter_total(Counter::Flops), flops)
+    };
+    let mut seen = Vec::new();
+    for parallel in [false, true] {
+        let tracer = Tracer::enabled();
+        let fmm = Fmm::builder(Laplace)
+            .points(&pts)
+            .options(opts)
+            .parallel(parallel)
+            .trace(tracer.clone())
+            .build();
+        let flops = fmm.eval(&dens).stats.total_flops();
+        seen.push(counters(&tracer, flops));
+    }
+    let tracer = Tracer::enabled();
+    let (tracer2, pts2) = (tracer.clone(), pts.clone());
+    let flops = kifmm::mpi::run(1, move |comm| {
+        let mut pfmm = ParallelFmm::new(comm, Laplace, &pts2, opts);
+        pfmm.set_trace(tracer2.clone());
+        pfmm.eval(comm, &dens).stats.total_flops()
+    });
+    seen.push(counters(&tracer, flops[0]));
+    let (cells, counted, charged) = seen[0];
+    assert!(cells > 0 && counted > 0);
+    assert_eq!(counted, charged, "Counter::Flops is the PhaseStats total");
+    assert_eq!(seen[1], seen[0], "pool vs serial (cells, flop counter, flop total)");
+    assert_eq!(seen[2], seen[0], "P=1 distributed vs serial");
+}
