@@ -266,13 +266,16 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if depth < FIRST_FMM_LEVEL {
             return 0;
         }
-        let (ns, es, cs) = self.dims();
+        let (ns, _, cs) = self.dims();
         let nrhs = src.nrhs();
         assert_eq!(store.nrhs(), nrhs, "store shaped for the batch width");
         let csb = cs * nrhs;
         let kf = self.kernel.flops_per_eval();
         let threads = self.dispatch.threads();
         let mut flops = 0u64;
+        // The level's check rows are both a source and a destination of
+        // `translate`, which borrows the rest of the workspace.
+        let mut rows = std::mem::take(&mut ws.rows);
         for level in (FIRST_FMM_LEVEL..=depth).rev() {
             let act = &self.active.levels[level as usize];
             let nb = act.len();
@@ -284,9 +287,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             // (`nrhs` rows) per active box (internal boxes stay zero for
             // M2M below). The upward surface is built once per box and
             // shared by the whole batch.
-            ws.rows.clear();
-            ws.rows.resize(nb * csb, 0.0);
-            par_chunks_mut_with(threads, &mut ws.rows, csb, |i, chk| {
+            rows.clear();
+            rows.resize(nb * csb, 0.0);
+            par_chunks_mut_with(threads, &mut rows, csb, |i, chk| {
                 let ni = act[i];
                 let node = &self.tree.nodes[ni as usize];
                 if node.is_leaf() {
@@ -312,59 +315,61 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                         ws.pairs.push((i as u32, ci));
                     }
                 }
-                let nbo = ws.pairs.len();
-                if nbo == 0 {
-                    continue;
-                }
-                let ncols = nbo * nrhs;
-                ws.xin.clear();
-                ws.xin.resize(es * ncols, 0.0);
-                for (j, &(_, ci)) in ws.pairs.iter().enumerate() {
-                    for q in 0..nrhs {
-                        let child = store.up_rhs(ci, q);
-                        for r in 0..es {
-                            ws.xin[r * ncols + j * nrhs + q] = child[r];
-                        }
-                    }
-                }
-                ws.yout.clear();
-                ws.yout.resize(cs * ncols, 0.0);
-                self.apply_op_cols(&lops.ue2uc[oct], &ws.xin, &mut ws.yout, ncols);
-                for (j, &(i, _)) in ws.pairs.iter().enumerate() {
-                    let blk = &mut ws.rows[i as usize * csb..(i as usize + 1) * csb];
-                    for q in 0..nrhs {
-                        for r in 0..cs {
-                            blk[q * cs + r] += ws.yout[r * ncols + j * nrhs + q];
-                        }
-                    }
-                }
-                flops += ncols as u64 * 2 * (cs * es) as u64;
+                flops += self.translate(&lops.ue2uc[oct], nrhs, &store.up, &mut rows, true, ws);
             }
             // Level-wide check → equivalent inversion, one GEMM.
-            let ncols = nb * nrhs;
-            ws.xin.clear();
-            ws.xin.resize(cs * ncols, 0.0);
-            for j in 0..nb {
-                for q in 0..nrhs {
-                    for r in 0..cs {
-                        ws.xin[r * ncols + j * nrhs + q] = ws.rows[j * csb + q * cs + r];
-                    }
-                }
-            }
-            ws.yout.clear();
-            ws.yout.resize(es * ncols, 0.0);
-            self.apply_op_cols(&lops.uc2ue, &ws.xin, &mut ws.yout, ncols);
-            for (j, &ni) in act.iter().enumerate() {
-                let slot = store.up_mut(ni);
-                for q in 0..nrhs {
-                    for r in 0..es {
-                        slot[q * es + r] = ws.yout[r * ncols + j * nrhs + q];
-                    }
-                }
-            }
-            flops += ncols as u64 * 2 * (cs * es) as u64;
+            ws.pairs.clear();
+            ws.pairs.extend(act.iter().enumerate().map(|(j, &ni)| (ni, j as u32)));
+            flops += self.translate(&lops.uc2ue, nrhs, &rows, &mut store.up, false, ws);
         }
+        ws.rows = rows;
         flops
+    }
+
+    /// The engine's one box → box translation (M2M, L2L and the two check
+    /// → equivalent inversions): for every `(dst box, src box)` of
+    /// `ws.pairs`, apply `op` to the source's block in the node-major slab
+    /// `src` (`nrhs` rows of `op.cols()`) and add it to — or, without
+    /// `accumulate`, store it as — the destination's block in `dst`
+    /// (`nrhs` rows of `op.rows()`), all pairs in one multi-RHS GEMM.
+    /// Returns the flop count.
+    fn translate(
+        &self,
+        op: &Mat,
+        nrhs: usize,
+        src: &[f64],
+        dst: &mut [f64],
+        accumulate: bool,
+        ws: &mut EngineWorkspace,
+    ) -> u64 {
+        let (m, k) = (op.rows(), op.cols());
+        let ncols = ws.pairs.len() * nrhs;
+        if ncols == 0 {
+            return 0;
+        }
+        ws.xin.clear();
+        ws.xin.resize(k * ncols, 0.0);
+        for (j, &(_, b)) in ws.pairs.iter().enumerate() {
+            let blk = &src[b as usize * k * nrhs..(b as usize + 1) * k * nrhs];
+            for q in 0..nrhs {
+                for r in 0..k {
+                    ws.xin[r * ncols + j * nrhs + q] = blk[q * k + r];
+                }
+            }
+        }
+        ws.yout.clear();
+        ws.yout.resize(m * ncols, 0.0);
+        self.apply_op_cols(op, &ws.xin, &mut ws.yout, ncols);
+        for (j, &(a, _)) in ws.pairs.iter().enumerate() {
+            let blk = &mut dst[a as usize * m * nrhs..(a as usize + 1) * m * nrhs];
+            for q in 0..nrhs {
+                for (r, v) in blk[q * m..(q + 1) * m].iter_mut().enumerate() {
+                    let y = ws.yout[r * ncols + j * nrhs + q];
+                    *v = if accumulate { *v + y } else { y };
+                }
+            }
+        }
+        ncols as u64 * 2 * (m * k) as u64
     }
 
     /// Apply operator `op` (`m × k`) to `ncols` column vectors packed
@@ -637,14 +642,11 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if depth < FIRST_FMM_LEVEL {
             return 0;
         }
-        let (_, es, cs) = self.dims();
         let nrhs = store.nrhs();
-        let csb = cs * nrhs;
         let mut flops = 0u64;
         for level in FIRST_FMM_LEVEL..=depth {
             let act = &self.active.levels[level as usize];
-            let nb = act.len();
-            if nb == 0 {
+            if act.is_empty() {
                 continue;
             }
             let lops = self.pre.ops.at(level);
@@ -653,66 +655,20 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 // parent is active too: it contains the box's points.)
                 for oct in 0..8 {
                     ws.pairs.clear();
-                    for (i, &ni) in act.iter().enumerate() {
+                    for &ni in act {
                         let node = &self.tree.nodes[ni as usize];
                         if node.key.octant() as usize == oct {
-                            ws.pairs.push((i as u32, node.parent));
+                            ws.pairs.push((ni, node.parent));
                         }
                     }
-                    let nbo = ws.pairs.len();
-                    if nbo == 0 {
-                        continue;
-                    }
-                    let ncols = nbo * nrhs;
-                    ws.xin.clear();
-                    ws.xin.resize(es * ncols, 0.0);
-                    for (j, &(_, pi)) in ws.pairs.iter().enumerate() {
-                        for q in 0..nrhs {
-                            let parent = store.down_rhs(pi, q);
-                            for r in 0..es {
-                                ws.xin[r * ncols + j * nrhs + q] = parent[r];
-                            }
-                        }
-                    }
-                    ws.yout.clear();
-                    ws.yout.resize(cs * ncols, 0.0);
-                    self.apply_op_cols(&lops.de2dc[oct], &ws.xin, &mut ws.yout, ncols);
-                    for (j, &(i, _)) in ws.pairs.iter().enumerate() {
-                        let ni = act[i as usize] as usize;
-                        let blk = &mut store.check[ni * csb..(ni + 1) * csb];
-                        for q in 0..nrhs {
-                            for r in 0..cs {
-                                blk[q * cs + r] += ws.yout[r * ncols + j * nrhs + q];
-                            }
-                        }
-                    }
+                    let (down, check) = (&store.down, &mut store.check);
+                    flops += self.translate(&lops.de2dc[oct], nrhs, down, check, true, ws);
                 }
-                flops += (nb * nrhs) as u64 * 2 * (cs * es) as u64;
             }
             // Check → downward equivalent inversion, one GEMM per level.
-            let ncols = nb * nrhs;
-            ws.xin.clear();
-            ws.xin.resize(cs * ncols, 0.0);
-            for (j, &ni) in act.iter().enumerate() {
-                let blk = store.check_row(ni);
-                for q in 0..nrhs {
-                    for r in 0..cs {
-                        ws.xin[r * ncols + j * nrhs + q] = blk[q * cs + r];
-                    }
-                }
-            }
-            ws.yout.clear();
-            ws.yout.resize(es * ncols, 0.0);
-            self.apply_op_cols(&lops.dc2de, &ws.xin, &mut ws.yout, ncols);
-            for (j, &ni) in act.iter().enumerate() {
-                let slot = store.down_mut(ni);
-                for q in 0..nrhs {
-                    for r in 0..es {
-                        slot[q * es + r] = ws.yout[r * ncols + j * nrhs + q];
-                    }
-                }
-            }
-            flops += ncols as u64 * 2 * (cs * es) as u64;
+            ws.pairs.clear();
+            ws.pairs.extend(act.iter().map(|&ni| (ni, ni)));
+            flops += self.translate(&lops.dc2de, nrhs, &store.check, &mut store.down, false, ws);
         }
         flops
     }

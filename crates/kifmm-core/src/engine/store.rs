@@ -78,16 +78,6 @@ impl ExpansionStore {
         self.check.fill(0.0);
     }
 
-    /// Equivalent row length (`n_s · SRC_DIM`).
-    pub fn equiv_len(&self) -> usize {
-        self.es
-    }
-
-    /// Check row length (`n_s · TRG_DIM`).
-    pub fn check_len(&self) -> usize {
-        self.cs
-    }
-
     /// Number of simultaneous charge vectors this store is shaped for.
     pub fn nrhs(&self) -> usize {
         self.nrhs
@@ -100,12 +90,6 @@ impl ExpansionStore {
         &self.up[ni as usize * b..(ni as usize + 1) * b]
     }
 
-    /// Mutable upward equivalent block of box `ni`.
-    pub fn up_mut(&mut self, ni: u32) -> &mut [f64] {
-        let b = self.es * self.nrhs;
-        &mut self.up[ni as usize * b..(ni as usize + 1) * b]
-    }
-
     /// Upward equivalent row of box `ni` for RHS `q`.
     pub fn up_rhs(&self, ni: u32, q: usize) -> &[f64] {
         debug_assert!(q < self.nrhs);
@@ -116,7 +100,8 @@ impl ExpansionStore {
     /// Overwrite box `ni`'s upward equivalent block (the distributed
     /// driver installs globally summed equivalents this way).
     pub fn set_up(&mut self, ni: u32, values: &[f64]) {
-        self.up_mut(ni).copy_from_slice(values);
+        let b = self.es * self.nrhs;
+        self.up[ni as usize * b..(ni as usize + 1) * b].copy_from_slice(values);
     }
 
     /// Downward equivalent block of box `ni` (`nrhs·es` values).
@@ -125,23 +110,11 @@ impl ExpansionStore {
         &self.down[ni as usize * b..(ni as usize + 1) * b]
     }
 
-    /// Mutable downward equivalent block of box `ni`.
-    pub fn down_mut(&mut self, ni: u32) -> &mut [f64] {
-        let b = self.es * self.nrhs;
-        &mut self.down[ni as usize * b..(ni as usize + 1) * b]
-    }
-
     /// Downward equivalent row of box `ni` for RHS `q`.
     pub fn down_rhs(&self, ni: u32, q: usize) -> &[f64] {
         debug_assert!(q < self.nrhs);
         let o = ni as usize * self.es * self.nrhs + q * self.es;
         &self.down[o..o + self.es]
-    }
-
-    /// Downward check block of box `ni` (`nrhs·cs` values).
-    pub fn check_row(&self, ni: u32) -> &[f64] {
-        let b = self.cs * self.nrhs;
-        &self.check[ni as usize * b..(ni as usize + 1) * b]
     }
 }
 
@@ -157,7 +130,7 @@ pub struct EngineWorkspace {
     pub xin: Vec<f64>,
     /// Column-major multi-RHS output block (`m × ncols`).
     pub yout: Vec<f64>,
-    /// `(batch row, related node)` pairs of one octant batch.
+    /// `(destination box, source box)` slab indices of one translation batch.
     pub pairs: Vec<(u32, u32)>,
     /// Sorted, deduplicated V-list source boxes of one level.
     pub needed: Vec<u32>,

@@ -1,13 +1,13 @@
-//! The unified evaluation API: [`Evaluator`], [`EvalReport`] and
-//! [`FmmBuilder`].
+//! The evaluation API's builder and result: [`FmmBuilder`], [`EvalReport`]
+//! and [`OutputSpec`].
 //!
-//! Every execution strategy is reached through one verb
-//! ([`Evaluator::eval`], batched as [`Evaluator::eval_many`]) on what
+//! Every shared-memory execution strategy is reached through one verb
+//! ([`Session::eval`], batched as [`Session::eval_many`]) on what
 //! [`FmmBuilder::build`] returns — a [`Session`] over a freshly built
 //! [`Plan`] ([`Fmm`](crate::Fmm) is an alias of `Session`):
 //!
 //! ```
-//! use kifmm_core::{Evaluator, Fmm};
+//! use kifmm_core::Fmm;
 //! use kifmm_kernels::Laplace;
 //!
 //! let points: Vec<[f64; 3]> = (0..300)
@@ -101,33 +101,6 @@ impl EvalReport {
     }
 }
 
-/// Anything that evaluates `u_i = Σ_j G(x_i, x_j) φ_j` over a fixed
-/// point set: a shared-memory [`Session`] or a comm-bound distributed
-/// driver.
-pub trait Evaluator {
-    /// Evaluate potentials for `densities` (`src_dim()` interleaved
-    /// components per point, original point order).
-    fn eval(&self, densities: &[f64]) -> EvalReport;
-
-    /// Evaluate a batch of `k` density vectors, returning one report per
-    /// RHS. The default delegates to `k` independent [`Evaluator::eval`]
-    /// calls; batching implementations (the shared-memory and distributed
-    /// FMMs) override this to run all passes **once** over the batch —
-    /// with bit-identical per-RHS potentials.
-    fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        densities.iter().map(|d| self.eval(d)).collect()
-    }
-
-    /// Number of points the evaluator was built over.
-    fn num_points(&self) -> usize;
-
-    /// Density components per point.
-    fn src_dim(&self) -> usize;
-
-    /// Potential components per point.
-    fn trg_dim(&self) -> usize;
-}
-
 /// Builder for a [`Session`] (see [`Session::builder`], spelled
 /// `Fmm::builder` through the alias): options, execution strategy and
 /// observability in one fluent chain.
@@ -212,7 +185,7 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// Attach a tracer; [`Evaluator::eval`] records per-phase spans into
+    /// Attach a tracer; [`Session::eval`] records per-phase spans into
     /// it. Default: [`Tracer::disabled`] (zero-cost).
     pub fn trace(mut self, trace: Tracer) -> Self {
         self.trace = trace;
@@ -289,27 +262,5 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     /// On any [`BuildError`].
     pub fn plan(self) -> Plan<K> {
         self.try_plan().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<K: Kernel> Evaluator for Session<K> {
-    fn eval(&self, densities: &[f64]) -> EvalReport {
-        Session::eval(self, densities)
-    }
-
-    fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        Session::eval_many(self, densities)
-    }
-
-    fn num_points(&self) -> usize {
-        self.len()
-    }
-
-    fn src_dim(&self) -> usize {
-        self.kernel().src_dim()
-    }
-
-    fn trg_dim(&self) -> usize {
-        self.kernel().trg_dim()
     }
 }

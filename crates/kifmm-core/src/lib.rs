@@ -11,7 +11,7 @@
 //! `kifmm_kernels::Kernel`.
 //!
 //! ```
-//! use kifmm_core::{Evaluator, Fmm};
+//! use kifmm_core::Fmm;
 //! use kifmm_kernels::Laplace;
 //!
 //! let points: Vec<[f64; 3]> = (0..500)
@@ -43,7 +43,7 @@ pub use direct::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, rel_l2_error,
 };
 pub use engine::{ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, SourceProvider};
-pub use evaluator::{EvalReport, Evaluator, FmmBuilder, OutputSpec};
+pub use evaluator::{EvalReport, FmmBuilder, OutputSpec};
 pub use fmm::{Fmm, FmmOptions};
 pub use plan::{
     geometry_hash, kernel_name_hash, BuildError, Plan, PlanCache, PlanKey, Session, UpdateError,

@@ -18,7 +18,7 @@
 //! Laplace kernel carries a physical length scale and is assembled level
 //! by level.
 
-use crate::surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
+use crate::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{assemble, Kernel};
 use kifmm_linalg::{pinv_with_tol, Mat};
 
@@ -117,11 +117,6 @@ impl OperatorTable {
                 self.levels.len().saturating_sub(1)
             )
         })
-    }
-
-    /// Number of surface points per surface.
-    pub fn num_surface(&self) -> usize {
-        num_surface_points(self.order)
     }
 }
 

@@ -431,11 +431,6 @@ impl<K: Kernel> Plan<K> {
         &self.sorted_points
     }
 
-    /// This plan's ownership filter (every box active).
-    pub fn active_set(&self) -> &ActiveSet {
-        &self.active
-    }
-
     /// Estimated resident bytes of the plan (tree, lists, points and
     /// operator tables) — the quantity [`PlanCache`] budgets its LRU
     /// bound against. An estimate: dense operator and FFT-tensor sizes
@@ -938,7 +933,6 @@ impl<K: Kernel> PlanCache<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::Evaluator;
     use crate::fmm::Fmm;
     use kifmm_kernels::{Laplace, ModifiedLaplace, Stokes};
     use kifmm_testkit::cloud;
@@ -1474,15 +1468,13 @@ mod tests {
     #[test]
     fn eval_many_matches_fmm_wrapper() {
         // The builder's session and a standalone Session over an
-        // identically built plan agree bitwise, through the inherent
-        // method and the `Evaluator` trait alike.
+        // identically built plan agree bitwise.
         let pts = cloud(350, 13);
         let d = densities(350, 1, 2);
         let fmm = Fmm::builder(Laplace).points(&pts).options(opts_small()).build();
         let session =
             Session::from_plan(Plan::try_new(Laplace, &pts, opts_small()).unwrap());
         assert_eq!(fmm.eval(&d).potentials, session.eval(&d).potentials);
-        assert_eq!(Evaluator::eval(&fmm, &d).potentials, session.eval(&d).potentials);
     }
 
     // Pool dispatch (`FmmBuilder::parallel` / `Session::set_parallel_eval`):

@@ -96,11 +96,6 @@ impl PhaseStats {
         self.flops.iter().sum()
     }
 
-    /// Upward-pass seconds (the paper's `Up` column).
-    pub fn up_seconds(&self) -> f64 {
-        self.seconds[Phase::Up as usize]
-    }
-
     /// Downward seconds (the paper's `Down` column: everything after the
     /// communication step).
     pub fn down_seconds(&self) -> f64 {

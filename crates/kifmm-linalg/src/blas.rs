@@ -58,21 +58,6 @@ pub fn gemv(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// `y = alpha * A^T * x + beta * y` for row-major `A` (treats rows of `A` as
-/// update directions so memory access stays contiguous).
-pub fn gemv_t(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
-    assert_eq!(a.rows(), x.len(), "gemv_t: A.rows != x.len");
-    assert_eq!(a.cols(), y.len(), "gemv_t: A.cols != y.len");
-    if beta != 1.0 {
-        for v in y.iter_mut() {
-            *v *= beta;
-        }
-    }
-    for i in 0..a.rows() {
-        axpy(alpha * x[i], a.row(i), y);
-    }
-}
-
 /// `C = alpha * A * B + beta * C`, all row-major.
 ///
 /// Uses the `i-k-j` loop order: the innermost loop streams over a row of `B`
@@ -226,8 +211,8 @@ mod tests {
         }
         let xt: Vec<f64> = (0..5).map(|i| (i as f64).cos()).collect();
         let mut yt = vec![0.5; 7];
-        gemv_t(1.5, &a, &xt, 2.0, &mut yt);
         let at = a.transpose();
+        gemv(1.5, &at, &xt, 2.0, &mut yt);
         for j in 0..7 {
             let expect = 1.5 * dot(at.row(j), &xt) + 1.0;
             assert!((yt[j] - expect).abs() < 1e-12);

@@ -12,22 +12,15 @@
 //! * [`svd()`](svd::svd) — a one-sided Jacobi SVD (backward stable, accurate for the
 //!   small systems KIFMM builds, up to ~10³ unknowns),
 //! * [`pinv()`](pinv::pinv) — the truncated-SVD pseudoinverse that regularizes the
-//!   check-to-equivalent inversions,
-//! * [`lu_factor`]/[`lu_solve`] — LU with partial pivoting for general
-//!   square solves,
-//! * [`lstsq`] — Householder-QR least squares.
+//!   check-to-equivalent inversions.
 
 pub mod blas;
-pub mod lu;
 pub mod matrix;
 pub mod pinv;
-pub mod qr;
 pub mod simd;
 pub mod svd;
 
-pub use blas::{axpy, dot, gemm, gemm_slices, gemm_tn, gemv, gemv_t, nrm2};
-pub use lu::{lu_factor, lu_solve, LuFactors};
+pub use blas::{axpy, dot, gemm, gemm_slices, gemm_tn, gemv, nrm2};
 pub use matrix::Mat;
 pub use pinv::{pinv, pinv_with_tol};
-pub use qr::{householder_qr, lstsq};
 pub use svd::{svd, Svd};

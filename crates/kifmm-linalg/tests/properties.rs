@@ -1,6 +1,6 @@
 //! Property-based tests for the linear algebra substrate.
 
-use kifmm_linalg::{gemv, gemv_t, householder_qr, lstsq, lu_factor, lu_solve, nrm2, pinv, svd, Mat};
+use kifmm_linalg::{gemv, nrm2, pinv, svd, Mat};
 use kifmm_testkit::{check, prop_assert, prop_assume, Gen};
 
 fn gen_mat(g: &mut Gen, max_dim: usize) -> Mat {
@@ -87,25 +87,6 @@ fn nrm2_scales_past_overflow_and_underflow() {
 }
 
 #[test]
-fn lu_solves_diagonally_dominant() {
-    check("lu_solves_diagonally_dominant", 40, |g| {
-        let v = g.vec_f64(-1.0, 1.0, 36);
-        let rhs = g.vec_f64(-5.0, 5.0, 6);
-        let mut a = Mat::from_vec(6, 6, v);
-        for i in 0..6 {
-            let off: f64 = (0..6).filter(|&j| j != i).map(|j| a[(i, j)].abs()).sum();
-            a[(i, i)] = off + 1.0;
-        }
-        let f = lu_factor(&a).expect("diagonally dominant ⇒ nonsingular");
-        let x = lu_solve(&f, &rhs);
-        let r = a.matvec(&x);
-        for (u, w) in r.iter().zip(&rhs) {
-            prop_assert!((u - w).abs() < 1e-9);
-        }
-    });
-}
-
-#[test]
 fn gemv_transpose_consistency() {
     check("gemv_transpose_consistency", 40, |g| {
         let a = gen_mat(g, 9);
@@ -116,48 +97,9 @@ fn gemv_transpose_consistency() {
         let mut ay = vec![0.0; m];
         gemv(1.0, &a, &y, 0.0, &mut ay);
         let mut atx = vec![0.0; n];
-        gemv_t(1.0, &a, &x, 0.0, &mut atx);
+        gemv(1.0, &a.transpose(), &x, 0.0, &mut atx);
         let lhs: f64 = x.iter().zip(&ay).map(|(u, v)| u * v).sum();
         let rhs: f64 = atx.iter().zip(&y).map(|(u, v)| u * v).sum();
         prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
-    });
-}
-
-#[test]
-fn qr_orthogonality() {
-    check("qr_orthogonality", 40, |g| {
-        let a = gen_mat(g, 10);
-        let (m, n) = a.shape();
-        prop_assume!(m >= n);
-        let (q, r) = householder_qr(&a);
-        let qr = q.matmul(&r);
-        let scale = a.max_abs().max(1.0);
-        for (x, y) in qr.as_slice().iter().zip(a.as_slice()) {
-            prop_assert!((x - y).abs() < 1e-9 * scale);
-        }
-    });
-}
-
-#[test]
-fn lstsq_residual_orthogonal_to_columns() {
-    check("lstsq_residual_orthogonal_to_columns", 40, |g| {
-        let a = gen_mat(g, 8);
-        let seed = g.u64_range(0, 50);
-        let (m, n) = a.shape();
-        prop_assume!(m > n);
-        // Require decent conditioning so the solve is well posed.
-        let f = svd(&a);
-        prop_assume!(f.s[0] > 0.0 && f.s.last().unwrap() / f.s[0] > 1e-6);
-        let b: Vec<f64> = (0..m).map(|i| ((i as u64 * 37 + seed) % 11) as f64 - 5.0).collect();
-        let x = lstsq(&a, &b);
-        // Residual must be orthogonal to the column space: Aᵀ(b − Ax) = 0.
-        let ax = a.matvec(&x);
-        let res: Vec<f64> = b.iter().zip(&ax).map(|(u, v)| u - v).collect();
-        let mut atr = vec![0.0; n];
-        gemv_t(1.0, &a, &res, 0.0, &mut atr);
-        let bn = b.iter().map(|v| v * v).sum::<f64>().sqrt().max(1.0);
-        for v in atr {
-            prop_assert!(v.abs() < 1e-6 * bn, "normal equations violated: {v}");
-        }
     });
 }

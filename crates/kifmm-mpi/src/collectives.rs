@@ -44,21 +44,6 @@ pub fn barrier(comm: &Comm) {
     }
 }
 
-/// Broadcast `data` from `root`; returns the payload on every rank.
-pub fn bcast(comm: &Comm, root: usize, data: Vec<u8>) -> Vec<u8> {
-    let tag = comm.next_collective_tag();
-    if comm.rank() == root {
-        for dst in 0..comm.size() {
-            if dst != root {
-                comm.send_raw(dst, tag, data.clone());
-            }
-        }
-        data
-    } else {
-        comm.recv_raw(root, tag)
-    }
-}
-
 /// In-place elementwise allreduce over `f64` buffers of identical length.
 ///
 /// `ReduceOp::BitOr` is rejected on *every* rank at entry, with the rank in
@@ -263,17 +248,6 @@ mod tests {
                 barrier(comm);
             }
         });
-    }
-
-    #[test]
-    fn bcast_delivers_everywhere() {
-        let out = run(5, |comm| {
-            let payload = if comm.rank() == 2 { b"hello".to_vec() } else { Vec::new() };
-            bcast(comm, 2, payload)
-        });
-        for o in out {
-            assert_eq!(o, b"hello");
-        }
     }
 
     #[test]

@@ -31,21 +31,6 @@ pub fn decode_u64s(b: &[u8]) -> Vec<u64> {
     b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
-/// Encode `u32`s little-endian.
-pub fn encode_u32s(v: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(v.len() * 4);
-    for &x in v {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
-}
-
-/// Decode `u32`s little-endian.
-pub fn decode_u32s(b: &[u8]) -> Vec<u32> {
-    assert_eq!(b.len() % 4, 0, "payload is not a whole number of u32s");
-    b.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -58,17 +43,14 @@ mod tests {
     }
 
     #[test]
-    fn u64_u32_roundtrip() {
+    fn u64_roundtrip() {
         let v = vec![0u64, 1, u64::MAX, 42];
         assert_eq!(decode_u64s(&encode_u64s(&v)), v);
-        let w = vec![0u32, u32::MAX, 7];
-        assert_eq!(decode_u32s(&encode_u32s(&w)), w);
     }
 
     #[test]
     fn byte_layout_is_little_endian() {
-        assert_eq!(encode_u32s(&[0x0403_0201]), vec![1, 2, 3, 4]);
-        assert_eq!(encode_u64s(&[1]), vec![1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encode_u64s(&[0x0807_0605_0403_0201]), vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(encode_f64s(&[1.0])[7], 0x3f);
     }
 

@@ -11,8 +11,7 @@
 //! * [`run`] — spawn `P` ranks and collect their results;
 //! * [`Comm`] — tagged, eager-buffered [`Comm::send`]/[`Comm::recv`]
 //!   point-to-point messaging;
-//! * [`collectives`] — barrier, broadcast, allreduce, allgatherv,
-//!   alltoallv;
+//! * [`collectives`] — barrier, allreduce, allgatherv, alltoallv;
 //! * [`CommStats`] — per-rank bytes/messages/blocked-time accounting,
 //!   which the bench harness combines with a latency/bandwidth model of
 //!   the paper's Quadrics interconnect to produce virtual communication
@@ -26,9 +25,9 @@ pub mod tag;
 
 pub use collectives::{
     allgatherv, allgatherv_u64, allreduce_f64, allreduce_u64, alltoallv, alltoallv_u64, barrier,
-    bcast, sample_sort_u64, ReduceOp,
+    sample_sort_u64, ReduceOp,
 };
 pub use comm::{run, Comm, CommStats, PeerTraffic};
-pub use datatypes::{decode_f64s, decode_u32s, decode_u64s, encode_f64s, encode_u32s, encode_u64s};
+pub use datatypes::{decode_f64s, decode_u64s, encode_f64s, encode_u64s};
 pub use packet::{decode_packet, encode_packet};
 pub use tag::{decode_tag, encode_tag};

@@ -45,7 +45,7 @@ use kifmm_core::engine::{
     ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, SourceProvider,
 };
 use kifmm_core::{
-    BuildError, EvalReport, Evaluator, FmmBuilder, FmmOptions, Meter, Phase, PrecomputeCache,
+    BuildError, EvalReport, FmmBuilder, FmmOptions, Meter, Phase, PrecomputeCache,
     Precomputed, FIRST_FMM_LEVEL,
 };
 use kifmm_kernels::{Kernel, Point3};
@@ -517,41 +517,6 @@ impl<K: Kernel> ParallelFmm<K> {
         let _span = rt.span("Eval", "scatter");
         EvalReport::assemble(tree, td, pots, grads, &meter.stats, &self.trace)
     }
-
-    /// Bind to a communicator, yielding an [`Evaluator`]: the distributed
-    /// analogue of a shared-memory `Session`, usable by generic solver code.
-    pub fn bind<'c>(&'c self, comm: &'c Comm) -> BoundParallelFmm<'c, K> {
-        BoundParallelFmm { fmm: self, comm }
-    }
-}
-
-/// A [`ParallelFmm`] bound to its communicator (see [`ParallelFmm::bind`]):
-/// implements [`Evaluator`] over this rank's local points.
-pub struct BoundParallelFmm<'c, K: Kernel> {
-    fmm: &'c ParallelFmm<K>,
-    comm: &'c Comm,
-}
-
-impl<K: Kernel> Evaluator for BoundParallelFmm<'_, K> {
-    fn eval(&self, densities: &[f64]) -> EvalReport {
-        self.fmm.eval(self.comm, densities)
-    }
-
-    fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        self.fmm.eval_many(self.comm, densities)
-    }
-
-    fn num_points(&self) -> usize {
-        self.fmm.local_len()
-    }
-
-    fn src_dim(&self) -> usize {
-        self.fmm.kernel.src_dim()
-    }
-
-    fn trg_dim(&self) -> usize {
-        self.fmm.kernel.trg_dim()
-    }
 }
 
 /// Distributed construction from the same fluent [`FmmBuilder`] chain that
@@ -563,7 +528,7 @@ impl<K: Kernel> Evaluator for BoundParallelFmm<'_, K> {
 ///     .order(6)
 ///     .trace(tracer.clone())
 ///     .build_parallel(comm);
-/// let report = pfmm.bind(comm).eval(&local_densities);
+/// let report = pfmm.eval(comm, &local_densities);
 /// ```
 pub trait BuildParallel<K: Kernel>: Sized {
     /// Fallible collective constructor: every rank calls this with its
@@ -669,7 +634,7 @@ mod tests {
         }
     }
 
-    /// Builder construction + comm binding + tracing: every rank records
+    /// Builder construction + distributed eval + tracing: every rank records
     /// an "Up" span, comm byte counters are nonzero for >1 rank, and the
     /// async overlap events come in matched begin/end pairs.
     #[test]
@@ -693,10 +658,9 @@ mod tests {
                 .options(opts)
                 .trace(tracer2.clone())
                 .build_parallel(comm);
-            let bound = pfmm.bind(comm);
-            assert_eq!(bound.num_points(), chunks2[r].len());
-            assert_eq!(bound.src_dim(), 1);
-            bound.eval(&vec![1.0; chunks2[r].len()]).potentials
+            assert_eq!(pfmm.local_len(), chunks2[r].len());
+            assert_eq!(pfmm.kernel.src_dim(), 1);
+            pfmm.eval(comm, &vec![1.0; chunks2[r].len()]).potentials
         });
         for (r, pot) in out.iter().enumerate() {
             let e = rel_l2_error(pot, &serial[r]);

@@ -24,7 +24,7 @@ pub mod exchange;
 pub mod global_tree;
 pub mod ownership;
 
-pub use driver::{BoundParallelFmm, BuildParallel, ParallelFmm};
+pub use driver::{BuildParallel, ParallelFmm};
 pub use exchange::{Combine, ExchangePlan, ExchangeRoute, UserKind};
 pub use global_tree::{build_distributed_tree, build_distributed_tree_with, DistributedTree};
 pub use kifmm_tree::TreeBuild;

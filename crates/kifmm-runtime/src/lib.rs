@@ -116,13 +116,6 @@ pub fn par_index(n: usize, f: impl Fn(usize) + Sync) {
     run_pool(num_threads(), n, &|| (), &|(), i| f(i));
 }
 
-/// [`par_index`] with a per-worker scratch state: `init()` runs once per
-/// worker thread, and `f` receives that worker's `&mut S` (the rayon
-/// `for_each_init` pattern, used for reusable FFT accumulators).
-pub fn par_index_init<S>(n: usize, init: impl Fn() -> S + Sync, f: impl Fn(&mut S, usize) + Sync) {
-    run_pool(num_threads(), n, &init, &f);
-}
-
 /// Raw pointer that may cross thread boundaries. Safety rests on the
 /// index-claiming discipline of [`run_pool`]: each index is handed to
 /// exactly one task, and tasks only touch the disjoint region derived
@@ -161,8 +154,9 @@ pub fn par_chunks_mut_with<T: Send>(
     par_chunks_mut_init_with(threads, data, size, || (), |(), i, c| f(i, c));
 }
 
-/// [`par_chunks_mut`] with a per-worker scratch state (see
-/// [`par_index_init`]).
+/// [`par_chunks_mut`] with a per-worker scratch state: `init()` runs once
+/// per worker thread, and `f` receives that worker's `&mut S` (the rayon
+/// `for_each_init` pattern, used for reusable FFT accumulators).
 pub fn par_chunks_mut_init<T: Send, S>(
     data: &mut [T],
     size: usize,
@@ -529,7 +523,7 @@ mod tests {
                 self.1.fetch_add(self.0, Ordering::Relaxed);
             }
         }
-        par_index_init(257, || Tally(0, &total), |t, _| t.0 += 1);
+        par_chunks_mut_init(&mut [0u8; 257], 1, || Tally(0, &total), |t, _, _| t.0 += 1);
         assert_eq!(total.load(Ordering::Relaxed), 257);
     }
 

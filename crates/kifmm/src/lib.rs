@@ -29,7 +29,7 @@
 //! Long-running services keep a
 //! [`PlanCache`] keyed on (kernel, order, M2L mode, geometry) so repeated
 //! geometries skip setup entirely, and batch `k` charge vectors through
-//! one sweep with [`Evaluator::eval_many`].
+//! one sweep with [`Session::eval_many`].
 //!
 //! Attach a [`Tracer`] via [`FmmBuilder::trace`] to capture per-rank span
 //! timelines, byte/message counters, and a Perfetto-loadable chrome-trace
@@ -64,7 +64,7 @@ pub use kifmm_tree as tree;
 pub use kifmm_core::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, geometry_hash,
     kernel_name_hash, rel_l2_error, BuildError,
-    EvalReport, Evaluator, Fmm, FmmBuilder, FmmOptions, M2lMode, OutputSpec, Phase,
+    EvalReport, Fmm, FmmBuilder, FmmOptions, M2lMode, OutputSpec, Phase,
     PhaseStats, Plan, PlanCache, PlanKey, Session, TreeBuild, UpdateError, PHASES, PHASE_NAMES,
 };
 pub use kifmm_kernels::{
@@ -72,6 +72,6 @@ pub use kifmm_kernels::{
     Point3, Stokes,
 };
 pub use kifmm_mpi::PeerTraffic;
-pub use kifmm_parallel::{BoundParallelFmm, BuildParallel, ParallelFmm};
+pub use kifmm_parallel::{BuildParallel, ParallelFmm};
 pub use kifmm_solver::{gmres, GmresOptions, SingleLayerOperator, SurfaceQuadrature};
 pub use kifmm_trace::{BenchSummary, Counter, Tracer};

@@ -8,9 +8,7 @@
 
 use kifmm::parallel::ParallelFmm;
 use kifmm::tree::partition_points;
-use kifmm::{
-    BenchSummary, Counter, Evaluator, Fmm, FmmOptions, Laplace, Tracer, PHASE_NAMES,
-};
+use kifmm::{BenchSummary, Counter, Fmm, FmmOptions, Laplace, Tracer, PHASE_NAMES};
 use kifmm_testkit::json::Json;
 use kifmm_trace::PhaseLine;
 
@@ -90,7 +88,7 @@ fn distributed_chrome_trace_round_trips() {
         let r = comm.rank();
         let mut pfmm = ParallelFmm::new(comm, Laplace, &chunks[r], opts);
         pfmm.set_trace(tracer2.clone());
-        let report = pfmm.bind(comm).eval(&vec![1.0; chunks[r].len()]);
+        let report = pfmm.eval(comm, &vec![1.0; chunks[r].len()]);
         assert!(report.trace.is_enabled());
     });
     assert!(tracer.counter_total(Counter::BytesSent) > 0, "ranks exchanged data");
