@@ -13,7 +13,7 @@
 use kifmm::{FmmOptions, Laplace, ModifiedLaplace, Stokes};
 use kifmm_bench::{
     env_usize, print_table_header, print_table_row, rank_sweep, run_distributed, summarize,
-    write_bench_summary, CommModel,
+    CommModel,
 };
 
 fn main() {
@@ -35,20 +35,17 @@ fn main() {
     for &p in &ranks {
         let m = run_distributed(Laplace, &uniform, p, opts, iters);
         print_table_row(&summarize(&m, &model));
-        write_bench_summary(&format!("table_4_1_laplace_P{p}"), n, opts.order, &m);
     }
 
     print_table_header("Modified Laplacian kernel (uniform 512-sphere distribution)");
     for &p in &ranks {
         let m = run_distributed(ModifiedLaplace::new(1.0), &uniform, p, opts, iters);
         print_table_row(&summarize(&m, &model));
-        write_bench_summary(&format!("table_4_1_mod_laplace_P{p}"), n, opts.order, &m);
     }
 
     print_table_header("Stokes kernel (non-uniform corner-clustered distribution)");
     for &p in &ranks {
         let m = run_distributed(Stokes::new(1.0), &clustered, p, opts, iters);
         print_table_row(&summarize(&m, &model));
-        write_bench_summary(&format!("table_4_1_stokes_P{p}"), n, opts.order, &m);
     }
 }

@@ -71,8 +71,6 @@ pub struct RankMetrics {
     pub setup_msgs: u64,
     /// Points this rank owns.
     pub local_points: usize,
-    /// Octree depth of the (globally agreed) tree.
-    pub tree_depth: usize,
 }
 
 impl RankMetrics {
@@ -125,55 +123,8 @@ pub fn run_distributed<K: Kernel>(
             setup_bytes: after_setup.bytes_sent,
             setup_msgs: after_setup.messages_sent,
             local_points: local.len(),
-            tree_depth: pfmm.dtree.tree.depth() as usize,
         }
     })
-}
-
-/// Opt-in artifact emission for the table/figure binaries: when
-/// `KIFMM_BENCH_DIR` is set, merge the per-rank phase stats into one
-/// `BENCH_<bench>.json` (`kifmm-bench-v1`) in that directory. The
-/// document is built from the same `PhaseStats` the printed tables use,
-/// so artifacts and tables cannot disagree.
-pub fn write_bench_summary(
-    bench: &str,
-    n: usize,
-    order: usize,
-    metrics: &[RankMetrics],
-) -> Option<std::path::PathBuf> {
-    let dir = std::env::var("KIFMM_BENCH_DIR").ok()?;
-    let mut merged = PhaseStats::new();
-    for m in metrics {
-        merged.merge(&m.phases);
-    }
-    let summary = kifmm::trace::BenchSummary {
-        bench: bench.into(),
-        n,
-        order,
-        ranks: metrics.len(),
-        tree_depth: metrics.first().map_or(0, |m| m.tree_depth),
-        phases: kifmm::PHASE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| kifmm::trace::PhaseLine {
-                name: (*name).into(),
-                seconds: merged.seconds[i],
-                flops: merged.flops[i],
-                messages: merged.comm_messages[i],
-                bytes: merged.comm_bytes[i],
-            })
-            .collect(),
-        comm_bytes: metrics.iter().map(|m| m.eval_bytes).sum(),
-        comm_messages: metrics.iter().map(|m| m.eval_msgs).sum(),
-        extra: vec![],
-    };
-    match summary.write_to(&dir) {
-        Ok(path) => Some(path),
-        Err(e) => {
-            eprintln!("BENCH write failed for {bench}: {e}");
-            None
-        }
-    }
 }
 
 /// One row of a Table-4.1/4.2-style report.

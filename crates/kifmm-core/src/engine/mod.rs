@@ -282,7 +282,8 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             if nb == 0 {
                 continue;
             }
-            let lops = self.pre.ops.at(level);
+            let (lops, scale) = self.pre.ops.at(level);
+            let half = self.tree.domain.box_half(level);
             // S2M: leaf sources → upward check potentials, one batch block
             // (`nrhs` rows) per active box (internal boxes stay zero for
             // M2M below). The upward surface is built once per box and
@@ -294,7 +295,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 let node = &self.tree.nodes[ni as usize];
                 if node.is_leaf() {
                     let c = self.tree.domain.box_center(&node.key);
-                    let uc = surface_points(self.order, RAD_OUTER, c, lops.box_half);
+                    let uc = surface_points(self.order, RAD_OUTER, c, half);
                     let mut outs: Vec<&mut [f64]> = chk.chunks_mut(cs).collect();
                     self.p2p_box(src, ni, &uc, &mut Vec::with_capacity(nrhs), &mut outs, None);
                 }
@@ -315,12 +316,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                         ws.pairs.push((i as u32, ci));
                     }
                 }
-                flops += self.translate(&lops.ue2uc[oct], nrhs, &store.up, &mut rows, true, ws);
+                let op = &lops.ue2uc[oct];
+                flops += self.translate(op, scale.fwd, nrhs, &store.up, &mut rows, true, ws);
             }
             // Level-wide check → equivalent inversion, one GEMM.
             ws.pairs.clear();
             ws.pairs.extend(act.iter().enumerate().map(|(j, &ni)| (ni, j as u32)));
-            flops += self.translate(&lops.uc2ue, nrhs, &rows, &mut store.up, false, ws);
+            flops += self.translate(&lops.uc2ue, scale.inv, nrhs, &rows, &mut store.up, false, ws);
         }
         ws.rows = rows;
         flops
@@ -328,14 +330,17 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
 
     /// The engine's one box → box translation (M2M, L2L and the two check
     /// → equivalent inversions): for every `(dst box, src box)` of
-    /// `ws.pairs`, apply `op` to the source's block in the node-major slab
-    /// `src` (`nrhs` rows of `op.cols()`) and add it to — or, without
-    /// `accumulate`, store it as — the destination's block in `dst`
-    /// (`nrhs` rows of `op.rows()`), all pairs in one multi-RHS GEMM.
-    /// Returns the flop count.
+    /// `ws.pairs`, apply `alpha · op` — a table shared across levels times
+    /// this level's factor, formed entry by entry inside the GEMM — to the
+    /// source's block in the node-major slab `src` (`nrhs` rows of
+    /// `op.cols()`) and add it to — or, without `accumulate`, store it as —
+    /// the destination's block in `dst` (`nrhs` rows of `op.rows()`), all
+    /// pairs in one multi-RHS GEMM. Returns the flop count.
+    #[allow(clippy::too_many_arguments)]
     fn translate(
         &self,
         op: &Mat,
+        alpha: f64,
         nrhs: usize,
         src: &[f64],
         dst: &mut [f64],
@@ -359,7 +364,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         }
         ws.yout.clear();
         ws.yout.resize(m * ncols, 0.0);
-        self.apply_op_cols(op, &ws.xin, &mut ws.yout, ncols);
+        self.apply_op_cols(op, alpha, &ws.xin, &mut ws.yout, ncols);
         for (j, &(a, _)) in ws.pairs.iter().enumerate() {
             let blk = &mut dst[a as usize * m * nrhs..(a as usize + 1) * m * nrhs];
             for q in 0..nrhs {
@@ -373,24 +378,24 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     }
 
     /// Apply operator `op` (`m × k`) to `ncols` column vectors packed
-    /// column-major in `xin` (`k × ncols`), writing `yout = op · xin`
+    /// column-major in `xin` (`k × ncols`), writing `yout = alpha · op · xin`
     /// (`m × ncols`). Pool dispatch row-blocks the output; per-element
     /// results are identical for any blocking, so serial and pool agree
     /// bitwise.
-    fn apply_op_cols(&self, op: &Mat, xin: &[f64], yout: &mut [f64], ncols: usize) {
+    fn apply_op_cols(&self, op: &Mat, alpha: f64, xin: &[f64], yout: &mut [f64], ncols: usize) {
         let (m, k) = (op.rows(), op.cols());
         debug_assert_eq!(xin.len(), k * ncols);
         debug_assert_eq!(yout.len(), m * ncols);
         let threads = self.dispatch.threads();
         if threads <= 1 || m * ncols < 4096 {
-            gemm_slices(1.0, op.as_slice(), xin, 0.0, yout, m, k, ncols);
+            gemm_slices(alpha, op.as_slice(), xin, 0.0, yout, m, k, ncols);
         } else {
             let rows_per = m.div_ceil(threads);
             par_chunks_mut_with(threads, yout, rows_per * ncols, |blk, y| {
                 let r0 = blk * rows_per;
                 let rows = y.len() / ncols;
                 gemm_slices(
-                    1.0,
+                    alpha,
                     &op.as_slice()[r0 * k..(r0 + rows) * k],
                     xin,
                     0.0,
@@ -610,7 +615,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let mut flops = 0u64;
         for level in FIRST_FMM_LEVEL..=depth {
             let (ls, le) = self.level_range(level);
-            let half = self.pre.ops.at(level).box_half;
+            let half = self.tree.domain.box_half(level);
             par_chunks_mut_with(threads, &mut store.check[ls * csb..le * csb], csb, |i, slot| {
                 let ni = ls + i;
                 if !mask[ni] || self.lists.x[ni].is_empty() {
@@ -649,7 +654,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             if act.is_empty() {
                 continue;
             }
-            let lops = self.pre.ops.at(level);
+            let (lops, scale) = self.pre.ops.at(level);
             if level > FIRST_FMM_LEVEL {
                 // L2L translation, batched per octant. (An active box's
                 // parent is active too: it contains the box's points.)
@@ -661,14 +666,15 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                             ws.pairs.push((ni, node.parent));
                         }
                     }
-                    let (down, check) = (&store.down, &mut store.check);
-                    flops += self.translate(&lops.de2dc[oct], nrhs, down, check, true, ws);
+                    let (op, down, check) = (&lops.de2dc[oct], &store.down, &mut store.check);
+                    flops += self.translate(op, scale.fwd, nrhs, down, check, true, ws);
                 }
             }
             // Check → downward equivalent inversion, one GEMM per level.
             ws.pairs.clear();
             ws.pairs.extend(act.iter().map(|&ni| (ni, ni)));
-            flops += self.translate(&lops.dc2de, nrhs, &store.check, &mut store.down, false, ws);
+            let (check, down) = (&store.check, &mut store.down);
+            flops += self.translate(&lops.dc2de, scale.inv, nrhs, check, down, false, ws);
         }
         flops
     }

@@ -50,7 +50,7 @@ pub use plan::{
 };
 pub use kifmm_tree::TreeBuild;
 pub use m2l::{v_list_directions, M2lDirect, M2lFft, M2lMode};
-pub use operators::{LevelOps, OperatorTable, FIRST_FMM_LEVEL};
+pub use operators::{LevelOps, LevelRule, LevelScale, OperatorTable, FIRST_FMM_LEVEL};
 pub use precompute::{Precomputed, PrecomputeCache};
 pub use stats::{thread_cpu_time, Meter, Phase, PhaseStats, PHASES, PHASE_NAMES};
 pub use surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};

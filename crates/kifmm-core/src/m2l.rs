@@ -13,12 +13,13 @@
 //! per each of the 316 relative directions), and one inverse FFT per
 //! target box.
 //!
-//! For homogeneous kernels the 316 tensors are built once at a reference
-//! level and the level scale `λ^deg` is applied when the check potential
-//! is read off the grid; for inhomogeneous kernels they are built per
-//! level.
+//! Both tables hold one set of 316 entries per slot of the
+//! [`LevelRule`]: one slot for a homogeneous kernel, whose level factor
+//! `fwd` is applied when the check potential is read off the grid, one
+//! slot per level otherwise.
 
-use crate::surface::{surface_grid_indices, surface_points, RAD_INNER};
+use crate::operators::LevelRule;
+use crate::surface::{num_surface_points, surface_grid_indices, surface_points, RAD_INNER};
 use kifmm_fft::{pointwise_mul_add, C64, Fft3};
 use kifmm_kernels::{assemble, Kernel};
 use kifmm_linalg::Mat;
@@ -35,6 +36,10 @@ pub enum M2lMode {
     /// the oracle the FFT path is tested against. Never faster than `Fft`.
     Direct,
 }
+
+/// Plan construction checks the operator tables cover every level of the
+/// tree, and the M2L tables are built from the same rule.
+const NO_LEVEL: &str = "M2L asked for a level the plan validated";
 
 /// All 316 V-list directions: offsets `v ∈ [−3, 3]³` with `max|v_i| > 1`.
 pub fn v_list_directions() -> Vec<[i32; 3]> {
@@ -61,11 +66,9 @@ pub struct M2lFft<K: Kernel> {
     /// Volume-grid linear index of each surface point.
     surf_idx: Vec<usize>,
     /// Kernel tensor FFTs: `tensors[slot][dir] → [TRG·SRC][m³]`
-    /// concatenated. One slot for homogeneous kernels (reference level),
-    /// one per level otherwise.
+    /// concatenated, one map per slot of `rule`.
     tensors: Vec<HashMap<[i32; 3], Vec<C64>>>,
-    /// Level → (slot, scale) lookup.
-    level_slot: Vec<(usize, f64)>,
+    rule: LevelRule,
     /// Hermitian mirror pairs `(dst, src)` covering every grid index with
     /// `w₂ > m/2`: all inputs are real, so `X[−w] = conj(X[w])` and the
     /// Hadamard stage only touches the half-spectrum slab `w₂ ≤ m/2`;
@@ -89,27 +92,12 @@ impl<K: Kernel> M2lFft<K> {
             .map(|[i, j, k]| (i * m + j) * m + k)
             .collect();
         let dirs = v_list_directions();
-        let mut tensors = Vec::new();
-        let mut level_slot = vec![(usize::MAX, 0.0); depth as usize + 1];
-        if depth >= 2 {
-            match kernel.homogeneity() {
-                Some(deg) => {
-                    let ref_half = root_half / 4.0; // level 2
-                    tensors.push(build_tensors(kernel, p, m, &plan, ref_half, &dirs));
-                    for l in 2..=depth as usize {
-                        let half = root_half / (1u64 << l) as f64;
-                        level_slot[l] = (0, (half / ref_half).powf(deg));
-                    }
-                }
-                None => {
-                    for l in 2..=depth as usize {
-                        let half = root_half / (1u64 << l) as f64;
-                        level_slot[l] = (tensors.len(), 1.0);
-                        tensors.push(build_tensors(kernel, p, m, &plan, half, &dirs));
-                    }
-                }
-            }
-        }
+        let rule = LevelRule::new(kernel, root_half, depth);
+        let tensors = rule
+            .slot_halves()
+            .iter()
+            .map(|&half| build_tensors(kernel, p, m, &plan, half, &dirs))
+            .collect();
         let mut mirror = Vec::with_capacity(m * m * (m / 2 - 1));
         for w0 in 0..m {
             for w1 in 0..m {
@@ -125,7 +113,7 @@ impl<K: Kernel> M2lFft<K> {
             plan,
             surf_idx,
             tensors,
-            level_slot,
+            rule,
             mirror,
             src_dim: kernel.src_dim(),
             trg_dim: kernel.trg_dim(),
@@ -143,6 +131,12 @@ impl<K: Kernel> M2lFft<K> {
     /// Hermitian symmetry).
     pub fn slab_len(&self) -> usize {
         self.m * self.m * (self.m / 2 + 1)
+    }
+
+    /// Bytes of kernel-tensor spectra held.
+    pub fn bytes(&self) -> usize {
+        let entries: usize = self.tensors.iter().flat_map(HashMap::values).map(Vec::len).sum();
+        entries * std::mem::size_of::<C64>()
     }
 
     /// Forward-transform a box's upward equivalent density
@@ -172,7 +166,7 @@ impl<K: Kernel> M2lFft<K> {
     pub fn accumulate(&self, level: u8, dir: [i32; 3], src: &[C64], acc: &mut [C64]) -> u64 {
         let g = self.grid_len();
         let (m, h) = (self.m, self.m / 2 + 1);
-        let (slot, _) = self.level_slot[level as usize];
+        let slot = self.rule.at(level).expect(NO_LEVEL).slot;
         let tensor = self.tensors[slot]
             .get(&dir)
             .unwrap_or_else(|| panic!("missing M2L tensor for direction {dir:?}"));
@@ -200,7 +194,7 @@ impl<K: Kernel> M2lFft<K> {
         let g = self.grid_len();
         let td = self.trg_dim;
         debug_assert_eq!(check.len(), self.surf_idx.len() * td);
-        let (_, scale) = self.level_slot[level as usize];
+        let scale = self.rule.at(level).expect(NO_LEVEL).fwd;
         // Only the embedded surface cube `[0, p)³` is read back, so the
         // inverse transform is pruned to that corner.
         let p = self.m / 2;
@@ -294,54 +288,43 @@ fn build_tensors<K: Kernel>(
 pub struct M2lDirect<K: Kernel> {
     kernel: K,
     p: usize,
-    /// Cache: (level, direction) → `(n_s·TRG) × (n_s·SRC)` matrix. For
-    /// homogeneous kernels every level shares the level-2 reference entry
-    /// plus a per-level scale.
-    cache: std::sync::Mutex<HashMap<(u8, [i32; 3]), std::sync::Arc<Mat>>>,
-    level_scale: Vec<(u8, f64)>,
-    root_half: f64,
+    /// Cache: (rule slot, direction) → `(n_s·TRG) × (n_s·SRC)` matrix.
+    cache: std::sync::Mutex<HashMap<(usize, [i32; 3]), std::sync::Arc<Mat>>>,
+    rule: LevelRule,
 }
 
 impl<K: Kernel> M2lDirect<K> {
     /// Set up the lazy cache for levels `2..=depth`.
     pub fn new(kernel: &K, p: usize, root_half: f64, depth: u8) -> Self {
-        let mut level_scale = vec![(0u8, 1.0); depth as usize + 1];
-        match kernel.homogeneity() {
-            Some(deg) => {
-                let ref_half = root_half / 4.0;
-                for l in 2..=depth as usize {
-                    let half = root_half / (1u64 << l) as f64;
-                    level_scale[l] = (2, (half / ref_half).powf(deg));
-                }
-            }
-            None => {
-                for l in 2..=depth as usize {
-                    level_scale[l] = (l as u8, 1.0);
-                }
-            }
-        }
         M2lDirect {
             kernel: kernel.clone(),
             p,
             cache: std::sync::Mutex::new(HashMap::new()),
-            level_scale,
-            root_half,
+            rule: LevelRule::new(kernel, root_half, depth),
         }
+    }
+
+    /// Bytes the cache holds once every (slot, direction) has been
+    /// assembled — it fills lazily, and a budget must cover the warm state.
+    pub fn bytes(&self) -> usize {
+        let ns = num_surface_points(self.p);
+        let entries = ns * self.kernel.trg_dim() * ns * self.kernel.src_dim();
+        self.rule.slot_halves().len() * 316 * entries * std::mem::size_of::<f64>()
     }
 
     /// Apply one dense M2L interaction: `check += scale · K_dir · equiv`.
     /// Returns the flop count charged.
     pub fn apply(&self, level: u8, dir: [i32; 3], equiv: &[f64], check: &mut [f64]) -> u64 {
-        let (cache_level, scale) = self.level_scale[level as usize];
+        let at = self.rule.at(level).expect(NO_LEVEL);
         let mat = {
             // Recover from poisoning: the map is consistent even if a
             // concurrent assembler panicked.
             let mut cache =
                 self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             cache
-                .entry((cache_level, dir))
+                .entry((at.slot, dir))
                 .or_insert_with(|| {
-                    let half = self.root_half / (1u64 << cache_level) as f64;
+                    let half = self.rule.slot_halves()[at.slot];
                     let dc = surface_points(self.p, RAD_INNER, [0.0; 3], half);
                     let side = 2.0 * half;
                     let src_center =
@@ -352,7 +335,7 @@ impl<K: Kernel> M2lDirect<K> {
                 .clone()
         };
         let mut tmp = vec![0.0; check.len()];
-        kifmm_linalg::gemv(scale, &mat, equiv, 0.0, &mut tmp);
+        kifmm_linalg::gemv(at.fwd, &mat, equiv, 0.0, &mut tmp);
         for (c, t) in check.iter_mut().zip(&tmp) {
             *c += t;
         }
@@ -428,11 +411,7 @@ mod tests {
     fn homogeneous_levels_share_tensors() {
         let fft = M2lFft::build(&Laplace, 4, 1.0, 6);
         assert_eq!(fft.tensors.len(), 1, "Laplace shares one tensor slot");
-        // Scales follow λ^{-1}: deeper level → half halves → scale doubles.
-        let (s2, sc2) = fft.level_slot[2];
-        let (s3, sc3) = fft.level_slot[3];
-        assert_eq!(s2, s3);
-        assert!((sc3 / sc2 - 2.0).abs() < 1e-12);
+        assert_eq!(fft.bytes(), 316 * fft.grid_len() * 16);
     }
 
     #[test]
@@ -440,23 +419,21 @@ mod tests {
         let k = kifmm_kernels::ModifiedLaplace::new(1.0);
         let fft = M2lFft::build(&k, 3, 1.0, 4);
         assert_eq!(fft.tensors.len(), 3, "levels 2, 3, 4");
-        for l in 2..=4 {
-            assert!((fft.level_slot[l].1 - 1.0).abs() < 1e-15);
-        }
+        assert_eq!(fft.bytes(), 3 * 316 * fft.grid_len() * 16);
     }
 
-    /// The Gaussian reports `homogeneity() == None` (no power law relates
+    /// The Gaussian declares no homogeneity degree (no power law relates
     /// scales), so it must take the per-level branch ModifiedLaplace
     /// pioneered: one tensor slab per level, all scales exactly 1.
     #[test]
     fn gaussian_gets_per_level_tensors() {
         let k = kifmm_kernels::Gaussian::new(0.8);
-        assert_eq!(k.homogeneity(), None, "Gaussian is inhomogeneous");
         let fft = M2lFft::build(&k, 3, 1.0, 5);
         assert_eq!(fft.tensors.len(), 4, "own tensors for levels 2, 3, 4, 5");
-        for l in 2..=5 {
-            assert_eq!(fft.level_slot[l].0, l - 2, "level {l} maps to its own slot");
-            assert!((fft.level_slot[l].1 - 1.0).abs() < 1e-15, "no rescale for level {l}");
+        for l in 2..=5u8 {
+            let at = fft.rule.at(l).unwrap();
+            assert_eq!(at.slot, l as usize - 2, "level {l} maps to its own slot");
+            assert_eq!(at.fwd, 1.0, "no rescale for level {l}");
         }
     }
 

@@ -1,4 +1,5 @@
-//! Per-level translation operators (paper §2.1, equations (2.1)–(2.5)).
+//! Translation operators (paper §2.1, equations (2.1)–(2.5)) and the one
+//! rule for which table a level reads, times what.
 //!
 //! All boxes of one level share the same geometry up to translation, so the
 //! four dense operators are precomputed once per level:
@@ -12,21 +13,94 @@
 //! * `DE2DC[oct]` — parent downward equivalent → child downward check (the
 //!   forward map of the L2L translation (2.5)).
 //!
-//! For kernels homogeneous of degree `d` (Laplace, Stokes: `d = −1`) the
-//! operators are assembled once at a reference level and rescaled by
-//! `(r_l/r_ref)^d` (or the reciprocal for the inverses); the modified
-//! Laplace kernel carries a physical length scale and is assembled level
-//! by level.
+//! [`LevelRule`] is the only place outside `kifmm-kernels` that looks at
+//! [`Kernel::homogeneity`]. For a kernel homogeneous of degree `d`
+//! (Laplace, Stokes: `d = −1`) every table — these operators, the FFT M2L
+//! tensors, the dense M2L matrices — is assembled **once**, at the
+//! reference level, and level `l` multiplies it by `fwd = (r_l/r_ref)^d`
+//! (forward maps) or `inv = (r_l/r_ref)^−d` (inversions) as it is applied:
+//! the engine hands the factor to `gemm_slices` as `alpha`, which forms
+//! `alpha · a[i][p]` — the very product a pre-scaled copy would have
+//! stored — so the result is bit-identical to scaling the table, for any
+//! degree. A kernel with a physical length scale (modified Laplace,
+//! Gaussian) gets one table per level and factors of exactly 1.
 
 use crate::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{assemble, Kernel};
 use kifmm_linalg::{pinv_with_tol, Mat};
 
-/// Operators shared by all boxes of one level.
+/// The coarsest level that carries equivalent densities.
+pub const FIRST_FMM_LEVEL: u8 = 2;
+
+/// Relative singular-value truncation of the check-to-equivalent
+/// pseudoinverses. A constant, not an option: the operator tables are
+/// cached by `(kernel, depth, root half-width, order, M2L mode)`, so a
+/// settable tolerance that is not part of those keys would be served stale
+/// tables.
+pub const PINV_TOL: f64 = 1e-10;
+
+/// What one level reads: table slot `slot`, forward maps times `fwd`,
+/// inversions times `inv`.
+#[derive(Clone, Copy, Debug)]
+pub struct LevelScale {
+    /// Index of the table the level shares (operators, M2L tensors).
+    pub slot: usize,
+    /// `λ^deg`, `λ` = level half-width / slot half-width (exactly 1 when
+    /// every level has its own slot).
+    pub fwd: f64,
+    /// `λ^−deg`.
+    pub inv: f64,
+}
+
+/// Level → [`LevelScale`] for levels `2..=depth` (coarser levels have no
+/// well-separated boxes, hence no equivalent densities — the redundant
+/// near-root work the paper accepts is skipped entirely in serial), plus
+/// the box half-width each table slot is assembled at.
+#[derive(Clone, Debug)]
+pub struct LevelRule {
+    /// Entry `i` is level `FIRST_FMM_LEVEL + i`.
+    levels: Vec<LevelScale>,
+    slot_halves: Vec<f64>,
+}
+
+impl LevelRule {
+    /// The rule for `kernel` over a tree of the given depth whose root box
+    /// has half-width `root_half`: one slot at [`FIRST_FMM_LEVEL`] for a
+    /// homogeneous kernel, one slot per level otherwise.
+    pub fn new<K: Kernel>(kernel: &K, root_half: f64, depth: u8) -> LevelRule {
+        let half = |l: u8| root_half / (1u64 << l) as f64;
+        let deg = kernel.homogeneity();
+        let levels: Vec<LevelScale> = (FIRST_FMM_LEVEL..=depth)
+            .map(|l| match deg {
+                Some(deg) => {
+                    let lam = half(l) / half(FIRST_FMM_LEVEL);
+                    LevelScale { slot: 0, fwd: lam.powf(deg), inv: lam.powf(-deg) }
+                }
+                None => LevelScale { slot: (l - FIRST_FMM_LEVEL) as usize, fwd: 1.0, inv: 1.0 },
+            })
+            .collect();
+        // Slot `s` is assembled at the first level that reads it.
+        let slots = levels.last().map_or(0, |s| s.slot + 1);
+        let slot_halves = (0..slots).map(|s| half(FIRST_FMM_LEVEL + s as u8)).collect();
+        LevelRule { levels, slot_halves }
+    }
+
+    /// What `level` reads, or `None` when it carries no expansions (coarser
+    /// than [`FIRST_FMM_LEVEL`], or beyond the rule's depth).
+    pub fn at(&self, level: u8) -> Option<LevelScale> {
+        let i = level.checked_sub(FIRST_FMM_LEVEL)?;
+        self.levels.get(i as usize).copied()
+    }
+
+    /// Box half-width of each table slot, in slot order.
+    pub fn slot_halves(&self) -> &[f64] {
+        &self.slot_halves
+    }
+}
+
+/// The four operators for boxes of one half-width.
 #[derive(Clone, Debug)]
 pub struct LevelOps {
-    /// Box half-width at this level.
-    pub box_half: f64,
     /// Upward check potential → upward equivalent density,
     /// `(n_s·SRC) × (n_s·TRG)`.
     pub uc2ue: Mat,
@@ -40,83 +114,48 @@ pub struct LevelOps {
     pub de2dc: Vec<Mat>,
 }
 
-/// Operator tables for levels `2..=depth` (coarser levels have no
-/// well-separated boxes, hence no equivalent densities — the redundant
-/// near-root work the paper accepts is skipped entirely in serial).
+/// One [`LevelOps`] per slot of a [`LevelRule`].
 pub struct OperatorTable {
-    /// `levels[l]` is `Some` for `2 ≤ l ≤ depth`.
-    pub levels: Vec<Option<LevelOps>>,
-    /// Surface discretization order `p`.
-    pub order: usize,
+    slots: Vec<LevelOps>,
+    rule: LevelRule,
 }
-
-/// The coarsest level that carries equivalent densities.
-pub const FIRST_FMM_LEVEL: u8 = 2;
-
-/// Relative singular-value truncation of the check-to-equivalent
-/// pseudoinverses. A constant, not an option: the operator tables are
-/// cached by `(depth, root half-width, order, M2L mode)`, so a settable
-/// tolerance that is not part of those keys would be served stale tables.
-pub const PINV_TOL: f64 = 1e-10;
 
 impl OperatorTable {
     /// Assemble operators for a tree of the given depth whose root box has
     /// half-width `root_half`.
     pub fn build<K: Kernel>(kernel: &K, order: usize, root_half: f64, depth: u8) -> OperatorTable {
-        let mut levels: Vec<Option<LevelOps>> = vec![None; depth as usize + 1];
-        if depth < FIRST_FMM_LEVEL {
-            return OperatorTable { levels, order };
-        }
-        match kernel.homogeneity() {
-            Some(deg) => {
-                // Reference level, then rescale.
-                let ref_level = FIRST_FMM_LEVEL;
-                let ref_half = root_half / (1u64 << ref_level) as f64;
-                let base = build_level(kernel, order, ref_half);
-                for l in FIRST_FMM_LEVEL..=depth {
-                    let half = root_half / (1u64 << l) as f64;
-                    let lam = half / ref_half;
-                    let fwd = lam.powf(deg);
-                    let inv = lam.powf(-deg);
-                    let mut ops = base.clone();
-                    ops.box_half = half;
-                    ops.uc2ue.scale(inv);
-                    ops.dc2de.scale(inv);
-                    for m in ops.ue2uc.iter_mut().chain(ops.de2dc.iter_mut()) {
-                        m.scale(fwd);
-                    }
-                    levels[l as usize] = Some(ops);
-                }
-            }
-            None => {
-                for l in FIRST_FMM_LEVEL..=depth {
-                    let half = root_half / (1u64 << l) as f64;
-                    levels[l as usize] = Some(build_level(kernel, order, half));
-                }
-            }
-        }
-        OperatorTable { levels, order }
+        let rule = LevelRule::new(kernel, root_half, depth);
+        let slots = rule.slot_halves().iter().map(|&h| build_level(kernel, order, h)).collect();
+        OperatorTable { slots, rule }
     }
 
-    /// Operators at `level`, or `None` when the level carries none
-    /// (coarser than [`FIRST_FMM_LEVEL`], or beyond the table's depth).
-    pub fn try_at(&self, level: u8) -> Option<&LevelOps> {
-        self.levels.get(level as usize).and_then(Option::as_ref)
+    /// Operators `level` reads and the factors it applies them with, or
+    /// `None` when the level carries none.
+    pub fn try_at(&self, level: u8) -> Option<(&LevelOps, LevelScale)> {
+        self.rule.at(level).map(|s| (&self.slots[s.slot], s))
     }
 
-    /// Operators at `level`; panics if the level carries none. Plan
+    /// As [`OperatorTable::try_at`]; panics if the level carries none. Plan
     /// construction validates coverage up front (surfacing gaps as a
     /// typed `BuildError`), so reaching this panic from an engine pass
     /// means a caller bypassed that validation — use
     /// [`OperatorTable::try_at`] where absence is an expected outcome.
-    pub fn at(&self, level: u8) -> &LevelOps {
+    pub fn at(&self, level: u8) -> (&LevelOps, LevelScale) {
         self.try_at(level).unwrap_or_else(|| {
             panic!(
                 "no operators at level {level} (table covers {}..={})",
                 FIRST_FMM_LEVEL,
-                self.levels.len().saturating_sub(1)
+                FIRST_FMM_LEVEL as usize + self.rule.levels.len() - 1
             )
         })
+    }
+
+    /// Bytes of matrix entries held.
+    pub fn bytes(&self) -> usize {
+        let mats = self.slots.iter().flat_map(|o| {
+            [&o.uc2ue, &o.dc2de].into_iter().chain(&o.ue2uc).chain(&o.de2dc)
+        });
+        mats.map(|m| m.rows() * m.cols() * std::mem::size_of::<f64>()).sum()
     }
 }
 
@@ -149,7 +188,7 @@ fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64) -> LevelOps {
         de2dc.push(assemble(kernel, &dc, &parent_de));
     }
 
-    LevelOps { box_half: half, uc2ue, ue2uc, dc2de, de2dc }
+    LevelOps { uc2ue, ue2uc, dc2de, de2dc }
 }
 
 /// Center of child `oct` of a box at `c` with half-width `half`.
@@ -244,17 +283,17 @@ mod tests {
 
     #[test]
     fn homogeneous_scaling_matches_direct_assembly() {
-        // Operators built by rescaling must equal operators assembled at
-        // the target level directly.
+        // The shared reference table times the level's factors must equal
+        // operators assembled at the target level directly.
         let table = OperatorTable::build(&Laplace, 4, 1.0, 4);
         let direct = build_level(&Laplace, 4, 1.0 / 16.0);
-        let scaled = table.at(4);
-        assert!((scaled.box_half - 1.0 / 16.0).abs() < 1e-15);
+        let (base, s) = table.at(4);
         for (a, b) in [
-            (&scaled.ue2uc[3], &direct.ue2uc[3]),
-            (&scaled.de2dc[5], &direct.de2dc[5]),
+            (&base.ue2uc[3], &direct.ue2uc[3]),
+            (&base.de2dc[5], &direct.de2dc[5]),
         ] {
             let mut diff = a.clone();
+            diff.scale(s.fwd);
             diff.add_scaled(-1.0, b);
             assert!(diff.max_abs() < 1e-10 * b.max_abs(), "forward operator mismatch");
         }
@@ -265,7 +304,7 @@ mod tests {
         let k = assemble(&Laplace, &uc, &ue);
         let x: Vec<f64> = (0..ue.len()).map(|i| (i as f64 * 0.37).sin()).collect();
         let chk = k.matvec(&x);
-        let a = scaled.uc2ue.matvec(&chk);
+        let a: Vec<f64> = base.uc2ue.matvec(&chk).iter().map(|v| s.inv * v).collect();
         let b = direct.uc2ue.matvec(&chk);
         // Both must reproduce the same check potential.
         let ka = k.matvec(&a);
@@ -273,6 +312,52 @@ mod tests {
         for (u, v) in ka.iter().zip(&kb) {
             assert!((u - v).abs() < 1e-8, "pinv action mismatch {u} vs {v}");
         }
+    }
+
+    #[test]
+    fn one_table_per_slot() {
+        let homog = OperatorTable::build(&Laplace, 3, 1.0, 6);
+        assert_eq!(homog.slots.len(), 1, "homogeneous: one LevelOps at any depth");
+        let inhomog = OperatorTable::build(&ModifiedLaplace::new(1.0), 3, 1.0, 6);
+        assert_eq!(inhomog.slots.len(), 5, "one LevelOps per level 2..=6");
+        assert_eq!(inhomog.bytes(), 5 * homog.bytes());
+        let ns = crate::surface::num_surface_points(3);
+        assert_eq!(homog.bytes(), 18 * ns * ns * 8);
+    }
+
+    /// `(r_l / r_2)^deg` — the expression `M2lFft` scaled its check
+    /// potentials by before it read the rule.
+    fn m2l_scale(root_half: f64, l: u8, deg: f64) -> f64 {
+        ((root_half / (1u64 << l) as f64) / (root_half / 4.0)).powf(deg)
+    }
+
+    #[test]
+    fn rule_covers_the_fmm_levels_with_reciprocal_factors() {
+        let (root_half, depth) = (0.7, 9u8);
+        for deg in [-1.0, -2.0, -1.5] {
+            let kernel = kifmm_kernels::CustomKernel::new("deg", 1, 1, Some(deg), |_, _, _| {});
+            let rule = LevelRule::new(&kernel, root_half, depth);
+            assert_eq!(rule.slot_halves(), [root_half / 4.0]);
+            for l in 0..=depth + 2 {
+                let fmm_level = (FIRST_FMM_LEVEL..=depth).contains(&l);
+                assert_eq!(rule.at(l).is_some(), fmm_level, "level {l}");
+                let Some(s) = rule.at(l) else { continue };
+                assert_eq!(s.slot, 0);
+                assert_eq!(s.fwd.to_bits(), m2l_scale(root_half, l, deg).to_bits(), "level {l}");
+                // Exact for the dyadic degrees, one rounding each otherwise.
+                let tol = if deg == -1.5 { 4.0 * f64::EPSILON } else { 0.0 };
+                assert!((s.fwd * s.inv - 1.0).abs() <= tol, "deg {deg} level {l}");
+            }
+        }
+        let rule = LevelRule::new(&ModifiedLaplace::new(1.0), root_half, depth);
+        assert_eq!(rule.slot_halves().len(), depth as usize - 1);
+        assert!(rule.at(1).is_none() && rule.at(depth + 1).is_none());
+        for l in FIRST_FMM_LEVEL..=depth {
+            let s = rule.at(l).unwrap();
+            assert_eq!((s.slot, s.fwd, s.inv), ((l - 2) as usize, 1.0, 1.0));
+            assert_eq!(rule.slot_halves()[s.slot], root_half / (1u64 << l) as f64);
+        }
+        assert!(LevelRule::new(&Laplace, 1.0, 1).slot_halves().is_empty());
     }
 
     #[test]
@@ -331,7 +416,7 @@ mod tests {
     #[test]
     fn shallow_tree_has_no_operators() {
         let t = OperatorTable::build(&Laplace, 4, 1.0, 1);
-        assert!(t.levels.iter().all(|l| l.is_none()));
+        assert!(t.slots.is_empty() && (0..4).all(|l| t.try_at(l).is_none()));
     }
 
     #[test]

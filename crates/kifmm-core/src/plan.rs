@@ -431,38 +431,17 @@ impl<K: Kernel> Plan<K> {
         &self.sorted_points
     }
 
-    /// Estimated resident bytes of the plan (tree, lists, points and
-    /// operator tables) — the quantity [`PlanCache`] budgets its LRU
-    /// bound against. An estimate: dense operator and FFT-tensor sizes
-    /// are computed from their dimensions, not measured.
+    /// Estimated resident bytes of the plan — the quantity [`PlanCache`]
+    /// budgets its LRU bound against: tree, lists and points from their
+    /// lengths, operator tables as [`Precomputed::bytes`] reports them.
     pub fn approx_bytes(&self) -> usize {
-        let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        let ns = crate::surface::num_surface_points(self.opts.order);
-        let (es, cs) = (ns * sd, ns * td);
-        let depth = self.tree.depth() as usize;
-        let op_levels = depth.saturating_sub(FIRST_FMM_LEVEL as usize) + 1;
-        // 8 M2M + 8 L2L forward maps and 2 inversions per level, all
-        // es×cs-sized.
-        let ops = op_levels * 18 * es * cs * 8;
-        // One table family per level for inhomogeneous kernels, one shared
-        // reference level otherwise — FFT tensors and dense matrices alike.
-        let tensor_levels = if self.kernel.homogeneity().is_some() { 1 } else { op_levels };
-        let mut m2l = 0usize;
-        if let Some(fft) = &self.pre.m2l_fft {
-            m2l += tensor_levels * 316 * sd * td * fft.grid_len() * 16;
-        }
-        if self.pre.m2l_direct.is_some() {
-            // Dense tables fill lazily; charge the same footprint the
-            // fully-warm cache would reach.
-            m2l += tensor_levels * 316 * es * cs * 8;
-        }
         let tree = self.tree.num_nodes() * 96 + self.num_points * 4;
         let lists: usize = [&self.lists.u, &self.lists.v, &self.lists.w, &self.lists.x]
             .iter()
             .map(|l| l.iter().map(Vec::len).sum::<usize>() * 4 + l.len() * 24)
             .sum();
         let points = self.sorted_points.len() * 24;
-        ops + m2l + tree + lists + points
+        self.pre.bytes() + tree + lists + points
     }
 
     /// Borrow the prepared state into a [`PassEngine`] under the given
@@ -1346,8 +1325,10 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
-    /// Inhomogeneous kernels cache one dense matrix per (level,
-    /// direction); the LRU budget must charge every level of them.
+    /// Inhomogeneous kernels hold one dense M2L matrix per (level,
+    /// direction) and one operator block per level; the LRU budget must
+    /// charge every level of both, and a homogeneous kernel's single table
+    /// must not grow with depth.
     #[test]
     fn approx_bytes_charges_dense_tables_per_level_when_inhomogeneous() {
         let pts = cloud(900, 19);
@@ -1358,10 +1339,15 @@ mod tests {
         assert!(depth >= 3, "need several operator levels (depth {depth})");
         let op_levels = depth - FIRST_FMM_LEVEL as usize + 1;
         let ns = crate::surface::num_surface_points(opts.order);
-        let dense = 316 * ns * ns * 8;
-        // Same tree, lists, points and operator shapes: the estimates differ
-        // exactly by the extra levels of dense tables (homog charges one).
-        assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * dense);
+        let tables = (316 + 18) * ns * ns * 8;
+        // Same tree, lists and points: the estimates differ exactly by the
+        // extra levels of dense M2L matrices and of the 18 operators
+        // (homog holds one of each).
+        assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * tables);
+        assert_eq!(homog.pre.bytes(), tables);
+        let shallow = Plan::try_new(Laplace, &pts, FmmOptions { max_level: 2, ..opts }).unwrap();
+        assert_eq!(shallow.tree.depth(), 2);
+        assert_eq!(shallow.pre.bytes(), homog.pre.bytes(), "one table at any depth");
     }
 
     #[test]

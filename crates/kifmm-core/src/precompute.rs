@@ -1,10 +1,12 @@
 //! Shared, immutable translation-operator tables.
 //!
-//! Everything the FMM precomputes — the per-level check/equivalent
-//! pseudoinverses, the M2M/L2L forward maps and the 316 M2L kernel-tensor
-//! FFTs — depends only on `(kernel, order, root half-width, depth,
-//! m2l mode)`, not on the particle data. [`Precomputed`] bundles those
-//! tables and [`PrecomputeCache`] deduplicates them across evaluators.
+//! Everything the FMM precomputes — the check/equivalent pseudoinverses,
+//! the M2M/L2L forward maps and the 316 M2L kernel-tensor FFTs, each held
+//! once per slot of the [`crate::operators::LevelRule`] — depends only on
+//! `(kernel, order, root half-width, depth, m2l mode)`, not on the
+//! particle data. [`Precomputed`] bundles those tables and
+//! [`PrecomputeCache`] deduplicates them across evaluators, keyed on all
+//! five.
 //!
 //! The cache matters for the virtual-rank benches: on a real cluster every
 //! MPI rank builds (identical) tables against its own memory, but when the
@@ -15,13 +17,14 @@
 use crate::fmm::FmmOptions;
 use crate::m2l::{M2lDirect, M2lFft, M2lMode};
 use crate::operators::{OperatorTable, FIRST_FMM_LEVEL};
+use crate::plan::kernel_name_hash;
 use kifmm_kernels::Kernel;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// All particle-independent tables for one FMM configuration.
 pub struct Precomputed<K: Kernel> {
-    /// Per-level UC2UE/UE2UC/DC2DE/DE2DC operators.
+    /// UC2UE/UE2UC/DC2DE/DE2DC operators.
     pub ops: OperatorTable,
     /// FFT M2L tables (in [`M2lMode::Fft`]).
     pub m2l_fft: Option<M2lFft<K>>,
@@ -40,15 +43,25 @@ impl<K: Kernel> Precomputed<K> {
         };
         Precomputed { ops, m2l_fft, m2l_direct }
     }
+
+    /// Bytes the tables hold, as each reports about itself.
+    pub fn bytes(&self) -> usize {
+        self.ops.bytes()
+            + self.m2l_fft.as_ref().map_or(0, M2lFft::bytes)
+            + self.m2l_direct.as_ref().map_or(0, M2lDirect::bytes)
+    }
 }
 
-/// A concurrent cache of [`Precomputed`] tables keyed by configuration.
-///
-/// The kernel itself is *not* part of the key: one cache instance serves
-/// one kernel value (the type parameter pins the kernel type; callers must
-/// not mix differently-parameterized kernels in one cache).
+/// `(kernel id_bits, kernel name hash, depth, root half-width bits, order,
+/// M2L mode)`: everything [`Precomputed::build`] reads.
+type TableKey = (u64, u64, u8, u64, usize, M2lMode);
+
+/// A concurrent cache of [`Precomputed`] tables keyed by configuration,
+/// the kernel's parameters and name included (the type parameter alone
+/// does not tell `ModifiedLaplace::new(1.0)` from `new(3.0)`, nor one
+/// closure kernel from another).
 pub struct PrecomputeCache<K: Kernel> {
-    map: Mutex<HashMap<(u8, u64, usize, M2lMode), Arc<Precomputed<K>>>>,
+    map: Mutex<HashMap<TableKey, Arc<Precomputed<K>>>>,
 }
 
 impl<K: Kernel> Default for PrecomputeCache<K> {
@@ -73,8 +86,14 @@ impl<K: Kernel> PrecomputeCache<K> {
         root_half: f64,
         depth: u8,
     ) -> Arc<Precomputed<K>> {
-        // Fft and Direct build different tables, so the mode is in the key.
-        let key = (depth, root_half.to_bits(), opts.order, opts.m2l_mode);
+        let key = (
+            kernel.id_bits(),
+            kernel_name_hash(kernel.name()),
+            depth,
+            root_half.to_bits(),
+            opts.order,
+            opts.m2l_mode,
+        );
         // A poisoned lock only means some other cache user panicked
         // mid-build; the map itself is always in a consistent state, so
         // recover the guard rather than cascading the panic.
@@ -99,6 +118,44 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "same key shares tables");
         let c = cache.get_or_build(&Laplace, &opts, 1.0, 4);
         assert!(!Arc::ptr_eq(&a, &c), "different depth rebuilds");
+    }
+
+    /// One cache, one geometry, two parameterizations of one kernel type
+    /// (and two closures behind `CustomKernel`): each must get its own
+    /// tables and evaluate as accurately as it does with a private cache.
+    #[test]
+    fn cache_keys_on_kernel_parameters_and_name() {
+        use crate::{direct_eval, rel_l2_error, Fmm};
+        use kifmm_kernels::{CustomKernel, ModifiedLaplace};
+        let pts = kifmm_geom::uniform_cube(700, 5);
+        let dens = kifmm_geom::random_densities(700, 1, 6);
+        fn check<K: Kernel>(
+            cache: &PrecomputeCache<K>,
+            kernel: K,
+            pts: &[[f64; 3]],
+            dens: &[f64],
+        ) -> Arc<Precomputed<K>> {
+            let fmm =
+                Fmm::builder(kernel.clone()).points(pts).max_pts_per_leaf(20).cache(cache).build();
+            assert!(fmm.tree.depth() >= 2, "the tables must be read");
+            let err = rel_l2_error(&fmm.eval(dens).potentials, &direct_eval(&kernel, pts, dens));
+            assert!(err < 1e-4, "{} {:#x}: {err}", kernel.name(), kernel.id_bits());
+            fmm.pre.clone()
+        }
+        let cache = PrecomputeCache::new();
+        let weak = check(&cache, ModifiedLaplace::new(1.0), &pts, &dens);
+        let strong = check(&cache, ModifiedLaplace::new(3.0), &pts, &dens);
+        assert!(!Arc::ptr_eq(&weak, &strong), "λ = 1 tables served to λ = 3");
+
+        let closure = |tag: &str, lambda: f64| {
+            CustomKernel::new(tag, 1, 1, None, move |x, y, block| {
+                Kernel::eval(&ModifiedLaplace::new(lambda), x, y, block)
+            })
+        };
+        let cache = PrecomputeCache::new();
+        let a = check(&cache, closure("screened-1", 1.0), &pts, &dens);
+        let b = check(&cache, closure("screened-3", 3.0), &pts, &dens);
+        assert!(!Arc::ptr_eq(&a, &b), "one closure's tables served to another");
     }
 
     #[test]

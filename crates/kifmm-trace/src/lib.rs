@@ -18,11 +18,10 @@
 //!   strictly nested by construction (scope-based drop on one thread).
 //! * [`Counter`] — integer metrics (flops, bytes/messages sent and
 //!   received, tree cells touched) accumulated per rank.
-//! * Exporters: [`Tracer::chrome_trace_json`] (load in `about://tracing`
-//!   or [Perfetto](https://ui.perfetto.dev), one track per virtual rank,
-//!   async bars for in-flight exchanges showing the paper's comm/compute
-//!   overlap) and [`summary::BenchSummary`] (the flat `BENCH_*.json`
-//!   schema consumed by `scripts/verify.sh` and plotting).
+//! * One exporter, one artifact format: [`Tracer::chrome_trace_json`]
+//!   (load in `about://tracing` or [Perfetto](https://ui.perfetto.dev),
+//!   one track per virtual rank, async bars for in-flight exchanges
+//!   showing the paper's comm/compute overlap).
 //!
 //! Ring buffers have a fixed capacity (default [`DEFAULT_CAPACITY`] spans
 //! per rank); once full, the oldest spans are overwritten and
@@ -31,9 +30,6 @@
 
 mod chrome;
 mod jsonw;
-pub mod summary;
-
-pub use summary::{BenchSummary, PhaseLine};
 
 use kifmm_runtime::thread_cpu_time;
 use std::sync::atomic::{AtomicU64, Ordering};

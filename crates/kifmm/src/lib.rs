@@ -47,7 +47,7 @@
 //! | [`solver`] | GMRES and FMM-backed boundary integral operators |
 //! | [`geom`] | the paper's particle distributions (512 spheres, corners) |
 //! | [`linalg`], [`fft`] | the numerical substrates (SVD/pinv, mixed-radix FFT) |
-//! | [`trace`] | spans, counters, chrome-trace export, `BENCH_*.json` summaries |
+//! | [`trace`] | spans, counters, chrome-trace export |
 
 pub use kifmm_core as core;
 pub use kifmm_fft as fft;
@@ -74,4 +74,4 @@ pub use kifmm_kernels::{
 pub use kifmm_mpi::PeerTraffic;
 pub use kifmm_parallel::{BuildParallel, ParallelFmm};
 pub use kifmm_solver::{gmres, GmresOptions, SingleLayerOperator, SurfaceQuadrature};
-pub use kifmm_trace::{BenchSummary, Counter, Tracer};
+pub use kifmm_trace::{Counter, Tracer};

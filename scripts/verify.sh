@@ -39,26 +39,15 @@ cargo test -q --offline --workspace
 KIFMM_SIMD=0 cargo test -q --offline --workspace
 
 # 3. Observability artifact gate + comm-regression gate: a tiny
-#    distributed run must emit BENCH_*.json summaries with all seven
-#    phase keys (nonzero comm bytes for ranks > 1) and a chrome trace
-#    with one track per virtual rank. The per-phase message counts must
-#    stay within the coalesced bound: each of the two per-eval exchanges
-#    (densities, equivalents) sends at most one gather + one scatter
-#    message per peer per rank, so an evaluation's total is at most
-#    4·P·(P-1) — a ranks-based bound. The per-box path sent O(boxes)
-#    messages and would blow through it immediately.
+#    distributed run checks itself (`fn gate`: valid phase times, at most
+#    4·P·(P-1) evaluation messages, nonzero comm bytes for ranks > 1) and
+#    must leave a chrome trace with one track per virtual rank.
 artifacts=$(mktemp -d)
 trap 'rm -rf "$artifacts"' EXIT
 KIFMM_N=3000 KIFMM_BENCH_DIR="$artifacts" \
     cargo run -q --release --offline --example parallel_scaling > /dev/null
-validate="target/release/validate_json"
 cargo build -q --release --offline -p kifmm-testkit --bin validate_json
-for p in 1 2 4 8; do
-    bound=$((4 * p * (p - 1)))
-    "$validate" "$artifacts/BENCH_parallel_scaling_P$p.json" \
-        --bench-summary --max-eval-messages "$bound"
-done
-"$validate" "$artifacts/TRACE_parallel_scaling_P4.json" --chrome 4
+target/release/validate_json "$artifacts/TRACE_parallel_scaling_P4.json" --chrome 4
 echo "artifact + comm-regression gate: OK"
 
 # 4. Cross-path gate: one tiny problem through all three drivers (serial,
@@ -138,18 +127,34 @@ fi
 echo "one-evaluator gate: OK (Fmm = Session, one Meter, no pinv_tol)"
 
 # 5e. One-perf-harness gate: `benchmark/` is the only place a rate or a
-#     time is measured and `kifmm-bench-v1` the only hand-written BENCH
-#     schema; the examples check their own bounds and exit. The retired
-#     schemas, the `Evaluator` trait with its comm-bound carrier, and the
-#     LU/QR solvers nothing called may not come back.
-retired=$(grep -rnE 'kifmm-(service|tree-build|kernel-suite|engine-batching)-v1|trait Evaluator|BoundParallelFmm|lu_factor|householder_qr' \
+#     time is measured and the chrome trace the only artifact format; the
+#     examples check their own bounds and exit. The retired BENCH schemas,
+#     the `Evaluator` trait with its comm-bound carrier, and the LU/QR
+#     solvers nothing called may not come back.
+retired=$(grep -rnE 'kifmm-(service|tree-build|kernel-suite|engine-batching|bench)-v1|BenchSummary|PhaseLine|bench-summary|write_bench_summary|trait Evaluator|BoundParallelFmm|lu_factor|householder_qr' \
     crates tests examples scripts --exclude=verify.sh || true)
 if [ -n "$retired" ] || [ -e crates/kifmm-bench/benches ]; then
     echo "FAIL: a retired BENCH schema, evaluator layer or unused solver reintroduced:"
     echo "$retired"
     exit 1
 fi
-echo "one-harness gate: OK (kifmm-bench-v1 only, no Evaluator trait, no LU/QR)"
+echo "one-harness gate: OK (no hand-written BENCH schema, no Evaluator trait, no LU/QR)"
+
+# 5f. One-level-rule gate: which table a level reads, times what, is
+#     decided once (`operators::LevelRule`), and the box half-width lives
+#     on `Domain` only. Outside `kifmm-kernels`, `homogeneity()` may be
+#     read in operators.rs alone, and no struct under kifmm-core may grow
+#     a `box_half` field again.
+forks=$(grep -rn 'homogeneity()' crates/*/src | grep -v '^crates/kifmm-kernels/' \
+    | grep -v '^crates/kifmm-core/src/operators.rs:' || true)
+halves=$(grep -rn 'box_half:' crates/kifmm-core/src || true)
+if [ -n "$forks$halves" ]; then
+    echo "FAIL: a second level rule or a second copy of the box half-width reintroduced:"
+    echo "$forks"
+    echo "$halves"
+    exit 1
+fi
+echo "level-rule gate: OK (homogeneity() read in operators.rs only, no box_half field)"
 
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and

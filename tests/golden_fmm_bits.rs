@@ -1,0 +1,107 @@
+//! Golden-bits gate on the whole FMM: the translation-operator tables may
+//! be stored any way the engine likes, but every potential and gradient
+//! `Session::eval` / `eval_many` returns must reproduce, bit for bit, what
+//! the per-level scaled operator clones produced before they were replaced
+//! by one table + a GEMM `alpha` (PR 16).
+//!
+//! Each constant is FNV-1a over the IEEE-754 bit patterns of the outputs on
+//! a fixed corner-clustered cloud (depth ≥ 4, so several levels read the
+//! tables at different scales), captured at the parent commit of that
+//! change. One kernel per branch of the level rule: Laplace and Stokes
+//! (degree −1, dyadic scales), `LaplaceDipole` (degree −2), a closure
+//! declaring the non-dyadic degree −1.5 (scales that are not powers of
+//! two), `ModifiedLaplace` (no degree: per-level tables), and Laplace once
+//! more under the dense M2L oracle. Serial and pool must both match.
+//!
+//! `ModifiedLaplace` calls the platform `exp` and the −1.5 rule calls
+//! `powf`, neither of which IEEE-754 requires to be correctly rounded: on a
+//! libm other than the one the constants were captured with, only those
+//! rows may differ.
+
+use kifmm::{CustomKernel, Fmm, Kernel, Laplace, M2lMode, ModifiedLaplace, OutputSpec, Stokes};
+use kifmm_kernels::LaplaceDipole;
+
+/// `(row label, [eval POT, eval GRAD, eval_many(k = 3) POT, eval_many GRAD])`.
+#[rustfmt::skip]
+const GOLDEN: [(&str, [u64; 4]); 6] = [
+    ("Laplace/Fft", [0x62dec91b1fa6b043, 0x275e780a06e2dd56, 0x90600651bb38dcb2, 0x488c1ac5801ae45f]),
+    ("Stokes/Fft", [0x1f16fecf7ddeda24, 0x87efa033579ae2b8, 0x6667c8a7cc978e30, 0x58e42cb47b9ab0dc]),
+    ("LaplaceDipole/Fft", [0x877b7ae32bc929f6, 0x6cf402e4790c35bc, 0x8346920c29ab905a, 0x76b1f73699ee46d4]),
+    ("inv-r-1.5/Fft", [0x4ab4fea4ca6c5222, 0xbbcf1a0ec906ef8c, 0x7fddfc5bae5094bb, 0x30c8bb830340e3db]),
+    ("ModifiedLaplace/Fft", [0xc72951457fa26279, 0x84fe355a009d5593, 0xd58c86d469e4d238, 0x24a285def738b324]),
+    ("Laplace/Direct", [0x360c5826b44ab121, 0x0d611b66f547647e, 0xe9453f475d73ba89, 0xf2fe944e9caadd09]),
+];
+
+const N: usize = 900;
+
+fn fnv1a(h: &mut u64, values: &[f64]) {
+    for v in values {
+        for b in v.to_bits().to_le_bytes() {
+            *h ^= u64::from(b);
+            *h = h.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// `[POT, GRAD]` hashes over a batch of reports.
+fn hashes(reports: &[kifmm::EvalReport]) -> [u64; 2] {
+    let mut h = [0xcbf29ce484222325u64; 2];
+    for r in reports {
+        assert!(r.potentials.iter().chain(&r.gradients).all(|v| v.is_finite()));
+        fnv1a(&mut h[0], &r.potentials);
+        fnv1a(&mut h[1], &r.gradients);
+    }
+    h
+}
+
+fn row<K: Kernel>(kernel: K, mode: M2lMode) -> (String, [u64; 4]) {
+    let label = format!("{}/{mode:?}", kernel.name());
+    let pts = kifmm::geom::corner_clusters(N, 16);
+    let dens: Vec<Vec<f64>> =
+        (0..3).map(|q| kifmm::geom::random_densities(N, kernel.src_dim(), 40 + q)).collect();
+    let dens: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
+    let mut fmm = Fmm::builder(kernel)
+        .points(&pts)
+        .order(4)
+        .max_pts_per_leaf(12)
+        .m2l(mode)
+        .output(OutputSpec::PotentialAndGradient)
+        .build();
+    assert!(fmm.tree.depth() >= 4, "{label}: depth {} reads too few levels", fmm.tree.depth());
+    let run = |fmm: &Fmm<K>| {
+        let (one, many) = (hashes(&[fmm.eval(dens[0])]), hashes(&fmm.eval_many(&dens)));
+        [one[0], one[1], many[0], many[1]]
+    };
+    let serial = run(&fmm);
+    fmm.set_parallel_eval(true);
+    assert_eq!(serial, run(&fmm), "{label}: pool differs from serial");
+    (label, serial)
+}
+
+#[test]
+fn fmm_outputs_match_parent_commit_bits() {
+    // |x − y|^−1.5 from `sqrt` and one division only (both correctly
+    // rounded), gradients by central difference.
+    let inv_r15 = CustomKernel::new("inv-r-1.5", 1, 1, Some(-1.5), |x, y, block| {
+        let d = [x[0] - y[0], x[1] - y[1], x[2] - y[2]];
+        let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+        block[0] = if r == 0.0 { 0.0 } else { 1.0 / (r * r.sqrt()) };
+    });
+    let got = [
+        row(Laplace, M2lMode::Fft),
+        row(Stokes::new(0.7), M2lMode::Fft),
+        row(LaplaceDipole, M2lMode::Fft),
+        row(inv_r15, M2lMode::Fft),
+        row(ModifiedLaplace::new(1.3), M2lMode::Fft),
+        row(Laplace, M2lMode::Direct),
+    ];
+    if got.iter().zip(&GOLDEN).any(|(g, w)| g.0 != w.0 || g.1 != w.1) {
+        for (label, h) in &got {
+            eprintln!(
+                "    (\"{label}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]),",
+                h[0], h[1], h[2], h[3]
+            );
+        }
+        panic!("FMM output bits differ from the golden table (computed rows above)");
+    }
+}

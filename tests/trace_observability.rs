@@ -1,16 +1,13 @@
 //! Cross-crate observability integration: the tracer wired through the
 //! serial evaluator, the shared-memory parallel evaluator, and the
 //! distributed driver must (a) produce deterministic span trees for
-//! deterministic runs, (b) export chrome-trace JSON whose structure
-//! survives a round trip through the hand-rolled parser, and (c) yield
-//! `BENCH_*.json` summaries that agree exactly with the `PhaseStats`
-//! returned to the caller.
+//! deterministic runs, and (b) export chrome-trace JSON whose structure
+//! survives a round trip through the hand-rolled parser.
 
 use kifmm::parallel::ParallelFmm;
 use kifmm::tree::partition_points;
-use kifmm::{BenchSummary, Counter, Fmm, FmmOptions, Laplace, Tracer, PHASE_NAMES};
+use kifmm::{Counter, Fmm, FmmOptions, Laplace, Tracer, PHASE_NAMES};
 use kifmm_testkit::json::Json;
-use kifmm_trace::PhaseLine;
 
 fn points(n: usize, seed: u64) -> Vec<[f64; 3]> {
     kifmm::geom::uniform_cube(n, seed)
@@ -123,50 +120,6 @@ fn distributed_chrome_trace_round_trips() {
     assert_eq!(up_spans, 3, "every rank recorded its upward pass");
     assert_eq!(async_b, async_e, "balanced async begin/end pairs");
     assert!(async_b >= 6, "two overlapped exchanges per rank");
-}
-
-/// The `BENCH_*.json` artifact is built from the same `PhaseStats` the
-/// caller gets, so totals must agree exactly (and the document must obey
-/// its own schema).
-#[test]
-fn bench_summary_agrees_with_eval_report() {
-    let pts = points(600, 9);
-    let fmm = Fmm::builder(Laplace).points(&pts).order(4).build();
-    let report = fmm.eval(&vec![1.0; pts.len()]);
-    let summary = BenchSummary {
-        bench: "observability_test".into(),
-        n: pts.len(),
-        order: 4,
-        ranks: 1,
-        tree_depth: 3,
-        phases: PHASE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| PhaseLine {
-                name: (*name).into(),
-                seconds: report.stats.seconds[i],
-                flops: report.stats.flops[i],
-                messages: report.stats.comm_messages[i],
-                bytes: report.stats.comm_bytes[i],
-            })
-            .collect(),
-        comm_bytes: 0,
-        comm_messages: 0,
-        extra: vec![],
-    };
-    assert_eq!(summary.total_flops(), report.stats.total_flops());
-    assert!((summary.total_seconds() - report.stats.total_seconds()).abs() < 1e-12);
-    let doc = Json::parse(&summary.to_json()).expect("valid summary JSON");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("kifmm-bench-v1"));
-    let phases = doc.get("phases").expect("phases object");
-    for name in PHASE_NAMES {
-        let p = phases.get(name).unwrap_or_else(|| panic!("phase key {name}"));
-        assert!(p.get("seconds").and_then(Json::as_f64).expect("seconds") >= 0.0);
-    }
-    assert_eq!(
-        doc.get("total_flops").and_then(Json::as_f64),
-        Some(report.stats.total_flops() as f64)
-    );
 }
 
 /// `(depth, cat, name, n)` of one rank's spans, in open order.
