@@ -29,7 +29,7 @@ use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{Dispatch, Freelist};
 use kifmm_tree::{
-    build_lists, build_lists_sorted, first_non_finite, update_octree, InteractionLists, Octree,
+    build_lists, first_non_finite, update_octree, InteractionLists, Octree,
 };
 use kifmm_trace::{Counter, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -366,7 +366,7 @@ impl<K: Kernel> Plan<K> {
             // Same structure: the lists are valid verbatim — share them.
             Arc::clone(&self.lists)
         } else {
-            Arc::new(build_lists_sorted(&tree))
+            Arc::new(build_lists(&tree))
         };
         let mut sorted_points = vec![[0.0f64; 3]; new_points.len()];
         const CHUNK: usize = 1 << 16;

@@ -2,18 +2,21 @@
 //!
 //! Per evaluation, each rank:
 //!
-//! 1. posts its ghost-density gather packets (eager, one packed message
-//!    per owning peer) — *overlapped with:*
+//! 1. begins the ghost-density exchange: the plan reads this rank's
+//!    densities once and posts its gather packets (eager, one packed
+//!    message per owning peer) — *overlapped with:*
 //! 2. the **upward computation**: partial upward equivalent densities for
 //!    every box it contributes to, "ignoring the existence of the other
 //!    processors" (redundant work near the root, as the paper accepts);
-//! 3. posts the partial-equivalent gather packets and drives that
-//!    exchange to completion (owners sum partials — valid because every
-//!    translation is linear in the sources), draining any arrived
-//!    ghost-density packets opportunistically in the same wait loop;
-//! 4. runs the **M2L (V-list) translations** level by level with the
-//!    ghost-density exchange still in flight, polling it between levels
-//!    so density packets drain strictly underneath M2L compute;
+//! 3. begins the partial-equivalent exchange the same way — the plan takes
+//!    its copy of the partials, so the expansion store is free for M2L
+//!    while owners sum them (valid because every translation is linear in
+//!    the sources);
+//! 4. runs the **M2L (V-list) translations** level by level, first on the
+//!    targets whose V lists read no in-flight box, polling both exchanges
+//!    between levels so packets drain strictly underneath M2L compute,
+//!    then — once the equivalent exchange is driven to completion and the
+//!    global sums installed — on the held-back boundary targets;
 //! 5. completes the ghost-density exchange (by step 4's polling it is
 //!    usually already done) and runs the **dense (U-list) and X-list
 //!    computations** on the assembled ghost sources;
@@ -52,7 +55,7 @@ use kifmm_kernels::{Kernel, Point3};
 use kifmm_mpi::{allgatherv_u64, Comm};
 use kifmm_runtime::{Dispatch, Freelist};
 use kifmm_trace::Tracer;
-use kifmm_tree::{build_lists, build_lists_sorted, first_non_finite, InteractionLists};
+use kifmm_tree::{build_lists, first_non_finite, InteractionLists};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -180,12 +183,7 @@ impl<K: Kernel> ParallelFmm<K> {
             opts.max_level,
             opts.tree_build,
         );
-        let lists = match opts.tree_build {
-            // Sample-sort path: derive lists by binary search over the
-            // sorted level key arrays (no hash map).
-            kifmm_tree::TreeBuild::SampleSort => build_lists_sorted(&dtree.tree),
-            kifmm_tree::TreeBuild::Paper => build_lists(&dtree.tree),
-        };
+        let lists = build_lists(&dtree.tree);
         let nn = dtree.tree.num_nodes();
         let own = Ownership::build(
             comm,
@@ -217,15 +215,15 @@ impl<K: Kernel> ParallelFmm<K> {
             .collect();
         let src_route = ExchangeRoute::build(comm, &own, &src_leaves, UserKind::Source);
         let equiv_route = ExchangeRoute::build(comm, &own, &equiv_boxes, UserKind::Equiv);
-        let mut point_payload = |b: u32| -> Vec<f64> {
+        let point_payload = |b: u32| -> Vec<f64> {
             let nd = &dtree.tree.nodes[b as usize];
             dtree.sorted_points[nd.pt_start as usize..nd.pt_end as usize]
                 .iter()
                 .flat_map(|p| p.iter().copied())
                 .collect()
         };
-        let plan = src_route.begin(comm, SALT_POINTS, Combine::Concat, &mut point_payload);
-        let flat = plan.complete(comm, point_payload);
+        let flat =
+            src_route.begin(comm, SALT_POINTS, Combine::Concat, point_payload).complete(comm);
         let ghost_points: HashMap<u32, Vec<Point3>> = flat
             .into_iter()
             .map(|(b, v)| {
@@ -362,7 +360,7 @@ impl<K: Kernel> ParallelFmm<K> {
         //    U/X passes.
         let st = comm.stats();
         let mut sent = (st.messages_sent, st.bytes_sent);
-        let mut dens_payload = |b: u32| -> Vec<f64> {
+        let dens_payload = |b: u32| -> Vec<f64> {
             let nd = &tree.nodes[b as usize];
             let (s, e) = (nd.pt_start as usize * sd, nd.pt_end as usize * sd);
             let mut v = Vec::with_capacity((e - s) * k);
@@ -373,7 +371,7 @@ impl<K: Kernel> ParallelFmm<K> {
         };
         rt.async_begin("dens-exchange", ASYNC_DENS);
         let mut dens_plan = comm_step(&mut meter, comm, &mut sent, Some("dens-gather"), || {
-            self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), &mut dens_payload)
+            self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), dens_payload)
         });
         let mut dens_done = false;
 
@@ -381,21 +379,13 @@ impl<K: Kernel> ParallelFmm<K> {
         meter.compute(Phase::Up, "Up", None, || engine.upward(&local_src, store, ws));
         meter.touched(engine.active_cell_count());
 
-        // 3. Post the partial-equivalent gather packets. The payloads are
-        //    snapshotted from `store.up` first (the partials don't change
-        //    until the global sums are installed), so the plan holds no
-        //    borrow of the store and M2L can run while it is in flight.
+        // 3. Post the partial-equivalent gather packets. The plan copies
+        //    what it needs out of `store.up` here and holds no borrow of
+        //    the store, so M2L can run while it is in flight.
         rt.async_begin("equiv-exchange", ASYNC_EQUIV);
-        let (snap, mut equiv_plan) =
-            comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
-                let snap: HashMap<u32, Vec<f64>> =
-                    self.equiv_route.payload_boxes().map(|b| (b, store.up(b).to_vec())).collect();
-                let plan = self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, &mut |b| {
-                    snap[&b].clone()
-                });
-                (snap, plan)
-            });
-        let mut equiv_payload = |b: u32| snap[&b].clone();
+        let mut equiv_plan = comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
+            self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, |b| store.up(b).to_vec())
+        });
         let mut equiv_done = false;
 
         // 4a. M2L over the targets whose V lists read no in-flight box.
@@ -423,8 +413,8 @@ impl<K: Kernel> ParallelFmm<K> {
                 engine.m2l_level_where(level, store, ws, &|ni| vready[ni])
             });
             comm_step(&mut meter, comm, &mut sent, None, || {
-                equiv_done = equiv_done || equiv_plan.poll(comm, &mut equiv_payload);
-                dens_done = dens_done || dens_plan.poll(comm, &mut dens_payload);
+                equiv_done = equiv_done || equiv_plan.poll(comm);
+                dens_done = dens_done || dens_plan.poll(comm);
             });
         }
 
@@ -435,8 +425,8 @@ impl<K: Kernel> ParallelFmm<K> {
         let global_equiv = comm_step(&mut meter, comm, &mut sent, Some("equiv-drive"), || {
             let mut keys = Vec::new();
             loop {
-                equiv_done = equiv_done || equiv_plan.poll(comm, &mut equiv_payload);
-                dens_done = dens_done || dens_plan.poll(comm, &mut dens_payload);
+                equiv_done = equiv_done || equiv_plan.poll(comm);
+                dens_done = dens_done || dens_plan.poll(comm);
                 if equiv_done {
                     break;
                 }
@@ -466,7 +456,7 @@ impl<K: Kernel> ParallelFmm<K> {
             });
             if !dens_done {
                 comm_step(&mut meter, comm, &mut sent, None, || {
-                    dens_done = dens_plan.poll(comm, &mut dens_payload);
+                    dens_done = dens_plan.poll(comm);
                 });
             }
         }
@@ -477,7 +467,7 @@ impl<K: Kernel> ParallelFmm<K> {
             if dens_done {
                 dens_plan.finish()
             } else {
-                dens_plan.complete(comm, dens_payload)
+                dens_plan.complete(comm)
             }
         });
         rt.async_end("dens-exchange", ASYNC_DENS);
@@ -551,11 +541,18 @@ impl<K: Kernel> BuildParallel<K> for FmmBuilder<'_, K> {
             return Err(BuildError::OrderTooSmall(opts.order));
         }
         // Agree on the verdict collectively: a rank returning alone would
-        // leave its peers blocked in the tree build's collectives.
-        let local: Vec<u64> = first_non_finite(points)
-            .map_or(Vec::new(), |(point, dim)| vec![point as u64, dim as u64]);
-        if let Some(bad) = allgatherv_u64(comm, &local).iter().find(|v| !v.is_empty()) {
-            return Err(BuildError::NonFinitePoint { point: bad[0] as usize, dim: bad[1] as usize });
+        // leave its peers blocked in the tree build's collectives. Each
+        // rank publishes its point count, then its first bad coordinate.
+        let mut local = vec![points.len() as u64];
+        if let Some((point, dim)) = first_non_finite(points) {
+            local.extend([point as u64, dim as u64]);
+        }
+        let verdicts = allgatherv_u64(comm, &local);
+        if let Some(bad) = verdicts.iter().find(|v| v.len() > 1) {
+            return Err(BuildError::NonFinitePoint { point: bad[1] as usize, dim: bad[2] as usize });
+        }
+        if verdicts.iter().all(|v| v[0] == 0) {
+            return Err(BuildError::EmptyPoints);
         }
         let mut pfmm = match cache {
             Some(cache) => ParallelFmm::with_cache(comm, kernel, points, opts, cache),
@@ -632,6 +629,23 @@ mod tests {
         for verdict in out {
             assert_eq!(verdict, Err(BuildError::NonFinitePoint { point: 5, dim: 2 }));
         }
+    }
+
+    /// A globally empty point set is a typed error on every rank, not the
+    /// tree build's internal assert; one empty rank among populated ones
+    /// still builds.
+    #[test]
+    fn globally_empty_point_set_fails_the_build_on_every_rank() {
+        let out = run(2, |comm| {
+            Fmm::builder(Laplace).points(&[]).try_build_parallel(comm).map(|_| ())
+        });
+        assert_eq!(out, vec![Err(BuildError::EmptyPoints); 2]);
+        let all = uniform_cube(300, 79);
+        let out = run(2, move |comm| {
+            let local: &[Point3] = if comm.rank() == 0 { &all } else { &[] };
+            Fmm::builder(Laplace).points(local).try_build_parallel(comm).map(|p| p.local_len())
+        });
+        assert_eq!(out, vec![Ok(300), Ok(0)]);
     }
 
     /// Builder construction + distributed eval + tracing: every rank records

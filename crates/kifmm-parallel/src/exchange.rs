@@ -28,16 +28,20 @@
 //!
 //! ## Overlap surface
 //!
-//! [`ExchangeRoute::begin`] posts all outgoing gather packets (eager,
-//! returns immediately) and yields an [`ExchangePlan`] — a poll-driven
-//! state machine. [`ExchangePlan::poll`] makes progress without blocking
-//! (drain gather packets → combine + scatter once all parts are in → drain
-//! scatter packets), so the driver can interleave it between compute
-//! stages; [`ExchangePlan::complete`] drives the remainder, parking in
-//! [`Comm::wait_any`] instead of spinning. The combine folds contributor
-//! parts in ascending rank order with this rank's part produced by the
-//! same payload closure, so results are bitwise identical to the per-box
-//! path.
+//! [`ExchangeRoute::begin`] is the only call that reads payloads: it asks
+//! the payload closure exactly once per box this rank contributes to,
+//! posts all outgoing gather packets (eager, returns immediately) and
+//! moves this rank's parts of the boxes it owns *into* the
+//! [`ExchangePlan`] it yields — a poll-driven state machine that owns
+//! everything it will fold, so the buffers the payloads were read from
+//! are free to change while it is in flight. [`ExchangePlan::poll`] makes
+//! progress without blocking (drain gather packets → combine + scatter
+//! once all parts are in → drain scatter packets), so the driver can
+//! interleave it between compute stages; [`ExchangePlan::complete`] drives
+//! the remainder, parking in [`Comm::wait_any`] instead of spinning. The
+//! combine folds contributor parts in ascending rank order with this
+//! rank's part at its own position, so results are bitwise identical to
+//! the per-box path.
 
 use crate::ownership::Ownership;
 use kifmm_mpi::{decode_packet, encode_packet, encode_tag, Comm};
@@ -212,29 +216,20 @@ impl ExchangeRoute {
             .copied()
     }
 
-    /// Boxes the payload closure may be called for on this rank: boxes it
-    /// ships to other owners plus boxes it owns (whose local part enters
-    /// the combine fold). Lets a caller snapshot exactly the values the
-    /// exchange will read instead of holding a borrow across the plan's
-    /// lifetime.
-    pub fn payload_boxes(&self) -> impl Iterator<Item = u32> + '_ {
-        self.gather_sends
-            .iter()
-            .flat_map(|(_, boxes)| boxes)
-            .copied()
-            .chain(self.owned.iter().map(|(b, _)| *b))
-    }
-
-    /// Post this rank's gather packets (eager — one packed send per owning
-    /// peer) and return the pending plan. `payload` is called once per
-    /// contributed box; `salt` keeps concurrent exchanges (points vs
-    /// densities vs equivalents) in disjoint tag spaces.
+    /// Read this rank's payloads, post its gather packets (eager — one
+    /// packed send per owning peer) and return the pending plan.
+    ///
+    /// `payload` is called exactly once per box this rank contributes to:
+    /// the boxes it ships to other owners, then the boxes it owns, whose
+    /// local parts move into the plan for the combine fold. Nothing is
+    /// read after `begin` returns. `salt` keeps concurrent exchanges
+    /// (points vs densities vs equivalents) in disjoint tag spaces.
     pub fn begin<'r>(
         &'r self,
         comm: &Comm,
         salt: u64,
         combine: Combine,
-        payload: &mut impl FnMut(u32) -> Vec<f64>,
+        mut payload: impl FnMut(u32) -> Vec<f64>,
     ) -> ExchangePlan<'r> {
         let gtag = encode_tag(NS_GATHER, salt, 0);
         for (peer, boxes) in &self.gather_sends {
@@ -243,12 +238,16 @@ impl ExchangeRoute {
                 boxes.iter().zip(&payloads).map(|(&b, p)| (b, p.as_slice())).collect();
             comm.send(*peer, gtag, &encode_packet(&entries));
         }
+        // An owner always contributes (ownership picks among contributors),
+        // so its own part is keyed like a received one.
+        let me = comm.rank();
+        let parts = self.owned.iter().map(|(b, _)| ((me, *b), payload(*b))).collect();
         ExchangePlan {
             route: self,
             salt,
             combine,
             pending_gather: (0..self.gather_recvs.len()).collect(),
-            parts: HashMap::new(),
+            parts,
             scattered: false,
             pending_scatter: (0..self.scatter_recvs.len()).collect(),
             global: HashMap::new(),
@@ -256,17 +255,18 @@ impl ExchangeRoute {
     }
 }
 
-/// A coalesced gather/scatter in flight: gather packets posted, owner
-/// combine/scatter and user receives outstanding. Drive with
-/// [`ExchangePlan::poll`] between compute stages, or [`ExchangePlan::complete`]
-/// to block until done.
+/// A coalesced gather/scatter in flight: gather packets posted, this
+/// rank's own parts held, owner combine/scatter and user receives
+/// outstanding. Drive with [`ExchangePlan::poll`] between compute stages,
+/// or [`ExchangePlan::complete`] to block until done.
 pub struct ExchangePlan<'r> {
     route: &'r ExchangeRoute,
     salt: u64,
     combine: Combine,
     /// Indices into `route.gather_recvs` not yet received.
     pending_gather: Vec<usize>,
-    /// Received contributor parts, keyed by `(contributor, box)`.
+    /// Contributor parts of owned boxes, keyed by `(contributor, box)`:
+    /// this rank's own from `begin`, the peers' as their packets arrive.
     parts: HashMap<(usize, u32), Vec<f64>>,
     /// Owner duties done: parts combined, scatter packets posted.
     scattered: bool,
@@ -279,11 +279,7 @@ pub struct ExchangePlan<'r> {
 impl ExchangePlan<'_> {
     /// Make all progress possible without blocking; returns true once the
     /// exchange is finished (every used box's global payload assembled).
-    ///
-    /// `payload` must be the same function handed to
-    /// [`ExchangeRoute::begin`] — the owner's own contribution is produced
-    /// locally, never sent.
-    pub fn poll(&mut self, comm: &Comm, payload: &mut impl FnMut(u32) -> Vec<f64>) -> bool {
+    pub fn poll(&mut self, comm: &Comm) -> bool {
         // 1. Drain arrived gather packets.
         let gtag = encode_tag(NS_GATHER, self.salt, 0);
         let mut still = Vec::with_capacity(self.pending_gather.len());
@@ -303,19 +299,15 @@ impl ExchangePlan<'_> {
         //    `tests/parallel_consistency.rs` holds bitwise against a
         //    per-box reference) and post scatter packets.
         if !self.scattered && self.pending_gather.is_empty() {
-            let me = comm.rank();
             let mut combined: HashMap<u32, Vec<f64>> =
                 HashMap::with_capacity(self.route.owned.len());
             for (b, contributors) in &self.route.owned {
                 let mut acc: Option<Vec<f64>> = None;
                 for &src in contributors {
-                    let part = if src == me {
-                        payload(*b)
-                    } else {
-                        self.parts
-                            .remove(&(src, *b))
-                            .expect("contributor's gather packet carried this box")
-                    };
+                    let part = self
+                        .parts
+                        .remove(&(src, *b))
+                        .expect("begin or the contributor's gather packet supplied this box");
                     acc = Some(combine_fold(acc, part, self.combine));
                 }
                 combined.insert(*b, acc.expect("owner contributes, so at least one part"));
@@ -368,13 +360,9 @@ impl ExchangePlan<'_> {
 
     /// Drive the exchange to completion, parking in [`Comm::wait_any`]
     /// between polls, and return the global payload of every used box.
-    pub fn complete(
-        mut self,
-        comm: &Comm,
-        mut payload: impl FnMut(u32) -> Vec<f64>,
-    ) -> HashMap<u32, Vec<f64>> {
+    pub fn complete(mut self, comm: &Comm) -> HashMap<u32, Vec<f64>> {
         let mut keys = Vec::new();
-        while !self.poll(comm, &mut payload) {
+        while !self.poll(comm) {
             keys.clear();
             self.pending_keys(&mut keys);
             comm.wait_any(&keys);
@@ -441,7 +429,7 @@ mod tests {
                 .leaves()
                 .filter(|&b| own.has_src_users(b as usize))
                 .collect();
-            let mut payload = |b: u32| -> Vec<f64> {
+            let payload = |b: u32| -> Vec<f64> {
                 let nd = &dt.tree.nodes[b as usize];
                 dt.sorted_points[nd.pt_start as usize..nd.pt_end as usize]
                     .iter()
@@ -450,8 +438,7 @@ mod tests {
             };
             let route = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let sent_before = comm.stats().messages_sent;
-            let plan = route.begin(comm, 0, Combine::Concat, &mut payload);
-            let global = plan.complete(comm, payload);
+            let global = route.begin(comm, 0, Combine::Concat, payload).complete(comm);
             let sent = comm.stats().messages_sent - sent_before;
             assert_eq!(
                 sent as usize,
@@ -484,11 +471,10 @@ mod tests {
                 (0..nn as u32).filter(|&b| own.has_equiv_users(b as usize)).collect();
             // Fake partial payload: [local_count] so the global sum must be
             // the global count.
-            let mut payload =
+            let payload =
                 |b: u32| -> Vec<f64> { vec![dt.tree.nodes[b as usize].num_points() as f64] };
             let route = ExchangeRoute::build(comm, &own, &boxes, UserKind::Equiv);
-            let plan = route.begin(comm, 7, Combine::Sum, &mut payload);
-            let global = plan.complete(comm, payload);
+            let global = route.begin(comm, 7, Combine::Sum, payload).complete(comm);
             for &b in &boxes {
                 if own.is_equiv_user(b as usize, comm.rank()) {
                     assert_eq!(global[&b][0], dt.global_counts[b as usize] as f64);
@@ -514,13 +500,12 @@ mod tests {
             const K: usize = 3;
             // Per box: K RHS-major segments of one value each, tagged so
             // the RHS a value belongs to is recoverable.
-            let mut payload = |b: u32| -> Vec<f64> {
+            let payload = |b: u32| -> Vec<f64> {
                 let n = dt.tree.nodes[b as usize].num_points() as f64;
                 (0..K).map(|q| q as f64 * 1000.0 + n).collect()
             };
             let route = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
-            let plan = route.begin(comm, 3, Combine::ConcatRhs(K), &mut payload);
-            let global = plan.complete(comm, payload);
+            let global = route.begin(comm, 3, Combine::ConcatRhs(K), payload).complete(comm);
             for &b in &leaves {
                 if own.is_src_user(b as usize, comm.rank()) {
                     let nc = own.contributors(b as usize).len();
@@ -537,21 +522,19 @@ mod tests {
                 }
             }
             // ConcatRhs(1) == Concat, bitwise.
-            let mut pts_payload = |b: u32| -> Vec<f64> {
+            let pts_payload = |b: u32| -> Vec<f64> {
                 vec![dt.tree.nodes[b as usize].num_points() as f64; 2]
             };
-            let p1 = route
-                .begin(comm, 4, Combine::Concat, &mut pts_payload)
-                .complete(comm, &mut pts_payload);
-            let p2 = route
-                .begin(comm, 5, Combine::ConcatRhs(1), &mut pts_payload)
-                .complete(comm, &mut pts_payload);
+            let p1 = route.begin(comm, 4, Combine::Concat, pts_payload).complete(comm);
+            let p2 = route.begin(comm, 5, Combine::ConcatRhs(1), pts_payload).complete(comm);
             assert_eq!(p1, p2);
         });
     }
 
     /// Two exchanges in flight at once (distinct salts), driven by
-    /// interleaved polls — the overlap pattern the driver uses.
+    /// interleaved polls — the overlap pattern the driver uses — with the
+    /// buffer the payloads are read from overwritten right after `begin`:
+    /// a plan owns what it folds, and `begin` asks for each box once.
     #[test]
     fn interleaved_polling_of_two_exchanges() {
         let all = uniform_cube(1200, 33);
@@ -566,20 +549,26 @@ mod tests {
                 .collect();
             let boxes: Vec<u32> =
                 (0..nn as u32).filter(|&b| own.has_equiv_users(b as usize)).collect();
-            let mut pt_payload = |b: u32| -> Vec<f64> {
-                vec![dt.tree.nodes[b as usize].num_points() as f64; 2]
-            };
-            let mut eq_payload =
-                |b: u32| -> Vec<f64> { vec![dt.tree.nodes[b as usize].num_points() as f64] };
+            let mut buffer: Vec<f64> =
+                dt.tree.nodes.iter().map(|nd| nd.num_points() as f64).collect();
+            let mut calls = vec![0u32; nn];
             let r1 = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let r2 = ExchangeRoute::build(comm, &own, &boxes, UserKind::Equiv);
-            let mut p1 = r1.begin(comm, 1, Combine::Concat, &mut pt_payload);
-            let mut p2 = r2.begin(comm, 2, Combine::Sum, &mut eq_payload);
+            let mut p1 = r1.begin(comm, 1, Combine::Concat, |b| vec![buffer[b as usize]; 2]);
+            let mut p2 = r2.begin(comm, 2, Combine::Sum, |b| {
+                calls[b as usize] += 1;
+                vec![buffer[b as usize]]
+            });
+            buffer.fill(f64::NAN);
+            for &b in &boxes {
+                let contributes = own.is_contributor(b as usize, comm.rank());
+                assert_eq!(calls[b as usize], contributes as u32, "payload calls for box {b}");
+            }
             let (mut d1, mut d2) = (false, false);
             let mut keys = Vec::new();
             while !(d1 && d2) {
-                d1 = p1.poll(comm, &mut pt_payload);
-                d2 = p2.poll(comm, &mut eq_payload);
+                d1 = p1.poll(comm);
+                d2 = p2.poll(comm);
                 if d1 && d2 {
                     break;
                 }
@@ -601,8 +590,11 @@ mod tests {
             let g1 = p1.finish();
             for &b in &leaves {
                 if own.is_src_user(b as usize, comm.rank()) {
-                    // Concat: two floats per contributor, ascending order.
+                    // Concat: two floats per contributor, ascending order,
+                    // holding the counts read before the overwrite.
                     assert_eq!(g1[&b].len(), 2 * own.contributors(b as usize).len());
+                    let sum: f64 = g1[&b].iter().sum();
+                    assert_eq!(sum, 2.0 * dt.global_counts[b as usize] as f64);
                 }
             }
         });

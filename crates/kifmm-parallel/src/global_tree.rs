@@ -16,8 +16,14 @@
 //! it into a compact set of disjoint boxes with exact global counts
 //! ([`chunk_summary`]), and allgathers the summaries once. The resulting
 //! [`GlobalCounts`] oracle answers every "global points in box b" query
-//! of the level-by-level loop locally, so both algorithms run the *same*
-//! refinement loop and produce bitwise-identical structure.
+//! of the level-by-level loop locally.
+//!
+//! Both are *count providers* for the one refinement loop,
+//! [`kifmm_tree::refine_sorted_codes`] — the loop the serial build runs
+//! with local counts as global counts — so they produce bitwise-identical
+//! structure, and a serial build over the union of the points produces the
+//! same boxes. This module holds only what is distributed: the Allreduced
+//! bounds, the two providers, and the collective error verdicts.
 //!
 //! The result on every rank is the same *global structure tree* (the
 //! paper's compact global tree array: counts + child indices), with
@@ -29,8 +35,8 @@ use kifmm_mpi::{
     allgatherv_u64, allreduce_f64, allreduce_u64, sample_sort_u64, Comm, ReduceOp,
 };
 use kifmm_tree::{
-    chunk_summary, point_key, Domain, GlobalCounts, MortonKey, Node, Octree, SummaryEntry,
-    TreeBuild, MAX_LEVEL, NO_NODE,
+    chunk_summary, point_key, refine_sorted_codes, Domain, GlobalCounts, MortonKey, Octree,
+    SummaryEntry, TreeBuild, MAX_LEVEL,
 };
 
 /// The per-rank view of the globally agreed computation tree.
@@ -71,7 +77,6 @@ pub fn build_distributed_tree_with(
     algo: TreeBuild,
 ) -> DistributedTree {
     assert!(max_pts_per_leaf >= 1);
-    let max_level = max_level.min(MAX_LEVEL);
     // Agree on the global domain.
     let mut lo = [f64::INFINITY; 3];
     let mut hi = [f64::NEG_INFINITY; 3];
@@ -84,14 +89,7 @@ pub fn build_distributed_tree_with(
     allreduce_f64(comm, &mut lo, ReduceOp::Min);
     allreduce_f64(comm, &mut hi, ReduceOp::Max);
     assert!(lo[0].is_finite(), "global point set is empty");
-    let center = std::array::from_fn(|d| 0.5 * (lo[d] + hi[d]));
-    // Same formula as Domain::containing so the distributed structure
-    // matches what a serial build over the union of points would produce.
-    let mut half = (0..3).map(|d| 0.5 * (hi[d] - lo[d])).fold(0.0_f64, f64::max);
-    if half == 0.0 {
-        half = 0.5;
-    }
-    let domain = Domain { center, half: half * (1.0 + 1e-12) };
+    let domain = Domain::from_bounds(lo, hi);
 
     // Morton-sort the local points. Sorting (code, index) pairs breaks
     // ties on original index, so the permutation is identical for every
@@ -116,7 +114,7 @@ pub fn build_distributed_tree_with(
                 allreduce_u64(comm, &mut c, ReduceOp::Sum);
                 c[0]
             };
-            build_global_levels(
+            refine_sorted_codes(
                 &sorted_codes,
                 max_pts_per_leaf,
                 max_level,
@@ -130,7 +128,7 @@ pub fn build_distributed_tree_with(
         }
         TreeBuild::SampleSort => {
             let oracle = build_counts_oracle(comm, &sorted_codes, max_pts_per_leaf, max_level);
-            build_global_levels(
+            refine_sorted_codes(
                 &sorted_codes,
                 max_pts_per_leaf,
                 max_level,
@@ -187,118 +185,12 @@ fn build_counts_oracle(
     GlobalCounts::new(entries)
 }
 
-/// The shared level-by-level refinement loop (the paper's Algorithm in
-/// §3.1). `global_counts_of(keys, local_counts)` returns the *global*
-/// point count for each candidate child box; the Paper algorithm
-/// allreduces `local_counts`, the sample-sort algorithm queries its
-/// oracle with `keys`. Because the loop consumes only the returned global
-/// counts, two count providers that agree produce bitwise-identical
-/// structure.
-fn build_global_levels(
-    sorted_codes: &[u64],
-    max_pts_per_leaf: usize,
-    max_level: u8,
-    root_global: u64,
-    mut global_counts_of: impl FnMut(&[MortonKey], &[u64]) -> Vec<u64>,
-) -> (Vec<Node>, Vec<u64>, Vec<Vec<u32>>) {
-    let n = sorted_codes.len();
-    let mut nodes = vec![Node {
-        key: MortonKey::ROOT,
-        parent: NO_NODE,
-        children: [NO_NODE; 8],
-        pt_start: 0,
-        pt_end: n as u32,
-    }];
-    let mut global_counts = vec![root_global];
-    let mut levels: Vec<Vec<u32>> = vec![vec![0]];
-    let mut frontier: Vec<u32> = if root_global > max_pts_per_leaf as u64 && max_level > 0 {
-        vec![0]
-    } else {
-        Vec::new()
-    };
-
-    for level in 0..max_level {
-        if frontier.is_empty() {
-            break;
-        }
-        let depth = level + 1;
-        let shift = 3 * (MAX_LEVEL - depth) as u32 + 5;
-        // Local counts + ranges for the 8 candidate children of every
-        // splitting box — this is the level slice of the global tree
-        // array. The octant digit is non-decreasing inside a parent's
-        // sorted range, so each cut is a binary search.
-        let mut cand_keys = Vec::with_capacity(frontier.len() * 8);
-        let mut cand_counts = vec![0u64; frontier.len() * 8];
-        let mut cand_ranges = vec![(0u32, 0u32); frontier.len() * 8];
-        for (fi, &ni) in frontier.iter().enumerate() {
-            let (start, end) = {
-                let nd = &nodes[ni as usize];
-                (nd.pt_start, nd.pt_end)
-            };
-            let key = nodes[ni as usize].key;
-            let mut lo_i = start;
-            for oct in 0..8u8 {
-                let hi_i = lo_i
-                    + sorted_codes[lo_i as usize..end as usize]
-                        .partition_point(|&c| ((c >> shift) & 7) as u8 <= oct)
-                        as u32;
-                cand_keys.push(key.child(oct));
-                cand_counts[fi * 8 + oct as usize] = (hi_i - lo_i) as u64;
-                cand_ranges[fi * 8 + oct as usize] = (lo_i, hi_i);
-                lo_i = hi_i;
-            }
-            debug_assert_eq!(lo_i, end);
-        }
-        let cand_global = global_counts_of(&cand_keys, &cand_counts);
-        debug_assert_eq!(cand_global.len(), cand_counts.len());
-        debug_assert!(
-            cand_global.iter().zip(&cand_counts).all(|(&g, &l)| g >= l),
-            "global candidate counts must dominate local counts"
-        );
-
-        // Materialize globally nonempty children; decide next splits.
-        let mut next = Vec::new();
-        let mut this_level = Vec::new();
-        for (fi, &ni) in frontier.iter().enumerate() {
-            let key = nodes[ni as usize].key;
-            for oct in 0..8u8 {
-                let g = cand_global[fi * 8 + oct as usize];
-                if g == 0 {
-                    continue;
-                }
-                let (lo_i, hi_i) = cand_ranges[fi * 8 + oct as usize];
-                let child_idx = nodes.len() as u32;
-                nodes.push(Node {
-                    key: key.child(oct),
-                    parent: ni,
-                    children: [NO_NODE; 8],
-                    pt_start: lo_i,
-                    pt_end: hi_i,
-                });
-                global_counts.push(g);
-                nodes[ni as usize].children[oct as usize] = child_idx;
-                this_level.push(child_idx);
-                if g > max_pts_per_leaf as u64 && depth < max_level {
-                    next.push(child_idx);
-                }
-            }
-        }
-        if this_level.is_empty() {
-            break;
-        }
-        levels.push(this_level);
-        frontier = next;
-    }
-
-    (nodes, global_counts, levels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use kifmm_geom::uniform_cube;
     use kifmm_mpi::run;
-    use kifmm_tree::partition_points;
+    use kifmm_tree::{partition_points, NO_NODE};
 
     const ALGOS: [TreeBuild; 2] = [TreeBuild::SampleSort, TreeBuild::Paper];
 

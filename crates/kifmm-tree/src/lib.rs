@@ -7,12 +7,12 @@
 //! ([`build_lists`]: U/V/W/X), and the Morton-curve [`partition`]er used
 //! for distributing surface patches across ranks.
 //!
-//! Beyond the paper, the [`linearize`] module derives the same structure
-//! from a sorted Morton-code array (the Hu–Gumerov–Duraiswami sample-sort
-//! construction used by the distributed driver), [`lists::build_lists_sorted`]
-//! derives the interaction lists by binary search over the sorted level
-//! arrays, and [`update`] patches an existing tree for slightly moved
-//! points instead of rebuilding it.
+//! Every tree — serial, incremental, and both distributed builds — is
+//! derived by the one refinement loop of the [`linearize`] module from a
+//! sorted Morton-code array (which also holds the Hu–Gumerov–Duraiswami
+//! sample-sort count oracle the distributed driver uses), and [`update`]
+//! patches an existing tree for slightly moved points instead of
+//! rebuilding it.
 //!
 //! (Warren & Salmon's SC'92/SC'93 parallel hashed octree papers are cited
 //! as references 23 and 24 in the reproduction target.)
@@ -25,9 +25,13 @@ pub mod partition;
 pub mod update;
 
 pub use linearize::{
-    chunk_summary, code_range, structure_from_sorted_codes, GlobalCounts, SummaryEntry, TreeBuild,
+    chunk_summary, code_range, refine_sorted_codes, structure_from_sorted_codes, GlobalCounts,
+    SummaryEntry, TreeBuild,
 };
-pub use lists::{build_lists, build_lists_sorted, InteractionLists, SortedKeyIndex};
+// The old name of the one list builder: `benchmark/src/traced.rs` (frozen
+// outside a benchmark PR) still imports it. Goes with ROADMAP item 6.
+pub use lists::build_lists as build_lists_sorted;
+pub use lists::{build_lists, InteractionLists};
 pub use morton::{point_in_domain, point_key, try_point_key, MortonKey, MAX_LEVEL};
 pub use octree::{first_non_finite, Domain, Node, Octree, NO_NODE};
 pub use partition::{

@@ -1,26 +1,27 @@
-//! Linearized-octree derivation from sorted Morton codes.
+//! Linearized-octree derivation from sorted Morton codes: the one
+//! refinement loop every tree in the workspace comes from.
 //!
-//! The paper builds the global tree level by level with one `Allreduce`
-//! per level (§3.1) — O(depth) collectives. Following Hu, Gumerov &
-//! Duraiswami (arXiv:1301.1704), the same structure can be derived from a
-//! *parallel sample sort* of the max-depth Morton codes with O(1)
-//! collectives: after the sort, rank `r` holds a contiguous chunk of the
-//! global code array, summarizes it into a small set of disjoint
-//! (box, count) entries, and one Allgather of those summaries gives every
-//! rank an exact global-count oracle. This module holds the shared,
-//! communication-free pieces:
+//! The paper builds the tree "level by level", every rank taking the same
+//! subdivision decision from the same global counts (§3.1) — one loop,
+//! parameterised only by where the counts come from.
+//! [`refine_sorted_codes`] is that loop; its `counts_of` argument is the
+//! count provider:
 //!
-//! * [`structure_from_sorted_codes`] — the level-by-level BFS that turns a
-//!   sorted code array into the node/level arrays (also used by the serial
-//!   [`crate::Octree::build`] and the incremental update);
-//! * [`code_range`] — the half-open max-depth code interval a box covers;
-//! * [`chunk_summary`] — one rank's compressed view of its sorted chunk;
-//! * [`GlobalCounts`] — the exact global-count oracle over the merged
-//!   summaries.
+//! * **identity** ([`structure_from_sorted_codes`]) — the caller holds
+//!   every point, so local counts are global: the serial
+//!   [`crate::Octree::build`] and the incremental [`crate::update_octree`];
+//! * **Allreduce** ([`TreeBuild::Paper`]) — one collective per level, the
+//!   paper's algorithm, O(depth) collectives;
+//! * **oracle** ([`TreeBuild::SampleSort`]) — following Hu, Gumerov &
+//!   Duraiswami (arXiv:1301.1704), a *parallel sample sort* of the
+//!   max-depth codes gives rank `r` a contiguous chunk of the global code
+//!   array, [`chunk_summary`] compresses it into a small set of disjoint
+//!   (box, count) entries, and one Allgather of those summaries gives every
+//!   rank an exact [`GlobalCounts`] oracle: O(1) collectives.
 //!
-//! The distributed driver (`kifmm-parallel::global_tree`) wires these to
-//! the `kifmm-mpi` sample-sort collective, and keeps the paper's
-//! Allreduce algorithm behind [`TreeBuild::Paper`] as the ablation path.
+//! The two distributed providers are wired to `kifmm-mpi` in
+//! `kifmm-parallel::global_tree`; everything here is communication-free.
+//! [`code_range`] is the half-open max-depth code interval a box covers.
 
 use crate::morton::{MortonKey, MAX_LEVEL};
 use crate::octree::{Node, NO_NODE};
@@ -47,75 +48,127 @@ pub fn code_range(key: &MortonKey) -> (u64, u64) {
     (base, base + span)
 }
 
-/// Derive the node and level arrays from a Morton-sorted max-depth code
-/// array: subdivide while a box holds more than `max_pts_per_leaf` codes,
-/// up to `max_level`, materializing only nonempty children. Identical
-/// order and shape to the paper's level-by-level construction — this *is*
-/// the serial reference structure, shared by [`crate::Octree::build`],
-/// both distributed paths, and the incremental update.
+/// The refinement loop — the paper's §3.1 level-by-level construction,
+/// written once for every driver. From this caller's Morton-sorted
+/// max-depth codes it subdivides every box whose *global* count exceeds
+/// `max_pts_per_leaf`, up to `max_level`, and materializes every globally
+/// nonempty child with this caller's (possibly empty) point range.
 ///
-/// Octant boundaries inside a box's contiguous range are found by binary
-/// search, so the whole derivation is O(boxes · log s) after the sort.
-pub fn structure_from_sorted_codes(
+/// `counts_of(keys, local_counts)` answers one level's candidate children
+/// — eight per splitting box, in frontier then octant order — with their
+/// global counts, and is the only thing that differs between drivers: the
+/// serial build and the incremental update return `local_counts`
+/// ([`structure_from_sorted_codes`]), the paper's distributed build
+/// Allreduces them, the sample-sort build asks its [`GlobalCounts`] oracle
+/// about `keys`. The loop reads nothing but the returned counts, so
+/// providers that agree produce bitwise-identical structure. `root_global`
+/// is the global point count.
+///
+/// Returns `(nodes, global count per node, node indices per level)`, nodes
+/// in level-by-level order. Octant boundaries inside a box's contiguous
+/// range are binary searches, so the derivation is O(boxes · log s) after
+/// the sort.
+pub fn refine_sorted_codes(
     sorted_codes: &[u64],
     max_pts_per_leaf: usize,
     max_level: u8,
-) -> (Vec<Node>, Vec<Vec<u32>>) {
+    root_global: u64,
+    mut counts_of: impl FnMut(&[MortonKey], &[u64]) -> Vec<u64>,
+) -> (Vec<Node>, Vec<u64>, Vec<Vec<u32>>) {
     assert!(max_pts_per_leaf >= 1, "s must be at least 1");
     debug_assert!(sorted_codes.windows(2).all(|w| w[0] <= w[1]), "codes must be sorted");
     let max_level = max_level.min(MAX_LEVEL);
-    let n = sorted_codes.len();
+    let s = max_pts_per_leaf as u64;
     let mut nodes = vec![Node {
         key: MortonKey::ROOT,
         parent: NO_NODE,
         children: [NO_NODE; 8],
         pt_start: 0,
-        pt_end: n as u32,
+        pt_end: sorted_codes.len() as u32,
     }];
+    let mut global_counts = vec![root_global];
     let mut levels: Vec<Vec<u32>> = vec![vec![0]];
-    let mut frontier: Vec<u32> = vec![0];
-    for level in 0..max_level {
-        let mut next = Vec::new();
-        for &ni in &frontier {
-            let (start, end, key) = {
-                let nd = &nodes[ni as usize];
-                (nd.pt_start, nd.pt_end, nd.key)
-            };
-            if (end - start) as usize <= max_pts_per_leaf {
-                continue;
-            }
-            let depth = level + 1;
-            let shift = 3 * (MAX_LEVEL - depth) as u32 + 5;
-            let mut lo = start as usize;
-            for oct in 0..8u8 {
-                // Within the parent's range the octant digit is
-                // non-decreasing, so the end of this octant's run is a
-                // partition point.
-                let hi = lo
-                    + sorted_codes[lo..end as usize]
-                        .partition_point(|&c| ((c >> shift) & 7) as u8 <= oct);
-                if hi > lo {
-                    let child_idx = nodes.len() as u32;
-                    nodes.push(Node {
-                        key: key.child(oct),
-                        parent: ni,
-                        children: [NO_NODE; 8],
-                        pt_start: lo as u32,
-                        pt_end: hi as u32,
-                    });
-                    nodes[ni as usize].children[oct as usize] = child_idx;
-                    next.push(child_idx);
-                    lo = hi;
-                }
-            }
-            debug_assert_eq!(lo, end as usize, "children must partition the parent range");
-        }
-        if next.is_empty() {
+    // The boxes of the current level that split.
+    let mut frontier: Vec<u32> =
+        if root_global > s && max_level > 0 { vec![0] } else { Vec::new() };
+
+    for depth in 1..=max_level {
+        if frontier.is_empty() {
             break;
         }
-        levels.push(next.clone());
+        let shift = 3 * (MAX_LEVEL - depth) as u32 + 5;
+        // Local counts and ranges of the 8 candidate children of every
+        // splitting box — this level's slice of the paper's global tree
+        // array. The octant digit is non-decreasing inside a parent's
+        // sorted range, so each cut is a binary search.
+        let mut cand_keys = Vec::with_capacity(frontier.len() * 8);
+        let mut cand_local = Vec::with_capacity(frontier.len() * 8);
+        let mut cand_ranges = Vec::with_capacity(frontier.len() * 8);
+        for &ni in &frontier {
+            let nd = &nodes[ni as usize];
+            let mut lo = nd.pt_start;
+            for oct in 0..8u8 {
+                let hi = lo
+                    + sorted_codes[lo as usize..nd.pt_end as usize]
+                        .partition_point(|&c| ((c >> shift) & 7) as u8 <= oct)
+                        as u32;
+                cand_keys.push(nd.key.child(oct));
+                cand_local.push((hi - lo) as u64);
+                cand_ranges.push((lo, hi));
+                lo = hi;
+            }
+            debug_assert_eq!(lo, nd.pt_end, "children must partition the parent range");
+        }
+        let cand_global = counts_of(&cand_keys, &cand_local);
+        debug_assert_eq!(cand_global.len(), cand_local.len());
+        debug_assert!(
+            cand_global.iter().zip(&cand_local).all(|(&g, &l)| g >= l),
+            "global candidate counts must dominate local counts"
+        );
+
+        // Materialize the globally nonempty children; pick the next splits.
+        let mut this_level = Vec::new();
+        let mut next = Vec::new();
+        for (ci, &g) in cand_global.iter().enumerate() {
+            if g == 0 {
+                continue;
+            }
+            let parent = frontier[ci / 8];
+            let child_idx = nodes.len() as u32;
+            nodes.push(Node {
+                key: cand_keys[ci],
+                parent,
+                children: [NO_NODE; 8],
+                pt_start: cand_ranges[ci].0,
+                pt_end: cand_ranges[ci].1,
+            });
+            global_counts.push(g);
+            nodes[parent as usize].children[ci % 8] = child_idx;
+            this_level.push(child_idx);
+            if g > s && depth < max_level {
+                next.push(child_idx);
+            }
+        }
+        if this_level.is_empty() {
+            break;
+        }
+        levels.push(this_level);
         frontier = next;
     }
+    (nodes, global_counts, levels)
+}
+
+/// [`refine_sorted_codes`] over the whole point set: local counts *are*
+/// the global counts. The serial [`crate::Octree::build`] and
+/// [`crate::update_octree`] derive their structure here.
+pub fn structure_from_sorted_codes(
+    sorted_codes: &[u64],
+    max_pts_per_leaf: usize,
+    max_level: u8,
+) -> (Vec<Node>, Vec<Vec<u32>>) {
+    let (n, s) = (sorted_codes.len() as u64, max_pts_per_leaf);
+    let (nodes, _, levels) =
+        refine_sorted_codes(sorted_codes, s, max_level, n, |_, local| local.to_vec());
     (nodes, levels)
 }
 
@@ -308,6 +361,59 @@ mod tests {
         // The box's own (non-max-depth) code also lies in its range.
         let own = key.morton_code();
         assert!(own >= base && own < end);
+    }
+
+    #[test]
+    fn refinement_with_a_remote_count_provider_matches_the_union_build() {
+        // The loop at its seam, without a communicator: "rank" A holds a
+        // sub-sequence of the sorted codes (every other code of the first
+        // half), "rank" B the rest, and the provider answers each
+        // candidate with its count in A ∪ B.
+        let pts = cloud(2400, 0xa11);
+        let s = 25;
+        let union = sorted_codes(&pts, &Domain::containing(&pts));
+        let a: Vec<u64> = union[..union.len() / 2].iter().step_by(2).copied().collect();
+        let count_in = |codes: &[u64], key: &MortonKey| {
+            let (lo, hi) = code_range(key);
+            (codes.partition_point(|&c| c < lo), codes.partition_point(|&c| c < hi))
+        };
+        let (nodes, global, levels) =
+            refine_sorted_codes(&a, s, MAX_LEVEL, union.len() as u64, |keys, local| {
+                let g: Vec<u64> = keys
+                    .iter()
+                    .map(|k| {
+                        let (lo, hi) = count_in(&union, k);
+                        (hi - lo) as u64
+                    })
+                    .collect();
+                assert!(g.iter().zip(local).all(|(g, l)| g >= l));
+                g
+            });
+
+        // (i) Same boxes, links and levels as the build over the union.
+        let (ref_nodes, ref_levels) = structure_from_sorted_codes(&union, s, MAX_LEVEL);
+        assert_eq!(levels, ref_levels);
+        assert_eq!(nodes.len(), ref_nodes.len());
+        for (nd, r) in nodes.iter().zip(&ref_nodes) {
+            assert_eq!((nd.key, nd.parent, nd.children), (r.key, r.parent, r.children));
+        }
+        // (ii) A's ranges partition A: every box holds exactly A's codes
+        // inside its code range (so children tile their parent), and boxes
+        // only B populates exist with empty ranges.
+        let perm: Vec<u32> = (0..a.len() as u32).collect();
+        assert_eq!(Octree::check_parts(&nodes, &perm, &levels), Ok(()));
+        for nd in &nodes {
+            let (lo, hi) = count_in(&a, &nd.key);
+            assert_eq!((nd.pt_start as usize, nd.pt_end as usize), (lo, hi), "box {:?}", nd.key);
+        }
+        assert!(
+            nodes.iter().any(|nd| nd.num_points() == 0),
+            "globally nonempty, locally empty children must be materialized"
+        );
+        // (iii) The returned global counts are the union's.
+        for (g, r) in global.iter().zip(&ref_nodes) {
+            assert_eq!(*g, r.num_points() as u64);
+        }
     }
 
     #[test]

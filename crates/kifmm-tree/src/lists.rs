@@ -14,8 +14,12 @@
 //! Enumeration of `W` stops at the first non-adjacent box (its equivalent
 //! density covers the whole subtree), so `W` members may be internal boxes;
 //! `X` members are always leaves.
+//!
+//! Box keys resolve through [`Octree::find`] — the key → node hash map
+//! every tree carries — for every caller; a per-level binary-search index
+//! over the sorted level arrays was measured against it and lost
+//! (DESIGN.md §4.2), so there is one builder.
 
-use crate::morton::MortonKey;
 use crate::octree::{Octree, NO_NODE};
 
 /// Interaction lists for every box of a tree, indexed by node id.
@@ -33,72 +37,15 @@ pub struct InteractionLists {
     pub x: Vec<Vec<u32>>,
 }
 
-/// Per-level binary-search index over the tree's level arrays: the
-/// sorted-key replacement for the hash-map lookup. The level arrays are
-/// Morton-sorted by construction (parents are visited in Morton order and
-/// children materialize in octant order), so a box resolves with one
-/// binary search — no hash map to build or probe.
-pub struct SortedKeyIndex<'a> {
-    tree: &'a Octree,
-    level_codes: Vec<Vec<u64>>,
-}
-
-impl<'a> SortedKeyIndex<'a> {
-    /// Index `tree`'s level arrays.
-    pub fn new(tree: &'a Octree) -> SortedKeyIndex<'a> {
-        let level_codes: Vec<Vec<u64>> = tree
-            .levels
-            .iter()
-            .map(|idxs| idxs.iter().map(|&i| tree.nodes[i as usize].key.morton_code()).collect())
-            .collect();
-        debug_assert!(
-            level_codes.iter().all(|v| v.windows(2).all(|w| w[0] < w[1])),
-            "level arrays must be strictly Morton-sorted"
-        );
-        SortedKeyIndex { tree, level_codes }
-    }
-
-    /// Node index for `key`, if the box exists (binary search).
-    pub fn find(&self, key: &MortonKey) -> Option<u32> {
-        let l = key.level as usize;
-        let codes = self.level_codes.get(l)?;
-        codes.binary_search(&key.morton_code()).ok().map(|i| self.tree.levels[l][i])
-    }
-}
-
-/// Build all four lists for `tree` (hash-map key lookup).
+/// Build all four lists for `tree`. Every key resolves through
+/// [`Octree::find`], the hash map each tree already carries.
 pub fn build_lists(tree: &Octree) -> InteractionLists {
-    build_lists_with(tree, &|k| tree.find(k))
-}
-
-/// Build all four lists deriving every key lookup from the sorted level
-/// arrays ([`SortedKeyIndex`]) instead of the hash map — the list path of
-/// the Morton-sort construction. Output is bitwise-identical to
-/// [`build_lists`].
-pub fn build_lists_sorted(tree: &Octree) -> InteractionLists {
-    let idx = SortedKeyIndex::new(tree);
-    build_lists_with(tree, &|k| idx.find(k))
-}
-
-/// Shared list construction, parameterized by the key-resolution
-/// strategy. Every lookup goes through `find`, so both strategies walk
-/// boxes in exactly the same order and emit identical lists.
-fn build_lists_with(tree: &Octree, find: &dyn Fn(&MortonKey) -> Option<u32>) -> InteractionLists {
     let n = tree.num_nodes();
     let mut lists = InteractionLists {
         u: vec![Vec::new(); n],
         v: vec![Vec::new(); n],
         w: vec![Vec::new(); n],
         x: vec![Vec::new(); n],
-    };
-    let deepest_ancestor = |key: &MortonKey| -> u32 {
-        let mut k = *key;
-        loop {
-            if let Some(i) = find(&k) {
-                return i;
-            }
-            k = k.parent().expect("root always exists");
-        }
     };
 
     for b in 0..n as u32 {
@@ -108,7 +55,7 @@ fn build_lists_with(tree: &Octree, find: &dyn Fn(&MortonKey) -> Option<u32>) -> 
         // V list: children of parent's colleagues, not adjacent to B.
         if node.parent != NO_NODE {
             let parent_key = tree.nodes[node.parent as usize].key;
-            for pc in parent_key.neighbors().iter().filter_map(|k| find(k)) {
+            for pc in parent_key.neighbors().iter().filter_map(|k| tree.find(k)) {
                 for &c in &tree.nodes[pc as usize].children {
                     if c == NO_NODE {
                         continue;
@@ -130,10 +77,10 @@ fn build_lists_with(tree: &Octree, find: &dyn Fn(&MortonKey) -> Option<u32>) -> 
             // W list filled during the same downward recursion.
             let mut w = Vec::new();
             for nk in key.neighbors() {
-                match find(&nk) {
+                match tree.find(&nk) {
                     Some(nb) => collect_adjacent_descendants(tree, b, nb, &mut u, &mut w),
                     None => {
-                        let anc = deepest_ancestor(&nk);
+                        let anc = tree.deepest_ancestor(&nk);
                         let anc_nd = &tree.nodes[anc as usize];
                         if anc_nd.is_leaf() && anc_nd.key.is_adjacent(&key) {
                             u.push(anc);
@@ -309,38 +256,6 @@ mod tests {
             }
         }
         assert!(any_w, "clustered cloud should produce nonempty W lists");
-    }
-
-    #[test]
-    fn sorted_key_index_agrees_with_hash_map() {
-        let t = Octree::build(&clustered(2500), 18, MAX_LEVEL);
-        let idx = SortedKeyIndex::new(&t);
-        for nd in &t.nodes {
-            assert_eq!(idx.find(&nd.key), t.find(&nd.key));
-        }
-        // Misses: siblings of leaves that do not exist, and over-deep keys.
-        for i in t.leaves().take(50) {
-            let k = t.nodes[i as usize].key;
-            if k.level < MAX_LEVEL {
-                let child = k.child(0);
-                assert_eq!(idx.find(&child), t.find(&child));
-            }
-            for nk in k.neighbors() {
-                assert_eq!(idx.find(&nk), t.find(&nk));
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_list_derivation_is_bitwise_identical() {
-        for pts in [cloud(3000, 17), clustered(3000), vec![[0.3, 0.3, 0.3]; 64]] {
-            let t = Octree::build(&pts, 22, MAX_LEVEL.min(6));
-            assert_eq!(
-                build_lists(&t),
-                build_lists_sorted(&t),
-                "sorted-key list derivation must match the hash-map path exactly"
-            );
-        }
     }
 
     /// The fundamental covering property: for every (target leaf T, source

@@ -34,6 +34,14 @@ impl Domain {
                 hi[d] = hi[d].max(p[d]);
             }
         }
+        Domain::from_bounds(lo, hi)
+    }
+
+    /// The cube around the bounding box `[lo, hi]`: centred on it, half
+    /// side the longest half extent plus a hair of padding. The one place
+    /// the formula lives — the distributed build calls it on Allreduced
+    /// bounds, so every rank gets the serial build's domain bit for bit.
+    pub fn from_bounds(lo: [f64; 3], hi: [f64; 3]) -> Domain {
         let center = std::array::from_fn(|d| 0.5 * (lo[d] + hi[d]));
         let mut half = (0..3).map(|d| 0.5 * (hi[d] - lo[d])).fold(0.0_f64, f64::max);
         if half == 0.0 {
@@ -129,8 +137,6 @@ impl Octree {
         max_pts_per_leaf: usize,
         max_level: u8,
     ) -> Octree {
-        assert!(max_pts_per_leaf >= 1, "s must be at least 1");
-        let max_level = max_level.min(MAX_LEVEL);
         let n = points.len();
         // Morton-sort the point indices by their max-depth codes.
         let codes: Vec<u64> = points
@@ -141,8 +147,8 @@ impl Octree {
         perm.sort_unstable_by_key(|&i| codes[i as usize]);
         let sorted_codes: Vec<u64> = perm.iter().map(|&i| codes[i as usize]).collect();
 
-        // Level-by-level structure derivation from the sorted code array
-        // (shared with the distributed builds and the incremental update).
+        // The refinement loop shared with the distributed builds and the
+        // incremental update; local counts are global here.
         let (nodes, levels) =
             crate::linearize::structure_from_sorted_codes(&sorted_codes, max_pts_per_leaf, max_level);
         Self::from_parts(domain, nodes, perm, levels)

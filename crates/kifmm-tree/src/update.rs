@@ -6,8 +6,10 @@
 //! module re-sorts the new Morton codes using the *old permutation as a
 //! near-sorted hint* — points that stayed in Morton order ride along for
 //! free, only the displaced minority is sorted and merged back — and then
-//! re-derives the linearized structure from the sorted array
-//! ([`crate::linearize::structure_from_sorted_codes`]).
+//! re-derives the structure from the sorted array with the same
+//! refinement loop a fresh build runs
+//! ([`crate::linearize::structure_from_sorted_codes`]), so only the sort
+//! is incremental.
 //!
 //! Out-of-domain drift is a hard error, not a clamp: the old domain is
 //! fixed (operator tables are scaled to it), so a point outside it must

@@ -156,6 +156,27 @@ if [ -n "$forks$halves" ]; then
 fi
 echo "level-rule gate: OK (homogeneity() read in operators.rs only, no box_half field)"
 
+# 5g. One-tree gate: the octant-cut refinement loop is written once
+#     (`kifmm_tree::refine_sorted_codes`, linearize.rs) for the serial
+#     build, the incremental update and both distributed count providers;
+#     box keys resolve through `Octree::find` alone (`build_lists_sorted`
+#     is a `pub use` alias for the frozen benchmark, never a function);
+#     and an `ExchangePlan` owns its payloads — only `ExchangeRoute::begin`
+#     takes the closure, `poll`/`complete` take the communicator alone.
+twins=$(rs 'SortedKeyIndex|build_lists_with|fn build_global_levels|fn build_lists_sorted')
+cuts=$(grep -rnF 'partition_point(|&c| ((c >> shift) & 7)' crates tests examples --include='*.rs' \
+    | grep -v '^crates/kifmm-tree/src/linearize.rs:' || true)
+closures=$(grep -rnE '\.(poll|complete)\(comm, ' crates/kifmm-parallel/src \
+    tests/parallel_consistency.rs || true)
+if [ -n "$twins$cuts$closures" ]; then
+    echo "FAIL: a second refinement loop, key index or payload hand-off reintroduced:"
+    echo "$twins"
+    echo "$cuts"
+    echo "$closures"
+    exit 1
+fi
+echo "one-tree gate: OK (one refinement loop, one key lookup, begin is the only payload call)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8

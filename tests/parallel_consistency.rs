@@ -218,10 +218,8 @@ fn coalesced_exchange_matches_legacy_bitwise() {
             (nd.pt_start..nd.pt_end).map(|i| (i as f64).sin() + r as f64).collect()
         };
         let route = ExchangeRoute::build(comm, own, &pfmm.src_leaves, UserKind::Source);
-        let mut payload = dens_of;
         let sent0 = comm.stats().messages_sent;
-        let plan = route.begin(comm, 9, Combine::Concat, &mut payload);
-        let packed = plan.complete(comm, payload);
+        let packed = route.begin(comm, 9, Combine::Concat, dens_of).complete(comm);
         let sent = (comm.stats().messages_sent - sent0) as usize;
         assert_eq!(
             sent,
@@ -243,10 +241,8 @@ fn coalesced_exchange_matches_legacy_bitwise() {
             vec![(b as f64 + 1.0).sqrt() * (r as f64 + 0.5); 4]
         };
         let route = ExchangeRoute::build(comm, own, &pfmm.equiv_boxes, UserKind::Equiv);
-        let mut payload = part_of;
         let sent0 = comm.stats().messages_sent;
-        let plan = route.begin(comm, 11, Combine::Sum, &mut payload);
-        let packed = plan.complete(comm, payload);
+        let packed = route.begin(comm, 11, Combine::Sum, part_of).complete(comm);
         let sent = (comm.stats().messages_sent - sent0) as usize;
         assert_eq!(sent, route.messages_out(), "O(peers) messages for Sum too");
         let legacy =
