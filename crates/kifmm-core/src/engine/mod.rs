@@ -20,9 +20,11 @@
 //! lets the translation passes run as **per-level batched operators**: the
 //! M2M/L2L GEMVs of one level collapse into a handful of multi-RHS GEMMs
 //! ([`kifmm_linalg::gemm_slices`]), and the FFT M2L transforms a whole
-//! level's source spectra into one contiguous slab. The drivers contribute
-//! only orchestration — permutation, spans, timing, and (for the
-//! distributed path) the two overlapped exchanges.
+//! level's source spectra into one frequency-chunk-major table that tiles
+//! of targets then sweep chunk by chunk (see [`crate::m2l`] for the
+//! layout). The drivers contribute only orchestration — permutation,
+//! spans, timing, and (for the distributed path) the two overlapped
+//! exchanges.
 //!
 //! ## Multi-RHS batches
 //!
@@ -30,9 +32,10 @@
 //! `eval_many`): the store interleaves `k` rows per node, the per-level
 //! GEMMs simply widen their column blocks by `k` (each output column of
 //! [`kifmm_linalg::gemm_slices`] accumulates independently in identical
-//! `p`-order, so widening is bitwise-safe per column), the FFT M2L loops
-//! RHS **innermost** per `(source, direction)` so the direction tensors
-//! stay cache-hot, and the dense passes go through one near-field helper
+//! `p`-order, so widening is bitwise-safe per column), the FFT M2L keeps
+//! a source's `k` spectra adjacent and accumulates each `(target, RHS)`
+//! over the target's V list exactly as a single-RHS run would, and the
+//! dense passes go through one near-field helper
 //! onto [`Kernel::p2p_many`] / [`Kernel::p2p_grad_many`], which share pair
 //! geometry across the batch. `k = 1` is the same code with a batch of
 //! one — there is no single-RHS path.
@@ -41,11 +44,10 @@ mod store;
 
 pub use store::{EngineWorkspace, ExpansionStore};
 
-use crate::m2l::M2lMode;
+use crate::m2l::{self, M2lMode, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::Precomputed;
 use crate::surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
-use kifmm_fft::C64;
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_linalg::{gemm_slices, Mat};
 use kifmm_runtime::{
@@ -53,6 +55,16 @@ use kifmm_runtime::{
 };
 use kifmm_tree::{InteractionLists, Octree, NO_NODE};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Byte budget of one FFT-M2L tile (`EngineWorkspace::tile`): a batch of
+/// source spectra being staged, or the accumulators of a run of targets.
+/// It is a memory bound, not a cache fit: every (tile, chunk) pays a cold
+/// first touch of the kernel and source runs it reads, so larger tiles
+/// measured faster (8 MiB: Hadamard stage −20 % on a 4 096-box level),
+/// but a tile must stay well under the (1 − 7/12) of the old full-grid
+/// spectra slab the half-spectrum table freed, on levels of a few dozen
+/// boxes too — 2 MiB does on every benchmark workload.
+const TILE_BYTES: usize = 2 << 20;
 
 /// Where a pass reads the source points and densities of a leaf box: the
 /// local Morton-sorted arrays (serial/shared-memory, and the distributed
@@ -444,12 +456,26 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         }
     }
 
-    /// FFT M2L: forward-transform every V-list source of the level's
-    /// selected targets into one contiguous spectra slab (one slab per
-    /// `(source, RHS)`), then Hadamard-accumulate and inverse-transform
-    /// per selected target. The RHS loop sits **innermost** per
-    /// `(source, direction)` pair, so one direction tensor load serves
-    /// the whole batch.
+    /// FFT M2L over the selected targets of one level, in two sweeps.
+    ///
+    /// *Sources*: every box some selected target's V list names is
+    /// forward-transformed once — a byte-bounded batch at a time,
+    /// box-major into `ws.tile`, then packed into the level's
+    /// frequency-chunk-major spectra table.
+    ///
+    /// *Targets*, a [`TILE_BYTES`] run of consecutive (hence
+    /// Morton-neighbouring) targets at a time: the tile's V lists are
+    /// resolved once to `(source slot, direction id)` pairs; the Hadamard
+    /// stage then runs chunks outermost, targets inside, V pairs
+    /// innermost, so per chunk the tile reads one contiguous run of
+    /// kernel tensors, the few sources its neighbourhood shares, and
+    /// writes each accumulator once; finally each target's spectrum is
+    /// gathered, inverse-transformed and added into `store.check`.
+    ///
+    /// Pool dispatch splits boxes for the transforms and chunks for the
+    /// Hadamard stage and the packing (disjoint writes either way), and
+    /// every target sums its V list in list order whatever the tiling or
+    /// the `pred` subset, so serial, pool and split runs agree bitwise.
     fn m2l_fft_level(
         &self,
         level: u8,
@@ -461,92 +487,86 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let (_, es, cs) = self.dims();
         let nrhs = store.nrhs();
         let (esb, csb) = (es * nrhs, cs * nrhs);
-        let g = fft.grid_len();
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        let sg = sd * g;
-        let tg = td * g;
         let (ls, le) = self.level_range(level);
-        let mask = &self.active.mask;
-        ws.needed.clear();
+        let EngineWorkspace { targets, needed, slot_of, spectra, tile, vlists, .. } = ws;
+        targets.clear();
+        needed.clear();
         for &ni in &self.active.levels[level as usize] {
-            if pred(ni as usize) {
-                ws.needed.extend_from_slice(&self.lists.v[ni as usize]);
+            let vlist = &self.lists.v[ni as usize];
+            if !vlist.is_empty() && pred(ni as usize) {
+                targets.push(ni);
+                needed.extend_from_slice(vlist);
             }
         }
-        ws.needed.sort_unstable();
-        ws.needed.dedup();
-        if ws.needed.is_empty() {
+        needed.sort_unstable();
+        needed.dedup();
+        if needed.is_empty() {
             return 0;
         }
-        let EngineWorkspace { needed, spectra, acc, .. } = ws;
+        slot_of.clear();
+        slot_of.resize(le - ls, u32::MAX);
+        for (slot, &a) in needed.iter().enumerate() {
+            slot_of[a as usize - ls] = slot as u32;
+        }
+        let (targets, needed, slot_of): (&[u32], &[u32], &[u32]) = (targets, needed, slot_of);
         let threads = self.dispatch.threads();
-        // No zero-fill on reuse: `transform_source` overwrites every slot.
-        let nslabs = needed.len() * nrhs;
-        if spectra.len() < nslabs * sg {
-            spectra.resize(nslabs * sg, C64::ZERO);
-        } else {
-            spectra.truncate(nslabs * sg);
-        }
+        // f64s per box-major grid, grids per source / target box, and
+        // f64s per box in one chunk of a chunk-major table.
+        let glen = 2 * fft.slab_len();
+        let (sw, tw) = (nrhs * sd, nrhs * td);
+        let (sc, tc) = (sw * 2 * m2l::F, tw * 2 * m2l::F);
+        let boxes_per_tile = |width: usize| (TILE_BYTES / (width * glen * 8)).max(1);
+
+        // No zero-fill on reuse: packing overwrites every slot.
+        spectra.resize(needed.len() * sw * glen, 0.0);
         let up: &[f64] = &store.up;
-        par_chunks_mut_with(threads, spectra, sg, |idx, buf| {
-            let a = needed[idx / nrhs] as usize;
-            let q = idx % nrhs;
-            fft.transform_source(&up[a * esb + q * es..a * esb + (q + 1) * es], buf);
-        });
-        let needed: &[u32] = needed;
-        let spectra: &[C64] = spectra;
-        let accumulate = |grid: &mut [C64], i: usize, slot: &mut [f64]| {
-            let ni = ls + i;
-            if !mask[ni] || !pred(ni) {
-                return;
-            }
-            let vlist = &self.lists.v[ni];
-            if vlist.is_empty() {
-                return;
-            }
-            grid.fill(C64::ZERO);
-            let bkey = self.tree.nodes[ni].key;
-            for &a in vlist {
-                let akey = self.tree.nodes[a as usize].key;
-                let dir = bkey.offset_to(&akey);
-                let si = needed.binary_search(&a).expect("V source in needed set");
-                for q in 0..nrhs {
-                    let sp = (si * nrhs + q) * sg;
-                    fft.accumulate(level, dir, &spectra[sp..sp + sg], &mut grid[q * tg..(q + 1) * tg]);
-                }
-            }
-            for (q, sl) in slot.chunks_mut(cs).enumerate() {
-                fft.extract_check(level, &mut grid[q * tg..(q + 1) * tg], sl);
-            }
-        };
-        let check = &mut store.check[ls * csb..le * csb];
-        if threads <= 1 {
-            acc.clear();
-            acc.resize(tg * nrhs, C64::ZERO);
-            for (i, slot) in check.chunks_mut(csb).enumerate() {
-                accumulate(acc, i, slot);
-            }
-        } else {
-            par_chunks_mut_init_with(
-                threads,
-                check,
-                csb,
-                || vec![C64::ZERO; tg * nrhs],
-                |grid, i, slot| accumulate(grid, i, slot),
-            );
+        let per_batch = boxes_per_tile(sw);
+        for (b, batch) in needed.chunks(per_batch).enumerate() {
+            tile.resize(batch.len() * sw * glen, 0.0);
+            par_chunks_mut_init_with(threads, tile, sw * glen, M2lScratch::default, |s, i, out| {
+                let a = batch[i] as usize;
+                fft.transform_source(&up[a * esb..(a + 1) * esb], out, s);
+            });
+            let first = b * per_batch;
+            let staged: &[f64] = tile;
+            par_chunks_mut_with(threads, spectra, needed.len() * sc, |c, table| {
+                fft.pack_chunk(c, staged, &mut table[first * sc..(first + batch.len()) * sc]);
+            });
         }
-        // Exact accounting, matching the per-call counters of
-        // `transform_source`/`accumulate`/`extract_check`, `nrhs`-fold.
-        let mut flops = nslabs as u64 * fft.fft_flops(sd);
-        for &ni in &self.active.levels[level as usize] {
-            if !pred(ni as usize) {
-                continue;
+
+        let spectra: &[f64] = spectra;
+        for run in targets.chunks(boxes_per_tile(tw)) {
+            vlists.clear();
+            for &ni in run {
+                let bkey = self.tree.nodes[ni as usize].key;
+                vlists.push(self.lists.v[ni as usize].iter().map(|&a| {
+                    let dir = m2l::dir_id(bkey.offset_to(&self.tree.nodes[a as usize].key));
+                    [slot_of[a as usize - ls], dir]
+                }));
             }
+            let vlists: &PairLists = vlists;
+            tile.resize(run.len() * tw * glen, 0.0);
+            par_chunks_mut_with(threads, tile, run.len() * tc, |c, acc| {
+                let table = &spectra[c * needed.len() * sc..(c + 1) * needed.len() * sc];
+                fft.hadamard_chunk(level, c, vlists, nrhs, table, acc);
+            });
+            let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize + 1);
+            let acc: &[f64] = tile;
+            let check = &mut store.check[lo * csb..hi * csb];
+            par_chunks_mut_init_with(threads, check, csb, M2lScratch::default, |s, i, slot| {
+                if let Ok(j) = run.binary_search(&((lo + i) as u32)) {
+                    fft.extract_check(level, acc, j, slot, s);
+                }
+            });
+        }
+
+        // The nominal model: 5·n·log₂n per transform on the full grid,
+        // 8 flops per half-spectrum entry per block per pair.
+        let mut flops = (needed.len() * nrhs) as u64 * fft.fft_flops(sd);
+        for &ni in targets {
             let nv = self.lists.v[ni as usize].len() as u64;
-            if nv > 0 {
-                flops += nrhs as u64
-                    * (nv * (td * sd * fft.slab_len() * 8) as u64 + fft.fft_flops(td));
-            }
+            flops += nrhs as u64 * (nv * (td * sd * fft.slab_len() * 8) as u64 + fft.fft_flops(td));
         }
         flops
     }
@@ -840,5 +860,96 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// `benchmark/src/traced.rs` (see [`PassEngine::u_pass`]).
     pub fn l2t(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
         self.l2t_into(store, pots, None)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Fmm, Plan};
+    use kifmm_kernels::{Laplace, Stokes};
+
+    fn plan<K: Kernel>(kernel: K, mode: M2lMode) -> Plan<K> {
+        let points = kifmm_geom::uniform_cube(6000, 5);
+        Fmm::builder(kernel).points(&points).order(3).max_pts_per_leaf(12).m2l(mode).plan()
+    }
+
+    /// A store whose upward equivalents are a fixed pseudorandom fill
+    /// (M2L is linear in them; no upward pass needed).
+    fn store_for<K: Kernel>(engine: &PassEngine<'_, K>, nrhs: usize) -> ExpansionStore {
+        let mut store = engine.new_store_many(nrhs);
+        let mut rng = kifmm_geom::rng::Rng::seed_from_u64(11);
+        store.up.iter_mut().for_each(|v| *v = rng.range_f64(-1.0, 1.0));
+        store
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The FFT M2L seams on a level wide enough to need two tiles: a run
+    /// restricted to the first `k` targets — one target, exactly one
+    /// tile, one tile plus one — leaves bitwise what the full level
+    /// leaves on those targets and nothing elsewhere; two complementary
+    /// `pred` subsets, and the pool dispatch, reproduce the full level
+    /// bitwise; and the dense oracle agrees to 1e-9.
+    fn seams<K: Kernel>(kernel: K, nrhs: usize) {
+        const LEVEL: u8 = 3;
+        let fft_plan = plan(kernel.clone(), M2lMode::Fft);
+        let serial = fft_plan.engine(Dispatch::Serial);
+        let (_, _, cs) = serial.dims();
+        let csb = cs * nrhs;
+        let mut ws = EngineWorkspace::default();
+        let mut full = store_for(&serial, nrhs);
+        serial.m2l_level(LEVEL, &mut full, &mut ws);
+
+        let targets: Vec<usize> = fft_plan.tree.levels[LEVEL as usize]
+            .iter()
+            .map(|&ni| ni as usize)
+            .filter(|&ni| !fft_plan.lists.v[ni].is_empty())
+            .collect();
+        let slab = fft_plan.precomputed().m2l_fft.as_ref().unwrap().slab_len();
+        let per_tile = TILE_BYTES / (nrhs * kernel.trg_dim() * 2 * slab * 8);
+        assert!(targets.len() > per_tile + 1, "level must span two tiles");
+        for k in [1, per_tile, per_tile + 1] {
+            let last = targets[k - 1];
+            let mut part = store_for(&serial, nrhs);
+            serial.m2l_level_where(LEVEL, &mut part, &mut ws, &|ni| ni <= last);
+            for (ni, (got, want)) in part.check.chunks(csb).zip(full.check.chunks(csb)).enumerate()
+            {
+                if ni <= last {
+                    assert_eq!(bits(got), bits(want), "first {k} targets: box {ni}");
+                } else {
+                    assert!(got.iter().all(|&v| v == 0.0), "first {k} targets: box {ni} touched");
+                }
+            }
+        }
+
+        let mut split = store_for(&serial, nrhs);
+        serial.m2l_level_where(LEVEL, &mut split, &mut ws, &|ni| ni % 3 == 0);
+        serial.m2l_level_where(LEVEL, &mut split, &mut ws, &|ni| ni % 3 != 0);
+        assert_eq!(bits(&split.check), bits(&full.check), "pred ∪ !pred ≡ full level");
+
+        let pool = fft_plan.engine(Dispatch::Pool);
+        let mut pooled = store_for(&pool, nrhs);
+        pool.m2l_level(LEVEL, &mut pooled, &mut EngineWorkspace::default());
+        assert_eq!(bits(&pooled.check), bits(&full.check), "pool ≡ serial");
+
+        let dense_plan = plan(kernel.clone(), M2lMode::Direct);
+        let dense = dense_plan.engine(Dispatch::Serial);
+        let mut oracle = store_for(&dense, nrhs);
+        dense.m2l_level(LEVEL, &mut oracle, &mut ws);
+        let err = crate::rel_l2_error(&full.check, &oracle.check);
+        assert!(err < 1e-9, "{}: FFT vs dense M2L level {err}", kernel.name());
+    }
+
+    #[test]
+    fn fft_m2l_tiles_and_subsets_laplace_batch() {
+        seams(Laplace, 2);
+    }
+
+    #[test]
+    fn fft_m2l_tiles_and_subsets_stokes() {
+        seams(Stokes::default(), 1);
     }
 }

@@ -17,7 +17,7 @@
 //! property the batched per-level passes rely on — holds for any `k`,
 //! and `k = 1` reduces to the original single-RHS layout exactly.
 
-use kifmm_fft::C64;
+use crate::m2l::PairLists;
 
 /// Expansion state of one evaluation: upward equivalents, downward check
 /// potentials and downward equivalents, node-major (`block(ni)` = the
@@ -120,8 +120,8 @@ impl ExpansionStore {
 
 /// Reusable scratch for the batched passes. Every buffer is grown with
 /// `clear` + `resize`, so after the first evaluation at a given problem
-/// size the engine performs no steady-state allocations (the pool-dispatch
-/// M2L additionally keeps one accumulator grid per worker, as before).
+/// size the level-sized buffers are not reallocated (the FFT M2L
+/// additionally makes one small transform scratch per worker per tile).
 #[derive(Default)]
 pub struct EngineWorkspace {
     /// Node-major check-potential batch rows for one level.
@@ -132,11 +132,22 @@ pub struct EngineWorkspace {
     pub yout: Vec<f64>,
     /// `(destination box, source box)` slab indices of one translation batch.
     pub pairs: Vec<(u32, u32)>,
-    /// Sorted, deduplicated V-list source boxes of one level.
+    /// The M2L targets one call selected (active, `pred`, non-empty V
+    /// list), ascending — Morton order within the level.
+    pub targets: Vec<u32>,
+    /// Sorted, deduplicated V-list source boxes of those targets.
     pub needed: Vec<u32>,
-    /// Forward-transformed source spectra, one `SRC_DIM·(2p)³` slab per
-    /// `(needed box, RHS)`.
-    pub spectra: Vec<C64>,
-    /// Hadamard accumulator grids (serial dispatch), `nrhs` per target.
-    pub acc: Vec<C64>,
+    /// Position in `needed` of each box of the level (by offset from the
+    /// level's first node id).
+    pub slot_of: Vec<u32>,
+    /// Half-spectra of every `needed` box, frequency-chunk-major:
+    /// `[chunk][needed box][RHS][SRC_DIM][re|im][F]`.
+    pub spectra: Vec<f64>,
+    /// One byte-bounded tile of boxes: first a batch of source spectra
+    /// staged box-major on their way into `spectra`, then the chunk-major
+    /// Hadamard accumulators of a run of targets,
+    /// `[chunk][target][RHS][TRG_DIM][re|im][F]`.
+    pub tile: Vec<f64>,
+    /// V lists of the tile's targets as `[slot in needed, direction id]`.
+    pub vlists: PairLists,
 }

@@ -1345,6 +1345,18 @@ mod tests {
         // (homog holds one of each).
         assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * tables);
         assert_eq!(homog.pre.bytes(), tables);
+        // Under the FFT M2L the per-level table is the 316 half-spectrum
+        // tensors (split re/im, 16 bytes an entry) instead.
+        let opts_fft = FmmOptions { m2l_mode: M2lMode::Fft, ..opts };
+        let homog_fft = Plan::try_new(Laplace, &pts, opts_fft).unwrap();
+        let inhomog_fft = Plan::try_new(ModifiedLaplace::new(1.0), &pts, opts_fft).unwrap();
+        let slab = homog_fft.pre.m2l_fft.as_ref().expect("FFT tables").slab_len();
+        let tables_fft = 316 * slab * 16 + 18 * ns * ns * 8;
+        assert_eq!(
+            inhomog_fft.approx_bytes() - homog_fft.approx_bytes(),
+            (op_levels - 1) * tables_fft
+        );
+        assert_eq!(homog_fft.pre.bytes(), tables_fft);
         let shallow = Plan::try_new(Laplace, &pts, FmmOptions { max_level: 2, ..opts }).unwrap();
         assert_eq!(shallow.tree.depth(), 2);
         assert_eq!(shallow.pre.bytes(), homog.pre.bytes(), "one table at any depth");

@@ -1,9 +1,10 @@
 //! Hadamard (frequency-space) product helpers.
 //!
 //! An FFT-accelerated M2L translation is, per target box, an accumulation
-//! of `K̂_offset · φ̂_source` products over the V list. These two tight
-//! loops are the hottest lines of the `DownV` phase, so they live here and
-//! are shared by the benches.
+//! of `K̂_offset · φ̂_source` products over the V list. These two loops
+//! state that accumulation on interleaved complex slabs: the engine's
+//! chunk-major Hadamard stage (`kifmm_core::m2l`) is checked against
+//! [`pointwise_mul_add`] bit for bit, and the repo benchmark times it.
 
 use crate::c64::C64;
 

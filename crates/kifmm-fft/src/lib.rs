@@ -6,18 +6,31 @@
 //! correlation that becomes a Hadamard product in frequency space. This
 //! crate provides the transforms from scratch:
 //!
+//! * [`RealFft3`] — what the M2L runs: a real-input 3-D transform on the
+//!   `(2p)³` grid pruned to the `p³` corner that is populated on input and
+//!   read on output, producing / consuming the Hermitian half-spectrum as
+//!   split real and imaginary planes.
+//!
+//! and, as the general-purpose path that transform is tested against (and
+//! the repo benchmark's `fft.*` rows time):
+//!
 //! * [`C64`] — a minimal complex number type,
-//! * [`FftPlan`] — a cached mixed-radix (any smooth factor, Bluestein
-//!   fallback for large primes) complex FFT of any length,
-//! * [`Fft3`] — 3-D transforms built from 1-D plans,
-//! * [`conv`] — Hadamard-product helpers used by the M2L operator.
+//! * [`FftPlan`] — a complex FFT of any length: recursive Cooley–Tukey
+//!   over the prime factorization with a generic length-`r` DFT as the
+//!   combine step, Bluestein fallback for large primes,
+//! * [`Fft3`] — 3-D complex transforms built from 1-D plans,
+//! * [`conv`] — Hadamard-product helpers on interleaved complex slabs (the
+//!   reference the chunk-major Hadamard stage of `kifmm-core` is checked
+//!   against, bit for bit).
 
 pub mod c64;
 pub mod conv;
 pub mod fft1d;
 pub mod fft3;
+pub mod real3;
 
 pub use c64::C64;
 pub use conv::{pointwise_mul, pointwise_mul_add};
 pub use fft1d::FftPlan;
 pub use fft3::Fft3;
+pub use real3::RealFft3;

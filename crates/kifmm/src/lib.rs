@@ -46,7 +46,7 @@
 //! | [`mpi`] | the in-process message-passing substrate |
 //! | [`solver`] | GMRES and FMM-backed boundary integral operators |
 //! | [`geom`] | the paper's particle distributions (512 spheres, corners) |
-//! | [`linalg`], [`fft`] | the numerical substrates (SVD/pinv, mixed-radix FFT) |
+//! | [`linalg`], [`fft`] | the numerical substrates (SVD/pinv, the M2L's real transform + a complex FFT oracle) |
 //! | [`trace`] | spans, counters, chrome-trace export |
 
 pub use kifmm_core as core;

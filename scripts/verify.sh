@@ -177,6 +177,24 @@ if [ -n "$twins$cuts$closures" ]; then
 fi
 echo "one-tree gate: OK (one refinement loop, one key lookup, begin is the only payload call)"
 
+# 5h. One-Hadamard-path gate, in safe code: `M2lFft` holds its tensors as
+#     dense chunk-major arrays (no `HashMap` in the struct), the engine
+#     never accumulates pair by pair nor embeds reals as `C64::real(`, and
+#     neither the transform crate nor m2l.rs reaches for `unsafe`,
+#     `std::arch` or a `target_feature`.
+m2l_struct=$(awk '/^pub struct M2lFft/,/^}/' crates/kifmm-core/src/m2l.rs | grep -n 'HashMap' || true)
+per_pair=$(grep -rnE '\.accumulate\(|C64::real\(' crates/kifmm-core/src/engine || true)
+unsafe_m2l=$(grep -rnE 'unsafe|std::arch|target_feature' crates/kifmm-fft/src \
+    crates/kifmm-core/src/m2l.rs || true)
+if [ -n "$m2l_struct$per_pair$unsafe_m2l" ]; then
+    echo "FAIL: a tensor map, a per-pair accumulate, a complex embedding or unsafe code in the M2L path:"
+    echo "$m2l_struct"
+    echo "$per_pair"
+    echo "$unsafe_m2l"
+    exit 1
+fi
+echo "hadamard gate: OK (dense chunk-major tensors, one Hadamard path, safe code)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
@@ -187,9 +205,9 @@ KIFMM_N=8000 KIFMM_REQUESTS=1 \
 echo "service-throughput gate: OK"
 
 # 7. M2L ablation gate: the FFT-vs-dense ablation (small N) checks the
-#    paper's footnote-5 shape itself — FFT and dense potentials agree to
-#    1e-9 in every case, and at p = 6 the dense path counts more flops at
-#    a higher flop rate — and exits nonzero otherwise.
+#    paper's footnote-5 conclusion itself — FFT and dense potentials agree
+#    to 1e-9 in every case, and at p = 6 the dense path counts more flops
+#    and the FFT path wins on time — and exits nonzero otherwise.
 KIFMM_N=3000 cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
 echo "m2l-ablation gate: OK"
 

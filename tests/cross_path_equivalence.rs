@@ -241,4 +241,47 @@ mod fft_vs_dense_oracle {
         agrees(LaplaceDipole);
         agrees(shadow_laplace());
     }
+
+    /// The same agreement on the other two drivers: the pool session and
+    /// the distributed driver at P = 4 (which runs each level as two
+    /// `pred` subsets around its ghost exchange) under the FFT M2L,
+    /// against the serial dense oracle.
+    fn agrees_on_pool_and_ranks<K: Kernel>(kernel: K) {
+        let pts = clustered(600, 41);
+        let chunks = kifmm_testkit::split_points(&pts, 4);
+        let dens: Vec<Vec<f64>> = chunks
+            .iter()
+            .enumerate()
+            .map(|(r, c)| kifmm::geom::random_densities(c.len(), kernel.src_dim(), r as u64 + 1))
+            .collect();
+        let oracle =
+            kifmm_testkit::serial_reference(kernel.clone(), &chunks, &dens, opts(M2lMode::Direct));
+
+        let all_pts: Vec<[f64; 3]> = chunks.iter().flatten().copied().collect();
+        let all_dens: Vec<f64> = dens.iter().flatten().copied().collect();
+        let mut pool =
+            Fmm::builder(kernel.clone()).points(&all_pts).options(opts(M2lMode::Fft)).build();
+        pool.set_parallel_eval(true);
+        let err = kifmm::rel_l2_error(&pool.eval(&all_dens).potentials, &oracle.concat());
+        assert!(err < 1e-9, "{}: pool FFT vs dense oracle {err}", kernel.name());
+
+        let name = kernel.name().to_string();
+        let ranks = kifmm::mpi::run(4, move |comm| {
+            let r = comm.rank();
+            let pfmm =
+                kifmm::ParallelFmm::new(comm, kernel.clone(), &chunks[r], opts(M2lMode::Fft));
+            pfmm.eval(comm, &dens[r]).potentials
+        });
+        for (r, pot) in ranks.iter().enumerate() {
+            let err = kifmm::rel_l2_error(pot, &oracle[r]);
+            assert!(err < 1e-9, "{name}: rank {r} FFT vs dense oracle {err}");
+        }
+    }
+
+    #[test]
+    fn on_pool_and_distributed_drivers() {
+        agrees_on_pool_and_ranks(Laplace);
+        agrees_on_pool_and_ranks(Stokes::default());
+        agrees_on_pool_and_ranks(ModifiedLaplace::new(1.5));
+    }
 }
