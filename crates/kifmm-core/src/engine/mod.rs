@@ -5,9 +5,13 @@
 //! involved are owned by one process or scattered across ranks. This module
 //! makes that literal: one implementation of each pass, parameterized by
 //!
-//! * an **ownership filter** ([`ActiveSet`]) — the serial and shared-memory
-//!   drivers activate every box, the distributed driver activates the boxes
-//!   this rank contributes to;
+//! * an **ownership filter** ([`ActiveSet`]) — the one way to say *which
+//!   boxes*: the serial and shared-memory drivers activate every box, the
+//!   distributed driver the boxes this rank contributes to (and, for M2L,
+//!   the two halves of that set on either side of its ghost exchange);
+//! * a **target set** ([`LeafTargets`]) — the one way to say *which
+//!   points* the leaf passes evaluate at: the plan's own Morton-sorted
+//!   points, or arbitrary points binned by leaf;
 //! * a **source provider** ([`SourceProvider`]) — local Morton-sorted
 //!   points for shared-memory evaluation, ghost-exchanged geometry for the
 //!   distributed driver;
@@ -47,6 +51,7 @@ pub use store::{EngineWorkspace, ExpansionStore};
 use crate::m2l::{self, M2lMode, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::Precomputed;
+use crate::stats::{Meter, Phase};
 use crate::surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_linalg::{gemm_slices, Mat};
@@ -109,9 +114,21 @@ pub struct ActiveSet {
     pub mask: Vec<bool>,
     /// Active node ids per level, ascending.
     pub levels: Vec<Vec<u32>>,
-    /// Active leaves ordered by `pt_start` (they partition the local
-    /// target range).
-    pub leaves: Vec<u32>,
+    /// `(leaf, pt_start, pt_end)` of every active leaf, ordered by
+    /// `pt_start` (they partition the local target range).
+    pub leaves: Vec<(u32, usize, usize)>,
+}
+
+/// The points a leaf phase evaluates at: each `(leaf, start, end)` of
+/// `ranges` says `points[start..end]` lie in leaf box `leaf` and read its
+/// U/W lists and local expansion. Ranges ascend and do not overlap; the
+/// outputs of a leaf pass are indexed like `points`.
+#[derive(Clone, Copy)]
+pub struct LeafTargets<'a> {
+    /// The target points, grouped by leaf.
+    pub points: &'a [Point3],
+    /// One range of `points` per leaf that has targets.
+    pub ranges: &'a [(u32, usize, usize)],
 }
 
 impl ActiveSet {
@@ -122,14 +139,17 @@ impl ActiveSet {
         let nn = tree.num_nodes();
         let mut mask = vec![false; nn];
         let mut levels: Vec<Vec<u32>> = vec![Vec::new(); tree.depth() as usize + 1];
+        let mut leaves = Vec::new();
         for (ni, node) in tree.nodes.iter().enumerate() {
             if filter(ni as u32) {
                 mask[ni] = true;
                 levels[node.key.level as usize].push(ni as u32);
+                if node.is_leaf() {
+                    leaves.push((ni as u32, node.pt_start as usize, node.pt_end as usize));
+                }
             }
         }
-        let mut leaves: Vec<u32> = tree.leaves().filter(|&l| mask[l as usize]).collect();
-        leaves.sort_by_key(|&l| tree.nodes[l as usize].pt_start);
+        leaves.sort_by_key(|&(_, start, _)| start);
         ActiveSet { mask, levels, leaves }
     }
 }
@@ -193,20 +213,25 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         store.ensure(self.tree.num_nodes(), es, cs, nrhs);
     }
 
-    /// Active leaves in target-point order.
-    pub fn active_leaves(&self) -> &[u32] {
-        &self.active.leaves
+    /// The same engine over another [`ActiveSet`] of the same tree. M2L
+    /// accumulates each target independently of every other, so running a
+    /// level over two complementary sets leaves bitwise what one pass over
+    /// their union leaves — this is what lets the distributed driver
+    /// evaluate interior targets while the ghost equivalents their boundary
+    /// peers need are still in flight.
+    pub fn with_active(self, active: &'a ActiveSet) -> Self {
+        PassEngine { active, ..self }
+    }
+
+    /// The engine's own target set: its Morton-sorted points, one range
+    /// per active leaf.
+    pub fn own_targets(&self) -> LeafTargets<'a> {
+        LeafTargets { points: self.targets, ranges: &self.active.leaves }
     }
 
     /// Number of active boxes the upward pass touches (levels ≥ 2).
     pub fn active_cell_count(&self) -> u64 {
-        let depth = self.tree.depth();
-        if depth < FIRST_FMM_LEVEL {
-            return 0;
-        }
-        (FIRST_FMM_LEVEL..=depth)
-            .map(|l| self.active.levels[l as usize].len() as u64)
-            .sum()
+        self.active.levels.iter().skip(FIRST_FMM_LEVEL as usize).map(|l| l.len() as u64).sum()
     }
 
     /// Contiguous node-id range `[start, end)` of one level (BFS
@@ -422,43 +447,27 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
 
     /// M2L over one level: active targets accumulate the check-potential
     /// contributions of their V-list sources from `store.up`, into
-    /// `store.check`. Returns the flop count.
+    /// `store.check`. Only the active targets' V-list sources are
+    /// transformed, so a level with none costs one scan. Returns the flop
+    /// count.
     pub fn m2l_level(
         &self,
         level: u8,
         store: &mut ExpansionStore,
         ws: &mut EngineWorkspace,
     ) -> u64 {
-        self.m2l_level_where(level, store, ws, &|_| true)
-    }
-
-    /// M2L over the subset of a level's active targets selected by
-    /// `pred` (by node index). Each target's accumulation is independent
-    /// of every other's, so running a level as two complementary subsets
-    /// produces bitwise the results of one full pass — this is what lets
-    /// the distributed driver evaluate interior targets while the ghost
-    /// equivalents their boundary peers need are still in flight. Only
-    /// the selected targets' V-list sources are transformed, so a
-    /// no-match call costs one scan of the level.
-    pub fn m2l_level_where(
-        &self,
-        level: u8,
-        store: &mut ExpansionStore,
-        ws: &mut EngineWorkspace,
-        pred: &(dyn Fn(usize) -> bool + Sync),
-    ) -> u64 {
         if self.tree.depth() < FIRST_FMM_LEVEL {
             return 0;
         }
         match self.m2l_mode {
-            M2lMode::Fft => self.m2l_fft_level(level, store, ws, pred),
-            M2lMode::Direct => self.m2l_direct_level(level, store, pred),
+            M2lMode::Fft => self.m2l_fft_level(level, store, ws),
+            M2lMode::Direct => self.m2l_direct_level(level, store),
         }
     }
 
-    /// FFT M2L over the selected targets of one level, in two sweeps.
+    /// FFT M2L over the active targets of one level, in two sweeps.
     ///
-    /// *Sources*: every box some selected target's V list names is
+    /// *Sources*: every box some active target's V list names is
     /// forward-transformed once — a byte-bounded batch at a time,
     /// box-major into `ws.tile`, then packed into the level's
     /// frequency-chunk-major spectra table.
@@ -475,13 +484,12 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// Pool dispatch splits boxes for the transforms and chunks for the
     /// Hadamard stage and the packing (disjoint writes either way), and
     /// every target sums its V list in list order whatever the tiling or
-    /// the `pred` subset, so serial, pool and split runs agree bitwise.
+    /// the active set, so serial, pool and split runs agree bitwise.
     fn m2l_fft_level(
         &self,
         level: u8,
         store: &mut ExpansionStore,
         ws: &mut EngineWorkspace,
-        pred: &(dyn Fn(usize) -> bool + Sync),
     ) -> u64 {
         let fft = self.pre.m2l_fft.as_ref().expect("FFT tables present in Fft mode");
         let (_, es, cs) = self.dims();
@@ -494,7 +502,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         needed.clear();
         for &ni in &self.active.levels[level as usize] {
             let vlist = &self.lists.v[ni as usize];
-            if !vlist.is_empty() && pred(ni as usize) {
+            if !vlist.is_empty() {
                 targets.push(ni);
                 needed.extend_from_slice(vlist);
             }
@@ -573,15 +581,10 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
 
     /// Dense M2L over one level (ablation baseline and test oracle). Each
     /// target sums its V list in list order, so serial, pool and
-    /// `pred`-split executions agree bitwise. The RHS loop is
+    /// split-set executions agree bitwise. The RHS loop is
     /// innermost per `(source, direction)`, reusing the cached dense
     /// operator across the batch.
-    fn m2l_direct_level(
-        &self,
-        level: u8,
-        store: &mut ExpansionStore,
-        pred: &(dyn Fn(usize) -> bool + Sync),
-    ) -> u64 {
+    fn m2l_direct_level(&self, level: u8, store: &mut ExpansionStore) -> u64 {
         let direct =
             self.pre.m2l_direct.as_ref().expect("direct tables present in Direct mode");
         let (_, es, cs) = self.dims();
@@ -595,7 +598,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let up: &[f64] = up;
         par_chunks_mut_with(threads, &mut check[ls * csb..le * csb], csb, |i, slot| {
             let ni = ls + i;
-            if !mask[ni] || !pred(ni) {
+            if !mask[ni] {
                 return;
             }
             let bkey = self.tree.nodes[ni].key;
@@ -699,15 +702,51 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         flops
     }
 
+    /// The leaf half of an evaluation at `targets` — U → W → L2T, each
+    /// charged through `meter` — on the final expansions in `store`, with
+    /// the U pass reading real sources from `near`. Allocates and returns
+    /// `(potentials, gradients)`: one vector per RHS indexed like
+    /// `targets.points` (`trg_dim`, resp. `trg_dim·3`, per point), the
+    /// gradients empty unless `wants_grad`
+    /// ([`crate::evaluator::OutputSpec::PotentialAndGradient`]).
+    pub fn leaf_phase<S: SourceProvider>(
+        &self,
+        near: &S,
+        store: &ExpansionStore,
+        targets: LeafTargets<'_>,
+        wants_grad: bool,
+        meter: &mut Meter<'_>,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let len = targets.points.len() * self.kernel.trg_dim();
+        let zeros = |len: usize, k: usize| (0..k).map(|_| vec![0.0; len]).collect::<Vec<_>>();
+        let mut pots = zeros(len, near.nrhs());
+        let mut grads = zeros(len * 3, if wants_grad { near.nrhs() } else { 0 });
+        let mut p: Vec<&mut [f64]> = pots.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut g: Option<Vec<&mut [f64]>> =
+            wants_grad.then(|| grads.iter_mut().map(Vec::as_mut_slice).collect());
+        meter.touched(targets.ranges.len() as u64);
+        meter.compute(Phase::DownU, "u-list", None, || {
+            self.u_pass_into(near, targets, &mut p, g.as_deref_mut())
+        });
+        meter.compute(Phase::DownW, "w-list", None, || {
+            self.w_pass_into(store, targets, &mut p, g.as_deref_mut())
+        });
+        meter.compute(Phase::Eval, "l2t", None, || {
+            self.l2t_into(store, targets, &mut p, g.as_deref_mut())
+        });
+        drop((p, g));
+        (pots, grads)
+    }
+
     /// Split each of the `k` potential vectors (and, when given, the `k`
     /// gradient vectors, stride `trg_dim·3` per point, in lockstep) into
-    /// disjoint per-active-leaf `&mut` slices — the active leaves
-    /// partition the local target range and [`ActiveSet::build`] keeps
-    /// them in point order — and run `f` on every leaf under the engine's
-    /// dispatch, handing it the leaf's output rows. Returns the sum of the
-    /// flop counts `f` returns.
+    /// disjoint per-leaf `&mut` slices along `targets.ranges`, and run `f`
+    /// on every leaf under the engine's dispatch, handing it the leaf's
+    /// targets and output rows. Returns the sum of the flop counts `f`
+    /// returns.
     fn for_each_active_leaf(
         &self,
+        targets: LeafTargets<'_>,
         pots: &mut [&mut [f64]],
         grads: Option<&mut [&mut [f64]]>,
         f: impl Fn(u32, &[Point3], &mut [&mut [f64]], Option<&mut [&mut [f64]]>) -> u64 + Sync,
@@ -716,16 +755,14 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if let Some(grads) = &grads {
             assert_eq!(grads.len(), pots.len(), "one gradient vector per RHS");
         }
-        let leaves = &self.active.leaves;
-        let pcarved = self.carve_leaf_slices(pots, td, leaves);
-        let mut gcarved = grads.map(|g| self.carve_leaf_slices(g, td * 3, leaves).into_iter());
-        let items: Vec<_> = leaves
+        let pcarved = carve_leaf_slices(pots, td, targets.ranges);
+        let mut gcarved = grads.map(|g| carve_leaf_slices(g, td * 3, targets.ranges).into_iter());
+        let items: Vec<_> = targets
+            .ranges
             .iter()
             .zip(pcarved)
-            .map(|(&ni, outs)| {
-                let node = &self.tree.nodes[ni as usize];
-                let trg = &self.targets[node.pt_start as usize..node.pt_end as usize];
-                (ni, trg, outs, gcarved.as_mut().and_then(Iterator::next))
+            .map(|(&(ni, s, e), outs)| {
+                (ni, &targets.points[s..e], outs, gcarved.as_mut().and_then(Iterator::next))
             })
             .collect();
         let flops = AtomicU64::new(0);
@@ -735,50 +772,19 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         flops.into_inner()
     }
 
-    /// Carve each of the `k` per-RHS vectors in `bufs` into disjoint
-    /// per-leaf `&mut` slices following `order` (leaves sorted by
-    /// `pt_start`), `dim` components per point. Reborrows (does not take):
-    /// the caller's vectors stay intact for the next pass.
-    fn carve_leaf_slices<'b>(
-        &self,
-        bufs: &'b mut [&mut [f64]],
-        dim: usize,
-        order: &[u32],
-    ) -> Vec<Vec<&'b mut [f64]>> {
-        let nrhs = bufs.len();
-        let mut rests: Vec<&mut [f64]> = bufs.iter_mut().map(|p| &mut **p).collect();
-        let mut consumed = 0usize;
-        let mut carved: Vec<Vec<&'b mut [f64]>> = Vec::with_capacity(order.len());
-        for &ni in order {
-            let node = &self.tree.nodes[ni as usize];
-            let (s, e) = (node.pt_start as usize, node.pt_end as usize);
-            let skip = s * dim - consumed;
-            let len = (e - s) * dim;
-            let mut outs = Vec::with_capacity(nrhs);
-            for rest in rests.iter_mut() {
-                let (head, tail) = std::mem::take(rest).split_at_mut(skip + len);
-                outs.push(&mut head[skip..]);
-                *rest = tail;
-            }
-            consumed += skip + len;
-            carved.push(outs);
-        }
-        carved
-    }
-
-    /// Dense U-list pass onto the local potentials (`k` vectors, one per
-    /// RHS) and, when `grads` is given
-    /// ([`crate::evaluator::OutputSpec::PotentialAndGradient`]), the local
-    /// gradients, fused. Returns the flop count.
-    pub fn u_pass_into<S: SourceProvider>(
+    /// Dense U-list pass onto the potentials at `targets` (`k` vectors,
+    /// one per RHS) and, when `grads` is given, the gradients, fused.
+    /// Returns the flop count.
+    fn u_pass_into<S: SourceProvider>(
         &self,
         src: &S,
+        targets: LeafTargets<'_>,
         pots: &mut [&mut [f64]],
         grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
         let nrhs = src.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        self.for_each_active_leaf(pots, grads, |ni, trg, outs, mut gouts| {
+        self.for_each_active_leaf(targets, pots, grads, |ni, trg, outs, mut gouts| {
             let mut dens = Vec::with_capacity(nrhs);
             self.lists.u[ni as usize]
                 .iter()
@@ -788,18 +794,19 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     }
 
     /// W-list pass: upward equivalents of finer separated boxes onto the
-    /// local potentials (and gradients — `∇G` read off the same densities
-    /// the potential reads). The equivalent surface is built once per
+    /// potentials (and gradients — `∇G` read off the same densities the
+    /// potential reads). The equivalent surface is built once per
     /// `(leaf, W source)` and shared by the batch. Returns the flop count.
-    pub fn w_pass_into(
+    fn w_pass_into(
         &self,
         store: &ExpansionStore,
+        targets: LeafTargets<'_>,
         pots: &mut [&mut [f64]],
         grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
         let nrhs = store.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        self.for_each_active_leaf(pots, grads, |ni, trg, outs, mut gouts| {
+        self.for_each_active_leaf(targets, pots, grads, |ni, trg, outs, mut gouts| {
             let mut dens = Vec::with_capacity(nrhs);
             let mut flops = 0;
             for &a in &self.lists.w[ni as usize] {
@@ -815,25 +822,23 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         })
     }
 
-    /// L2T pass: downward equivalent densities at the local targets — the
+    /// L2T pass: downward equivalent densities at the targets — the
     /// entire V+X far field arrives (differentiated, when `grads` is
     /// given) through the leaf's local expansion at the `RAD_OUTER`
     /// surface. Returns the flop count.
-    pub fn l2t_into(
+    fn l2t_into(
         &self,
         store: &ExpansionStore,
+        targets: LeafTargets<'_>,
         pots: &mut [&mut [f64]],
         grads: Option<&mut [&mut [f64]]>,
     ) -> u64 {
-        if self.tree.depth() < FIRST_FMM_LEVEL {
-            return 0;
-        }
         let nrhs = store.nrhs();
         assert_eq!(pots.len(), nrhs, "one potential vector per RHS");
-        self.for_each_active_leaf(pots, grads, |ni, trg, outs, gouts| {
+        self.for_each_active_leaf(targets, pots, grads, |ni, trg, outs, gouts| {
             let node = &self.tree.nodes[ni as usize];
             if node.key.level < FIRST_FMM_LEVEL {
-                return 0;
+                return 0; // too coarse to carry a local expansion
             }
             let c = self.tree.domain.box_center(&node.key);
             let half = self.tree.domain.box_half(node.key.level);
@@ -843,24 +848,47 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         })
     }
 
-    /// Potential-only [`PassEngine::u_pass_into`]. Kept as a forward only
-    /// because `benchmark/src/traced.rs` (frozen with `BENCHMARK.json`)
-    /// calls it; a later benchmark change can drop it.
+    /// The U pass alone, potential-only, at the engine's own targets.
+    /// This and its two siblings survive only because
+    /// `benchmark/src/traced.rs` (frozen with `BENCHMARK.json`) times the
+    /// three leaf passes one by one; drivers call
+    /// [`PassEngine::leaf_phase`].
     pub fn u_pass<S: SourceProvider>(&self, src: &S, pots: &mut [&mut [f64]]) -> u64 {
-        self.u_pass_into(src, pots, None)
+        self.u_pass_into(src, self.own_targets(), pots, None)
     }
 
-    /// Potential-only [`PassEngine::w_pass_into`]; kept for
-    /// `benchmark/src/traced.rs` (see [`PassEngine::u_pass`]).
+    /// The W pass alone (see [`PassEngine::u_pass`]).
     pub fn w_pass(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
-        self.w_pass_into(store, pots, None)
+        self.w_pass_into(store, self.own_targets(), pots, None)
     }
 
-    /// Potential-only [`PassEngine::l2t_into`]; kept for
-    /// `benchmark/src/traced.rs` (see [`PassEngine::u_pass`]).
+    /// The L2T pass alone (see [`PassEngine::u_pass`]).
     pub fn l2t(&self, store: &ExpansionStore, pots: &mut [&mut [f64]]) -> u64 {
-        self.l2t_into(store, pots, None)
+        self.l2t_into(store, self.own_targets(), pots, None)
     }
+}
+
+/// Carve each of the `k` per-RHS vectors in `bufs` into disjoint
+/// per-leaf `&mut` slices following the ascending `ranges`, `dim`
+/// components per point. Reborrows (does not take): the caller's vectors
+/// stay intact for the next pass.
+fn carve_leaf_slices<'b>(
+    bufs: &'b mut [&mut [f64]],
+    dim: usize,
+    ranges: &[(u32, usize, usize)],
+) -> Vec<Vec<&'b mut [f64]>> {
+    let mut rests: Vec<&mut [f64]> = bufs.iter_mut().map(|p| &mut **p).collect();
+    let mut at = 0usize;
+    let carve = |&(_, s, e): &(u32, usize, usize)| {
+        let from = std::mem::replace(&mut at, e);
+        let outs = rests.iter_mut().map(|rest| {
+            let (head, tail) = std::mem::take(rest).split_at_mut((e - from) * dim);
+            *rest = tail;
+            &mut head[(s - from) * dim..]
+        });
+        outs.collect()
+    };
+    ranges.iter().map(carve).collect()
 }
 
 #[cfg(test)]
@@ -887,37 +915,38 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The FFT M2L seams on a level wide enough to need two tiles: a run
-    /// restricted to the first `k` targets — one target, exactly one
-    /// tile, one tile plus one — leaves bitwise what the full level
+    /// The FFT M2L seams on a level wide enough to need two tiles: an
+    /// [`ActiveSet`] holding the first `k` targets — one target, exactly
+    /// one tile, one tile plus one — leaves bitwise what the full level
     /// leaves on those targets and nothing elsewhere; two complementary
-    /// `pred` subsets, and the pool dispatch, reproduce the full level
-    /// bitwise; and the dense oracle agrees to 1e-9.
+    /// sets, and the pool dispatch, reproduce the full level bitwise; and
+    /// the dense oracle agrees to 1e-9.
     fn seams<K: Kernel>(kernel: K, nrhs: usize) {
         const LEVEL: u8 = 3;
         let fft_plan = plan(kernel.clone(), M2lMode::Fft);
-        let serial = fft_plan.engine(Dispatch::Serial);
-        let (_, _, cs) = serial.dims();
+        let serial = || fft_plan.engine(Dispatch::Serial);
+        let (_, _, cs) = serial().dims();
         let csb = cs * nrhs;
         let mut ws = EngineWorkspace::default();
-        let mut full = store_for(&serial, nrhs);
-        serial.m2l_level(LEVEL, &mut full, &mut ws);
+        let mut full = store_for(&serial(), nrhs);
+        serial().m2l_level(LEVEL, &mut full, &mut ws);
 
-        let targets: Vec<usize> = fft_plan.tree.levels[LEVEL as usize]
+        let targets: Vec<u32> = fft_plan.tree.levels[LEVEL as usize]
             .iter()
-            .map(|&ni| ni as usize)
-            .filter(|&ni| !fft_plan.lists.v[ni].is_empty())
+            .copied()
+            .filter(|&ni| !fft_plan.lists.v[ni as usize].is_empty())
             .collect();
         let slab = fft_plan.precomputed().m2l_fft.as_ref().unwrap().slab_len();
         let per_tile = TILE_BYTES / (nrhs * kernel.trg_dim() * 2 * slab * 8);
         assert!(targets.len() > per_tile + 1, "level must span two tiles");
         for k in [1, per_tile, per_tile + 1] {
             let last = targets[k - 1];
-            let mut part = store_for(&serial, nrhs);
-            serial.m2l_level_where(LEVEL, &mut part, &mut ws, &|ni| ni <= last);
+            let first_k = ActiveSet::build(&fft_plan.tree, |ni| ni <= last);
+            let mut part = store_for(&serial(), nrhs);
+            serial().with_active(&first_k).m2l_level(LEVEL, &mut part, &mut ws);
             for (ni, (got, want)) in part.check.chunks(csb).zip(full.check.chunks(csb)).enumerate()
             {
-                if ni <= last {
+                if ni as u32 <= last {
                     assert_eq!(bits(got), bits(want), "first {k} targets: box {ni}");
                 } else {
                     assert!(got.iter().all(|&v| v == 0.0), "first {k} targets: box {ni} touched");
@@ -925,10 +954,12 @@ mod tests {
             }
         }
 
-        let mut split = store_for(&serial, nrhs);
-        serial.m2l_level_where(LEVEL, &mut split, &mut ws, &|ni| ni % 3 == 0);
-        serial.m2l_level_where(LEVEL, &mut split, &mut ws, &|ni| ni % 3 != 0);
-        assert_eq!(bits(&split.check), bits(&full.check), "pred ∪ !pred ≡ full level");
+        let mut split = store_for(&serial(), nrhs);
+        for keep in [true, false] {
+            let set = ActiveSet::build(&fft_plan.tree, |ni| (ni % 3 == 0) == keep);
+            serial().with_active(&set).m2l_level(LEVEL, &mut split, &mut ws);
+        }
+        assert_eq!(bits(&split.check), bits(&full.check), "A ∪ Ā ≡ full level");
 
         let pool = fft_plan.engine(Dispatch::Pool);
         let mut pooled = store_for(&pool, nrhs);

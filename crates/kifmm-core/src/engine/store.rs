@@ -70,14 +70,6 @@ impl ExpansionStore {
         self.check.resize(num_nodes * cs * nrhs, 0.0);
     }
 
-    /// Zero every slab for a fresh evaluation (capacity is retained, so a
-    /// pooled store allocates nothing in steady state).
-    pub fn reset(&mut self) {
-        self.up.fill(0.0);
-        self.down.fill(0.0);
-        self.check.fill(0.0);
-    }
-
     /// Number of simultaneous charge vectors this store is shaped for.
     pub fn nrhs(&self) -> usize {
         self.nrhs
@@ -132,8 +124,8 @@ pub struct EngineWorkspace {
     pub yout: Vec<f64>,
     /// `(destination box, source box)` slab indices of one translation batch.
     pub pairs: Vec<(u32, u32)>,
-    /// The M2L targets one call selected (active, `pred`, non-empty V
-    /// list), ascending — Morton order within the level.
+    /// The M2L targets of one call (active, non-empty V list), ascending
+    /// — Morton order within the level.
     pub targets: Vec<u32>,
     /// Sorted, deduplicated V-list source boxes of those targets.
     pub needed: Vec<u32>,

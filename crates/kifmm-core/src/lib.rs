@@ -42,7 +42,9 @@ pub mod work;
 pub use direct::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, rel_l2_error,
 };
-pub use engine::{ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, SourceProvider};
+pub use engine::{
+    ActiveSet, EngineWorkspace, ExpansionStore, LeafTargets, LocalSources, PassEngine, SourceProvider,
+};
 pub use evaluator::{EvalReport, FmmBuilder, OutputSpec};
 pub use fmm::{Fmm, FmmOptions};
 pub use plan::{

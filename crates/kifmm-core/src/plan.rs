@@ -209,11 +209,11 @@ pub fn geometry_hash(points: &[Point3]) -> u64 {
 }
 
 /// FNV-1a of a kernel's [`Kernel::name`] — folded into [`PlanKey`] so two
-/// kernels behind the same Rust type (type-erased [`kifmm_kernels::BoxedKernel`]s,
-/// or [`kifmm_kernels::CustomKernel`] closures under one caller tag scheme) with
-/// colliding [`Kernel::id_bits`] cannot share a cached plan. `id_bits`
-/// defaults to 0 for parameterless kernels, so the parameter fingerprint
-/// alone does not identify the kernel once the *type* no longer pins it.
+/// kernels behind the same Rust type ([`kifmm_kernels::CustomKernel`]
+/// closures) with colliding [`Kernel::id_bits`] cannot share a cached
+/// plan. `id_bits` defaults to 0 for parameterless kernels, so the
+/// parameter fingerprint alone does not identify the kernel once the
+/// *type* no longer pins it.
 pub fn kernel_name_hash(name: &str) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -231,7 +231,7 @@ pub struct PlanKey {
     /// [`Kernel::id_bits`] — parameter fingerprint.
     pub kernel_id: u64,
     /// [`kernel_name_hash`] of [`Kernel::name`] — distinguishes kernels
-    /// the type parameter no longer does (boxed/closure kernels).
+    /// the type parameter no longer does (closure kernels).
     pub kernel_name: u64,
     /// Surface discretization order `p`.
     pub order: usize,
@@ -314,27 +314,37 @@ impl<K: Kernel> Plan<K> {
         if let Some((point, dim)) = first_non_finite(points) {
             return Err(BuildError::NonFinitePoint { point, dim });
         }
-        let geometry = geometry_hash(points);
         let tree = Octree::build(points, opts.max_pts_per_leaf, opts.max_level);
-        let lists = build_lists(&tree);
+        let lists = Arc::new(build_lists(&tree));
         let depth = tree.depth();
         let root_half = tree.domain.half;
         let pre = cache.get_or_build(&kernel, &opts, root_half, depth);
         check_operator_coverage(&pre.ops, depth)?;
-        let sorted_points: Vec<Point3> =
-            tree.perm.iter().map(|&i| points[i as usize]).collect();
+        Ok(Self::over(kernel, opts, tree, lists, pre, points))
+    }
+
+    /// What both constructors end with: the points permuted into Morton
+    /// order, the all-active set and the geometry hash, over a finished
+    /// tree, lists and operator tables.
+    fn over(
+        kernel: K,
+        opts: FmmOptions,
+        tree: Octree,
+        lists: Arc<InteractionLists>,
+        pre: Arc<Precomputed<K>>,
+        points: &[Point3],
+    ) -> Self {
+        let mut sorted_points = vec![[0.0f64; 3]; points.len()];
+        const CHUNK: usize = 1 << 16;
+        kifmm_runtime::par_chunks_mut(&mut sorted_points, CHUNK, |ci, chunk| {
+            let base = ci * CHUNK;
+            for (j, slot) in chunk.iter_mut().enumerate() {
+                *slot = points[tree.perm[base + j] as usize];
+            }
+        });
         let active = ActiveSet::build(&tree, |_| true);
-        Ok(Plan {
-            kernel,
-            opts,
-            tree,
-            lists: Arc::new(lists),
-            pre,
-            sorted_points,
-            num_points: points.len(),
-            active,
-            geometry,
-        })
+        let (num_points, geometry) = (points.len(), geometry_hash(points));
+        Plan { kernel, opts, tree, lists, pre, sorted_points, num_points, active, geometry }
     }
 
     /// Patch this plan for a moved point set instead of rebuilding it:
@@ -368,27 +378,7 @@ impl<K: Kernel> Plan<K> {
         } else {
             Arc::new(build_lists(&tree))
         };
-        let mut sorted_points = vec![[0.0f64; 3]; new_points.len()];
-        const CHUNK: usize = 1 << 16;
-        kifmm_runtime::par_chunks_mut(&mut sorted_points, CHUNK, |ci, chunk| {
-            let base = ci * CHUNK;
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = new_points[tree.perm[base + j] as usize];
-            }
-        });
-        let active = ActiveSet::build(&tree, |_| true);
-        let geometry = geometry_hash(new_points);
-        Ok(Plan {
-            kernel: self.kernel.clone(),
-            opts: self.opts,
-            tree,
-            lists,
-            pre: self.pre.clone(),
-            sorted_points,
-            num_points: new_points.len(),
-            active,
-            geometry,
-        })
+        Ok(Self::over(self.kernel.clone(), self.opts, tree, lists, self.pre.clone(), new_points))
     }
 
     /// This plan's cache identity.
@@ -463,8 +453,8 @@ impl<K: Kernel> Plan<K> {
     /// The far-field half of an evaluation — Up → M2L → X → L2L — for the
     /// Morton-sorted batch in `src`, every pass charged through `meter`.
     /// Reshapes `store` for the batch and leaves its `up`/`down` rows
-    /// final: the leaf passes of [`Plan::execute`] and the arbitrary-target
-    /// read-off of [`Session::evaluate_at`] both start from here.
+    /// final: [`Plan::execute`] and [`Session::evaluate_at`] both run
+    /// [`PassEngine::leaf_phase`] from here, at their own targets.
     pub(crate) fn far_field(
         &self,
         engine: &PassEngine<'_, K>,
@@ -516,8 +506,7 @@ impl<K: Kernel> Plan<K> {
         store: &mut ExpansionStore,
         ws: &mut EngineWorkspace,
     ) -> Vec<EvalReport> {
-        let k = densities.len();
-        assert!(k >= 1, "at least one density vector");
+        assert!(!densities.is_empty(), "at least one density vector");
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
         for d in densities {
             assert_eq!(
@@ -528,7 +517,6 @@ impl<K: Kernel> Plan<K> {
         }
         let rt = trace.rank(0);
         let mut meter = Meter::new(&rt, dispatch);
-        let n = self.num_points;
         let dens_sorted: Vec<Vec<f64>> =
             densities.iter().map(|d| self.tree.to_morton(d, sd)).collect();
         let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(Vec::as_slice).collect();
@@ -541,40 +529,10 @@ impl<K: Kernel> Plan<K> {
         };
         self.far_field(&engine, &src, store, ws, &mut meter);
 
-        let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
-        let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(Vec::as_mut_slice).collect();
-        // Gradient outputs exist only when the plan asks for them; the
-        // leaf passes take them as an `Option` and fuse when present.
         let wants_grad = self.opts.output.wants_gradient();
-        let mut grads: Vec<Vec<f64>> =
-            if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
-        let mut grad_refs: Option<Vec<&mut [f64]>> =
-            wants_grad.then(|| grads.iter_mut().map(Vec::as_mut_slice).collect());
-        meter.touched(engine.active_leaves().len() as u64);
-        meter.compute(Phase::DownU, "u-list", None, || {
-            engine.u_pass_into(&src, &mut pot_refs, grad_refs.as_deref_mut())
-        });
-        meter.compute(Phase::DownW, "w-list", None, || {
-            engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut())
-        });
-        meter.compute(Phase::Eval, "l2t", None, || {
-            engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut())
-        });
-        drop(pot_refs);
-        drop(grad_refs);
+        let (pots, grads) =
+            engine.leaf_phase(&src, store, engine.own_targets(), wants_grad, &mut meter);
         EvalReport::assemble(&self.tree, td, pots, grads, &meter.stats, trace)
-    }
-
-    /// Sorted points and density slice of a box.
-    pub(crate) fn leaf_data<'a>(
-        &'a self,
-        ni: u32,
-        dens: &'a [f64],
-    ) -> (&'a [Point3], &'a [f64]) {
-        let node = &self.tree.nodes[ni as usize];
-        let (s, e) = (node.pt_start as usize, node.pt_end as usize);
-        let sd = self.kernel.src_dim();
-        (&self.sorted_points[s..e], &dens[s * sd..e * sd])
     }
 }
 
@@ -594,7 +552,7 @@ pub struct Session<K: Kernel> {
     plan: Arc<Plan<K>>,
     pool: Freelist<Scratch>,
     trace: Tracer,
-    parallel_eval: bool,
+    dispatch: Dispatch,
 }
 
 impl<K: Kernel> Session<K> {
@@ -610,7 +568,7 @@ impl<K: Kernel> Session<K> {
             plan,
             pool: Freelist::new(POOL_SLOTS),
             trace: Tracer::disabled(),
-            parallel_eval: false,
+            dispatch: Dispatch::Serial,
         }
     }
 
@@ -638,15 +596,11 @@ impl<K: Kernel> Session<K> {
     /// Route evaluations through the shared-memory parallel path
     /// (bit-identical results; wall-clock phase timing).
     pub fn set_parallel_eval(&mut self, parallel: bool) {
-        self.parallel_eval = parallel;
+        self.dispatch = if parallel { Dispatch::Pool } else { Dispatch::Serial };
     }
 
     pub(crate) fn dispatch(&self) -> Dispatch {
-        if self.parallel_eval {
-            Dispatch::Pool
-        } else {
-            Dispatch::Serial
-        }
+        self.dispatch
     }
 
     /// Run `f` on a scratch pair checked out of the pool (a fresh one when
@@ -1188,20 +1142,25 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 2));
     }
 
-    /// Regression for the kernel-identity hole: a `PlanCache<BoxedKernel>`
-    /// serves *type-erased* kernels, so the type parameter no longer pins
-    /// which kernel a plan was built for — and parameterless kernels all
-    /// report `id_bits() == 0`. The old key (id_bits only) made
-    /// BoxedKernel(Laplace) and BoxedKernel(LaplaceDipole) collide; the
-    /// name hash now keeps them apart.
+    /// Regression for the kernel-identity hole: every `CustomKernel` is the
+    /// same Rust type and a closure has no parameters to fingerprint
+    /// (`id_bits() == 0`), so neither the cache's type parameter nor the
+    /// fingerprint says which closure a plan was built for. The old key
+    /// (id_bits only) made any two of them collide; the name hash now
+    /// keeps them apart.
     #[test]
     fn plan_cache_distinguishes_boxed_kernels_by_name() {
-        use kifmm_kernels::{BoxedKernel, LaplaceDipole};
-        let a = BoxedKernel(std::sync::Arc::new(Laplace));
-        let b = BoxedKernel(std::sync::Arc::new(LaplaceDipole));
+        use kifmm_kernels::CustomKernel;
+        let a = CustomKernel::new("closure-laplace", 1, 1, Some(-1.0), |x, y, g| {
+            Laplace.eval(x, y, g)
+        });
+        let b = CustomKernel::new("closure-half-laplace", 1, 1, Some(-1.0), |x, y, g| {
+            Laplace.eval(x, y, g);
+            g[0] *= 0.5;
+        });
         // Pin the collision shape the name hash exists to break: the two
-        // erased kernels are indistinguishable by parameter fingerprint…
-        assert_eq!(a.id_bits(), b.id_bits(), "both erased kernels fingerprint to 0");
+        // closures are indistinguishable by parameter fingerprint…
+        assert_eq!(a.id_bits(), b.id_bits(), "both closure kernels fingerprint to 0");
         // …and only the folded-in name hash separates their keys.
         let ka = PlanKey::new(&a, &opts_small(), 42);
         let kb = PlanKey::new(&b, &opts_small(), 42);
@@ -1209,10 +1168,10 @@ mod tests {
         assert_ne!(ka, kb, "keys must differ despite equal id_bits");
         assert_eq!(PlanKey { kernel_name: kb.kernel_name, ..ka }, kb, "only the name separates them");
 
-        // End to end: the second kernel must MISS, not reuse the Laplace
-        // plan (whose operators would silently produce wrong physics).
+        // End to end: the second kernel must MISS, not reuse the first
+        // one's plan (whose operators would silently produce wrong physics).
         let pts = cloud(200, 3);
-        let cache: PlanCache<BoxedKernel> = PlanCache::unbounded();
+        let cache: PlanCache<CustomKernel> = PlanCache::unbounded();
         cache.get_or_plan(&a, &pts, opts_small()).unwrap();
         cache.get_or_plan(&b, &pts, opts_small()).unwrap();
         assert_eq!((cache.hits(), cache.misses()), (0, 2));

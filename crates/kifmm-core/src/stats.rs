@@ -106,16 +106,6 @@ impl PhaseStats {
             + self.seconds[Phase::Eval as usize]
     }
 
-    /// Aggregate flop rate in Gflop/s over the measured wall time.
-    pub fn gflops_rate(&self) -> f64 {
-        let t = self.total_seconds();
-        if t > 0.0 {
-            self.total_flops() as f64 / t / 1e9
-        } else {
-            0.0
-        }
-    }
-
     /// Accumulate another run's stats (used by the distributed driver to
     /// merge rank-local stats).
     pub fn merge(&mut self, other: &PhaseStats) {
@@ -136,11 +126,6 @@ impl PhaseStats {
     /// Total messages sent across phases.
     pub fn total_messages(&self) -> u64 {
         self.comm_messages.iter().sum()
-    }
-
-    /// Total bytes sent across phases.
-    pub fn total_comm_bytes(&self) -> u64 {
-        self.comm_bytes.iter().sum()
     }
 
     /// Add flops to a phase ([`Meter`] is the only caller).
@@ -273,13 +258,7 @@ mod tests {
         assert_eq!(a.seconds[Phase::Comm as usize], 2.0);
         assert_eq!(a.comm_messages[Phase::Comm as usize], 3);
         assert_eq!(a.total_messages(), 4);
-        assert_eq!(a.total_comm_bytes(), 416);
-    }
-
-    #[test]
-    fn gflops_rate_zero_time() {
-        let s = PhaseStats::new();
-        assert_eq!(s.gflops_rate(), 0.0);
+        assert_eq!(a.comm_bytes.iter().sum::<u64>(), 416);
     }
 
     #[test]

@@ -16,88 +16,70 @@
 //! computational domain) fall back to exact direct summation — correct
 //! always, and rare when targets live near the geometry.
 
-use crate::engine::{ExpansionStore, LocalSources};
-use crate::operators::FIRST_FMM_LEVEL;
+use crate::engine::{LeafTargets, LocalSources};
 use crate::plan::Session;
 use crate::stats::Meter;
-use crate::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{Kernel, Point3};
-use kifmm_tree::{point_key, MAX_LEVEL};
+use kifmm_tree::{point_in_domain, point_key, MAX_LEVEL};
 
 impl<K: Kernel> Session<K> {
     /// Evaluate the potential at arbitrary `targets` (not necessarily the
     /// source points). Returns `TRG_DIM` components per target. The
-    /// far-field passes run under this session's dispatch, tracer and
-    /// pooled scratch, like [`Session::eval`].
+    /// targets are binned by the leaf box containing them and read the far
+    /// field through the same leaf passes as [`Session::eval`], under this
+    /// session's dispatch, tracer and pooled scratch.
     pub fn evaluate_at(&self, densities: &[f64], targets: &[Point3]) -> Vec<f64> {
-        let sd = self.kernel.src_dim();
+        let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
         assert_eq!(densities.len(), self.num_points * sd, "density length");
         let dens = self.tree.to_morton(densities, sd);
-        let engine = self.engine(self.dispatch());
-        let src = LocalSources {
-            tree: &self.tree,
-            points: &self.sorted_points,
-            dens: &[&dens],
-            src_dim: sd,
-        };
-        let rt = self.trace().rank(0);
-        self.with_scratch(|store, ws| {
-            self.far_field(&engine, &src, store, ws, &mut Meter::new(&rt, self.dispatch()));
-            self.read_off(&dens, store, targets)
-        })
-    }
-
-    /// Per-target U + W + L2T read-off against the final expansions of
-    /// one Morton-sorted density vector.
-    fn read_off(&self, dens: &[f64], store: &ExpansionStore, targets: &[Point3]) -> Vec<f64> {
-        let td = self.kernel.trg_dim();
-        let tree = &self.tree;
-        let mut out = vec![0.0; targets.len() * td];
-        let domain = tree.domain;
+        let (tree, domain) = (&self.tree, self.tree.domain);
+        // `(leaf, target)` of every target a leaf serves; the others —
+        // outside the domain cube, or in a source-free pocket of an
+        // internal box — get the exact sum.
+        let (mut binned, mut exact) = (Vec::new(), Vec::new());
         for (ti, &t) in targets.iter().enumerate() {
-            let slot = &mut out[ti * td..(ti + 1) * td];
-            // Outside the domain cube: everything is far in an unindexed
-            // direction — fall back to the exact sum.
-            let inside = (0..3).all(|d| (t[d] - domain.center[d]).abs() <= domain.half);
-            if !inside {
-                self.direct_all(t, dens, slot);
-                continue;
-            }
-            let key = point_key(t, domain.center, domain.half, MAX_LEVEL);
-            let ni = tree.deepest_ancestor(&key);
-            let node = &tree.nodes[ni as usize];
-            if !node.is_leaf() {
-                // Source-free pocket inside an internal box: exact sum.
-                self.direct_all(t, dens, slot);
-                continue;
-            }
-            // U: direct near-field.
-            for &a in &self.lists.u[ni as usize] {
-                let (pts, d) = self.leaf_data(a, dens);
-                self.kernel.p2p(std::slice::from_ref(&t), pts, d, slot);
-            }
-            // W: separated finer boxes via their upward equivalents.
-            for &a in &self.lists.w[ni as usize] {
-                let akey = tree.nodes[a as usize].key;
-                let ac = domain.box_center(&akey);
-                let ah = domain.box_half(akey.level);
-                let ue = surface_points(self.opts.order, RAD_INNER, ac, ah);
-                self.kernel.p2p(std::slice::from_ref(&t), &ue, store.up(a), slot);
-            }
-            // L2T: the rest of the far field.
-            if node.key.level >= FIRST_FMM_LEVEL {
-                let c = domain.box_center(&node.key);
-                let half = domain.box_half(node.key.level);
-                let de = surface_points(self.opts.order, RAD_OUTER, c, half);
-                self.kernel.p2p(std::slice::from_ref(&t), &de, store.down(ni), slot);
+            let leaf = point_in_domain(t, domain.center, domain.half)
+                .then(|| tree.deepest_ancestor(&point_key(t, domain.center, domain.half, MAX_LEVEL)))
+                .filter(|&ni| tree.nodes[ni as usize].is_leaf());
+            match leaf {
+                Some(ni) => binned.push((ni, ti)),
+                None => exact.push(ti),
             }
         }
+        binned.sort_unstable();
+        let mut out = vec![0.0; targets.len() * td];
+        if !binned.is_empty() {
+            let points: Vec<Point3> = binned.iter().map(|&(_, ti)| targets[ti]).collect();
+            let mut ranges: Vec<(u32, usize, usize)> = Vec::new();
+            for (j, &(ni, _)) in binned.iter().enumerate() {
+                match ranges.last_mut() {
+                    Some(r) if r.0 == ni => r.2 = j + 1,
+                    _ => ranges.push((ni, j, j + 1)),
+                }
+            }
+            let engine = self.engine(self.dispatch());
+            let src = LocalSources {
+                tree,
+                points: &self.sorted_points,
+                dens: &[&dens],
+                src_dim: sd,
+            };
+            let rt = self.trace().rank(0);
+            let mut meter = Meter::new(&rt, self.dispatch());
+            let (pots, _) = self.with_scratch(|store, ws| {
+                self.far_field(&engine, &src, store, ws, &mut meter);
+                let at = LeafTargets { points: &points, ranges: &ranges };
+                engine.leaf_phase(&src, store, at, false, &mut meter)
+            });
+            for (row, &(_, ti)) in pots[0].chunks_exact(td).zip(&binned) {
+                out[ti * td..(ti + 1) * td].copy_from_slice(row);
+            }
+        }
+        for ti in exact {
+            let slot = &mut out[ti * td..(ti + 1) * td];
+            self.kernel.p2p(&targets[ti..=ti], &self.sorted_points, &dens, slot);
+        }
         out
-    }
-
-    /// Exact summation over all sources for one target (fallback path).
-    fn direct_all(&self, t: Point3, sorted_dens: &[f64], slot: &mut [f64]) {
-        self.kernel.p2p(std::slice::from_ref(&t), &self.sorted_points, sorted_dens, slot);
     }
 }
 
@@ -176,5 +158,92 @@ mod tests {
         let truth = direct_eval_src_trg(&Stokes::default(), &srcs, &dens, &targets);
         let e = rel_l2_error(&u, &truth);
         assert!(e < 1e-4, "pocket targets error {e}");
+    }
+
+    fn fnv1a(values: &[f64]) -> u64 {
+        let mut h = 0xcbf29ce484222325u64;
+        for v in values {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        h
+    }
+
+    /// Corner-clustered sources (non-empty W and X lists) read at every
+    /// kind of target: jittered copies of sources (deep leaves, W lists),
+    /// a uniform scatter (shallow leaves and source-free pockets) and one
+    /// point outside the domain. Serial and pool must agree bitwise.
+    fn clustered_hash<K: Kernel>(kernel: K) -> u64 {
+        let srcs = kifmm_geom::corner_clusters(900, 16);
+        let dens = kifmm_geom::random_densities(900, kernel.src_dim(), 40);
+        let mut targets: Vec<Point3> =
+            srcs.iter().step_by(3).map(|p| [p[0] * 0.999, p[1] * 0.998, p[2] * 0.997]).collect();
+        targets.extend(kifmm_geom::uniform_cube(200, 77));
+        targets.push([7.0, -3.0, 2.0]);
+        let mut fmm = Fmm::builder(kernel)
+            .points(&srcs)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 12, ..Default::default() })
+            .build();
+        assert!(
+            fmm.lists.w.iter().any(|w| !w.is_empty()) && fmm.lists.x.iter().any(|x| !x.is_empty()),
+            "geometry must exercise the W and X lists"
+        );
+        let serial = fmm.evaluate_at(&dens, &targets);
+        assert!(serial.iter().all(|v| v.is_finite()));
+        fmm.set_parallel_eval(true);
+        assert_eq!(serial, fmm.evaluate_at(&dens, &targets), "pool differs from serial");
+        fnv1a(&serial)
+    }
+
+    /// Pinned at the parent of PR 19, when `evaluate_at` still read the
+    /// far field off one target at a time: binning the targets by leaf and
+    /// running the shared leaf passes keeps every target's U → W → L2T sum
+    /// in the same order.
+    #[test]
+    fn evaluate_at_bits_match_per_target_read_off() {
+        let got = [clustered_hash(Laplace), clustered_hash(Stokes::new(0.7))];
+        assert_eq!(
+            got,
+            [0x2a609146a2f5bbf3, 0x6154d0139f7e9850],
+            "got {:#018x} {:#018x}",
+            got[0],
+            got[1]
+        );
+    }
+
+    #[test]
+    fn no_targets_no_output() {
+        let srcs = cloud(300, 4);
+        let fmm = Fmm::builder(Laplace).points(&srcs).options(FmmOptions::with_order(4)).build();
+        assert!(fmm.evaluate_at(&vec![1.0; 300], &[]).is_empty());
+    }
+
+    /// One target outside the domain cube and one in a source-free pocket
+    /// (its deepest box is internal), between targets the leaves serve:
+    /// both take the direct sum, and land in their own output slots.
+    #[test]
+    fn outside_and_pocket_targets_stay_exact() {
+        let srcs = kifmm_geom::corner_clusters(900, 16);
+        let dens = kifmm_geom::random_densities(900, 1, 40);
+        let fmm = Fmm::builder(Laplace)
+            .points(&srcs)
+            .options(FmmOptions { order: 4, max_pts_per_leaf: 12, ..Default::default() })
+            .build();
+        let (tree, domain) = (&fmm.tree, fmm.tree.domain);
+        let deepest =
+            |t| tree.deepest_ancestor(&point_key(t, domain.center, domain.half, MAX_LEVEL));
+        let pocket = kifmm_geom::uniform_cube(400, 77)
+            .into_iter()
+            .find(|&t| !tree.nodes[deepest(t) as usize].is_leaf())
+            .expect("a corner-clustered cloud leaves pockets");
+        let targets = [srcs[10], [7.0, -3.0, 2.0], srcs[500], pocket, srcs[20]];
+        let u = fmm.evaluate_at(&dens, &targets);
+        let truth = direct_eval_src_trg(&Laplace, &srcs, &dens, &targets);
+        for i in [1, 3] {
+            assert!((u[i] - truth[i]).abs() <= 1e-13 * truth[i].abs(), "target {i} not exact");
+        }
+        assert!(rel_l2_error(&u, &truth) < 1e-3, "leaf-served targets misplaced");
     }
 }

@@ -30,7 +30,7 @@ pub mod fft3;
 pub mod real3;
 
 pub use c64::C64;
-pub use conv::{pointwise_mul, pointwise_mul_add};
+pub use conv::pointwise_mul_add;
 pub use fft1d::FftPlan;
 pub use fft3::Fft3;
 pub use real3::RealFft3;

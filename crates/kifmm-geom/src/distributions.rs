@@ -70,21 +70,6 @@ pub fn fibonacci_sphere(center: Point3, radius: f64, n: usize) -> Vec<Point3> {
         .collect()
 }
 
-/// Surface points of an axis-aligned ellipsoid (Fibonacci parametrization
-/// scaled per axis).
-pub fn ellipsoid_surface(center: Point3, semi_axes: [f64; 3], n: usize) -> Vec<Point3> {
-    fibonacci_sphere([0.0; 3], 1.0, n)
-        .into_iter()
-        .map(|p| {
-            [
-                center[0] + semi_axes[0] * p[0],
-                center[1] + semi_axes[1] * p[1],
-                center[2] + semi_axes[2] * p[2],
-            ]
-        })
-        .collect()
-}
-
 /// The paper's first particle set: `total` points distributed over 512
 /// spheres centered on an 8×8×8 Cartesian grid in `[−1, 1]³`
 /// (lat/long-sampled, so locally non-uniform at high rates).
@@ -262,14 +247,5 @@ mod tests {
             .collect();
         d.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!(d[2000] < 0.5, "median corner distance {}", d[2000]);
-    }
-
-    #[test]
-    fn ellipsoid_on_surface() {
-        let pts = ellipsoid_surface([0.0; 3], [2.0, 1.0, 0.5], 100);
-        for p in &pts {
-            let v = (p[0] / 2.0).powi(2) + p[1].powi(2) + (p[2] / 0.5).powi(2);
-            assert!((v - 1.0).abs() < 1e-12);
-        }
     }
 }

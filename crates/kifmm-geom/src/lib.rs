@@ -18,8 +18,8 @@ pub mod patch;
 pub mod rng;
 
 pub use distributions::{
-    corner_clusters, ellipsoid_surface, fibonacci_sphere, latlong_sphere, random_densities,
-    sphere_grid, sphere_grid_patches, uniform_cube,
+    corner_clusters, fibonacci_sphere, latlong_sphere, random_densities, sphere_grid,
+    sphere_grid_patches, uniform_cube,
 };
 pub use patch::SurfacePatch;
 pub use rng::Rng;

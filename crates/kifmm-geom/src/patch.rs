@@ -27,12 +27,6 @@ impl SurfacePatch {
         SurfacePatch { points, weight }
     }
 
-    /// Patch with an explicit weight (e.g. a work estimate from a previous
-    /// time step).
-    pub fn with_weight(points: Vec<Point3>, weight: f64) -> Self {
-        SurfacePatch { points, weight }
-    }
-
     /// Centroid of the patch (used as its Morton-curve key).
     pub fn centroid(&self) -> Point3 {
         if self.points.is_empty() {

@@ -30,30 +30,6 @@ pub fn assemble<K: Kernel>(kernel: &K, targets: &[Point3], sources: &[Point3]) -
     out
 }
 
-/// Assemble the `(targets·trg_dim·3) × (sources·src_dim)` gradient matrix
-/// `∇K[(i,t,d), (j,b)] = ∂G(x_i, y_j)[t, b]/∂x_d` — the dense reference
-/// for the FMM's gradient outputs.
-pub fn assemble_grad<K: Kernel>(kernel: &K, targets: &[Point3], sources: &[Point3]) -> Mat {
-    let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
-    let gd = td * 3;
-    let m = targets.len() * gd;
-    let n = sources.len() * sd;
-    let mut out = Mat::zeros(m, n);
-    let mut block = vec![0.0; gd * sd];
-    for (i, &x) in targets.iter().enumerate() {
-        for (j, &y) in sources.iter().enumerate() {
-            kernel.eval_grad(x, y, &mut block);
-            for a in 0..gd {
-                let row = i * gd + a;
-                for b in 0..sd {
-                    out[(row, j * sd + b)] = block[a * sd + b];
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,9 +68,17 @@ mod tests {
         let t: Vec<Point3> = (0..3).map(|i| [0.1 * i as f64, 0.2, 0.3]).collect();
         let s: Vec<Point3> = (0..4).map(|i| [1.0, 0.25 * i as f64, -0.4]).collect();
         let dens: Vec<f64> = (0..12).map(|i| (i as f64 * 0.7).cos()).collect();
-        let m = assemble_grad(&k, &t, &s);
-        assert_eq!(m.shape(), (3 * 9, 12));
-        let via_matrix = m.matvec(&dens);
+        // The gradient mat-vec, block by block from `eval_grad`.
+        let mut via_matrix = vec![0.0; 27];
+        let mut block = [0.0; 27];
+        for (i, &x) in t.iter().enumerate() {
+            for (j, &y) in s.iter().enumerate() {
+                k.eval_grad(x, y, &mut block);
+                for (a, row) in block.chunks_exact(3).enumerate() {
+                    via_matrix[i * 9 + a] += (0..3).map(|b| row[b] * dens[j * 3 + b]).sum::<f64>();
+                }
+            }
+        }
         let mut pot = vec![0.0; 9];
         let mut via_p2p = vec![0.0; 27];
         k.p2p_grad(&t, &s, &dens, &mut pot, &mut via_p2p);

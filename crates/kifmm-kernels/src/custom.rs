@@ -1,11 +1,10 @@
-//! The runtime kernel layer: object-safe [`DynKernel`] and the
-//! closure-backed [`CustomKernel`].
+//! The runtime kernel layer: the closure-backed [`CustomKernel`].
 //!
 //! The paper's kernel-independence claim is that the FMM touches the PDE
 //! only through kernel evaluations. This module makes the claim
 //! executable: a user hands the library a black-box closure
 //! `(x, y, block)` with *runtime* source/target dimensions and the full
-//! pipeline — equivalent densities, FFT/SVD M2L, the distributed driver —
+//! pipeline — equivalent densities, FFT M2L, the distributed driver —
 //! runs unchanged, because nothing in the pipeline ever sees a
 //! compile-time dimension or an analytic expansion.
 
@@ -16,97 +15,6 @@ use std::sync::Arc;
 /// Pairwise evaluation closure: fills the row-major kernel (or gradient)
 /// block for `(x, y)`.
 pub type KernelFn = Arc<dyn Fn(Point3, Point3, &mut [f64]) + Send + Sync>;
-
-/// Object-safe mirror of [`Kernel`]: every method takes `&self` and no
-/// generics, so `dyn DynKernel` works as a trait object (heterogeneous
-/// kernel registries, FFI boundaries). Blanket-implemented for every
-/// [`Kernel`]; wrap an `Arc<dyn DynKernel>` in [`BoxedKernel`] to feed a
-/// type-erased kernel back into the generic pipeline.
-pub trait DynKernel: Send + Sync {
-    /// See [`Kernel::src_dim`].
-    fn src_dim(&self) -> usize;
-    /// See [`Kernel::trg_dim`].
-    fn trg_dim(&self) -> usize;
-    /// See [`Kernel::name`].
-    fn name(&self) -> &str;
-    /// See [`Kernel::homogeneity`].
-    fn homogeneity(&self) -> Option<f64>;
-    /// See [`Kernel::flops_per_eval`].
-    fn flops_per_eval(&self) -> u64;
-    /// See [`Kernel::flops_per_grad_eval`].
-    fn flops_per_grad_eval(&self) -> u64;
-    /// See [`Kernel::id_bits`].
-    fn id_bits(&self) -> u64;
-    /// See [`Kernel::eval`].
-    fn eval(&self, x: Point3, y: Point3, block: &mut [f64]);
-    /// See [`Kernel::eval_grad`].
-    fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]);
-}
-
-impl<K: Kernel> DynKernel for K {
-    fn src_dim(&self) -> usize {
-        Kernel::src_dim(self)
-    }
-    fn trg_dim(&self) -> usize {
-        Kernel::trg_dim(self)
-    }
-    fn name(&self) -> &str {
-        Kernel::name(self)
-    }
-    fn homogeneity(&self) -> Option<f64> {
-        Kernel::homogeneity(self)
-    }
-    fn flops_per_eval(&self) -> u64 {
-        Kernel::flops_per_eval(self)
-    }
-    fn flops_per_grad_eval(&self) -> u64 {
-        Kernel::flops_per_grad_eval(self)
-    }
-    fn id_bits(&self) -> u64 {
-        Kernel::id_bits(self)
-    }
-    fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        Kernel::eval(self, x, y, block)
-    }
-    fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        Kernel::eval_grad(self, x, y, block)
-    }
-}
-
-/// A type-erased kernel re-entering the generic pipeline: `Clone` via the
-/// shared `Arc`, with the generic (eval-based) `p2p` defaults.
-#[derive(Clone)]
-pub struct BoxedKernel(pub Arc<dyn DynKernel>);
-
-impl Kernel for BoxedKernel {
-    fn src_dim(&self) -> usize {
-        self.0.src_dim()
-    }
-    fn trg_dim(&self) -> usize {
-        self.0.trg_dim()
-    }
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-    fn homogeneity(&self) -> Option<f64> {
-        self.0.homogeneity()
-    }
-    fn flops_per_eval(&self) -> u64 {
-        self.0.flops_per_eval()
-    }
-    fn flops_per_grad_eval(&self) -> u64 {
-        self.0.flops_per_grad_eval()
-    }
-    fn id_bits(&self) -> u64 {
-        self.0.id_bits()
-    }
-    fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        self.0.eval(x, y, block)
-    }
-    fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        self.0.eval_grad(x, y, block)
-    }
-}
 
 /// A user-supplied black-box kernel: pairwise closure + runtime
 /// dimensions + an identity tag. Drives the *entire* FMM (serial, pooled,
@@ -124,9 +32,10 @@ impl Kernel for BoxedKernel {
 /// assert_eq!(b[0], 0.5);
 /// ```
 ///
-/// The `tag` is the kernel's cache identity (hashed into plan-cache keys
-/// together with [`id_bits`](Kernel::id_bits)): give different closures
-/// different tags, or cached plans may alias. Without
+/// The `tag` is the kernel's [`name`](Kernel::name) and with it its cache
+/// identity (every cache key hashes the name beside
+/// [`id_bits`](Kernel::id_bits)): give different closures different tags,
+/// or cached plans may alias. Without
 /// [`with_grad`](CustomKernel::with_grad), gradients fall back to the
 /// central difference of the closure (~1e-8 relative).
 #[derive(Clone)]
@@ -135,8 +44,6 @@ pub struct CustomKernel {
     trg_dim: usize,
     tag: Arc<str>,
     homogeneity: Option<f64>,
-    flops: u64,
-    grad_flops: u64,
     eval_fn: KernelFn,
     grad_fn: Option<KernelFn>,
 }
@@ -154,14 +61,11 @@ impl CustomKernel {
     ) -> Self {
         assert!(src_dim > 0 && trg_dim > 0, "kernel block must be non-empty");
         assert!(!tag.is_empty(), "kernel tag must be non-empty");
-        let flops = (10 + 2 * src_dim as u64) * trg_dim as u64;
         CustomKernel {
             src_dim,
             trg_dim,
             tag: Arc::from(tag),
             homogeneity,
-            flops,
-            grad_flops: 4 * flops,
             eval_fn: Arc::new(eval_fn),
             grad_fn: None,
         }
@@ -175,14 +79,6 @@ impl CustomKernel {
         grad_fn: impl Fn(Point3, Point3, &mut [f64]) + Send + Sync + 'static,
     ) -> Self {
         self.grad_fn = Some(Arc::new(grad_fn));
-        self
-    }
-
-    /// Override the per-pair flop charges used in Gflop/s reporting
-    /// (the constructor installs a generic estimate).
-    pub fn with_flops(mut self, per_eval: u64, per_grad_eval: u64) -> Self {
-        self.flops = per_eval;
-        self.grad_flops = per_grad_eval;
         self
     }
 }
@@ -204,23 +100,9 @@ impl Kernel for CustomKernel {
         self.homogeneity
     }
 
+    /// A generic estimate: the closure's cost is unknown.
     fn flops_per_eval(&self) -> u64 {
-        self.flops
-    }
-
-    fn flops_per_grad_eval(&self) -> u64 {
-        self.grad_flops
-    }
-
-    /// FNV-1a of the tag: two closures with different tags never share
-    /// cached operator tables even though both are "CustomKernel".
-    fn id_bits(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for &b in self.tag.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h
+        (10 + 2 * self.src_dim as u64) * self.trg_dim as u64
     }
 
     fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
@@ -237,9 +119,6 @@ impl Kernel for CustomKernel {
 
 #[cfg(test)]
 mod tests {
-    // `Kernel` and `DynKernel` share method names by design; with both
-    // traits in scope (this module defines DynKernel) calls use
-    // fully-qualified syntax.
     use super::*;
     use crate::Laplace;
 
@@ -298,21 +177,11 @@ mod tests {
     fn tags_give_distinct_identities() {
         let a = CustomKernel::new("k-a", 1, 1, None, |_, _, b| b[0] = 0.0);
         let b = CustomKernel::new("k-b", 1, 1, None, |_, _, b| b[0] = 0.0);
-        assert_ne!(Kernel::id_bits(&a), Kernel::id_bits(&b));
+        // The tag is the name, which every cache key hashes beside
+        // `id_bits` (0 here: a closure has no parameters to fingerprint).
+        assert_ne!(Kernel::name(&a), Kernel::name(&b));
         assert_eq!(Kernel::name(&a), "k-a");
-    }
-
-    #[test]
-    fn boxed_kernel_round_trips() {
-        let erased: Arc<dyn DynKernel> = Arc::new(Laplace);
-        let k = BoxedKernel(erased);
-        assert_eq!(Kernel::src_dim(&k), 1);
-        assert_eq!(Kernel::name(&k), "Laplace");
-        let mut b = [0.0];
-        Kernel::eval(&k, [1.0, 0.0, 0.0], [0.0; 3], &mut b);
-        let mut expect = [0.0];
-        Kernel::eval(&Laplace, [1.0, 0.0, 0.0], [0.0; 3], &mut expect);
-        assert_eq!(b[0], expect[0]);
+        assert_eq!(Kernel::id_bits(&a), Kernel::id_bits(&b));
     }
 
     #[test]

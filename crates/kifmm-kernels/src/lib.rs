@@ -21,8 +21,7 @@
 //! defaults an analytic kernel may replace with one hand-written
 //! multi-RHS loop per output kind. Dimensions are runtime values, so
 //! closure-supplied kernels with caller-chosen block shapes run the
-//! identical pipeline; [`DynKernel`]/[`BoxedKernel`] add an object-safe
-//! layer for type-erased registries.
+//! identical pipeline.
 //!
 //! Every kernel declares an exact per-evaluation flop count so the bench
 //! harness can report the counted Gflop/s figures of Tables 4.1–4.3.
@@ -38,8 +37,8 @@ pub mod laplace_dipole;
 pub mod modified_laplace;
 pub mod stokes;
 
-pub use assemble::{assemble, assemble_grad};
-pub use custom::{BoxedKernel, CustomKernel, DynKernel, KernelFn};
+pub use assemble::assemble;
+pub use custom::{CustomKernel, KernelFn};
 pub use gaussian::Gaussian;
 pub use kelvin::Kelvin;
 pub use kernel::{central_difference_grad, Kernel};

@@ -139,11 +139,6 @@ impl Mat {
         }
     }
 
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry, or 0 for an empty matrix.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
@@ -200,7 +195,6 @@ mod tests {
         let i = Mat::eye(3);
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
-        assert_eq!(i.fro_norm(), 3f64.sqrt());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   requires `sqrt` and `div` to be correctly rounded, so the vector
 //!   lanes equal the scalar results bit-for-bit.
 //!
-//! Dispatch is resolved once per process: compiled out entirely under the
-//! `portable` cargo feature or on non-x86_64 targets, otherwise gated on
+//! Dispatch is resolved once per process: compiled out entirely on
+//! non-x86_64 targets, otherwise gated on
 //! `is_x86_feature_detected!("avx2")` and on the `KIFMM_SIMD` environment
 //! variable (`KIFMM_SIMD=0` forces scalar). [`set_force_scalar`] flips the
 //! decision at runtime so one process can check SIMD ≡ scalar bitwise —
@@ -30,7 +30,7 @@ const MODE_SIMD: u8 = 1;
 const MODE_SCALAR: u8 = 2;
 
 fn detect() -> u8 {
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
+    #[cfg(target_arch = "x86_64")]
     {
         let env_off = std::env::var("KIFMM_SIMD").map(|v| v == "0").unwrap_or(false);
         if !env_off && std::arch::is_x86_feature_detected!("avx2") {
@@ -103,7 +103,7 @@ pub fn recip_sqrt_scalar(v: &mut [f64]) {
     }
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     use core::arch::x86_64::*;
 
@@ -194,7 +194,7 @@ mod x86 {
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: slices must have equal lengths");
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` returns true only after `detect` saw AVX2
         // on this CPU, and the lengths were asserted equal just above.
@@ -208,7 +208,7 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy: slices must have equal lengths");
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2 verified by `simd_active`; lengths asserted equal
         // just above.
@@ -223,7 +223,7 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// rounded.
 #[inline]
 pub fn recip_sqrt(v: &mut [f64]) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "portable")))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: AVX2 verified by `simd_active`; the kernel touches only
         // `v[..v.len()]`.

@@ -87,19 +87,6 @@ pub struct CommStats {
     pub comm_seconds: f64,
 }
 
-/// Traffic between this rank and one peer (see [`Comm::peer_traffic`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PeerTraffic {
-    /// Bytes sent to the peer.
-    pub bytes_sent: u64,
-    /// Messages sent to the peer.
-    pub messages_sent: u64,
-    /// Bytes received from the peer.
-    pub bytes_received: u64,
-    /// Messages received from the peer.
-    pub messages_received: u64,
-}
-
 /// A rank's handle to the communicator (one per thread; not shared).
 pub struct Comm {
     rank: usize,
@@ -107,8 +94,6 @@ pub struct Comm {
     /// Sequence numbers making collective tags unique per call site order.
     collective_seq: std::cell::Cell<u64>,
     stats: std::cell::Cell<CommStats>,
-    /// Per-peer traffic, indexed by peer rank.
-    peers: std::cell::RefCell<Vec<PeerTraffic>>,
     /// Observability hook: byte/message counters charged per send/recv
     /// (a disabled tracer unless [`Comm::attach_tracer`] was called).
     tracer: std::cell::RefCell<RankTracer>,
@@ -133,11 +118,6 @@ impl Comm {
         self.stats.get()
     }
 
-    /// Traffic between this rank and every peer, indexed by peer rank.
-    pub fn peer_traffic(&self) -> Vec<PeerTraffic> {
-        self.peers.borrow().clone()
-    }
-
     /// Attach a rank tracer: every subsequent send/receive charges the
     /// `BytesSent`/`MessagesSent`/`BytesRecv`/`MessagesRecv` counters.
     pub fn attach_tracer(&self, tracer: RankTracer) {
@@ -158,11 +138,6 @@ impl Comm {
         st.bytes_sent += len;
         st.messages_sent += 1;
         self.stats.set(st);
-        {
-            let mut peers = self.peers.borrow_mut();
-            peers[dest].bytes_sent += len;
-            peers[dest].messages_sent += 1;
-        }
         {
             let tr = self.tracer.borrow();
             tr.add(Counter::BytesSent, len);
@@ -194,7 +169,7 @@ impl Comm {
                     let mut st = self.stats.get();
                     st.comm_seconds += start.elapsed().as_secs_f64();
                     self.stats.set(st);
-                    self.count_received(source, msg.len() as u64);
+                    self.count_received(msg.len() as u64);
                     return msg;
                 }
             }
@@ -253,22 +228,17 @@ impl Comm {
         let msg = q.get_mut(&(source, tag)).and_then(|queue| queue.pop_front());
         drop(q);
         if let Some(m) = &msg {
-            self.count_received(source, m.len() as u64);
+            self.count_received(m.len() as u64);
         }
         msg
     }
 
     /// Charge one delivered message to the receive-side accounting.
-    fn count_received(&self, source: usize, len: u64) {
+    fn count_received(&self, len: u64) {
         let mut st = self.stats.get();
         st.bytes_received += len;
         st.messages_received += 1;
         self.stats.set(st);
-        {
-            let mut peers = self.peers.borrow_mut();
-            peers[source].bytes_received += len;
-            peers[source].messages_received += 1;
-        }
         let tr = self.tracer.borrow();
         tr.add(Counter::BytesRecv, len);
         tr.add(Counter::MessagesRecv, 1);
@@ -312,7 +282,6 @@ pub fn run<R: Send>(size: usize, f: impl Fn(&Comm) -> R + Send + Sync) -> Vec<R>
                         shared: shared.clone(),
                         collective_seq: std::cell::Cell::new(0),
                         stats: std::cell::Cell::new(CommStats::default()),
-                        peers: std::cell::RefCell::new(vec![PeerTraffic::default(); size]),
                         tracer: std::cell::RefCell::new(RankTracer::disabled()),
                     };
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
@@ -473,10 +442,9 @@ mod tests {
         assert_eq!(out[0], (1..8).sum::<u64>());
     }
 
-    /// Receive-side and per-peer traffic accounting: every delivered
-    /// message is charged to both the aggregate stats and the
-    /// sender-indexed [`PeerTraffic`] table, and an attached tracer sees
-    /// the same byte/message totals.
+    /// Send- and receive-side traffic accounting: every delivered message
+    /// is charged to the receiver's aggregate stats as it was to the
+    /// sender's, and an attached tracer sees the same byte/message totals.
     #[test]
     fn peer_traffic_and_recv_accounting() {
         let tracer = kifmm_trace::Tracer::enabled();
@@ -484,35 +452,21 @@ mod tests {
             let tracer = tracer.clone();
             move |comm| {
                 comm.attach_tracer(tracer.rank(comm.rank()));
-                if comm.rank() == 0 {
-                    comm.send(1, 7, &[0u8; 10]);
-                    comm.send(2, 7, &[0u8; 20]);
-                    comm.send(2, 8, &[0u8; 5]);
-                    (comm.stats(), comm.peer_traffic())
-                } else {
-                    let from0: Vec<Vec<u8>> = if comm.rank() == 1 {
-                        vec![comm.recv(0, 7)]
-                    } else {
-                        vec![comm.recv(0, 7), comm.recv(0, 8)]
-                    };
-                    let _ = from0;
-                    (comm.stats(), comm.peer_traffic())
+                match comm.rank() {
+                    0 => {
+                        comm.send(1, 7, &[0u8; 10]);
+                        comm.send(2, 7, &[0u8; 20]);
+                        comm.send(2, 8, &[0u8; 5]);
+                    }
+                    1 => drop(comm.recv(0, 7)),
+                    _ => drop((comm.recv(0, 7), comm.recv(0, 8))),
                 }
+                comm.stats()
             }
         });
-        let (st0, peers0) = &out[0];
-        assert_eq!(st0.bytes_sent, 35);
-        assert_eq!(st0.messages_sent, 3);
-        assert_eq!(st0.bytes_received, 0);
-        assert_eq!(peers0[1], PeerTraffic { bytes_sent: 10, messages_sent: 1, ..Default::default() });
-        assert_eq!(peers0[2], PeerTraffic { bytes_sent: 25, messages_sent: 2, ..Default::default() });
-        let (st2, peers2) = &out[2];
-        assert_eq!(st2.bytes_received, 25);
-        assert_eq!(st2.messages_received, 2);
-        assert_eq!(
-            peers2[0],
-            PeerTraffic { bytes_received: 25, messages_received: 2, ..Default::default() }
-        );
+        assert_eq!((out[0].bytes_sent, out[0].messages_sent, out[0].bytes_received), (35, 3, 0));
+        assert_eq!((out[1].bytes_received, out[1].messages_received), (10, 1));
+        assert_eq!((out[2].bytes_received, out[2].messages_received), (25, 2));
         // Tracer counters agree with the stats totals.
         use kifmm_trace::Counter;
         assert_eq!(tracer.counter_total(Counter::BytesSent), 35);

@@ -27,7 +27,7 @@ pub use collectives::{
     allgatherv, allgatherv_u64, allreduce_f64, allreduce_u64, alltoallv, alltoallv_u64, barrier,
     sample_sort_u64, ReduceOp,
 };
-pub use comm::{run, Comm, CommStats, PeerTraffic};
+pub use comm::{run, Comm, CommStats};
 pub use datatypes::{decode_f64s, decode_u64s, encode_f64s, encode_u64s};
 pub use packet::{decode_packet, encode_packet};
 pub use tag::{decode_tag, encode_tag};

@@ -13,32 +13,40 @@
 //!    while owners sum them (valid because every translation is linear in
 //!    the sources);
 //! 4. runs the **M2L (V-list) translations** level by level, first on the
-//!    targets whose V lists read no in-flight box, polling both exchanges
-//!    between levels so packets drain strictly underneath M2L compute,
-//!    then — once the equivalent exchange is driven to completion and the
-//!    global sums installed — on the held-back boundary targets;
+//!    *interior* targets (V list reads no in-flight box), polling both
+//!    exchanges between levels so packets drain strictly underneath M2L
+//!    compute, then — once the equivalent exchange is driven to completion
+//!    and the global sums installed — on the held-back *boundary* targets;
 //! 5. completes the ghost-density exchange (by step 4's polling it is
-//!    usually already done) and runs the **dense (U-list) and X-list
-//!    computations** on the assembled ghost sources;
-//! 6. finishes the downward computation (L2L, W, L2T) with the globally
-//!    summed equivalents.
+//!    usually already done) and runs the **X-list computation** on the
+//!    assembled ghost sources, then L2L;
+//! 6. finishes with the engine's leaf phase (U on the ghost sources, W and
+//!    L2T on the globally summed equivalents) — from step 5 on, the pass
+//!    order of the serial evaluator.
 //!
 //! No synchronization happens inside the computation passes — the
 //! exchanges are poll-driven state machines
 //! ([`ExchangePlan`](crate::exchange::ExchangePlan)) that make
 //! progress whenever the driver touches them between compute stages,
 //! matching the paper's "logically separated" design while keeping
-//! communication under compute. M2L and the X-list pass both *accumulate*
-//! into the downward check potentials, so running M2L before X (the
-//! reverse of the serial evaluator's order) changes only the rounding of
-//! that sum, within the cross-path tolerance.
+//! communication under compute. Every box's check potentials accumulate
+//! M2L first and X second, as in `Plan::far_field`, and every target's
+//! V list is summed in list order whichever of the two M2L sweeps it
+//! falls in — what differs from the serial evaluator is only that the
+//! upward equivalents of a shared box are the owner's sum of per-rank
+//! partials. At P = 1 there are no partials: the potentials are
+//! bit-identical to serial on `uniform_cube`, and not on
+//! `corner_clusters`, whose tied max-depth Morton codes the serial by-key
+//! sort and the distributed `(code, index)` pair sort order differently
+//! (the un-unified sorts, see PR 17), permuting points inside a leaf.
 //!
 //! The passes themselves are the shared implementations in
 //! `kifmm_core::engine`, run under `Dispatch::Serial` (the paper's model
-//! is one rank per CPU) with an [`ActiveSet`] restricted to the boxes
-//! this rank contributes to, and a ghost-backed [`SourceProvider`] for
-//! the U/X passes. This driver keeps only what is genuinely distributed:
-//! the LET/ownership setup, the two overlapped exchanges, and the
+//! is one rank per CPU) over [`ActiveSet`]s built once at construction —
+//! the boxes this rank contributes to, and that set's interior/boundary
+//! halves for M2L — with a ghost-backed [`SourceProvider`] for the U/X
+//! passes. This driver keeps only what is genuinely distributed: the
+//! LET/ownership setup, the two overlapped exchanges, and the
 //! installation of globally summed equivalents between engine phases.
 
 use crate::exchange::{Combine, ExchangeRoute, UserKind};
@@ -134,6 +142,16 @@ pub struct ParallelFmm<K: Kernel> {
     pre: std::sync::Arc<Precomputed<K>>,
     /// This rank's ownership filter: the boxes it holds points in.
     active: ActiveSet,
+    /// The active boxes whose V lists read no in-flight box — their M2L
+    /// runs under the equivalent exchange. A box is in flight iff the
+    /// exchange will overwrite it with remote content: scatter-received,
+    /// or owned with remote contributors; a sole-contributor owned box is
+    /// final the moment the local upward pass ran, even though its value
+    /// is scattered *to* peers.
+    interior: ActiveSet,
+    /// The other active boxes (partition-boundary targets only): their
+    /// M2L waits for the globally summed ghosts.
+    boundary: ActiveSet,
     /// Pooled expansion storage + scratch, reused across evaluations.
     scratch: Freelist<(ExpansionStore, EngineWorkspace)>,
     /// Global source points of every leaf this rank uses (ghost geometry,
@@ -223,7 +241,7 @@ impl<K: Kernel> ParallelFmm<K> {
                 .collect()
         };
         let flat =
-            src_route.begin(comm, SALT_POINTS, Combine::Concat, point_payload).complete(comm);
+            src_route.begin(comm, SALT_POINTS, Combine::ConcatRhs(1), point_payload).complete(comm);
         let ghost_points: HashMap<u32, Vec<Point3>> = flat
             .into_iter()
             .map(|(b, v)| {
@@ -234,6 +252,18 @@ impl<K: Kernel> ParallelFmm<K> {
 
         let active =
             ActiveSet::build(&dtree.tree, |b| dtree.tree.nodes[b as usize].num_points() > 0);
+        let mut inflight = vec![false; nn];
+        for b in equiv_route.installed_boxes() {
+            let bi = b as usize;
+            let sole = own.owner[bi] as usize == comm.rank() && own.contributors(bi).len() == 1;
+            inflight[bi] = !sole;
+        }
+        let waits: Vec<bool> =
+            lists.v.iter().map(|v| v.iter().any(|&a| inflight[a as usize])).collect();
+        let half = |w: bool| {
+            ActiveSet::build(&dtree.tree, |b| active.mask[b as usize] && waits[b as usize] == w)
+        };
+        let (interior, boundary) = (half(false), half(true));
         ParallelFmm {
             kernel,
             opts,
@@ -242,6 +272,8 @@ impl<K: Kernel> ParallelFmm<K> {
             own,
             pre,
             active,
+            interior,
+            boundary,
             scratch: Freelist::new(POOL_SLOTS),
             ghost_points,
             src_leaves,
@@ -325,11 +357,9 @@ impl<K: Kernel> ParallelFmm<K> {
     pub fn eval_many(&self, comm: &Comm, densities: &[&[f64]]) -> Vec<EvalReport> {
         let k = densities.len();
         assert!(k >= 1, "at least one right-hand side");
-        let n = self.local_len();
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        let wants_grad = self.opts.output.wants_gradient();
         for d in densities {
-            assert_eq!(d.len(), n * sd, "density length");
+            assert_eq!(d.len(), self.local_len() * sd, "density length");
         }
         let tree = &self.dtree.tree;
         let depth = tree.depth();
@@ -388,30 +418,11 @@ impl<K: Kernel> ParallelFmm<K> {
         });
         let mut equiv_done = false;
 
-        // 4a. M2L over the targets whose V lists read no in-flight box.
-        //    A box is in flight iff the exchange will overwrite it with
-        //    remote content — scatter-received, or owned with remote
-        //    contributors; a sole-contributor owned box is final the
-        //    moment the local upward pass ran, even though its value is
-        //    scattered *to* peers. Only partition-boundary targets read
-        //    in-flight boxes, so the interior bulk of M2L runs under the
-        //    equivalent exchange; both plans are polled between levels.
-        let mut inflight = vec![false; tree.nodes.len()];
-        for b in self.equiv_route.installed_boxes() {
-            let bi = b as usize;
-            let sole = self.own.owner[bi] as usize == comm.rank()
-                && self.own.contributors(bi).len() == 1;
-            if !sole {
-                inflight[bi] = true;
-            }
-        }
-        let vready: Vec<bool> = (0..tree.nodes.len())
-            .map(|ni| self.lists.v[ni].iter().all(|&a| !inflight[a as usize]))
-            .collect();
+        // 4a. M2L over the interior targets, under the equivalent
+        //    exchange; both plans are polled between levels.
+        let interior = self.engine().with_active(&self.interior);
         for level in FIRST_FMM_LEVEL..=depth {
-            meter.compute(Phase::DownV, "m2l", Some(level), || {
-                engine.m2l_level_where(level, store, ws, &|ni| vready[ni])
-            });
+            meter.compute(Phase::DownV, "m2l", Some(level), || interior.m2l_level(level, store, ws));
             comm_step(&mut meter, comm, &mut sent, None, || {
                 equiv_done = equiv_done || equiv_plan.poll(comm);
                 dens_done = dens_done || dens_plan.poll(comm);
@@ -447,13 +458,10 @@ impl<K: Kernel> ParallelFmm<K> {
         }
 
         // 4c. The held-back boundary targets, on the installed global
-        //    sums. Every target is computed in exactly one of the two
-        //    passes with identical inputs, so the split changes nothing —
-        //    not even rounding.
+        //    sums (each target runs in exactly one of the two sweeps).
+        let boundary = self.engine().with_active(&self.boundary);
         for level in FIRST_FMM_LEVEL..=depth {
-            meter.compute(Phase::DownV, "m2l", Some(level), || {
-                engine.m2l_level_where(level, store, ws, &|ni| !vready[ni])
-            });
+            meter.compute(Phase::DownV, "m2l", Some(level), || boundary.m2l_level(level, store, ws));
             if !dens_done {
                 comm_step(&mut meter, comm, &mut sent, None, || {
                     dens_done = dens_plan.poll(comm);
@@ -462,7 +470,8 @@ impl<K: Kernel> ParallelFmm<K> {
         }
 
         // 5. Complete the ghost-density exchange (usually already drained
-        //    by the polls above) and run the U/X passes on ghost sources.
+        //    by the polls above); X on the ghost sources, then L2L (check
+        //    potentials now hold both M2L and X contributions).
         let ghost_dens = comm_step(&mut meter, comm, &mut sent, Some("dens-complete"), || {
             if dens_done {
                 dens_plan.finish()
@@ -471,36 +480,16 @@ impl<K: Kernel> ParallelFmm<K> {
             }
         });
         rt.async_end("dens-exchange", ASYNC_DENS);
-
         let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
-        let mut pots: Vec<Vec<f64>> = (0..k).map(|_| vec![0.0; n * td]).collect();
-        let mut pot_refs: Vec<&mut [f64]> = pots.iter_mut().map(|v| v.as_mut_slice()).collect();
-        // Gradient accumulators ride alongside the potentials; both
-        // exchanges move densities/equivalents only, so the widened
-        // `td·(1+3)` output needs no new communication.
-        let mut grads: Vec<Vec<f64>> =
-            if wants_grad { (0..k).map(|_| vec![0.0; n * td * 3]).collect() } else { Vec::new() };
-        let mut grad_refs: Option<Vec<&mut [f64]>> =
-            wants_grad.then(|| grads.iter_mut().map(|v| v.as_mut_slice()).collect());
-        meter.touched(engine.active_leaves().len() as u64);
-        meter.compute(Phase::DownU, "u-list", None, || {
-            engine.u_pass_into(&ghost_src, &mut pot_refs, grad_refs.as_deref_mut())
-        });
         meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
+        meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
 
-        // 6. Remaining downward computation (check potentials now hold
-        //    both M2L and X contributions).
-        if depth >= FIRST_FMM_LEVEL {
-            meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
-            meter.compute(Phase::DownW, "w-list", None, || {
-                engine.w_pass_into(store, &mut pot_refs, grad_refs.as_deref_mut())
-            });
-            meter.compute(Phase::Eval, "l2t", None, || {
-                engine.l2t_into(store, &mut pot_refs, grad_refs.as_deref_mut())
-            });
-        }
-        drop(pot_refs);
-        drop(grad_refs);
+        // 6. The leaf phase. Gradients ride alongside the potentials; both
+        //    exchanges move densities/equivalents only, so the widened
+        //    `td·(1+3)` output needs no new communication.
+        let wants_grad = self.opts.output.wants_gradient();
+        let (pots, grads) =
+            engine.leaf_phase(&ghost_src, store, engine.own_targets(), wants_grad, &mut meter);
         self.scratch.checkin(scratch);
 
         // "Scatter" the local outputs back to caller order.
@@ -592,25 +581,27 @@ mod tests {
         check_matches_serial(Stokes::default(), uniform_cube(600, 11), 3, 3);
     }
 
+    /// P = 1 has no partial equivalents to sum, so what is left between
+    /// the two drivers is the point order inside a leaf: identical on a
+    /// uniform cloud, permuted among tied max-depth Morton codes on a
+    /// clustered one (the serial by-key sort and the distributed pair sort
+    /// order ties differently), where only the tolerance holds.
     #[test]
     fn single_rank_equals_serial_exactly() {
-        let all = uniform_cube(700, 23);
-        let dens = random_densities(700, 1, 5);
         let opts = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
-        let serial = Fmm::builder(Laplace)
-            .points(&all)
-            .options(opts)
-            .build()
-            .eval(&dens)
-            .potentials;
-        let all2 = all.clone();
-        let dens2 = dens.clone();
-        let out = run(1, move |comm| {
-            let pfmm = ParallelFmm::new(comm, Laplace, &all2, opts);
-            pfmm.eval(comm, &dens2).potentials
-        });
-        let e = rel_l2_error(&out[0], &serial);
-        assert!(e < 1e-12, "single rank should match serial: {e}");
+        for (all, bitwise) in [(uniform_cube(700, 23), true), (corner_clusters(24_000, 2003), false)] {
+            let dens = random_densities(all.len(), 1, 5);
+            let serial =
+                Fmm::builder(Laplace).points(&all).options(opts).build().eval(&dens).potentials;
+            let (all2, dens2) = (all.clone(), dens.clone());
+            let out = run(1, move |comm| {
+                let pfmm = ParallelFmm::new(comm, Laplace, &all2, opts);
+                pfmm.eval(comm, &dens2).potentials
+            });
+            assert_eq!(out[0] == serial, bitwise, "bitwise agreement with serial");
+            let e = rel_l2_error(&out[0], &serial);
+            assert!(e < 1e-12, "single rank should match serial: {e}");
+        }
     }
 
     /// One rank's NaN must fail the collective build on every rank (a

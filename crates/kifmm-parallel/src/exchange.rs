@@ -55,15 +55,13 @@ pub const NS_SCATTER: u64 = 2;
 /// How the owner combines contributor payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
-    /// Concatenate in ascending contributor-rank order (point lists).
-    Concat,
     /// Elementwise sum (partial equivalent densities).
     Sum,
-    /// Per-RHS concatenation for multi-RHS payloads: every part carries
-    /// `k` equal-length RHS-major segments, and the combined payload is,
-    /// for each RHS `q`, the ascending-rank concatenation of the
+    /// Per-RHS concatenation in ascending contributor-rank order: every
+    /// part carries `k` equal-length RHS-major segments, and the combined
+    /// payload is, for each RHS `q`, the concatenation of the
     /// contributors' segment `q` — so the result is again RHS-major.
-    /// `ConcatRhs(1)` is exactly [`Combine::Concat`].
+    /// `ConcatRhs(1)` is plain concatenation (point lists).
     ConcatRhs(usize),
 }
 
@@ -72,10 +70,6 @@ pub enum Combine {
 fn combine_fold(acc: Option<Vec<f64>>, part: Vec<f64>, combine: Combine) -> Vec<f64> {
     match (acc, combine) {
         (None, _) => part,
-        (Some(mut a), Combine::Concat) => {
-            a.extend_from_slice(&part);
-            a
-        }
         (Some(mut a), Combine::Sum) => {
             assert_eq!(a.len(), part.len(), "partial payload length mismatch");
             for (x, p) in a.iter_mut().zip(part) {
@@ -438,7 +432,7 @@ mod tests {
             };
             let route = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let sent_before = comm.stats().messages_sent;
-            let global = route.begin(comm, 0, Combine::Concat, payload).complete(comm);
+            let global = route.begin(comm, 0, Combine::ConcatRhs(1), payload).complete(comm);
             let sent = comm.stats().messages_sent - sent_before;
             assert_eq!(
                 sent as usize,
@@ -484,8 +478,7 @@ mod tests {
     }
 
     /// ConcatRhs keeps RHS-major segment ordering: combining `k` RHS-major
-    /// parts yields, per RHS, the ascending-rank concatenation — and
-    /// `ConcatRhs(1)` is bitwise `Concat`.
+    /// parts yields, per RHS, the ascending-rank concatenation.
     #[test]
     fn concat_rhs_combine_is_rhs_major() {
         let all = uniform_cube(1100, 17);
@@ -521,13 +514,6 @@ mod tests {
                     }
                 }
             }
-            // ConcatRhs(1) == Concat, bitwise.
-            let pts_payload = |b: u32| -> Vec<f64> {
-                vec![dt.tree.nodes[b as usize].num_points() as f64; 2]
-            };
-            let p1 = route.begin(comm, 4, Combine::Concat, pts_payload).complete(comm);
-            let p2 = route.begin(comm, 5, Combine::ConcatRhs(1), pts_payload).complete(comm);
-            assert_eq!(p1, p2);
         });
     }
 
@@ -554,7 +540,7 @@ mod tests {
             let mut calls = vec![0u32; nn];
             let r1 = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let r2 = ExchangeRoute::build(comm, &own, &boxes, UserKind::Equiv);
-            let mut p1 = r1.begin(comm, 1, Combine::Concat, |b| vec![buffer[b as usize]; 2]);
+            let mut p1 = r1.begin(comm, 1, Combine::ConcatRhs(1), |b| vec![buffer[b as usize]; 2]);
             let mut p2 = r2.begin(comm, 2, Combine::Sum, |b| {
                 calls[b as usize] += 1;
                 vec![buffer[b as usize]]

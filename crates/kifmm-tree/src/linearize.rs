@@ -285,12 +285,6 @@ impl GlobalCounts {
         *self.prefix.last().unwrap()
     }
 
-    /// Number of merged entries (diagnostics: the compressed size the
-    /// Allgather actually moved).
-    pub fn num_entries(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Exact number of global codes inside `key`. Only valid for boxes
     /// the global build examines (children of boxes with global count
     /// > s) — the split contract guarantees no entry strictly contains

@@ -246,12 +246,17 @@ pub fn try_point_key(
     half: f64,
     level: u8,
 ) -> Result<MortonKey, usize> {
-    for d in 0..3 {
-        if !((p[d] - center[d]).abs() <= half) {
-            return Err(d);
-        }
+    if point_in_domain(p, center, half) {
+        return Ok(point_key(p, center, half, level));
     }
-    Ok(point_key(p, center, half, level))
+    // The cube test with the other two axes held at the centre is the
+    // one-axis test.
+    let outside = |d: usize| {
+        let mut q = center;
+        q[d] = p[d];
+        !point_in_domain(q, center, half)
+    };
+    Err((0..3).find(|&d| outside(d)).expect("a point outside the cube is outside along an axis"))
 }
 
 #[cfg(test)]

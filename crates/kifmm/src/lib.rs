@@ -68,10 +68,8 @@ pub use kifmm_core::{
     PhaseStats, Plan, PlanCache, PlanKey, Session, TreeBuild, UpdateError, PHASES, PHASE_NAMES,
 };
 pub use kifmm_kernels::{
-    BoxedKernel, CustomKernel, DynKernel, Gaussian, Kelvin, Kernel, Laplace, ModifiedLaplace,
-    Point3, Stokes,
+    CustomKernel, Gaussian, Kelvin, Kernel, Laplace, ModifiedLaplace, Point3, Stokes,
 };
-pub use kifmm_mpi::PeerTraffic;
 pub use kifmm_parallel::{BuildParallel, ParallelFmm};
 pub use kifmm_solver::{gmres, GmresOptions, SingleLayerOperator, SurfaceQuadrature};
 pub use kifmm_trace::{Counter, Tracer};

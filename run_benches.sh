@@ -2,8 +2,9 @@
 # Full reproduction sweep; outputs under bench_results/.
 # Sizes chosen so one interaction evaluation is seconds, not minutes,
 # on a single-core host (see EXPERIMENTS.md for the scale mapping).
-set -x
+set -euxo pipefail
 cd "$(dirname "$0")"
+cargo build --release --offline -p kifmm-bench
 B=target/release
 OUT=bench_results
 { time KIFMM_MAXP=32 KIFMM_N=48000 $B/table_4_1 ; }   > $OUT/table_4_1.txt 2>&1

@@ -50,12 +50,6 @@ cargo build -q --release --offline -p kifmm-testkit --bin validate_json
 target/release/validate_json "$artifacts/TRACE_parallel_scaling_P4.json" --chrome 4
 echo "artifact + comm-regression gate: OK"
 
-# 4. Cross-path gate: one tiny problem through all three drivers (serial,
-#    shared-memory pool, distributed P=4) must agree — bitwise for the
-#    first two, 1e-12 for the distributed path.
-cargo run -q --release --offline -p kifmm-bench --bin cross_path_check
-echo "cross-path gate: OK"
-
 # 5. Shim gate: the `#[deprecated]` evaluate* shims were removed with the
 #    plan/execute API split; neither the shims nor callers of them may
 #    come back. (`evaluate_at`/`evaluate_off_surface` are live API.)
@@ -75,17 +69,21 @@ echo "shim gate: OK (no deprecated shims, no shim callers)"
 #     defined only in kernel.rs (as provided forwards with k = 1 — stable
 #     Rust cannot forbid an override, this grep does), and the engine's
 #     leaf passes take `grads: Option<..>`: no `_grad(` pass twin may
-#     reappear under engine/.
+#     reappear under engine/. Likewise *which boxes* is an `ActiveSet` and
+#     *which targets* a `LeafTargets`: no node predicate under engine/, no
+#     `m2l_level_where`, no per-target `read_off` beside the leaf passes.
 p2p_defs=$(grep -rnE 'fn p2p(_grad)?\(' crates tests examples --include='*.rs' \
     | grep -v '^crates/kifmm-kernels/src/kernel.rs:' || true)
-grad_twins=$(grep -rnE 'fn [a-z0-9_]+_grad\(' crates/kifmm-core/src/engine || true)
-if [ -n "$p2p_defs$grad_twins" ]; then
-    echo "FAIL: single-RHS p2p override or engine _grad pass twin reintroduced:"
+grad_twins=$(grep -rnE 'fn [a-z0-9_]+_grad\(|dyn Fn\(usize\) -> bool' crates/kifmm-core/src/engine || true)
+selectors=$(grep -rnE 'm2l_level_where|fn read_off' crates tests examples --include='*.rs' || true)
+if [ -n "$p2p_defs$grad_twins$selectors" ]; then
+    echo "FAIL: single-RHS p2p override, engine _grad pass twin or second box/target selector reintroduced:"
     echo "$p2p_defs"
     echo "$grad_twins"
+    echo "$selectors"
     exit 1
 fi
-echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins)"
+echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins, one filter, one target set)"
 
 # 5c. One-M2L-path gate: `M2lMode` is `Fft | Direct`. The SVD-compressed
 #     family, the `Auto` mode and the plan-time autotuner were deleted and
@@ -129,16 +127,19 @@ echo "one-evaluator gate: OK (Fmm = Session, one Meter, no pinv_tol)"
 # 5e. One-perf-harness gate: `benchmark/` is the only place a rate or a
 #     time is measured and the chrome trace the only artifact format; the
 #     examples check their own bounds and exit. The retired BENCH schemas,
-#     the `Evaluator` trait with its comm-bound carrier, and the LU/QR
-#     solvers nothing called may not come back.
-retired=$(grep -rnE 'kifmm-(service|tree-build|kernel-suite|engine-batching|bench)-v1|BenchSummary|PhaseLine|bench-summary|write_bench_summary|trait Evaluator|BoundParallelFmm|lu_factor|householder_qr' \
+#     the `Evaluator` trait with its comm-bound carrier, the LU/QR
+#     solvers and the type-erased kernel layer nothing called, and the
+#     `portable` cargo feature nothing built, may not come back.
+retired=$(grep -rnE 'kifmm-(service|tree-build|kernel-suite|engine-batching|bench)-v1|BenchSummary|PhaseLine|bench-summary|write_bench_summary|trait Evaluator|BoundParallelFmm|lu_factor|householder_qr|BoxedKernel|DynKernel' \
     crates tests examples scripts --exclude=verify.sh || true)
-if [ -n "$retired" ] || [ -e crates/kifmm-bench/benches ]; then
-    echo "FAIL: a retired BENCH schema, evaluator layer or unused solver reintroduced:"
+knobs=$(grep -rn 'portable' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml || true)
+if [ -n "$retired$knobs" ] || [ -e crates/kifmm-bench/benches ]; then
+    echo "FAIL: a retired BENCH schema, evaluator layer, unused solver/kernel layer or feature reintroduced:"
     echo "$retired"
+    echo "$knobs"
     exit 1
 fi
-echo "one-harness gate: OK (no hand-written BENCH schema, no Evaluator trait, no LU/QR)"
+echo "one-harness gate: OK (no hand-written BENCH schema, no Evaluator trait, no LU/QR, no DynKernel, no portable)"
 
 # 5f. One-level-rule gate: which table a level reads, times what, is
 #     decided once (`operators::LevelRule`), and the box half-width lives

@@ -143,9 +143,9 @@ mod closure_kernels {
 }
 
 /// The same gates under the dense M2L oracle: it is the reference the FFT
-/// path is held to, so its own serial/pool identity and its pred-split
-/// determinism (the distributed driver runs each level as two
-/// complementary target subsets) must hold independently.
+/// path is held to, so its own serial/pool identity and its split-set
+/// determinism (the distributed driver runs each level over two
+/// complementary `ActiveSet`s) must hold independently.
 mod direct_mode {
     use super::*;
 
@@ -199,6 +199,11 @@ mod direct_mode {
     fn modified_laplace_clustered_distributed_1e12() {
         distributed(ModifiedLaplace::new(1.5), clustered(600, 16));
     }
+
+    #[test]
+    fn stokes_clustered_distributed_1e12() {
+        distributed(Stokes::default(), clustered(450, 18));
+    }
 }
 
 /// The one cross-mode check: on a clustered cloud (non-empty W and X
@@ -243,8 +248,8 @@ mod fft_vs_dense_oracle {
     }
 
     /// The same agreement on the other two drivers: the pool session and
-    /// the distributed driver at P = 4 (which runs each level as two
-    /// `pred` subsets around its ghost exchange) under the FFT M2L,
+    /// the distributed driver at P = 4 (which runs each level over two
+    /// `ActiveSet`s around its ghost exchange) under the FFT M2L,
     /// against the serial dense oracle.
     fn agrees_on_pool_and_ranks<K: Kernel>(kernel: K) {
         let pts = clustered(600, 41);

@@ -139,12 +139,12 @@ fn legacy_exchange(
     let fold = |acc: Option<Vec<f64>>, part: Vec<f64>| -> Vec<f64> {
         match (acc, combine) {
             (None, _) => part,
-            (Some(mut a), Combine::Concat) => {
+            (Some(mut a), Combine::ConcatRhs(1)) => {
                 a.extend(part);
                 a
             }
             (Some(a), Combine::Sum) => a.iter().zip(&part).map(|(x, p)| x + p).collect(),
-            (Some(_), Combine::ConcatRhs(_)) => unimplemented!("reference covers Concat and Sum"),
+            (Some(_), Combine::ConcatRhs(_)) => unimplemented!("reference covers one RHS and Sum"),
         }
     };
     let me = comm.rank();
@@ -219,7 +219,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
         };
         let route = ExchangeRoute::build(comm, own, &pfmm.src_leaves, UserKind::Source);
         let sent0 = comm.stats().messages_sent;
-        let packed = route.begin(comm, 9, Combine::Concat, dens_of).complete(comm);
+        let packed = route.begin(comm, 9, Combine::ConcatRhs(1), dens_of).complete(comm);
         let sent = (comm.stats().messages_sent - sent0) as usize;
         assert_eq!(
             sent,
@@ -228,7 +228,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
              scatter message per using peer"
         );
         let legacy =
-            legacy_exchange(comm, own, &pfmm.src_leaves, 10, Combine::Concat, UserKind::Source, dens_of);
+            legacy_exchange(comm, own, &pfmm.src_leaves, 10, Combine::ConcatRhs(1), UserKind::Source, dens_of);
         assert_eq!(packed.len(), legacy.len(), "same set of used boxes");
         for (b, v) in &legacy {
             assert_eq!(&packed[b], v, "box {b}: Concat payloads bitwise equal");

@@ -133,7 +133,8 @@ fn span_shapes(t: &Tracer, rank: usize) -> Vec<SpanShape> {
 /// and on rank 0 of a P=2 run: the shared charging site may not rename,
 /// reorder, nest or drop a span. (The distributed driver runs M2L twice
 /// per level — interior targets under the equivalent exchange, boundary
-/// targets after it — and X after U.)
+/// targets after it; from `x-list` on, its compute spans are the serial
+/// list's.)
 #[test]
 fn span_sequences_are_pinned() {
     let pts = points(700, 5);
@@ -177,9 +178,9 @@ fn span_sequences_are_pinned() {
         (0, "DownV", "m2l", Some(2)),
         (0, "DownV", "m2l", Some(3)),
         (0, "Comm", "dens-complete", None),
-        (0, "DownU", "u-list", None),
         (0, "DownX", "x-list", None),
         (0, "Eval", "l2l", None),
+        (0, "DownU", "u-list", None),
         (0, "DownW", "w-list", None),
         (0, "Eval", "l2t", None),
         (0, "Eval", "scatter", None),
