@@ -17,7 +17,7 @@
 
 use kifmm::core::PrecomputeCache;
 use kifmm::parallel::ParallelFmm;
-use kifmm::tree::{partition_points, partition_weighted_points};
+use kifmm::tree::{partition_points, partition_weighted_points, Partition};
 use kifmm::{FmmOptions, Kernel, Laplace, Stokes};
 use kifmm_bench::env_usize;
 use std::sync::Arc;
@@ -27,12 +27,11 @@ use std::sync::Arc;
 fn run_with_partition<K: Kernel>(
     kernel: K,
     all: &[[f64; 3]],
-    groups: &[Vec<usize>],
+    part: &Partition,
     opts: FmmOptions,
 ) -> (Vec<f64>, Vec<f64>) {
-    let ranks = groups.len();
-    let chunks: Arc<Vec<Vec<[f64; 3]>>> =
-        Arc::new(groups.iter().map(|g| g.iter().map(|&i| all[i]).collect()).collect());
+    let ranks = part.groups.len();
+    let chunks = Arc::new(part.gather(all));
     let cache = Arc::new(PrecomputeCache::<K>::new());
     let out = kifmm::mpi::run(ranks, {
         let chunks = chunks.clone();
@@ -51,7 +50,7 @@ fn run_with_partition<K: Kernel>(
     let mut computes = Vec::with_capacity(ranks);
     for (r, (compute, west)) in out.into_iter().enumerate() {
         computes.push(compute);
-        for (li, &gi) in groups[r].iter().enumerate() {
+        for (li, &gi) in part.groups[r].iter().enumerate() {
             weights[gi] = west[li];
         }
     }
@@ -68,10 +67,10 @@ fn case<K: Kernel>(name: &str, kernel: K, all: &[[f64; 3]], ranks: usize) {
     let opts = FmmOptions { order: 6, max_pts_per_leaf: 60, ..Default::default() };
     // Pass 1: the paper's partitioning (particle counts only).
     let base = partition_points(all, ranks);
-    let (t_base, weights) = run_with_partition(kernel.clone(), all, &base.groups, opts);
+    let (t_base, weights) = run_with_partition(kernel.clone(), all, &base, opts);
     // Pass 2: repartition with the measured work estimates.
     let balanced = partition_weighted_points(all, &weights, ranks);
-    let (t_bal, _) = run_with_partition(kernel, all, &balanced.groups, opts);
+    let (t_bal, _) = run_with_partition(kernel, all, &balanced, opts);
     println!(
         "{name:>40}  P={ranks:<3} count-based Ratio {:>5.2}  work-based Ratio {:>5.2}",
         ratio(&t_base),

@@ -91,10 +91,7 @@ pub fn run_distributed<K: Kernel>(
     iterations: usize,
 ) -> Vec<RankMetrics> {
     assert!(iterations >= 1);
-    let part = partition_points(all_points, ranks);
-    let chunks: Arc<Vec<Vec<Point3>>> = Arc::new(
-        part.groups.iter().map(|g| g.iter().map(|&i| all_points[i]).collect()).collect(),
-    );
+    let chunks = Arc::new(partition_points(all_points, ranks).gather(all_points));
     let cache = Arc::new(PrecomputeCache::<K>::new());
     kifmm::mpi::run(ranks, move |comm| {
         let r = comm.rank();

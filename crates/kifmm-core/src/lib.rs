@@ -26,6 +26,8 @@
 //! assert_eq!(report.potentials.len(), points.len());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod direct;
 pub mod engine;
 pub mod evaluator;

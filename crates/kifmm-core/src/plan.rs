@@ -352,7 +352,10 @@ impl<K: Kernel> Plan<K> {
     /// the structure, and — when the structure is unchanged, the common
     /// case for small motion — reuse the interaction lists wholesale. The
     /// operator tables (`Arc<Precomputed>`) are always shared: they depend
-    /// on the domain and depth, not on the points.
+    /// on the domain and depth, not on the points. The result is the plan
+    /// [`Plan::try_new`] would build over this plan's root cube, bit for
+    /// bit: one curve order (`kifmm_tree::sort_codes`), coincident points
+    /// included.
     ///
     /// Errors ([`UpdateError`]) mean the plan cannot be patched and a
     /// full rebuild is required; [`PlanCache::get_or_update`] performs
@@ -934,9 +937,9 @@ mod tests {
         let moved = shrink_toward(&pts, center, 0.999);
         let upd = base.update_points(&moved).unwrap();
         // The patched plan stays as accurate as a from-scratch build
-        // against the direct sum. (The builds are not bitwise comparable:
-        // a fresh build fits a slightly smaller root cube to the moved
-        // points, while the patch keeps the old one.)
+        // against the direct sum. (A fresh build fits a slightly smaller
+        // root cube to these moved points, while the patch keeps the old
+        // one; over one cube the two are bitwise equal, next test.)
         let fresh = Plan::try_new(Laplace, &moved, opts_small()).unwrap();
         let d = densities(900, 1, 7);
         let exact = crate::direct::direct_eval(&Laplace, &moved, &d);
@@ -950,6 +953,52 @@ mod tests {
             e_upd < 2.0 * e_fresh.max(1e-8),
             "patched plan error {e_upd} vs fresh {e_fresh}"
         );
+    }
+
+    /// With the root cube pinned (eight fixed corners, center exactly 0) a
+    /// fresh plan fits the cube the patch keeps, and the two are one plan:
+    /// same permutation, same bits — on each branch of the re-sort, over a
+    /// cloud with a pile of coincident points (tied max-depth codes).
+    #[test]
+    fn update_points_equals_a_fresh_plan_bitwise_on_every_branch() {
+        let mut pts = kifmm_geom::uniform_cube(1200, 26);
+        for (c, p) in pts.iter_mut().take(8).enumerate() {
+            *p = std::array::from_fn(|d| if c >> d & 1 == 0 { -1.0 } else { 1.0 });
+        }
+        for i in (8..1200).step_by(40) {
+            pts[i] = [0.3, -0.2, 0.6];
+        }
+        let base = Plan::try_new(Laplace, &pts, opts_small()).unwrap();
+        let dens = densities(1200, 1, 9);
+        let check = |moved: &[Point3], branch: &str, taken: fn(usize) -> bool| {
+            let resort = update_octree(&base.tree, moved, 20, base.opts.max_level).unwrap();
+            assert!(taken(resort.moved), "{branch}: {} points displaced", resort.moved);
+            let upd = base.update_points(moved).unwrap();
+            let fresh = Plan::try_new(Laplace, moved, opts_small()).unwrap();
+            assert!(upd.tree.perm == fresh.tree.perm, "{branch}: permutation differs");
+            assert!(upd.tree.structure_eq(&fresh.tree), "{branch}: tree differs");
+            let [a, b] = [upd, fresh].map(|plan| Session::from_plan(plan).eval(&dens).potentials);
+            assert!(a == b, "{branch}: potentials differ");
+        };
+        // Still sorted: a pile member moves inside its max-depth cell.
+        let mut nudged = pts.clone();
+        nudged[48][0] += 1e-8;
+        check(&nudged, "still sorted", |moved| moved == 0);
+        // Backbone merge: two neighbours of the old order share a cell
+        // with their indices the wrong way round (the codes alone stay
+        // non-decreasing), and a point from further along the curve joins
+        // the pile between members of lower and higher index.
+        let perm = &base.tree.perm;
+        let k = (0..1199).find(|&k| perm[k] > perm[k + 1] && perm[k + 1] >= 8).unwrap();
+        let mut joined = pts.clone();
+        joined[perm[k + 1] as usize] = pts[perm[k] as usize];
+        let pile_end = perm.iter().rposition(|&i| pts[i as usize] == [0.3, -0.2, 0.6]).unwrap();
+        let joiner = perm[pile_end + 1..].iter().find(|&&i| (48..1168).contains(&i)).unwrap();
+        joined[*joiner as usize] = [0.3, -0.2, 0.6];
+        check(&joined, "backbone merge", |moved| moved > 0 && moved * 4 <= 1200);
+        // Full sort: reflect through the center; the pile stays a pile.
+        let flipped: Vec<Point3> = pts.iter().map(|p| p.map(|c| -c)).collect();
+        check(&flipped, "full sort", |moved| moved * 4 > 1200);
     }
 
     #[test]

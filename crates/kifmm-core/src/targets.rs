@@ -200,13 +200,16 @@ mod tests {
     /// Pinned at the parent of PR 19, when `evaluate_at` still read the
     /// far field off one target at a time: binning the targets by leaf and
     /// running the shared leaf passes keeps every target's U → W → L2T sum
-    /// in the same order.
+    /// in the same order. Re-pinned in PR 20 (the serial build sorts
+    /// `(code, index)` pairs; one of this cloud's 3 tied pairs swaps inside
+    /// a leaf) from the parent's evaluator run over the parent's plan with
+    /// only the permutation replaced by the pair order.
     #[test]
     fn evaluate_at_bits_match_per_target_read_off() {
         let got = [clustered_hash(Laplace), clustered_hash(Stokes::new(0.7))];
         assert_eq!(
             got,
-            [0x2a609146a2f5bbf3, 0x6154d0139f7e9850],
+            [0x5823ce17be6926f9, 0xfed33454bbd72307],
             "got {:#018x} {:#018x}",
             got[0],
             got[1]

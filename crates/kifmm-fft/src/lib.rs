@@ -23,6 +23,8 @@
 //!   reference the chunk-major Hadamard stage of `kifmm-core` is checked
 //!   against, bit for bit).
 
+#![forbid(unsafe_code)]
+
 pub mod c64;
 pub mod conv;
 pub mod fft1d;

@@ -13,6 +13,8 @@
 //! The partitioner in `kifmm-tree` consumes [`SurfacePatch`]es — the paper
 //! partitions input surface patches by weight rather than raw particles.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod patch;
 pub mod rng;

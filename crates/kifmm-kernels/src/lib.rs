@@ -26,6 +26,8 @@
 //! Every kernel declares an exact per-evaluation flop count so the bench
 //! harness can report the counted Gflop/s figures of Tables 4.1–4.3.
 
+#![forbid(unsafe_code)]
+
 pub mod assemble;
 pub mod custom;
 mod fused;

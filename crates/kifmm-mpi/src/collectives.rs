@@ -27,21 +27,58 @@ pub enum ReduceOp {
     BitOr,
 }
 
-/// Block until every rank has entered the barrier.
-pub fn barrier(comm: &Comm) {
+/// The one body of the rooted collectives: rank 0 receives every other
+/// rank's payload in ascending rank order, `fold`s them — its own payload
+/// first — into the reply, and sends the reply to every rank; every rank
+/// returns the reply. `fold` runs on rank 0 only.
+fn through_root(
+    comm: &Comm,
+    mine: Vec<u8>,
+    fold: impl FnOnce(&mut dyn Iterator<Item = Vec<u8>>) -> Vec<u8>,
+) -> Vec<u8> {
     let tag = comm.next_collective_tag();
     let root = 0;
-    if comm.rank() == root {
-        for src in 1..comm.size() {
-            comm.recv_raw(src, tag);
-        }
-        for dst in 1..comm.size() {
-            comm.send_raw(dst, tag, Vec::new());
-        }
-    } else {
-        comm.send_raw(root, tag, Vec::new());
-        comm.recv_raw(root, tag);
+    if comm.rank() != root {
+        comm.send_raw(root, tag, mine);
+        return comm.recv_raw(root, tag);
     }
+    let others = (1..comm.size()).map(|src| comm.recv_raw(src, tag));
+    let reply = fold(&mut std::iter::once(mine).chain(others));
+    for dst in 1..comm.size() {
+        comm.send_raw(dst, tag, reply.clone());
+    }
+    reply
+}
+
+/// Block until every rank has entered the barrier.
+pub fn barrier(comm: &Comm) {
+    through_root(comm, Vec::new(), |entered| {
+        entered.for_each(drop);
+        Vec::new()
+    });
+}
+
+/// In-place elementwise allreduce: rank 0 folds the buffers in ascending
+/// rank order with `op`, every rank ends up with the result.
+fn allreduce<T: Copy>(
+    comm: &Comm,
+    data: &mut [T],
+    encode: fn(&[T]) -> Vec<u8>,
+    decode: fn(&[u8]) -> Vec<T>,
+    op: impl Fn(T, T) -> T,
+) {
+    let reduced = through_root(comm, encode(data), |parts| {
+        let mut acc = decode(&parts.next().expect("rank 0's own buffer"));
+        for other in parts {
+            let other = decode(&other);
+            assert_eq!(other.len(), acc.len(), "allreduce length mismatch");
+            for (a, b) in acc.iter_mut().zip(other) {
+                *a = op(*a, b);
+            }
+        }
+        encode(&acc)
+    });
+    data.copy_from_slice(&decode(&reduced));
 }
 
 /// In-place elementwise allreduce over `f64` buffers of identical length.
@@ -57,87 +94,38 @@ pub fn allreduce_f64(comm: &Comm, data: &mut [f64], op: ReduceOp) {
          use allreduce_u64",
         comm.rank()
     );
-    let tag = comm.next_collective_tag();
-    let root = 0;
-    if comm.rank() == root {
-        for src in 1..comm.size() {
-            let other = decode_f64s(&comm.recv_raw(src, tag));
-            assert_eq!(other.len(), data.len(), "allreduce length mismatch");
-            for (a, b) in data.iter_mut().zip(other) {
-                *a = match op {
-                    ReduceOp::Sum => *a + b,
-                    ReduceOp::Max => a.max(b),
-                    ReduceOp::Min => a.min(b),
-                    ReduceOp::BitOr => unreachable!("rejected at entry"),
-                };
-            }
-        }
-        let payload = encode_f64s(data);
-        for dst in 1..comm.size() {
-            comm.send_raw(dst, tag, payload.clone());
-        }
-    } else {
-        comm.send_raw(root, tag, encode_f64s(data));
-        let reduced = decode_f64s(&comm.recv_raw(root, tag));
-        data.copy_from_slice(&reduced);
-    }
+    allreduce(comm, data, encode_f64s, decode_f64s, |a, b| match op {
+        ReduceOp::Sum => a + b,
+        ReduceOp::Max => a.max(b),
+        ReduceOp::Min => a.min(b),
+        ReduceOp::BitOr => unreachable!("rejected at entry"),
+    });
 }
 
 /// In-place elementwise allreduce over `u64` buffers (the global tree
 /// array's point counts).
 pub fn allreduce_u64(comm: &Comm, data: &mut [u64], op: ReduceOp) {
-    let tag = comm.next_collective_tag();
-    let root = 0;
-    if comm.rank() == root {
-        for src in 1..comm.size() {
-            let other = decode_u64s(&comm.recv_raw(src, tag));
-            assert_eq!(other.len(), data.len(), "allreduce length mismatch");
-            for (a, b) in data.iter_mut().zip(other) {
-                *a = match op {
-                    ReduceOp::Sum => *a + b,
-                    ReduceOp::Max => (*a).max(b),
-                    ReduceOp::Min => (*a).min(b),
-                    ReduceOp::BitOr => *a | b,
-                };
-            }
-        }
-        let payload = encode_u64s(data);
-        for dst in 1..comm.size() {
-            comm.send_raw(dst, tag, payload.clone());
-        }
-    } else {
-        comm.send_raw(root, tag, encode_u64s(data));
-        let reduced = decode_u64s(&comm.recv_raw(root, tag));
-        data.copy_from_slice(&reduced);
-    }
+    allreduce(comm, data, encode_u64s, decode_u64s, |a, b| match op {
+        ReduceOp::Sum => a + b,
+        ReduceOp::Max => a.max(b),
+        ReduceOp::Min => a.min(b),
+        ReduceOp::BitOr => a | b,
+    });
 }
 
 /// Gather a variable-length payload from every rank onto all ranks;
 /// returns `size` payloads indexed by source rank.
 pub fn allgatherv(comm: &Comm, data: &[u8]) -> Vec<Vec<u8>> {
-    let tag = comm.next_collective_tag();
-    let root = 0;
-    if comm.rank() == root {
-        let mut all = vec![Vec::new(); comm.size()];
-        all[root] = data.to_vec();
-        for src in 1..comm.size() {
-            all[src] = comm.recv_raw(src, tag);
-        }
-        // Flatten with a length prefix per rank, then broadcast.
+    // The reply is every payload behind its length, in rank order.
+    let flat = through_root(comm, data.to_vec(), |parts| {
         let mut flat = Vec::new();
-        for part in &all {
+        for part in parts {
             flat.extend_from_slice(&(part.len() as u64).to_le_bytes());
-            flat.extend_from_slice(part);
+            flat.extend_from_slice(&part);
         }
-        for dst in 1..comm.size() {
-            comm.send_raw(dst, tag, flat.clone());
-        }
-        all
-    } else {
-        comm.send_raw(root, tag, data.to_vec());
-        let flat = comm.recv_raw(root, tag);
-        split_length_prefixed(&flat, comm.size())
-    }
+        flat
+    });
+    split_length_prefixed(&flat, comm.size())
 }
 
 /// Personalized all-to-all: `send[d]` goes to rank `d`; returns the

@@ -17,6 +17,8 @@
 //!   the paper's Quadrics interconnect to produce virtual communication
 //!   times (see DESIGN.md).
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod comm;
 pub mod datatypes;

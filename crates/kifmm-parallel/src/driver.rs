@@ -34,11 +34,9 @@
 //! V list is summed in list order whichever of the two M2L sweeps it
 //! falls in — what differs from the serial evaluator is only that the
 //! upward equivalents of a shared box are the owner's sum of per-rank
-//! partials. At P = 1 there are no partials: the potentials are
-//! bit-identical to serial on `uniform_cube`, and not on
-//! `corner_clusters`, whose tied max-depth Morton codes the serial by-key
-//! sort and the distributed `(code, index)` pair sort order differently
-//! (the un-unified sorts, see PR 17), permuting points inside a leaf.
+//! partials. At P = 1 there are no partials, and both drivers sort their
+//! points through `kifmm_tree::sort_codes`: the potentials are
+//! bit-identical to serial on every cloud, coincident points included.
 //!
 //! The passes themselves are the shared implementations in
 //! `kifmm_core::engine`, run under `Dispatch::Serial` (the paper's model
@@ -581,27 +579,25 @@ mod tests {
         check_matches_serial(Stokes::default(), uniform_cube(600, 11), 3, 3);
     }
 
-    /// P = 1 has no partial equivalents to sum, so what is left between
-    /// the two drivers is the point order inside a leaf: identical on a
-    /// uniform cloud, permuted among tied max-depth Morton codes on a
-    /// clustered one (the serial by-key sort and the distributed pair sort
-    /// order ties differently), where only the tolerance holds.
+    /// P = 1 has no partial equivalents to sum and both drivers hold the
+    /// same permutation, tied max-depth codes included (385 adjacent ties
+    /// on the clustered cloud): bit-identical, scalar and 3×3 kernel alike.
     #[test]
     fn single_rank_equals_serial_exactly() {
-        let opts = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
-        for (all, bitwise) in [(uniform_cube(700, 23), true), (corner_clusters(24_000, 2003), false)] {
-            let dens = random_densities(all.len(), 1, 5);
+        fn check<K: Kernel>(kernel: K, all: Vec<Point3>) {
+            let opts = FmmOptions { order: 4, max_pts_per_leaf: 25, ..Default::default() };
+            let (name, dens) = (kernel.name().to_string(), random_densities(all.len(), kernel.src_dim(), 5));
             let serial =
-                Fmm::builder(Laplace).points(&all).options(opts).build().eval(&dens).potentials;
-            let (all2, dens2) = (all.clone(), dens.clone());
+                Fmm::builder(kernel.clone()).points(&all).options(opts).build().eval(&dens).potentials;
             let out = run(1, move |comm| {
-                let pfmm = ParallelFmm::new(comm, Laplace, &all2, opts);
-                pfmm.eval(comm, &dens2).potentials
+                ParallelFmm::new(comm, kernel.clone(), &all, opts).eval(comm, &dens).potentials
             });
-            assert_eq!(out[0] == serial, bitwise, "bitwise agreement with serial");
-            let e = rel_l2_error(&out[0], &serial);
-            assert!(e < 1e-12, "single rank should match serial: {e}");
+            assert!(out[0] == serial, "{name}, N = {}: P = 1 differs from serial", serial.len());
         }
+        check(Laplace, uniform_cube(700, 23));
+        check(Laplace, corner_clusters(24_000, 2003));
+        check(Stokes::default(), uniform_cube(450, 23));
+        check(Stokes::default(), corner_clusters(24_000, 2003));
     }
 
     /// One rank's NaN must fail the collective build on every rank (a

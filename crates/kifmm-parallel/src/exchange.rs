@@ -402,11 +402,7 @@ mod tests {
     }
 
     fn chunked(all: &[[f64; 3]], ranks: usize) -> Vec<Vec<[f64; 3]>> {
-        partition_points(all, ranks)
-            .groups
-            .iter()
-            .map(|g| g.iter().map(|&i| all[i]).collect())
-            .collect()
+        partition_points(all, ranks).gather(all)
     }
 
     /// Ghost-point exchange: every rank ends up with the full global point

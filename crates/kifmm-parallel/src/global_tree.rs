@@ -35,8 +35,8 @@ use kifmm_mpi::{
     allgatherv_u64, allreduce_f64, allreduce_u64, sample_sort_u64, Comm, ReduceOp,
 };
 use kifmm_tree::{
-    chunk_summary, point_key, refine_sorted_codes, Domain, GlobalCounts, MortonKey, Octree,
-    SummaryEntry, TreeBuild, MAX_LEVEL,
+    chunk_summary, morton_codes, refine_sorted_codes, sort_codes, Domain, GlobalCounts, MortonKey,
+    Octree, SummaryEntry, TreeBuild,
 };
 
 /// The per-rank view of the globally agreed computation tree.
@@ -78,33 +78,18 @@ pub fn build_distributed_tree_with(
 ) -> DistributedTree {
     assert!(max_pts_per_leaf >= 1);
     // Agree on the global domain.
-    let mut lo = [f64::INFINITY; 3];
-    let mut hi = [f64::NEG_INFINITY; 3];
-    for p in local_points {
-        for d in 0..3 {
-            lo[d] = lo[d].min(p[d]);
-            hi[d] = hi[d].max(p[d]);
-        }
-    }
+    let (mut lo, mut hi) = Domain::bounds(local_points);
     allreduce_f64(comm, &mut lo, ReduceOp::Min);
     allreduce_f64(comm, &mut hi, ReduceOp::Max);
     assert!(lo[0].is_finite(), "global point set is empty");
     let domain = Domain::from_bounds(lo, hi);
 
-    // Morton-sort the local points. Sorting (code, index) pairs breaks
-    // ties on original index, so the permutation is identical for every
-    // algorithm (and every thread count).
+    // The serial build's curve order over the local points.
     let n = local_points.len();
-    let mut pairs: Vec<(u64, u32)> = local_points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            (point_key(p, domain.center, domain.half, MAX_LEVEL).morton_code(), i as u32)
-        })
-        .collect();
-    kifmm_runtime::par_sort_unstable(&mut pairs);
-    let sorted_codes: Vec<u64> = pairs.iter().map(|&(c, _)| c).collect();
-    let perm: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
+    let codes = morton_codes(local_points, &domain).unwrap_or_else(|(point, dim)| {
+        panic!("rank {}: point {point} is not finite along axis {dim}", comm.rank())
+    });
+    let (sorted_codes, perm) = sort_codes(&codes);
     let sorted_points: Vec<Point3> = perm.iter().map(|&i| local_points[i as usize]).collect();
 
     let (nodes, global_counts, levels) = match algo {
@@ -190,16 +175,12 @@ mod tests {
     use super::*;
     use kifmm_geom::uniform_cube;
     use kifmm_mpi::run;
-    use kifmm_tree::{partition_points, NO_NODE};
+    use kifmm_tree::{partition_points, MAX_LEVEL, NO_NODE};
 
     const ALGOS: [TreeBuild; 2] = [TreeBuild::SampleSort, TreeBuild::Paper];
 
     fn split(points: &[Point3], ranks: usize) -> Vec<Vec<Point3>> {
-        let part = partition_points(points, ranks);
-        part.groups
-            .iter()
-            .map(|g| g.iter().map(|&i| points[i]).collect())
-            .collect()
+        partition_points(points, ranks).gather(points)
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! `kifmm_tree::partition_patches`, or raw points via
 //! `kifmm_tree::partition_points`), hand each rank its chunk, and evaluate.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod exchange;
 pub mod global_tree;

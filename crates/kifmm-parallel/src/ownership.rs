@@ -192,12 +192,7 @@ mod tests {
     #[test]
     fn owners_consistent_and_contributing() {
         let all = uniform_cube(2000, 3);
-        let part = partition_points(&all, 4);
-        let chunks: Vec<Vec<[f64; 3]>> = part
-            .groups
-            .iter()
-            .map(|g| g.iter().map(|&i| all[i]).collect())
-            .collect();
+        let chunks = partition_points(&all, 4).gather(&all);
         let out = run(4, |comm| {
             let dt = build_distributed_tree(comm, &chunks[comm.rank()], 30, MAX_LEVEL);
             let lists = build_lists(&dt.tree);
@@ -233,12 +228,7 @@ mod tests {
         // A rank with points in a leaf is a source user of that leaf
         // (B ∈ U(B)).
         let all = uniform_cube(800, 9);
-        let part = partition_points(&all, 2);
-        let chunks: Vec<Vec<[f64; 3]>> = part
-            .groups
-            .iter()
-            .map(|g| g.iter().map(|&i| all[i]).collect())
-            .collect();
+        let chunks = partition_points(&all, 2).gather(&all);
         run(2, |comm| {
             let dt = build_distributed_tree(comm, &chunks[comm.rank()], 25, MAX_LEVEL);
             let lists = build_lists(&dt.tree);

@@ -293,7 +293,7 @@ pub fn par_sort_unstable<T: Ord + Copy + Send>(data: &mut [T]) {
 
 /// Merge two sorted slices into `out` (cleared first), taking from `a` on
 /// ties.
-fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
+pub fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

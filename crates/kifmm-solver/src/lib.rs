@@ -11,6 +11,8 @@
 //!   operator, rigid-body boundary conditions and force functionals used
 //!   by the Stokes sedimentation example.
 
+#![forbid(unsafe_code)]
+
 pub mod bie;
 pub mod gmres;
 

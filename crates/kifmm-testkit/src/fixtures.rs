@@ -30,8 +30,7 @@ pub fn cloud(n: usize, seed: u64) -> Vec<Point3> {
 /// Partition a global cloud into per-rank chunks the way a real run
 /// would: Morton-ordered parallel partitioning (paper §3.1).
 pub fn split_points(all: &[Point3], ranks: usize) -> Vec<Vec<Point3>> {
-    let part = partition_points(all, ranks);
-    part.groups.iter().map(|g| g.iter().map(|&i| all[i]).collect()).collect()
+    partition_points(all, ranks).gather(all)
 }
 
 /// Evaluate the concatenated problem with the serial [`Fmm`] and split

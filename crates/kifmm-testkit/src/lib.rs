@@ -21,6 +21,8 @@
 //! small sizes, and failing inputs are reproducible, which has proven
 //! enough for these numeric properties.
 
+#![forbid(unsafe_code)]
+
 use kifmm_geom::rng::{splitmix64, Rng};
 
 pub mod fixtures;

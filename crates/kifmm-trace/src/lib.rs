@@ -28,6 +28,8 @@
 //! [`Tracer::dropped_spans`] reports how many were lost — tracing never
 //! reallocates unboundedly inside a solve loop.
 
+#![forbid(unsafe_code)]
+
 mod chrome;
 mod jsonw;
 

@@ -4,6 +4,14 @@
 //! integer anchor coordinates at that level. The linear order of keys at
 //! the maximum depth is the Morton space-filling curve the paper uses for
 //! partitioning and load balancing (§3.1, following Warren & Salmon).
+//!
+//! [`morton_codes`] and [`sort_codes`] are the one way from points to
+//! that order: every tree build, the incremental update and the
+//! partitioner sort `(code, index)` pairs here, so a cloud has one
+//! permutation — ties on coincident codes included — whoever asks.
+
+use crate::octree::Domain;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum refinement level representable: the linearized code packs
 /// 3·`MAX_LEVEL` interleaved coordinate bits plus 5 level bits into a
@@ -234,12 +242,11 @@ pub fn point_in_domain(p: [f64; 3], center: [f64; 3], half: f64) -> bool {
 /// of silently clamping them into boundary boxes. Returns the first
 /// offending dimension on failure.
 ///
-/// The static build clamps on purpose: its domain is computed to contain
-/// every point, so the clamp only rescues boundary points from rounding.
-/// The incremental-update path (`kifmm_tree::update`) must not clamp — a
-/// point that drifted outside the original domain would be silently
-/// folded into a boundary box, corrupting the tree while every invariant
-/// check still passes.
+/// A point outside the cube — drifted out of an updated tree's fixed
+/// domain, or never inside a caller-supplied one — would otherwise be
+/// silently folded into a boundary box, corrupting the tree while every
+/// invariant check still passes. After this test the clamp only rescues
+/// boundary points from rounding.
 pub fn try_point_key(
     p: [f64; 3],
     center: [f64; 3],
@@ -257,6 +264,47 @@ pub fn try_point_key(
         !point_in_domain(q, center, half)
     };
     Err((0..3).find(|&d| outside(d)).expect("a point outside the cube is outside along an axis"))
+}
+
+/// Max-depth Morton code of every point, in storage order. A point
+/// outside the closed `domain` cube (`NaN` included) is refused as
+/// `Err((point, dim))`: the smallest offending index and its first
+/// offending axis, whichever worker saw it.
+pub fn morton_codes(points: &[[f64; 3]], domain: &Domain) -> Result<Vec<u64>, (usize, usize)> {
+    const CHUNK: usize = 1 << 16;
+    let mut codes = vec![0u64; points.len()];
+    // Encoded (point << 2) | dim, so the atomic min is the smallest index.
+    let outside = AtomicU64::new(u64::MAX);
+    kifmm_runtime::par_chunks_mut(&mut codes, CHUNK, |ci, chunk| {
+        let base = ci * CHUNK;
+        for (j, (slot, &p)) in chunk.iter_mut().zip(&points[base..]).enumerate() {
+            match try_point_key(p, domain.center, domain.half, MAX_LEVEL) {
+                Ok(k) => *slot = k.morton_code(),
+                Err(dim) => {
+                    outside.fetch_min((((base + j) as u64) << 2) | dim as u64, Ordering::Relaxed);
+                }
+            }
+        }
+    });
+    match outside.into_inner() {
+        u64::MAX => Ok(codes),
+        first => Err(((first >> 2) as usize, (first & 3) as usize)),
+    }
+}
+
+/// Sort `(code, index)` pairs: the curve order, ties on equal codes broken
+/// by index, so the order is total and the same for any thread count.
+pub(crate) fn sort_pairs(pairs: &mut [(u64, u32)]) {
+    kifmm_runtime::par_sort_unstable(pairs);
+}
+
+/// Curve order of `codes`: `(sorted_codes, perm)` with
+/// `sorted_codes[k] == codes[perm[k]]`, equal codes in index order
+/// ([`sort_pairs`]). The pair vector is dropped before returning.
+pub fn sort_codes(codes: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    let mut pairs: Vec<(u64, u32)> = codes.iter().copied().zip(0u32..).collect();
+    sort_pairs(&mut pairs);
+    pairs.into_iter().unzip()
 }
 
 #[cfg(test)]

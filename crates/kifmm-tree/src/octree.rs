@@ -6,7 +6,7 @@
 //! balance constraint (the U/V/W/X lists of [`crate::lists`] handle
 //! arbitrary level jumps).
 
-use crate::morton::{point_key, MortonKey, MAX_LEVEL};
+use crate::morton::{morton_codes, sort_codes, MortonKey};
 use std::collections::HashMap;
 
 /// Sentinel for "no child".
@@ -26,15 +26,17 @@ impl Domain {
     /// padding so boundary points land strictly inside).
     pub fn containing(points: &[[f64; 3]]) -> Domain {
         assert!(!points.is_empty(), "domain of an empty point set");
-        let mut lo = [f64::INFINITY; 3];
-        let mut hi = [f64::NEG_INFINITY; 3];
-        for p in points {
-            for d in 0..3 {
-                lo[d] = lo[d].min(p[d]);
-                hi[d] = hi[d].max(p[d]);
-            }
-        }
+        let (lo, hi) = Domain::bounds(points);
         Domain::from_bounds(lo, hi)
+    }
+
+    /// Bounding box `(lo, hi)` of the points — `(+∞, −∞)` for none, the
+    /// identity of the Min/Max Allreduce the distributed build folds the
+    /// per-rank boxes with.
+    pub fn bounds(points: &[[f64; 3]]) -> ([f64; 3], [f64; 3]) {
+        points.iter().fold(([f64::INFINITY; 3], [f64::NEG_INFINITY; 3]), |(lo, hi), p| {
+            (std::array::from_fn(|d| lo[d].min(p[d])), std::array::from_fn(|d| hi[d].max(p[d])))
+        })
     }
 
     /// The cube around the bounding box `[lo, hi]`: centred on it, half
@@ -42,12 +44,19 @@ impl Domain {
     /// the formula lives — the distributed build calls it on Allreduced
     /// bounds, so every rank gets the serial build's domain bit for bit.
     pub fn from_bounds(lo: [f64; 3], hi: [f64; 3]) -> Domain {
-        let center = std::array::from_fn(|d| 0.5 * (lo[d] + hi[d]));
+        let center: [f64; 3] = std::array::from_fn(|d| 0.5 * (lo[d] + hi[d]));
         let mut half = (0..3).map(|d| 0.5 * (hi[d] - lo[d])).fold(0.0_f64, f64::max);
         if half == 0.0 {
             half = 0.5; // degenerate single-point cloud
         }
-        Domain { center, half: half * (1.0 + 1e-12) }
+        half *= 1.0 + 1e-12;
+        // Far from the origin the rounding of `center` outgrows the
+        // padding; the cube must still pass `point_in_domain` for every
+        // point of the box, which is monotone in the coordinate.
+        for d in 0..3 {
+            half = half.max(hi[d] - center[d]).max(center[d] - lo[d]);
+        }
+        Domain { center, half }
     }
 
     /// Center of the box identified by `key`.
@@ -65,9 +74,9 @@ impl Domain {
 }
 
 /// `(point, axis)` of the first NaN or infinite coordinate, if any.
-/// [`Domain::containing`]'s min/max skip NaN and the Morton cast saturates,
-/// so a tree builds over such a point without complaint — callers taking
-/// points from outside reject them with this scan first.
+/// [`Domain::containing`]'s min/max skip NaN and an infinite bound has no
+/// cube, so a tree build over such a point panics — callers taking points
+/// from outside reject them with this scan first, as a typed error.
 pub fn first_non_finite(points: &[[f64; 3]]) -> Option<(usize, usize)> {
     points
         .iter()
@@ -129,23 +138,22 @@ impl Octree {
         Self::build_in_domain(domain, points, max_pts_per_leaf, max_level)
     }
 
-    /// Build within a caller-specified domain (the distributed driver uses
-    /// the globally agreed domain).
+    /// Build within a caller-specified domain, which must contain every
+    /// point.
+    ///
+    /// # Panics
+    /// Naming the first point outside `domain` and the axis it leaves
+    /// the cube along.
     pub fn build_in_domain(
         domain: Domain,
         points: &[[f64; 3]],
         max_pts_per_leaf: usize,
         max_level: u8,
     ) -> Octree {
-        let n = points.len();
-        // Morton-sort the point indices by their max-depth codes.
-        let codes: Vec<u64> = points
-            .iter()
-            .map(|&p| point_key(p, domain.center, domain.half, MAX_LEVEL).morton_code())
-            .collect();
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_unstable_by_key(|&i| codes[i as usize]);
-        let sorted_codes: Vec<u64> = perm.iter().map(|&i| codes[i as usize]).collect();
+        let codes = morton_codes(points, &domain).unwrap_or_else(|(point, dim)| {
+            panic!("Octree::build_in_domain: point {point} lies outside the domain along axis {dim}")
+        });
+        let (sorted_codes, perm) = sort_codes(&codes);
 
         // The refinement loop shared with the distributed builds and the
         // incremental update; local counts are global here.
@@ -349,6 +357,7 @@ impl Octree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::morton::MAX_LEVEL;
 
     fn cloud(n: usize) -> Vec<[f64; 3]> {
         // Deterministic pseudo-random cloud.
@@ -372,6 +381,34 @@ mod tests {
                 assert!((p[dim] - d.center[dim]).abs() <= d.half);
             }
         }
+    }
+
+    /// Far from the origin the rounding of the center exceeds the relative
+    /// padding; the cube must still contain its own points.
+    #[test]
+    fn domain_contains_points_far_from_the_origin() {
+        for offset in [1e4, 1e6, -3e8] {
+            let pts: Vec<[f64; 3]> = cloud(200)
+                .into_iter()
+                .map(|p| [p[0] + offset, p[1] - 0.7 * offset, p[2] + 1.3 * offset])
+                .collect();
+            let d = Domain::containing(&pts);
+            assert_eq!(morton_codes(&pts, &d).map(|c| c.len()), Ok(200), "offset {offset}");
+            assert_eq!(Octree::build(&pts, 20, MAX_LEVEL).perm.len(), 200);
+        }
+    }
+
+    /// A caller's domain that misses a point is a bug at the call site:
+    /// clamping the point into a boundary leaf would pass every
+    /// `check_parts` invariant and evaluate the wrong geometry.
+    #[test]
+    #[should_panic(expected = "point 41 lies outside the domain along axis 1")]
+    fn build_in_domain_refuses_a_point_outside_the_domain() {
+        let mut pts = cloud(100);
+        let domain = Domain::containing(&pts);
+        pts[41][1] = domain.center[1] - 1.5 * domain.half;
+        pts[77][0] = domain.center[0] + 2.0 * domain.half;
+        Octree::build_in_domain(domain, &pts, 10, MAX_LEVEL);
     }
 
     #[test]

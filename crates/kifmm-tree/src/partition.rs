@@ -4,9 +4,12 @@
 //! by their centroids and then cut into contiguous groups of (nearly)
 //! equal weight, one group per processor. A direct point-level partitioner
 //! is also provided ("alternatively, we could use Morton curve partitioning
-//! directly on the particles").
+//! directly on the particles"). Both are one curve cut over the
+//! `(code, index)` order every tree sorts its points in
+//! ([`crate::morton::sort_codes`]); [`Partition::gather`] deals the items
+//! out.
 
-use crate::morton::{point_key, MAX_LEVEL};
+use crate::morton::{morton_codes, sort_codes};
 use crate::octree::Domain;
 use kifmm_geom::SurfacePatch;
 
@@ -18,6 +21,11 @@ pub struct Partition {
 }
 
 impl Partition {
+    /// `items` dealt out by group: `gather(items)[r][k] == items[groups[r][k]]`.
+    pub fn gather<T: Clone>(&self, items: &[T]) -> Vec<Vec<T>> {
+        self.groups.iter().map(|g| g.iter().map(|&i| items[i].clone()).collect()).collect()
+    }
+
     /// Load imbalance: max group weight / average group weight.
     pub fn imbalance(&self, weight: impl Fn(usize) -> f64) -> f64 {
         let w: Vec<f64> =
@@ -73,22 +81,33 @@ pub fn split_by_weight(weights: &[f64], num_parts: usize) -> Vec<std::ops::Range
     cuts
 }
 
+/// The one curve cut behind the three entry points: order the items by
+/// the `(code, index)` of their `keys` in `domain` ([`sort_codes`]: items
+/// with coincident codes stay in index order), then cut by weight.
+fn cut_curve(keys: &[[f64; 3]], domain: Domain, weights: &[f64], num_parts: usize) -> Partition {
+    assert_eq!(keys.len(), weights.len(), "one weight per item");
+    let codes = morton_codes(keys, &domain)
+        .unwrap_or_else(|(i, dim)| panic!("partition: item {i} is not finite along axis {dim}"));
+    let (_, order) = sort_codes(&codes);
+    let along: Vec<f64> = order.iter().map(|&i| weights[i as usize]).collect();
+    let groups = split_by_weight(&along, num_parts)
+        .into_iter()
+        .map(|r| order[r].iter().map(|&i| i as usize).collect())
+        .collect();
+    Partition { groups }
+}
+
 /// Partition surface patches across `num_parts` ranks: sort by centroid
 /// Morton code, cut by weight.
 pub fn partition_patches(patches: &[SurfacePatch], num_parts: usize) -> Partition {
+    let centroids: Vec<[f64; 3]> = patches.iter().map(SurfacePatch::centroid).collect();
+    // The cube of every patch point, and of the centroids: the mean of a
+    // flat patch can round a hair past the face it lies in.
     let all_points: Vec<[f64; 3]> =
-        patches.iter().flat_map(|p| p.points.iter().copied()).collect();
+        patches.iter().flat_map(|p| p.points.iter().copied()).chain(centroids.iter().copied()).collect();
     assert!(!all_points.is_empty(), "cannot partition empty input");
-    let domain = Domain::containing(&all_points);
-    let mut order: Vec<usize> = (0..patches.len()).collect();
-    order.sort_by_key(|&i| {
-        point_key(patches[i].centroid(), domain.center, domain.half, MAX_LEVEL).morton_code()
-    });
-    let weights: Vec<f64> = order.iter().map(|&i| patches[i].weight).collect();
-    let cuts = split_by_weight(&weights, num_parts);
-    Partition {
-        groups: cuts.into_iter().map(|r| r.map(|k| order[k]).collect()).collect(),
-    }
+    let weights: Vec<f64> = patches.iter().map(|p| p.weight).collect();
+    cut_curve(&centroids, Domain::containing(&all_points), &weights, num_parts)
 }
 
 /// Partition points with per-point weights (e.g. the work estimates of
@@ -101,32 +120,12 @@ pub fn partition_weighted_points(
     num_parts: usize,
 ) -> Partition {
     assert!(!points.is_empty(), "cannot partition empty input");
-    assert_eq!(points.len(), weights.len(), "one weight per point");
-    let domain = Domain::containing(points);
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by_key(|&i| {
-        point_key(points[i], domain.center, domain.half, MAX_LEVEL).morton_code()
-    });
-    let w: Vec<f64> = order.iter().map(|&i| weights[i]).collect();
-    let cuts = split_by_weight(&w, num_parts);
-    Partition {
-        groups: cuts.into_iter().map(|r| r.map(|k| order[k]).collect()).collect(),
-    }
+    cut_curve(points, Domain::containing(points), weights, num_parts)
 }
 
 /// Partition raw points directly (weight 1 each).
 pub fn partition_points(points: &[[f64; 3]], num_parts: usize) -> Partition {
-    assert!(!points.is_empty(), "cannot partition empty input");
-    let domain = Domain::containing(points);
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by_key(|&i| {
-        point_key(points[i], domain.center, domain.half, MAX_LEVEL).morton_code()
-    });
-    let weights = vec![1.0; points.len()];
-    let cuts = split_by_weight(&weights, num_parts);
-    Partition {
-        groups: cuts.into_iter().map(|r| r.map(|k| order[k]).collect()).collect(),
-    }
+    partition_weighted_points(points, &vec![1.0; points.len()], num_parts)
 }
 
 #[cfg(test)]
@@ -189,6 +188,53 @@ mod tests {
         for g in &p.groups {
             assert!((g.len() as i64 - 500).abs() <= 1, "group size {}", g.len());
         }
+    }
+
+    /// The body the three entry points each carried before they shared
+    /// [`cut_curve`]: a stable by-key sort, the key recomputed per compare.
+    fn by_key_groups(keys: &[[f64; 3]], domain: Domain, weights: &[f64], parts: usize) -> Vec<Vec<usize>> {
+        use crate::morton::{point_key, MAX_LEVEL};
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by_key(|&i| point_key(keys[i], domain.center, domain.half, MAX_LEVEL).morton_code());
+        let w: Vec<f64> = order.iter().map(|&i| weights[i]).collect();
+        split_by_weight(&w, parts).into_iter().map(|r| r.map(|k| order[k]).collect()).collect()
+    }
+
+    #[test]
+    fn the_three_entry_points_cut_one_curve() {
+        let pts = uniform_cube(3000, 4);
+        let domain = Domain::containing(&pts);
+        let weights: Vec<f64> = (0..3000).map(|i| 1.0 + (i % 7) as f64).collect();
+        for parts in [1, 3, 8] {
+            assert_eq!(partition_points(&pts, parts).groups, by_key_groups(&pts, domain, &vec![1.0; 3000], parts));
+            assert_eq!(
+                partition_weighted_points(&pts, &weights, parts).groups,
+                by_key_groups(&pts, domain, &weights, parts)
+            );
+        }
+        let patches: Vec<SurfacePatch> =
+            pts.chunks(25).map(|c| SurfacePatch::from_points(c.to_vec())).collect();
+        let centroids: Vec<[f64; 3]> = patches.iter().map(SurfacePatch::centroid).collect();
+        let patch_weights: Vec<f64> = patches.iter().map(|p| p.weight).collect();
+        assert_eq!(
+            partition_patches(&patches, 5).groups,
+            by_key_groups(&centroids, domain, &patch_weights, 5)
+        );
+    }
+
+    #[test]
+    fn coincident_items_stay_in_index_order() {
+        // Three piles of coincident points: inside a pile the codes tie,
+        // so the curve order is the index order.
+        let pile = |i: usize| [[0.7, 0.1, 0.2], [-0.5, 0.3, 0.9], [0.1, -0.8, -0.4]][i % 3];
+        let pts: Vec<[f64; 3]> = (0..600).map(pile).collect();
+        let flat: Vec<usize> = partition_points(&pts, 4).groups.concat();
+        for run in flat.chunk_by(|&a, &b| pile(a) == pile(b)) {
+            assert_eq!(run.len(), 200, "a pile is contiguous on the curve");
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "pile out of index order");
+        }
+        let part = partition_points(&pts, 4);
+        assert_eq!(part.gather(&pts).concat(), flat.iter().map(|&i| pts[i]).collect::<Vec<_>>());
     }
 
     #[test]

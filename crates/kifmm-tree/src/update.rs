@@ -4,21 +4,22 @@
 //! example's spheres), rebuilding the tree from scratch repeats a full
 //! sort and structure derivation whose answer is almost unchanged. This
 //! module re-sorts the new Morton codes using the *old permutation as a
-//! near-sorted hint* — points that stayed in Morton order ride along for
+//! near-sorted hint* — points that stayed in curve order ride along for
 //! free, only the displaced minority is sorted and merged back — and then
 //! re-derives the structure from the sorted array with the same
 //! refinement loop a fresh build runs
 //! ([`crate::linearize::structure_from_sorted_codes`]), so only the sort
-//! is incremental.
+//! is incremental. The order is the `(code, index)` order of
+//! [`crate::morton::sort_codes`] on every branch: the patched tree *is*
+//! the fresh build's tree over the same domain, permutation included.
 //!
 //! Out-of-domain drift is a hard error, not a clamp: the old domain is
 //! fixed (operator tables are scaled to it), so a point outside it must
-//! force a re-root/rebuild. See [`crate::morton::try_point_key`].
+//! force a re-root/rebuild. See [`crate::morton::morton_codes`].
 
 use crate::linearize::structure_from_sorted_codes;
-use crate::morton::{try_point_key, MAX_LEVEL};
+use crate::morton::{morton_codes, sort_codes, sort_pairs};
 use crate::octree::Octree;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why an incremental update could not be applied. Both cases mean the
 /// caller must fall back to a full rebuild over a fresh domain.
@@ -81,12 +82,12 @@ const FULL_SORT_PERCENT: usize = 25;
 /// Patch `old` for the moved point set `new_points` (same length, same
 /// identity — `new_points[i]` is the new position of point `i`).
 ///
-/// The old permutation orders the new codes almost-sorted; a greedy
-/// backbone scan keeps the in-order majority, sorts only the displaced
-/// points, and merges. Structure is re-derived from the sorted codes, so
-/// the result is exactly the tree a fresh build over `new_points` in the
-/// *same domain* would produce (up to permutation order among coincident
-/// codes).
+/// The old permutation orders the new `(code, index)` pairs almost-sorted;
+/// a greedy backbone scan keeps the in-order majority, sorts only the
+/// displaced pairs, and merges. The order is the one [`sort_codes`] gives
+/// and the structure is re-derived from the sorted codes, so the result is
+/// exactly the tree a fresh build over `new_points` in the *same domain*
+/// would produce, permutation included.
 pub fn update_octree(
     old: &Octree,
     new_points: &[[f64; 3]],
@@ -98,40 +99,17 @@ pub fn update_octree(
         return Err(UpdateError::PointCountChanged { old: n, new: new_points.len() });
     }
     let domain = old.domain;
-    const CHUNK: usize = 1 << 16;
-    // Pass 1 streams the points in storage order — the cache-friendly
-    // direction for the coordinate reads — computing every new Morton
-    // code and noting the first out-of-domain point, encoded
-    // (point << 2) | dim so the atomic min picks the smallest offending
-    // point index regardless of which worker saw it.
-    let mut codes = vec![0u64; n];
-    let overflow = AtomicU64::new(u64::MAX);
-    kifmm_runtime::par_chunks_mut(&mut codes, CHUNK, |ci, chunk| {
-        let base = ci * CHUNK;
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let i = base + j;
-            match try_point_key(new_points[i], domain.center, domain.half, MAX_LEVEL) {
-                Ok(k) => *slot = k.morton_code(),
-                Err(dim) => {
-                    overflow.fetch_min(((i as u64) << 2) | dim as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-    let first = overflow.load(Ordering::Relaxed);
-    if first != u64::MAX {
-        return Err(UpdateError::DomainOverflow {
-            point: (first >> 2) as usize,
-            dim: (first & 3) as usize,
-        });
-    }
+    let codes = morton_codes(new_points, &domain)
+        .map_err(|(point, dim)| UpdateError::DomainOverflow { point, dim })?;
 
-    // Pass 2 gathers the codes into the old Morton order (random access
-    // into the compact code array, not the 3× wider point array),
-    // recording per-chunk whether the chunk stayed non-decreasing; a
-    // scan of the chunk seams completes the sortedness verdict without
-    // another pass over the permutation.
+    // Gather the codes into the old curve order (random access into the
+    // compact code array, not the 3× wider point array), recording per
+    // chunk whether its `(code, index)` pairs stayed increasing; a scan of
+    // the chunk seams completes the sortedness verdict without another
+    // pass over the permutation.
+    const CHUNK: usize = 1 << 16;
     let chunks = n.div_ceil(CHUNK);
+    let pair_at = |k: usize| (codes[old.perm[k] as usize], old.perm[k]);
     let mut in_old_order = vec![0u64; n];
     let mut chunk_sorted = vec![0u8; chunks];
     kifmm_runtime::par_chunks2_mut(
@@ -140,57 +118,47 @@ pub fn update_octree(
         &mut chunk_sorted,
         1,
         |ci, chunk, flag| {
-            let base = ci * CHUNK;
             let mut sorted = true;
-            let mut last = 0u64;
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                let c = codes[old.perm[base + j] as usize];
-                sorted &= last <= c;
-                last = c;
-                *slot = c;
+            let mut last = (0u64, 0u32);
+            for (slot, &i) in chunk.iter_mut().zip(&old.perm[ci * CHUNK..]) {
+                let pair = (codes[i as usize], i);
+                sorted &= last <= pair;
+                last = pair;
+                *slot = pair.0;
             }
             flag[0] = sorted as u8;
         },
     );
     let still_sorted = chunk_sorted.iter().all(|&f| f == 1)
-        && (1..chunks).all(|c| in_old_order[c * CHUNK - 1] <= in_old_order[c * CHUNK]);
+        && (1..chunks).all(|c| pair_at(c * CHUNK - 1) < pair_at(c * CHUNK));
 
     let (sorted_codes, perm, moved) = if still_sorted {
-        // Fast path: motion below code resolution (or preserving Morton
-        // order) leaves the old permutation valid — no pair vectors, no
-        // sort, no merge.
+        // Fast path: motion below code resolution (or preserving the
+        // curve order) leaves the old permutation valid — no pair vectors,
+        // no sort, no merge.
         (in_old_order, old.perm.clone(), 0)
     } else {
-        // Greedy backbone: walk the old permutation, keep every point
-        // whose new code continues a non-decreasing run, peel off the
-        // rest.
+        // Greedy backbone: walk the old permutation, keep every pair that
+        // continues an increasing run, peel off the rest.
         let mut kept: Vec<(u64, u32)> = Vec::with_capacity(n);
         let mut displaced: Vec<(u64, u32)> = Vec::new();
-        for (k, &c) in in_old_order.iter().enumerate() {
-            let i = old.perm[k];
-            if kept.last().map_or(true, |&(last, _)| last <= c) {
-                kept.push((c, i));
+        for pair in in_old_order.iter().copied().zip(old.perm.iter().copied()) {
+            if kept.last().is_none_or(|&last| last < pair) {
+                kept.push(pair);
             } else {
-                displaced.push((c, i));
+                displaced.push(pair);
             }
         }
         let moved = displaced.len();
-
-        let pairs: Vec<(u64, u32)> = if moved * 100 > n * FULL_SORT_PERCENT {
-            // Too much motion for the hint to pay: full parallel sort
-            // (the (code, index) multiset is order-independent, so
-            // sorting the gathered array is sorting the codes).
-            let mut pairs: Vec<(u64, u32)> =
-                in_old_order.iter().zip(&old.perm).map(|(&c, &i)| (c, i)).collect();
-            kifmm_runtime::par_sort_unstable(&mut pairs);
-            pairs
+        let (sorted_codes, perm) = if moved * 100 > n * FULL_SORT_PERCENT {
+            // Too much motion for the hint to pay.
+            sort_codes(&codes)
         } else {
-            displaced.sort_unstable();
-            merge_runs(&kept, &displaced)
+            sort_pairs(&mut displaced);
+            let mut merged = Vec::with_capacity(n);
+            kifmm_runtime::merge_sorted(&kept, &displaced, &mut merged);
+            merged.into_iter().unzip()
         };
-
-        let sorted_codes: Vec<u64> = pairs.iter().map(|&(c, _)| c).collect();
-        let perm: Vec<u32> = pairs.iter().map(|&(_, i)| i).collect();
         (sorted_codes, perm, moved)
     };
     let (nodes, levels) = structure_from_sorted_codes(&sorted_codes, max_pts_per_leaf, max_level);
@@ -202,29 +170,10 @@ pub fn update_octree(
     Ok(TreeUpdate { tree, same_structure, moved })
 }
 
-/// Merge two sorted runs of (code, original index) pairs, taking from the
-/// backbone on code ties so unmoved points keep their old relative order.
-fn merge_runs(kept: &[(u64, u32)], displaced: &[(u64, u32)]) -> Vec<(u64, u32)> {
-    let mut out = Vec::with_capacity(kept.len() + displaced.len());
-    let (mut i, mut j) = (0, 0);
-    while i < kept.len() && j < displaced.len() {
-        if kept[i].0 <= displaced[j].0 {
-            out.push(kept[i]);
-            i += 1;
-        } else {
-            out.push(displaced[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&kept[i..]);
-    out.extend_from_slice(&displaced[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::morton::point_key;
+    use crate::morton::MAX_LEVEL;
 
     fn cloud(n: usize, mut seed: u64) -> Vec<[f64; 3]> {
         (0..n)
@@ -252,29 +201,13 @@ mod tests {
             .collect()
     }
 
-    /// The update must equal a fresh build over the same domain: identical
-    /// structure and point ranges, and a permutation placing every point
-    /// in a box that contains its code.
+    /// The update must *be* the fresh build over the same domain:
+    /// structure, point ranges and permutation.
     fn assert_matches_fresh(upd: &TreeUpdate, new_pts: &[[f64; 3]], s: usize, max_level: u8) {
-        let fresh =
-            Octree::build_in_domain(upd.tree.domain, new_pts, s, max_level);
+        let fresh = Octree::build_in_domain(upd.tree.domain, new_pts, s, max_level);
         assert_eq!(upd.tree.nodes, fresh.nodes, "node arrays differ from fresh build");
-        assert_eq!(upd.tree.levels, fresh.levels);
-        // Permutations may order coincident codes differently, but each
-        // point must land in a box covering its code.
-        for (i, nd) in upd.tree.nodes.iter().enumerate() {
-            let (lo, hi) = crate::linearize::code_range(&nd.key);
-            for &pi in upd.tree.point_indices(i as u32) {
-                let code = point_key(
-                    new_pts[pi as usize],
-                    upd.tree.domain.center,
-                    upd.tree.domain.half,
-                    MAX_LEVEL,
-                )
-                .morton_code();
-                assert!(code >= lo && code < hi, "point {pi} outside its box");
-            }
-        }
+        assert_eq!(upd.tree.perm, fresh.perm, "permutation differs from fresh build");
+        assert!(upd.tree.structure_eq(&fresh));
     }
 
     #[test]
@@ -337,15 +270,49 @@ mod tests {
         assert_eq!(err, UpdateError::PointCountChanged { old: 100, new: 99 });
     }
 
+    /// Coincident points tie on their max-depth code; every branch must
+    /// leave them in index order, as the fresh build does.
     #[test]
     fn coincident_points_update_cleanly() {
-        let mut pts = cloud(50, 21);
-        for i in 0..20 {
+        let mut pts = cloud(400, 21);
+        for i in (0..400).step_by(7) {
             pts[i] = [0.125, 0.125, 0.125];
         }
         let old = Octree::build(&pts, 5, 6);
-        let new_pts = perturb(&pts, &old.domain, 1e-5);
-        let upd = update_octree(&old, &new_pts, 5, 6).unwrap();
-        assert_matches_fresh(&upd, &new_pts, 5, 6);
+        // Still sorted: nothing moves.
+        let upd = update_octree(&old, &pts, 5, 6).unwrap();
+        assert_eq!(upd.moved, 0);
+        assert_matches_fresh(&upd, &pts, 5, 6);
+        // Backbone merge: one more point joins the pile, between piled
+        // points of lower and higher index.
+        let mut joined = pts.clone();
+        joined[3] = [0.125, 0.125, 0.125];
+        let upd = update_octree(&old, &joined, 5, 6).unwrap();
+        assert!(upd.moved > 0 && upd.moved * 100 <= 400 * FULL_SORT_PERCENT, "moved {}", upd.moved);
+        assert_matches_fresh(&upd, &joined, 5, 6);
+        // Full sort: reflect everything through the center.
+        let flipped: Vec<[f64; 3]> = pts
+            .iter()
+            .map(|p| std::array::from_fn(|d| 2.0 * old.domain.center[d] - p[d]))
+            .collect();
+        let upd = update_octree(&old, &flipped, 5, 6).unwrap();
+        assert!(upd.moved * 100 > 400 * FULL_SORT_PERCENT);
+        assert_matches_fresh(&upd, &flipped, 5, 6);
+    }
+
+    /// Two neighbours of the old order land in one max-depth cell with
+    /// their indices the wrong way round: the codes alone are still
+    /// non-decreasing, the `(code, index)` pairs are not.
+    #[test]
+    fn points_moving_into_one_cell_are_reordered_by_index() {
+        let pts = cloud(600, 31);
+        let old = Octree::build(&pts, 20, MAX_LEVEL);
+        let k = (0..599).find(|&k| old.perm[k] > old.perm[k + 1]).unwrap();
+        let mut new_pts = pts.clone();
+        new_pts[old.perm[k + 1] as usize] = pts[old.perm[k] as usize];
+        let upd = update_octree(&old, &new_pts, 20, MAX_LEVEL).unwrap();
+        assert_eq!(upd.moved, 1, "the pair order, not the code order, decides");
+        assert_eq!((upd.tree.perm[k], upd.tree.perm[k + 1]), (old.perm[k + 1], old.perm[k]));
+        assert_matches_fresh(&upd, &new_pts, 20, MAX_LEVEL);
     }
 }

@@ -49,6 +49,8 @@
 //! | [`linalg`], [`fft`] | the numerical substrates (SVD/pinv, the M2L's real transform + a complex FFT oracle) |
 //! | [`trace`] | spans, counters, chrome-trace export |
 
+#![forbid(unsafe_code)]
+
 pub use kifmm_core as core;
 pub use kifmm_fft as fft;
 pub use kifmm_geom as geom;

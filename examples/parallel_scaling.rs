@@ -63,14 +63,8 @@ fn main() {
 
     println!("  P   max-compute(s)  imbalance  comm(MB)  msgs   total-Mflop");
     for ranks in [1usize, 2, 4, 8] {
-        let part = partition_points(&all, ranks);
-        let chunks: Vec<Vec<[f64; 3]>> = part
-            .groups
-            .iter()
-            .map(|g| g.iter().map(|&i| all[i]).collect())
-            .collect();
         let cache = Arc::new(PrecomputeCache::new());
-        let chunks = Arc::new(chunks);
+        let chunks = Arc::new(partition_points(&all, ranks).gather(&all));
         let tracer = Tracer::enabled();
         let out = kifmm::mpi::run(ranks, {
             let chunks = chunks.clone();

@@ -63,13 +63,7 @@ fn main() {
     println!("  P   sample-sort(s)  paper(s)  speedup  nodes   depth");
     let mut unequal_ranks = Vec::new();
     for ranks in [1usize, 2, 4, 8] {
-        let part = partition_points(&all, ranks);
-        let chunks: Vec<Vec<[f64; 3]>> = part
-            .groups
-            .iter()
-            .map(|g| g.iter().map(|&i| all[i]).collect())
-            .collect();
-        let chunks = Arc::new(chunks);
+        let chunks = Arc::new(partition_points(&all, ranks).gather(&all));
         let out = kifmm::mpi::run(ranks, {
             let chunks = chunks.clone();
             move |comm| {

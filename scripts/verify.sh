@@ -50,96 +50,44 @@ cargo build -q --release --offline -p kifmm-testkit --bin validate_json
 target/release/validate_json "$artifacts/TRACE_parallel_scaling_P4.json" --chrome 4
 echo "artifact + comm-regression gate: OK"
 
-# 5. Shim gate: the `#[deprecated]` evaluate* shims were removed with the
-#    plan/execute API split; neither the shims nor callers of them may
-#    come back. (`evaluate_at`/`evaluate_off_surface` are live API.)
-shim_calls=$(grep -rnE '\.evaluate(_with_stats|_parallel(_with_stats)?)?\(' \
-    crates tests examples --include='*.rs' || true)
-shim_attrs=$(grep -rn '#\[deprecated' crates tests examples --include='*.rs' || true)
-if [ -n "$shim_calls$shim_attrs" ]; then
-    echo "FAIL: deprecated shims (or callers of them) reintroduced:"
-    echo "$shim_calls"
-    echo "$shim_attrs"
-    exit 1
-fi
-echo "shim gate: OK (no deprecated shims, no shim callers)"
-
 # 5b. One-near-field-path gate: the multi-RHS loops are the only
 #     hand-written near-field loops. `fn p2p(` / `fn p2p_grad(` may be
 #     defined only in kernel.rs (as provided forwards with k = 1 — stable
 #     Rust cannot forbid an override, this grep does), and the engine's
 #     leaf passes take `grads: Option<..>`: no `_grad(` pass twin may
-#     reappear under engine/. Likewise *which boxes* is an `ActiveSet` and
-#     *which targets* a `LeafTargets`: no node predicate under engine/, no
-#     `m2l_level_where`, no per-target `read_off` beside the leaf passes.
+#     reappear under engine/. Likewise *which boxes* is an `ActiveSet`:
+#     no node predicate under engine/.
 p2p_defs=$(grep -rnE 'fn p2p(_grad)?\(' crates tests examples --include='*.rs' \
     | grep -v '^crates/kifmm-kernels/src/kernel.rs:' || true)
 grad_twins=$(grep -rnE 'fn [a-z0-9_]+_grad\(|dyn Fn\(usize\) -> bool' crates/kifmm-core/src/engine || true)
-selectors=$(grep -rnE 'm2l_level_where|fn read_off' crates tests examples --include='*.rs' || true)
-if [ -n "$p2p_defs$grad_twins$selectors" ]; then
-    echo "FAIL: single-RHS p2p override, engine _grad pass twin or second box/target selector reintroduced:"
+if [ -n "$p2p_defs$grad_twins" ]; then
+    echo "FAIL: single-RHS p2p override, engine _grad pass twin or node predicate reintroduced:"
     echo "$p2p_defs"
     echo "$grad_twins"
-    echo "$selectors"
     exit 1
 fi
-echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins, one filter, one target set)"
+echo "near-field gate: OK (p2p/p2p_grad defined once, no engine _grad twins, one filter)"
 
-# 5c. One-M2L-path gate: `M2lMode` is `Fft | Direct`. The SVD-compressed
-#     family, the `Auto` mode and the plan-time autotuner were deleted and
-#     may not come back under another spelling.
-m2l_extras=$(grep -rnE 'M2lMode::(Svd|Auto)|M2lSvd|resolve_m2l_modes|m2l_svd' \
-    crates tests examples --include='*.rs' || true)
-if [ -n "$m2l_extras" ]; then
-    echo "FAIL: a deleted M2L mode or the autotuner reintroduced:"
-    echo "$m2l_extras"
-    exit 1
-fi
-echo "m2l gate: OK (Fft + dense oracle only)"
-
-# 5d. One-evaluator / one-charging-site gate: `Fmm` is an alias of
-#     `Session`, and a pass is charged in exactly one place
+# 5d. One-charging-site gate: a pass is charged in exactly one place
 #     (`kifmm_core::stats::Meter`) on all three drivers. The hand-written
 #     forms — `add_seconds`/`add_flops` next to a span, a driver reading
-#     the clock itself, a Morton permute loop outside `Octree`, the `Fmm`
-#     shell, the untimed `compute_expansions` schedule, the unkeyed
-#     `pinv_tol` knob — may not come back.
+#     the clock itself, a Morton permute loop outside `Octree` — may not
+#     come back.
 rs() { grep -rnE "$1" crates tests examples --include='*.rs' || true; }
 charges=$(rs 'add_seconds\(|add_flops\(' | grep -v '^crates/kifmm-core/src/stats.rs:' || true)
 comm_sites=$(rs 'add_comm\(' | grep -vc '^crates/kifmm-core/src/stats.rs:' || true)
 clocks=$(grep -n 'thread_cpu_time()' crates/kifmm-core/src/plan.rs \
     crates/kifmm-parallel/src/driver.rs || true)
 perms=$(rs 'perm\.iter\(\)\.enumerate\(\)' | grep -v '^crates/kifmm-tree/src/' || true)
-shells=$(rs 'struct Fmm\b|from_session|compute_expansions')
-knob=$(rs 'pinv_tol' | grep -v '^crates/kifmm-core/src/operators.rs:' || true)
-if [ -n "$charges$clocks$perms$shells$knob" ] || [ "$comm_sites" -gt 1 ]; then
-    echo "FAIL: a second evaluator shell or a hand-written charging site reintroduced:"
+if [ -n "$charges$clocks$perms" ] || [ "$comm_sites" -gt 1 ]; then
+    echo "FAIL: a hand-written charging site reintroduced:"
     echo "$charges"
     echo "$clocks"
     echo "$perms"
-    echo "$shells"
-    echo "$knob"
     echo "add_comm call sites outside stats.rs: $comm_sites (at most 1)"
     exit 1
 fi
-echo "one-evaluator gate: OK (Fmm = Session, one Meter, no pinv_tol)"
-
-# 5e. One-perf-harness gate: `benchmark/` is the only place a rate or a
-#     time is measured and the chrome trace the only artifact format; the
-#     examples check their own bounds and exit. The retired BENCH schemas,
-#     the `Evaluator` trait with its comm-bound carrier, the LU/QR
-#     solvers and the type-erased kernel layer nothing called, and the
-#     `portable` cargo feature nothing built, may not come back.
-retired=$(grep -rnE 'kifmm-(service|tree-build|kernel-suite|engine-batching|bench)-v1|BenchSummary|PhaseLine|bench-summary|write_bench_summary|trait Evaluator|BoundParallelFmm|lu_factor|householder_qr|BoxedKernel|DynKernel' \
-    crates tests examples scripts --exclude=verify.sh || true)
-knobs=$(grep -rn 'portable' Cargo.toml crates/*/Cargo.toml benchmark/Cargo.toml || true)
-if [ -n "$retired$knobs" ] || [ -e crates/kifmm-bench/benches ]; then
-    echo "FAIL: a retired BENCH schema, evaluator layer, unused solver/kernel layer or feature reintroduced:"
-    echo "$retired"
-    echo "$knobs"
-    exit 1
-fi
-echo "one-harness gate: OK (no hand-written BENCH schema, no Evaluator trait, no LU/QR, no DynKernel, no portable)"
+echo "one-charging-site gate: OK (one Meter)"
 
 # 5f. One-level-rule gate: which table a level reads, times what, is
 #     decided once (`operators::LevelRule`), and the box half-width lives
@@ -159,42 +107,34 @@ echo "level-rule gate: OK (homogeneity() read in operators.rs only, no box_half 
 
 # 5g. One-tree gate: the octant-cut refinement loop is written once
 #     (`kifmm_tree::refine_sorted_codes`, linearize.rs) for the serial
-#     build, the incremental update and both distributed count providers;
-#     box keys resolve through `Octree::find` alone (`build_lists_sorted`
-#     is a `pub use` alias for the frozen benchmark, never a function);
+#     build, the incremental update and both distributed count providers,
 #     and an `ExchangePlan` owns its payloads — only `ExchangeRoute::begin`
 #     takes the closure, `poll`/`complete` take the communicator alone.
-twins=$(rs 'SortedKeyIndex|build_lists_with|fn build_global_levels|fn build_lists_sorted')
 cuts=$(grep -rnF 'partition_point(|&c| ((c >> shift) & 7)' crates tests examples --include='*.rs' \
     | grep -v '^crates/kifmm-tree/src/linearize.rs:' || true)
 closures=$(grep -rnE '\.(poll|complete)\(comm, ' crates/kifmm-parallel/src \
     tests/parallel_consistency.rs || true)
-if [ -n "$twins$cuts$closures" ]; then
-    echo "FAIL: a second refinement loop, key index or payload hand-off reintroduced:"
-    echo "$twins"
+if [ -n "$cuts$closures" ]; then
+    echo "FAIL: a second refinement loop or payload hand-off reintroduced:"
     echo "$cuts"
     echo "$closures"
     exit 1
 fi
-echo "one-tree gate: OK (one refinement loop, one key lookup, begin is the only payload call)"
+echo "one-tree gate: OK (one refinement loop, begin is the only payload call)"
 
-# 5h. One-Hadamard-path gate, in safe code: `M2lFft` holds its tensors as
-#     dense chunk-major arrays (no `HashMap` in the struct), the engine
-#     never accumulates pair by pair nor embeds reals as `C64::real(`, and
-#     neither the transform crate nor m2l.rs reaches for `unsafe`,
-#     `std::arch` or a `target_feature`.
+# 5h. One-Hadamard-path gate: `M2lFft` holds its tensors as dense
+#     chunk-major arrays (no `HashMap` in the struct) and the engine never
+#     embeds reals as `C64::real(`. (That the transform crate and m2l.rs
+#     stay safe code is `#![forbid(unsafe_code)]` at their crate roots.)
 m2l_struct=$(awk '/^pub struct M2lFft/,/^}/' crates/kifmm-core/src/m2l.rs | grep -n 'HashMap' || true)
-per_pair=$(grep -rnE '\.accumulate\(|C64::real\(' crates/kifmm-core/src/engine || true)
-unsafe_m2l=$(grep -rnE 'unsafe|std::arch|target_feature' crates/kifmm-fft/src \
-    crates/kifmm-core/src/m2l.rs || true)
-if [ -n "$m2l_struct$per_pair$unsafe_m2l" ]; then
-    echo "FAIL: a tensor map, a per-pair accumulate, a complex embedding or unsafe code in the M2L path:"
+embeds=$(grep -rn 'C64::real(' crates/kifmm-core/src/engine || true)
+if [ -n "$m2l_struct$embeds" ]; then
+    echo "FAIL: a tensor map or a complex embedding in the M2L path:"
     echo "$m2l_struct"
-    echo "$per_pair"
-    echo "$unsafe_m2l"
+    echo "$embeds"
     exit 1
 fi
-echo "hadamard gate: OK (dense chunk-major tensors, one Hadamard path, safe code)"
+echo "hadamard gate: OK (dense chunk-major tensors, one Hadamard path)"
 
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and

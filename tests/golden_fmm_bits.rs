@@ -14,15 +14,22 @@
 //!
 //! History of the pins. The `Laplace/Direct` row dates from the parent of
 //! PR 16 (per-level scaled operator clones → one table + a GEMM `alpha`)
-//! and has never moved. The five `*/Fft` rows were re-pinned once, in
-//! PR 18, when the M2L transforms became the pruned real-input
+//! and did not move before PR 20. The five `*/Fft` rows were re-pinned
+//! once, in PR 18, when the M2L transforms became the pruned real-input
 //! `RealFft3`: the Hadamard accumulation kept its contraction tree and
 //! V-list order (checked bitwise against `pointwise_mul_add` in
 //! `kifmm-core/src/m2l.rs`), so transform rounding is the only change.
 //! Measured against the previous pins' outputs on this cloud, potentials
 //! moved by at most 4.3e-15 of the largest potential (relative L2 ≤
 //! 1.6e-14, Stokes the largest) and gradients by at most 5.4e-18 of the
-//! largest gradient.
+//! largest gradient. All six rows were re-pinned in PR 20, when the
+//! serial build began to sort `(code, index)` pairs like every other tree:
+//! the cloud has 3 tied max-depth codes, the by-key sort had swapped one
+//! tied pair inside a leaf (2 permutation entries), and a leaf's sources
+//! are summed in permutation order. The constants are the outputs of the
+//! *parent's* `ParallelFmm` at P = 1 — which already sorted pairs, and
+//! matched the parent's serial rows bit for bit on `uniform_cube(900, 16)`
+//! — captured before the change.
 //!
 //! `ModifiedLaplace` calls the platform `exp` and the −1.5 rule calls
 //! `powf`, neither of which IEEE-754 requires to be correctly rounded: on a
@@ -35,12 +42,12 @@ use kifmm_kernels::LaplaceDipole;
 /// `(row label, [eval POT, eval GRAD, eval_many(k = 3) POT, eval_many GRAD])`.
 #[rustfmt::skip]
 const GOLDEN: [(&str, [u64; 4]); 6] = [
-    ("Laplace/Fft", [0x8fe40459c1c27cd8, 0x89a2d730ff55b2f2, 0x3641947870200c5b, 0x77e406f2b6cf88ad]),
-    ("Stokes/Fft", [0x6676a4c22247741f, 0x47b18549c51eed32, 0x38c84105a20ab73b, 0x5f309be7d5e7ac8b]),
-    ("LaplaceDipole/Fft", [0xbdcc9761a3debe4a, 0x413437b6672ddfda, 0x66ba00a06e93f091, 0x8b568c882d0cdd0d]),
-    ("inv-r-1.5/Fft", [0xad61ba720ec93a43, 0x83330e639c5092c0, 0xdff88a67ba114817, 0xc0da0011c22ce0fa]),
-    ("ModifiedLaplace/Fft", [0x54f38eb758f08a0c, 0x86f5c7cd39f25495, 0x48740dc0df0d7ed2, 0xaf895589ac58d3bf]),
-    ("Laplace/Direct", [0x360c5826b44ab121, 0x0d611b66f547647e, 0xe9453f475d73ba89, 0xf2fe944e9caadd09]),
+    ("Laplace/Fft", [0x7186250c90700fca, 0xd1007ae5dcbf4c40, 0x7cccd095f50fd23d, 0x070d0f43ecb7dc00]),
+    ("Stokes/Fft", [0xfc436c1fbff99766, 0x12b29ebafb857946, 0x11554a0c8c86edb2, 0xe87abee7732e94f3]),
+    ("LaplaceDipole/Fft", [0xcf91d4767e1623cf, 0xb1a80cd273038c70, 0x98a436ebcc5ae0c1, 0x29591de270464160]),
+    ("inv-r-1.5/Fft", [0xf708c2235ec2e5c0, 0x2c04200e7f3f9e6f, 0x434a4b86d4b4e2f9, 0x60df9a7a8b1c0dfc]),
+    ("ModifiedLaplace/Fft", [0xf0bbf93fed992dd0, 0xe1571ab9bdd40553, 0x107eec788e20e0a6, 0x0a6db48cb7ba44b6]),
+    ("Laplace/Direct", [0xd43a0f3102052d31, 0x384618864b633ff7, 0x1816d73399008d62, 0xe29a39ccdcefe2c7]),
 ];
 
 const N: usize = 900;

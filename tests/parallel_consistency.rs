@@ -12,11 +12,7 @@ use kifmm::{rel_l2_error, FmmOptions, Laplace, Phase, Stokes};
 use kifmm_geom::SurfacePatch;
 
 fn split(all: &[[f64; 3]], ranks: usize) -> Vec<Vec<[f64; 3]>> {
-    partition_points(all, ranks)
-        .groups
-        .iter()
-        .map(|g| g.iter().map(|&i| all[i]).collect())
-        .collect()
+    partition_points(all, ranks).gather(all)
 }
 
 fn run_case<K: kifmm::Kernel>(kernel: K, all: Vec<[f64; 3]>, ranks: usize) -> Vec<u64> {
@@ -83,15 +79,10 @@ fn patch_partitioned_input_matches_serial() {
         .into_iter()
         .map(SurfacePatch::from_points)
         .collect();
-    let part = partition_patches(&patches, 3);
-    let chunks: Vec<Vec<[f64; 3]>> = part
-        .groups
-        .iter()
-        .map(|g| {
-            g.iter()
-                .flat_map(|&pi| patches[pi].points.iter().copied())
-                .collect()
-        })
+    let chunks: Vec<Vec<[f64; 3]>> = partition_patches(&patches, 3)
+        .gather(&patches)
+        .into_iter()
+        .map(|group| group.into_iter().flat_map(|patch| patch.points).collect())
         .collect();
     let dens: Vec<Vec<f64>> = chunks
         .iter()

@@ -75,9 +75,7 @@ fn parallel_eval_span_tree_is_deterministic_single_thread() {
 #[test]
 fn distributed_chrome_trace_round_trips() {
     let all = points(1200, 3);
-    let part = partition_points(&all, 3);
-    let chunks: Vec<Vec<[f64; 3]>> =
-        part.groups.iter().map(|g| g.iter().map(|&i| all[i]).collect()).collect();
+    let chunks = partition_points(&all, 3).gather(&all);
     let tracer = Tracer::enabled();
     let tracer2 = tracer.clone();
     let opts = FmmOptions { order: 4, max_pts_per_leaf: 30, ..Default::default() };
@@ -156,9 +154,7 @@ fn span_sequences_are_pinned() {
     ];
     assert_eq!(span_shapes(&tracer, 0), serial);
 
-    let part = partition_points(&pts, 2);
-    let chunks: Vec<Vec<[f64; 3]>> =
-        part.groups.iter().map(|g| g.iter().map(|&i| pts[i]).collect()).collect();
+    let chunks = partition_points(&pts, 2).gather(&pts);
     let tracer = Tracer::enabled();
     let tracer2 = tracer.clone();
     kifmm::mpi::run(2, move |comm| {
