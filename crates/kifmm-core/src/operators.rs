@@ -9,7 +9,9 @@
 //! * `UE2UC[oct]` — child upward equivalent → parent upward check (the
 //!   forward map of the M2M translation (2.3)), one per octant;
 //! * `DC2DE` — downward check potential → downward equivalent density
-//!   (inverse of (2.2)/(2.4)/(2.5));
+//!   (inverse of (2.2)/(2.4)/(2.5)); `UC2UEᵀ` whenever the kernel's two
+//!   check systems are transposes of each other, which `build_level`
+//!   observes rather than being told;
 //! * `DE2DC[oct]` — parent downward equivalent → child downward check (the
 //!   forward map of the L2L translation (2.5)).
 //!
@@ -168,8 +170,17 @@ fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64) -> LevelOps {
     let de = surface_points(order, RAD_OUTER, origin, half);
     let dc = surface_points(order, RAD_INNER, origin, half);
 
-    let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), PINV_TOL);
-    let dc2de = pinv_with_tol(&assemble(kernel, &dc, &de), PINV_TOL);
+    // `dc` is the surface `ue` is and `de` the surface `uc` is, so a kernel
+    // with `K(x, y) = K(y, x)ᵀ` makes the downward system the transpose of
+    // the upward one entry for entry, and `pinv(Aᵀ) = pinv(A)ᵀ`: one
+    // inversion serves both. The symmetry is read off the two assembled
+    // matrices, not declared, so a kernel without it (`LaplaceDipole`, an
+    // asymmetric closure) simply takes the second inversion.
+    let up = assemble(kernel, &uc, &ue);
+    let uc2ue = pinv_with_tol(&up, PINV_TOL);
+    let down = assemble(kernel, &dc, &de);
+    let dc2de =
+        if down == up.transpose() { uc2ue.transpose() } else { pinv_with_tol(&down, PINV_TOL) };
 
     // Children of this box (for UE2UC): half-width half/2, offset ±half/2.
     let mut ue2uc = Vec::with_capacity(8);
@@ -214,7 +225,9 @@ fn parent_center_of(c: [f64; 3], half: f64, oct: u8) -> [f64; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kifmm_kernels::{Laplace, ModifiedLaplace, Point3, Stokes};
+    use kifmm_kernels::{
+        CustomKernel, Gaussian, Kelvin, Laplace, LaplaceDipole, ModifiedLaplace, Point3, Stokes,
+    };
 
     /// Random points strictly inside a box.
     fn points_in_box(c: Point3, half: f64, n: usize, seed: u64) -> Vec<Point3> {
@@ -360,41 +373,151 @@ mod tests {
         assert!(LevelRule::new(&Laplace, 1.0, 1).slot_halves().is_empty());
     }
 
-    #[test]
-    fn m2m_preserves_far_field() {
-        // Child equivalent density translated to the parent reproduces the
-        // same far potential.
-        let kernel = Laplace;
-        let order = 6;
+    /// M2M through the built operators: a child's equivalent density
+    /// translated to the parent reproduces the child's sources far away.
+    /// Largest error relative to the largest true potential.
+    fn m2m_far_field_error<K: Kernel>(kernel: &K, order: usize) -> f64 {
         let parent_half = 0.5;
         let oct = 6u8;
         let cc = child_center([0.0; 3], parent_half, oct);
         let srcs = points_in_box(cc, parent_half / 2.0, 30, 9);
-        let dens: Vec<f64> = (0..30).map(|i| 1.0 - (i as f64 * 0.05)).collect();
+        let dens: Vec<f64> = (0..30 * kernel.src_dim()).map(|i| 1.0 - (i as f64 * 0.05)).collect();
 
         // Child S2M.
-        let cue = surface_points(order, RAD_INNER, cc, parent_half / 2.0);
         let cuc = surface_points(order, RAD_OUTER, cc, parent_half / 2.0);
-        let c_uc2ue = pinv_with_tol(&assemble(&kernel, &cuc, &cue), PINV_TOL);
-        let mut c_check = vec![0.0; cuc.len()];
+        let mut c_check = vec![0.0; cuc.len() * kernel.trg_dim()];
         kernel.p2p(&cuc, &srcs, &dens, &mut c_check);
-        let c_equiv = c_uc2ue.matvec(&c_check);
+        let c_equiv = build_level(kernel, order, parent_half / 2.0).uc2ue.matvec(&c_check);
 
         // M2M via the operator table geometry.
-        let ops = build_level(&kernel, order, parent_half);
+        let ops = build_level(kernel, order, parent_half);
         let p_check = ops.ue2uc[oct as usize].matvec(&c_equiv);
         let p_equiv = ops.uc2ue.matvec(&p_check);
 
-        // Far-field comparison.
         let pue = surface_points(order, RAD_INNER, [0.0; 3], parent_half);
         let far = [[3.0, 1.0, -2.0], [-2.5, -2.5, 2.5], [0.0, 4.0, 0.0]];
-        let mut truth = vec![0.0; 3];
+        let mut truth = vec![0.0; far.len() * kernel.trg_dim()];
         kernel.p2p(&far, &srcs, &dens, &mut truth);
-        let mut approx = vec![0.0; 3];
+        let mut approx = vec![0.0; truth.len()];
         kernel.p2p(&far, &pue, &p_equiv, &mut approx);
-        for (t, a) in truth.iter().zip(&approx) {
-            assert!((t - a).abs() < 1e-5 * t.abs().max(1e-3), "M2M far field: {t} vs {a}");
+        max_error(&truth, &approx)
+    }
+
+    /// L2L through the built operators: far sources enter the parent's
+    /// downward equivalent density, are translated to child `oct` and read
+    /// off inside it.
+    fn l2l_local_field_error<K: Kernel>(kernel: &K, order: usize) -> f64 {
+        let parent_half = 0.5;
+        let oct = 3u8;
+        let cc = child_center([0.0; 3], parent_half, oct);
+        let srcs = points_in_box([2.5, -2.0, 2.2], 0.5, 30, 17);
+        let dens: Vec<f64> =
+            (0..30 * kernel.src_dim()).map(|i| ((i * 5) % 7) as f64 / 7.0 - 0.3).collect();
+
+        let pdc = surface_points(order, RAD_INNER, [0.0; 3], parent_half);
+        let mut p_check = vec![0.0; pdc.len() * kernel.trg_dim()];
+        kernel.p2p(&pdc, &srcs, &dens, &mut p_check);
+        let p_equiv = build_level(kernel, order, parent_half).dc2de.matvec(&p_check);
+
+        let ops = build_level(kernel, order, parent_half / 2.0);
+        let c_check = ops.de2dc[oct as usize].matvec(&p_equiv);
+        let c_equiv = ops.dc2de.matvec(&c_check);
+
+        let cde = surface_points(order, RAD_OUTER, cc, parent_half / 2.0);
+        let inside = points_in_box(cc, parent_half / 2.0, 5, 3);
+        let mut truth = vec![0.0; inside.len() * kernel.trg_dim()];
+        kernel.p2p(&inside, &srcs, &dens, &mut truth);
+        let mut approx = vec![0.0; truth.len()];
+        kernel.p2p(&inside, &cde, &c_equiv, &mut approx);
+        max_error(&truth, &approx)
+    }
+
+    fn max_error(truth: &[f64], approx: &[f64]) -> f64 {
+        let scale = truth.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        truth.iter().zip(approx).fold(0.0_f64, |m, (t, a)| m.max((t - a).abs())) / scale
+    }
+
+    #[test]
+    fn m2m_preserves_far_field() {
+        let e = m2m_far_field_error(&Laplace, 6);
+        assert!(e < 1e-5, "M2M far field: {e}");
+    }
+
+    /// `K(dc, de) · dc2de · K(dc, de) · x = K(dc, de) · x` on a smooth
+    /// density — what `dc2de` must do however it was obtained. Actions, not
+    /// entries: pseudoinverses differ freely in the truncated directions.
+    fn assert_inverts_the_downward_system<K: Kernel>(
+        kernel: &K,
+        ops: &LevelOps,
+        order: usize,
+        half: f64,
+    ) {
+        let de = surface_points(order, RAD_OUTER, [0.0; 3], half);
+        let dc = surface_points(order, RAD_INNER, [0.0; 3], half);
+        let down = assemble(kernel, &dc, &de);
+        let x: Vec<f64> = (0..down.cols()).map(|i| 1.0 + 0.5 * (i as f64 * 0.37).sin()).collect();
+        let kx = down.matvec(&x);
+        let back = down.matvec(&ops.dc2de.matvec(&kx));
+        let scale = kx.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+        for (u, v) in back.iter().zip(&kx) {
+            assert!((u - v).abs() <= 1e-8 * scale, "{}: K K⁺ K x = {u} vs {v}", kernel.name());
         }
+    }
+
+    /// Bitwise equality with the transpose also proves no second SVD ran:
+    /// computed separately, `pinv(Aᵀ)` and `pinv(A)ᵀ` agree in action
+    /// only (at order 6 their entries differed by up to 0.33).
+    #[test]
+    fn symmetric_kernels_share_one_inversion() {
+        fn check<K: Kernel>(kernel: K) {
+            let (order, half) = (4, 0.5);
+            let ops = build_level(&kernel, order, half);
+            let (a, b) = (ops.dc2de.as_slice(), ops.uc2ue.transpose());
+            assert_eq!(ops.dc2de.shape(), b.shape(), "{}", kernel.name());
+            assert!(
+                a.iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{}: dc2de is not uc2ueᵀ bit for bit",
+                kernel.name()
+            );
+            assert_inverts_the_downward_system(&kernel, &ops, order, half);
+        }
+        check(Laplace);
+        check(ModifiedLaplace::new(1.0));
+        check(Gaussian::new(0.7));
+        check(Stokes::new(1.0));
+        check(Kelvin::default());
+    }
+
+    #[test]
+    fn asymmetric_kernels_take_the_second_inversion() {
+        // K(x, y) = e^{x₀ − y₀}/|x − y|: a Laplace potential with weighted
+        // sources and targets, so the FMM machinery applies, but
+        // K(x, y) ≠ K(y, x).
+        let skewed = CustomKernel::new("skewed-inv-r", 1, 1, None, |x, y, block| {
+            let d = [x[0] - y[0], x[1] - y[1], x[2] - y[2]];
+            let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            block[0] = if r == 0.0 { 0.0 } else { (x[0] - y[0]).exp() / r };
+        });
+        let (order, half) = (6, 0.5);
+        let ops = build_level(&skewed, order, half);
+        assert_ne!(ops.dc2de, ops.uc2ue.transpose(), "square blocks, asymmetric entries");
+        assert_inverts_the_downward_system(&skewed, &ops, order, half);
+        let (m2m, l2l) =
+            (m2m_far_field_error(&skewed, order), l2l_local_field_error(&skewed, order));
+        assert!(m2m < 1e-6 && l2l < 1e-6, "skewed closure: M2M {m2m}, L2L {l2l}");
+
+        // 1 × 3 blocks: the two systems are not even transposes in shape.
+        let ops = build_level(&LaplaceDipole, order, half);
+        assert_ne!(ops.dc2de.shape(), ops.uc2ue.transpose().shape());
+        assert_inverts_the_downward_system(&LaplaceDipole, &ops, order, half);
+        let (m2m, l2l) = (
+            m2m_far_field_error(&LaplaceDipole, order),
+            l2l_local_field_error(&LaplaceDipole, order),
+        );
+        assert!(m2m < 1e-4 && l2l < 1e-4, "LaplaceDipole: M2M {m2m}, L2L {l2l}");
+        // The same translations through a shared inversion, for scale.
+        let l2l = l2l_local_field_error(&Laplace, order);
+        assert!(l2l < 1e-6, "Laplace: L2L {l2l}");
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`Mat`] — a row-major dense matrix with the usual arithmetic,
 //! * [`gemm`]/[`gemv`] — cache-friendly matrix products used by every FMM
 //!   translation,
-//! * [`svd()`](svd::svd) — a one-sided Jacobi SVD (backward stable, accurate for the
-//!   small systems KIFMM builds, up to ~10³ unknowns),
+//! * [`svd()`](svd::svd) — column-pivoted Householder QR followed by one-sided Jacobi
+//!   on the triangular factor (backward stable, accurate to the smallest
+//!   singular values of the systems KIFMM builds, up to ~10³ unknowns),
 //! * [`pinv()`](pinv::pinv) — the truncated-SVD pseudoinverse that regularizes the
 //!   check-to-equivalent inversions.
 

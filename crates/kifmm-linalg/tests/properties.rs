@@ -25,6 +25,58 @@ fn svd_reconstructs_any_matrix() {
     });
 }
 
+/// `‖G − I‖_max` for a Gram matrix `G`.
+fn off_identity(gram: &Mat) -> f64 {
+    let mut d = gram.clone();
+    d.add_scaled(-1.0, &Mat::eye(gram.rows()));
+    d.max_abs()
+}
+
+#[test]
+fn svd_factors_are_orthonormal_and_ordered() {
+    check("svd_factors_are_orthonormal_and_ordered", 40, |g| {
+        // Continuous random entries: full rank, so no σ = 0 exemption.
+        let a = gen_mat(g, 14);
+        let f = svd(&a);
+        let k = a.rows().min(a.cols());
+        prop_assert!(f.u.shape() == (a.rows(), k) && f.vt.shape() == (k, a.cols()));
+        prop_assert!(off_identity(&f.u.transpose().matmul(&f.u)) < 1e-10, "UᵀU");
+        prop_assert!(off_identity(&f.vt.matmul(&f.vt.transpose())) < 1e-10, "VVᵀ");
+        prop_assert!(f.s.windows(2).all(|w| w[0] >= w[1]) && f.s[k - 1] > 0.0);
+    });
+}
+
+#[test]
+fn degenerate_shapes_factorise() {
+    check("degenerate_shapes_factorise", 20, |g| {
+        let n = g.usize(1, 12);
+        let x = g.vec_f64(-3.0, 3.0, n);
+        let y = g.vec_f64(-3.0, 3.0, 5);
+        let cases = [
+            Mat::from_vec(1, n, x.clone()),
+            Mat::from_vec(n, 1, x.clone()),
+            Mat::from_fn(n, 5, |i, j| x[i] * y[j]),
+            Mat::from_fn(5, n, |i, j| y[i] * x[j]),
+            Mat::zeros(n, 3),
+            Mat::zeros(3, n),
+        ];
+        for a in &cases {
+            let f = svd(a);
+            let mut r = f.reconstruct();
+            r.add_scaled(-1.0, a);
+            prop_assert!(r.max_abs() < 1e-12 * a.max_abs().max(1.0), "{:?} rebuilt", a.shape());
+            // Rank ≤ 1: one singular value carries the Frobenius norm.
+            prop_assert!((f.s[0] - nrm2(a.as_slice())).abs() < 1e-12 * f.s[0].max(1.0));
+            prop_assert!(f.s[1..].iter().all(|&s| s <= 1e-12 * f.s[0]));
+            // The pseudoinverse never reads the undetermined vectors.
+            let p = pinv(a);
+            let mut apa = a.matmul(&p).matmul(a);
+            apa.add_scaled(-1.0, a);
+            prop_assert!(apa.max_abs() < 1e-10 * a.max_abs().max(1.0), "{:?} A A⁺ A", a.shape());
+        }
+    });
+}
+
 #[test]
 fn pinv_satisfies_moore_penrose() {
     check("pinv_satisfies_moore_penrose", 40, |g| {

@@ -136,6 +136,27 @@ if [ -n "$m2l_struct$embeds" ]; then
 fi
 echo "hadamard gate: OK (dense chunk-major tensors, one Hadamard path)"
 
+# 5i. One-inversion-site gate: outside test modules, `pinv(` /
+#     `pinv_with_tol(` / `svd(` are called under crates/*/src only from
+#     `kifmm-linalg` itself and from `operators.rs::build_level` — the one
+#     place that knows a symmetric kernel's second inversion is the
+#     transpose of its first, so no inversion can grow beside it that pays
+#     for the SVD again.
+inversions=$(find crates/*/src -name '*.rs' -not -path 'crates/kifmm-linalg/*' | while read -r f; do
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^fn build_level/, /^}/ { if (f == "crates/kifmm-core/src/operators.rs") next }
+        /^[ \t]*\/\// { next }
+        /(^|[^A-Za-z0-9_])(pinv|pinv_with_tol|svd)\(/ { print f ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$inversions" ]; then
+    echo "FAIL: an SVD or pseudoinverse outside kifmm-linalg and operators.rs::build_level:"
+    echo "$inversions"
+    exit 1
+fi
+echo "inversion-site gate: OK (pinv/svd called from build_level only)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
