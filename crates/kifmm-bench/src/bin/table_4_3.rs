@@ -8,48 +8,39 @@
 //! Reproduction: `KIFMM_MAXP` ranks (default 32) with `100 k/scale`- and
 //! `230 k/scale`-particle Laplace problems and a `230 k/scale`-particle
 //! Stokes problem, `s = 120`. Scale with
-//! `KIFMM_SCALE` (particles = base / scale, default 4).
+//! `KIFMM_SCALE` (particles = base / scale, default 4). The exit status
+//! is the verdict of [`kifmm_bench::gates::largest`].
 //! `cargo run --release -p kifmm-bench --bin table_4_3`.
 
-use kifmm::{FmmOptions, Kernel, Laplace, Stokes};
-use kifmm_bench::{env_usize, run_distributed, summarize, CommModel};
+use kifmm::tree::partition_points;
+use kifmm::{Kernel, Laplace, Stokes, Tracer};
+use kifmm_bench::{
+    env_usize, exit_with, gates, paper_opts, print_table, run_distributed, summarize, SweepRow,
+};
 
-fn run_case<K: Kernel>(label: &str, kernel: K, n: usize, p: usize, iters: usize) {
-    let opts = FmmOptions { order: 6, max_pts_per_leaf: 120, ..Default::default() };
+fn run_case<K: Kernel>(kernel: K, n: usize, p: usize) -> SweepRow {
     let points = kifmm::geom::sphere_grid(n, 8);
-    let sd = kernel.src_dim();
-    let metrics = run_distributed(kernel, &points, p, opts, iters);
-    let row = summarize(&metrics, &CommModel::default());
-    let unknowns = n * sd;
-    println!(
-        "{:>10} {:>9.3}M {:>9.3} {:>6.2} {:>8.4} {:>8.3} {:>9.3} {:>8.3} {:>8.3} {:>9.3}",
-        label,
-        unknowns as f64 / 1e6,
-        row.total,
-        row.ratio,
-        row.comm,
-        row.up,
-        row.down,
-        row.avg_gflops,
-        row.peak_gflops,
-        row.tree
-    );
+    let iters = env_usize("KIFMM_ITERS", 1);
+    let part = partition_points(&points, p);
+    let trace = Tracer::disabled();
+    let ranks = run_distributed(kernel.clone(), &points, &part, paper_opts(120), iters, &trace);
+    let row = summarize(&ranks);
+    let title = format!("{}, {} unknowns", kernel.name(), n * kernel.src_dim());
+    print_table(&title, std::slice::from_ref(&row));
+    row
 }
 
 fn main() {
     let p = env_usize("KIFMM_MAXP", 32);
     let scale = env_usize("KIFMM_SCALE", 4).max(1);
-    let iters = env_usize("KIFMM_ITERS", 1);
     println!(
         "Table 4.3 reproduction — largest runs, P = {p} virtual ranks, s = 120\n\
-         (paper: 3000 CPUs, 0.3/0.69/2.07 B unknowns; here scaled down by {scale}000×)\n"
+         (paper: 3000 CPUs, 0.3/0.69/2.07 B unknowns; here scaled down by {scale}000×)"
     );
-    println!(
-        "{:>10} {:>10} {:>10} {:>6} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9}",
-        "kernel", "unknowns", "Total(s)", "Ratio", "Comm", "Up", "Down", "Avg", "Peak",
-        "Gen/Comm"
-    );
-    run_case("Laplace", Laplace, 100_000 / scale, p, iters);
-    run_case("Laplace", Laplace, 230_000 / scale, p, iters);
-    run_case("Stokes", Stokes::new(1.0), 230_000 / scale, p, iters);
+    let rows = [
+        run_case(Laplace, 100_000 / scale, p),
+        run_case(Laplace, 230_000 / scale, p),
+        run_case(Stokes::new(1.0), 230_000 / scale, p),
+    ];
+    exit_with(gates::largest(&rows), "largest runs: Table 4.3 shape holds");
 }

@@ -9,6 +9,10 @@
 //! not a multiple of the 4-lane `simd::dot` width and one past the
 //! 128-entry stack weight buffer; k = 9 crosses the 8-RHS sweep boundary.
 //!
+//! The table is asserted twice, on the vector microkernels and on their
+//! scalar twins (`simd::set_force_scalar`): the two promise identical
+//! bits, so one set of constants pins both.
+//!
 //! `ModifiedLaplace` and `Gaussian` call the platform `exp`, which IEEE-754
 //! does not require to be correctly rounded: on a libm other than the one
 //! the constants were captured with, only those rows may differ.
@@ -115,21 +119,27 @@ fn near_field_loops_match_parent_commit_bits() {
             block[3 + j] = (1.0 + dj) * inv_r * inv_r;
         }
     });
-    let got = [
-        row(&Laplace),
-        row(&ModifiedLaplace::new(1.3)),
-        row(&Gaussian::new(0.8)),
-        row(&Stokes::new(0.7)),
-        row(&Kelvin::new(1.1, 0.3)),
-        row(&LaplaceDipole),
-        row(&closure),
-    ];
-    let same = got.iter().zip(&GOLDEN).all(|(g, w)| g.0 == w.0 && g.1 == w.1 && g.2 == w.2);
-    if !same {
-        let hex = |h: &[u64; 3]| format!("[{:#018x}, {:#018x}, {:#018x}]", h[0], h[1], h[2]);
-        for (name, pot, grad) in &got {
-            eprintln!("    (\"{name}\", {}, {}),", hex(pot), hex(grad));
+    for scalar in [true, false] {
+        kifmm_linalg::simd::set_force_scalar(scalar);
+        let got = [
+            row(&Laplace),
+            row(&ModifiedLaplace::new(1.3)),
+            row(&Gaussian::new(0.8)),
+            row(&Stokes::new(0.7)),
+            row(&Kelvin::new(1.1, 0.3)),
+            row(&LaplaceDipole),
+            row(&closure),
+        ];
+        let same = got.iter().zip(&GOLDEN).all(|(g, w)| g.0 == w.0 && g.1 == w.1 && g.2 == w.2);
+        if !same {
+            let hex = |h: &[u64; 3]| format!("[{:#018x}, {:#018x}, {:#018x}]", h[0], h[1], h[2]);
+            for (name, pot, grad) in &got {
+                eprintln!("    (\"{name}\", {}, {}),", hex(pot), hex(grad));
+            }
+            panic!(
+                "near-field output bits (force_scalar = {scalar}) differ from the golden table \
+                 (computed rows above)"
+            );
         }
-        panic!("near-field output bits differ from the golden table (computed rows above)");
     }
 }

@@ -15,11 +15,10 @@
 //!
 //! Dispatch is resolved once per process: compiled out entirely on
 //! non-x86_64 targets, otherwise gated on
-//! `is_x86_feature_detected!("avx2")` and on the `KIFMM_SIMD` environment
-//! variable (`KIFMM_SIMD=0` forces scalar). [`set_force_scalar`] flips the
+//! `is_x86_feature_detected!("avx2")`. [`set_force_scalar`] flips the
 //! decision at runtime so one process can check SIMD ≡ scalar bitwise —
-//! the `simd_equivalence_check` gate in `scripts/verify.sh` does exactly
-//! that.
+//! the `simd_check` gate in `scripts/verify.sh` and the two golden-bits
+//! tests do exactly that.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -31,11 +30,8 @@ const MODE_SCALAR: u8 = 2;
 
 fn detect() -> u8 {
     #[cfg(target_arch = "x86_64")]
-    {
-        let env_off = std::env::var("KIFMM_SIMD").map(|v| v == "0").unwrap_or(false);
-        if !env_off && std::arch::is_x86_feature_detected!("avx2") {
-            return MODE_SIMD;
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return MODE_SIMD;
     }
     MODE_SCALAR
 }

@@ -31,24 +31,26 @@ if [ "$fail" -ne 0 ]; then
 fi
 echo "dependency audit: OK (path-only)"
 
-# 2. Offline release build + full test suite, the suite once more on the
-#    scalar code path (`KIFMM_SIMD=0`: the AVX2 microkernels and their
-#    scalar twins promise identical bits, so every test must pass on both).
+# 2. Offline release build + full test suite, once: that the AVX2
+#    microkernels and their scalar twins produce identical bits is pinned
+#    by the two golden-bits tests (hashed on both paths) and by step 8.
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
-KIFMM_SIMD=0 cargo test -q --offline --workspace
 
-# 3. Observability artifact gate + comm-regression gate: a tiny
-#    distributed run checks itself (`fn gate`: valid phase times, at most
-#    4·P·(P-1) evaluation messages, nonzero comm bytes for ranks > 1) and
-#    must leave a chrome trace with one track per virtual rank.
-artifacts=$(mktemp -d)
-trap 'rm -rf "$artifacts"' EXIT
-KIFMM_N=3000 KIFMM_BENCH_DIR="$artifacts" \
-    cargo run -q --release --offline --example parallel_scaling > /dev/null
+# 3. Paper-shape + observability artifact + comm-regression gate: the
+#    fixed-size sweep up to P = 4 (Table 4.1 and Figure 4.2 from one pass
+#    over P; at the paper-table N, because Figure 4.2's phase mix does not
+#    exist on a 3 000-point tree) checks itself (`gates::fixed_size`: Total falling with P, DownV the
+#    largest phase, W/X only on the non-uniform cloud, DownU/DownW flops
+#    conserved over ranks, valid phase times, at most 4·P·(P-1) evaluation
+#    messages, nonzero comm bytes for ranks > 1) and must leave a chrome
+#    trace with one track per virtual rank.
+rm -f target/bench-artifacts/TRACE_fixed_size_P4.json
+KIFMM_N=48000 KIFMM_MAXP=4 \
+    cargo run -q --release --offline -p kifmm-bench --bin fixed_size > /dev/null
 cargo build -q --release --offline -p kifmm-testkit --bin validate_json
-target/release/validate_json "$artifacts/TRACE_parallel_scaling_P4.json" --chrome 4
-echo "artifact + comm-regression gate: OK"
+target/release/validate_json target/bench-artifacts/TRACE_fixed_size_P4.json --chrome 4
+echo "fixed-size shape + artifact + comm-regression gate: OK"
 
 # 5b. One-near-field-path gate: the multi-RHS loops are the only
 #     hand-written near-field loops. `fn p2p(` / `fn p2p_grad(` may be

@@ -10,7 +10,8 @@
 //! (degree −2), a closure declaring the non-dyadic degree −1.5 (scales that
 //! are not powers of two), `ModifiedLaplace` (no degree: per-level tables),
 //! and Laplace once more under the dense M2L oracle. Serial and pool must
-//! both match.
+//! both match, on the vector microkernels and on their scalar twins
+//! (`simd::set_force_scalar`) alike: one set of constants pins both.
 //!
 //! History of the pins. The `Laplace/Direct` row dates from the parent of
 //! PR 16 (per-level scaled operator clones → one table + a GEMM `alpha`)
@@ -127,21 +128,27 @@ fn fmm_outputs_match_parent_commit_bits() {
         let r = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
         block[0] = if r == 0.0 { 0.0 } else { 1.0 / (r * r.sqrt()) };
     });
-    let got = [
-        row(Laplace, M2lMode::Fft),
-        row(Stokes::new(0.7), M2lMode::Fft),
-        row(LaplaceDipole, M2lMode::Fft),
-        row(inv_r15, M2lMode::Fft),
-        row(ModifiedLaplace::new(1.3), M2lMode::Fft),
-        row(Laplace, M2lMode::Direct),
-    ];
-    if got.iter().zip(&GOLDEN).any(|(g, w)| g.0 != w.0 || g.1 != w.1) {
-        for (label, h) in &got {
-            eprintln!(
-                "    (\"{label}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]),",
-                h[0], h[1], h[2], h[3]
+    for scalar in [true, false] {
+        kifmm::linalg::simd::set_force_scalar(scalar);
+        let got = [
+            row(Laplace, M2lMode::Fft),
+            row(Stokes::new(0.7), M2lMode::Fft),
+            row(LaplaceDipole, M2lMode::Fft),
+            row(inv_r15.clone(), M2lMode::Fft),
+            row(ModifiedLaplace::new(1.3), M2lMode::Fft),
+            row(Laplace, M2lMode::Direct),
+        ];
+        if got.iter().zip(&GOLDEN).any(|(g, w)| g.0 != w.0 || g.1 != w.1) {
+            for (label, h) in &got {
+                eprintln!(
+                    "    (\"{label}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]),",
+                    h[0], h[1], h[2], h[3]
+                );
+            }
+            panic!(
+                "FMM output bits (force_scalar = {scalar}) differ from the golden table \
+                 (computed rows above)"
             );
         }
-        panic!("FMM output bits differ from the golden table (computed rows above)");
     }
 }
