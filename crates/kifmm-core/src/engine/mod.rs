@@ -48,7 +48,7 @@ mod store;
 
 pub use store::{EngineWorkspace, ExpansionStore};
 
-use crate::m2l::{self, M2lMode, M2lScratch, PairLists};
+use crate::m2l::{self, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::Precomputed;
 use crate::stats::{Meter, Phase};
@@ -166,7 +166,6 @@ pub struct PassEngine<'a, K: Kernel> {
     /// Morton-sorted local target points (leaf ranges index into this).
     targets: &'a [Point3],
     order: usize,
-    m2l_mode: M2lMode,
     dispatch: Dispatch,
     active: &'a ActiveSet,
 }
@@ -181,11 +180,10 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         pre: &'a Precomputed<K>,
         targets: &'a [Point3],
         order: usize,
-        m2l_mode: M2lMode,
         dispatch: Dispatch,
         active: &'a ActiveSet,
     ) -> Self {
-        PassEngine { kernel, tree, lists, pre, targets, order, m2l_mode, dispatch, active }
+        PassEngine { kernel, tree, lists, pre, targets, order, dispatch, active }
     }
 
     /// `(n_s, es, cs)`: surface points per box, equivalent row length,
@@ -447,25 +445,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
 
     /// M2L over one level: active targets accumulate the check-potential
     /// contributions of their V-list sources from `store.up`, into
-    /// `store.check`. Only the active targets' V-list sources are
-    /// transformed, so a level with none costs one scan. Returns the flop
-    /// count.
-    pub fn m2l_level(
-        &self,
-        level: u8,
-        store: &mut ExpansionStore,
-        ws: &mut EngineWorkspace,
-    ) -> u64 {
-        if self.tree.depth() < FIRST_FMM_LEVEL {
-            return 0;
-        }
-        match self.m2l_mode {
-            M2lMode::Fft => self.m2l_fft_level(level, store, ws),
-            M2lMode::Direct => self.m2l_direct_level(level, store),
-        }
-    }
-
-    /// FFT M2L over the active targets of one level, in two sweeps.
+    /// `store.check`, through the FFT path in two sweeps. Only the active
+    /// targets' V-list sources are transformed, so a level with none
+    /// costs one scan. Returns the flop count.
     ///
     /// *Sources*: every box some active target's V list names is
     /// forward-transformed once — a byte-bounded batch at a time,
@@ -485,13 +467,14 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// Hadamard stage and the packing (disjoint writes either way), and
     /// every target sums its V list in list order whatever the tiling or
     /// the active set, so serial, pool and split runs agree bitwise.
-    fn m2l_fft_level(
+    pub fn m2l_level(
         &self,
         level: u8,
         store: &mut ExpansionStore,
         ws: &mut EngineWorkspace,
     ) -> u64 {
-        let fft = self.pre.m2l_fft.as_ref().expect("FFT tables present in Fft mode");
+        // Shallower trees have no V lists and no M2L tables.
+        let Some(fft) = self.pre.m2l_fft.as_ref() else { return 0 };
         let (_, es, cs) = self.dims();
         let nrhs = store.nrhs();
         let (esb, csb) = (es * nrhs, cs * nrhs);
@@ -577,48 +560,6 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             flops += nrhs as u64 * (nv * (td * sd * fft.slab_len() * 8) as u64 + fft.fft_flops(td));
         }
         flops
-    }
-
-    /// Dense M2L over one level (ablation baseline and test oracle). Each
-    /// target sums its V list in list order, so serial, pool and
-    /// split-set executions agree bitwise. The RHS loop is
-    /// innermost per `(source, direction)`, reusing the cached dense
-    /// operator across the batch.
-    fn m2l_direct_level(&self, level: u8, store: &mut ExpansionStore) -> u64 {
-        let direct =
-            self.pre.m2l_direct.as_ref().expect("direct tables present in Direct mode");
-        let (_, es, cs) = self.dims();
-        let nrhs = store.nrhs();
-        let (esb, csb) = (es * nrhs, cs * nrhs);
-        let (ls, le) = self.level_range(level);
-        let mask = &self.active.mask;
-        let threads = self.dispatch.threads();
-        let flops = AtomicU64::new(0);
-        let ExpansionStore { up, check, .. } = store;
-        let up: &[f64] = up;
-        par_chunks_mut_with(threads, &mut check[ls * csb..le * csb], csb, |i, slot| {
-            let ni = ls + i;
-            if !mask[ni] {
-                return;
-            }
-            let bkey = self.tree.nodes[ni].key;
-            let mut f = 0u64;
-            for &a in &self.lists.v[ni] {
-                let akey = self.tree.nodes[a as usize].key;
-                let dir = bkey.offset_to(&akey);
-                for q in 0..nrhs {
-                    let eq = a as usize * esb + q * es;
-                    f += direct.apply(
-                        level,
-                        dir,
-                        &up[eq..eq + es],
-                        &mut slot[q * cs..(q + 1) * cs],
-                    );
-                }
-            }
-            flops.fetch_add(f, Ordering::Relaxed);
-        });
-        flops.into_inner()
     }
 
     /// X-list pass: sources of coarser leaves onto the downward check
@@ -897,9 +838,9 @@ mod tests {
     use crate::{Fmm, Plan};
     use kifmm_kernels::{Laplace, Stokes};
 
-    fn plan<K: Kernel>(kernel: K, mode: M2lMode) -> Plan<K> {
+    fn plan<K: Kernel>(kernel: K) -> Plan<K> {
         let points = kifmm_geom::uniform_cube(6000, 5);
-        Fmm::builder(kernel).points(&points).order(3).max_pts_per_leaf(12).m2l(mode).plan()
+        Fmm::builder(kernel).points(&points).order(3).max_pts_per_leaf(12).plan()
     }
 
     /// A store whose upward equivalents are a fixed pseudorandom fill
@@ -920,10 +861,10 @@ mod tests {
     /// one tile, one tile plus one — leaves bitwise what the full level
     /// leaves on those targets and nothing elsewhere; two complementary
     /// sets, and the pool dispatch, reproduce the full level bitwise; and
-    /// the dense oracle agrees to 1e-9.
+    /// the dense reference sweep agrees to 1e-9.
     fn seams<K: Kernel>(kernel: K, nrhs: usize) {
         const LEVEL: u8 = 3;
-        let fft_plan = plan(kernel.clone(), M2lMode::Fft);
+        let fft_plan = plan(kernel.clone());
         let serial = || fft_plan.engine(Dispatch::Serial);
         let (_, _, cs) = serial().dims();
         let csb = cs * nrhs;
@@ -966,10 +907,10 @@ mod tests {
         pool.m2l_level(LEVEL, &mut pooled, &mut EngineWorkspace::default());
         assert_eq!(bits(&pooled.check), bits(&full.check), "pool ≡ serial");
 
-        let dense_plan = plan(kernel.clone(), M2lMode::Direct);
-        let dense = dense_plan.engine(Dispatch::Serial);
-        let mut oracle = store_for(&dense, nrhs);
-        dense.m2l_level(LEVEL, &mut oracle, &mut ws);
+        let (tree, lists) = (&fft_plan.tree, &fft_plan.lists);
+        let dense = m2l::DenseM2l::assemble(&kernel, 3, tree.domain.box_half(LEVEL));
+        let mut oracle = store_for(&serial(), nrhs);
+        dense.sweep(tree, lists, LEVEL, &mut oracle);
         let err = crate::rel_l2_error(&full.check, &oracle.check);
         assert!(err < 1e-9, "{}: FFT vs dense M2L level {err}", kernel.name());
     }

@@ -29,7 +29,6 @@
 //! chrome-trace JSON.
 
 use crate::fmm::FmmOptions;
-use crate::m2l::M2lMode;
 use crate::plan::{BuildError, Plan, Session};
 use crate::precompute::PrecomputeCache;
 use crate::stats::PhaseStats;
@@ -102,11 +101,12 @@ impl EvalReport {
 }
 
 /// Builder for a [`Session`] (see [`Session::builder`], spelled
-/// `Fmm::builder` through the alias): options, execution strategy and
-/// observability in one fluent chain.
+/// `Fmm::builder` through the alias): options and observability in one
+/// fluent chain. (Serial or pool dispatch is the session's:
+/// [`Session::set_parallel_eval`].)
 ///
 /// ```
-/// use kifmm_core::{Fmm, M2lMode};
+/// use kifmm_core::Fmm;
 /// use kifmm_kernels::Laplace;
 /// use kifmm_trace::Tracer;
 ///
@@ -114,7 +114,6 @@ impl EvalReport {
 /// let fmm = Fmm::builder(Laplace)
 ///     .points(&points)
 ///     .order(4)
-///     .m2l(M2lMode::Fft)
 ///     .trace(Tracer::enabled())
 ///     .build();
 /// assert!(fmm.trace().is_enabled());
@@ -124,7 +123,6 @@ pub struct FmmBuilder<'a, K: Kernel> {
     points: Option<&'a [Point3]>,
     opts: FmmOptions,
     trace: Tracer,
-    parallel: bool,
     cache: Option<&'a PrecomputeCache<K>>,
 }
 
@@ -135,7 +133,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
             points: None,
             opts: FmmOptions::default(),
             trace: Tracer::disabled(),
-            parallel: false,
             cache: None,
         }
     }
@@ -164,12 +161,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// M2L execution mode (default FFT).
-    pub fn m2l(mut self, mode: M2lMode) -> Self {
-        self.opts.m2l_mode = mode;
-        self
-    }
-
     /// What each evaluation produces (default potentials only). With
     /// [`OutputSpec::PotentialAndGradient`], reports carry
     /// `trg_dim·3` gradient components per point alongside the
@@ -192,14 +183,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// Use the shared-memory parallel evaluation path (worker threads
-    /// from the in-tree runtime pool; results stay bit-identical to the
-    /// serial path).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
     /// Share particle-independent operator tables through `cache`
     /// (parameter sweeps, virtual-rank benches).
     pub fn cache(mut self, cache: &'a PrecomputeCache<K>) -> Self {
@@ -209,25 +192,22 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
 
     /// Decompose the builder for drivers that construct something other
     /// than a shared-memory [`Session`] (e.g. the distributed driver's
-    /// `build_parallel`). Returns
-    /// `(kernel, points, options, tracer, parallel, cache)`.
+    /// `build_parallel`). Returns `(kernel, points, options, tracer, cache)`.
     #[doc(hidden)]
     #[allow(clippy::type_complexity)]
     pub fn into_parts(
         self,
-    ) -> (K, Option<&'a [Point3]>, FmmOptions, Tracer, bool, Option<&'a PrecomputeCache<K>>)
-    {
-        (self.kernel, self.points, self.opts, self.trace, self.parallel, self.cache)
+    ) -> (K, Option<&'a [Point3]>, FmmOptions, Tracer, Option<&'a PrecomputeCache<K>>) {
+        (self.kernel, self.points, self.opts, self.trace, self.cache)
     }
 
-    /// Build the plan and open a [`Session`] over it with this builder's
-    /// execution policy, reporting configuration problems as a typed
+    /// Build the plan and open a serial [`Session`] over it with this
+    /// builder's tracer, reporting configuration problems as a typed
     /// [`BuildError`] instead of panicking.
     pub fn try_build(self) -> Result<Session<K>, BuildError> {
-        let (trace, parallel) = (self.trace.clone(), self.parallel);
+        let trace = self.trace.clone();
         let mut session = Session::from_plan(self.try_plan()?);
         session.set_trace(trace);
-        session.set_parallel_eval(parallel);
         Ok(session)
     }
 
@@ -237,18 +217,17 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     /// # Panics
     /// On any [`BuildError`] — if [`FmmBuilder::points`] was never
     /// supplied, the point set is empty or holds a non-finite coordinate,
-    /// or the order is below 2.
+    /// the order is below 2 or the leaf capacity is 0.
     pub fn build(self) -> Session<K> {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build only the immutable [`Plan`] (tree, lists, operator tables) —
-    /// the shareable setup artifact of the plan/execute split. Execution
-    /// policy set on this builder ([`FmmBuilder::trace`] /
-    /// [`FmmBuilder::parallel`]) belongs to a [`Session`] and is not part
-    /// of the plan; open sessions over the plan to evaluate.
+    /// the shareable setup artifact of the plan/execute split. The tracer
+    /// set on this builder belongs to a [`Session`] and is not part of the
+    /// plan; open sessions over the plan to evaluate.
     pub fn try_plan(self) -> Result<Plan<K>, BuildError> {
-        let (kernel, points, opts, _trace, _parallel, cache) = self.into_parts();
+        let (kernel, points, opts, _trace, cache) = self.into_parts();
         let points = points.ok_or(BuildError::MissingPoints)?;
         match cache {
             Some(c) => Plan::try_new_with_cache(kernel, points, opts, c),

@@ -29,7 +29,6 @@
 //! [`PlanCache`]: crate::plan::PlanCache
 
 use crate::evaluator::OutputSpec;
-use crate::m2l::M2lMode;
 use crate::plan::Session;
 use kifmm_tree::TreeBuild;
 
@@ -44,8 +43,6 @@ pub struct FmmOptions {
     pub max_pts_per_leaf: usize,
     /// Depth cap for the octree.
     pub max_level: u8,
-    /// M2L execution mode (FFT or dense).
-    pub m2l_mode: M2lMode,
     /// Distributed tree construction algorithm (sample sort vs the
     /// paper's per-level Allreduce). Both yield bitwise-identical
     /// structure; serial builds ignore this.
@@ -62,7 +59,6 @@ impl Default for FmmOptions {
             order: 6,
             max_pts_per_leaf: 60,
             max_level: 12,
-            m2l_mode: M2lMode::Fft,
             tree_build: TreeBuild::default(),
             output: OutputSpec::Potential,
         }
@@ -180,27 +176,6 @@ mod tests {
         let truth = direct_eval(&Laplace, &pts, &dens);
         let e = rel_err(&u, &truth);
         assert!(e < 1e-5, "relative error {e}");
-    }
-
-    #[test]
-    fn direct_m2l_mode_matches_fft_mode() {
-        let pts = cloud(500, 77);
-        let dens = densities(500, 1);
-        let base = FmmOptions { order: 5, max_pts_per_leaf: 15, ..Default::default() };
-        let fft = Fmm::builder(Laplace)
-            .points(&pts)
-            .options(FmmOptions { m2l_mode: M2lMode::Fft, ..base })
-            .build();
-        let dir = Fmm::builder(Laplace)
-            .points(&pts)
-            .options(FmmOptions { m2l_mode: M2lMode::Direct, ..base })
-            .build();
-        let uf = fft.eval(&dens).potentials;
-        let ud = dir.eval(&dens).potentials;
-        // The two paths differ only by FFT round-off accumulated over the
-        // (2p)³ grids — far below the discretization error.
-        let e = rel_err(&uf, &ud);
-        assert!(e < 1e-9, "FFT and dense M2L must agree: {e}");
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use plan::{
     geometry_hash, kernel_name_hash, BuildError, Plan, PlanCache, PlanKey, Session, UpdateError,
 };
 pub use kifmm_tree::TreeBuild;
-pub use m2l::{v_list_directions, M2lDirect, M2lFft, M2lMode};
+pub use m2l::{v_list_directions, M2lFft};
 pub use operators::{LevelOps, LevelRule, LevelScale, OperatorTable, FIRST_FMM_LEVEL};
 pub use precompute::{Precomputed, PrecomputeCache};
 pub use stats::{thread_cpu_time, Meter, Phase, PhaseStats, PHASES, PHASE_NAMES};

@@ -1,7 +1,9 @@
 //! Multipole-to-local (M2L) translation, FFT-accelerated (paper §1:
-//! "the multipole-to-local translations are accelerated using local FFTs")
-//! with a dense path kept as the ablation baseline (paper footnote 5) and
-//! as the oracle the FFT path is tested against.
+//! "the multipole-to-local translations are accelerated using local FFTs").
+//! The engine has no other M2L: the dense translation the paper turns
+//! down in footnote 5 survives only as [`DenseM2l`], the non-caching
+//! reference that tests and the `ablation_m2l` bin measure the FFT path
+//! against, which no option, driver or plan can reach.
 //!
 //! Because the upward-equivalent points of a source box `A` and the
 //! downward-check points of a target box `B` are translates of the same
@@ -31,29 +33,18 @@
 //! list. [`M2lFft::pack_chunk`] and [`M2lFft::extract_check`] are the only
 //! box-major ↔ chunk-major crossings.
 //!
-//! Both tables hold one set of 316 entries per slot of the
+//! The tensor table holds one set of 316 entries per slot of the
 //! [`LevelRule`]: one slot for a homogeneous kernel, whose level factor
 //! `fwd` is applied when the check potential is read off the grid, one
 //! slot per level otherwise.
 
+use crate::engine::ExpansionStore;
 use crate::operators::LevelRule;
-use crate::surface::{num_surface_points, surface_grid_indices, surface_points, RAD_INNER};
+use crate::surface::{surface_grid_indices, surface_points, RAD_INNER};
 use kifmm_fft::RealFft3;
 use kifmm_kernels::{assemble, Kernel};
 use kifmm_linalg::Mat;
-use std::collections::HashMap;
-
-/// How M2L translations are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum M2lMode {
-    /// FFT-accelerated (the paper's production path).
-    #[default]
-    Fft,
-    /// One dense matrix application per interaction: the paper's
-    /// footnote-5 baseline (several times the flops) and the oracle the
-    /// FFT path is tested against. Never faster than `Fft`.
-    Direct,
-}
+use kifmm_tree::{InteractionLists, Octree};
 
 /// Plan construction checks the operator tables cover every level of the
 /// tree, and the M2L tables are built from the same rule.
@@ -451,63 +442,59 @@ fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64) -> Vec<f64> 
     out
 }
 
-/// Dense M2L operators, assembled lazily per (level, direction) — the
-/// ablation baseline and the reference [`M2lFft`] is checked against.
-pub struct M2lDirect<K: Kernel> {
-    kernel: K,
-    p: usize,
-    /// Cache: (rule slot, direction) → `(n_s·TRG) × (n_s·SRC)` matrix.
-    cache: std::sync::Mutex<HashMap<(usize, [i32; 3]), std::sync::Arc<Mat>>>,
-    rule: LevelRule,
+/// The dense M2L of paper footnote 5, kept only as the reference
+/// [`M2lFft`] is measured against: one `(n_s·TRG) × (n_s·SRC)` operator
+/// per V-list direction, assembled at one box size, applied as one GEMV
+/// per (pair, RHS). It reads no [`LevelRule`] slot or level factor, so
+/// agreeing with it also checks the FFT path's level scaling.
+pub struct DenseM2l {
+    /// Box half-width the operators were assembled at.
+    half: f64,
+    /// One operator per direction, indexed by [`dir_id`].
+    ops: Vec<Mat>,
 }
 
-impl<K: Kernel> M2lDirect<K> {
-    /// Set up the lazy cache for levels `2..=depth`.
-    pub fn new(kernel: &K, p: usize, root_half: f64, depth: u8) -> Self {
-        M2lDirect {
-            kernel: kernel.clone(),
-            p,
-            cache: std::sync::Mutex::new(HashMap::new()),
-            rule: LevelRule::new(kernel, root_half, depth),
-        }
+impl DenseM2l {
+    /// Assemble the 316 operators for boxes of half-width `half`.
+    pub fn assemble<K: Kernel>(kernel: &K, p: usize, half: f64) -> Self {
+        let dc = surface_points(p, RAD_INNER, [0.0; 3], half);
+        let ops = v_list_directions()
+            .into_iter()
+            .map(|v| {
+                let ue = surface_points(p, RAD_INNER, v.map(|c| 2.0 * half * c as f64), half);
+                assemble(kernel, &dc, &ue)
+            })
+            .collect();
+        DenseM2l { half, ops }
     }
 
-    /// Bytes the cache holds once every (slot, direction) has been
-    /// assembled — it fills lazily, and a budget must cover the warm state.
-    pub fn bytes(&self) -> usize {
-        let ns = num_surface_points(self.p);
-        let entries = ns * self.kernel.trg_dim() * ns * self.kernel.src_dim();
-        self.rule.slot_halves().len() * 316 * entries * std::mem::size_of::<f64>()
-    }
-
-    /// Apply one dense M2L interaction: `check += scale · K_dir · equiv`.
-    /// Returns the flop count charged.
-    pub fn apply(&self, level: u8, dir: [i32; 3], equiv: &[f64], check: &mut [f64]) -> u64 {
-        let at = self.rule.at(level).expect(NO_LEVEL);
-        let mat = {
-            // Recover from poisoning: the map is consistent even if a
-            // concurrent assembler panicked.
-            let mut cache =
-                self.cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            cache
-                .entry((at.slot, dir))
-                .or_insert_with(|| {
-                    let half = self.rule.slot_halves()[at.slot];
-                    let dc = surface_points(self.p, RAD_INNER, [0.0; 3], half);
-                    let side = 2.0 * half;
-                    let src_center =
-                        [side * dir[0] as f64, side * dir[1] as f64, side * dir[2] as f64];
-                    let ue = surface_points(self.p, RAD_INNER, src_center, half);
-                    std::sync::Arc::new(assemble(&self.kernel, &dc, &ue))
-                })
-                .clone()
-        };
-        let mut tmp = vec![0.0; check.len()];
-        kifmm_linalg::gemv(at.fwd, &mat, equiv, 0.0, &mut tmp);
-        for (c, t) in check.iter_mut().zip(&tmp) {
-            *c += t;
+    /// Serial dense M2L over one level of `tree`, whose boxes must have
+    /// the half-width the operators were assembled at: every box adds its
+    /// V list's contributions, in list order, from `store.up` into
+    /// `store.check`. Returns the flop count.
+    pub fn sweep(
+        &self,
+        tree: &Octree,
+        lists: &InteractionLists,
+        level: u8,
+        store: &mut ExpansionStore,
+    ) -> u64 {
+        assert_eq!(tree.domain.box_half(level), self.half, "operators of another box size");
+        let (cs, es, nrhs) = (self.ops[0].rows(), self.ops[0].cols(), store.nrhs());
+        let mut flops = 0;
+        for &b in &tree.levels[level as usize] {
+            let bkey = tree.nodes[b as usize].key;
+            for &a in &lists.v[b as usize] {
+                let op = &self.ops[dir_id(bkey.offset_to(&tree.nodes[a as usize].key)) as usize];
+                for q in 0..nrhs {
+                    let (x, y) = ((a as usize * nrhs + q) * es, (b as usize * nrhs + q) * cs);
+                    let (up, check) = (&store.up[x..x + es], &mut store.check[y..y + cs]);
+                    kifmm_linalg::gemv(1.0, op, up, 1.0, check);
+                    flops += 2 * (cs * es) as u64;
+                }
+            }
         }
-        (2 * mat.rows() * mat.cols()) as u64
+        flops
     }
 }
 
@@ -534,69 +521,76 @@ mod tests {
         assert!(dir_id([1, -1, 0]) as usize >= DIRS, "near-field offsets have no tensor");
     }
 
-    /// The FFT path must agree with the dense path to near machine
-    /// precision — they compute the same discrete sum.
+    /// The FFT path must agree with the dense reference to near machine
+    /// precision in all 316 directions — they compute the same discrete
+    /// sums. Level 3 reads the level-2 table times `fwd`.
     #[test]
     fn fft_matches_direct_laplace() {
-        fft_matches_direct(&Laplace, 4, [2, 0, 0]);
-        fft_matches_direct(&Laplace, 4, [-3, 2, 1]);
-        fft_matches_direct(&Laplace, 6, [2, -1, 0]);
-        fft_matches_direct(&Laplace, 5, [3, 3, 3]);
+        fft_matches_dense_in_every_direction(&Laplace, 3, 3);
     }
 
+    /// A 3×3 kernel two levels below its table slot.
     #[test]
     fn fft_matches_direct_stokes() {
-        fft_matches_direct(&Stokes::default(), 4, [0, 2, -2]);
-        fft_matches_direct(&Stokes::default(), 4, [-2, 0, 3]);
+        fft_matches_dense_in_every_direction(&Stokes::default(), 4, 4);
     }
 
     /// A block shape without a fixed-size accumulator (3 → 1).
     #[test]
     fn fft_matches_direct_dipole() {
-        fft_matches_direct(&kifmm_kernels::LaplaceDipole, 4, [1, -2, 3]);
+        fft_matches_dense_in_every_direction(&kifmm_kernels::LaplaceDipole, 2, 2);
     }
 
-    /// One source, one target, one V pair through every FFT entry point:
-    /// transform → pack → Hadamard → gather + inverse.
-    fn fft_matches_direct<K: Kernel>(kernel: &K, p: usize, dir: [i32; 3]) {
-        let root_half = 1.0;
-        let depth = 3u8;
-        let level = 3u8;
+    /// A kernel with a length scale reads its own table on each level.
+    #[test]
+    fn fft_matches_direct_modified_laplace_on_two_slots() {
+        let k = kifmm_kernels::ModifiedLaplace::new(1.0);
+        fft_matches_dense_in_every_direction(&k, 2, 3);
+        fft_matches_dense_in_every_direction(&k, 3, 3);
+    }
+
+    /// One source and one target per direction at `level` of a depth-
+    /// `depth` tree (root half-width 1), p = 4, through every FFT entry
+    /// point — transform → pack → Hadamard → gather + inverse — against
+    /// the dense operator assembled at the level's own half-width.
+    fn fft_matches_dense_in_every_direction<K: Kernel>(kernel: &K, level: u8, depth: u8) {
+        let p = 4;
         let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
         let ns = crate::surface::num_surface_points(p);
-        let equiv: Vec<f64> =
-            (0..ns * sd).map(|i| ((i * 13 % 17) as f64) / 17.0 - 0.4).collect();
+        let equiv: Vec<f64> = (0..ns * sd).map(|i| ((i * 13 % 17) as f64) / 17.0 - 0.4).collect();
 
-        // FFT path.
-        let fft = M2lFft::build(kernel, p, root_half, depth);
+        let fft = M2lFft::build(kernel, p, 1.0, depth);
         let mut sc = M2lScratch::default();
         let glen = 2 * fft.slab_len();
         let mut src = vec![0.0; sd * glen];
         fft.transform_source(&equiv, &mut src, &mut sc);
         let mut spectra = vec![0.0; sd * glen];
-        let mut tile = vec![f64::NAN; td * glen];
+        let mut tile = vec![f64::NAN; DIRS * td * glen];
         let mut lists = PairLists::default();
-        lists.push([[0, dir_id(dir)]].into_iter());
+        for d in 0..DIRS as u32 {
+            lists.push([[0, d]].into_iter());
+        }
         for c in 0..fft.chunks() {
             let spectra = &mut spectra[c * sd * CL..(c + 1) * sd * CL];
             fft.pack_chunk(c, &src, spectra);
-            let acc = &mut tile[c * td * CL..(c + 1) * td * CL];
+            let acc = &mut tile[c * DIRS * td * CL..(c + 1) * DIRS * td * CL];
             fft.hadamard_chunk(level, c, &lists, 1, spectra, acc);
         }
-        let mut check_fft = vec![0.0; ns * td];
-        fft.extract_check(level, &tile, 0, &mut check_fft, &mut sc);
 
-        // Dense path.
-        let direct = M2lDirect::new(kernel, p, root_half, depth);
-        let mut check_dir = vec![0.0; ns * td];
-        direct.apply(level, dir, &equiv, &mut check_dir);
-
-        let scale = check_dir.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        for (a, b) in check_fft.iter().zip(&check_dir) {
-            assert!(
-                (a - b).abs() < 1e-10 * scale.max(1e-30),
-                "FFT {a} vs direct {b} (dir {dir:?}, p={p})"
-            );
+        let dense = DenseM2l::assemble(kernel, p, 1.0 / f64::from(1u32 << level));
+        for (d, (op, dir)) in dense.ops.iter().zip(v_list_directions()).enumerate() {
+            let mut got = vec![0.0; ns * td];
+            fft.extract_check(level, &tile, d, &mut got, &mut sc);
+            let mut want = vec![0.0; ns * td];
+            kifmm_linalg::gemv(1.0, op, &equiv, 0.0, &mut want);
+            let scale = want.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            for (a, b) in got.iter().zip(&want) {
+                assert!(
+                    (a - b).abs() < 1e-10 * scale,
+                    "{} level {level} direction {dir:?}: FFT {a} vs dense {b}",
+                    kernel.name()
+                );
+            }
         }
     }
 
@@ -724,17 +718,5 @@ mod tests {
             assert_eq!(at.slot, l as usize - 2, "level {l} maps to its own slot");
             assert_eq!(at.fwd, 1.0, "no rescale for level {l}");
         }
-    }
-
-    #[test]
-    fn direct_cache_reuses_matrices() {
-        let direct = M2lDirect::new(&Laplace, 3, 1.0, 5);
-        let ns = crate::surface::num_surface_points(3);
-        let equiv = vec![1.0; ns];
-        let mut check = vec![0.0; ns];
-        direct.apply(3, [2, 0, 0], &equiv, &mut check);
-        direct.apply(4, [2, 0, 0], &equiv, &mut check);
-        direct.apply(5, [2, 0, 0], &equiv, &mut check);
-        assert_eq!(direct.cache.lock().unwrap().len(), 1, "homogeneous: one cached matrix");
     }
 }

@@ -36,7 +36,7 @@ pub const FIRST_FMM_LEVEL: u8 = 2;
 
 /// Relative singular-value truncation of the check-to-equivalent
 /// pseudoinverses. A constant, not an option: the operator tables are
-/// cached by `(kernel, depth, root half-width, order, M2L mode)`, so a
+/// cached by `(kernel, depth, root half-width, order)`, so a
 /// settable tolerance that is not part of those keys would be served stale
 /// tables.
 pub const PINV_TOL: f64 = 1e-10;

@@ -13,7 +13,7 @@
 //!   workspaces, checked out lock-free from a [`Freelist`]) plus the
 //!   execution policy (tracer, serial/pool dispatch);
 //! * a [`PlanCache`] memoizes plans by
-//!   `(kernel id, order, M2L mode, leaf capacity, depth cap, geometry)`
+//!   `(kernel id, order, output, leaf capacity, depth cap, geometry)`
 //!   with an LRU byte bound, so a service answering repeated requests
 //!   against recurring geometries skips setup entirely on a warm hit.
 
@@ -22,7 +22,6 @@ use crate::engine::{
 };
 use crate::evaluator::{EvalReport, FmmBuilder};
 use crate::fmm::FmmOptions;
-use crate::m2l::M2lMode;
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
 use crate::stats::{Meter, Phase};
@@ -44,6 +43,8 @@ pub enum BuildError {
     EmptyPoints,
     /// Surface order below the minimum of 2.
     OrderTooSmall(usize),
+    /// `max_pts_per_leaf` is 0: no leaf could hold a point.
+    ZeroLeafCapacity,
     /// A point has a NaN or infinite coordinate. A tree would build over
     /// it and the potentials would come back silently wrong.
     NonFinitePoint {
@@ -74,6 +75,7 @@ impl std::fmt::Display for BuildError {
             BuildError::OrderTooSmall(p) => {
                 write!(f, "surface order must be ≥ 2 (got {p})")
             }
+            BuildError::ZeroLeafCapacity => write!(f, "max_pts_per_leaf must be ≥ 1"),
             BuildError::NonFinitePoint { point, dim } => {
                 write!(f, "point {point} has a non-finite coordinate on axis {dim}")
             }
@@ -235,8 +237,6 @@ pub struct PlanKey {
     pub kernel_name: u64,
     /// Surface discretization order `p`.
     pub order: usize,
-    /// M2L execution mode.
-    pub m2l_mode: M2lMode,
     /// What evaluations produce (potentials vs potentials + gradients).
     pub output: crate::evaluator::OutputSpec,
     /// Leaf capacity `s` (with the depth cap, determines tree depth).
@@ -254,7 +254,6 @@ impl PlanKey {
             kernel_id: kernel.id_bits(),
             kernel_name: kernel_name_hash(kernel.name()),
             order: opts.order,
-            m2l_mode: opts.m2l_mode,
             output: opts.output,
             max_pts_per_leaf: opts.max_pts_per_leaf,
             max_level: opts.max_level,
@@ -307,6 +306,9 @@ impl<K: Kernel> Plan<K> {
     ) -> Result<Self, BuildError> {
         if opts.order < 2 {
             return Err(BuildError::OrderTooSmall(opts.order));
+        }
+        if opts.max_pts_per_leaf == 0 {
+            return Err(BuildError::ZeroLeafCapacity);
         }
         if points.is_empty() {
             return Err(BuildError::EmptyPoints);
@@ -447,7 +449,6 @@ impl<K: Kernel> Plan<K> {
             &self.pre,
             &self.sorted_points,
             self.opts.order,
-            self.opts.m2l_mode,
             dispatch,
             &self.active,
         )
@@ -1100,24 +1101,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_many_dense_m2l_mode() {
-        let pts = cloud(500, 77);
-        let dens: Vec<Vec<f64>> = (0..4).map(|q| densities(500, 1, q)).collect();
-        let session = Session::from_plan(
-            Plan::try_new(
-                Laplace,
-                &pts,
-                FmmOptions { m2l_mode: M2lMode::Direct, ..opts_small() },
-            )
-            .unwrap(),
-        );
-        let refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
-        for (q, rep) in session.eval_many(&refs).iter().enumerate() {
-            assert_eq!(rep.potentials, session.eval(&dens[q]).potentials, "RHS {q}");
-        }
-    }
-
-    #[test]
     fn concurrent_sessions_share_one_plan_bitwise_stable() {
         // 8 threads hammer one shared plan through their own sessions;
         // every thread must see the bit-exact single-thread result.
@@ -1316,55 +1299,28 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (2, 4), "B was the victim");
     }
 
-    #[test]
-    fn plan_cache_keys_on_m2l_mode() {
-        // Fft and Direct build different table sets; sharing a cache slot
-        // would hand one mode the other's plan. They must miss each other
-        // and hit themselves.
-        let pts = cloud(300, 3);
-        let cache = PlanCache::unbounded();
-        let dense_opts = FmmOptions { m2l_mode: M2lMode::Direct, ..opts_small() };
-        let d = cache.get_or_plan(&Laplace, &pts, dense_opts).unwrap();
-        let f = cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
-        assert!(!Arc::ptr_eq(&d, &f));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        let d2 = cache.get_or_plan(&Laplace, &pts, dense_opts).unwrap();
-        assert!(Arc::ptr_eq(&d, &d2));
-        assert_eq!((cache.hits(), cache.misses()), (1, 2));
-    }
-
-    /// Inhomogeneous kernels hold one dense M2L matrix per (level,
-    /// direction) and one operator block per level; the LRU budget must
-    /// charge every level of both, and a homogeneous kernel's single table
-    /// must not grow with depth.
+    /// Inhomogeneous kernels hold one set of 316 M2L tensors and one
+    /// operator block per level; the LRU budget must charge every level of
+    /// both, and a homogeneous kernel's single table must not grow with
+    /// depth.
     #[test]
     fn approx_bytes_charges_dense_tables_per_level_when_inhomogeneous() {
         let pts = cloud(900, 19);
-        let opts = FmmOptions { m2l_mode: M2lMode::Direct, ..opts_small() };
+        let opts = opts_small();
         let homog = Plan::try_new(Laplace, &pts, opts).unwrap();
         let inhomog = Plan::try_new(ModifiedLaplace::new(1.0), &pts, opts).unwrap();
         let depth = homog.tree.depth() as usize;
         assert!(depth >= 3, "need several operator levels (depth {depth})");
         let op_levels = depth - FIRST_FMM_LEVEL as usize + 1;
         let ns = crate::surface::num_surface_points(opts.order);
-        let tables = (316 + 18) * ns * ns * 8;
-        // Same tree, lists and points: the estimates differ exactly by the
-        // extra levels of dense M2L matrices and of the 18 operators
-        // (homog holds one of each).
+        // Per level: 316 half-spectrum tensors (split re/im, 16 bytes an
+        // entry) and 18 dense operators. Same tree, lists and points: the
+        // estimates differ exactly by the extra levels of both (homog
+        // holds one of each).
+        let slab = homog.pre.m2l_fft.as_ref().expect("FFT tables").slab_len();
+        let tables = 316 * slab * 16 + 18 * ns * ns * 8;
         assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * tables);
         assert_eq!(homog.pre.bytes(), tables);
-        // Under the FFT M2L the per-level table is the 316 half-spectrum
-        // tensors (split re/im, 16 bytes an entry) instead.
-        let opts_fft = FmmOptions { m2l_mode: M2lMode::Fft, ..opts };
-        let homog_fft = Plan::try_new(Laplace, &pts, opts_fft).unwrap();
-        let inhomog_fft = Plan::try_new(ModifiedLaplace::new(1.0), &pts, opts_fft).unwrap();
-        let slab = homog_fft.pre.m2l_fft.as_ref().expect("FFT tables").slab_len();
-        let tables_fft = 316 * slab * 16 + 18 * ns * ns * 8;
-        assert_eq!(
-            inhomog_fft.approx_bytes() - homog_fft.approx_bytes(),
-            (op_levels - 1) * tables_fft
-        );
-        assert_eq!(homog_fft.pre.bytes(), tables_fft);
         let shallow = Plan::try_new(Laplace, &pts, FmmOptions { max_level: 2, ..opts }).unwrap();
         assert_eq!(shallow.tree.depth(), 2);
         assert_eq!(shallow.pre.bytes(), homog.pre.bytes(), "one table at any depth");
@@ -1483,7 +1439,7 @@ mod tests {
         assert_eq!(fmm.eval(&d).potentials, session.eval(&d).potentials);
     }
 
-    // Pool dispatch (`FmmBuilder::parallel` / `Session::set_parallel_eval`):
+    // Pool dispatch (`Session::set_parallel_eval`):
     // each output element is computed by exactly one task in the serial
     // instruction order, so results and flop counts equal the serial path's.
 
@@ -1513,12 +1469,9 @@ mod tests {
             .order(4)
             .max_pts_per_leaf(12)
             .build();
-        let par = Fmm::builder(Stokes::default())
-            .points(&pts)
-            .order(4)
-            .max_pts_per_leaf(12)
-            .parallel(true)
-            .build();
+        let mut par =
+            Fmm::builder(Stokes::default()).points(&pts).order(4).max_pts_per_leaf(12).build();
+        par.set_parallel_eval(true);
         assert_eq!(fmm.eval(&dens).potentials, par.eval(&dens).potentials);
     }
 
@@ -1541,25 +1494,6 @@ mod tests {
         let pts = cloud(40, 3);
         let dens = vec![1.0; 40];
         let mut fmm = Fmm::builder(Laplace).points(&pts).options(FmmOptions::with_order(4)).build();
-        let serial = fmm.eval(&dens).potentials;
-        fmm.set_parallel_eval(true);
-        assert_eq!(serial, fmm.eval(&dens).potentials);
-    }
-
-    #[test]
-    fn parallel_direct_m2l_mode_equals_serial() {
-        // Dense M2L under pool dispatch.
-        let pts = cloud(700, 12);
-        let dens: Vec<f64> = (0..700).map(|i| ((i % 11) as f64) - 5.0).collect();
-        let mut fmm = Fmm::builder(Laplace)
-            .points(&pts)
-            .options(FmmOptions {
-                order: 4,
-                max_pts_per_leaf: 20,
-                m2l_mode: M2lMode::Direct,
-                ..Default::default()
-            })
-            .build();
         let serial = fmm.eval(&dens).potentials;
         fmm.set_parallel_eval(true);
         assert_eq!(serial, fmm.eval(&dens).potentials);

@@ -3,10 +3,10 @@
 //! Everything the FMM precomputes — the check/equivalent pseudoinverses,
 //! the M2M/L2L forward maps and the 316 M2L kernel-tensor FFTs, each held
 //! once per slot of the [`crate::operators::LevelRule`] — depends only on
-//! `(kernel, order, root half-width, depth, m2l mode)`, not on the
-//! particle data. [`Precomputed`] bundles those tables and
-//! [`PrecomputeCache`] deduplicates them across evaluators, keyed on all
-//! five.
+//! `(kernel, order, root half-width, depth)`, not on the particle data.
+//! [`Precomputed`] bundles those tables and [`PrecomputeCache`]
+//! deduplicates them across evaluators, keyed on all four (the kernel by
+//! its parameters and its name).
 //!
 //! The cache matters for the virtual-rank benches: on a real cluster every
 //! MPI rank builds (identical) tables against its own memory, but when the
@@ -15,7 +15,7 @@
 //! read-only and bit-identical, so the ranks share one `Arc`.
 
 use crate::fmm::FmmOptions;
-use crate::m2l::{M2lDirect, M2lFft, M2lMode};
+use crate::m2l::M2lFft;
 use crate::operators::{OperatorTable, FIRST_FMM_LEVEL};
 use crate::plan::kernel_name_hash;
 use kifmm_kernels::Kernel;
@@ -26,35 +26,28 @@ use std::sync::{Arc, Mutex};
 pub struct Precomputed<K: Kernel> {
     /// UC2UE/UE2UC/DC2DE/DE2DC operators.
     pub ops: OperatorTable,
-    /// FFT M2L tables (in [`M2lMode::Fft`]).
+    /// FFT M2L tables (`None` below depth 2: no V lists).
     pub m2l_fft: Option<M2lFft<K>>,
-    /// Dense M2L cache (in [`M2lMode::Direct`]), filled lazily.
-    pub m2l_direct: Option<M2lDirect<K>>,
 }
 
 impl<K: Kernel> Precomputed<K> {
     /// Assemble the tables for a tree of the given depth and root size.
     pub fn build(kernel: &K, opts: &FmmOptions, root_half: f64, depth: u8) -> Self {
         let ops = OperatorTable::build(kernel, opts.order, root_half, depth);
-        let (m2l_fft, m2l_direct) = match opts.m2l_mode {
-            _ if depth < FIRST_FMM_LEVEL => (None, None),
-            M2lMode::Fft => (Some(M2lFft::build(kernel, opts.order, root_half, depth)), None),
-            M2lMode::Direct => (None, Some(M2lDirect::new(kernel, opts.order, root_half, depth))),
-        };
-        Precomputed { ops, m2l_fft, m2l_direct }
+        let m2l_fft =
+            (depth >= FIRST_FMM_LEVEL).then(|| M2lFft::build(kernel, opts.order, root_half, depth));
+        Precomputed { ops, m2l_fft }
     }
 
     /// Bytes the tables hold, as each reports about itself.
     pub fn bytes(&self) -> usize {
-        self.ops.bytes()
-            + self.m2l_fft.as_ref().map_or(0, M2lFft::bytes)
-            + self.m2l_direct.as_ref().map_or(0, M2lDirect::bytes)
+        self.ops.bytes() + self.m2l_fft.as_ref().map_or(0, M2lFft::bytes)
     }
 }
 
-/// `(kernel id_bits, kernel name hash, depth, root half-width bits, order,
-/// M2L mode)`: everything [`Precomputed::build`] reads.
-type TableKey = (u64, u64, u8, u64, usize, M2lMode);
+/// `(kernel id_bits, kernel name hash, depth, root half-width bits,
+/// order)`: everything [`Precomputed::build`] reads.
+type TableKey = (u64, u64, u8, u64, usize);
 
 /// A concurrent cache of [`Precomputed`] tables keyed by configuration,
 /// the kernel's parameters and name included (the type parameter alone
@@ -92,7 +85,6 @@ impl<K: Kernel> PrecomputeCache<K> {
             depth,
             root_half.to_bits(),
             opts.order,
-            opts.m2l_mode,
         );
         // A poisoned lock only means some other cache user panicked
         // mid-build; the map itself is always in a consistent state, so
@@ -162,17 +154,6 @@ mod tests {
     fn shallow_build_has_no_m2l() {
         let opts = FmmOptions { order: 3, ..Default::default() };
         let p = Precomputed::build(&Laplace, &opts, 1.0, 1);
-        assert!(p.m2l_fft.is_none() && p.m2l_direct.is_none());
-    }
-
-    #[test]
-    fn cache_keys_on_full_m2l_mode() {
-        let cache = PrecomputeCache::new();
-        let mk = |mode| FmmOptions { order: 3, m2l_mode: mode, ..Default::default() };
-        let fft = cache.get_or_build(&Laplace, &mk(M2lMode::Fft), 1.0, 3);
-        let direct = cache.get_or_build(&Laplace, &mk(M2lMode::Direct), 1.0, 3);
-        assert!(!Arc::ptr_eq(&fft, &direct));
-        assert!(fft.m2l_fft.is_some() && fft.m2l_direct.is_none());
-        assert!(direct.m2l_direct.is_some() && direct.m2l_fft.is_none());
+        assert!(p.m2l_fft.is_none());
     }
 }

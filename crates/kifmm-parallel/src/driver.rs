@@ -327,7 +327,6 @@ impl<K: Kernel> ParallelFmm<K> {
             &self.pre,
             &self.dtree.sorted_points,
             self.opts.order,
-            self.opts.m2l_mode,
             Dispatch::Serial,
             &self.active,
         )
@@ -509,8 +508,7 @@ impl<K: Kernel> ParallelFmm<K> {
 /// ```
 pub trait BuildParallel<K: Kernel>: Sized {
     /// Fallible collective constructor: every rank calls this with its
-    /// local points. The builder's tracer carries over; `parallel(..)`
-    /// (the shared-memory thread toggle) is irrelevant here and ignored.
+    /// local points. The builder's tracer carries over.
     fn try_build_parallel(self, comm: &Comm) -> Result<ParallelFmm<K>, BuildError>;
 
     /// As [`BuildParallel::try_build_parallel`], panicking on invalid
@@ -522,10 +520,15 @@ pub trait BuildParallel<K: Kernel>: Sized {
 
 impl<K: Kernel> BuildParallel<K> for FmmBuilder<'_, K> {
     fn try_build_parallel(self, comm: &Comm) -> Result<ParallelFmm<K>, BuildError> {
-        let (kernel, points, opts, trace, _parallel, cache) = self.into_parts();
+        let (kernel, points, opts, trace, cache) = self.into_parts();
         let points = points.ok_or(BuildError::MissingPoints)?;
+        // Every rank holds the same options, so these verdicts need no
+        // collective agreement (unlike the point checks below).
         if opts.order < 2 {
             return Err(BuildError::OrderTooSmall(opts.order));
+        }
+        if opts.max_pts_per_leaf == 0 {
+            return Err(BuildError::ZeroLeafCapacity);
         }
         // Agree on the verdict collectively: a rank returning alone would
         // leave its peers blocked in the tree build's collectives. Each

@@ -88,7 +88,7 @@ impl<K: Kernel> SingleLayerOperator<K> {
 
     /// As [`SingleLayerOperator::new`], but resolving the evaluation plan
     /// through a [`PlanCache`]: a geometry the cache has seen before
-    /// (same kernel, order, M2L mode, leaf bound and point set — e.g. a
+    /// (same kernel, order, output, leaf bound and point set — e.g. a
     /// rigid body expressed in its own body frame at every time step)
     /// skips tree, list and operator setup entirely and shares the cached
     /// plan's memory.

@@ -73,7 +73,7 @@ pub fn check_matches_serial_tol<K: Kernel>(
 }
 
 /// As [`check_matches_serial_tol`], with caller-chosen [`FmmOptions`]
-/// (e.g. a specific M2L mode) applied to both paths.
+/// (e.g. a larger leaf capacity) applied to both paths.
 pub fn check_matches_serial_opts<K: Kernel>(
     kernel: K,
     all: Vec<Point3>,

@@ -27,7 +27,7 @@
 //! policy; [`Fmm`] is an alias of it) over an immutable, shareable
 //! [`Plan`] (tree + interaction lists + precomputed operators).
 //! Long-running services keep a
-//! [`PlanCache`] keyed on (kernel, order, M2L mode, geometry) so repeated
+//! [`PlanCache`] keyed on (kernel, options, geometry) so repeated
 //! geometries skip setup entirely, and batch `k` charge vectors through
 //! one sweep with [`Session::eval_many`].
 //!
@@ -66,7 +66,7 @@ pub use kifmm_tree as tree;
 pub use kifmm_core::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, geometry_hash,
     kernel_name_hash, rel_l2_error, BuildError,
-    EvalReport, Fmm, FmmBuilder, FmmOptions, M2lMode, OutputSpec, Phase,
+    EvalReport, Fmm, FmmBuilder, FmmOptions, OutputSpec, Phase,
     PhaseStats, Plan, PlanCache, PlanKey, Session, TreeBuild, UpdateError, PHASES, PHASE_NAMES,
 };
 pub use kifmm_kernels::{

@@ -36,7 +36,7 @@ run isogranular isogranular.txt KIFMM_MAXP=32 KIFMM_GRAIN=2500
 split isogranular.txt table_4_2.txt figure_4_3.txt
 run table_4_3 table_4_3.txt KIFMM_MAXP=32 KIFMM_SCALE=4
 run accuracy_table accuracy_table.txt
-run ablation_m2l ablation_m2l_two_mode.txt KIFMM_N=40000
+run ablation_m2l ablation_m2l.txt KIFMM_N=40000
 run ablation_balance ablation_balance.txt KIFMM_N=48000 KIFMM_MAXP=16
 
 if [ ${#failed[@]} -ne 0 ]; then

@@ -168,10 +168,13 @@ KIFMM_N=8000 KIFMM_REQUESTS=1 \
     cargo run -q --release --offline --example service_throughput > /dev/null
 echo "service-throughput gate: OK"
 
-# 7. M2L ablation gate: the FFT-vs-dense ablation (small N) checks the
-#    paper's footnote-5 conclusion itself — FFT and dense potentials agree
-#    to 1e-9 in every case, and at p = 6 the dense path counts more flops
-#    and the FFT path wins on time — and exits nonzero otherwise.
+# 7. M2L ablation gate: the footnote-5 ablation (small N) runs every M2L
+#    level of one plan twice from the same upward equivalents — the
+#    engine's FFT pass and the dense reference sweep
+#    (`kifmm_core::m2l::DenseM2l`) — and checks itself: each level's check
+#    potentials agree to 1e-9 in every case, and at p = 6 the dense sweep
+#    counts more flops and the FFT pass wins on time; it exits nonzero
+#    otherwise.
 KIFMM_N=3000 cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
 echo "m2l-ablation gate: OK"
 
@@ -224,4 +227,9 @@ for f in plan fmm evaluator stats targets; do
     front=$((front + $(nontest "crates/kifmm-core/src/$f.rs")))
 done
 echo "non-test lines: evaluation front end (plan+fmm+evaluator+stats+targets) $front, driver.rs $(nontest crates/kifmm-parallel/src/driver.rs)"
+m2l=0
+for f in m2l engine/mod precompute; do
+    m2l=$((m2l + $(nontest "crates/kifmm-core/src/$f.rs")))
+done
+echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l"
 echo "verify: ALL OK"

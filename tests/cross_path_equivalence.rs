@@ -5,9 +5,11 @@
 //! owner-side Sum of partial equivalents reassociates additions).
 //!
 //! Matrix: every shipped kernel × 2 distributions (uniform, clustered) ×
-//! 3 paths, the same under the dense M2L oracle, and FFT vs that oracle.
+//! 3 paths, and the FFT M2L pass against the dense reference.
 
-use kifmm::{CustomKernel, Fmm, FmmOptions, Gaussian, Kelvin, Kernel, Laplace, M2lMode, ModifiedLaplace, Stokes};
+use kifmm::{
+    CustomKernel, Fmm, FmmOptions, Gaussian, Kelvin, Kernel, Laplace, ModifiedLaplace, Stokes,
+};
 use kifmm_kernels::LaplaceDipole;
 use kifmm_testkit::{check_matches_serial_opts, check_matches_serial_tol};
 
@@ -19,19 +21,15 @@ fn clustered(n: usize, seed: u64) -> Vec<[f64; 3]> {
     kifmm::geom::corner_clusters(n, seed)
 }
 
-fn opts(m2l_mode: M2lMode) -> FmmOptions {
-    FmmOptions { order: 4, max_pts_per_leaf: 20, m2l_mode, ..Default::default() }
+fn opts() -> FmmOptions {
+    FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() }
 }
 
 /// Serial vs shared-memory pool: bit-identical on the same Fmm.
 fn check_pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
-    check_pool_bitwise_opts(kernel, pts, opts(M2lMode::Fft));
-}
-
-fn check_pool_bitwise_opts<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>, opts: FmmOptions) {
     let n = pts.len();
     let dens = kifmm::geom::random_densities(n, kernel.src_dim(), 7);
-    let mut fmm = Fmm::builder(kernel).points(&pts).options(opts).build();
+    let mut fmm = Fmm::builder(kernel).points(&pts).options(opts()).build();
     let serial = fmm.eval(&dens).potentials;
     fmm.set_parallel_eval(true);
     let pool = fmm.eval(&dens).potentials;
@@ -142,151 +140,83 @@ mod closure_kernels {
     }
 }
 
-/// The same gates under the dense M2L oracle: it is the reference the FFT
-/// path is held to, so its own serial/pool identity and its split-set
-/// determinism (the distributed driver runs each level over two
-/// complementary `ActiveSet`s) must hold independently.
-mod direct_mode {
-    use super::*;
-
-    fn pool_bitwise<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
-        check_pool_bitwise_opts(kernel, pts, opts(M2lMode::Direct));
-    }
-
-    fn distributed<K: Kernel>(kernel: K, pts: Vec<[f64; 3]>) {
-        let sd = kernel.src_dim();
-        check_matches_serial_opts(kernel, pts, 4, sd, 1e-12, opts(M2lMode::Direct));
-    }
-
-    #[test]
-    fn laplace_uniform_pool_bitwise() {
-        pool_bitwise(Laplace, uniform(700, 11));
-    }
-
-    #[test]
-    fn laplace_clustered_pool_bitwise() {
-        pool_bitwise(Laplace, clustered(700, 12));
-    }
-
-    #[test]
-    fn laplace_clustered_seed19_pool_bitwise() {
-        pool_bitwise(Laplace, clustered(700, 19));
-    }
-
-    #[test]
-    fn modified_laplace_uniform_pool_bitwise() {
-        // Inhomogeneous: one cached dense matrix per (level, direction).
-        pool_bitwise(ModifiedLaplace::new(1.5), uniform(600, 15));
-    }
-
-    #[test]
-    fn stokes_clustered_pool_bitwise() {
-        // Matrix kernel: interleaved SRC/TRG components.
-        pool_bitwise(Stokes::default(), clustered(450, 18));
-    }
-
-    #[test]
-    fn laplace_uniform_distributed_1e12() {
-        distributed(Laplace, uniform(700, 11));
-    }
-
-    #[test]
-    fn laplace_uniform_seed21_distributed_1e12() {
-        distributed(Laplace, uniform(700, 21));
-    }
-
-    #[test]
-    fn modified_laplace_clustered_distributed_1e12() {
-        distributed(ModifiedLaplace::new(1.5), clustered(600, 16));
-    }
-
-    #[test]
-    fn stokes_clustered_distributed_1e12() {
-        distributed(Stokes::default(), clustered(450, 18));
-    }
-}
-
-/// The one cross-mode check: on a clustered cloud (non-empty W and X
-/// lists), the FFT M2L and the dense oracle produce the same potentials
-/// to 1e-9 for every shipped kernel — they compute the same discrete sums
-/// and differ only by FFT round-off.
+/// The FFT M2L against the dense reference, pass by pass: on a clustered
+/// cloud (depth 12; V-list work on levels 2 and 3, the slot level and
+/// one read through a level factor) and one pseudorandom `store.up`,
+/// every level's check potentials from `PassEngine::m2l_level` match
+/// `DenseM2l::sweep` to 1e-9 for every shipped kernel — on the serial
+/// engine, on the pool engine, and run over two complementary
+/// `ActiveSet`s, which is how the distributed driver runs each level
+/// (interior targets under its ghost exchange, boundary targets after).
+/// The two compute the same discrete sums and differ only by FFT
+/// round-off; the reference reads no level factor, so this also checks
+/// the FFT tables' level scaling.
 mod fft_vs_dense_oracle {
     use super::*;
+    use kifmm::core::m2l::DenseM2l;
+    use kifmm::core::{ActiveSet, EngineWorkspace, PassEngine, FIRST_FMM_LEVEL};
+    use kifmm::runtime::Dispatch;
 
-    fn agrees<K: Kernel>(kernel: K) {
-        agrees_with_leaf(kernel, 20);
-    }
-
-    fn agrees_with_leaf<K: Kernel>(kernel: K, max_pts_per_leaf: usize) {
-        let opts = |mode| FmmOptions { max_pts_per_leaf, ..opts(mode) };
-        let pts = clustered(600, 41);
-        let dens = kifmm::geom::random_densities(pts.len(), kernel.src_dim(), 7);
-        let fft = Fmm::builder(kernel.clone()).points(&pts).options(opts(M2lMode::Fft)).build();
-        assert!(
-            fft.lists.w.iter().any(|w| !w.is_empty()) && fft.lists.x.iter().any(|x| !x.is_empty()),
-            "geometry must exercise the W and X lists"
-        );
-        assert!(fft.tree.depth() >= 3, "several M2L levels");
-        let dense =
-            Fmm::builder(kernel.clone()).points(&pts).options(opts(M2lMode::Direct)).build();
-        let err = kifmm::rel_l2_error(&fft.eval(&dens).potentials, &dense.eval(&dens).potentials);
-        assert!(err < 1e-9, "{}: FFT vs dense oracle {err}", kernel.name());
-    }
-
-    #[test]
-    fn every_shipped_kernel() {
-        agrees(Laplace);
-        agrees(ModifiedLaplace::new(1.5));
-        agrees(Stokes::default());
-        agrees(Kelvin::new(1.0, 0.3));
-        // Boxes far smaller than σ make the check matrix numerically
-        // rank-deficient and the pinv amplifies the FFT round-off past
-        // 1e-9 (see `gaussian_clustered`): hold the tree shallower.
-        agrees_with_leaf(Gaussian::new(0.35), 60);
-        agrees(LaplaceDipole);
-        agrees(shadow_laplace());
-    }
-
-    /// The same agreement on the other two drivers: the pool session and
-    /// the distributed driver at P = 4 (which runs each level over two
-    /// `ActiveSet`s around its ghost exchange) under the FFT M2L,
-    /// against the serial dense oracle.
-    fn agrees_on_pool_and_ranks<K: Kernel>(kernel: K) {
-        let pts = clustered(600, 41);
-        let chunks = kifmm_testkit::split_points(&pts, 4);
-        let dens: Vec<Vec<f64>> = chunks
-            .iter()
-            .enumerate()
-            .map(|(r, c)| kifmm::geom::random_densities(c.len(), kernel.src_dim(), r as u64 + 1))
-            .collect();
-        let oracle =
-            kifmm_testkit::serial_reference(kernel.clone(), &chunks, &dens, opts(M2lMode::Direct));
-
-        let all_pts: Vec<[f64; 3]> = chunks.iter().flatten().copied().collect();
-        let all_dens: Vec<f64> = dens.iter().flatten().copied().collect();
-        let mut pool =
-            Fmm::builder(kernel.clone()).points(&all_pts).options(opts(M2lMode::Fft)).build();
-        pool.set_parallel_eval(true);
-        let err = kifmm::rel_l2_error(&pool.eval(&all_dens).potentials, &oracle.concat());
-        assert!(err < 1e-9, "{}: pool FFT vs dense oracle {err}", kernel.name());
-
-        let name = kernel.name().to_string();
-        let ranks = kifmm::mpi::run(4, move |comm| {
-            let r = comm.rank();
-            let pfmm =
-                kifmm::ParallelFmm::new(comm, kernel.clone(), &chunks[r], opts(M2lMode::Fft));
-            pfmm.eval(comm, &dens[r]).potentials
-        });
-        for (r, pot) in ranks.iter().enumerate() {
-            let err = kifmm::rel_l2_error(pot, &oracle[r]);
-            assert!(err < 1e-9, "{name}: rank {r} FFT vs dense oracle {err}");
+    /// Every level on the serial engine, or — with `pool_and_split` — on
+    /// the pool engine and on the two halves of a split.
+    fn agrees<K: Kernel>(kernel: K, pool_and_split: bool) {
+        let pts = clustered(3000, 41);
+        let plan = Fmm::builder(kernel.clone()).points(&pts).options(opts()).plan();
+        let (tree, lists, depth) = (&plan.tree, &plan.lists, plan.tree.depth());
+        let busy = (FIRST_FMM_LEVEL..=depth)
+            .filter(|&l| tree.levels[l as usize].iter().any(|&b| !lists.v[b as usize].is_empty()));
+        assert_eq!(busy.count(), 2, "V-list work on levels 2 and 3 (W/X serve the rest)");
+        let halves = [true, false].map(|keep| ActiveSet::build(tree, |ni| (ni % 3 == 0) == keep));
+        let runs: Vec<(&str, Vec<PassEngine<'_, K>>)> = if pool_and_split {
+            let split = halves.iter().map(|a| plan.engine(Dispatch::Serial).with_active(a));
+            vec![("pool", vec![plan.engine(Dispatch::Pool)]), ("split", split.collect())]
+        } else {
+            vec![("serial", vec![plan.engine(Dispatch::Serial)])]
+        };
+        let mut rng = kifmm::geom::Rng::seed_from_u64(5);
+        let mut up = plan.engine(Dispatch::Serial).new_store().up;
+        up.iter_mut().for_each(|v| *v = rng.range_f64(-1.0, 1.0));
+        let store = || {
+            let mut store = plan.engine(Dispatch::Serial).new_store();
+            store.up.copy_from_slice(&up);
+            store
+        };
+        for level in FIRST_FMM_LEVEL..=depth {
+            let dense = DenseM2l::assemble(&kernel, opts().order, tree.domain.box_half(level));
+            let mut want = store();
+            dense.sweep(tree, lists, level, &mut want);
+            for (name, engines) in &runs {
+                let (mut got, mut ws) = (store(), EngineWorkspace::default());
+                for engine in engines {
+                    engine.m2l_level(level, &mut got, &mut ws);
+                }
+                let err = kifmm::rel_l2_error(&got.check, &want.check);
+                assert!(err < 1e-9, "{} level {level} {name}: FFT vs dense {err}", kernel.name());
+            }
         }
     }
 
     #[test]
+    fn every_shipped_kernel() {
+        agrees(Laplace, false);
+        agrees(ModifiedLaplace::new(1.5), false);
+        agrees(Stokes::default(), false);
+        agrees(Kelvin::new(1.0, 0.3), false);
+        agrees(Gaussian::new(0.35), false);
+        agrees(LaplaceDipole, false);
+        agrees(shadow_laplace(), false);
+    }
+
+    /// The pool engine and the distributed driver's interior/boundary
+    /// split of each level, for the same kernels.
+    #[test]
     fn on_pool_and_distributed_drivers() {
-        agrees_on_pool_and_ranks(Laplace);
-        agrees_on_pool_and_ranks(Stokes::default());
-        agrees_on_pool_and_ranks(ModifiedLaplace::new(1.5));
+        agrees(Laplace, true);
+        agrees(ModifiedLaplace::new(1.5), true);
+        agrees(Stokes::default(), true);
+        agrees(Kelvin::new(1.0, 0.3), true);
+        agrees(Gaussian::new(0.35), true);
+        agrees(LaplaceDipole, true);
+        agrees(shadow_laplace(), true);
     }
 }

@@ -8,14 +8,15 @@
 //! tables at different scales). One kernel per branch of the level rule:
 //! Laplace and Stokes (degree −1, dyadic scales), `LaplaceDipole`
 //! (degree −2), a closure declaring the non-dyadic degree −1.5 (scales that
-//! are not powers of two), `ModifiedLaplace` (no degree: per-level tables),
-//! and Laplace once more under the dense M2L oracle. Serial and pool must
-//! both match, on the vector microkernels and on their scalar twins
-//! (`simd::set_force_scalar`) alike: one set of constants pins both.
+//! are not powers of two) and `ModifiedLaplace` (no degree: per-level
+//! tables). Serial and pool must both match, on the vector microkernels
+//! and on their scalar twins (`simd::set_force_scalar`) alike: one set of
+//! constants pins both.
 //!
-//! History of the pins. The `Laplace/Direct` row dates from the parent of
-//! PR 16 (per-level scaled operator clones → one table + a GEMM `alpha`)
-//! and did not move before PR 20. The five `*/Fft` rows were re-pinned
+//! History of the pins. Until PR 25 a sixth row, `Laplace/Direct`, pinned
+//! the dense M2L mode; PR 25 deleted the mode and the row, and the five
+//! rows kept their constants (and their `/Fft` labels) through it. The
+//! five `*/Fft` rows were re-pinned
 //! once, in PR 18, when the M2L transforms became the pruned real-input
 //! `RealFft3`: the Hadamard accumulation kept its contraction tree and
 //! V-list order (checked bitwise against `pointwise_mul_add` in
@@ -48,7 +49,7 @@
 //! | `LaplaceDipole/Fft` | 6.8e-18 | 9.4e-22 | 1.6e-8 |
 //! | `inv-r-1.5/Fft` | 1.5e-16 | 1.2e-18 | 1.5e-6 |
 //! | `ModifiedLaplace/Fft` | 1.9e-15 | 3.8e-18 | 3.9e-7 |
-//! | `Laplace/Direct` | 3.4e-15 | 3.8e-18 | 9.5e-7 |
+//! | `Laplace/Direct` (deleted in PR 25) | 3.4e-15 | 3.8e-18 | 9.5e-7 |
 //!
 //! (gradients as a fraction of the largest gradient; their own errors are
 //! 2.2e-11 – 9.1e-8). Every row moved by at least eight orders less than
@@ -59,18 +60,17 @@
 //! libm other than the one the constants were captured with, only those
 //! rows may differ.
 
-use kifmm::{CustomKernel, Fmm, Kernel, Laplace, M2lMode, ModifiedLaplace, OutputSpec, Stokes};
+use kifmm::{CustomKernel, Fmm, Kernel, Laplace, ModifiedLaplace, OutputSpec, Stokes};
 use kifmm_kernels::LaplaceDipole;
 
 /// `(row label, [eval POT, eval GRAD, eval_many(k = 3) POT, eval_many GRAD])`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, [u64; 4]); 6] = [
+const GOLDEN: [(&str, [u64; 4]); 5] = [
     ("Laplace/Fft", [0x839832d9c79c7771, 0x3dae3e24c0a750d6, 0x27f6633fe87feffb, 0xea4f46536186fbd7]),
     ("Stokes/Fft", [0x6f476b96ff079ade, 0x5d9e361065d807ed, 0xcb55cdacb83d19a5, 0x5151a489f4000799]),
     ("LaplaceDipole/Fft", [0x7e7d40653afbd338, 0xbb74105a58615fad, 0x2e419a77fcddcc63, 0x9759499ce1db6549]),
     ("inv-r-1.5/Fft", [0x7c81e787c1c9e5d2, 0x92ccbf6535d54d42, 0xcba81226c97fe5a7, 0xafd60f5a4b64befa]),
     ("ModifiedLaplace/Fft", [0x2676d0b174f6bfd2, 0x913d96828789e2f3, 0xe606b233fa9485f0, 0x60681687275fa120]),
-    ("Laplace/Direct", [0x87f6c2db45ff68dd, 0x93c83439df7517fc, 0x2edb8ea5c5c4d181, 0x235325cca3f06e6e]),
 ];
 
 const N: usize = 900;
@@ -95,8 +95,8 @@ fn hashes(reports: &[kifmm::EvalReport]) -> [u64; 2] {
     h
 }
 
-fn row<K: Kernel>(kernel: K, mode: M2lMode) -> (String, [u64; 4]) {
-    let label = format!("{}/{mode:?}", kernel.name());
+fn row<K: Kernel>(kernel: K) -> (String, [u64; 4]) {
+    let label = format!("{}/Fft", kernel.name());
     let pts = kifmm::geom::corner_clusters(N, 16);
     let dens: Vec<Vec<f64>> =
         (0..3).map(|q| kifmm::geom::random_densities(N, kernel.src_dim(), 40 + q)).collect();
@@ -105,7 +105,6 @@ fn row<K: Kernel>(kernel: K, mode: M2lMode) -> (String, [u64; 4]) {
         .points(&pts)
         .order(4)
         .max_pts_per_leaf(12)
-        .m2l(mode)
         .output(OutputSpec::PotentialAndGradient)
         .build();
     assert!(fmm.tree.depth() >= 4, "{label}: depth {} reads too few levels", fmm.tree.depth());
@@ -131,12 +130,11 @@ fn fmm_outputs_match_parent_commit_bits() {
     for scalar in [true, false] {
         kifmm::linalg::simd::set_force_scalar(scalar);
         let got = [
-            row(Laplace, M2lMode::Fft),
-            row(Stokes::new(0.7), M2lMode::Fft),
-            row(LaplaceDipole, M2lMode::Fft),
-            row(inv_r15.clone(), M2lMode::Fft),
-            row(ModifiedLaplace::new(1.3), M2lMode::Fft),
-            row(Laplace, M2lMode::Direct),
+            row(Laplace),
+            row(Stokes::new(0.7)),
+            row(LaplaceDipole),
+            row(inv_r15.clone()),
+            row(ModifiedLaplace::new(1.3)),
         ];
         if got.iter().zip(&GOLDEN).any(|(g, w)| g.0 != w.0 || g.1 != w.1) {
             for (label, h) in &got {

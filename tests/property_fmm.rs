@@ -3,7 +3,9 @@
 //! invariance, and tree/list invariants under random input.
 
 use kifmm::tree::{build_lists, Octree};
-use kifmm::{direct_eval, rel_l2_error, BuildError, Fmm, FmmOptions, Laplace, PlanCache};
+use kifmm::{
+    direct_eval, rel_l2_error, BuildError, BuildParallel, Fmm, FmmOptions, Laplace, PlanCache,
+};
 use kifmm_testkit::{check, prop_assert, prop_assert_eq, Gen};
 
 /// Random point clouds: uniform boxes and anisotropic slabs. Between 64
@@ -179,4 +181,24 @@ fn non_finite_points_are_a_typed_build_error() {
         }
     }
     assert_eq!((cache.len(), cache.misses(), cache.updates()), (1, 1, 0), "failures not cached");
+}
+
+/// A leaf capacity of 0 would reach the tree build's internal assert — on
+/// every rank of a distributed build; every fallible way into a plan
+/// refuses it with a typed error instead.
+#[test]
+fn zero_leaf_capacity_is_a_typed_build_error() {
+    let pts = kifmm::geom::uniform_cube(300, 31);
+    let opts = FmmOptions { max_pts_per_leaf: 0, ..Default::default() };
+    let expect = Err(BuildError::ZeroLeafCapacity);
+    let builder = || Fmm::builder(Laplace).points(&pts);
+    assert_eq!(builder().options(opts).try_build().map(|_| ()), expect);
+    assert_eq!(builder().max_pts_per_leaf(0).try_plan().map(|_| ()), expect);
+    assert_eq!(PlanCache::unbounded().get_or_plan(&Laplace, &pts, opts).map(|_| ()), expect);
+    let chunks = kifmm_testkit::split_points(&pts, 2);
+    let ranks = kifmm::mpi::run(2, |comm| {
+        let local = &chunks[comm.rank()];
+        Fmm::builder(Laplace).points(local).options(opts).try_build_parallel(comm).map(|_| ())
+    });
+    assert_eq!(ranks, vec![expect; 2]);
 }

@@ -53,12 +53,8 @@ fn parallel_eval_span_tree_is_deterministic_single_thread() {
     let runs: Vec<_> = (0..2)
         .map(|_| {
             let tracer = Tracer::enabled();
-            let fmm = Fmm::builder(Laplace)
-                .points(&pts)
-                .order(4)
-                .parallel(true)
-                .trace(tracer.clone())
-                .build();
+            let mut fmm = Fmm::builder(Laplace).points(&pts).order(4).trace(tracer.clone()).build();
+            fmm.set_parallel_eval(true);
             let report = fmm.eval(&dens);
             (span_keys(&tracer), tracer.counter_total(Counter::Flops), report.potentials)
         })
@@ -220,12 +216,9 @@ fn counters_agree_across_drivers() {
     let mut seen = Vec::new();
     for parallel in [false, true] {
         let tracer = Tracer::enabled();
-        let fmm = Fmm::builder(Laplace)
-            .points(&pts)
-            .options(opts)
-            .parallel(parallel)
-            .trace(tracer.clone())
-            .build();
+        let mut fmm =
+            Fmm::builder(Laplace).points(&pts).options(opts).trace(tracer.clone()).build();
+        fmm.set_parallel_eval(parallel);
         let flops = fmm.eval(&dens).stats.total_flops();
         seen.push(counters(&tracer, flops));
     }
