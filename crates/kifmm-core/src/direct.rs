@@ -4,6 +4,7 @@
 //! are embarrassingly parallel).
 
 use kifmm_kernels::{Kernel, Point3};
+use kifmm_runtime::{num_threads, par_each, zip_eq};
 
 /// `u_i = Σ_j G(x_i, x_j) φ_j` with the self term excluded, exactly.
 pub fn direct_eval<K: Kernel>(kernel: &K, points: &[Point3], densities: &[f64]) -> Vec<f64> {
@@ -59,12 +60,9 @@ fn direct_sum<K: Kernel>(
     let mut pots = vec![0.0; targets.len() * td];
     let mut grads = vec![0.0; if with_grad { targets.len() * td * 3 } else { 0 }];
     let mut gchunks = with_grad.then(|| grads.chunks_mut(CHUNK * td * 3));
-    let tasks: Vec<_> = targets
-        .chunks(CHUNK)
-        .zip(pots.chunks_mut(CHUNK * td))
-        .map(|(t, p)| (t, p, gchunks.as_mut().and_then(Iterator::next)))
-        .collect();
-    kifmm_runtime::par_for_each(tasks, |_, (t, p, g)| match g {
+    let tasks = zip_eq(targets.chunks(CHUNK), pots.chunks_mut(CHUNK * td))
+        .map(|(t, p)| (t, p, gchunks.as_mut().and_then(Iterator::next)));
+    par_each(num_threads(), tasks, || (), |(), _, (t, p, g)| match g {
         Some(g) => kernel.p2p_grad(t, sources, densities, p, g),
         None => kernel.p2p(t, sources, densities, p),
     });

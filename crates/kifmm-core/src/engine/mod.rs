@@ -46,7 +46,7 @@
 
 mod store;
 
-pub use store::{EngineWorkspace, ExpansionStore};
+pub use store::{EngineWorkspace, ExpansionStore, Scratch};
 
 use crate::m2l::{self, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
@@ -55,9 +55,7 @@ use crate::stats::{Meter, Phase};
 use crate::surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_linalg::{gemm_slices, Mat};
-use kifmm_runtime::{
-    par_chunks_mut_init_with, par_chunks_mut_with, par_for_each_with, Dispatch,
-};
+use kifmm_runtime::{par_each, Dispatch};
 use kifmm_tree::{InteractionLists, Octree, NO_NODE};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -325,7 +323,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             // shared by the whole batch.
             rows.clear();
             rows.resize(nb * csb, 0.0);
-            par_chunks_mut_with(threads, &mut rows, csb, |i, chk| {
+            par_each(threads, rows.chunks_mut(csb), || (), |(), i, chk| {
                 let ni = act[i];
                 let node = &self.tree.nodes[ni as usize];
                 if node.is_leaf() {
@@ -426,7 +424,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             gemm_slices(alpha, op.as_slice(), xin, 0.0, yout, m, k, ncols);
         } else {
             let rows_per = m.div_ceil(threads);
-            par_chunks_mut_with(threads, yout, rows_per * ncols, |blk, y| {
+            par_each(threads, yout.chunks_mut(rows_per * ncols), || (), |(), blk, y| {
                 let r0 = blk * rows_per;
                 let rows = y.len() / ncols;
                 gemm_slices(
@@ -515,13 +513,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let per_batch = boxes_per_tile(sw);
         for (b, batch) in needed.chunks(per_batch).enumerate() {
             tile.resize(batch.len() * sw * glen, 0.0);
-            par_chunks_mut_init_with(threads, tile, sw * glen, M2lScratch::default, |s, i, out| {
+            par_each(threads, tile.chunks_mut(sw * glen), M2lScratch::default, |s, i, out| {
                 let a = batch[i] as usize;
                 fft.transform_source(&up[a * esb..(a + 1) * esb], out, s);
             });
             let first = b * per_batch;
             let staged: &[f64] = tile;
-            par_chunks_mut_with(threads, spectra, needed.len() * sc, |c, table| {
+            par_each(threads, spectra.chunks_mut(needed.len() * sc), || (), |(), c, table| {
                 fft.pack_chunk(c, staged, &mut table[first * sc..(first + batch.len()) * sc]);
             });
         }
@@ -538,14 +536,14 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             }
             let vlists: &PairLists = vlists;
             tile.resize(run.len() * tw * glen, 0.0);
-            par_chunks_mut_with(threads, tile, run.len() * tc, |c, acc| {
+            par_each(threads, tile.chunks_mut(run.len() * tc), || (), |(), c, acc| {
                 let table = &spectra[c * needed.len() * sc..(c + 1) * needed.len() * sc];
                 fft.hadamard_chunk(level, c, vlists, nrhs, table, acc);
             });
             let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize + 1);
             let acc: &[f64] = tile;
             let check = &mut store.check[lo * csb..hi * csb];
-            par_chunks_mut_init_with(threads, check, csb, M2lScratch::default, |s, i, slot| {
+            par_each(threads, check.chunks_mut(csb), M2lScratch::default, |s, i, slot| {
                 if let Ok(j) = run.binary_search(&((lo + i) as u32)) {
                     fft.extract_check(level, acc, j, slot, s);
                 }
@@ -580,7 +578,8 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         for level in FIRST_FMM_LEVEL..=depth {
             let (ls, le) = self.level_range(level);
             let half = self.tree.domain.box_half(level);
-            par_chunks_mut_with(threads, &mut store.check[ls * csb..le * csb], csb, |i, slot| {
+            let slots = store.check[ls * csb..le * csb].chunks_mut(csb);
+            par_each(threads, slots, || (), |(), i, slot| {
                 let ni = ls + i;
                 if !mask[ni] || self.lists.x[ni].is_empty() {
                     return;
@@ -698,16 +697,11 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         }
         let pcarved = carve_leaf_slices(pots, td, targets.ranges);
         let mut gcarved = grads.map(|g| carve_leaf_slices(g, td * 3, targets.ranges).into_iter());
-        let items: Vec<_> = targets
-            .ranges
-            .iter()
-            .zip(pcarved)
-            .map(|(&(ni, s, e), outs)| {
-                (ni, &targets.points[s..e], outs, gcarved.as_mut().and_then(Iterator::next))
-            })
-            .collect();
+        let items = targets.ranges.iter().zip(pcarved).map(|(&(ni, s, e), outs)| {
+            (ni, &targets.points[s..e], outs, gcarved.as_mut().and_then(Iterator::next))
+        });
         let flops = AtomicU64::new(0);
-        par_for_each_with(self.dispatch.threads(), items, |_, (ni, trg, mut outs, mut gouts)| {
+        par_each(self.dispatch.threads(), items, || (), |(), _, (ni, trg, mut outs, mut gouts)| {
             flops.fetch_add(f(ni, trg, &mut outs, gouts.as_deref_mut()), Ordering::Relaxed);
         });
         flops.into_inner()

@@ -21,7 +21,9 @@ use crate::m2l::PairLists;
 
 /// Expansion state of one evaluation: upward equivalents, downward check
 /// potentials and downward equivalents, node-major (`block(ni)` = the
-/// `nrhs` rows of node `ni`).
+/// `nrhs` rows of node `ni`). The default is the empty store a pooled
+/// [`Scratch`] starts as, shaped on use by `PassEngine::prepare_store`.
+#[derive(Default)]
 pub struct ExpansionStore {
     es: usize,
     cs: usize,
@@ -109,6 +111,10 @@ impl ExpansionStore {
         &self.down[o..o + self.es]
     }
 }
+
+/// One evaluation's mutable state, pooled across evaluations by both
+/// drivers (`kifmm_runtime::Pool<Scratch>`).
+pub type Scratch = (ExpansionStore, EngineWorkspace);
 
 /// Reusable scratch for the batched passes. Every buffer is grown with
 /// `clear` + `resize`, so after the first evaluation at a given problem

@@ -145,11 +145,17 @@ impl OperatorTable {
     pub fn at(&self, level: u8) -> (&LevelOps, LevelScale) {
         self.try_at(level).unwrap_or_else(|| {
             panic!(
-                "no operators at level {level} (table covers {}..={})",
-                FIRST_FMM_LEVEL,
-                FIRST_FMM_LEVEL as usize + self.rule.levels.len() - 1
+                "no operators at level {level} (table covers {FIRST_FMM_LEVEL}..={})",
+                self.depth()
             )
         })
+    }
+
+    /// The deepest tree the table serves: its finest level, or
+    /// `FIRST_FMM_LEVEL − 1` when it has none (shallower trees read no
+    /// operators).
+    pub fn depth(&self) -> u8 {
+        FIRST_FMM_LEVEL + self.rule.levels.len() as u8 - 1
     }
 
     /// Bytes of matrix entries held.

@@ -9,8 +9,8 @@
 //! * a [`Plan`] is everything particle-geometry setup produces —
 //!   immutable, `Send + Sync`, shareable across any number of threads;
 //! * a [`Session`] is a cheap front end over an `Arc<Plan>` holding the
-//!   *mutable* per-evaluation state (pooled expansion stores and
-//!   workspaces, checked out lock-free from a [`Freelist`]) plus the
+//!   *mutable* per-evaluation state (expansion stores and workspaces
+//!   checked out of a [`Pool`], one per evaluation in flight) plus the
 //!   execution policy (tracer, serial/pool dispatch);
 //! * a [`PlanCache`] memoizes plans by
 //!   `(kernel id, order, output, leaf capacity, depth cap, geometry)`
@@ -18,7 +18,7 @@
 //!   against recurring geometries skips setup entirely on a warm hit.
 
 use crate::engine::{
-    ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine,
+    ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, Scratch,
 };
 use crate::evaluator::{EvalReport, FmmBuilder};
 use crate::fmm::FmmOptions;
@@ -26,7 +26,7 @@ use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
 use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
-use kifmm_runtime::{Dispatch, Freelist};
+use kifmm_runtime::{num_threads, par_each, par_map, zip_eq, Dispatch, Pool};
 use kifmm_tree::{
     build_lists, first_non_finite, update_octree, InteractionLists, Octree,
 };
@@ -199,11 +199,7 @@ pub fn geometry_hash(points: &[Point3]) -> u64 {
     if points.len() <= CHUNK {
         return digest(h, points);
     }
-    let chunks = points.len().div_ceil(CHUNK);
-    let partials = kifmm_runtime::par_map(chunks, |c| {
-        digest(OFFSET, &points[c * CHUNK..((c + 1) * CHUNK).min(points.len())])
-    });
-    for d in partials {
+    for d in par_map(points.chunks(CHUNK), |chunk| digest(OFFSET, chunk)) {
         h ^= d;
         h = h.wrapping_mul(PRIME);
     }
@@ -338,10 +334,10 @@ impl<K: Kernel> Plan<K> {
     ) -> Self {
         let mut sorted_points = vec![[0.0f64; 3]; points.len()];
         const CHUNK: usize = 1 << 16;
-        kifmm_runtime::par_chunks_mut(&mut sorted_points, CHUNK, |ci, chunk| {
-            let base = ci * CHUNK;
-            for (j, slot) in chunk.iter_mut().enumerate() {
-                *slot = points[tree.perm[base + j] as usize];
+        let chunks = zip_eq(sorted_points.chunks_mut(CHUNK), tree.perm.chunks(CHUNK));
+        par_each(num_threads(), chunks, || (), |(), _, (out, perm)| {
+            for (slot, &i) in out.iter_mut().zip(perm) {
+                *slot = points[i as usize];
             }
         });
         let active = ActiveSet::build(&tree, |_| true);
@@ -370,11 +366,11 @@ impl<K: Kernel> Plan<K> {
             self.opts.max_level,
         )?;
         let depth = upd.tree.depth();
-        if check_operator_coverage(&self.pre.ops, depth).is_err() {
-            return Err(UpdateError::StructureOutgrown {
-                depth,
-                covered: self.tree.depth(),
-            });
+        // The tables are the original build's, shared by every update: what
+        // they cover is their own depth, not this plan's tree's.
+        let covered = self.pre.ops.depth();
+        if depth > covered {
+            return Err(UpdateError::StructureOutgrown { depth, covered });
         }
         let tree = upd.tree;
         let lists = if upd.same_structure {
@@ -540,21 +536,19 @@ impl<K: Kernel> Plan<K> {
     }
 }
 
-/// Pooled per-evaluation state: one expansion store + workspace pair.
-type Scratch = (ExpansionStore, EngineWorkspace);
-
-/// Pool slots per session — concurrent evaluations beyond this many
-/// allocate (and drop) their own scratch rather than block.
+/// Idle scratch pairs a session keeps. An evaluation never waits for
+/// one: with none idle it makes its own, and a pair returned to a full
+/// pool is dropped.
 const POOL_SLOTS: usize = 16;
 
 /// A client handle over a shared [`Plan`]: holds the execution policy
-/// (tracer, serial/pool dispatch) and a lock-free [`Freelist`] of pooled
-/// scratch, so many threads can evaluate against one plan concurrently
-/// with no lock contention and no steady-state allocation beyond the
-/// output vectors. `Deref`s to its plan.
+/// (tracer, serial/pool dispatch) and a [`Pool`] of scratch, so many
+/// threads can evaluate against one plan concurrently with no
+/// steady-state allocation beyond the output vectors. `Deref`s to its
+/// plan.
 pub struct Session<K: Kernel> {
     plan: Arc<Plan<K>>,
-    pool: Freelist<Scratch>,
+    pool: Pool<Scratch>,
     trace: Tracer,
     dispatch: Dispatch,
 }
@@ -570,7 +564,7 @@ impl<K: Kernel> Session<K> {
     pub fn new(plan: Arc<Plan<K>>) -> Self {
         Session {
             plan,
-            pool: Freelist::new(POOL_SLOTS),
+            pool: Pool::new(POOL_SLOTS),
             trace: Tracer::disabled(),
             dispatch: Dispatch::Serial,
         }
@@ -608,18 +602,13 @@ impl<K: Kernel> Session<K> {
     }
 
     /// Run `f` on a scratch pair checked out of the pool (a fresh one when
-    /// more than [`POOL_SLOTS`] evaluations are in flight), returning the
-    /// pair afterwards.
+    /// none is idle), returning the pair afterwards. A pair whose
+    /// evaluation panics is dropped, never pooled.
     pub(crate) fn with_scratch<T>(
         &self,
         f: impl FnOnce(&mut ExpansionStore, &mut EngineWorkspace) -> T,
     ) -> T {
-        let mut scratch = self.pool.checkout().unwrap_or_else(|| {
-            Box::new((ExpansionStore::new(0, 1, 1), EngineWorkspace::default()))
-        });
-        let out = f(&mut scratch.0, &mut scratch.1);
-        self.pool.checkin(scratch);
-        out
+        self.pool.with(Scratch::default, |(store, ws)| f(store, ws))
     }
 
     /// Evaluate potentials for one density vector (original point order,
@@ -1045,6 +1034,35 @@ mod tests {
         }
     }
 
+    /// An update shares the original build's tables, so after an update
+    /// that made the tree shallower, a later outgrown update still reports
+    /// the tables' depth — not the depth of the tree it started from.
+    #[test]
+    fn structure_outgrown_reports_the_tables_depth_after_a_shallower_update() {
+        // Eight pinned corners fix the root cube for every cloud below.
+        let mut uniform = kifmm_geom::uniform_cube(600, 27);
+        for (c, p) in uniform.iter_mut().take(8).enumerate() {
+            *p = std::array::from_fn(|d| if c >> d & 1 == 0 { -1.0 } else { 1.0 });
+        }
+        let clustered = |factor: f64, end: usize| {
+            let mut pts = uniform.clone();
+            let ball = shrink_toward(&pts[8..end], [0.3, -0.2, 0.6], factor);
+            pts[8..end].copy_from_slice(&ball);
+            pts
+        };
+        let plan = Plan::try_new(Laplace, &clustered(0.01, 300), opts_small()).unwrap();
+        let d = plan.tree.depth();
+        let shallow = plan.update_points(&uniform).unwrap();
+        assert!(shallow.tree.depth() < d, "{} vs {d}", shallow.tree.depth());
+        match shallow.update_points(&clustered(1e-6, 600)) {
+            Err(UpdateError::StructureOutgrown { depth, covered }) => {
+                assert_eq!(covered, d, "the tables cover the original depth");
+                assert!(depth > d, "depth {depth} vs tables {d}");
+            }
+            other => panic!("expected StructureOutgrown, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn plan_cache_get_or_update_hits_updates_and_falls_back() {
         let pts = cloud(700, 25);
@@ -1127,7 +1145,7 @@ mod tests {
 
     #[test]
     fn one_session_used_from_many_threads() {
-        // The Freelist scratch pool makes &Session usable concurrently.
+        // The scratch pool makes &Session usable concurrently.
         let pts = cloud(400, 33);
         let session =
             Session::from_plan(Plan::try_new(Laplace, &pts, opts_small()).unwrap());
@@ -1413,6 +1431,34 @@ mod tests {
         let json = trace.chrome_trace_json();
         assert!(json.contains("plan_cache_hits"), "hit counter exported: {json}");
         assert!(json.contains("plan_cache_misses"), "miss counter exported");
+    }
+
+    /// An evaluation that panics with a scratch pair checked out (a
+    /// wrong-length second density) drops that pair: the session stays
+    /// usable and its next evaluations match a fresh session bit for bit.
+    #[test]
+    fn a_panicking_evaluation_leaves_the_scratch_pool_usable() {
+        let pts = cloud(500, 41);
+        let d = densities(500, 1, 4);
+        let plan = Arc::new(Plan::try_new(Laplace, &pts, opts_small()).unwrap());
+        for parallel in [false, true] {
+            let fresh = |parallel| {
+                let mut s = Session::new(plan.clone());
+                s.set_parallel_eval(parallel);
+                s
+            };
+            let expect = fresh(parallel).eval(&d).potentials;
+            let session = fresh(parallel);
+            session.eval(&d);
+            let short = &d[..499];
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.eval_many(&[&d, short])
+            }));
+            assert!(hit.is_err(), "a wrong-length density must panic");
+            for _ in 0..2 {
+                assert!(session.eval(&d).potentials == expect, "parallel = {parallel}");
+            }
+        }
     }
 
     #[test]

@@ -73,11 +73,11 @@ pub struct PhaseStats {
     pub seconds: [f64; Phase::COUNT],
     /// Exact counted floating-point operations per phase.
     pub flops: [u64; Phase::COUNT],
-    /// Messages sent while work was charged to each phase (zero in the
-    /// shared-memory evaluators; populated by the distributed driver).
-    pub comm_messages: [u64; Phase::COUNT],
-    /// Bytes sent while work was charged to each phase.
-    pub comm_bytes: [u64; Phase::COUNT],
+    /// Messages sent during the evaluation (zero in the shared-memory
+    /// evaluators; populated by the distributed driver).
+    pub comm_messages: u64,
+    /// Bytes sent during the evaluation.
+    pub comm_bytes: u64,
 }
 
 impl PhaseStats {
@@ -112,20 +112,14 @@ impl PhaseStats {
         for i in 0..PHASES.len() {
             self.seconds[i] += other.seconds[i];
             self.flops[i] += other.flops[i];
-            self.comm_messages[i] += other.comm_messages[i];
-            self.comm_bytes[i] += other.comm_bytes[i];
         }
+        self.add_comm(other.comm_messages, other.comm_bytes);
     }
 
-    /// Charge sent traffic to a phase (distributed driver only).
-    pub fn add_comm(&mut self, phase: Phase, messages: u64, bytes: u64) {
-        self.comm_messages[phase as usize] += messages;
-        self.comm_bytes[phase as usize] += bytes;
-    }
-
-    /// Total messages sent across phases.
-    pub fn total_messages(&self) -> u64 {
-        self.comm_messages.iter().sum()
+    /// Charge sent traffic (distributed driver only).
+    pub fn add_comm(&mut self, messages: u64, bytes: u64) {
+        self.comm_messages += messages;
+        self.comm_bytes += bytes;
     }
 
     /// Add flops to a phase ([`Meter`] is the only caller).
@@ -251,14 +245,13 @@ mod tests {
         let mut b = PhaseStats::new();
         b.add_flops(Phase::DownV, 5);
         b.add_seconds(Phase::Comm, 2.0);
-        b.add_comm(Phase::Comm, 3, 400);
-        a.add_comm(Phase::DownV, 1, 16);
+        b.add_comm(3, 400);
+        a.add_comm(1, 16);
         a.merge(&b);
         assert_eq!(a.flops[Phase::DownV as usize], 15);
         assert_eq!(a.seconds[Phase::Comm as usize], 2.0);
-        assert_eq!(a.comm_messages[Phase::Comm as usize], 3);
-        assert_eq!(a.total_messages(), 4);
-        assert_eq!(a.comm_bytes.iter().sum::<u64>(), 416);
+        assert_eq!(a.comm_messages, 4);
+        assert_eq!(a.comm_bytes, 416);
     }
 
     #[test]

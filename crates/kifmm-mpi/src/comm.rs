@@ -29,7 +29,7 @@
 
 use kifmm_trace::{Counter, RankTracer};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -62,10 +62,6 @@ impl Mailbox {
 pub(crate) struct Shared {
     pub(crate) size: usize,
     mailboxes: Vec<Mailbox>,
-    /// Total bytes pushed through p2p sends (collectives are built on p2p
-    /// and therefore included).
-    bytes_sent: AtomicU64,
-    messages_sent: AtomicU64,
     /// Raised when any rank panics, so peers blocked in `recv` abort
     /// instead of waiting forever.
     aborted: AtomicBool,
@@ -143,8 +139,6 @@ impl Comm {
             tr.add(Counter::BytesSent, len);
             tr.add(Counter::MessagesSent, 1);
         }
-        self.shared.bytes_sent.fetch_add(len, Ordering::Relaxed);
-        self.shared.messages_sent.fetch_add(1, Ordering::Relaxed);
         let mb = &self.shared.mailboxes[dest];
         let mut q = mb.lock();
         q.entry((self.rank, tag)).or_default().push_back(data);
@@ -263,8 +257,6 @@ pub fn run<R: Send>(size: usize, f: impl Fn(&Comm) -> R + Send + Sync) -> Vec<R>
     let shared = Arc::new(Shared {
         size,
         mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
-        bytes_sent: AtomicU64::new(0),
-        messages_sent: AtomicU64::new(0),
         aborted: AtomicBool::new(false),
     });
     // First panic payload across ranks (secondary "peer panicked" aborts

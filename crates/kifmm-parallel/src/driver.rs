@@ -50,16 +50,14 @@
 use crate::exchange::{Combine, ExchangeRoute, UserKind};
 use crate::global_tree::{build_distributed_tree_with, DistributedTree};
 use crate::ownership::Ownership;
-use kifmm_core::engine::{
-    ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, SourceProvider,
-};
+use kifmm_core::engine::{ActiveSet, LocalSources, PassEngine, Scratch, SourceProvider};
 use kifmm_core::{
     BuildError, EvalReport, FmmBuilder, FmmOptions, Meter, Phase, PrecomputeCache,
     Precomputed, FIRST_FMM_LEVEL,
 };
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_mpi::{allgatherv_u64, Comm};
-use kifmm_runtime::{Dispatch, Freelist};
+use kifmm_runtime::{Dispatch, Pool};
 use kifmm_trace::Tracer;
 use kifmm_tree::{build_lists, first_non_finite, InteractionLists};
 use std::collections::HashMap;
@@ -104,9 +102,8 @@ impl SourceProvider for GhostSources<'_> {
 /// One communication step of an evaluation: `step` runs under
 /// [`Meter::comm`] (wall seconds, optional `Comm` span), and everything
 /// this rank sent since the previous step — tracked in `sent` as
-/// `(messages, bytes)` of [`Comm::stats`] — is charged to [`Phase::Comm`],
-/// so the BENCH summary can report per-phase message counts and bytes (the
-/// comm-regression gate's input).
+/// `(messages, bytes)` of [`Comm::stats`] — is added to the report's
+/// traffic counters.
 fn comm_step<T>(
     meter: &mut Meter<'_>,
     comm: &Comm,
@@ -116,14 +113,14 @@ fn comm_step<T>(
 ) -> T {
     let out = meter.comm(name, step);
     let st = comm.stats();
-    meter.stats.add_comm(Phase::Comm, st.messages_sent - sent.0, st.bytes_sent - sent.1);
+    meter.stats.add_comm(st.messages_sent - sent.0, st.bytes_sent - sent.1);
     *sent = (st.messages_sent, st.bytes_sent);
     out
 }
 
-/// Pooled scratch pairs kept per [`ParallelFmm`]: a rank runs one
+/// Idle scratch pairs kept per [`ParallelFmm`]: a rank runs one
 /// evaluation at a time, so one pair serves the steady state; extra
-/// concurrent evaluations allocate and drop their own.
+/// concurrent evaluations make and drop their own.
 const POOL_SLOTS: usize = 2;
 
 /// A distributed FMM, built once per particle configuration and evaluated
@@ -151,7 +148,7 @@ pub struct ParallelFmm<K: Kernel> {
     /// M2L waits for the globally summed ghosts.
     boundary: ActiveSet,
     /// Pooled expansion storage + scratch, reused across evaluations.
-    scratch: Freelist<(ExpansionStore, EngineWorkspace)>,
+    scratch: Pool<Scratch>,
     /// Global source points of every leaf this rank uses (ghost geometry,
     /// exchanged once at construction).
     ghost_points: HashMap<u32, Vec<Point3>>,
@@ -272,7 +269,7 @@ impl<K: Kernel> ParallelFmm<K> {
             active,
             interior,
             boundary,
-            scratch: Freelist::new(POOL_SLOTS),
+            scratch: Pool::new(POOL_SLOTS),
             ghost_points,
             src_leaves,
             equiv_boxes,
@@ -374,120 +371,116 @@ impl<K: Kernel> ParallelFmm<K> {
             dens: &dens_refs,
             src_dim: sd,
         };
-        // A pair checked out by an evaluation that panics is simply dropped.
-        let mut scratch = self
-            .scratch
-            .checkout()
-            .unwrap_or_else(|| Box::new((engine.new_store_many(k), EngineWorkspace::default())));
-        let (store, ws) = &mut *scratch;
-        engine.prepare_store(store, k);
+        let (pots, grads) = self.scratch.with(Scratch::default, |(store, ws)| {
+            engine.prepare_store(store, k);
 
-        // 1. Ghost density gather packets (one packed send per owning
-        //    peer, all k RHS inside), overlapped with everything up to the
-        //    U/X passes.
-        let st = comm.stats();
-        let mut sent = (st.messages_sent, st.bytes_sent);
-        let dens_payload = |b: u32| -> Vec<f64> {
-            let nd = &tree.nodes[b as usize];
-            let (s, e) = (nd.pt_start as usize * sd, nd.pt_end as usize * sd);
-            let mut v = Vec::with_capacity((e - s) * k);
-            for dq in &dens_sorted {
-                v.extend_from_slice(&dq[s..e]);
-            }
-            v
-        };
-        rt.async_begin("dens-exchange", ASYNC_DENS);
-        let mut dens_plan = comm_step(&mut meter, comm, &mut sent, Some("dens-gather"), || {
-            self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), dens_payload)
-        });
-        let mut dens_done = false;
-
-        // 2. Upward pass on contributed boxes (partial equivalents).
-        meter.compute(Phase::Up, "Up", None, || engine.upward(&local_src, store, ws));
-        meter.touched(engine.active_cell_count());
-
-        // 3. Post the partial-equivalent gather packets. The plan copies
-        //    what it needs out of `store.up` here and holds no borrow of
-        //    the store, so M2L can run while it is in flight.
-        rt.async_begin("equiv-exchange", ASYNC_EQUIV);
-        let mut equiv_plan = comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
-            self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, |b| store.up(b).to_vec())
-        });
-        let mut equiv_done = false;
-
-        // 4a. M2L over the interior targets, under the equivalent
-        //    exchange; both plans are polled between levels.
-        let interior = self.engine().with_active(&self.interior);
-        for level in FIRST_FMM_LEVEL..=depth {
-            meter.compute(Phase::DownV, "m2l", Some(level), || interior.m2l_level(level, store, ws));
-            comm_step(&mut meter, comm, &mut sent, None, || {
-                equiv_done = equiv_done || equiv_plan.poll(comm);
-                dens_done = dens_done || dens_plan.poll(comm);
+            // 1. Ghost density gather packets (one packed send per owning
+            //    peer, all k RHS inside), overlapped with everything up to the
+            //    U/X passes.
+            let st = comm.stats();
+            let mut sent = (st.messages_sent, st.bytes_sent);
+            let dens_payload = |b: u32| -> Vec<f64> {
+                let nd = &tree.nodes[b as usize];
+                let (s, e) = (nd.pt_start as usize * sd, nd.pt_end as usize * sd);
+                let mut v = Vec::with_capacity((e - s) * k);
+                for dq in &dens_sorted {
+                    v.extend_from_slice(&dq[s..e]);
+                }
+                v
+            };
+            rt.async_begin("dens-exchange", ASYNC_DENS);
+            let mut dens_plan = comm_step(&mut meter, comm, &mut sent, Some("dens-gather"), || {
+                self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), dens_payload)
             });
-        }
+            let mut dens_done = false;
 
-        // 4b. Drive the equivalent exchange to completion — the held-back
-        //    boundary targets need the globally summed ghosts. The wait loop
-        //    parks on *both* exchanges' keys, so ghost-density packets
-        //    still drain opportunistically while this rank synchronizes.
-        let global_equiv = comm_step(&mut meter, comm, &mut sent, Some("equiv-drive"), || {
-            let mut keys = Vec::new();
-            loop {
-                equiv_done = equiv_done || equiv_plan.poll(comm);
-                dens_done = dens_done || dens_plan.poll(comm);
-                if equiv_done {
-                    break;
-                }
-                keys.clear();
-                equiv_plan.pending_keys(&mut keys);
-                if !dens_done {
-                    dens_plan.pending_keys(&mut keys);
-                }
-                comm.wait_any(&keys);
-            }
-            equiv_plan.finish()
-        });
-        rt.async_end("equiv-exchange", ASYNC_EQUIV);
-        // Install the global sums over this rank's partials (`store.up`
-        // was unchanged while the exchange ran).
-        for (b, v) in &global_equiv {
-            store.set_up(*b, v);
-        }
+            // 2. Upward pass on contributed boxes (partial equivalents).
+            meter.compute(Phase::Up, "Up", None, || engine.upward(&local_src, store, ws));
+            meter.touched(engine.active_cell_count());
 
-        // 4c. The held-back boundary targets, on the installed global
-        //    sums (each target runs in exactly one of the two sweeps).
-        let boundary = self.engine().with_active(&self.boundary);
-        for level in FIRST_FMM_LEVEL..=depth {
-            meter.compute(Phase::DownV, "m2l", Some(level), || boundary.m2l_level(level, store, ws));
-            if !dens_done {
+            // 3. Post the partial-equivalent gather packets. The plan copies
+            //    what it needs out of `store.up` here and holds no borrow of
+            //    the store, so M2L can run while it is in flight.
+            rt.async_begin("equiv-exchange", ASYNC_EQUIV);
+            let mut equiv_plan = comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
+                self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, |b| store.up(b).to_vec())
+            });
+            let mut equiv_done = false;
+
+            // 4a. M2L over the interior targets, under the equivalent
+            //    exchange; both plans are polled between levels.
+            let interior = self.engine().with_active(&self.interior);
+            for level in FIRST_FMM_LEVEL..=depth {
+                let m2l = || interior.m2l_level(level, store, ws);
+                meter.compute(Phase::DownV, "m2l", Some(level), m2l);
                 comm_step(&mut meter, comm, &mut sent, None, || {
-                    dens_done = dens_plan.poll(comm);
+                    equiv_done = equiv_done || equiv_plan.poll(comm);
+                    dens_done = dens_done || dens_plan.poll(comm);
                 });
             }
-        }
 
-        // 5. Complete the ghost-density exchange (usually already drained
-        //    by the polls above); X on the ghost sources, then L2L (check
-        //    potentials now hold both M2L and X contributions).
-        let ghost_dens = comm_step(&mut meter, comm, &mut sent, Some("dens-complete"), || {
-            if dens_done {
-                dens_plan.finish()
-            } else {
-                dens_plan.complete(comm)
+            // 4b. Drive the equivalent exchange to completion — the held-back
+            //    boundary targets need the globally summed ghosts. The wait loop
+            //    parks on *both* exchanges' keys, so ghost-density packets
+            //    still drain opportunistically while this rank synchronizes.
+            let global_equiv = comm_step(&mut meter, comm, &mut sent, Some("equiv-drive"), || {
+                let mut keys = Vec::new();
+                loop {
+                    equiv_done = equiv_done || equiv_plan.poll(comm);
+                    dens_done = dens_done || dens_plan.poll(comm);
+                    if equiv_done {
+                        break;
+                    }
+                    keys.clear();
+                    equiv_plan.pending_keys(&mut keys);
+                    if !dens_done {
+                        dens_plan.pending_keys(&mut keys);
+                    }
+                    comm.wait_any(&keys);
+                }
+                equiv_plan.finish()
+            });
+            rt.async_end("equiv-exchange", ASYNC_EQUIV);
+            // Install the global sums over this rank's partials (`store.up`
+            // was unchanged while the exchange ran).
+            for (b, v) in &global_equiv {
+                store.set_up(*b, v);
             }
-        });
-        rt.async_end("dens-exchange", ASYNC_DENS);
-        let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
-        meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
-        meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
 
-        // 6. The leaf phase. Gradients ride alongside the potentials; both
-        //    exchanges move densities/equivalents only, so the widened
-        //    `td·(1+3)` output needs no new communication.
-        let wants_grad = self.opts.output.wants_gradient();
-        let (pots, grads) =
-            engine.leaf_phase(&ghost_src, store, engine.own_targets(), wants_grad, &mut meter);
-        self.scratch.checkin(scratch);
+            // 4c. The held-back boundary targets, on the installed global
+            //    sums (each target runs in exactly one of the two sweeps).
+            let boundary = self.engine().with_active(&self.boundary);
+            for level in FIRST_FMM_LEVEL..=depth {
+                let m2l = || boundary.m2l_level(level, store, ws);
+                meter.compute(Phase::DownV, "m2l", Some(level), m2l);
+                if !dens_done {
+                    comm_step(&mut meter, comm, &mut sent, None, || {
+                        dens_done = dens_plan.poll(comm);
+                    });
+                }
+            }
+
+            // 5. Complete the ghost-density exchange (usually already drained
+            //    by the polls above); X on the ghost sources, then L2L (check
+            //    potentials now hold both M2L and X contributions).
+            let ghost_dens = comm_step(&mut meter, comm, &mut sent, Some("dens-complete"), || {
+                if dens_done {
+                    dens_plan.finish()
+                } else {
+                    dens_plan.complete(comm)
+                }
+            });
+            rt.async_end("dens-exchange", ASYNC_DENS);
+            let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
+            meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
+            meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
+
+            // 6. The leaf phase. Gradients ride alongside the potentials; both
+            //    exchanges move densities/equivalents only, so the widened
+            //    `td·(1+3)` output needs no new communication.
+            let wants_grad = self.opts.output.wants_gradient();
+            engine.leaf_phase(&ghost_src, store, engine.own_targets(), wants_grad, &mut meter)
+        });
 
         // "Scatter" the local outputs back to caller order.
         let _span = rt.span("Eval", "scatter");

@@ -378,17 +378,23 @@ impl ExchangePlan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_tree::build_distributed_tree;
+    use crate::global_tree::build_distributed_tree_with;
     use kifmm_geom::uniform_cube;
     use kifmm_mpi::run;
-    use kifmm_tree::{build_lists, partition_points, MAX_LEVEL};
+    use kifmm_tree::{build_lists, partition_points, TreeBuild, MAX_LEVEL};
 
     fn setup(
         comm: &Comm,
         chunks: &[Vec<[f64; 3]>],
         leaf: usize,
     ) -> (crate::global_tree::DistributedTree, Ownership) {
-        let dt = build_distributed_tree(comm, &chunks[comm.rank()], leaf, MAX_LEVEL);
+        let dt = build_distributed_tree_with(
+            comm,
+            &chunks[comm.rank()],
+            leaf,
+            MAX_LEVEL,
+            TreeBuild::default(),
+        );
         let lists = build_lists(&dt.tree);
         let nn = dt.tree.num_nodes();
         let own = Ownership::build(

@@ -49,26 +49,15 @@ pub struct DistributedTree {
     pub sorted_points: Vec<Point3>,
 }
 
-/// Build the distributed computation tree with the default algorithm
-/// ([`TreeBuild::SampleSort`]).
-///
-/// Collective: every rank must call with the same `s`/`max_level`. A rank
-/// may hold zero points only if some other rank holds at least one.
-pub fn build_distributed_tree(
-    comm: &Comm,
-    local_points: &[Point3],
-    max_pts_per_leaf: usize,
-    max_level: u8,
-) -> DistributedTree {
-    build_distributed_tree_with(comm, local_points, max_pts_per_leaf, max_level, TreeBuild::default())
-}
-
-/// Build the distributed computation tree with an explicit algorithm.
+/// Build the distributed computation tree with `algo`
+/// (`TreeBuild::default()` is [`TreeBuild::SampleSort`]).
 ///
 /// Both algorithms produce bitwise-identical structure (same node array,
 /// same levels, same global counts); they differ only in how the global
-/// per-box counts are obtained (see the module docs). Every rank must
-/// pass the same `algo`.
+/// per-box counts are obtained (see the module docs).
+///
+/// Collective: every rank must call with the same `s`/`max_level`/`algo`.
+/// A rank may hold zero points only if some other rank holds at least one.
 pub fn build_distributed_tree_with(
     comm: &Comm,
     local_points: &[Point3],

@@ -184,17 +184,18 @@ impl Ownership {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_tree::build_distributed_tree;
+    use crate::global_tree::build_distributed_tree_with;
     use kifmm_geom::uniform_cube;
     use kifmm_mpi::run;
-    use kifmm_tree::{build_lists, partition_points, MAX_LEVEL};
+    use kifmm_tree::{build_lists, partition_points, TreeBuild, MAX_LEVEL};
 
     #[test]
     fn owners_consistent_and_contributing() {
         let all = uniform_cube(2000, 3);
         let chunks = partition_points(&all, 4).gather(&all);
         let out = run(4, |comm| {
-            let dt = build_distributed_tree(comm, &chunks[comm.rank()], 30, MAX_LEVEL);
+            let local = &chunks[comm.rank()];
+            let dt = build_distributed_tree_with(comm, local, 30, MAX_LEVEL, TreeBuild::default());
             let lists = build_lists(&dt.tree);
             let nn = dt.tree.num_nodes();
             let own = Ownership::build(
@@ -230,7 +231,8 @@ mod tests {
         let all = uniform_cube(800, 9);
         let chunks = partition_points(&all, 2).gather(&all);
         run(2, |comm| {
-            let dt = build_distributed_tree(comm, &chunks[comm.rank()], 25, MAX_LEVEL);
+            let local = &chunks[comm.rank()];
+            let dt = build_distributed_tree_with(comm, local, 25, MAX_LEVEL, TreeBuild::default());
             let lists = build_lists(&dt.tree);
             let nn = dt.tree.num_nodes();
             let own = Ownership::build(

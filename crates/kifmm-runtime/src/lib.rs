@@ -1,43 +1,45 @@
 //! # kifmm-runtime — in-tree shared-memory parallel runtime
 //!
-//! A small spawn-join fork/join layer over [`std::thread::scope`] that
-//! replaces rayon for the two shapes of data parallelism the FMM needs:
+//! The smallest spawn-join layer over [`std::thread::scope`] that gives the
+//! FMM deterministic data parallelism without rayon: one work-claiming loop,
+//! [`par_each`], the three conveniences built on it ([`par_index`],
+//! [`par_map`], [`par_sort_unstable`]), and one scratch pool, [`Pool`].
 //!
-//! * **chunked writes** — a flat output array split into disjoint chunks,
-//!   each written by exactly one task ([`par_chunks_mut`],
-//!   [`par_chunks2_mut`]);
-//! * **indexed reads** — an ordered map over `0..n`
-//!   ([`par_map`], [`par_index`], [`par_for_each`]).
+//! A caller hands [`par_each`] the disjoint pieces it writes as an
+//! iterator: `data.chunks_mut(n)`, two chunkings in lockstep
+//! ([`zip_eq`]), or a `Vec` of `&mut` sub-slices. The borrow checker, not
+//! a raw pointer, proves the pieces disjoint, so the crate is safe code
+//! except for the clock syscall in `time.rs`.
 //!
 //! ## Determinism contract
 //!
-//! Every helper assigns output element `i` to exactly one task, and that
-//! task computes it with the same instruction sequence the serial loop
-//! would use. Worker threads race only over *which* index they claim next
-//! (an atomic counter), never over the contents of an element, so results
-//! are **bit-identical to the serial execution for any thread count** —
-//! the property the pool-dispatch evaluation documents and tests.
+//! Every item is handed, with its index, to exactly one task, and that
+//! task processes it with the same instruction sequence the serial loop
+//! would use. Workers race only over *which* item they claim next, never
+//! over an item's contents, so results are **bit-identical to the serial
+//! execution for any thread count**.
 //!
 //! ## Pool model
 //!
-//! There is no persistent pool: each parallel region spawns workers under
-//! `std::thread::scope` and joins them before returning. That keeps
-//! borrowed (non-`'static`) closures safe without unsafe lifetime erasure
-//! and makes a panicking task propagate out of the call like a serial
-//! panic would. Region granularity in the FMM is a whole level or phase,
-//! so spawn cost is amortized over milliseconds of work. Thread count
-//! comes from `KIFMM_NUM_THREADS` (if set) or the machine's available
+//! There is no persistent thread pool: each parallel region spawns workers
+//! under `std::thread::scope` and joins them before returning. That keeps
+//! borrowed (non-`'static`) closures safe without lifetime erasure and
+//! makes a panicking task propagate out of the call like a serial panic
+//! would. Region granularity in the FMM is a whole level or phase, so
+//! spawn cost is amortized over milliseconds of work. Thread count comes
+//! from `KIFMM_NUM_THREADS` (if set) or the machine's available
 //! parallelism.
+
+#![deny(unsafe_code)]
 
 mod time;
 
 pub use time::thread_cpu_time;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Worker count used by the `par_*` helpers: `KIFMM_NUM_THREADS` if set
-/// (minimum 1), else [`std::thread::available_parallelism`].
+/// Worker count used by the `par_*` conveniences: `KIFMM_NUM_THREADS` if
+/// set (minimum 1), else [`std::thread::available_parallelism`].
 pub fn num_threads() -> usize {
     if let Ok(v) = std::env::var("KIFMM_NUM_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -48,45 +50,9 @@ pub fn num_threads() -> usize {
     *DEFAULT.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Core fork/join loop: claim indices `0..n` off a shared counter with
-/// `threads` workers (the caller's thread is one of them), giving each
-/// worker one `init()` state for its lifetime.
-fn run_pool<S>(
-    threads: usize,
-    n: usize,
-    init: &(impl Fn() -> S + Sync),
-    f: &(impl Fn(&mut S, usize) + Sync),
-) {
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        let mut state = init();
-        for i in 0..n {
-            f(&mut state, i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let work = |next: &AtomicUsize| {
-        let mut state = init();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            f(&mut state, i);
-        }
-    };
-    std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| work(&next));
-        }
-        work(&next);
-    });
-}
-
 /// Thread-dispatch policy handed to compute engines (notably the FMM pass
 /// engine in `kifmm-core`): a caller-visible choice between running every
-/// loop inline on the calling thread and fanning out over the worker pool.
+/// loop inline on the calling thread and fanning out over the workers.
 ///
 /// Both policies produce bit-identical results (see the determinism
 /// contract above); the distributed driver uses [`Dispatch::Serial`] so
@@ -111,432 +77,290 @@ impl Dispatch {
     }
 }
 
-/// Run `f(i)` for every `i` in `0..n`, in parallel.
-pub fn par_index(n: usize, f: impl Fn(usize) + Sync) {
-    run_pool(num_threads(), n, &|| (), &|(), i| f(i));
-}
-
-/// Raw pointer that may cross thread boundaries. Safety rests on the
-/// index-claiming discipline of [`run_pool`]: each index is handed to
-/// exactly one task, and tasks only touch the disjoint region derived
-/// from their index.
-struct SyncPtr<T>(*mut T);
-// SAFETY: the one field is a raw pointer into a slice the spawning call
-// holds `&mut` for the whole pool run; threads sharing the wrapper only
-// derive pairwise disjoint sub-slices from it (one per claimed index), and
-// every user bounds `T: Send`, so each element is touched by one thread.
-unsafe impl<T> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper under edition-2021 disjoint capture, not the raw
-    /// pointer field.
-    fn get(&self) -> *mut T {
-        self.0
+/// The one parallel loop: run `f(state, index, item)` on every item of
+/// `items` with `threads` workers (the caller's thread is one of them, and
+/// there are never more workers than items). Each worker calls `init()`
+/// once for the `state` it reuses across its items — the rayon
+/// `for_each_init` pattern, used for per-worker FFT scratch. Workers claim
+/// `(index, item)` pairs off the shared iterator under a mutex, held only
+/// for the claim. With `threads ≤ 1` (or at most one item) the loop runs
+/// inline on the calling thread. A panicking task propagates to the
+/// caller once every worker has joined.
+pub fn par_each<I, S>(
+    threads: usize,
+    items: I,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, I::Item) + Sync,
+) where
+    I: ExactSizeIterator + Send,
+{
+    let threads = threads.min(items.len());
+    if threads <= 1 {
+        let mut state = init();
+        for (i, item) in items.enumerate() {
+            f(&mut state, i, item);
+        }
+        return;
     }
-}
-
-/// Split `data` into chunks of `size` (last one may be short) and run
-/// `f(chunk_index, chunk)` on each in parallel. Equivalent to rayon's
-/// `par_chunks_mut(size).enumerate().for_each(...)`.
-pub fn par_chunks_mut<T: Send>(data: &mut [T], size: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    par_chunks_mut_init(data, size, || (), |(), i, c| f(i, c));
-}
-
-/// [`par_chunks_mut`] with an explicit worker count (1 runs inline on the
-/// calling thread); used with [`Dispatch::threads`].
-pub fn par_chunks_mut_with<T: Send>(
-    threads: usize,
-    data: &mut [T],
-    size: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    par_chunks_mut_init_with(threads, data, size, || (), |(), i, c| f(i, c));
-}
-
-/// [`par_chunks_mut`] with a per-worker scratch state: `init()` runs once
-/// per worker thread, and `f` receives that worker's `&mut S` (the rayon
-/// `for_each_init` pattern, used for reusable FFT accumulators).
-pub fn par_chunks_mut_init<T: Send, S>(
-    data: &mut [T],
-    size: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &mut [T]) + Sync,
-) {
-    par_chunks_mut_init_with(num_threads(), data, size, init, f);
-}
-
-/// [`par_chunks_mut_init`] with an explicit worker count (1 runs inline on
-/// the calling thread); used with [`Dispatch::threads`].
-pub fn par_chunks_mut_init_with<T: Send, S>(
-    threads: usize,
-    data: &mut [T],
-    size: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &mut [T]) + Sync,
-) {
-    assert!(size > 0, "chunk size must be positive");
-    let len = data.len();
-    let base = SyncPtr(data.as_mut_ptr());
-    run_pool(threads, len.div_ceil(size), &init, &|state, i| {
-        let start = i * size;
-        let end = (start + size).min(len);
-        // SAFETY: chunk i covers [i*size, min((i+1)*size, len)) of the
-        // exclusively borrowed `data`, so it is in bounds; chunks are
-        // pairwise disjoint and `run_pool` hands each index to exactly one
-        // task, so no two `&mut` chunks alias.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-        f(state, i, chunk);
+    let items = Mutex::new(items.enumerate());
+    let work = || {
+        let mut state = init();
+        loop {
+            // A `let` statement: the guard drops before the task runs. Only
+            // a panic inside `next` poisons the lock, and a half-advanced
+            // iterator could pair an item with the wrong index.
+            let claimed = items.lock().expect("an item claim panicked").next();
+            let Some((i, item)) = claimed else { break };
+            f(&mut state, i, item);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 
-/// Chunk two mutable slices in lockstep and run `f(i, a_chunk, b_chunk)`
-/// on each pair in parallel (rayon's zipped `par_chunks_mut`). Both
-/// slices must split into the same number of chunks.
-pub fn par_chunks2_mut<A: Send, B: Send>(
-    a: &mut [A],
-    size_a: usize,
-    b: &mut [B],
-    size_b: usize,
-    f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
-) {
-    assert!(size_a > 0 && size_b > 0, "chunk sizes must be positive");
-    let (la, lb) = (a.len(), b.len());
-    let n = la.div_ceil(size_a);
-    assert_eq!(n, lb.div_ceil(size_b), "slices must chunk into the same task count");
-    let pa = SyncPtr(a.as_mut_ptr());
-    let pb = SyncPtr(b.as_mut_ptr());
-    run_pool(num_threads(), n, &|| (), &|(), i| {
-        let (sa, sb) = (i * size_a, i * size_b);
-        let (ea, eb) = ((sa + size_a).min(la), (sb + size_b).min(lb));
-        // SAFETY: as in `par_chunks_mut_init_with` — [sa, ea) ⊆ [0, la) and
-        // [sb, eb) ⊆ [0, lb) are in bounds of the exclusively borrowed `a`
-        // and `b`, chunks of one slice are pairwise disjoint, and each
-        // index is claimed by exactly one task.
-        let ca = unsafe { std::slice::from_raw_parts_mut(pa.get().add(sa), ea - sa) };
-        // SAFETY: see `ca`.
-        let cb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(sb), eb - sb) };
-        f(i, ca, cb);
-    });
+/// `a.zip(b)` for two iterators that must have the same length — two
+/// outputs cut at the same item boundaries for one [`par_each`]. Panics
+/// when the lengths differ, where a plain `zip` would silently drop the
+/// longer side's tail.
+pub fn zip_eq<A, B>(a: A, b: B) -> std::iter::Zip<A, B>
+where
+    A: ExactSizeIterator,
+    B: ExactSizeIterator,
+{
+    assert_eq!(a.len(), b.len(), "zipped iterators must have the same length");
+    a.zip(b)
 }
 
-/// Compute `f(i)` for `0..n` in parallel and return the results in index
-/// order (rayon's indexed `par_iter().map().collect()`).
-pub fn par_map<O: Send>(n: usize, f: impl Fn(usize) -> O + Sync) -> Vec<O> {
-    let mut out: Vec<Option<O>> = std::iter::repeat_with(|| None).take(n).collect();
-    par_chunks_mut(&mut out, 1, |i, slot| slot[0] = Some(f(i)));
+/// Run `f(i)` for every `i` in `0..n` on [`num_threads`] workers.
+pub fn par_index(n: usize, f: impl Fn(usize) + Sync) {
+    par_each(num_threads(), 0..n, || (), |(), i, _| f(i));
+}
+
+/// `f(item)` for every item of `items` on [`num_threads`] workers, the
+/// results in item order (rayon's indexed `par_iter().map().collect()`).
+pub fn par_map<I, O>(items: I, f: impl Fn(I::Item) -> O + Sync) -> Vec<O>
+where
+    I: ExactSizeIterator + Send,
+    O: Send,
+{
+    let mut out: Vec<Option<O>> = (0..items.len()).map(|_| None).collect();
+    par_each(num_threads(), zip_eq(items, out.iter_mut()), || (), |(), _, (item, slot)| {
+        *slot = Some(f(item));
+    });
     out.into_iter().map(|o| o.expect("every slot filled")).collect()
-}
-
-/// Consume `items`, running `f(i, item)` on each in parallel (rayon's
-/// `into_par_iter().for_each`, for items that are not `Clone` — e.g.
-/// disjoint `&mut` sub-slices).
-pub fn par_for_each<I: Send>(items: Vec<I>, f: impl Fn(usize, I) + Sync) {
-    par_for_each_with(num_threads(), items, f)
-}
-
-/// [`par_for_each`] with an explicit worker count (1 runs inline on the
-/// calling thread); used with [`Dispatch::threads`].
-pub fn par_for_each_with<I: Send>(threads: usize, items: Vec<I>, f: impl Fn(usize, I) + Sync) {
-    let mut items: Vec<Option<I>> = items.into_iter().map(Some).collect();
-    par_chunks_mut_init_with(threads, &mut items, 1, || (), |(), i, slot| {
-        f(i, slot[0].take().expect("item taken once"))
-    });
 }
 
 /// Below this length the parallel sort runs `sort_unstable` inline:
 /// spawn-join overhead dominates any split win on small arrays.
 const PAR_SORT_CUTOFF: usize = 1 << 13;
 
-/// Parallel unstable sort: split into one run per worker, `sort_unstable`
-/// each run in parallel, then merge runs pairwise. Like `sort_unstable`,
-/// the relative order of elements that compare equal is unspecified; the
-/// element *multiset* is exactly preserved for any thread count. Built for
-/// the Morton-code sorts of the tree layer, where keys are `(code, index)`
-/// pairs with a unique total order — there the output is the one sorted
-/// sequence regardless of thread count.
-pub fn par_sort_unstable<T: Ord + Copy + Send>(data: &mut [T]) {
+/// Parallel unstable sort: `sort_unstable` one run per worker in parallel,
+/// then let the standard stable sort — which detects sorted runs — merge
+/// them in `O(n log runs)`. Like `sort_unstable`, the relative order of
+/// elements that compare equal is unspecified; the element *multiset* is
+/// exactly preserved for any thread count. Built for the Morton-code sorts
+/// of the tree layer, where keys are `(code, index)` pairs with a unique
+/// total order — there the output is the one sorted sequence regardless
+/// of thread count.
+pub fn par_sort_unstable<T: Ord + Send>(data: &mut [T]) {
     let threads = num_threads();
     if threads <= 1 || data.len() < PAR_SORT_CUTOFF {
         data.sort_unstable();
         return;
     }
-    let n = data.len();
-    let runs = threads.min(n);
-    let size = n.div_ceil(runs);
-    par_chunks_mut(data, size, |_, chunk| chunk.sort_unstable());
-    // Merge passes: runs are [i*size, min((i+1)*size, n)); merge adjacent
-    // pairs until one run remains. The merges are memory-bound single
-    // passes, so they stay serial — the O(n log n) work above is what
-    // parallelizes.
-    let mut bounds: Vec<usize> = (0..runs).map(|i| i * size).collect();
-    bounds.push(n);
-    let mut scratch: Vec<T> = Vec::with_capacity(n);
-    while bounds.len() > 2 {
-        let mut next = Vec::with_capacity(bounds.len() / 2 + 1);
-        let mut k = 0;
-        while k + 2 < bounds.len() {
-            merge_sorted(&data[bounds[k]..bounds[k + 1]], &data[bounds[k + 1]..bounds[k + 2]], &mut scratch);
-            data[bounds[k]..bounds[k + 2]].copy_from_slice(&scratch);
-            next.push(bounds[k]);
-            k += 2;
-        }
-        // An unpaired trailing run carries over to the next pass.
-        while k < bounds.len() - 1 {
-            next.push(bounds[k]);
-            k += 1;
-        }
-        next.push(n);
-        bounds = next;
-    }
+    let run = data.len().div_ceil(threads);
+    par_each(threads, data.chunks_mut(run), || (), |(), _, r| r.sort_unstable());
+    data.sort();
 }
 
-/// Merge two sorted slices into `out` (cleared first), taking from `a` on
-/// ties.
-pub fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+/// A bounded pool of reusable objects — the drivers' per-evaluation
+/// scratch. [`Pool::with`] checks an object out (or makes a fresh one when
+/// the pool is empty), runs the caller on it, and checks it back in,
+/// dropping it instead when `capacity` objects are already pooled. The
+/// lock is held for the pop and the push only, never while the caller
+/// runs: concurrent users each get their own object, and a caller that
+/// panics neither poisons the pool nor returns a half-written object to
+/// it (the object unwinds with the caller's stack).
+pub struct Pool<T> {
+    slots: Mutex<Vec<T>>,
+    capacity: usize,
 }
 
-/// A lock-free fixed-capacity object pool.
-///
-/// `checkout()` pops any pooled object (or `None` when the pool is
-/// drained — the caller then constructs a fresh one); `checkin(obj)`
-/// returns an object to the pool, dropping it when every slot is
-/// occupied. Both operations are wait-free scans over an array of
-/// `AtomicPtr` slots: a checkout `swap`s a slot to null, a checkin
-/// `compare_exchange`s a null slot to the object, so no slot can hand
-/// the same object to two callers and there is no ABA hazard (a slot
-/// holds either null or a uniquely-owned pointer).
-///
-/// Built for sharing `EngineWorkspace`-style scratch between session
-/// threads: many concurrent evaluations check scratch out, run, and
-/// check it back in without serializing on a mutex.
-pub struct Freelist<T> {
-    slots: Box<[std::sync::atomic::AtomicPtr<T>]>,
-}
-
-impl<T> Freelist<T> {
-    /// An empty pool retaining at most `capacity` objects (minimum 1).
+impl<T> Pool<T> {
+    /// An empty pool retaining at most `capacity` idle objects.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Freelist {
-            slots: (0..capacity)
-                .map(|_| std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+        Pool { slots: Mutex::new(Vec::new()), capacity }
+    }
+
+    /// Run `f` on a pooled object, or on `make()` when none is idle, and
+    /// pool the object afterwards.
+    pub fn with<R>(&self, make: impl FnOnce() -> T, f: impl FnOnce(&mut T) -> R) -> R {
+        let idle = self.slots().pop();
+        let mut obj = idle.unwrap_or_else(make);
+        let out = f(&mut obj);
+        let mut slots = self.slots();
+        if slots.len() < self.capacity {
+            slots.push(obj);
         }
+        out
     }
 
-    /// Pop any pooled object; `None` when the pool is empty.
-    pub fn checkout(&self) -> Option<Box<T>> {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), atomic::Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: every non-null slot value came from
-                // `Box::into_raw` in `checkin`; the swap made the slot
-                // null, so no other checkout can observe `p` and this
-                // thread is its only owner.
-                return Some(unsafe { Box::from_raw(p) });
-            }
-        }
-        None
-    }
-
-    /// Return an object to the pool; drops it if every slot is full.
-    pub fn checkin(&self, obj: Box<T>) {
-        let p = Box::into_raw(obj);
-        for slot in self.slots.iter() {
-            if slot
-                .compare_exchange(
-                    std::ptr::null_mut(),
-                    p,
-                    atomic::Ordering::AcqRel,
-                    atomic::Ordering::Relaxed,
-                )
-                .is_ok()
-            {
-                return;
-            }
-        }
-        // Pool full: reclaim and drop.
-        // SAFETY: `p` came from `Box::into_raw` above and no slot accepted
-        // it, so it was never published to another thread.
-        drop(unsafe { Box::from_raw(p) });
-    }
-
-    /// Number of objects currently pooled (racy snapshot, for tests).
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| !s.load(atomic::Ordering::Acquire).is_null()).count()
-    }
-
-    /// True when no object is pooled (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The idle objects. The lock guards only a push or a pop, which
+    /// cannot leave the vector half-updated, so a poisoned lock is
+    /// recovered.
+    fn slots(&self) -> MutexGuard<'_, Vec<T>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
-
-impl<T> Drop for Freelist<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.swap(std::ptr::null_mut(), atomic::Ordering::AcqRel);
-            if !p.is_null() {
-                // SAFETY: non-null slot values come from `Box::into_raw`
-                // in `checkin`; `&mut self` plus the swap-to-null make
-                // this the only owner.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
-// SAFETY: the one field is a boxed slice of `AtomicPtr<T>`, each null or
-// the unique owner of a `Box<T>`. Moving the pool moves those boxes to
-// another thread, which `T: Send` permits.
-unsafe impl<T: Send> Send for Freelist<T> {}
-// SAFETY: through `&Freelist` a thread can only move a whole `Box<T>` in
-// or out (atomic swap / compare-exchange, AcqRel, so the box's contents are
-// published with the pointer); no `&T` is ever shared, so `T: Send`
-// suffices.
-unsafe impl<T: Send> Sync for Freelist<T> {}
-
-use std::sync::atomic;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-    /// Serial reference for the chunked-sum workload used below.
-    fn serial_fill(n: usize) -> Vec<f64> {
-        (0..n).map(|i| (i as f64 * 0.1).sin() + (i as f64).sqrt()).collect()
+    /// The value the chunked-fill tests below write at index `i`.
+    fn value(i: usize) -> f64 {
+        (i as f64 * 0.1).sin() + (i as f64).sqrt()
+    }
+
+    /// Fill `n` values through `par_each` over chunks of `size` with
+    /// `threads` workers.
+    fn chunked_fill(threads: usize, n: usize, size: usize) -> Vec<f64> {
+        let mut out = vec![0.0f64; n];
+        par_each(threads, out.chunks_mut(size), || (), |(), c, chunk| {
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = value(c * size + j);
+            }
+        });
+        out
     }
 
     #[test]
     fn chunks_bit_identical_to_serial_any_thread_count() {
         let n = 1037;
-        let expect = serial_fill(n);
+        let expect: Vec<f64> = (0..n).map(value).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let mut out = vec![0.0f64; n];
-            let len = out.len();
-            // Exercise the explicit-thread path through run_pool.
-            let base = SyncPtr(out.as_mut_ptr());
-            run_pool(threads, len.div_ceil(16), &|| (), &|(), c| {
-                let start = c * 16;
-                let end = (start + 16).min(len);
-                // SAFETY: [start, end) ⊆ [0, len) of `out`, disjoint per
-                // chunk index, and `run_pool` claims each index once.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    let i = start + j;
-                    *v = (i as f64 * 0.1).sin() + (i as f64).sqrt();
-                }
-            });
-            assert_eq!(out, expect, "threads = {threads}");
+            assert_eq!(chunked_fill(threads, n, 16), expect, "threads = {threads}");
         }
     }
 
     #[test]
+    fn explicit_thread_variants_match_serial() {
+        let serial = chunked_fill(1, 533, 13);
+        for threads in [2, 3, 5, 16] {
+            let got = chunked_fill(threads, 533, 13);
+            let same = got.iter().zip(&serial).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "threads = {threads} differs bitwise from serial");
+        }
+    }
+
+    /// `par_each` over `chunks_mut`: every element written exactly once.
+    #[test]
     fn par_chunks_mut_covers_everything_once() {
-        let mut data = vec![0u32; 503];
-        par_chunks_mut(&mut data, 7, |_, c| {
-            for v in c {
-                *v += 1;
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
+        for threads in [1, 4] {
+            let mut data = vec![0u32; 503];
+            par_each(threads, data.chunks_mut(7), || (), |(), _, c| {
+                for v in c {
+                    *v += 1;
+                }
+            });
+            assert!(data.iter().all(|&v| v == 1), "threads = {threads}");
+        }
     }
 
     #[test]
     fn par_chunks_mut_ragged_tail_and_empty() {
-        let mut data = vec![0usize; 10];
-        let mut sizes = Vec::new();
-        let sizes_ref = std::sync::Mutex::new(&mut sizes);
-        par_chunks_mut(&mut data, 4, |i, c| sizes_ref.lock().unwrap().push((i, c.len())));
+        let mut data = [0usize; 10];
+        let sizes = Mutex::new(Vec::new());
+        par_each(3, data.chunks_mut(4), || (), |(), i, c| sizes.lock().unwrap().push((i, c.len())));
+        let mut sizes = sizes.into_inner().unwrap();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![(0, 4), (1, 4), (2, 2)]);
         let mut empty: Vec<f64> = Vec::new();
-        par_chunks_mut(&mut empty, 4, |_, _| panic!("no chunks on empty input"));
+        par_each(4, empty.chunks_mut(4), || (), |(), _, _| panic!("no chunks on empty input"));
     }
 
+    /// `par_each` over two chunkings zipped in lockstep.
     #[test]
     fn par_chunks2_mut_pairs_line_up() {
         let mut a = vec![0usize; 12];
         let mut b = vec![0usize; 6];
-        par_chunks2_mut(&mut a, 4, &mut b, 2, |i, ca, cb| {
-            for v in ca.iter_mut() {
-                *v = i + 1;
-            }
-            for v in cb.iter_mut() {
-                *v = 10 * (i + 1);
-            }
+        par_each(3, zip_eq(a.chunks_mut(4), b.chunks_mut(2)), || (), |(), i, (ca, cb)| {
+            ca.fill(i + 1);
+            cb.fill(10 * (i + 1));
         });
         assert_eq!(a, vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
         assert_eq!(b, vec![10, 10, 20, 20, 30, 30]);
     }
 
+    /// Two chunkings of different counts are refused, not truncated.
     #[test]
-    #[should_panic(expected = "same task count")]
+    #[should_panic(expected = "same length")]
     fn par_chunks2_mut_rejects_mismatch() {
         let (mut a, mut b) = (vec![0; 8], vec![0; 8]);
-        par_chunks2_mut(&mut a, 4, &mut b, 3, |_, _: &mut [i32], _: &mut [i32]| {});
+        par_each(2, zip_eq(a.chunks_mut(4), b.chunks_mut(3)), || (), |(), _, _| {});
     }
 
     #[test]
     fn par_map_preserves_order() {
-        let out = par_map(1000, |i| i * i);
+        let out = par_map(0..1000, |i| i * i);
         assert_eq!(out, (0..1000).map(|i| i * i).collect::<Vec<_>>());
-        assert!(par_map(0, |i| i).is_empty());
+        assert!(par_map(0..0, |i| i).is_empty());
+        let words = ["a", "bb", "ccc"];
+        assert_eq!(par_map(words.iter(), |w| w.len()), vec![1, 2, 3]);
     }
 
+    /// `par_each` over a `Vec` of disjoint `&mut` sub-slices.
     #[test]
     fn par_for_each_consumes_disjoint_mut_slices() {
-        let mut data = vec![0u8; 9];
-        let mut parts: Vec<&mut [u8]> = Vec::new();
-        let mut rest: &mut [u8] = &mut data;
-        for _ in 0..3 {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(3);
-            parts.push(head);
-            rest = tail;
+        for threads in [1, 2, 3] {
+            let mut data = vec![0u8; 9];
+            let parts: Vec<&mut [u8]> = data.chunks_mut(3).collect();
+            par_each(threads, parts.into_iter(), || (), |(), i, part| part.fill(i as u8 + 1));
+            assert_eq!(data, vec![1, 1, 1, 2, 2, 2, 3, 3, 3], "threads = {threads}");
         }
-        par_for_each(parts, |i, part| part.fill(i as u8 + 1));
-        assert_eq!(data, vec![1, 1, 1, 2, 2, 2, 3, 3, 3]);
     }
 
     #[test]
     fn init_state_is_per_worker_and_reused() {
-        // Each worker's state counts its own tasks; the total must be n.
-        let total = AtomicU64::new(0);
+        // Each worker's state counts its own tasks and reports on drop:
+        // one `init` per worker, and the tallies cover every item once.
         struct Tally<'a>(u64, &'a AtomicU64);
         impl Drop for Tally<'_> {
             fn drop(&mut self) {
                 self.1.fetch_add(self.0, Ordering::Relaxed);
             }
         }
-        par_chunks_mut_init(&mut [0u8; 257], 1, || Tally(0, &total), |t, _, _| t.0 += 1);
-        assert_eq!(total.load(Ordering::Relaxed), 257);
+        for (threads, n) in [(1, 257), (3, 257), (8, 257), (8, 5)] {
+            let (total, inits) = (AtomicU64::new(0), AtomicUsize::new(0));
+            let init = || {
+                inits.fetch_add(1, Ordering::Relaxed);
+                Tally(0, &total)
+            };
+            par_each(threads, 0..n, init, |t, _, _| t.0 += 1);
+            assert_eq!(total.into_inner(), n as u64, "threads = {threads}");
+            assert_eq!(inits.into_inner(), threads.min(n), "one init per worker");
+        }
     }
 
     #[test]
     fn task_panic_propagates() {
-        let hit = std::panic::catch_unwind(|| {
-            par_index(100, |i| {
-                if i == 37 {
-                    panic!("task 37 failed");
-                }
+        let fail_at_37 = |i: usize| {
+            if i == 37 {
+                panic!("task 37 failed");
+            }
+        };
+        assert!(std::panic::catch_unwind(|| par_index(100, fail_at_37)).is_err());
+        for threads in [1, 4] {
+            let hit = std::panic::catch_unwind(|| {
+                par_each(threads, 0..100, || (), |(), i, _| fail_at_37(i));
             });
-        });
-        assert!(hit.is_err(), "panic in a task must propagate to the caller");
+            assert!(hit.is_err(), "threads = {threads}: the panic must reach the caller");
+        }
     }
 
     #[test]
@@ -552,48 +376,28 @@ mod tests {
     }
 
     #[test]
-    fn explicit_thread_variants_match_serial() {
-        let n = 533;
-        let expect = serial_fill(n);
-        for threads in [1, 2, 5, 16] {
-            let mut out = vec![0.0f64; n];
-            par_chunks_mut_with(threads, &mut out, 13, |c, chunk| {
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    let i = c * 13 + j;
-                    *v = (i as f64 * 0.1).sin() + (i as f64).sqrt();
-                }
-            });
-            assert_eq!(out, expect, "threads = {threads}");
-        }
-        let mut data = vec![0u8; 9];
-        let mut parts: Vec<&mut [u8]> = Vec::new();
-        let mut rest: &mut [u8] = &mut data;
-        for _ in 0..3 {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(3);
-            parts.push(head);
-            rest = tail;
-        }
-        par_for_each_with(2, parts, |i, part| part.fill(i as u8 + 1));
-        assert_eq!(data, vec![1, 1, 1, 2, 2, 2, 3, 3, 3]);
+    fn pool_checkout_checkin_roundtrip() {
+        let pool: Pool<Vec<u64>> = Pool::new(4);
+        let made = AtomicUsize::new(0);
+        let make = || {
+            made.fetch_add(1, Ordering::Relaxed);
+            Vec::new()
+        };
+        pool.with(make, |v| v.push(1));
+        // Checked back in: the next user gets the same object, not a new one.
+        assert_eq!(pool.with(make, |v| v.clone()), vec![1]);
+        assert_eq!(made.load(Ordering::Relaxed), 1);
+        // A nested user while the object is out gets a fresh one.
+        let inner = pool.with(make, |outer| {
+            outer.push(2);
+            pool.with(make, |inner| inner.len())
+        });
+        assert_eq!((inner, made.load(Ordering::Relaxed)), (0, 2));
+        assert_eq!(pool.slots().len(), 2);
     }
 
     #[test]
-    fn freelist_checkout_checkin_roundtrip() {
-        let pool: Freelist<Vec<u64>> = Freelist::new(4);
-        assert!(pool.checkout().is_none(), "fresh pool is empty");
-        pool.checkin(Box::new(vec![1, 2, 3]));
-        pool.checkin(Box::new(vec![4]));
-        assert_eq!(pool.len(), 2);
-        let a = pool.checkout().expect("pooled object");
-        let b = pool.checkout().expect("pooled object");
-        assert!(pool.checkout().is_none());
-        let mut got = vec![a.len(), b.len()];
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 3]);
-    }
-
-    #[test]
-    fn freelist_drops_overflow_and_remaining() {
+    fn pool_drops_overflow_and_remaining() {
         struct Count<'a>(&'a AtomicU64);
         impl Drop for Count<'_> {
             fn drop(&mut self) {
@@ -602,38 +406,55 @@ mod tests {
         }
         let drops = AtomicU64::new(0);
         {
-            let pool: Freelist<Count> = Freelist::new(2);
-            pool.checkin(Box::new(Count(&drops)));
-            pool.checkin(Box::new(Count(&drops)));
-            pool.checkin(Box::new(Count(&drops))); // overflow: dropped now
+            let pool: Pool<Count> = Pool::new(2);
+            let make = || Count(&drops);
+            // Three objects out at once; only two fit back in.
+            pool.with(make, |_| pool.with(make, |_| pool.with(make, |_| {})));
             assert_eq!(drops.load(Ordering::Relaxed), 1);
+            assert_eq!(pool.slots().len(), 2);
         } // pool drop frees the two retained objects
         assert_eq!(drops.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn freelist_concurrent_unique_ownership() {
-        // 8 threads hammer checkout/checkin; every checked-out object must
-        // be exclusively owned (no slot may hand one object out twice).
-        let pool: Freelist<AtomicU64> = Freelist::new(4);
-        for _ in 0..4 {
-            pool.checkin(Box::new(AtomicU64::new(0)));
-        }
+    fn pool_concurrent_unique_ownership() {
+        // 8 threads hammer the pool; every object a user holds must be
+        // exclusively its own (no object handed out twice at once).
+        let pool: Pool<AtomicU64> = Pool::new(4);
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
                     for _ in 0..2000 {
-                        if let Some(obj) = pool.checkout() {
-                            let claimed = obj.fetch_add(1, Ordering::SeqCst);
-                            assert_eq!(claimed, 0, "object handed to two owners");
-                            obj.fetch_sub(1, Ordering::SeqCst);
-                            pool.checkin(obj);
-                        }
+                        pool.with(
+                            || AtomicU64::new(0),
+                            |obj| {
+                                let claimed = obj.fetch_add(1, Ordering::SeqCst);
+                                assert_eq!(claimed, 0, "object handed to two owners");
+                                obj.fetch_sub(1, Ordering::SeqCst);
+                            },
+                        );
                     }
                 });
             }
         });
-        assert!(pool.len() <= 4);
+        assert!(pool.slots().len() <= 4);
+    }
+
+    #[test]
+    fn pool_survives_a_panicking_user() {
+        let pool: Pool<Vec<u8>> = Pool::new(2);
+        pool.with(Vec::new, |v| v.push(7));
+        let hit = std::panic::catch_unwind(|| {
+            pool.with(Vec::new, |v| {
+                v.push(8);
+                panic!("user failed halfway");
+            })
+        });
+        assert!(hit.is_err());
+        // The half-written object was dropped, not pooled; the pool is
+        // neither poisoned nor empty-handed.
+        assert_eq!(pool.slots().len(), 0);
+        assert_eq!(pool.with(Vec::new, |v| v.clone()), Vec::<u8>::new());
     }
 
     #[test]
@@ -672,13 +493,6 @@ mod tests {
             par_sort_unstable(&mut small);
             assert_eq!(small, (0..n as u64).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn merge_sorted_takes_left_on_ties() {
-        let mut out = Vec::new();
-        merge_sorted(&[(1, 'a'), (2, 'a')], &[(1, 'b'), (3, 'b')], &mut out);
-        assert_eq!(out, vec![(1, 'a'), (1, 'b'), (2, 'a'), (3, 'b')]);
     }
 
     #[test]

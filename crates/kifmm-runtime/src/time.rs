@@ -9,8 +9,10 @@
 //! agree on a dedicated core, which is the only place non-Linux numbers
 //! would be quoted anyway).
 
-/// Seconds of CPU time consumed by the calling thread.
+/// Seconds of CPU time consumed by the calling thread. The crate's one
+/// `unsafe`: the raw syscall.
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[allow(unsafe_code)]
 pub fn thread_cpu_time() -> f64 {
     const CLOCK_THREAD_CPUTIME_ID: usize = 3;
     #[repr(C)]

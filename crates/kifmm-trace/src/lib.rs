@@ -23,8 +23,8 @@
 //!   one track per virtual rank, async bars for in-flight exchanges
 //!   showing the paper's comm/compute overlap).
 //!
-//! Ring buffers have a fixed capacity (default [`DEFAULT_CAPACITY`] spans
-//! per rank); once full, the oldest spans are overwritten and
+//! Ring buffers have a fixed capacity ([`DEFAULT_CAPACITY`] spans per
+//! rank); once full, the oldest spans are overwritten and
 //! [`Tracer::dropped_spans`] reports how many were lost — tracing never
 //! reallocates unboundedly inside a solve loop.
 
@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Default per-rank ring-buffer capacity (spans).
+/// Per-rank ring-buffer capacity (spans).
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
 
 /// Integer metrics accumulated per rank.
@@ -160,16 +160,14 @@ struct RankState {
 /// One virtual rank's buffer: ring of spans + counters.
 struct RankBuf {
     rank: usize,
-    capacity: usize,
     state: Mutex<RankState>,
     counters: [AtomicU64; Counter::COUNT],
 }
 
 impl RankBuf {
-    fn new(rank: usize, capacity: usize) -> Self {
+    fn new(rank: usize) -> Self {
         RankBuf {
             rank,
-            capacity,
             state: Mutex::new(RankState {
                 spans: Vec::new(),
                 head: 0,
@@ -190,7 +188,6 @@ impl RankBuf {
 /// Shared sink state behind an enabled [`Tracer`].
 struct TraceSink {
     epoch: Instant,
-    capacity: usize,
     ranks: Mutex<Vec<Arc<RankBuf>>>,
 }
 
@@ -238,17 +235,11 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A live sink with the default per-rank capacity.
+    /// A live sink ([`DEFAULT_CAPACITY`] spans per rank).
     pub fn enabled() -> Tracer {
-        Tracer::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A live sink with an explicit per-rank span capacity (≥ 16).
-    pub fn with_capacity(capacity: usize) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TraceSink {
                 epoch: Instant::now(),
-                capacity: capacity.max(16),
                 ranks: Mutex::new(Vec::new()),
             })),
         }
@@ -269,7 +260,7 @@ impl Tracer {
         let buf = match ranks.iter().find(|b| b.rank == rank) {
             Some(b) => b.clone(),
             None => {
-                let b = Arc::new(RankBuf::new(rank, sink.capacity));
+                let b = Arc::new(RankBuf::new(rank));
                 ranks.push(b.clone());
                 b
             }
@@ -458,9 +449,8 @@ impl RankTracer {
     fn async_event(&self, name: &'static str, id: u64, begin: bool) {
         if let Some(h) = &self.inner {
             let ts = h.epoch.elapsed().as_secs_f64();
-            let cap = h.buf.capacity;
             let mut st = h.buf.lock();
-            if st.asyncs.len() < cap {
+            if st.asyncs.len() < DEFAULT_CAPACITY {
                 st.asyncs.push(AsyncRecord { id, name, begin, ts });
             }
         }
@@ -511,15 +501,14 @@ impl Drop for Span {
             wall,
             cpu,
         };
-        let cap = i.handle.buf.capacity;
         let mut st = i.handle.buf.lock();
         st.depth = st.depth.saturating_sub(1);
-        if st.spans.len() < cap {
+        if st.spans.len() < DEFAULT_CAPACITY {
             st.spans.push(rec);
         } else {
             let head = st.head;
             st.spans[head] = rec;
-            st.head = (head + 1) % cap;
+            st.head = (head + 1) % DEFAULT_CAPACITY;
             st.dropped += 1;
         }
     }
@@ -608,8 +597,8 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_not_newest() {
-        let cap = 32;
-        let t = Tracer::with_capacity(cap);
+        let cap = DEFAULT_CAPACITY;
+        let t = Tracer::enabled();
         let rt = t.rank(0);
         let total = cap + 10;
         for _ in 0..total {

@@ -11,6 +11,7 @@
 //! permutation — ties on coincident codes included — whoever asks.
 
 use crate::octree::Domain;
+use kifmm_runtime::{num_threads, par_each};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maximum refinement level representable: the linearized code packs
@@ -275,7 +276,7 @@ pub fn morton_codes(points: &[[f64; 3]], domain: &Domain) -> Result<Vec<u64>, (u
     let mut codes = vec![0u64; points.len()];
     // Encoded (point << 2) | dim, so the atomic min is the smallest index.
     let outside = AtomicU64::new(u64::MAX);
-    kifmm_runtime::par_chunks_mut(&mut codes, CHUNK, |ci, chunk| {
+    par_each(num_threads(), codes.chunks_mut(CHUNK), || (), |(), ci, chunk| {
         let base = ci * CHUNK;
         for (j, (slot, &p)) in chunk.iter_mut().zip(&points[base..]).enumerate() {
             match try_point_key(p, domain.center, domain.half, MAX_LEVEL) {

@@ -20,6 +20,7 @@
 use crate::linearize::structure_from_sorted_codes;
 use crate::morton::{morton_codes, sort_codes, sort_pairs};
 use crate::octree::Octree;
+use kifmm_runtime::{num_threads, par_each, zip_eq};
 
 /// Why an incremental update could not be applied. Both cases mean the
 /// caller must fall back to a full rebuild over a fresh domain.
@@ -112,23 +113,18 @@ pub fn update_octree(
     let pair_at = |k: usize| (codes[old.perm[k] as usize], old.perm[k]);
     let mut in_old_order = vec![0u64; n];
     let mut chunk_sorted = vec![0u8; chunks];
-    kifmm_runtime::par_chunks2_mut(
-        &mut in_old_order,
-        CHUNK,
-        &mut chunk_sorted,
-        1,
-        |ci, chunk, flag| {
-            let mut sorted = true;
-            let mut last = (0u64, 0u32);
-            for (slot, &i) in chunk.iter_mut().zip(&old.perm[ci * CHUNK..]) {
-                let pair = (codes[i as usize], i);
-                sorted &= last <= pair;
-                last = pair;
-                *slot = pair.0;
-            }
-            flag[0] = sorted as u8;
-        },
-    );
+    let pieces = zip_eq(in_old_order.chunks_mut(CHUNK), chunk_sorted.iter_mut());
+    par_each(num_threads(), pieces, || (), |(), ci, (chunk, flag)| {
+        let mut sorted = true;
+        let mut last = (0u64, 0u32);
+        for (slot, &i) in chunk.iter_mut().zip(&old.perm[ci * CHUNK..]) {
+            let pair = (codes[i as usize], i);
+            sorted &= last <= pair;
+            last = pair;
+            *slot = pair.0;
+        }
+        *flag = sorted as u8;
+    });
     let still_sorted = chunk_sorted.iter().all(|&f| f == 1)
         && (1..chunks).all(|c| pair_at(c * CHUNK - 1) < pair_at(c * CHUNK));
 
@@ -155,9 +151,11 @@ pub fn update_octree(
             sort_codes(&codes)
         } else {
             sort_pairs(&mut displaced);
-            let mut merged = Vec::with_capacity(n);
-            kifmm_runtime::merge_sorted(&kept, &displaced, &mut merged);
-            merged.into_iter().unzip()
+            // Two sorted runs, which the standard stable sort detects
+            // and merges.
+            kept.append(&mut displaced);
+            kept.sort();
+            kept.into_iter().unzip()
         };
         (sorted_codes, perm, moved)
     };

@@ -231,5 +231,5 @@ m2l=0
 for f in m2l engine/mod precompute; do
     m2l=$((m2l + $(nontest "crates/kifmm-core/src/$f.rs")))
 done
-echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l"
+echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime lib.rs $(nontest crates/kifmm-runtime/src/lib.rs)"
 echo "verify: ALL OK"
