@@ -50,12 +50,9 @@ pub fn paper_opts(s: usize) -> FmmOptions {
 /// Everything measured on one rank during a run.
 #[derive(Clone, Debug)]
 pub struct RankMetrics {
-    /// Per-phase CPU seconds and counted flops (averaged over iterations).
+    /// Per-phase CPU seconds, counted flops and the messages and bytes
+    /// sent, per evaluation (averaged over iterations).
     pub phases: PhaseStats,
-    /// Bytes sent during the measured evaluations (per iteration).
-    pub eval_bytes: u64,
-    /// Messages sent during the measured evaluations (per iteration).
-    pub eval_msgs: u64,
     /// Virtual seconds of set-up: wall time in tree construction, lists,
     /// ownership and the ghost exchange, plus its modelled traffic.
     pub setup_seconds: f64,
@@ -69,7 +66,7 @@ impl RankMetrics {
     /// seconds of every phase but Comm, plus the modelled traffic.
     pub fn virtual_seconds(&self) -> f64 {
         self.phases.total_seconds() - self.phases.seconds[Phase::Comm as usize]
-            + comm_seconds(self.eval_bytes, self.eval_msgs)
+            + comm_seconds(self.phases.comm_bytes, self.phases.comm_messages)
     }
 }
 
@@ -107,12 +104,10 @@ pub fn run_distributed<K: Kernel>(
         for f in phases.flops.iter_mut() {
             *f /= iterations as u64;
         }
-        let after_eval = comm.stats();
+        phases.comm_messages /= iterations as u64;
+        phases.comm_bytes /= iterations as u64;
         RankMetrics {
             phases,
-            eval_bytes: (after_eval.bytes_sent - after_setup.bytes_sent) / iterations as u64,
-            eval_msgs: (after_eval.messages_sent - after_setup.messages_sent)
-                / iterations as u64,
             setup_seconds: pfmm.setup_seconds
                 + comm_seconds(after_setup.bytes_sent, after_setup.messages_sent),
             point_work: pfmm.point_work_estimates(),
@@ -181,7 +176,7 @@ pub fn summarize(metrics: &[RankMetrics]) -> SweepRow {
     let total = avg(&RankMetrics::virtual_seconds);
     let (min_total, max_total) = min_max(metrics.iter().map(RankMetrics::virtual_seconds));
     let ratio = max_total / min_total.max(1e-12);
-    let comm = avg(&|m| comm_seconds(m.eval_bytes, m.eval_msgs));
+    let comm = avg(&|m| comm_seconds(m.phases.comm_bytes, m.phases.comm_messages));
     let total_flops = merged.total_flops() as f64;
     let rates = metrics
         .iter()
@@ -203,8 +198,8 @@ pub fn summarize(metrics: &[RankMetrics]) -> SweepRow {
         us,
         flops: merged.flops,
         mflops: [rates.sum::<f64>() / p as f64, max_rate, min_rate],
-        eval_msgs: metrics.iter().map(|m| m.eval_msgs).sum(),
-        eval_bytes: metrics.iter().map(|m| m.eval_bytes).sum(),
+        eval_msgs: merged.comm_messages,
+        eval_bytes: merged.comm_bytes,
     }
 }
 

@@ -74,7 +74,8 @@ pub struct PhaseStats {
     /// Exact counted floating-point operations per phase.
     pub flops: [u64; Phase::COUNT],
     /// Messages sent during the evaluation (zero in the shared-memory
-    /// evaluators; populated by the distributed driver).
+    /// evaluators; charged once per evaluation by the distributed driver
+    /// through [`Meter::traffic`]).
     pub comm_messages: u64,
     /// Bytes sent during the evaluation.
     pub comm_bytes: u64,
@@ -116,8 +117,9 @@ impl PhaseStats {
         self.add_comm(other.comm_messages, other.comm_bytes);
     }
 
-    /// Charge sent traffic (distributed driver only).
-    pub fn add_comm(&mut self, messages: u64, bytes: u64) {
+    /// Add sent traffic ([`Meter`] and [`PhaseStats::merge`] are the only
+    /// callers).
+    fn add_comm(&mut self, messages: u64, bytes: u64) {
         self.comm_messages += messages;
         self.comm_bytes += bytes;
     }
@@ -138,6 +140,8 @@ impl PhaseStats {
 /// pass through [`Meter::compute`] and each communication step through
 /// [`Meter::comm`], so the span timeline, [`PhaseStats`] and
 /// [`Counter::Flops`] are sinks of the same event and cannot drift apart.
+/// An evaluation's traffic is charged the same way, once, through
+/// [`Meter::traffic`].
 ///
 /// Compute seconds are thread-CPU time under [`Dispatch::Serial`] and
 /// wall-clock under [`Dispatch::Pool`] (work spreads across the pool;
@@ -196,6 +200,18 @@ impl<'t> Meter<'t> {
         out
     }
 
+    /// Charge the traffic one evaluation moved — `(messages, bytes)` sent
+    /// and received, the difference of the substrate's ledger across the
+    /// evaluation — to the sent totals of [`PhaseStats`] and the four
+    /// `Counter::{MessagesSent, BytesSent, MessagesRecv, BytesRecv}`.
+    pub fn traffic(&mut self, sent: (u64, u64), received: (u64, u64)) {
+        self.stats.add_comm(sent.0, sent.1);
+        self.rt.add(Counter::MessagesSent, sent.0);
+        self.rt.add(Counter::BytesSent, sent.1);
+        self.rt.add(Counter::MessagesRecv, received.0);
+        self.rt.add(Counter::BytesRecv, received.1);
+    }
+
     /// Count boxes a pass visited ([`Counter::CellsTouched`]): the upward
     /// pass charges the boxes it touched, the U pass its active leaves —
     /// the same two charges on every driver.
@@ -224,6 +240,22 @@ mod tests {
         assert_eq!(m.stats.flops[0], 150);
         assert_eq!(m.comm(None, || 42), 42);
         assert_eq!(m.stats.total_flops(), 150);
+    }
+
+    /// Traffic is charged to both sinks in one call: the sent totals of
+    /// `PhaseStats` and the four trace counters.
+    #[test]
+    fn traffic_feeds_stats_and_counters() {
+        let tracer = kifmm_trace::Tracer::enabled();
+        let rt = tracer.rank(0);
+        let mut m = Meter::new(&rt, Dispatch::Serial);
+        m.traffic((3, 400), (2, 64));
+        m.traffic((1, 16), (0, 0));
+        assert_eq!((m.stats.comm_messages, m.stats.comm_bytes), (4, 416));
+        let counts =
+            [Counter::MessagesSent, Counter::BytesSent, Counter::MessagesRecv, Counter::BytesRecv]
+                .map(|c| tracer.counter_total(c));
+        assert_eq!(counts, [4, 416, 2, 64]);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The hand-written near-field loop bodies the analytic kernels share.
+//! The hand-written near-field loop bodies the analytic kernels share, and
+//! the Stokeslet family's pair blocks ([`stokeslet_block`],
+//! [`stokeslet_grad_block`]) behind `Stokes` and `Kelvin`'s `eval`s.
 //!
 //! Two shapes cover every override of [`Kernel::p2p_many`] /
 //! [`Kernel::p2p_grad_many`](crate::Kernel::p2p_grad_many):
@@ -112,9 +114,68 @@ pub(crate) fn radial_p2p_grad_many(
     }
 }
 
+/// One block of the Stokeslet family `c·(a·I/r + r⊗r/r³)` (row-major
+/// 3×3, zero at a coincident pair): Kelvin with `a = 3 − 4ν`, Stokes with
+/// `a = 1`, as in [`stokeslet_p2p_many`].
+#[inline]
+pub(crate) fn stokeslet_block(x: Point3, y: Point3, block: &mut [f64], c: f64, a: f64) {
+    debug_assert_eq!(block.len(), 9);
+    let (dx, dy, dz, r2) = displacement(x, y);
+    if r2 == 0.0 {
+        block.fill(0.0);
+        return;
+    }
+    let r = r2.sqrt();
+    let iso = c * a / r;
+    let inv_r3 = c / (r2 * r);
+    block[0] = iso + dx * dx * inv_r3;
+    block[1] = dx * dy * inv_r3;
+    block[2] = dx * dz * inv_r3;
+    block[3] = block[1];
+    block[4] = iso + dy * dy * inv_r3;
+    block[5] = dy * dz * inv_r3;
+    block[6] = block[2];
+    block[7] = block[5];
+    block[8] = iso + dz * dz * inv_r3;
+}
+
+/// The gradient block of [`stokeslet_block`]: `∂G_ij/∂x_k = c(−a δ_ij
+/// r_k/r³ + (δ_ik r_j + δ_jk r_i)/r³ − 3 r_i r_j r_k/r⁵)`, `r = x − y`.
+/// Rows are `(i·3 + k)`, columns `j`.
+pub(crate) fn stokeslet_grad_block(x: Point3, y: Point3, block: &mut [f64], c: f64, a: f64) {
+    debug_assert_eq!(block.len(), 27);
+    let (dx, dy, dz, r2) = displacement(x, y);
+    if r2 == 0.0 {
+        block.fill(0.0);
+        return;
+    }
+    let r = r2.sqrt();
+    let inv_r3 = c / (r2 * r);
+    let inv_r5x3 = 3.0 * inv_r3 / r2;
+    let rv = [dx, dy, dz];
+    for i in 0..3 {
+        for k in 0..3 {
+            for j in 0..3 {
+                let mut v = -inv_r5x3 * rv[i] * rv[j] * rv[k];
+                if i == j {
+                    v -= a * inv_r3 * rv[k];
+                }
+                if i == k {
+                    v += inv_r3 * rv[j];
+                }
+                if j == k {
+                    v += inv_r3 * rv[i];
+                }
+                block[(i * 3 + k) * 3 + j] = v;
+            }
+        }
+    }
+}
+
 /// Potential loop of the Stokeslet family `c·(a·I/r + r⊗r/r³)`: Kelvin
 /// with `a = 3 − 4ν`, Stokes with `a = 1` (`1.0 * x == x` exactly, so the
-/// shared body costs Stokes no rounding).
+/// shared bodies — this loop and the two blocks above — cost Stokes no
+/// rounding).
 #[inline]
 pub(crate) fn stokeslet_p2p_many(
     targets: &[Point3],

@@ -9,8 +9,10 @@
 //! `ν → 1/2` up to the `1/(2μ)` prefactor), so the same equivalent-density
 //! machinery applies: homogeneous of degree −1, 3×3 blocks.
 
-use crate::fused::{stokeslet_p2p_grad_many, stokeslet_p2p_many};
-use crate::kernel::{displacement, Kernel};
+use crate::fused::{
+    stokeslet_block, stokeslet_grad_block, stokeslet_p2p_grad_many, stokeslet_p2p_many,
+};
+use crate::kernel::Kernel;
 use crate::Point3;
 
 /// The Kelvin solution: 3×3 matrix-valued kernel mapping point forces to
@@ -86,59 +88,13 @@ impl Kernel for Kelvin {
 
     #[inline]
     fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        debug_assert_eq!(block.len(), 9);
-        let (dx, dy, dz, r2) = displacement(x, y);
-        if r2 == 0.0 {
-            block.fill(0.0);
-            return;
-        }
-        let r = r2.sqrt();
-        let c = self.prefactor();
-        let iso = c * self.a() / r;
-        let inv_r3 = c / (r2 * r);
-        block[0] = iso + dx * dx * inv_r3;
-        block[1] = dx * dy * inv_r3;
-        block[2] = dx * dz * inv_r3;
-        block[3] = block[1];
-        block[4] = iso + dy * dy * inv_r3;
-        block[5] = dy * dz * inv_r3;
-        block[6] = block[2];
-        block[7] = block[5];
-        block[8] = iso + dz * dz * inv_r3;
+        stokeslet_block(x, y, block, self.prefactor(), self.a());
     }
 
     /// `∂U_ij/∂x_k = C(−(3−4ν) δ_ij r_k/r³ + (δ_ik r_j + δ_jk r_i)/r³
     /// − 3 r_i r_j r_k/r⁵)`, `r = x − y`. Rows are `(i·3 + k)`, columns `j`.
     fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        debug_assert_eq!(block.len(), 27);
-        let (dx, dy, dz, r2) = displacement(x, y);
-        if r2 == 0.0 {
-            block.fill(0.0);
-            return;
-        }
-        let r = r2.sqrt();
-        let c = self.prefactor();
-        let a = self.a();
-        let inv_r3 = c / (r2 * r);
-        let inv_r5x3 = 3.0 * inv_r3 / r2;
-        let rv = [dx, dy, dz];
-        for i in 0..3 {
-            for k in 0..3 {
-                for j in 0..3 {
-                    let mut v = -inv_r5x3 * rv[i] * rv[j] * rv[k];
-                    if i == j {
-                        v -= a * inv_r3 * rv[k];
-                    }
-                    if i == k {
-                        v += inv_r3 * rv[j];
-                    }
-                    if j == k {
-                        v += inv_r3 * rv[i];
-                    }
-                    block[(i * 3 + k) * 3 + j] = v;
-                }
-            }
-        }
+        stokeslet_grad_block(x, y, block, self.prefactor(), self.a());
     }
 
     /// Displacement loop with the `3−4ν` weight on the isotropic term.

@@ -7,8 +7,10 @@
 //! billion-unknown runs of Table 4.3 (each particle carries 3 force
 //! components and receives 3 velocity components, hence "unknowns = 3N").
 
-use crate::fused::{stokeslet_p2p_grad_many, stokeslet_p2p_many};
-use crate::kernel::{displacement, Kernel};
+use crate::fused::{
+    stokeslet_block, stokeslet_grad_block, stokeslet_p2p_grad_many, stokeslet_p2p_many,
+};
+use crate::kernel::Kernel;
 use crate::Point3;
 
 /// The Stokeslet: 3×3 matrix-valued kernel mapping point forces to fluid
@@ -71,59 +73,14 @@ impl Kernel for Stokes {
 
     #[inline]
     fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        debug_assert_eq!(block.len(), 9);
-        let (dx, dy, dz, r2) = displacement(x, y);
-        if r2 == 0.0 {
-            block.fill(0.0);
-            return;
-        }
-        let r = r2.sqrt();
-        let c = self.prefactor();
-        let inv_r = c / r;
-        let inv_r3 = c / (r2 * r);
-        block[0] = inv_r + dx * dx * inv_r3;
-        block[1] = dx * dy * inv_r3;
-        block[2] = dx * dz * inv_r3;
-        block[3] = block[1];
-        block[4] = inv_r + dy * dy * inv_r3;
-        block[5] = dy * dz * inv_r3;
-        block[6] = block[2];
-        block[7] = block[5];
-        block[8] = inv_r + dz * dz * inv_r3;
+        stokeslet_block(x, y, block, self.prefactor(), 1.0);
     }
 
     /// `∂G_ij/∂x_k = (1/(8πμ))(−δ_ij r_k/r³ + (δ_ik r_j + δ_jk r_i)/r³
     /// − 3 r_i r_j r_k/r⁵)`, `r = x − y` — the velocity gradient of the
     /// Stokeslet. Rows are `(i·3 + k)`, columns `j`.
     fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
-        debug_assert_eq!(block.len(), 27);
-        let (dx, dy, dz, r2) = displacement(x, y);
-        if r2 == 0.0 {
-            block.fill(0.0);
-            return;
-        }
-        let r = r2.sqrt();
-        let c = self.prefactor();
-        let inv_r3 = c / (r2 * r);
-        let inv_r5x3 = 3.0 * inv_r3 / r2;
-        let rv = [dx, dy, dz];
-        for i in 0..3 {
-            for k in 0..3 {
-                for j in 0..3 {
-                    let mut v = -inv_r5x3 * rv[i] * rv[j] * rv[k];
-                    if i == j {
-                        v -= inv_r3 * rv[k];
-                    }
-                    if i == k {
-                        v += inv_r3 * rv[j];
-                    }
-                    if j == k {
-                        v += inv_r3 * rv[i];
-                    }
-                    block[(i * 3 + k) * 3 + j] = v;
-                }
-            }
-        }
+        stokeslet_grad_block(x, y, block, self.prefactor(), 1.0);
     }
 
     /// The operator tables depend on `μ`.

@@ -27,19 +27,20 @@
 //! queue *before* the abort flag for the same reason: queued data is
 //! delivered first, and only a wait that would now never finish aborts.
 
-use kifmm_trace::{Counter, RankTracer};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Message envelope key: (source rank, tag).
 type MatchKey = (usize, u64);
 
+/// A mailbox's queues, one per envelope key.
+type Queues = HashMap<MatchKey, VecDeque<Vec<u8>>>;
+
 /// One rank's mailbox.
 #[derive(Default)]
 struct Mailbox {
-    queues: Mutex<HashMap<MatchKey, VecDeque<Vec<u8>>>>,
+    queues: Mutex<Queues>,
     signal: Condvar,
 }
 
@@ -48,7 +49,7 @@ impl Mailbox {
     /// while holding it). Every critical section here is a single queue
     /// push or pop that cannot leave the map half-updated, so the inner
     /// state is consistent and in-flight payloads stay deliverable.
-    fn lock(&self) -> MutexGuard<'_, HashMap<MatchKey, VecDeque<Vec<u8>>>> {
+    fn lock(&self) -> MutexGuard<'_, Queues> {
         self.queues.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
@@ -67,7 +68,9 @@ pub(crate) struct Shared {
     aborted: AtomicBool,
 }
 
-/// Per-rank communication statistics.
+/// Per-rank traffic: the one ledger of what a rank sent and received.
+/// Callers that want an interval's traffic diff two snapshots of
+/// [`Comm::stats`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CommStats {
     /// Bytes this rank sent.
@@ -78,9 +81,6 @@ pub struct CommStats {
     pub bytes_received: u64,
     /// Messages this rank received.
     pub messages_received: u64,
-    /// Wall-clock seconds this rank spent blocked in receive or
-    /// synchronizing inside collectives.
-    pub comm_seconds: f64,
 }
 
 /// A rank's handle to the communicator (one per thread; not shared).
@@ -90,9 +90,6 @@ pub struct Comm {
     /// Sequence numbers making collective tags unique per call site order.
     collective_seq: std::cell::Cell<u64>,
     stats: std::cell::Cell<CommStats>,
-    /// Observability hook: byte/message counters charged per send/recv
-    /// (a disabled tracer unless [`Comm::attach_tracer`] was called).
-    tracer: std::cell::RefCell<RankTracer>,
 }
 
 /// Tags at or above this value are reserved for collectives.
@@ -114,12 +111,6 @@ impl Comm {
         self.stats.get()
     }
 
-    /// Attach a rank tracer: every subsequent send/receive charges the
-    /// `BytesSent`/`MessagesSent`/`BytesRecv`/`MessagesRecv` counters.
-    pub fn attach_tracer(&self, tracer: RankTracer) {
-        *self.tracer.borrow_mut() = tracer;
-    }
-
     /// Send `data` to `dest` with `tag` (eager-buffered: returns
     /// immediately).
     pub fn send(&self, dest: usize, tag: u64, data: &[u8]) {
@@ -134,11 +125,6 @@ impl Comm {
         st.bytes_sent += len;
         st.messages_sent += 1;
         self.stats.set(st);
-        {
-            let tr = self.tracer.borrow();
-            tr.add(Counter::BytesSent, len);
-            tr.add(Counter::MessagesSent, 1);
-        }
         let mb = &self.shared.mailboxes[dest];
         let mut q = mb.lock();
         q.entry((self.rank, tag)).or_default().push_back(data);
@@ -153,30 +139,12 @@ impl Comm {
     }
 
     pub(crate) fn recv_raw(&self, source: usize, tag: u64) -> Vec<u8> {
-        let start = Instant::now();
-        let mb = &self.shared.mailboxes[self.rank];
-        let key = (source, tag);
-        let mut q = mb.lock();
-        loop {
-            if let Some(queue) = q.get_mut(&key) {
-                if let Some(msg) = queue.pop_front() {
-                    let mut st = self.stats.get();
-                    st.comm_seconds += start.elapsed().as_secs_f64();
-                    self.stats.set(st);
-                    self.count_received(msg.len() as u64);
-                    return msg;
-                }
-            }
-            // Never sleep through a peer's panic: the message this rank is
-            // waiting for may now never be sent.
-            if self.shared.aborted.load(Ordering::Acquire) {
-                panic!(
-                    "kifmm-mpi: rank {} aborting recv(source={source}, tag={tag}) —                      a peer rank panicked",
-                    self.rank
-                );
-            }
-            q = mb.signal.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
+        let msg = self.park(
+            || format!("recv(source={source}, tag={tag})"),
+            |q| q.get_mut(&(source, tag)).and_then(VecDeque::pop_front),
+        );
+        self.count_received(msg.len() as u64);
+        msg
     }
 
     /// Block until at least one of `keys` (`(source, tag)` pairs) has a
@@ -185,30 +153,33 @@ impl Comm {
     /// The message is *not* consumed — follow up with [`Comm::try_recv`].
     /// This is the completion-polling primitive behind overlapped
     /// exchanges: a driver that has run out of compute parks here instead
-    /// of spinning, and wakes on whichever peer's packet lands first.
-    /// Blocked time is charged to `comm_seconds`, and a peer panic aborts
-    /// the wait exactly like [`Comm::recv`].
+    /// of spinning, and wakes on whichever peer's packet lands first. A
+    /// peer panic aborts the wait exactly like [`Comm::recv`].
     pub fn wait_any(&self, keys: &[(usize, u64)]) -> usize {
         assert!(!keys.is_empty(), "wait_any needs at least one key");
-        let start = Instant::now();
+        self.park(
+            || format!("wait_any over {} keys", keys.len()),
+            |q| keys.iter().position(|key| q.get(key).is_some_and(|queue| !queue.is_empty())),
+        )
+    }
+
+    /// Sleep on this rank's mailbox until `ready` finds what the caller
+    /// waits for. Queued data is checked first; only a wait that would now
+    /// never finish — a peer panicked, so the message may never be sent —
+    /// aborts, naming the wait `what()` describes.
+    fn park<T>(
+        &self,
+        what: impl Fn() -> String,
+        mut ready: impl FnMut(&mut Queues) -> Option<T>,
+    ) -> T {
         let mb = &self.shared.mailboxes[self.rank];
         let mut q = mb.lock();
         loop {
-            if let Some(i) = keys
-                .iter()
-                .position(|key| q.get(key).is_some_and(|queue| !queue.is_empty()))
-            {
-                let mut st = self.stats.get();
-                st.comm_seconds += start.elapsed().as_secs_f64();
-                self.stats.set(st);
-                return i;
+            if let Some(found) = ready(&mut q) {
+                return found;
             }
             if self.shared.aborted.load(Ordering::Acquire) {
-                panic!(
-                    "kifmm-mpi: rank {} aborting wait_any over {} keys — a peer rank panicked",
-                    self.rank,
-                    keys.len()
-                );
+                panic!("kifmm-mpi: rank {} aborting {} — a peer rank panicked", self.rank, what());
             }
             q = mb.signal.wait(q).unwrap_or_else(std::sync::PoisonError::into_inner);
         }
@@ -233,9 +204,6 @@ impl Comm {
         st.bytes_received += len;
         st.messages_received += 1;
         self.stats.set(st);
-        let tr = self.tracer.borrow();
-        tr.add(Counter::BytesRecv, len);
-        tr.add(Counter::MessagesRecv, 1);
     }
 
     pub(crate) fn next_collective_tag(&self) -> u64 {
@@ -274,7 +242,6 @@ pub fn run<R: Send>(size: usize, f: impl Fn(&Comm) -> R + Send + Sync) -> Vec<R>
                         shared: shared.clone(),
                         collective_seq: std::cell::Cell::new(0),
                         stats: std::cell::Cell::new(CommStats::default()),
-                        tracer: std::cell::RefCell::new(RankTracer::disabled()),
                     };
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
                         Ok(v) => Some(v),
@@ -435,37 +402,50 @@ mod tests {
     }
 
     /// Send- and receive-side traffic accounting: every delivered message
-    /// is charged to the receiver's aggregate stats as it was to the
-    /// sender's, and an attached tracer sees the same byte/message totals.
+    /// is charged to the receiver's stats as it was to the sender's, and
+    /// the totals balance.
     #[test]
     fn peer_traffic_and_recv_accounting() {
-        let tracer = kifmm_trace::Tracer::enabled();
-        let out = run(3, {
-            let tracer = tracer.clone();
-            move |comm| {
-                comm.attach_tracer(tracer.rank(comm.rank()));
-                match comm.rank() {
-                    0 => {
-                        comm.send(1, 7, &[0u8; 10]);
-                        comm.send(2, 7, &[0u8; 20]);
-                        comm.send(2, 8, &[0u8; 5]);
-                    }
-                    1 => drop(comm.recv(0, 7)),
-                    _ => drop((comm.recv(0, 7), comm.recv(0, 8))),
+        let out = run(3, |comm| {
+            match comm.rank() {
+                0 => {
+                    comm.send(1, 7, &[0u8; 10]);
+                    comm.send(2, 7, &[0u8; 20]);
+                    comm.send(2, 8, &[0u8; 5]);
                 }
-                comm.stats()
+                1 => drop(comm.recv(0, 7)),
+                _ => drop((comm.recv(0, 7), comm.recv(0, 8))),
             }
+            comm.stats()
         });
         assert_eq!((out[0].bytes_sent, out[0].messages_sent, out[0].bytes_received), (35, 3, 0));
         assert_eq!((out[1].bytes_received, out[1].messages_received), (10, 1));
         assert_eq!((out[2].bytes_received, out[2].messages_received), (25, 2));
-        // Tracer counters agree with the stats totals.
-        use kifmm_trace::Counter;
-        assert_eq!(tracer.counter_total(Counter::BytesSent), 35);
-        assert_eq!(tracer.counter_total(Counter::MessagesSent), 3);
-        assert_eq!(tracer.counter_total(Counter::BytesRecv), 35);
-        assert_eq!(tracer.counter_total(Counter::MessagesRecv), 3);
-        assert_eq!(tracer.rank_counter(2, Counter::BytesRecv), 25);
+        let total = |f: fn(&CommStats) -> u64| out.iter().map(f).sum::<u64>();
+        assert_eq!(total(|s| s.bytes_sent), total(|s| s.bytes_received));
+        assert_eq!(total(|s| s.messages_sent), total(|s| s.messages_received));
+    }
+
+    /// Both blocking waits abort the same way once a peer has panicked, and
+    /// the message reads as one sentence.
+    #[test]
+    fn both_waits_abort_with_one_clean_message() {
+        run(1, |comm| {
+            comm.shared.aborted.store(true, Ordering::Release);
+            let recv = || {
+                comm.recv(0, 3);
+            };
+            let wait_any = || {
+                comm.wait_any(&[(0, 3)]);
+            };
+            for wait in [&recv as &dyn Fn(), &wait_any] {
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(wait))
+                    .expect_err("an aborted run cannot wait");
+                let msg = payload.downcast_ref::<String>().expect("a formatted message");
+                assert!(msg.ends_with(" — a peer rank panicked"), "{msg}");
+                assert!(!msg.contains("  "), "runs of spaces in: {msg}");
+            }
+        });
     }
 
     /// Satellite regression: a panicking rank must not deadlock peers

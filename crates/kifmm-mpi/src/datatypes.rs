@@ -1,8 +1,8 @@
-//! Typed payload helpers: encode/decode numeric slices to byte messages.
-//! Plain `{to,from}_le_bytes` — no external byte-buffer crate.
+//! The collectives' payload codecs: numeric slices to and from
+//! little-endian byte messages, with plain `{to,from}_le_bytes`.
 
 /// Encode `f64`s little-endian.
-pub fn encode_f64s(v: &[f64]) -> Vec<u8> {
+pub(crate) fn encode_f64s(v: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(v.len() * 8);
     for &x in v {
         out.extend_from_slice(&x.to_le_bytes());
@@ -11,13 +11,13 @@ pub fn encode_f64s(v: &[f64]) -> Vec<u8> {
 }
 
 /// Decode `f64`s little-endian.
-pub fn decode_f64s(b: &[u8]) -> Vec<f64> {
+pub(crate) fn decode_f64s(b: &[u8]) -> Vec<f64> {
     assert_eq!(b.len() % 8, 0, "payload is not a whole number of f64s");
     b.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
 }
 
 /// Encode `u64`s little-endian.
-pub fn encode_u64s(v: &[u64]) -> Vec<u8> {
+pub(crate) fn encode_u64s(v: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(v.len() * 8);
     for &x in v {
         out.extend_from_slice(&x.to_le_bytes());
@@ -26,7 +26,7 @@ pub fn encode_u64s(v: &[u64]) -> Vec<u8> {
 }
 
 /// Decode `u64`s little-endian.
-pub fn decode_u64s(b: &[u8]) -> Vec<u64> {
+pub(crate) fn decode_u64s(b: &[u8]) -> Vec<u64> {
     assert_eq!(b.len() % 8, 0, "payload is not a whole number of u64s");
     b.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
 }

@@ -12,16 +12,17 @@
 //! * [`Comm`] — tagged, eager-buffered [`Comm::send`]/[`Comm::recv`]
 //!   point-to-point messaging;
 //! * [`collectives`] — barrier, allreduce, allgatherv, alltoallv;
-//! * [`CommStats`] — per-rank bytes/messages/blocked-time accounting,
-//!   which the bench harness combines with a latency/bandwidth model of
-//!   the paper's Quadrics interconnect to produce virtual communication
-//!   times (see DESIGN.md).
+//! * [`CommStats`] — per-rank bytes/messages sent and received: the one
+//!   traffic ledger. The distributed driver charges an evaluation's
+//!   difference of it once, and the bench harness prices that with a
+//!   latency/bandwidth model of the paper's Quadrics interconnect to
+//!   produce virtual communication times (see DESIGN.md).
 
 #![forbid(unsafe_code)]
 
 pub mod collectives;
 pub mod comm;
-pub mod datatypes;
+mod datatypes;
 pub mod packet;
 pub mod tag;
 
@@ -30,6 +31,5 @@ pub use collectives::{
     sample_sort_u64, ReduceOp,
 };
 pub use comm::{run, Comm, CommStats};
-pub use datatypes::{decode_f64s, decode_u64s, encode_f64s, encode_u64s};
 pub use packet::{decode_packet, encode_packet};
 pub use tag::{decode_tag, encode_tag};

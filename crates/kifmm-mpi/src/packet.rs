@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `len` counts `f64`s, not bytes. All integers and floats are
-//! little-endian, matching [`crate::datatypes`]. Encode and decode are
+//! little-endian, matching the collectives' codecs. Encode and decode are
 //! exact inverses; a truncated or ragged buffer panics with a diagnostic
 //! rather than yielding garbage payloads.
 

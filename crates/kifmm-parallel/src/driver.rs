@@ -38,6 +38,10 @@
 //! points through `kifmm_tree::sort_codes`: the potentials are
 //! bit-identical to serial on every cloud, coincident points included.
 //!
+//! The traffic an evaluation moved is read off the substrate's one ledger
+//! ([`Comm::stats`]) at its entry and exit and charged once, through
+//! [`Meter::traffic`].
+//!
 //! The passes themselves are the shared implementations in
 //! `kifmm_core::engine`, run under `Dispatch::Serial` (the paper's model
 //! is one rank per CPU) over [`ActiveSet`]s built once at construction —
@@ -47,7 +51,7 @@
 //! LET/ownership setup, the two overlapped exchanges, and the
 //! installation of globally summed equivalents between engine phases.
 
-use crate::exchange::{Combine, ExchangeRoute, UserKind};
+use crate::exchange::{drive, Combine, ExchangeRoute, UserKind};
 use crate::global_tree::{build_distributed_tree_with, DistributedTree};
 use crate::ownership::Ownership;
 use kifmm_core::engine::{ActiveSet, LocalSources, PassEngine, Scratch, SourceProvider};
@@ -97,25 +101,6 @@ impl SourceProvider for GhostSources<'_> {
         let seg = v.len() / self.nrhs;
         (&self.points[&ni], &v[rhs * seg..(rhs + 1) * seg])
     }
-}
-
-/// One communication step of an evaluation: `step` runs under
-/// [`Meter::comm`] (wall seconds, optional `Comm` span), and everything
-/// this rank sent since the previous step — tracked in `sent` as
-/// `(messages, bytes)` of [`Comm::stats`] — is added to the report's
-/// traffic counters.
-fn comm_step<T>(
-    meter: &mut Meter<'_>,
-    comm: &Comm,
-    sent: &mut (u64, u64),
-    name: Option<&'static str>,
-    step: impl FnOnce() -> T,
-) -> T {
-    let out = meter.comm(name, step);
-    let st = comm.stats();
-    meter.stats.add_comm(st.messages_sent - sent.0, st.bytes_sent - sent.1);
-    *sent = (st.messages_sent, st.bytes_sent);
-    out
 }
 
 /// Idle scratch pairs kept per [`ParallelFmm`]: a rank runs one
@@ -281,7 +266,7 @@ impl<K: Kernel> ParallelFmm<K> {
     }
 
     /// Attach a tracer shared by all ranks; each [`ParallelFmm::eval`]
-    /// records its rank's span timeline and comm counters into it.
+    /// records its rank's span timeline and traffic counters into it.
     pub fn set_trace(&mut self, trace: Tracer) {
         self.trace = trace;
     }
@@ -358,8 +343,8 @@ impl<K: Kernel> ParallelFmm<K> {
         let tree = &self.dtree.tree;
         let depth = tree.depth();
         let rt = self.trace.rank(comm.rank());
-        comm.attach_tracer(rt.clone());
         let mut meter = Meter::new(&rt, Dispatch::Serial);
+        let ledger = comm.stats();
 
         let dens_sorted: Vec<Vec<f64>> = densities.iter().map(|d| tree.to_morton(d, sd)).collect();
         let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(|v| v.as_slice()).collect();
@@ -377,8 +362,6 @@ impl<K: Kernel> ParallelFmm<K> {
             // 1. Ghost density gather packets (one packed send per owning
             //    peer, all k RHS inside), overlapped with everything up to the
             //    U/X passes.
-            let st = comm.stats();
-            let mut sent = (st.messages_sent, st.bytes_sent);
             let dens_payload = |b: u32| -> Vec<f64> {
                 let nd = &tree.nodes[b as usize];
                 let (s, e) = (nd.pt_start as usize * sd, nd.pt_end as usize * sd);
@@ -389,10 +372,9 @@ impl<K: Kernel> ParallelFmm<K> {
                 v
             };
             rt.async_begin("dens-exchange", ASYNC_DENS);
-            let mut dens_plan = comm_step(&mut meter, comm, &mut sent, Some("dens-gather"), || {
+            let mut dens_plan = meter.comm(Some("dens-gather"), || {
                 self.src_route.begin(comm, SALT_DENS, Combine::ConcatRhs(k), dens_payload)
             });
-            let mut dens_done = false;
 
             // 2. Upward pass on contributed boxes (partial equivalents).
             meter.compute(Phase::Up, "Up", None, || engine.upward(&local_src, store, ws));
@@ -402,10 +384,9 @@ impl<K: Kernel> ParallelFmm<K> {
             //    what it needs out of `store.up` here and holds no borrow of
             //    the store, so M2L can run while it is in flight.
             rt.async_begin("equiv-exchange", ASYNC_EQUIV);
-            let mut equiv_plan = comm_step(&mut meter, comm, &mut sent, Some("equiv-post"), || {
+            let mut equiv_plan = meter.comm(Some("equiv-post"), || {
                 self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, |b| store.up(b).to_vec())
             });
-            let mut equiv_done = false;
 
             // 4a. M2L over the interior targets, under the equivalent
             //    exchange; both plans are polled between levels.
@@ -413,32 +394,19 @@ impl<K: Kernel> ParallelFmm<K> {
             for level in FIRST_FMM_LEVEL..=depth {
                 let m2l = || interior.m2l_level(level, store, ws);
                 meter.compute(Phase::DownV, "m2l", Some(level), m2l);
-                comm_step(&mut meter, comm, &mut sent, None, || {
-                    equiv_done = equiv_done || equiv_plan.poll(comm);
-                    dens_done = dens_done || dens_plan.poll(comm);
+                meter.comm(None, || {
+                    equiv_plan.poll(comm);
+                    dens_plan.poll(comm);
                 });
             }
 
             // 4b. Drive the equivalent exchange to completion — the held-back
-            //    boundary targets need the globally summed ghosts. The wait loop
-            //    parks on *both* exchanges' keys, so ghost-density packets
+            //    boundary targets need the globally summed ghosts. The drive
+            //    loop parks on *both* exchanges' keys, so ghost-density packets
             //    still drain opportunistically while this rank synchronizes.
-            let global_equiv = comm_step(&mut meter, comm, &mut sent, Some("equiv-drive"), || {
-                let mut keys = Vec::new();
-                loop {
-                    equiv_done = equiv_done || equiv_plan.poll(comm);
-                    dens_done = dens_done || dens_plan.poll(comm);
-                    if equiv_done {
-                        break;
-                    }
-                    keys.clear();
-                    equiv_plan.pending_keys(&mut keys);
-                    if !dens_done {
-                        dens_plan.pending_keys(&mut keys);
-                    }
-                    comm.wait_any(&keys);
-                }
-                equiv_plan.finish()
+            let global_equiv = meter.comm(Some("equiv-drive"), || {
+                drive(comm, &mut [&mut equiv_plan, &mut dens_plan]);
+                equiv_plan.complete(comm)
             });
             rt.async_end("equiv-exchange", ASYNC_EQUIV);
             // Install the global sums over this rank's partials (`store.up`
@@ -453,23 +421,13 @@ impl<K: Kernel> ParallelFmm<K> {
             for level in FIRST_FMM_LEVEL..=depth {
                 let m2l = || boundary.m2l_level(level, store, ws);
                 meter.compute(Phase::DownV, "m2l", Some(level), m2l);
-                if !dens_done {
-                    comm_step(&mut meter, comm, &mut sent, None, || {
-                        dens_done = dens_plan.poll(comm);
-                    });
-                }
+                meter.comm(None, || dens_plan.poll(comm));
             }
 
             // 5. Complete the ghost-density exchange (usually already drained
             //    by the polls above); X on the ghost sources, then L2L (check
             //    potentials now hold both M2L and X contributions).
-            let ghost_dens = comm_step(&mut meter, comm, &mut sent, Some("dens-complete"), || {
-                if dens_done {
-                    dens_plan.finish()
-                } else {
-                    dens_plan.complete(comm)
-                }
-            });
+            let ghost_dens = meter.comm(Some("dens-complete"), || dens_plan.complete(comm));
             rt.async_end("dens-exchange", ASYNC_DENS);
             let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
             meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
@@ -481,6 +439,14 @@ impl<K: Kernel> ParallelFmm<K> {
             let wants_grad = self.opts.output.wants_gradient();
             engine.leaf_phase(&ghost_src, store, engine.own_targets(), wants_grad, &mut meter)
         });
+        let now = comm.stats();
+        meter.traffic(
+            (now.messages_sent - ledger.messages_sent, now.bytes_sent - ledger.bytes_sent),
+            (
+                now.messages_received - ledger.messages_received,
+                now.bytes_received - ledger.bytes_received,
+            ),
+        );
 
         // "Scatter" the local outputs back to caller order.
         let _span = rt.span("Eval", "scatter");
@@ -552,8 +518,9 @@ mod tests {
     use kifmm_core::{rel_l2_error, Fmm};
     use kifmm_geom::{corner_clusters, random_densities, uniform_cube};
     use kifmm_kernels::{Laplace, Stokes};
-    use kifmm_mpi::run;
+    use kifmm_mpi::{allreduce_f64, run, ReduceOp};
     use kifmm_testkit::{check_matches_serial, serial_reference, split_points};
+    use kifmm_trace::Counter;
 
     #[test]
     fn matches_serial_laplace_uniform() {
@@ -670,20 +637,36 @@ mod tests {
                 spans.iter().any(|s| s.name == "Up"),
                 "rank {r} recorded the upward span"
             );
-            let sent = tracer.rank_counter(r, kifmm_trace::Counter::BytesSent);
+            let sent = tracer.rank_counter(r, Counter::BytesSent);
             assert!(sent > 0, "rank {r} sent bytes during the exchanges");
         }
-        use kifmm_trace::Counter;
         assert!(tracer.counter_total(Counter::Flops) > 0);
-        assert_eq!(
-            tracer.counter_total(Counter::BytesSent),
-            tracer.counter_total(Counter::BytesRecv),
-            "everything sent was received"
-        );
-        assert_eq!(
-            tracer.counter_total(Counter::MessagesSent),
-            tracer.counter_total(Counter::MessagesRecv),
-        );
+    }
+
+    /// The tracer's traffic counters are the reports' traffic, charged once
+    /// per evaluation: a collective run on the same `Comm` after the
+    /// evaluation is not the evaluation's, and does not reach the trace.
+    #[test]
+    fn trace_counts_the_evaluation_traffic_only() {
+        let chunks = split_points(&uniform_cube(900, 61), 3);
+        let tracer = Tracer::enabled();
+        let opts = FmmOptions { order: 4, max_pts_per_leaf: 30, ..Default::default() };
+        let sent = run(3, {
+            let tracer = tracer.clone();
+            move |comm| {
+                let mut pfmm = ParallelFmm::new(comm, Laplace, &chunks[comm.rank()], opts);
+                pfmm.set_trace(tracer.clone());
+                let stats = pfmm.eval(comm, &vec![1.0; pfmm.local_len()]).stats;
+                allreduce_f64(comm, &mut [1.0], ReduceOp::Sum);
+                (stats.comm_messages, stats.comm_bytes)
+            }
+        })
+        .into_iter()
+        .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db));
+        assert!(sent.0 > 0, "three ranks exchange");
+        let total = |m, b| (tracer.counter_total(m), tracer.counter_total(b));
+        assert_eq!(total(Counter::MessagesSent, Counter::BytesSent), sent);
+        assert_eq!(total(Counter::MessagesRecv, Counter::BytesRecv), sent, "all of it received");
     }
 
     /// Batched distributed evaluation: k=8 charge vectors through one

@@ -37,11 +37,12 @@
 //! are free to change while it is in flight. [`ExchangePlan::poll`] makes
 //! progress without blocking (drain gather packets → combine + scatter
 //! once all parts are in → drain scatter packets), so the driver can
-//! interleave it between compute stages; [`ExchangePlan::complete`] drives
-//! the remainder, parking in [`Comm::wait_any`] instead of spinning. The
-//! combine folds contributor parts in ascending rank order with this
-//! rank's part at its own position, so results are bitwise identical to
-//! the per-box path.
+//! interleave it between compute stages; `drive` runs the remainder of
+//! one plan while others drain alongside, parking in [`Comm::wait_any`]
+//! instead of spinning, and [`ExchangePlan::complete`] is that loop for a
+//! single plan. The combine folds contributor parts in ascending rank
+//! order with this rank's part at its own position, so results are
+//! bitwise identical to the per-box path.
 
 use crate::ownership::Ownership;
 use kifmm_mpi::{decode_packet, encode_packet, encode_tag, Comm};
@@ -181,16 +182,6 @@ impl ExchangeRoute {
         }
     }
 
-    /// Peers this rank sends a gather packet to (one message each).
-    pub fn gather_peers(&self) -> usize {
-        self.gather_sends.len()
-    }
-
-    /// Peers this rank sends a scatter packet to (one message each).
-    pub fn scatter_peers(&self) -> usize {
-        self.scatter_sends.len()
-    }
-
     /// Total messages this rank sends per exchange: exactly one per
     /// gather peer plus one per scatter peer — O(peers), never O(boxes).
     pub fn messages_out(&self) -> usize {
@@ -252,7 +243,8 @@ impl ExchangeRoute {
 /// A coalesced gather/scatter in flight: gather packets posted, this
 /// rank's own parts held, owner combine/scatter and user receives
 /// outstanding. Drive with [`ExchangePlan::poll`] between compute stages,
-/// or [`ExchangePlan::complete`] to block until done.
+/// and with `drive` or [`ExchangePlan::complete`] once there is no
+/// compute left to overlap.
 pub struct ExchangePlan<'r> {
     route: &'r ExchangeRoute,
     salt: u64,
@@ -273,6 +265,7 @@ pub struct ExchangePlan<'r> {
 impl ExchangePlan<'_> {
     /// Make all progress possible without blocking; returns true once the
     /// exchange is finished (every used box's global payload assembled).
+    /// Polling a finished plan does nothing and returns true again.
     pub fn poll(&mut self, comm: &Comm) -> bool {
         // 1. Drain arrived gather packets.
         let gtag = encode_tag(NS_GATHER, self.salt, 0);
@@ -337,11 +330,9 @@ impl ExchangePlan<'_> {
         self.scattered && self.pending_scatter.is_empty()
     }
 
-    /// Append the `(source, tag)` keys of every outstanding receive — the
-    /// argument for [`Comm::wait_any`] when the caller has run out of
-    /// compute to overlap. Nonempty whenever [`ExchangePlan::poll`]
-    /// returned false.
-    pub fn pending_keys(&self, out: &mut Vec<(usize, u64)>) {
+    /// Append the `(source, tag)` keys of every outstanding receive — none
+    /// once the plan is finished.
+    fn pending_keys(&self, out: &mut Vec<(usize, u64)>) {
         let gtag = encode_tag(NS_GATHER, self.salt, 0);
         for &i in &self.pending_gather {
             out.push((self.route.gather_recvs[i].0, gtag));
@@ -352,26 +343,31 @@ impl ExchangePlan<'_> {
         }
     }
 
-    /// Drive the exchange to completion, parking in [`Comm::wait_any`]
-    /// between polls, and return the global payload of every used box.
+    /// Drive the exchange to completion and return the global payload of
+    /// every used box (at once, if the plan is already finished).
     pub fn complete(mut self, comm: &Comm) -> HashMap<u32, Vec<f64>> {
-        let mut keys = Vec::new();
-        while !self.poll(comm) {
-            keys.clear();
-            self.pending_keys(&mut keys);
-            comm.wait_any(&keys);
-        }
-        self.finish()
-    }
-
-    /// Consume a finished plan (i.e. after [`ExchangePlan::poll`] returned
-    /// true) and take the assembled global payloads.
-    pub fn finish(self) -> HashMap<u32, Vec<f64>> {
-        assert!(
-            self.scattered && self.pending_gather.is_empty() && self.pending_scatter.is_empty(),
-            "finish() on an exchange that is still in flight"
-        );
+        drive(comm, &mut [&mut self]);
         self.global
+    }
+}
+
+/// The one park-and-poll loop: poll every plan until the first one is
+/// finished, parking in [`Comm::wait_any`] on the keys of every unfinished
+/// plan in between — so the others keep draining while the caller waits
+/// on the first.
+pub(crate) fn drive(comm: &Comm, plans: &mut [&mut ExchangePlan<'_>]) {
+    let mut keys = Vec::new();
+    loop {
+        let first_done = plans[0].poll(comm);
+        for plan in &mut plans[1..] {
+            plan.poll(comm);
+        }
+        if first_done {
+            return;
+        }
+        keys.clear();
+        plans.iter().for_each(|plan| plan.pending_keys(&mut keys));
+        comm.wait_any(&keys);
     }
 }
 
@@ -552,30 +548,14 @@ mod tests {
                 let contributes = own.is_contributor(b as usize, comm.rank());
                 assert_eq!(calls[b as usize], contributes as u32, "payload calls for box {b}");
             }
-            let (mut d1, mut d2) = (false, false);
-            let mut keys = Vec::new();
-            while !(d1 && d2) {
-                d1 = p1.poll(comm);
-                d2 = p2.poll(comm);
-                if d1 && d2 {
-                    break;
-                }
-                keys.clear();
-                if !d1 {
-                    p1.pending_keys(&mut keys);
-                }
-                if !d2 {
-                    p2.pending_keys(&mut keys);
-                }
-                comm.wait_any(&keys);
-            }
-            let g2 = p2.finish();
+            drive(comm, &mut [&mut p2, &mut p1]);
+            let g2 = p2.complete(comm);
             for &b in &boxes {
                 if own.is_equiv_user(b as usize, comm.rank()) {
                     assert_eq!(g2[&b][0], dt.global_counts[b as usize] as f64);
                 }
             }
-            let g1 = p1.finish();
+            let g1 = p1.complete(comm);
             for &b in &leaves {
                 if own.is_src_user(b as usize, comm.rank()) {
                     // Concat: two floats per contributor, ascending order,

@@ -321,12 +321,6 @@ impl Octree {
         (0..self.nodes.len() as u32).filter(move |&i| self.nodes[i as usize].is_leaf())
     }
 
-    /// The original point indices owned by a box.
-    pub fn point_indices(&self, node: u32) -> &[u32] {
-        let nd = &self.nodes[node as usize];
-        &self.perm[nd.pt_start as usize..nd.pt_end as usize]
-    }
-
     /// Gather per-point data (`dim` interleaved components per point) from
     /// the caller's original point order into Morton order.
     pub fn to_morton(&self, orig: &[f64], dim: usize) -> Vec<f64> {
@@ -458,7 +452,7 @@ mod tests {
         for (i, nd) in t.nodes.iter().enumerate() {
             let c = t.domain.box_center(&nd.key);
             let h = t.domain.box_half(nd.key.level);
-            for &pi in t.point_indices(i as u32) {
+            for &pi in &t.perm[nd.pt_start as usize..nd.pt_end as usize] {
                 let p = pts[pi as usize];
                 for d in 0..3 {
                     assert!(

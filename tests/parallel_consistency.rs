@@ -214,7 +214,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
         let sent = (comm.stats().messages_sent - sent0) as usize;
         assert_eq!(
             sent,
-            route.gather_peers() + route.scatter_peers(),
+            route.messages_out(),
             "exactly one gather message per contributing peer and one \
              scatter message per using peer"
         );
