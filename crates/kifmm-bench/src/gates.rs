@@ -224,13 +224,13 @@ pub fn accuracy(errs: &[[[f64; 3]; 3]; 3]) -> Result<(), String> {
 }
 
 /// Workload feedback: on each non-uniform cloud, given as (count-based
-/// Ratio, work-based Ratio), repartitioning by estimated work does not
-/// leave the ranks further apart than the paper's count-based partition.
+/// Ratio, measured Ratio), repartitioning by the last run's seconds does
+/// not leave the ranks further apart than the paper's count-based cut.
 pub fn balance(non_uniform: &[(f64, f64)]) -> Result<(), String> {
     let mut failed = Failed::default();
-    for (i, &(count, work)) in non_uniform.iter().enumerate() {
-        failed.unless(work <= count, || {
-            format!("non-uniform cloud {i}: work-based Ratio {work:.3} > count-based {count:.3}")
+    for (i, &(count, measured)) in non_uniform.iter().enumerate() {
+        failed.unless(measured <= count, || {
+            format!("non-uniform cloud {i}: measured Ratio {measured:.3} > count-based {count:.3}")
         });
     }
     failed.verdict()

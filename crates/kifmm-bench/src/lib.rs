@@ -56,9 +56,8 @@ pub struct RankMetrics {
     /// Virtual seconds of set-up: wall time in tree construction, lists,
     /// ownership and the ghost exchange, plus its modelled traffic.
     pub setup_seconds: f64,
-    /// Predicted flops of each point this rank owns, in the order of its
-    /// partition group (`ParallelFmm::point_work_estimates`).
-    pub point_work: Vec<f64>,
+    /// Number of points this rank owns.
+    pub points: usize,
 }
 
 impl RankMetrics {
@@ -68,6 +67,20 @@ impl RankMetrics {
         self.phases.total_seconds() - self.phases.seconds[Phase::Comm as usize]
             + comm_seconds(self.phases.comm_bytes, self.phases.comm_messages)
     }
+}
+
+/// The paper's "work estimates from a previous time step" (§3.1), read
+/// off the clock: each point of rank `r` weighs `virtual_seconds(r) /
+/// |part.groups[r]|`, so a rank's points weigh the seconds whose max/min
+/// is the Ratio. Indexed by global point, for `partition_weighted_points`.
+pub fn measured_weights(part: &Partition, metrics: &[RankMetrics]) -> Vec<f64> {
+    assert_eq!(part.groups.len(), metrics.len(), "one rank per group");
+    let mut weights = vec![0.0; part.groups.iter().map(Vec::len).sum()];
+    for (group, rank) in part.groups.iter().zip(metrics) {
+        let each = rank.virtual_seconds() / group.len() as f64;
+        group.iter().for_each(|&i| weights[i] = each);
+    }
+    weights
 }
 
 /// Run one distributed interaction calculation with rank `r` owning
@@ -110,7 +123,7 @@ pub fn run_distributed<K: Kernel>(
             phases,
             setup_seconds: pfmm.setup_seconds
                 + comm_seconds(after_setup.bytes_sent, after_setup.messages_sent),
-            point_work: pfmm.point_work_estimates(),
+            points: local.len(),
         }
     })
 }
@@ -169,8 +182,7 @@ fn min_max(v: impl Iterator<Item = f64> + Clone) -> (f64, f64) {
 pub fn summarize(metrics: &[RankMetrics]) -> SweepRow {
     let p = metrics.len();
     let avg = |f: &dyn Fn(&RankMetrics) -> f64| metrics.iter().map(f).sum::<f64>() / p as f64;
-    // Every point has one work estimate, on the rank that owns it.
-    let n = metrics.iter().map(|m| m.point_work.len()).sum();
+    let n = metrics.iter().map(|m| m.points).sum();
     let mut merged = PhaseStats::new();
     metrics.iter().for_each(|m| merged.merge(&m.phases));
     let total = avg(&RankMetrics::virtual_seconds);
@@ -310,6 +322,7 @@ pub fn rank_sweep(max_default: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kifmm::tree::partition_weighted_points;
     use kifmm::{Fmm, Laplace};
 
     #[test]
@@ -325,6 +338,9 @@ mod tests {
         let part = partition_points(&pts, 2);
         let metrics = run_distributed(Laplace, &pts, &part, opts, 1, &Tracer::disabled());
         assert_eq!(metrics.len(), 2);
+        for (m, group) in metrics.iter().zip(&part.groups) {
+            assert_eq!(m.points, group.len());
+        }
         let row = summarize(&metrics);
         assert_eq!(row.p, 2);
         assert_eq!(row.n, 3000);
@@ -334,6 +350,33 @@ mod tests {
         // Two ranks must have exchanged something.
         assert!(row.eval_bytes > 0);
         assert!(gates::exchange(&row).is_ok());
+    }
+
+    /// A rank that took `seconds` of DownV and owns `points`.
+    fn rank(seconds: f64, points: usize) -> RankMetrics {
+        let mut phases = PhaseStats::new();
+        phases.seconds[Phase::DownV as usize] = seconds;
+        RankMetrics { phases, setup_seconds: 0.0, points }
+    }
+
+    #[test]
+    fn measured_weights_move_the_cut_toward_the_slow_rank() {
+        let pts = kifmm::geom::uniform_cube(1000, 5);
+        let halves = partition_points(&pts, 2).groups;
+        // Rank 0 took three times rank 1's seconds; rank 2 owns no point
+        // and took none (0 / 0 is NaN, if it were ever assigned).
+        let part = Partition { groups: vec![halves[0].clone(), halves[1].clone(), vec![]] };
+        let w = measured_weights(&part, &[rank(3.0, 500), rank(1.0, 500), rank(0.0, 0)]);
+        assert_eq!(w.len(), 1000);
+        assert!(w.iter().all(|&x| x.is_finite()), "a weight is not finite");
+        assert!(halves[0].iter().all(|&i| w[i] == 3.0 / 500.0));
+        assert!(halves[1].iter().all(|&i| w[i] == 1.0 / 500.0));
+        // Re-cut into the same three groups: the slow rank keeps only a
+        // prefix of its curve segment, the empty one gets points.
+        let cut = partition_weighted_points(&pts, &w, 3).groups;
+        assert!(cut[0].len() < halves[0].len(), "slow rank kept {} points", cut[0].len());
+        assert!(cut[0].iter().all(|i| halves[0].contains(i)));
+        assert!(!cut[2].is_empty());
     }
 
     /// The harness measures the engine, not a cousin of it: one rank of

@@ -39,7 +39,6 @@ pub mod precompute;
 pub mod stats;
 pub mod surface;
 pub mod targets;
-pub mod work;
 
 pub use direct::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, rel_l2_error,
@@ -58,4 +57,3 @@ pub use operators::{LevelOps, LevelRule, LevelScale, OperatorTable, FIRST_FMM_LE
 pub use precompute::{Precomputed, PrecomputeCache};
 pub use stats::{thread_cpu_time, Meter, Phase, PhaseStats, PHASES, PHASE_NAMES};
 pub use surface::{num_surface_points, surface_points, RAD_INNER, RAD_OUTER};
-pub use work::{leaf_work_rates, point_work_estimates};

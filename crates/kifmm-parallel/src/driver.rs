@@ -282,21 +282,6 @@ impl<K: Kernel> ParallelFmm<K> {
         self.dtree.sorted_points.len()
     }
 
-    /// Predicted per-point workload (flops) for this rank's points, in
-    /// the caller's original local order — the "work estimates from a
-    /// previous time step" the paper proposes for better load balancing.
-    /// Feed into `kifmm_tree::partition_weighted_points` before the next
-    /// repartitioning.
-    pub fn point_work_estimates(&self) -> Vec<f64> {
-        kifmm_core::point_work_estimates(
-            &self.kernel,
-            &self.dtree.tree,
-            &self.lists,
-            self.opts.order,
-            |b| self.dtree.global_counts[b as usize] as f64,
-        )
-    }
-
     /// Borrow the prepared state into a [`PassEngine`] restricted to this
     /// rank's contributed boxes. Per-rank work stays on the rank's own
     /// thread ([`Dispatch::Serial`]), matching the paper's one-rank-per-CPU

@@ -220,10 +220,16 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 benchmark/run.sh --smoke --trace > /dev/null
 echo "benchmark gate: OK"
 
-# ROADMAP item 3's size measure, printed so the number quoted there is
-# reproducible.
-echo "core+kernels source lines: $(find crates/kifmm-core/src crates/kifmm-kernels/src -name '*.rs' | xargs cat | wc -l)"
 nontest() { awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n}' "$1"; }
+# Summed over every source file under a directory.
+nontest_dir() {
+    local n=0 f
+    for f in $(find "$1" -name '*.rs'); do
+        n=$((n + $(nontest "$f")))
+    done
+    echo "$n"
+}
+echo "non-test lines: kifmm-core/src $(nontest_dir crates/kifmm-core/src), kifmm-bench/src $(nontest_dir crates/kifmm-bench/src)"
 front=0
 for f in plan fmm evaluator stats targets; do
     front=$((front + $(nontest "crates/kifmm-core/src/$f.rs")))
@@ -234,9 +240,5 @@ for f in m2l engine/mod precompute; do
     m2l=$((m2l + $(nontest "crates/kifmm-core/src/$f.rs")))
 done
 echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime lib.rs $(nontest crates/kifmm-runtime/src/lib.rs)"
-mpi=0
-for f in crates/kifmm-mpi/src/*.rs; do
-    mpi=$((mpi + $(nontest "$f")))
-done
-echo "non-test lines: kifmm-mpi/src $mpi"
+echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src)"
 echo "verify: ALL OK"
