@@ -30,7 +30,7 @@ use kifmm_runtime::{num_threads, par_each, par_map, zip_eq, Dispatch, Pool};
 use kifmm_tree::{
     build_lists, first_non_finite, update_octree, InteractionLists, Octree,
 };
-use kifmm_trace::{Counter, Tracer};
+use kifmm_trace::Tracer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -658,10 +658,8 @@ struct CacheState<K: Kernel> {
 /// cache serves one kernel *type* (the type parameter); kernel
 /// *parameters* are distinguished through [`Kernel::id_bits`].
 ///
-/// Hits and misses are counted (readable via [`PlanCache::hits`] /
-/// [`PlanCache::misses`]) and, when a tracer is attached, mirrored into
-/// the [`Counter::PlanCacheHits`] / [`Counter::PlanCacheMisses`] trace
-/// counters.
+/// Lookups are counted once, here: [`PlanCache::hits`],
+/// [`PlanCache::misses`] and [`PlanCache::updates`].
 pub struct PlanCache<K: Kernel> {
     inner: Mutex<CacheState<K>>,
     clock: AtomicU64,
@@ -669,7 +667,6 @@ pub struct PlanCache<K: Kernel> {
     hits: AtomicU64,
     misses: AtomicU64,
     updates: AtomicU64,
-    trace: Tracer,
 }
 
 impl<K: Kernel> PlanCache<K> {
@@ -684,18 +681,12 @@ impl<K: Kernel> PlanCache<K> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             updates: AtomicU64::new(0),
-            trace: Tracer::disabled(),
         }
     }
 
     /// Cache with no byte bound.
     pub fn unbounded() -> Self {
         Self::new(usize::MAX)
-    }
-
-    /// Mirror hit/miss counts into `trace`'s rank-0 counters.
-    pub fn set_trace(&mut self, trace: Tracer) {
-        self.trace = trace;
     }
 
     /// Plan-cache lookups served from a cached plan (setup skipped).
@@ -783,7 +774,6 @@ impl<K: Kernel> PlanCache<K> {
     ) -> Result<Plan<K>, BuildError> {
         let plan = Plan::try_new(kernel.clone(), points, opts)?;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.trace.rank(0).add(Counter::PlanCacheMisses, 1);
         Ok(plan)
     }
 
@@ -800,7 +790,7 @@ impl<K: Kernel> PlanCache<K> {
             let mut state = self.state();
             if let Some(e) = state.entries.iter_mut().find(|e| e.key == key) {
                 e.stamp = stamp;
-                self.count_hit();
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(e.plan.clone());
             }
             state.building.entry(key).or_default().clone()
@@ -822,14 +812,9 @@ impl<K: Kernel> PlanCache<K> {
             });
             self.retire_flight(key, resident);
         } else if result.is_ok() {
-            self.count_hit();
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         result
-    }
-
-    fn count_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.trace.rank(0).add(Counter::PlanCacheHits, 1);
     }
 
     /// Drop `key`'s finished flight (only the caller that ran its build
@@ -1418,19 +1403,6 @@ mod tests {
             }
         });
         assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 0, 2));
-    }
-
-    #[test]
-    fn plan_cache_counters_reach_the_tracer() {
-        let pts = cloud(200, 7);
-        let mut cache = PlanCache::unbounded();
-        let trace = Tracer::enabled();
-        cache.set_trace(trace.clone());
-        cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
-        cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
-        let json = trace.chrome_trace_json();
-        assert!(json.contains("plan_cache_hits"), "hit counter exported: {json}");
-        assert!(json.contains("plan_cache_misses"), "miss counter exported");
     }
 
     /// An evaluation that panics with a scratch pair checked out (a

@@ -1,6 +1,6 @@
 //! A minimal `f64` complex number.
 
-use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
+use std::ops::{Add, Mul, Sub};
 
 /// Complex number with `f64` parts. `#[repr(C)]` so slices of `C64` can be
 /// reinterpreted as interleaved re/im buffers if ever needed.
@@ -16,8 +16,6 @@ pub struct C64 {
 impl C64 {
     /// Zero.
     pub const ZERO: C64 = C64 { re: 0.0, im: 0.0 };
-    /// One.
-    pub const ONE: C64 = C64 { re: 1.0, im: 0.0 };
 
     /// Construct from parts.
     #[inline]
@@ -80,27 +78,11 @@ impl Add for C64 {
     }
 }
 
-impl AddAssign for C64 {
-    #[inline]
-    fn add_assign(&mut self, o: C64) {
-        self.re += o.re;
-        self.im += o.im;
-    }
-}
-
 impl Sub for C64 {
     type Output = C64;
     #[inline]
     fn sub(self, o: C64) -> C64 {
         C64 { re: self.re - o.re, im: self.im - o.im }
-    }
-}
-
-impl SubAssign for C64 {
-    #[inline]
-    fn sub_assign(&mut self, o: C64) {
-        self.re -= o.re;
-        self.im -= o.im;
     }
 }
 
@@ -115,21 +97,6 @@ impl Mul for C64 {
     }
 }
 
-impl MulAssign for C64 {
-    #[inline]
-    fn mul_assign(&mut self, o: C64) {
-        *self = *self * o;
-    }
-}
-
-impl Neg for C64 {
-    type Output = C64;
-    #[inline]
-    fn neg(self) -> C64 {
-        C64 { re: -self.re, im: -self.im }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +108,6 @@ mod tests {
         assert_eq!(a + b, C64::new(4.0, 1.0));
         assert_eq!(a - b, C64::new(-2.0, 3.0));
         assert_eq!(a * b, C64::new(5.0, 5.0));
-        assert_eq!(-a, C64::new(-1.0, -2.0));
         assert_eq!(a.conj(), C64::new(1.0, -2.0));
         assert_eq!(a.norm_sqr(), 5.0);
     }

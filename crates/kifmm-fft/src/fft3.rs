@@ -1,27 +1,26 @@
-//! 3-D complex FFT built from 1-D plans.
+//! The 3-D complex DFT by its definition: the reference transform.
 
 use crate::c64::C64;
-use crate::fft1d::FftPlan;
 
-/// A 3-D FFT over an `n0 × n1 × n2` row-major grid
-/// (index `(i, j, k) → (i·n1 + j)·n2 + k`).
+/// A 3-D discrete Fourier transform over an `n0 × n1 × n2` row-major grid
+/// (index `(i, j, k) → (i·n1 + j)·n2 + k`), computed axis by axis as the
+/// direct sum `X_k = Σ_j x_j ω^{jk}`, `ω = e^{−2πi/n}`, from one table of
+/// the `n` roots of unity per axis. At the sides the FMM grids have
+/// (`2p ≤ 20`) that is no slower than a butterfly recursion.
 pub struct Fft3 {
     dims: [usize; 3],
-    plans: [FftPlan; 3],
+    /// `roots[a][t] = e^{−2πi·t/n_a}` for axis `a`.
+    roots: [Vec<C64>; 3],
 }
 
 impl Fft3 {
-    /// Plan for the given grid dimensions.
+    /// Plan for the given grid dimensions (each at least 1).
     pub fn new(dims: [usize; 3]) -> Self {
-        Fft3 {
-            dims,
-            plans: [FftPlan::new(dims[0]), FftPlan::new(dims[1]), FftPlan::new(dims[2])],
-        }
-    }
-
-    /// Grid dimensions.
-    pub fn dims(&self) -> [usize; 3] {
-        self.dims
+        assert!(dims.iter().all(|&n| n >= 1), "grid dimensions must be positive");
+        let roots = dims.map(|n| {
+            (0..n).map(|t| C64::cis(-2.0 * std::f64::consts::PI * t as f64 / n as f64)).collect()
+        });
+        Fft3 { dims, roots }
     }
 
     /// Total number of grid points.
@@ -48,103 +47,42 @@ impl Fft3 {
         }
     }
 
-    /// In-place **unnormalized** inverse transform pruned to the output
-    /// corner `[0, keep₀) × [0, keep₁) × [0, keep₂)`: pass lines whose
-    /// results cannot reach the corner are skipped entirely. Entries
-    /// outside the corner are left in an unspecified intermediate state —
-    /// callers read only the corner (and normalize themselves). With
-    /// `keep = dims` this computes the full unnormalized inverse.
-    ///
-    /// This is the classic pruned-FFT trick for convolution grids where
-    /// only a sub-volume (here: the embedded surface cube) is read back.
+    /// In-place **unnormalized** inverse transform for callers that read
+    /// only the output corner `[0, keep₀) × [0, keep₁) × [0, keep₂)` (and
+    /// normalize themselves). Entries outside the corner are unspecified;
+    /// this reference computes the whole unnormalized inverse.
     pub fn inverse_corner_unnormalized(&self, data: &mut [C64], keep: [usize; 3]) {
-        assert_eq!(data.len(), self.len(), "buffer must match grid size");
-        let [n0, n1, n2] = self.dims;
-        debug_assert!(keep[0] <= n0 && keep[1] <= n1 && keep[2] <= n2);
-        // Axis 2 (contiguous): every line feeds some kept k.
-        for line in data.chunks_exact_mut(n2) {
-            self.plans[2].inverse_unnormalized(line);
-        }
-        // Axis 1: lines are (i, k); only k < keep₂ can reach the corner.
-        let mut buf = vec![C64::ZERO; n1];
-        for i in 0..n0 {
-            let slab = &mut data[i * n1 * n2..(i + 1) * n1 * n2];
-            for k in 0..keep[2] {
-                for j in 0..n1 {
-                    buf[j] = slab[j * n2 + k];
-                }
-                self.plans[1].inverse_unnormalized(&mut buf);
-                for j in 0..n1 {
-                    slab[j * n2 + k] = buf[j];
-                }
-            }
-        }
-        // Axis 0: columns are (j, k); only j < keep₁, k < keep₂ matter.
-        let stride = n1 * n2;
-        let mut buf0 = vec![C64::ZERO; n0];
-        for j in 0..keep[1] {
-            for k in 0..keep[2] {
-                let jk = j * n2 + k;
-                for i in 0..n0 {
-                    buf0[i] = data[i * stride + jk];
-                }
-                self.plans[0].inverse_unnormalized(&mut buf0);
-                for i in 0..n0 {
-                    data[i * stride + jk] = buf0[i];
-                }
-            }
-        }
+        debug_assert!(keep.iter().zip(&self.dims).all(|(k, n)| k <= n));
+        self.apply(data, true);
     }
 
+    /// Transform every line of every axis in place. The inverse is the
+    /// forward sum on conjugated input, conjugated back.
     fn apply(&self, data: &mut [C64], inverse: bool) {
         assert_eq!(data.len(), self.len(), "buffer must match grid size");
-        let [n0, n1, n2] = self.dims;
-        let run = |plan: &FftPlan, line: &mut [C64]| {
-            if inverse {
-                plan.inverse_unnormalized(line)
-            } else {
-                plan.forward(line)
-            }
-        };
-        // Forward inputs are typically zero-padded embeddings (a cube
-        // surface in a (2p)³ volume): most lines of the first two passes
-        // are identically zero, and the transform of a zero line is a zero
-        // line — skip them. (Inverse inputs are dense spectra; the scan
-        // would be pure overhead.)
-        let live = |line: &[C64]| inverse || line.iter().any(|v| v.re != 0.0 || v.im != 0.0);
-        // Axis 2 (contiguous lines).
-        for line in data.chunks_exact_mut(n2) {
-            if live(line) {
-                run(&self.plans[2], line);
-            }
-        }
-        // Axis 1 (stride n2 within each i-slab).
-        let mut buf = vec![C64::ZERO; n1];
-        for i in 0..n0 {
-            let slab = &mut data[i * n1 * n2..(i + 1) * n1 * n2];
-            for k in 0..n2 {
-                for j in 0..n1 {
-                    buf[j] = slab[j * n2 + k];
-                }
-                if live(&buf) {
-                    run(&self.plans[1], &mut buf);
-                    for j in 0..n1 {
-                        slab[j * n2 + k] = buf[j];
+        let [_, n1, n2] = self.dims;
+        let flip = |v: C64| if inverse { v.conj() } else { v };
+        for (axis, stride) in [(2, 1), (1, n2), (0, n1 * n2)] {
+            let (n, roots) = (self.dims[axis], &self.roots[axis]);
+            let mut line = vec![C64::ZERO; n];
+            for outer in 0..data.len() / (n * stride) {
+                for inner in 0..stride {
+                    let base = outer * n * stride + inner;
+                    for (j, x) in line.iter_mut().enumerate() {
+                        *x = flip(data[base + j * stride]);
                     }
-                }
-            }
-        }
-        // Axis 0 (stride n1*n2).
-        let stride = n1 * n2;
-        let mut buf0 = vec![C64::ZERO; n0];
-        for jk in 0..stride {
-            for i in 0..n0 {
-                buf0[i] = data[i * stride + jk];
-            }
-            if live(&buf0) {
-                run(&self.plans[0], &mut buf0);
-                for i in 0..n0 {
-                    data[i * stride + jk] = buf0[i];
+                    for k in 0..n {
+                        // The exponent j·k, kept modulo n.
+                        let (mut acc, mut t) = (C64::ZERO, 0);
+                        for &x in &line {
+                            acc = acc.mul_add(roots[t], x);
+                            t += k;
+                            if t >= n {
+                                t -= n;
+                            }
+                        }
+                        data[base + k * stride] = flip(acc);
+                    }
                 }
             }
         }
@@ -187,6 +125,24 @@ mod tests {
         out
     }
 
+    /// A 1-D signal, transformed on an `[n, 1, 1]` grid.
+    fn ramp(n: usize) -> Vec<C64> {
+        (0..n).map(|i| C64::new((i as f64).sin() + 0.3, (i as f64 * 0.7).cos())).collect()
+    }
+
+    fn assert_close(a: &[C64], b: &[C64], tol: f64) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert!((*x - *y).abs() < tol, "{x:?} vs {y:?}");
+        }
+    }
+
+    fn forward_1d(x: &[C64]) -> Vec<C64> {
+        let mut y = x.to_vec();
+        Fft3::new([x.len(), 1, 1]).forward(&mut y);
+        y
+    }
+
     #[test]
     fn matches_naive_3d() {
         for dims in [[2usize, 3, 4], [4, 4, 4], [3, 5, 2], [1, 6, 4]] {
@@ -197,6 +153,63 @@ mod tests {
             for (u, v) in y.iter().zip(&expect) {
                 assert!((*u - *v).abs() < 1e-9, "{dims:?}");
             }
+        }
+    }
+
+    #[test]
+    fn matches_naive_dft_smooth_sizes() {
+        for n in [1usize, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 24, 27, 32, 36, 48] {
+            let x = ramp(n);
+            assert_close(&forward_1d(&x), &naive_dft3(&x, [n, 1, 1]), 1e-9 * n as f64);
+        }
+    }
+
+    #[test]
+    fn matches_naive_dft_prime_sizes() {
+        for n in [17usize, 19, 23, 29, 31, 37, 97] {
+            let x = ramp(n);
+            assert_close(&forward_1d(&x), &naive_dft3(&x, [n, 1, 1]), 1e-8 * n as f64);
+        }
+    }
+
+    #[test]
+    fn forward_inverse_roundtrip() {
+        for n in [1usize, 4, 6, 12, 16, 17, 30, 64, 97, 100] {
+            let x = ramp(n);
+            let mut y = forward_1d(&x);
+            Fft3::new([n, 1, 1]).inverse(&mut y);
+            assert_close(&y, &x, 1e-10 * (n as f64 + 1.0));
+        }
+    }
+
+    #[test]
+    fn parseval() {
+        let n = 24;
+        let x = ramp(n);
+        let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
+        let ey: f64 = forward_1d(&x).iter().map(|v| v.norm_sqr()).sum();
+        assert!((ey - n as f64 * ex).abs() < 1e-9 * ey.abs());
+    }
+
+    #[test]
+    fn impulse_gives_flat_spectrum() {
+        let n = 12;
+        let mut x = vec![C64::ZERO; n];
+        x[0] = C64::real(1.0);
+        for v in forward_1d(&x) {
+            assert!((v - C64::real(1.0)).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn linearity() {
+        let n = 20;
+        let a = ramp(n);
+        let b: Vec<C64> = (0..n).map(|i| C64::new(i as f64, -(i as f64) * 0.5)).collect();
+        let (fa, fb) = (forward_1d(&a), forward_1d(&b));
+        let ab: Vec<C64> = a.iter().zip(&b).map(|(x, y)| *x + y.scale(2.0)).collect();
+        for (i, got) in forward_1d(&ab).into_iter().enumerate() {
+            assert!((got - (fa[i] + fb[i].scale(2.0))).abs() < 1e-9);
         }
     }
 

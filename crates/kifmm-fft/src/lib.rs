@@ -11,14 +11,12 @@
 //!   read on output, producing / consuming the Hermitian half-spectrum as
 //!   split real and imaginary planes.
 //!
-//! and, as the general-purpose path that transform is tested against (and
-//! the repo benchmark's `fft.*` rows time):
+//! and, as the reference that transform is tested against (and the repo
+//! benchmark's `fft.*` rows time):
 //!
 //! * [`C64`] — a minimal complex number type,
-//! * [`FftPlan`] — a complex FFT of any length: recursive Cooley–Tukey
-//!   over the prime factorization with a generic length-`r` DFT as the
-//!   combine step, Bluestein fallback for large primes,
-//! * [`Fft3`] — 3-D complex transforms built from 1-D plans,
+//! * [`Fft3`] — the 3-D complex DFT by its definition: a direct sum per
+//!   output entry along each axis,
 //! * [`conv`] — Hadamard-product helpers on interleaved complex slabs (the
 //!   reference the chunk-major Hadamard stage of `kifmm-core` is checked
 //!   against, bit for bit).
@@ -27,12 +25,10 @@
 
 pub mod c64;
 pub mod conv;
-pub mod fft1d;
 pub mod fft3;
 pub mod real3;
 
 pub use c64::C64;
 pub use conv::pointwise_mul_add;
-pub use fft1d::FftPlan;
 pub use fft3::Fft3;
 pub use real3::RealFft3;

@@ -19,8 +19,9 @@
 //! the contiguous trailing index: `m/2+1` entries for the two inner axes,
 //! `m·(m/2+1)` for the outer one. At the sizes the FMM uses (`p ≤ 10`)
 //! that beats a butterfly network run on gathered strided lines of the
-//! complex-embedded grid by an order of magnitude; [`crate::Fft3`] stays
-//! as the oracle this transform is tested against.
+//! complex-embedded grid by an order of magnitude. [`crate::Fft3`], the
+//! complex 3-D DFT by its definition, is the oracle this transform is
+//! tested against.
 
 /// Pruned real-input transform plan for surface order `p` (grid side `2p`).
 pub struct RealFft3 {

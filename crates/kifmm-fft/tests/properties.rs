@@ -1,13 +1,14 @@
 //! Property-based tests for the FFT substrate.
 
-use kifmm_fft::{C64, Fft3, FftPlan, RealFft3};
+use kifmm_fft::{C64, Fft3, RealFft3};
 use kifmm_testkit::{check, prop_assert, Gen};
 
 fn signal(g: &mut Gen, len: usize) -> Vec<C64> {
     (0..len).map(|_| C64::new(g.f64(-5.0, 5.0), g.f64(-5.0, 5.0))).collect()
 }
 
-/// Roundtrip for every length 1..=64 (smooth, prime, mixed).
+/// Roundtrip for every length 1..=64 (smooth, prime, mixed), on an
+/// `[n, 1, 1]` grid.
 #[test]
 fn roundtrip_any_length() {
     check("roundtrip_any_length", 30, |g| {
@@ -19,7 +20,7 @@ fn roundtrip_any_length() {
                 C64::new((t * 0.01).sin(), (t * 0.007).cos())
             })
             .collect();
-        let plan = FftPlan::new(n);
+        let plan = Fft3::new([n, 1, 1]);
         let mut y = x.clone();
         plan.forward(&mut y);
         plan.inverse(&mut y);
@@ -34,7 +35,7 @@ fn roundtrip_any_length() {
 fn parseval() {
     check("parseval", 30, |g| {
         let x = signal(g, 24);
-        let plan = FftPlan::new(24);
+        let plan = Fft3::new([24, 1, 1]);
         let mut y = x.clone();
         plan.forward(&mut y);
         let ex: f64 = x.iter().map(|v| v.norm_sqr()).sum();
@@ -50,7 +51,7 @@ fn shift_theorem() {
         let n = 16;
         let x = signal(g, n);
         let shift = g.usize(0, n);
-        let plan = FftPlan::new(n);
+        let plan = Fft3::new([n, 1, 1]);
         let mut fx = x.clone();
         plan.forward(&mut fx);
         let shifted: Vec<C64> = (0..n).map(|i| x[(i + shift) % n]).collect();

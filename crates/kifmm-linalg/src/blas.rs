@@ -58,44 +58,27 @@ pub fn gemv(alpha: f64, a: &Mat, x: &[f64], beta: f64, y: &mut [f64]) {
     }
 }
 
-/// `C = alpha * A * B + beta * C`, all row-major.
-///
-/// Uses the `i-k-j` loop order: the innermost loop streams over a row of `B`
-/// and a row of `C`, both contiguous, which is the standard cache-friendly
-/// ordering for row-major GEMM.
+/// `C = alpha * A * B + beta * C`, all row-major: [`gemm_slices`] over the
+/// matrices' storage.
 pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: &mut Mat) {
     assert_eq!(a.cols(), b.rows(), "gemm: inner dims");
     assert_eq!(c.rows(), a.rows(), "gemm: C rows");
     assert_eq!(c.cols(), b.cols(), "gemm: C cols");
-    let (m, k) = (a.rows(), a.cols());
-    if beta != 1.0 {
-        for v in c.as_mut_slice() {
-            *v *= beta;
-        }
-    }
-    for i in 0..m {
-        let arow = a.row(i);
-        // Split borrows: c row is disjoint from a and b.
-        let crow = c.row_mut(i);
-        for p in 0..k {
-            let aip = alpha * arow[p];
-            if aip == 0.0 {
-                continue;
-            }
-            axpy(aip, b.row(p), crow);
-        }
-    }
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    gemm_slices(alpha, a.as_slice(), b.as_slice(), beta, c.as_mut_slice(), m, k, n);
 }
 
 /// `C = alpha * A * B + beta * C` over raw row-major slices: `A` is
 /// `m×k`, `B` is `k×n`, `C` is `m×n`.
 ///
-/// This is the multi-RHS entry point used by the FMM pass engine to apply
-/// one translation operator to a whole level of expansion vectors at once
-/// (the columns of `B`). Same `i-k-j` loop order — and hence the same
-/// floating-point result per output element — as [`gemm`], so callers may
-/// compute disjoint row blocks of `C` on different threads and still get
-/// results bit-identical to the single-call execution.
+/// Uses the `i-k-j` loop order: the innermost loop streams over a row of `B`
+/// and a row of `C`, both contiguous, which is the standard cache-friendly
+/// ordering for row-major GEMM. This is also the multi-RHS entry point used
+/// by the FMM pass engine to apply one translation operator to a whole
+/// level of expansion vectors at once (the columns of `B`): each output
+/// row depends only on its own row of `A`, so callers may compute disjoint
+/// row blocks of `C` on different threads and still get results
+/// bit-identical to the single-call execution.
 pub fn gemm_slices(
     alpha: f64,
     a: &[f64],

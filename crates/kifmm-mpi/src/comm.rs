@@ -134,8 +134,20 @@ impl Comm {
 
     /// Blocking receive of the next message from `source` with `tag`.
     pub fn recv(&self, source: usize, tag: u64) -> Vec<u8> {
-        assert!(tag < RESERVED_TAG_BASE, "user tags must stay below the reserved range");
+        self.check_envelope(source, tag);
         self.recv_raw(source, tag)
+    }
+
+    /// Refuse a user receive that no send can ever match: a source outside
+    /// the communicator (it would wait forever) or a reserved tag.
+    fn check_envelope(&self, source: usize, tag: u64) {
+        assert!(
+            source < self.size(),
+            "kifmm-mpi: rank {} cannot receive from rank {source}: the communicator has {} ranks",
+            self.rank,
+            self.size()
+        );
+        assert!(tag < RESERVED_TAG_BASE, "user tags must stay below the reserved range");
     }
 
     pub(crate) fn recv_raw(&self, source: usize, tag: u64) -> Vec<u8> {
@@ -157,6 +169,9 @@ impl Comm {
     /// peer panic aborts the wait exactly like [`Comm::recv`].
     pub fn wait_any(&self, keys: &[(usize, u64)]) -> usize {
         assert!(!keys.is_empty(), "wait_any needs at least one key");
+        for &(source, tag) in keys {
+            self.check_envelope(source, tag);
+        }
         self.park(
             || format!("wait_any over {} keys", keys.len()),
             |q| keys.iter().position(|key| q.get(key).is_some_and(|queue| !queue.is_empty())),
@@ -188,6 +203,7 @@ impl Comm {
     /// Non-blocking probe: take a waiting message from `(source, tag)` if
     /// one is queued.
     pub fn try_recv(&self, source: usize, tag: u64) -> Option<Vec<u8>> {
+        self.check_envelope(source, tag);
         let mb = &self.shared.mailboxes[self.rank];
         let mut q = mb.lock();
         let msg = q.get_mut(&(source, tag)).and_then(|queue| queue.pop_front());
@@ -445,6 +461,37 @@ mod tests {
                 assert!(msg.ends_with(" — a peer rank panicked"), "{msg}");
                 assert!(!msg.contains("  "), "runs of spaces in: {msg}");
             }
+        });
+    }
+
+    /// A receive from a rank outside the communicator panics, naming the
+    /// rank and the size, instead of parking (or probing) forever. The
+    /// non-blocking probe goes first, so a missing check fails the test
+    /// rather than hanging it; `try_recv` also refuses a reserved tag.
+    #[test]
+    fn receive_from_a_rank_outside_the_communicator_panics() {
+        run(2, |comm| {
+            let size = comm.size();
+            let try_recv = || {
+                comm.try_recv(size, 3);
+            };
+            let recv = || {
+                comm.recv(size, 3);
+            };
+            let wait_any = || {
+                comm.wait_any(&[(0, 3), (size, 3)]);
+            };
+            for receive in [&try_recv as &dyn Fn(), &recv, &wait_any] {
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(receive))
+                    .expect_err("there is no rank to receive from");
+                let msg = payload.downcast_ref::<String>().expect("a formatted message");
+                let names = format!("from rank {size}: the communicator has 2 ranks");
+                assert!(msg.contains(&names), "{msg}");
+            }
+            let reserved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                comm.try_recv(0, RESERVED_TAG_BASE)
+            }));
+            assert!(reserved.is_err(), "try_recv refuses a reserved tag");
         });
     }
 

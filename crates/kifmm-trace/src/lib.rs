@@ -57,16 +57,11 @@ pub enum Counter {
     MessagesRecv = 4,
     /// Tree cells (boxes) touched by compute phases.
     CellsTouched = 5,
-    /// Plan-cache lookups served from a cached plan (precompute
-    /// skipped entirely).
-    PlanCacheHits = 6,
-    /// Plan-cache lookups that had to build a fresh plan.
-    PlanCacheMisses = 7,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
 
     /// All counters, in export order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -76,8 +71,6 @@ impl Counter {
         Counter::MessagesSent,
         Counter::MessagesRecv,
         Counter::CellsTouched,
-        Counter::PlanCacheHits,
-        Counter::PlanCacheMisses,
     ];
 
     /// Stable snake_case key used in JSON exports.
@@ -89,8 +82,6 @@ impl Counter {
             Counter::MessagesSent => "messages_sent",
             Counter::MessagesRecv => "messages_recv",
             Counter::CellsTouched => "cells_touched",
-            Counter::PlanCacheHits => "plan_cache_hits",
-            Counter::PlanCacheMisses => "plan_cache_misses",
         }
     }
 }

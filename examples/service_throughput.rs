@@ -24,7 +24,7 @@
 //! KIFMM_N=8000 KIFMM_REQUESTS=1 cargo run --release --example service_throughput
 //! ```
 
-use kifmm::{FmmOptions, Laplace, ModifiedLaplace, PlanCache, Session, Tracer};
+use kifmm::{FmmOptions, Laplace, ModifiedLaplace, PlanCache, Session};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -71,8 +71,7 @@ fn main() {
     let dens_refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
 
     // 1. Setup amortization: cold build vs warm PlanCache hit.
-    let mut cache = PlanCache::unbounded();
-    cache.set_trace(Tracer::enabled());
+    let cache = PlanCache::unbounded();
     let t = Instant::now();
     let plan = cache.get_or_plan(&Laplace, &points, opts).expect("valid build inputs");
     let cold_setup = t.elapsed().as_secs_f64();

@@ -43,14 +43,15 @@ cargo test -q --offline --workspace
 #    exist on a 3 000-point tree) checks itself (`gates::fixed_size`: Total falling with P, DownV the
 #    largest phase, W/X only on the non-uniform cloud, DownU/DownW flops
 #    conserved over ranks, valid phase times, at most 4·P·(P-1) evaluation
-#    messages, nonzero comm bytes for ranks > 1) and must leave a chrome
-#    trace with one track per virtual rank.
+#    messages, nonzero comm bytes for ranks > 1) and leaves a chrome trace
+#    to load in Perfetto. The shape of that artifact (a track per rank,
+#    named events of known kinds, non-negative times, balanced async bars)
+#    is the job of tests/trace_observability.rs, run in step 2.
 rm -f target/bench-artifacts/TRACE_fixed_size_P4.json
 KIFMM_N=48000 KIFMM_MAXP=4 \
     cargo run -q --release --offline -p kifmm-bench --bin fixed_size > /dev/null
-cargo build -q --release --offline -p kifmm-testkit --bin validate_json
-target/release/validate_json target/bench-artifacts/TRACE_fixed_size_P4.json --chrome 4
-echo "fixed-size shape + artifact + comm-regression gate: OK"
+test -s target/bench-artifacts/TRACE_fixed_size_P4.json
+echo "fixed-size shape + comm-regression gate: OK (trace artifact written)"
 
 # 5b. One-near-field-path gate: the multi-RHS loops are the only
 #     hand-written near-field loops. `fn p2p(` / `fn p2p_grad(` may be
@@ -240,5 +241,5 @@ for f in m2l engine/mod precompute; do
     m2l=$((m2l + $(nontest "crates/kifmm-core/src/$f.rs")))
 done
 echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime lib.rs $(nontest crates/kifmm-runtime/src/lib.rs)"
-echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src)"
+echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src)"
 echo "verify: ALL OK"

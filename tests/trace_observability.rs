@@ -67,7 +67,9 @@ fn parallel_eval_span_tree_is_deterministic_single_thread() {
 }
 
 /// Distributed run: one chrome-trace track per rank, balanced async
-/// overlap events, nonzero comm counters, and a parseable export.
+/// overlap events, nonzero comm counters, and a parseable export whose
+/// events are all named, of a known `ph`, and timed at `ts`, `dur` ≥ 0.
+/// This is the one check of the artifact's shape.
 #[test]
 fn distributed_chrome_trace_round_trips() {
     let all = points(1200, 3);
@@ -94,20 +96,23 @@ fn distributed_chrome_trace_round_trips() {
     let mut up_spans = 0usize;
     let (mut async_b, mut async_e) = (0usize, 0usize);
     for ev in events {
+        let name = ev.get("name").and_then(Json::as_str).expect("every event has a name");
         match ev.get("ph").and_then(Json::as_str) {
             Some("X") => {
                 let tid = ev.get("tid").and_then(Json::as_f64).expect("tid");
                 if !tids.contains(&tid.to_bits()) {
                     tids.push(tid.to_bits());
                 }
+                assert!(ev.get("ts").and_then(Json::as_f64).expect("ts") >= 0.0);
                 assert!(ev.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
-                if ev.get("name").and_then(Json::as_str) == Some("Up") {
+                if name == "Up" {
                     up_spans += 1;
                 }
             }
             Some("b") => async_b += 1,
             Some("e") => async_e += 1,
-            _ => {}
+            Some("M" | "I") => {}
+            other => panic!("event '{name}': unknown ph {other:?}"),
         }
     }
     assert_eq!(tids.len(), 3, "one span track per rank");
