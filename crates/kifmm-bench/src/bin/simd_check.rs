@@ -6,15 +6,18 @@
 //! reduction the 4-lane path performs in registers. This binary flips
 //! `set_force_scalar` in-process and asserts that identity at two levels:
 //!
-//! 1. the raw microkernels (`dot`, `axpy`, `recip_sqrt`) on awkward
+//! 1. the raw microkernels (`dot`, `axpy`, and the Laplace near-field
+//!    pass `inv_dist_dots` at every batch width up to `SWEEP`) on awkward
 //!    lengths (empty, sub-lane, lane-straddling remainders), and
 //! 2. a full FMM evaluation (near-field P2P is the consumer) for a
-//!    point-kernel and a matrix-kernel case.
+//!    point-kernel and a matrix-kernel case, plus a Laplace `eval_many`
+//!    at k = 9, which crosses the `SWEEP`-RHS chunk of `inv_dist_dots`.
 //!
 //! 3. the length checks the `unsafe` vector loads rest on: this is a
-//!    release binary (debug assertions off), so a mismatched `dot`/`axpy`
-//!    or a short density slice into `Laplace.p2p` must still panic rather
-//!    than read past a buffer.
+//!    release binary (debug assertions off), so a mismatched `dot`/`axpy`,
+//!    a short density slice or more than `SWEEP` right-hand sides into
+//!    `inv_dist_dots`, or a short density slice into `Laplace.p2p` must
+//!    still panic rather than read past a buffer.
 //!
 //! On hosts without AVX2 both runs take the scalar path and levels 1–2 are
 //! vacuous — the binary says so rather than failing. Exits nonzero
@@ -44,17 +47,15 @@ fn check_microkernels() {
         let dot_v = simd::dot(&x, &y);
         let mut axpy_v = y.clone();
         simd::axpy(0.37, &x, &mut axpy_v);
-        let mut rsqrt_v: Vec<f64> = x.iter().map(|v| v * v + 0.01).collect();
-        rsqrt_v.push(0.0); // coincident-pair sentinel lane
-        simd::recip_sqrt(&mut rsqrt_v);
+        let pts: Vec<[f64; 3]> = x.iter().zip(&y).map(|(&a, &b)| [a, b, a * b]).collect();
+        let dens: Vec<Vec<f64>> = (0..simd::SWEEP).map(|q| noise(n, 41 + q as u64)).collect();
+        let dots_v = inv_dist_dots_all(&pts, &dens);
 
         simd::set_force_scalar(true);
         let dot_s = simd::dot(&x, &y);
         let mut axpy_s = y.clone();
         simd::axpy(0.37, &x, &mut axpy_s);
-        let mut rsqrt_s: Vec<f64> = x.iter().map(|v| v * v + 0.01).collect();
-        rsqrt_s.push(0.0);
-        simd::recip_sqrt(&mut rsqrt_s);
+        let dots_s = inv_dist_dots_all(&pts, &dens);
         simd::set_force_scalar(false);
 
         assert!(
@@ -62,9 +63,45 @@ fn check_microkernels() {
             "dot diverges at n={n}: {dot_v:?} vs {dot_s:?}"
         );
         assert_eq!(axpy_v, axpy_s, "axpy diverges at n={n}");
-        assert_eq!(rsqrt_v, rsqrt_s, "recip_sqrt diverges at n={n}");
+        assert_eq!(dots_v, dots_s, "inv_dist_dots diverges at n={n}");
     }
-    println!("simd-check microkernels: dot/axpy/recip_sqrt bit-identical OK");
+    println!("simd-check microkernels: dot/axpy/inv_dist_dots bit-identical OK");
+}
+
+/// The bits of `inv_dist_dots` at every batch width `k ≤ SWEEP`, from a
+/// target that coincides with the middle source (the zero-weight lane).
+fn inv_dist_dots_all(pts: &[[f64; 3]], dens: &[Vec<f64>]) -> Vec<u64> {
+    let x = pts.get(pts.len() / 2).copied().unwrap_or([0.5; 3]);
+    let mut bits = Vec::new();
+    for k in 0..=simd::SWEEP {
+        let refs: Vec<&[f64]> = dens[..k].iter().map(Vec::as_slice).collect();
+        let mut sums = vec![0.0; k];
+        simd::inv_dist_dots(x, pts, &refs, &mut sums);
+        bits.extend(sums.iter().map(|s| s.to_bits()));
+    }
+    bits
+}
+
+/// A Laplace `eval_many` at k = 9: the near field takes one full
+/// `SWEEP`-RHS chunk and a one-RHS remainder.
+fn check_eval_many(n: usize, seed: u64) {
+    let pts = kifmm::geom::uniform_cube(n, seed);
+    let dens: Vec<Vec<f64>> =
+        (0..9).map(|q| kifmm::geom::random_densities(n, 1, seed + 1 + q)).collect();
+    let refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
+    let opts = FmmOptions { order: 4, max_pts_per_leaf: 30, ..Default::default() };
+    let fmm = Fmm::builder(Laplace).points(&pts).options(opts).build();
+    let run =
+        || -> Vec<Vec<f64>> { fmm.eval_many(&refs).into_iter().map(|r| r.potentials).collect() };
+
+    simd::set_force_scalar(false);
+    let vector = run();
+    simd::set_force_scalar(true);
+    let scalar = run();
+    simd::set_force_scalar(false);
+
+    assert_eq!(vector, scalar, "Laplace eval_many(k = 9) diverges between SIMD and scalar");
+    println!("simd-check Laplace eval_many k=9: bit-identical OK");
 }
 
 fn check_fmm<K: Kernel>(kernel: K, n: usize, seed: u64) {
@@ -84,9 +121,10 @@ fn check_fmm<K: Kernel>(kernel: K, n: usize, seed: u64) {
     println!("simd-check {name}: full FMM eval bit-identical OK");
 }
 
-/// Wrong-length slices must panic in a release build: `simd::dot`/`axpy`
-/// are safe functions over `unsafe` loads out to `x.len()`, and the kernel
-/// entry points hand them caller-supplied density slices.
+/// Wrong-length slices must panic in a release build: `simd::dot`/`axpy`/
+/// `inv_dist_dots` are safe functions over `unsafe` loads out to a checked
+/// length, and the kernel entry points hand them caller-supplied density
+/// slices.
 fn check_length_asserts() {
     fn panics(f: impl FnOnce()) -> bool {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
@@ -99,12 +137,19 @@ fn check_length_asserts() {
     });
     let axpy = panics(|| simd::axpy(0.5, &x, &mut y.clone()));
     let pts = kifmm::geom::uniform_cube(8, 7);
-    let p2p = panics(|| Laplace.p2p(&pts, &pts, &noise(7, 8), &mut [0.0; 8]));
+    let (d8, d7) = (noise(8, 8), noise(7, 8));
+    let short = panics(|| simd::inv_dist_dots(pts[0], &pts, &[&d8, &d7], &mut [0.0; 2]));
+    let wide = panics(|| simd::inv_dist_dots(pts[0], &pts, &[&d8[..]; 9], &mut [0.0; 9]));
+    let p2p = panics(|| Laplace.p2p(&pts, &pts, &d7, &mut [0.0; 8]));
     std::panic::set_hook(hook);
     assert!(dot, "simd::dot accepted slices of different lengths");
     assert!(axpy, "simd::axpy accepted slices of different lengths");
+    assert!(short, "simd::inv_dist_dots accepted a density slice shorter than its sources");
+    assert!(wide, "simd::inv_dist_dots accepted 9 right-hand sides");
     assert!(p2p, "Laplace.p2p accepted a density slice shorter than its sources");
-    println!("simd-check length asserts: mismatched dot/axpy/p2p panic in release OK");
+    println!(
+        "simd-check length asserts: mismatched dot/axpy, short or 9-wide inv_dist_dots, short p2p panic in release OK"
+    );
 }
 
 fn main() {
@@ -118,5 +163,6 @@ fn main() {
     check_length_asserts();
     check_fmm(Laplace, 800, 41);
     check_fmm(Stokes::default(), 500, 43);
+    check_eval_many(800, 47);
     println!("simd-check: ALL OK");
 }

@@ -6,13 +6,17 @@
 //! [`Kernel::p2p_grad_many`](crate::Kernel::p2p_grad_many):
 //!
 //! * **weight buffer + dot** ([`radial_p2p_many`]) for the potential of a
-//!   scalar radial kernel `G = scale · w(r²)`: per target, fill a
+//!   scalar radial kernel `G = scale · w(r²)` whose weight is a scalar
+//!   `exp` (ModifiedLaplace, Gaussian): per target, fill a
 //!   structure-of-arrays buffer of pair weights once, then every
 //!   right-hand side is one vector [`simd::dot`] over it;
 //! * **one pass, RHS innermost** (everything else): per target, walk the
 //!   sources once with the pair geometry in registers and update up to
 //!   [`SWEEP`] right-hand sides' stack accumulators per source; wider
-//!   batches take another sweep over the sources.
+//!   batches take another sweep over the sources. Laplace's potential is
+//!   this shape vectorised — one [`simd::inv_dist_dots`] call per target
+//!   with `1/√r²` in a register and no weight buffer — and lives in
+//!   `laplace.rs`.
 //!
 //! In both, what a right-hand side accumulates — and in which source
 //! order — does not depend on the batch around it, which is the rule
@@ -24,8 +28,9 @@ use crate::kernel::{check_shapes, displacement};
 use crate::Point3;
 use kifmm_linalg::simd;
 
-/// Right-hand sides whose accumulators one source sweep keeps on the stack.
-pub(crate) const SWEEP: usize = 8;
+/// Right-hand sides whose accumulators one source sweep keeps on the stack
+/// (the batch width of [`simd::inv_dist_dots`] too).
+pub(crate) use kifmm_linalg::simd::SWEEP;
 
 /// Run `f` over a zeroed per-source weight buffer, stack-allocated when the
 /// source box is small (the common U-list case — `max_pts_per_leaf`

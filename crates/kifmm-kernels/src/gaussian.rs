@@ -123,7 +123,7 @@ impl Kernel for Gaussian {
         let inv2s2 = self.inv_two_sigma2();
         radial_p2p_many(targets, sources, densities, potentials, 1.0, |w| {
             for r2 in w.iter_mut() {
-                *r2 = if *r2 > 0.0 { (-*r2 * inv2s2).exp() } else { 0.0 };
+                *r2 = if *r2 == 0.0 { 0.0 } else { (-*r2 * inv2s2).exp() };
             }
         });
     }

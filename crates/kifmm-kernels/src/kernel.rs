@@ -221,8 +221,9 @@ fn apply_blocks(blocks: &[f64], sd: usize, dens: &[f64], out: &mut [f64]) {
 /// Panic unless the batch is well-formed: one potential (and gradient)
 /// vector per density vector, `sd` density entries per source, `td`
 /// potential and `3·td` gradient entries per target. These are real
-/// `assert`s: the fused loops index — and [`kifmm_linalg::simd::dot`]
-/// loads — out to exactly these lengths.
+/// `assert`s: the fused loops index — and the SIMD microkernels behind
+/// them ([`kifmm_linalg::simd::inv_dist_dots`], [`kifmm_linalg::simd::dot`])
+/// load — out to exactly these lengths.
 pub(crate) fn check_shapes(
     (sd, td): (usize, usize),
     nt: usize,
@@ -299,11 +300,13 @@ mod tests {
     /// `_many` loops with k = 1, so what this pins is that a right-hand
     /// side's result does not depend on the batch around it: k crosses the
     /// `SWEEP`-RHS boundary of the one-pass loops (8 | 9, 16 | 17), ns the
-    /// 128-entry stack/heap boundary of the weight buffer, and empty
-    /// source/target sets must be no-ops. Every non-empty shape carries a
-    /// coincident target/source pair (the self-skip path).
+    /// 128-entry stack/heap boundary of the weight buffer and every
+    /// remainder class of the 4-source SIMD blocks, and empty source/target
+    /// sets must be no-ops. Every non-empty shape carries a coincident
+    /// target/source pair (the self-skip path).
     fn check_p2p_many_bitwise<K: Kernel>(kernel: &K) {
-        for (nt, ns) in [(7, 9), (7, 0), (7, 1), (7, 129), (0, 9)] {
+        for (nt, ns) in [(7, 9), (7, 0), (7, 1), (7, 2), (7, 3), (7, 6), (7, 129), (7, 131), (0, 9)]
+        {
             for k in [1, 2, 8, 9, 17] {
                 check_p2p_many_bitwise_at(kernel, nt, ns, k);
             }
@@ -434,8 +437,8 @@ mod tests {
     }
 
     /// The entry points check every slice length for real (not
-    /// `debug_assert`): the fused loops index, and `simd::dot` loads, out
-    /// to the lengths the shape implies.
+    /// `debug_assert`): the fused loops index, and the SIMD microkernels
+    /// load, out to the lengths the shape implies.
     #[test]
     fn wrong_length_slices_panic() {
         fn assert_panics(what: &str, f: impl FnOnce()) {
@@ -462,6 +465,35 @@ mod tests {
             assert_panics(&format!("{name}: short gradients"), || {
                 k.p2p_grad(&t, &s, &dens, &mut pot, &mut vec![0.0; 2 * td * 3 - 1])
             });
+        }
+        check(&Laplace);
+        check(&ModifiedLaplace::new(1.3));
+        check(&Gaussian::new(0.8));
+        check(&Stokes::new(0.7));
+        check(&Kelvin::new(1.1, 0.3));
+        check(&LaplaceDipole);
+        check(&Generic);
+    }
+
+    /// A non-finite source is not a coincident pair: through every
+    /// kernel's `p2p_many` it poisons every potential, whether it falls in a
+    /// 4-source SIMD block (ns = 4) or in the tail (ns = 5).
+    #[test]
+    fn nan_source_gives_nan_potentials() {
+        fn check<K: Kernel>(k: &K) {
+            let (sd, td) = (k.src_dim(), k.trg_dim());
+            let t = [[0.1, 0.2, 0.3], [0.5, 0.1, 0.9]];
+            for ns in [1, 4, 5] {
+                let mut s: Vec<Point3> = (0..ns).map(|i| [1.0 + i as f64, 0.0, 0.5]).collect();
+                s[ns - 1][1] = f64::NAN;
+                let dens = vec![0.5; ns * sd];
+                let mut pots = vec![vec![0.0; 2 * td]; 2];
+                let mut refs: Vec<&mut [f64]> = pots.iter_mut().map(Vec::as_mut_slice).collect();
+                k.p2p_many(&t, &s, &[&dens, &dens], &mut refs);
+                for pot in &pots {
+                    assert!(pot.iter().all(|v| v.is_nan()), "{} ns = {ns}: {pot:?}", k.name());
+                }
+            }
         }
         check(&Laplace);
         check(&ModifiedLaplace::new(1.3));

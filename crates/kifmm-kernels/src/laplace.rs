@@ -1,9 +1,9 @@
 //! The 3-D Laplace single-layer kernel `G(x, y) = 1/(4π|x − y|)`.
 
-use crate::fused::{radial_p2p_grad_many, radial_p2p_many};
-use crate::kernel::{displacement, Kernel};
+use crate::fused::radial_p2p_grad_many;
+use crate::kernel::{check_shapes, displacement, Kernel};
 use crate::Point3;
-use kifmm_linalg::simd;
+use kifmm_linalg::simd::{self, SWEEP};
 
 const FOUR_PI_INV: f64 = 1.0 / (4.0 * std::f64::consts::PI);
 
@@ -61,9 +61,10 @@ impl Kernel for Laplace {
         block[2] = -dz * inv_r3;
     }
 
-    /// Weight buffer `w = 1/√r²` from the vector [`simd::recip_sqrt`]
-    /// microkernel (`w = 0` marks a coincident pair), reduced per RHS with
-    /// [`simd::dot`].
+    /// One [`simd::inv_dist_dots`] pass per target and batch of up to
+    /// [`SWEEP`] right-hand sides: `1/√r²` stays in a register (0 at a
+    /// coincident pair) and feeds every right-hand side's lane
+    /// accumulators; each sum is bit-for-bit [`simd::dot`] over the weights.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -71,7 +72,17 @@ impl Kernel for Laplace {
         densities: &[&[f64]],
         potentials: &mut [&mut [f64]],
     ) {
-        radial_p2p_many(targets, sources, densities, potentials, FOUR_PI_INV, simd::recip_sqrt);
+        check_shapes((1, 1), targets.len(), sources.len(), densities, potentials, None);
+        let mut sums = [0.0; SWEEP];
+        for (dens, pots) in densities.chunks(SWEEP).zip(potentials.chunks_mut(SWEEP)) {
+            let sums = &mut sums[..dens.len()];
+            for (ti, &x) in targets.iter().enumerate() {
+                simd::inv_dist_dots(x, sources, dens, sums);
+                for (pot, s) in pots.iter_mut().zip(&*sums) {
+                    pot[ti] += FOUR_PI_INV * s;
+                }
+            }
+        }
     }
 
     /// Shares `1/r` and `1/r³` between the potential and the three
@@ -222,6 +233,55 @@ mod tests {
         Generic.p2p(&targets, &sources, &dens, &mut slow);
         for (a, b) in fast.iter().zip(&slow) {
             assert!((a - b).abs() < 1e-14);
+        }
+    }
+
+    /// The weight-buffer formula as an oracle — per target an `r²` buffer,
+    /// then `1/√r²` (0 at `r² = 0`), then one `dot_scalar` per right-hand
+    /// side — over every source remainder class, batch widths across the
+    /// `SWEEP` boundary, and a coincident pair: `p2p_many` must equal it
+    /// bit for bit.
+    #[test]
+    fn p2p_many_bitwise_equals_weight_buffer_oracle() {
+        let targets: Vec<Point3> = (0..5)
+            .map(|i| [(i as f64 * 0.7).sin(), 0.3 - 0.1 * i as f64, (i as f64 * 0.4).cos()])
+            .collect();
+        for ns in (0..=9).chain([61, 129, 1003]) {
+            let mut sources: Vec<Point3> = (0..ns)
+                .map(|i| {
+                    let t = i as f64 + 0.25;
+                    [(t * 0.37).cos(), (t * 0.19).sin() * 0.8, (t * 0.29).cos() * 0.6]
+                })
+                .collect();
+            if ns > 3 {
+                sources[3] = targets[1];
+            }
+            for k in [1, 3, 8, 9, 17] {
+                let dens: Vec<Vec<f64>> = (0..k)
+                    .map(|q| {
+                        (0..ns).map(|i| ((i * 5 + q * 11) % 23) as f64 / 23.0 - 0.45).collect()
+                    })
+                    .collect();
+                let seed: Vec<f64> = (0..targets.len()).map(|i| (i as f64 * 0.9).cos()).collect();
+                let mut want: Vec<Vec<f64>> = vec![seed.clone(); k];
+                for (ti, &x) in targets.iter().enumerate() {
+                    let mut w: Vec<f64> = sources.iter().map(|&y| displacement(x, y).3).collect();
+                    for r2 in w.iter_mut() {
+                        *r2 = if *r2 == 0.0 { 0.0 } else { 1.0 / r2.sqrt() };
+                    }
+                    for (pot, d) in want.iter_mut().zip(&dens) {
+                        pot[ti] += FOUR_PI_INV * simd::dot_scalar(d, &w);
+                    }
+                }
+                let mut got: Vec<Vec<f64>> = vec![seed.clone(); k];
+                let refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
+                let mut outs: Vec<&mut [f64]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                Laplace.p2p_many(&targets, &sources, &refs, &mut outs);
+                let bits = |v: &Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                for (q, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(bits(g), bits(w), "ns = {ns} k = {k} q = {q}");
+                }
+            }
         }
     }
 

@@ -116,11 +116,11 @@ impl Kernel for ModifiedLaplace {
         let lambda = self.lambda;
         radial_p2p_many(targets, sources, densities, potentials, FOUR_PI_INV, |w| {
             for r2 in w.iter_mut() {
-                *r2 = if *r2 > 0.0 {
+                *r2 = if *r2 == 0.0 {
+                    0.0
+                } else {
                     let r = r2.sqrt();
                     (-lambda * r).exp() / r
-                } else {
-                    0.0
                 };
             }
         });

@@ -9,9 +9,12 @@
 //!   rounded).
 //! * [`axpy`] — elementwise `y[i] += alpha·x[i]`; one rounding per element
 //!   either way.
-//! * [`recip_sqrt`] — `v[i] → 1/√v[i]` (0 where `v[i] ≤ 0`); IEEE-754
-//!   requires `sqrt` and `div` to be correctly rounded, so the vector
-//!   lanes equal the scalar results bit-for-bit.
+//! * [`inv_dist_dots`] — the Laplace near-field microkernel: one pass over
+//!   a target's sources computes `w = 1/√r²` (0 at a coincident pair,
+//!   `r² = 0`) in a register and feeds it to up to [`SWEEP`] right-hand
+//!   sides' lane accumulators, each reduced like [`dot`] — so every sum is
+//!   bit-for-bit `dot(dens, w)` over the weights `w`, which IEEE-754 fixes
+//!   exactly because `sqrt` and `div` are correctly rounded.
 //!
 //! Dispatch is resolved once per process: compiled out entirely on
 //! non-x86_64 targets, otherwise gated on
@@ -91,11 +94,48 @@ pub fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// Scalar reference for [`recip_sqrt`].
+/// Right-hand sides one [`inv_dist_dots`] call takes: their lane
+/// accumulators, the target and the pair weight together fill the sixteen
+/// AVX2 registers.
+pub const SWEEP: usize = 8;
+
+/// The pair weight of [`inv_dist_dots`]: `1/√r²`, and 0 at a coincident
+/// pair. Only `r² == 0` is excluded, so a NaN distance stays NaN.
+#[inline(always)]
+fn inv_dist(x: [f64; 3], y: [f64; 3]) -> f64 {
+    let (dx, dy, dz) = (x[0] - y[0], x[1] - y[1], x[2] - y[2]);
+    let r2 = dx * dx + dy * dy + dz * dz;
+    if r2 == 0.0 {
+        0.0
+    } else {
+        1.0 / r2.sqrt()
+    }
+}
+
+/// Scalar reference for [`inv_dist_dots`]: per right-hand side the
+/// contraction tree of [`dot_scalar`] over the weights `w_i = 1/√r²_i`.
 #[inline]
-pub fn recip_sqrt_scalar(v: &mut [f64]) {
-    for r2 in v.iter_mut() {
-        *r2 = if *r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+pub fn inv_dist_dots_scalar(x: [f64; 3], sources: &[[f64; 3]], dens: &[&[f64]], sums: &mut [f64]) {
+    let (k, n) = (dens.len(), sources.len());
+    let chunks = n / 4;
+    let mut acc = [[0.0f64; 4]; SWEEP];
+    for c in 0..chunks {
+        for lane in 0..4 {
+            let i = 4 * c + lane;
+            let w = inv_dist(x, sources[i]);
+            for (a, d) in acc[..k].iter_mut().zip(dens) {
+                a[lane] += d[i] * w;
+            }
+        }
+    }
+    for (s, a) in sums.iter_mut().zip(&acc[..k]) {
+        *s = (a[0] + a[1]) + (a[2] + a[3]);
+    }
+    for i in 4 * chunks..n {
+        let w = inv_dist(x, sources[i]);
+        for (s, d) in sums.iter_mut().zip(dens) {
+            *s += d[i] * w;
+        }
     }
 }
 
@@ -159,27 +199,93 @@ mod x86 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support ([`super::simd_active`]).
+    /// Caller must have verified AVX2 support ([`super::simd_active`]) and
+    /// that `dens.len() == sums.len() ≤ SWEEP` and every `dens[q].len() ==
+    /// sources.len()`: each density slice is read out to `sources.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn recip_sqrt(v: &mut [f64]) {
-        let n = v.len();
-        let chunks = n / 4;
-        let one = _mm256_set1_pd(1.0);
-        let zero = _mm256_setzero_pd();
-        let p = v.as_mut_ptr();
-        // SAFETY (every pointer access below): offsets stay < n = v.len()
-        // as in `dot`, and `v` is exclusively borrowed.
-        for c in 0..chunks {
-            let i = 4 * c;
-            let vv = _mm256_loadu_pd(p.add(i));
-            let w = _mm256_div_pd(one, _mm256_sqrt_pd(vv));
-            // Zero out the w ≤ 0 lanes (1/√0 = ∞ masked to +0.0 bits).
-            let mask = _mm256_cmp_pd::<_CMP_GT_OQ>(vv, zero);
-            _mm256_storeu_pd(p.add(i), _mm256_and_pd(w, mask));
+    pub unsafe fn inv_dist_dots(
+        x: [f64; 3],
+        sources: &[[f64; 3]],
+        dens: &[&[f64]],
+        sums: &mut [f64],
+    ) {
+        // One body per batch width keeps the accumulators in registers.
+        match dens.len() {
+            0 => {}
+            1 => inv_dist_dots_k::<1>(x, sources, dens, sums),
+            2 => inv_dist_dots_k::<2>(x, sources, dens, sums),
+            3 => inv_dist_dots_k::<3>(x, sources, dens, sums),
+            4 => inv_dist_dots_k::<4>(x, sources, dens, sums),
+            5 => inv_dist_dots_k::<5>(x, sources, dens, sums),
+            6 => inv_dist_dots_k::<6>(x, sources, dens, sums),
+            7 => inv_dist_dots_k::<7>(x, sources, dens, sums),
+            8 => inv_dist_dots_k::<8>(x, sources, dens, sums),
+            k => unreachable!("inv_dist_dots: {k} > SWEEP right-hand sides"),
         }
-        for i in 4 * chunks..n {
-            let r2 = *p.add(i);
-            *p.add(i) = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+    }
+
+    /// # Safety
+    /// As [`inv_dist_dots`], with `dens.len() == sums.len() == K`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn inv_dist_dots_k<const K: usize>(
+        x: [f64; 3],
+        sources: &[[f64; 3]],
+        dens: &[&[f64]],
+        sums: &mut [f64],
+    ) {
+        let n = sources.len();
+        let chunks = n / 4;
+        let (tx, ty, tz) = (_mm256_set1_pd(x[0]), _mm256_set1_pd(x[1]), _mm256_set1_pd(x[2]));
+        let (one, zero) = (_mm256_set1_pd(1.0), _mm256_setzero_pd());
+        let sp = sources.as_ptr() as *const f64;
+        let dp: [*const f64; K] = std::array::from_fn(|q| dens[q].as_ptr());
+        // acc[q] holds the scalar path's four lane sums of right-hand side q.
+        let mut acc = [zero; K];
+        // SAFETY (every pointer access below): `sources` is n contiguous
+        // `[f64; 3]`, i.e. 3n f64s; block c reads [12c, 12c + 12) with
+        // 12c + 12 ≤ 3·4·⌊n/4⌋ ≤ 3n. Each density slice holds n elements
+        // (caller contract) and is read at [4c, 4c + 4) within 4·⌊n/4⌋ ≤ n.
+        // `loadu` has no alignment demand.
+        for c in 0..chunks {
+            // AoS → SoA for sources 4c..4c+4: a = x0 y0 z0 x1, b = y1 z1 x2
+            // y2, c = z2 x3 y3 z3.
+            let a = _mm256_loadu_pd(sp.add(12 * c));
+            let b = _mm256_loadu_pd(sp.add(12 * c + 4));
+            let cc = _mm256_loadu_pd(sp.add(12 * c + 8));
+            let u = _mm256_permute2f128_pd::<0x30>(a, b); // x0 y0 x2 y2
+            let v = _mm256_permute2f128_pd::<0x21>(a, cc); // z0 x1 z2 x3
+            let w = _mm256_permute2f128_pd::<0x30>(b, cc); // y1 z1 y3 z3
+            let sx = _mm256_shuffle_pd::<0b1010>(u, v);
+            let sy = _mm256_shuffle_pd::<0b0101>(u, w);
+            let sz = _mm256_shuffle_pd::<0b1010>(v, w);
+            let dx = _mm256_sub_pd(tx, sx);
+            let dy = _mm256_sub_pd(ty, sy);
+            let dz = _mm256_sub_pd(tz, sz);
+            let r2 = _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                _mm256_mul_pd(dz, dz),
+            );
+            let inv_r = _mm256_div_pd(one, _mm256_sqrt_pd(r2));
+            // Zero only the r² == 0 lanes (1/√0 = ∞ → +0.0 bits); a NaN
+            // lane compares unequal and stays NaN.
+            let wv = _mm256_and_pd(inv_r, _mm256_cmp_pd::<_CMP_NEQ_UQ>(r2, zero));
+            for q in 0..K {
+                let d = _mm256_loadu_pd(dp[q].add(4 * c));
+                acc[q] = _mm256_add_pd(acc[q], _mm256_mul_pd(d, wv));
+            }
+        }
+        for q in 0..K {
+            let lo = _mm256_castpd256_pd128(acc[q]); // lanes s0, s1
+            let hi = _mm256_extractf128_pd::<1>(acc[q]); // lanes s2, s3
+            let s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
+            let s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
+            sums[q] = _mm_cvtsd_f64(_mm_add_sd(s01, s23));
+        }
+        for (i, &y) in sources.iter().enumerate().skip(4 * chunks) {
+            let w = super::inv_dist(x, y);
+            for q in 0..K {
+                sums[q] += *dp[q].add(i) * w;
+            }
         }
     }
 }
@@ -213,19 +319,27 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_scalar(alpha, x, y)
 }
 
-/// In place `v[i] → 1/√v[i]`, with `v[i] ≤ 0` mapped to 0 (the branchless
-/// coincident-pair convention of the kernel `p2p` loops); vector and
-/// scalar paths are bit-identical because IEEE `sqrt`/`div` are correctly
-/// rounded.
+/// For every right-hand side `q`, `sums[q] = Σ_i dens[q][i] · w_i` with
+/// `w_i = 1/√|x − sources[i]|²` (0 at a coincident pair) — one pass over
+/// the sources that keeps each weight in a register for every right-hand
+/// side. Each sum is bit-for-bit `dot(dens[q], w)`; vector and scalar paths
+/// are bit-identical. Panics unless `dens.len() == sums.len() ≤ SWEEP` and
+/// every density slice has one entry per source (real checks: the vector
+/// path loads each slice out to `sources.len()`).
 #[inline]
-pub fn recip_sqrt(v: &mut [f64]) {
+pub fn inv_dist_dots(x: [f64; 3], sources: &[[f64; 3]], dens: &[&[f64]], sums: &mut [f64]) {
+    assert!(dens.len() <= SWEEP, "inv_dist_dots: at most {SWEEP} right-hand sides");
+    assert_eq!(dens.len(), sums.len(), "inv_dist_dots: one sum per right-hand side");
+    for d in dens {
+        assert_eq!(d.len(), sources.len(), "inv_dist_dots: one density per source");
+    }
     #[cfg(target_arch = "x86_64")]
     if simd_active() {
-        // SAFETY: AVX2 verified by `simd_active`; the kernel touches only
-        // `v[..v.len()]`.
-        return unsafe { x86::recip_sqrt(v) };
+        // SAFETY: AVX2 verified by `simd_active`; the batch width and every
+        // slice length were asserted just above.
+        return unsafe { x86::inv_dist_dots(x, sources, dens, sums) };
     }
-    recip_sqrt_scalar(v)
+    inv_dist_dots_scalar(x, sources, dens, sums)
 }
 
 #[cfg(test)]
@@ -262,20 +376,53 @@ mod tests {
         }
     }
 
+    /// Every remainder class of the 4-source blocks and every batch width,
+    /// with a coincident source and one whose `r²` underflows to 0 (both
+    /// weigh 0): the vector path equals the scalar twin, which equals
+    /// `dot_scalar` over the weight buffer.
     #[test]
-    fn recip_sqrt_simd_matches_scalar_bitwise() {
-        for n in [0, 1, 4, 6, 31, 257] {
-            let v0: Vec<f64> = (0..n)
-                .map(|i| if i % 5 == 0 { 0.0 } else { ((i * 11 + 1) as f64).fract() + i as f64 })
-                .collect();
-            let mut vs = v0.clone();
-            recip_sqrt_scalar(&mut vs);
-            let mut vv = v0.clone();
-            recip_sqrt(&mut vv);
-            for (a, b) in vs.iter().zip(&vv) {
-                assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
+    fn inv_dist_dots_simd_matches_scalar_bitwise() {
+        let x = [0.0, 0.3, -0.2];
+        for n in [0, 1, 2, 3, 4, 5, 6, 7, 9, 30, 257] {
+            let (a, b) = vecs(3 * n);
+            let mut sources: Vec<[f64; 3]> =
+                (0..n).map(|i| [a[3 * i] * 1e-3, b[3 * i + 1], a[3 * i + 2] * 1e-3]).collect();
+            if n > 1 {
+                sources[1] = x;
+            }
+            if n > 2 {
+                sources[n - 1] = [1e-170, 0.3, -0.2];
+            }
+            let w: Vec<f64> = sources.iter().map(|&y| inv_dist(x, y)).collect();
+            assert!(n < 3 || w[n - 1] == 0.0, "r² underflows to 0");
+            let dens: Vec<Vec<f64>> = (0..SWEEP).map(|q| vecs(n + q).1[q..].to_vec()).collect();
+            for k in 0..=SWEEP {
+                let refs: Vec<&[f64]> = dens[..k].iter().map(Vec::as_slice).collect();
+                let (mut sv, mut ss) = (vec![f64::NAN; k], vec![f64::NAN; k]);
+                inv_dist_dots(x, &sources, &refs, &mut sv);
+                inv_dist_dots_scalar(x, &sources, &refs, &mut ss);
+                for q in 0..k {
+                    let expect = dot_scalar(&dens[q], &w).to_bits();
+                    assert_eq!(sv[q].to_bits(), expect, "vector n = {n} k = {k} q = {q}");
+                    assert_eq!(ss[q].to_bits(), expect, "scalar n = {n} k = {k} q = {q}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn inv_dist_dots_checks_its_shapes() {
+        let sources = [[1.0, 0.0, 0.0]; 5];
+        let d = [0.5; 5];
+        let panics = |dens: &[&[f64]], sums: &mut [f64]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                inv_dist_dots([0.0; 3], &sources, dens, sums)
+            }))
+            .is_err()
+        };
+        assert!(panics(&[&d[..4]], &mut [0.0]), "short density slice");
+        assert!(panics(&[&d, &d], &mut [0.0]), "fewer sums than right-hand sides");
+        assert!(panics(&[&d[..]; SWEEP + 1], &mut [0.0; SWEEP + 1]), "more than SWEEP");
     }
 
     #[test]

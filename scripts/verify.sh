@@ -181,11 +181,14 @@ echo "service-throughput gate: OK"
 KIFMM_N=3000 cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
 echo "m2l-ablation gate: OK"
 
-# 8. SIMD gate: the vector microkernels and the FMM evaluations built on
-#    them must be bit-identical to the scalar reference path (flipped
-#    in-process via set_force_scalar), and — this being a release binary,
-#    debug assertions off — mismatched `dot`/`axpy` lengths and a short
-#    density slice into `Laplace.p2p` must panic, not read out of bounds.
+# 8. SIMD gate: the vector microkernels (`dot`, `axpy`, `inv_dist_dots`)
+#    and the FMM evaluations built on them — a Laplace `eval_many` at
+#    k = 9 among them — must be bit-identical to the scalar reference path
+#    (flipped in-process via set_force_scalar), and — this being a release
+#    binary, debug assertions off — mismatched `dot`/`axpy` lengths, a
+#    short density slice or 9 right-hand sides into `inv_dist_dots`, and a
+#    short density slice into `Laplace.p2p` must panic, not read out of
+#    bounds.
 cargo run -q --release --offline -p kifmm-bench --bin simd_check > /dev/null
 echo "simd gate: OK"
 
@@ -242,4 +245,6 @@ for f in m2l engine/mod precompute; do
 done
 echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime lib.rs $(nontest crates/kifmm-runtime/src/lib.rs)"
 echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src)"
+# The vector microkernels hold the workspace's `unsafe` loads: growth shows here.
+echo "non-test lines: kifmm-linalg/src/simd.rs $(nontest crates/kifmm-linalg/src/simd.rs)"
 echo "verify: ALL OK"
