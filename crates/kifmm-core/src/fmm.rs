@@ -43,9 +43,10 @@ pub struct FmmOptions {
     pub max_pts_per_leaf: usize,
     /// Depth cap for the octree.
     pub max_level: u8,
-    /// Distributed tree construction algorithm (sample sort vs the
-    /// paper's per-level Allreduce). Both yield bitwise-identical
-    /// structure; serial builds ignore this.
+    /// Distributed tree construction algorithm: one value, the paper's
+    /// per-level Allreduce, and nothing reads it. Kept only because
+    /// `benchmark/src/traced.rs` (frozen with `BENCHMARK.json`) passes it
+    /// to `build_distributed_tree_with`; goes with ROADMAP item 1(a).
     pub tree_build: TreeBuild,
     /// What each evaluation produces: potentials only (default), or
     /// potentials plus gradients (far field read off the equivalent

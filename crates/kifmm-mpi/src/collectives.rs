@@ -129,7 +129,9 @@ pub fn allgatherv(comm: &Comm, data: &[u8]) -> Vec<Vec<u8>> {
 }
 
 /// Personalized all-to-all: `send[d]` goes to rank `d`; returns the
-/// payloads received, indexed by source rank.
+/// payloads received, indexed by source rank. No library code calls it
+/// but [`sample_sort_u64`]: it stays for the `mpi.sample_sort_mkeys` row
+/// of the frozen `benchmark/src/layers.rs` (ROADMAP item 1(a)).
 pub fn alltoallv(comm: &Comm, send: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     assert_eq!(send.len(), comm.size(), "one payload per destination");
     let tag = comm.next_collective_tag();
@@ -155,7 +157,9 @@ pub fn allgatherv_u64(comm: &Comm, data: &[u64]) -> Vec<Vec<u64>> {
     allgatherv(comm, &encode_u64s(data)).iter().map(|p| decode_u64s(p)).collect()
 }
 
-/// Typed `u64` personalized all-to-all.
+/// Typed `u64` personalized all-to-all. Only [`sample_sort_u64`] calls
+/// it, for the `mpi.sample_sort_mkeys` row of the frozen
+/// `benchmark/src/layers.rs` (ROADMAP item 1(a)).
 pub fn alltoallv_u64(comm: &Comm, send: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     let raw: Vec<Vec<u8>> = send.iter().map(|v| encode_u64s(v)).collect();
     alltoallv(comm, raw).iter().map(|p| decode_u64s(p)).collect()
@@ -169,12 +173,16 @@ pub fn alltoallv_u64(comm: &Comm, send: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
 /// the outputs over ranks 0..P yields the sorted multiset union of all
 /// inputs, and keys comparing equal never straddle a chunk boundary.
 ///
-/// Three steps, O(1) collectives total (the point of the sample-sort
-/// tree construction — the paper's per-level `Allreduce` build needs
-/// O(depth) of them): each rank contributes P regular samples
-/// (one allgatherv); every rank sorts the sample union identically and
-/// picks the same P−1 splitters; keys are bucketed by binary search and
-/// exchanged (one alltoallv); received sorted runs are merged locally.
+/// Three steps, O(1) collectives total: each rank contributes P regular
+/// samples (one allgatherv); every rank sorts the sample union
+/// identically and picks the same P−1 splitters; keys are bucketed by
+/// binary search and exchanged (one alltoallv); received sorted runs are
+/// merged locally.
+///
+/// No library code calls it: the distributed tree build is the paper's
+/// per-level Allreduce. It stays only because the `mpi.sample_sort_mkeys`
+/// row of the frozen `benchmark/src/layers.rs` times it (ROADMAP item
+/// 1(a)).
 pub fn sample_sort_u64(comm: &Comm, local_sorted: &[u64]) -> Vec<u64> {
     let p = comm.size();
     debug_assert!(local_sorted.windows(2).all(|w| w[0] <= w[1]), "input must be locally sorted");

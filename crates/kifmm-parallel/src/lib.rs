@@ -29,5 +29,4 @@ pub mod ownership;
 pub use driver::{BuildParallel, ParallelFmm};
 pub use exchange::{Combine, ExchangePlan, ExchangeRoute, UserKind};
 pub use global_tree::{build_distributed_tree_with, DistributedTree};
-pub use kifmm_tree::TreeBuild;
 pub use ownership::Ownership;

@@ -1,18 +1,18 @@
-//! Property sweep for the tentpole equivalence gate of the sample-sort
-//! tree build: for random point distributions (uniform, clustered,
-//! degenerate plane/line, duplicate-heavy) scattered across random rank
-//! counts by random ownership strategies, the [`TreeBuild::SampleSort`]
-//! build, the [`TreeBuild::Paper`] per-level-Allreduce build, and the
-//! serial [`Octree::build`] must produce bitwise-identical structure:
-//! the same node array, the same global counts, and — between the two
-//! distributed algorithms — the same globally sorted point order.
+//! Property sweep for the distributed tree build: for random point
+//! distributions (uniform, clustered, degenerate plane/line,
+//! duplicate-heavy) scattered across random rank counts by random
+//! ownership strategies, the paper's per-level-Allreduce build and the
+//! serial [`Octree::build`] over the union must agree exactly: the same
+//! node array, the same global counts, and — for every node — the same
+//! multiset of points, the union over ranks of each rank's slice
+//! `sorted_points[pt_start..pt_end]` against the serial tree's slice.
 //!
 //! The serial comparison only holds when every point is inside the
 //! distributed domain *and* the domains match; the distributed build
 //! computes its bounding cube by Allreduce over exactly the same points,
-//! so it does. What the sweep is really hunting is splitter pathologies:
-//! duplicate Morton keys straddling rank boundaries, empty ranks, one
-//! rank hoarding everything, or clusters so tight that whole subtrees
+//! so it does. What the sweep is really hunting is ownership
+//! pathologies: duplicate Morton keys split across ranks, empty ranks,
+//! one rank hoarding everything, or clusters so tight that whole subtrees
 //! live on one rank while the others see none of it.
 
 use kifmm_mpi::run;
@@ -107,8 +107,13 @@ fn random_split(g: &mut Gen, all: &[[f64; 3]], ranks: usize) -> Vec<Vec<[f64; 3]
     chunks
 }
 
+/// A point's exact bits, so multisets of points compare exactly.
+fn bits(p: &[f64; 3]) -> [u64; 3] {
+    p.map(f64::to_bits)
+}
+
 #[test]
-fn sample_sort_paper_and_serial_agree_on_random_inputs() {
+fn distributed_and_serial_agree_on_random_inputs() {
     check("tree_equivalence", 24, |g| {
         let all = random_points(g);
         let ranks = [1usize, 2, 4, 8][g.usize(0, 4)];
@@ -127,38 +132,53 @@ fn sample_sort_paper_and_serial_agree_on_random_inputs() {
             let chunks = chunks.clone();
             move |comm| {
                 let local = &chunks[comm.rank()];
-                let a = build_distributed_tree_with(
-                    comm,
-                    local,
-                    leaf,
-                    max_level,
-                    TreeBuild::SampleSort,
-                );
-                let b =
+                let dt =
                     build_distributed_tree_with(comm, local, leaf, max_level, TreeBuild::Paper);
-                let keys: Vec<MortonKey> = a.tree.nodes.iter().map(|n| n.key).collect();
-                (
-                    keys,
-                    a.global_counts.clone(),
-                    a.tree.structure_eq(&b.tree),
-                    a.global_counts == b.global_counts,
-                    a.sorted_points == b.sorted_points,
-                )
+                let keys: Vec<MortonKey> = dt.tree.nodes.iter().map(|n| n.key).collect();
+                let slices: Vec<Vec<[u64; 3]>> = dt
+                    .tree
+                    .nodes
+                    .iter()
+                    .map(|n| {
+                        dt.sorted_points[n.pt_start as usize..n.pt_end as usize]
+                            .iter()
+                            .map(bits)
+                            .collect()
+                    })
+                    .collect();
+                (keys, dt.global_counts, slices)
             }
         });
-        for (keys, counts, structure_eq, counts_eq, points_eq) in out {
-            kifmm_testkit::prop_assert!(
-                structure_eq,
-                "sample-sort vs paper structure (P={ranks}, n={}, s={leaf})",
+        // Per node, the multiset of points every rank placed in it.
+        let mut placed: Vec<Vec<[u64; 3]>> = vec![Vec::new(); serial.num_nodes()];
+        for (keys, counts, slices) in out {
+            kifmm_testkit::prop_assert_eq!(
+                keys,
+                serial_keys,
+                "distributed vs serial keys (P={ranks}, n={}, s={leaf})",
                 all.len()
             );
-            kifmm_testkit::prop_assert!(counts_eq, "sample-sort vs paper global counts");
-            kifmm_testkit::prop_assert!(points_eq, "sample-sort vs paper sorted points");
-            kifmm_testkit::prop_assert_eq!(keys, serial_keys, "distributed vs serial keys");
             kifmm_testkit::prop_assert_eq!(
                 counts,
                 serial_counts,
                 "distributed vs serial counts"
+            );
+            for (node, slice) in placed.iter_mut().zip(slices) {
+                node.extend(slice);
+            }
+        }
+        for (i, (nd, mut got)) in serial.nodes.iter().zip(placed).enumerate() {
+            let mut expect: Vec<[u64; 3]> = serial.perm[nd.pt_start as usize..nd.pt_end as usize]
+                .iter()
+                .map(|&j| bits(&all[j as usize]))
+                .collect();
+            got.sort_unstable();
+            expect.sort_unstable();
+            kifmm_testkit::prop_assert_eq!(
+                got,
+                expect,
+                "points of node {i} ({:?}), union over ranks vs serial",
+                nd.key
             );
         }
     });

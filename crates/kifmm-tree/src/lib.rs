@@ -7,14 +7,14 @@
 //! ([`build_lists`]: U/V/W/X), and the Morton-curve [`partition`]er used
 //! for distributing surface patches across ranks.
 //!
-//! Every tree — serial, incremental, and both distributed builds — is
-//! derived by the one refinement loop of the [`linearize`] module from a
-//! Morton-code array sorted by the one routine of the [`morton`] module
+//! Every tree — serial, incremental and distributed — is derived by the
+//! one refinement loop of the [`linearize`] module from a Morton-code
+//! array sorted by the one routine of the [`morton`] module
 //! ([`morton_codes`] then [`sort_codes`]: `(code, index)` pairs, so a
-//! cloud has one permutation whoever builds over it). [`linearize`] also
-//! holds the Hu–Gumerov–Duraiswami sample-sort count oracle the
-//! distributed driver uses, and [`update`] patches an existing tree for
-//! slightly moved points instead of rebuilding it.
+//! cloud has one permutation whoever builds over it). The distributed
+//! driver feeds that loop the paper's per-level Allreduce counts, and
+//! [`update`] patches an existing tree for slightly moved points instead
+//! of rebuilding it.
 //!
 //! (Warren & Salmon's SC'92/SC'93 parallel hashed octree papers are cited
 //! as references 23 and 24 in the reproduction target.)
@@ -28,12 +28,9 @@ pub mod octree;
 pub mod partition;
 pub mod update;
 
-pub use linearize::{
-    chunk_summary, code_range, refine_sorted_codes, structure_from_sorted_codes, GlobalCounts,
-    SummaryEntry, TreeBuild,
-};
+pub use linearize::{refine_sorted_codes, structure_from_sorted_codes, TreeBuild};
 // The old name of the one list builder: `benchmark/src/traced.rs` (frozen
-// outside a benchmark PR) still imports it. Goes with ROADMAP item 6.
+// outside a benchmark PR) still imports it. Goes with ROADMAP item 1(a).
 pub use lists::build_lists as build_lists_sorted;
 pub use lists::{build_lists, InteractionLists};
 pub use morton::{

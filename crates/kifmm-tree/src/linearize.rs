@@ -10,42 +10,26 @@
 //! * **identity** ([`structure_from_sorted_codes`]) — the caller holds
 //!   every point, so local counts are global: the serial
 //!   [`crate::Octree::build`] and the incremental [`crate::update_octree`];
-//! * **Allreduce** ([`TreeBuild::Paper`]) — one collective per level, the
-//!   paper's algorithm, O(depth) collectives;
-//! * **oracle** ([`TreeBuild::SampleSort`]) — following Hu, Gumerov &
-//!   Duraiswami (arXiv:1301.1704), a *parallel sample sort* of the
-//!   max-depth codes gives rank `r` a contiguous chunk of the global code
-//!   array, [`chunk_summary`] compresses it into a small set of disjoint
-//!   (box, count) entries, and one Allgather of those summaries gives every
-//!   rank an exact [`GlobalCounts`] oracle: O(1) collectives.
+//! * **Allreduce** — one collective per level, the paper's distributed
+//!   build, wired to `kifmm-mpi` in `kifmm-parallel::global_tree`.
 //!
-//! The two distributed providers are wired to `kifmm-mpi` in
-//! `kifmm-parallel::global_tree`; everything here is communication-free.
-//! [`code_range`] is the half-open max-depth code interval a box covers.
+//! Everything here is communication-free.
 
 use crate::morton::{MortonKey, MAX_LEVEL};
 use crate::octree::{Node, NO_NODE};
 
-/// Which distributed tree-construction algorithm to run.
+/// The distributed tree-construction algorithm: the paper's
+/// level-by-level build, one `Allreduce` of candidate-child counts per
+/// level (§3.1). It has one variant and nothing reads it:
+/// `FmmOptions::tree_build` and the fifth argument of
+/// `build_distributed_tree_with` survive only because
+/// `benchmark/src/traced.rs` (frozen with `BENCHMARK.json`) passes them
+/// on. Goes with ROADMAP item 1(a).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TreeBuild {
-    /// Morton sample-sort construction (Hu–Gumerov–Duraiswami): O(1)
-    /// collectives regardless of tree depth. The default.
+    /// The paper's per-level Allreduce build.
     #[default]
-    SampleSort,
-    /// The paper's level-by-level construction: one `Allreduce` of
-    /// candidate-child counts per level (§3.1). Kept as the Table 4.2
-    /// ablation path; produces bitwise-identical structure.
     Paper,
-}
-
-/// Half-open interval `[base, end)` of max-depth point codes covered by
-/// box `key`. Valid because point codes carry `MAX_LEVEL` in their low 5
-/// bits, and `MAX_LEVEL < 32 ≤ end − base` for every box level.
-pub fn code_range(key: &MortonKey) -> (u64, u64) {
-    let span = 1u64 << (3 * (MAX_LEVEL - key.level) as u32 + 5);
-    let base = (key.morton_code() >> 5) << 5;
-    (base, base + span)
 }
 
 /// The refinement loop — the paper's §3.1 level-by-level construction,
@@ -59,8 +43,7 @@ pub fn code_range(key: &MortonKey) -> (u64, u64) {
 /// global counts, and is the only thing that differs between drivers: the
 /// serial build and the incremental update return `local_counts`
 /// ([`structure_from_sorted_codes`]), the paper's distributed build
-/// Allreduces them, the sample-sort build asks its [`GlobalCounts`] oracle
-/// about `keys`. The loop reads nothing but the returned counts, so
+/// Allreduces them. The loop reads nothing but the returned counts, so
 /// providers that agree produce bitwise-identical structure. `root_global`
 /// is the global point count.
 ///
@@ -172,139 +155,6 @@ pub fn structure_from_sorted_codes(
     (nodes, levels)
 }
 
-/// One entry of a rank's chunk summary: a box and the exact number of
-/// chunk codes inside it. Wire format: two `u64`s (`key.morton_code()`,
-/// `count`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SummaryEntry {
-    /// The summarized box.
-    pub key: MortonKey,
-    /// Number of this chunk's codes inside the box.
-    pub count: u64,
-}
-
-/// Compress a sorted, *value-contiguous* chunk of the global code array
-/// into disjoint (box, count) entries, recursing from the root:
-///
-/// * an empty box publishes nothing;
-/// * a box at `max_level` publishes a leaf entry (the global build never
-///   examines anything deeper);
-/// * a box with ≤ `max_pts_per_leaf` codes publishes a leaf entry *iff*
-///   `chunk_private(base, end)` — no other rank's chunk intersects its
-///   code range, so the local count is already the global count;
-/// * every other box recurses into its children.
-///
-/// The split-until-private rule is what makes [`GlobalCounts`] exact: a
-/// published leaf can never strictly contain a box the global build
-/// examines (such a box's parent would have global count > s while lying
-/// inside a ≤ s private leaf — a contradiction), so every oracle query
-/// decomposes into whole entries.
-pub fn chunk_summary(
-    chunk: &[u64],
-    max_pts_per_leaf: usize,
-    max_level: u8,
-    chunk_private: &dyn Fn(u64, u64) -> bool,
-) -> Vec<SummaryEntry> {
-    debug_assert!(chunk.windows(2).all(|w| w[0] <= w[1]), "chunk must be sorted");
-    let max_level = max_level.min(MAX_LEVEL);
-    let mut out = Vec::new();
-    descend(chunk, MortonKey::ROOT, max_pts_per_leaf, max_level, chunk_private, &mut out);
-    out
-}
-
-/// DFS worker for [`chunk_summary`]: `slice` is the sub-range of the
-/// chunk inside `key`. Emits entries in ascending code-range order.
-fn descend(
-    slice: &[u64],
-    key: MortonKey,
-    s: usize,
-    max_level: u8,
-    chunk_private: &dyn Fn(u64, u64) -> bool,
-    out: &mut Vec<SummaryEntry>,
-) {
-    if slice.is_empty() {
-        return;
-    }
-    let (base, end) = code_range(&key);
-    if key.level == max_level || (slice.len() <= s && chunk_private(base, end)) {
-        out.push(SummaryEntry { key, count: slice.len() as u64 });
-        return;
-    }
-    let shift = 3 * (MAX_LEVEL - (key.level + 1)) as u32 + 5;
-    let mut lo = 0usize;
-    for oct in 0..8u8 {
-        let hi = lo + slice[lo..].partition_point(|&c| ((c >> shift) & 7) as u8 <= oct);
-        if hi > lo {
-            descend(&slice[lo..hi], key.child(oct), s, max_level, chunk_private, out);
-            lo = hi;
-        }
-    }
-    debug_assert_eq!(lo, slice.len());
-}
-
-/// Exact global-count oracle over the merged chunk summaries of all
-/// ranks. Entries from different ranks are pairwise disjoint except for
-/// identical `max_level` boxes straddling a chunk boundary, whose counts
-/// are additive — so every query that respects the split contract (see
-/// [`chunk_summary`]) decomposes into whole entries and a prefix-sum
-/// range gives the exact answer.
-pub struct GlobalCounts {
-    /// Entry code-range starts, ascending.
-    bases: Vec<u64>,
-    /// Entry code-range ends, aligned with `bases` (ascending too, since
-    /// entries are disjoint-or-equal).
-    ends: Vec<u64>,
-    /// Prefix sums of entry counts; `prefix[i]` = total count of entries
-    /// `..i`.
-    prefix: Vec<u64>,
-}
-
-impl GlobalCounts {
-    /// Merge the gathered summaries of all ranks into the oracle.
-    pub fn new(mut entries: Vec<SummaryEntry>) -> GlobalCounts {
-        entries.sort_unstable_by_key(|e| code_range(&e.key).0);
-        let mut bases = Vec::with_capacity(entries.len());
-        let mut ends = Vec::with_capacity(entries.len());
-        let mut prefix = Vec::with_capacity(entries.len() + 1);
-        prefix.push(0u64);
-        for e in &entries {
-            let (b, en) = code_range(&e.key);
-            bases.push(b);
-            ends.push(en);
-            prefix.push(prefix.last().unwrap() + e.count);
-        }
-        debug_assert!(
-            bases.windows(2).zip(ends.windows(2)).all(|(b, e)| b[0] == b[1] || e[0] <= b[1]),
-            "summary entries must be pairwise disjoint or identical"
-        );
-        GlobalCounts { bases, ends, prefix }
-    }
-
-    /// Total code count across all entries (the global point count).
-    pub fn total(&self) -> u64 {
-        *self.prefix.last().unwrap()
-    }
-
-    /// Exact number of global codes inside `key`. Only valid for boxes
-    /// the global build examines (children of boxes with global count
-    /// > s) — the split contract guarantees no entry strictly contains
-    /// such a box, which debug builds verify.
-    pub fn count(&self, key: &MortonKey) -> u64 {
-        let (lo, hi) = code_range(key);
-        let a = self.bases.partition_point(|&b| b < lo);
-        let b = self.bases.partition_point(|&b| b < hi);
-        debug_assert!(
-            a == 0 || self.ends[a - 1] <= lo,
-            "summary entry strictly contains queried box {key:?}"
-        );
-        debug_assert!(
-            b == a || self.ends[b - 1] <= hi,
-            "summary entry straddles queried box {key:?}"
-        );
-        self.prefix[b] - self.prefix[a]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +170,15 @@ mod tests {
                 })
             })
             .collect()
+    }
+
+    /// Half-open interval `[base, end)` of max-depth point codes covered by
+    /// box `key`. Valid because point codes carry `MAX_LEVEL` in their low
+    /// 5 bits, and `MAX_LEVEL < 32 ≤ end − base` for every box level.
+    fn code_range(key: &MortonKey) -> (u64, u64) {
+        let span = 1u64 << (3 * (MAX_LEVEL - key.level) as u32 + 5);
+        let base = (key.morton_code() >> 5) << 5;
+        (base, base + span)
     }
 
     fn sorted_codes(pts: &[[f64; 3]], domain: &Domain) -> Vec<u64> {
@@ -424,91 +283,5 @@ mod tests {
                 assert!(nd.num_points() <= s || nd.key.level == MAX_LEVEL);
             }
         }
-    }
-
-    #[test]
-    fn whole_array_summary_reproduces_exact_counts() {
-        // A single chunk covering everything, always private: the oracle
-        // must agree with a linear count for every box of the real tree.
-        let pts = cloud(1500, 42);
-        let t = Octree::build(&pts, 30, MAX_LEVEL);
-        let codes = sorted_codes(&pts, &t.domain);
-        let summary = chunk_summary(&codes, 30, t.depth(), &|_, _| true);
-        let counts = GlobalCounts::new(summary);
-        assert_eq!(counts.total(), pts.len() as u64);
-        for nd in &t.nodes {
-            let (lo, hi) = code_range(&nd.key);
-            let expect = codes.iter().filter(|&&c| c >= lo && c < hi).count() as u64;
-            assert_eq!(counts.count(&nd.key), expect, "box {:?}", nd.key);
-            assert_eq!(expect, nd.num_points() as u64);
-        }
-    }
-
-    #[test]
-    fn split_summaries_merge_to_exact_counts() {
-        // Cut the sorted array into value-contiguous chunks (as the sample
-        // sort would) and verify the merged per-chunk summaries stay exact,
-        // including for boxes whose range straddles chunk boundaries.
-        let pts = cloud(2400, 7);
-        let s = 25;
-        let t = Octree::build(&pts, s, MAX_LEVEL);
-        let codes = sorted_codes(&pts, &t.domain);
-        for cuts in [vec![800, 1600], vec![1, 2399], vec![1200]] {
-            let mut bounds = vec![0];
-            bounds.extend(&cuts);
-            bounds.push(codes.len());
-            // Value-contiguity: advance cuts past duplicate runs.
-            let bounds: Vec<usize> = bounds
-                .iter()
-                .map(|&b| codes.partition_point(|&c| c < codes.get(b).copied().unwrap_or(u64::MAX)))
-                .collect();
-            let chunks: Vec<&[u64]> =
-                bounds.windows(2).map(|w| &codes[w[0]..w[1]]).collect();
-            let ranges: Vec<Option<(u64, u64)>> = chunks
-                .iter()
-                .map(|c| c.first().map(|&f| (f, *c.last().unwrap())))
-                .collect();
-            let mut entries = Vec::new();
-            for (ci, chunk) in chunks.iter().enumerate() {
-                let others: Vec<(u64, u64)> = ranges
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, r)| i != ci && r.is_some())
-                    .map(|(_, r)| r.unwrap())
-                    .collect();
-                let private =
-                    move |lo: u64, hi: u64| others.iter().all(|&(f, l)| l < lo || f >= hi);
-                entries.extend(chunk_summary(chunk, s, t.depth(), &private));
-            }
-            let counts = GlobalCounts::new(entries);
-            assert_eq!(counts.total(), pts.len() as u64);
-            for nd in &t.nodes {
-                assert_eq!(
-                    counts.count(&nd.key),
-                    nd.num_points() as u64,
-                    "box {:?} with cuts {cuts:?}",
-                    nd.key
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn coincident_codes_summarize_at_max_level() {
-        // All codes equal: the summary must bottom out at max_level with
-        // one entry holding everything, never an infinite recursion.
-        let codes = vec![point_key([0.1, 0.2, 0.3], [0.0; 3], 1.0, MAX_LEVEL).morton_code(); 100];
-        let summary = chunk_summary(&codes, 10, 4, &|_, _| false);
-        assert_eq!(summary.len(), 1);
-        assert_eq!(summary[0].count, 100);
-        assert_eq!(summary[0].key.level, 4);
-        let counts = GlobalCounts::new(summary);
-        assert_eq!(counts.total(), 100);
-    }
-
-    #[test]
-    fn tree_build_default_is_sample_sort() {
-        assert_eq!(TreeBuild::default(), TreeBuild::SampleSort);
-        assert_ne!(TreeBuild::SampleSort, TreeBuild::Paper);
     }
 }

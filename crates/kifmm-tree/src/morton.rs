@@ -136,10 +136,10 @@ impl MortonKey {
         (0..3).all(|d| a_lo[d] <= b_hi[d] && b_lo[d] <= a_hi[d])
     }
 
-    /// Closed integer extent `[lo, hi]` of this box at a finer level
-    /// (grid-cell units: the box covers cells `lo..=hi-? `); returns
-    /// half-open converted to inclusive bounds `[lo, hi]` with
-    /// `hi = (c+1)·2^Δ` so touching boxes share a coordinate.
+    /// Inclusive integer extent `[lo, hi]` of this box at the finer
+    /// `level`, per axis: `lo = c·2^Δ` and `hi = (c+1)·2^Δ`, where `c` is
+    /// the box coordinate and `Δ = level − self.level`. The bounds are
+    /// grid *vertices*, not cells, so boxes that touch share a coordinate.
     fn extent_at(&self, level: u8) -> ([u64; 3], [u64; 3]) {
         let shift = level - self.level;
         let lo = [
@@ -167,23 +167,6 @@ impl MortonKey {
             | self.level as u64
     }
 
-    /// Inverse of [`MortonKey::morton_code`]: recover the key from its
-    /// linearized code (used to decode keys off the communication wire).
-    pub fn from_code(code: u64) -> MortonKey {
-        let level = (code & 31) as u8;
-        debug_assert!(level <= MAX_LEVEL, "invalid level bits in Morton code");
-        let interleaved = code >> 5;
-        let shift = MAX_LEVEL - level;
-        MortonKey {
-            level,
-            coords: [
-                (deinterleave3(interleaved) >> shift) as u32,
-                (deinterleave3(interleaved >> 1) >> shift) as u32,
-                (deinterleave3(interleaved >> 2) >> shift) as u32,
-            ],
-        }
-    }
-
     /// Offset `(other − self)` in units of this box's side, when both boxes
     /// are at the same level (used to index the 316 M2L directions).
     pub fn offset_to(&self, other: &MortonKey) -> [i32; 3] {
@@ -205,18 +188,6 @@ fn interleave3(mut v: u64) -> u64 {
     v = (v | (v << 8)) & 0x100f00f00f00f00f;
     v = (v | (v << 4)) & 0x10c30c30c30c30c3;
     v = (v | (v << 2)) & 0x1249249249249249;
-    v
-}
-
-/// Inverse of [`interleave3`]: gather every third bit back into the low 21.
-#[inline]
-fn deinterleave3(mut v: u64) -> u64 {
-    v &= 0x1249249249249249;
-    v = (v | (v >> 2)) & 0x10c30c30c30c30c3;
-    v = (v | (v >> 4)) & 0x100f00f00f00f00f;
-    v = (v | (v >> 8)) & 0x1f0000ff0000ff;
-    v = (v | (v >> 16)) & 0x1f00000000ffff;
-    v = (v | (v >> 32)) & 0x1fffff;
     v
 }
 
@@ -411,22 +382,6 @@ mod tests {
     fn interleave_bit_pattern() {
         assert_eq!(interleave3(0b11), 0b1001);
         assert_eq!(interleave3(0b101), 0b1000001);
-    }
-
-    #[test]
-    fn morton_code_roundtrips_through_from_code() {
-        let mut seed = 0x5eedu64;
-        let mut rnd = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
-        for _ in 0..2000 {
-            let level = (rnd() % (MAX_LEVEL as u32 + 1)) as u8;
-            let mask = if level == 0 { 0 } else { (1u32 << level) - 1 };
-            let k = MortonKey::new(level, [rnd() & mask, rnd() & mask, rnd() & mask]);
-            assert_eq!(MortonKey::from_code(k.morton_code()), k);
-        }
-        assert_eq!(MortonKey::from_code(MortonKey::ROOT.morton_code()), MortonKey::ROOT);
     }
 
     #[test]

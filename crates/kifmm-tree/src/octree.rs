@@ -281,7 +281,7 @@ impl Octree {
     /// True when two trees have identical structure *and* identical local
     /// point assignment: same domain, node array (keys, links, point
     /// ranges), level arrays, and permutation. This is the bitwise gate
-    /// between the sample-sort and paper construction paths.
+    /// between an updated tree and a fresh build.
     pub fn structure_eq(&self, other: &Octree) -> bool {
         self.domain == other.domain
             && self.nodes == other.nodes

@@ -67,7 +67,7 @@ pub use kifmm_core::{
     direct_eval, direct_eval_grad, direct_eval_grad_src_trg, direct_eval_src_trg, geometry_hash,
     kernel_name_hash, rel_l2_error, BuildError,
     EvalReport, Fmm, FmmBuilder, FmmOptions, OutputSpec, Phase,
-    PhaseStats, Plan, PlanCache, PlanKey, Session, TreeBuild, UpdateError, PHASES, PHASE_NAMES,
+    PhaseStats, Plan, PlanCache, PlanKey, Session, UpdateError, PHASES, PHASE_NAMES,
 };
 pub use kifmm_kernels::{
     CustomKernel, Gaussian, Kelvin, Kernel, Laplace, ModifiedLaplace, Point3, Stokes,

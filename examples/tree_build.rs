@@ -1,28 +1,29 @@
-//! Tree-construction benchmark: sample-sort vs the paper's per-level
-//! Allreduce build, plus the incremental plan update (PR 9's tentpole).
+//! Tree-construction example: the distributed build against the serial
+//! one, plus the incremental plan update.
 //!
-//! For each virtual rank count P ∈ {1, 2, 4, 8} the distributed tree is
-//! built twice over the same partitioned point set — once with
-//! [`TreeBuild::SampleSort`] (O(1) collectives) and once with
-//! [`TreeBuild::Paper`] (one Allreduce per level) — and the two
-//! structures are compared bitwise (the Table-4.2-style ablation gate).
+//! For each virtual rank count P ∈ {1, 2, 4, 8} the distributed tree —
+//! the paper's level-by-level build, one Allreduce per level (§3.1) — is
+//! built over the partitioned point set and compared with
+//! [`Octree::build`] over all of it: the same keys, the same levels, and
+//! global counts equal to the serial point counts. The build time (slowest
+//! rank) and the messages it sent (summed over ranks) are printed per P.
 //! Then a serial [`Plan`] is built over the full point set and patched
 //! with [`Plan::update_points`] after a small 1% point motion, timing the
 //! patch against an equivalent from-scratch rebuild (warm operator cache,
 //! so both sides pay geometry work only).
 //!
-//! The example is its own gate ([`gate`]): it exits non-zero when the two
-//! builds differ at any P or the patch costs more than half a rebuild.
-//! Build and update *times* are measured by the repo benchmark
-//! (`tree.*`, `core.plan_update_s`, `mpi.sample_sort_mkeys` in
-//! `BENCHMARK.json`).
+//! The example is its own gate ([`gate`]): it exits non-zero when the
+//! distributed tree differs from the serial one at any P or the patch
+//! costs more than half a rebuild. Build and update *times* are measured
+//! by the repo benchmark (`tree.*`, `core.plan_update_s`,
+//! `parallel.setup_tree_s` in `BENCHMARK.json`).
 //!
 //! ```text
 //! cargo run --release --example tree_build
 //! KIFMM_N=30000 cargo run --release --example tree_build
 //! ```
 
-use kifmm::tree::{partition_points, TreeBuild, MAX_LEVEL};
+use kifmm::tree::{partition_points, Octree, TreeBuild, MAX_LEVEL};
 use kifmm::{FmmOptions, Laplace, Plan};
 use kifmm_core::PrecomputeCache;
 use kifmm_parallel::build_distributed_tree_with;
@@ -35,12 +36,12 @@ const LEAF: usize = 60;
 /// 0.18; small N pays the same fixed overheads over far less work.
 const MAX_UPDATE_RATIO: f64 = 0.5;
 
-/// The example's verdict over the rank counts whose two builds differed
-/// and the measured update/rebuild time ratio.
+/// The example's verdict over the rank counts whose distributed tree
+/// differed from the serial one and the measured update/rebuild time ratio.
 fn gate(unequal_ranks: &[usize], update_ratio: f64) -> Result<(), String> {
     if !unequal_ranks.is_empty() {
         return Err(format!(
-            "sample-sort and paper builds disagree at P = {unequal_ranks:?} (the bitwise \
+            "the distributed and serial trees disagree at P = {unequal_ranks:?} (the \
              equivalence gate failed)"
         ));
     }
@@ -59,43 +60,39 @@ fn main() {
     println!("tree construction benchmark, N = {n}, s = {LEAF}\n");
     let all = kifmm::geom::uniform_cube(n, 42);
 
-    // --- Distributed builds: sample sort vs paper Allreduce, per P. ---
-    println!("  P   sample-sort(s)  paper(s)  speedup  nodes   depth");
+    // --- Distributed build vs the serial tree, per P. ---
+    let serial = Octree::build(&all, LEAF, MAX_LEVEL);
+    let serial_keys: Vec<_> = serial.nodes.iter().map(|n| n.key).collect();
+    let serial_counts: Vec<u64> = serial.nodes.iter().map(|n| n.num_points() as u64).collect();
+    let serial = Arc::new((serial_keys, serial.levels, serial_counts));
+    println!("  P   build(s)  messages   nodes  depth");
     let mut unequal_ranks = Vec::new();
     for ranks in [1usize, 2, 4, 8] {
         let chunks = Arc::new(partition_points(&all, ranks).gather(&all));
         let out = kifmm::mpi::run(ranks, {
-            let chunks = chunks.clone();
+            let (chunks, serial) = (chunks.clone(), serial.clone());
             move |comm| {
                 let local = &chunks[comm.rank()];
+                let sent = comm.stats().messages_sent;
                 let t0 = Instant::now();
-                let a = build_distributed_tree_with(
-                    comm,
-                    local,
-                    LEAF,
-                    MAX_LEVEL,
-                    TreeBuild::SampleSort,
-                );
-                let t_sample = t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                let b =
+                let dt =
                     build_distributed_tree_with(comm, local, LEAF, MAX_LEVEL, TreeBuild::Paper);
-                let t_paper = t1.elapsed().as_secs_f64();
-                let equal = a.tree.structure_eq(&b.tree) && a.global_counts == b.global_counts;
-                (t_sample, t_paper, equal, a.tree.num_nodes(), a.tree.depth())
+                let seconds = t0.elapsed().as_secs_f64();
+                let sent = comm.stats().messages_sent - sent;
+                let (keys, levels, counts) = &*serial;
+                let equal = dt.tree.nodes.iter().map(|n| n.key).eq(keys.iter().copied())
+                    && dt.tree.levels == *levels
+                    && dt.global_counts == *counts;
+                (seconds, sent, equal, dt.tree.num_nodes(), dt.tree.depth())
             }
         });
-        let t_sample = out.iter().map(|r| r.0).fold(0.0f64, f64::max);
-        let t_paper = out.iter().map(|r| r.1).fold(0.0f64, f64::max);
-        let equal = out.iter().all(|r| r.2);
+        let seconds = out.iter().map(|r| r.0).fold(0.0f64, f64::max);
+        let messages: u64 = out.iter().map(|r| r.1).sum();
         let (nodes, depth) = (out[0].3, out[0].4);
-        if !equal {
+        if !out.iter().all(|r| r.2) {
             unequal_ranks.push(ranks);
         }
-        println!(
-            "  {ranks:<3} {t_sample:>14.4}  {t_paper:>8.4}  {:>7.2}  {nodes:>6}  {depth:>5}",
-            t_paper / t_sample.max(1e-12)
-        );
+        println!("  {ranks:<3} {seconds:>8.4}  {messages:>8}  {nodes:>6}  {depth:>5}");
     }
 
     // --- Incremental plan update vs from-scratch rebuild (serial). ---

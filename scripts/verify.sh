@@ -112,20 +112,25 @@ echo "level-rule gate: OK (homogeneity() read in operators.rs only, no box_half 
 
 # 5g. One-tree gate: the octant-cut refinement loop is written once
 #     (`kifmm_tree::refine_sorted_codes`, linearize.rs) for the serial
-#     build, the incremental update and both distributed count providers,
-#     and an `ExchangePlan` owns its payloads — only `ExchangeRoute::begin`
-#     takes the closure, `poll`/`complete` take the communicator alone.
+#     build, the incremental update and the one distributed build (the
+#     paper's per-level Allreduce) — the sample-sort count oracle may not
+#     come back — and an `ExchangePlan` owns its payloads — only
+#     `ExchangeRoute::begin` takes the closure, `poll`/`complete` take the
+#     communicator alone.
 cuts=$(grep -rnF 'partition_point(|&c| ((c >> shift) & 7)' crates tests examples --include='*.rs' \
     | grep -v '^crates/kifmm-tree/src/linearize.rs:' || true)
+oracle=$(grep -rnE 'chunk_summary|GlobalCounts|SummaryEntry|build_counts_oracle|TreeBuild::SampleSort' \
+    crates tests examples || true)
 closures=$(grep -rnE '\.(poll|complete)\(comm, ' crates/kifmm-parallel/src \
     tests/parallel_consistency.rs || true)
-if [ -n "$cuts$closures" ]; then
-    echo "FAIL: a second refinement loop or payload hand-off reintroduced:"
+if [ -n "$cuts$oracle$closures" ]; then
+    echo "FAIL: a second refinement loop, a second distributed build or a payload hand-off reintroduced:"
     echo "$cuts"
+    echo "$oracle"
     echo "$closures"
     exit 1
 fi
-echo "one-tree gate: OK (one refinement loop, begin is the only payload call)"
+echo "one-tree gate: OK (one refinement loop, one distributed build, begin is the only payload call)"
 
 # 5h. One-Hadamard-path gate: `M2lFft` holds its tensors as dense
 #     chunk-major arrays (no `HashMap` in the struct) and the engine never
@@ -198,12 +203,12 @@ cargo run -q --release --offline -p kifmm-bench --bin trace_check > /dev/null
 echo "trace-cost gate: OK"
 
 # 9. Tree-build gate: the tree-construction example (small N) checks
-#    itself — the sample-sort and paper per-level-Allreduce builds must be
-#    bitwise identical at every rank count, and the incremental plan
-#    update (1% point motion) must cost at most half of a from-scratch
-#    rebuild (the 1M-point run lands near 0.18; the small-N geometry pays
-#    the same fixed overheads over far less work) — and exits nonzero
-#    otherwise.
+#    itself — the distributed per-level-Allreduce build must equal the
+#    serial `Octree::build` (keys, levels, global counts) at every rank
+#    count P ∈ {1, 2, 4, 8}, and the incremental plan update (1% point
+#    motion) must cost at most half of a from-scratch rebuild (the
+#    1M-point run lands near 0.18; the small-N geometry pays the same
+#    fixed overheads over far less work) — and exits nonzero otherwise.
 KIFMM_N=30000 cargo run -q --release --offline --example tree_build > /dev/null
 echo "tree-build gate: OK"
 
@@ -247,4 +252,5 @@ echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime l
 echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src)"
 # The vector microkernels hold the workspace's `unsafe` loads: growth shows here.
 echo "non-test lines: kifmm-linalg/src/simd.rs $(nontest crates/kifmm-linalg/src/simd.rs)"
+echo "non-test lines: kifmm-tree/src $(nontest_dir crates/kifmm-tree/src), kifmm-parallel/src $(nontest_dir crates/kifmm-parallel/src)"
 echo "verify: ALL OK"
