@@ -103,7 +103,9 @@ impl EvalReport {
 /// Builder for a [`Session`] (see [`Session::builder`], spelled
 /// `Fmm::builder` through the alias): options and observability in one
 /// fluent chain. (Serial or pool dispatch is the session's:
-/// [`Session::set_parallel_eval`].)
+/// [`Session::set_parallel_eval`].) The distributed driver has no builder:
+/// every rank calls `kifmm_parallel::ParallelFmm::try_new` with its local
+/// points and the same [`FmmOptions`].
 ///
 /// ```
 /// use kifmm_core::Fmm;
@@ -190,17 +192,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// Decompose the builder for drivers that construct something other
-    /// than a shared-memory [`Session`] (e.g. the distributed driver's
-    /// `build_parallel`). Returns `(kernel, points, options, tracer, cache)`.
-    #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(
-        self,
-    ) -> (K, Option<&'a [Point3]>, FmmOptions, Tracer, Option<&'a PrecomputeCache<K>>) {
-        (self.kernel, self.points, self.opts, self.trace, self.cache)
-    }
-
     /// Build the plan and open a serial [`Session`] over it with this
     /// builder's tracer, reporting configuration problems as a typed
     /// [`BuildError`] instead of panicking.
@@ -227,7 +218,7 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     /// set on this builder belongs to a [`Session`] and is not part of the
     /// plan; open sessions over the plan to evaluate.
     pub fn try_plan(self) -> Result<Plan<K>, BuildError> {
-        let (kernel, points, opts, _trace, cache) = self.into_parts();
+        let FmmBuilder { kernel, points, opts, trace: _, cache } = self;
         let points = points.ok_or(BuildError::MissingPoints)?;
         match cache {
             Some(c) => Plan::try_new_with_cache(kernel, points, opts, c),

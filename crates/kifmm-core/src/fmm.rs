@@ -29,7 +29,7 @@
 //! [`PlanCache`]: crate::plan::PlanCache
 
 use crate::evaluator::OutputSpec;
-use crate::plan::Session;
+use crate::plan::{BuildError, Session};
 use kifmm_tree::TreeBuild;
 
 /// Evaluator configuration.
@@ -71,6 +71,21 @@ impl FmmOptions {
     pub fn with_order(order: usize) -> Self {
         FmmOptions { order, ..Default::default() }
     }
+
+    /// The verdict on the options alone, shared by every constructor: a
+    /// surface needs at least 2 points per cube edge (it has `p³ − (p−2)³`
+    /// points), and a leaf must hold at least one point. Every rank of a
+    /// distributed build holds the same options, so this verdict needs no
+    /// collective.
+    pub fn validate(&self) -> Result<(), BuildError> {
+        if self.order < 2 {
+            return Err(BuildError::OrderTooSmall(self.order));
+        }
+        if self.max_pts_per_leaf == 0 {
+            return Err(BuildError::ZeroLeafCapacity);
+        }
+        Ok(())
+    }
 }
 
 /// The build-and-evaluate spelling of [`Session`]: `Fmm::builder(..)` is
@@ -93,6 +108,20 @@ mod tests {
 
     fn densities(n: usize, dim: usize) -> Vec<f64> {
         (0..n * dim).map(|i| ((i * 31 % 101) as f64) / 101.0).collect()
+    }
+
+    #[test]
+    fn validate_refuses_each_bad_option_and_passes_the_default() {
+        assert_eq!(FmmOptions::default().validate(), Ok(()));
+        assert_eq!(FmmOptions::with_order(2).validate(), Ok(()));
+        for order in [0, 1] {
+            let opts = FmmOptions::with_order(order);
+            assert_eq!(opts.validate(), Err(BuildError::OrderTooSmall(order)));
+        }
+        let opts = FmmOptions { max_pts_per_leaf: 0, ..Default::default() };
+        assert_eq!(opts.validate(), Err(BuildError::ZeroLeafCapacity));
+        let opts = FmmOptions { max_pts_per_leaf: 1, ..Default::default() };
+        assert_eq!(opts.validate(), Ok(()));
     }
 
     #[test]

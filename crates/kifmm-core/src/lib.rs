@@ -48,9 +48,8 @@ pub use engine::{
 };
 pub use evaluator::{EvalReport, FmmBuilder, OutputSpec};
 pub use fmm::{Fmm, FmmOptions};
-pub use plan::{
-    geometry_hash, kernel_name_hash, BuildError, Plan, PlanCache, PlanKey, Session, UpdateError,
-};
+pub use kifmm_tree::UpdateError;
+pub use plan::{geometry_hash, kernel_name_hash, BuildError, Plan, PlanCache, PlanKey, Session};
 pub use m2l::{v_list_directions, M2lFft};
 pub use operators::{LevelOps, LevelRule, LevelScale, OperatorTable, FIRST_FMM_LEVEL};
 pub use precompute::{Precomputed, PrecomputeCache};

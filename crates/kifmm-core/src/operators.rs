@@ -29,17 +29,10 @@
 
 use crate::surface::{surface_points, RAD_INNER, RAD_OUTER};
 use kifmm_kernels::{assemble, Kernel};
-use kifmm_linalg::{pinv_with_tol, Mat};
+use kifmm_linalg::{pinv, Mat};
 
 /// The coarsest level that carries equivalent densities.
 pub const FIRST_FMM_LEVEL: u8 = 2;
-
-/// Relative singular-value truncation of the check-to-equivalent
-/// pseudoinverses. A constant, not an option: the operator tables are
-/// cached by `(kernel, depth, root half-width, order)`, so a
-/// settable tolerance that is not part of those keys would be served stale
-/// tables.
-pub const PINV_TOL: f64 = 1e-10;
 
 /// What one level reads: table slot `slot`, forward maps times `fwd`,
 /// inversions times `inv`.
@@ -137,11 +130,11 @@ impl OperatorTable {
         self.rule.at(level).map(|s| (&self.slots[s.slot], s))
     }
 
-    /// As [`OperatorTable::try_at`]; panics if the level carries none. Plan
-    /// construction validates coverage up front (surfacing gaps as a
-    /// typed `BuildError`), so reaching this panic from an engine pass
-    /// means a caller bypassed that validation — use
-    /// [`OperatorTable::try_at`] where absence is an expected outcome.
+    /// As [`OperatorTable::try_at`]; panics if the level carries none. A
+    /// plan's tables are built for its tree's depth (the cache keys on
+    /// it), so they cover every level the tree reaches; reaching this
+    /// panic from an engine pass means the tables belong to another tree —
+    /// use [`OperatorTable::try_at`] where absence is an expected outcome.
     pub fn at(&self, level: u8) -> (&LevelOps, LevelScale) {
         self.try_at(level).unwrap_or_else(|| {
             panic!(
@@ -183,10 +176,10 @@ fn build_level<K: Kernel>(kernel: &K, order: usize, half: f64) -> LevelOps {
     // matrices, not declared, so a kernel without it (`LaplaceDipole`, an
     // asymmetric closure) simply takes the second inversion.
     let up = assemble(kernel, &uc, &ue);
-    let uc2ue = pinv_with_tol(&up, PINV_TOL);
+    let uc2ue = pinv(&up);
     let down = assemble(kernel, &dc, &de);
     let dc2de =
-        if down == up.transpose() { uc2ue.transpose() } else { pinv_with_tol(&down, PINV_TOL) };
+        if down == up.transpose() { uc2ue.transpose() } else { pinv(&down) };
 
     // Children of this box (for UE2UC): half-width half/2, offset ±half/2.
     let mut ue2uc = Vec::with_capacity(8);
@@ -260,7 +253,7 @@ mod tests {
         // Check potential from sources, then invert.
         let mut check = vec![0.0; uc.len() * kernel.trg_dim()];
         kernel.p2p(&uc, &srcs, &dens, &mut check);
-        let uc2ue = pinv_with_tol(&assemble(kernel, &uc, &ue), PINV_TOL);
+        let uc2ue = pinv(&assemble(kernel, &uc, &ue));
         let equiv = uc2ue.matvec(&check);
         // Compare fields at far points (outside the 3r near range).
         let far: Vec<Point3> = vec![

@@ -28,7 +28,7 @@ use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{num_threads, par_each, par_map, zip_eq, Dispatch, Pool};
 use kifmm_tree::{
-    build_lists, first_non_finite, update_octree, InteractionLists, Octree,
+    build_lists, first_non_finite, update_octree, InteractionLists, Octree, UpdateError,
 };
 use kifmm_trace::Tracer;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,15 +54,6 @@ pub enum BuildError {
         /// Coordinate axis (0/1/2) that is not finite.
         dim: usize,
     },
-    /// The precomputed operator table lacks a level the tree requires.
-    /// Surfaced at build time as a typed error instead of the
-    /// `OperatorTable::at` panic a later evaluation would hit.
-    MissingOperators {
-        /// First level found without operators.
-        level: u8,
-        /// Depth of the tree the plan was being built for.
-        depth: u8,
-    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -79,100 +70,11 @@ impl std::fmt::Display for BuildError {
             BuildError::NonFinitePoint { point, dim } => {
                 write!(f, "point {point} has a non-finite coordinate on axis {dim}")
             }
-            BuildError::MissingOperators { level, depth } => {
-                write!(
-                    f,
-                    "operator table has no level-{level} operators for a depth-{depth} tree"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for BuildError {}
-
-/// Why [`Plan::update_points`] could not patch an existing plan. Every
-/// variant means "rebuild from scratch" (e.g. via
-/// [`PlanCache::get_or_update`], which does so automatically).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UpdateError {
-    /// A point drifted outside the plan's root cube. The Morton mapping
-    /// would silently clamp it to the boundary, corrupting near/far
-    /// classification — so drift is a typed error forcing a re-rooted
-    /// rebuild.
-    DomainOverflow {
-        /// Index of the first offending point.
-        point: usize,
-        /// Coordinate axis (0/1/2) that left the cube.
-        dim: usize,
-    },
-    /// The new point set has a different cardinality; an update cannot
-    /// describe insertions or deletions.
-    PointCountChanged {
-        /// Points the plan was built over.
-        old: usize,
-        /// Points supplied to the update.
-        new: usize,
-    },
-    /// The patched tree is deeper than the plan's operator tables cover
-    /// (points clustered more tightly than any configuration seen at
-    /// plan time).
-    StructureOutgrown {
-        /// Depth the updated tree reached.
-        depth: u8,
-        /// Deepest level the existing operator tables cover.
-        covered: u8,
-    },
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UpdateError::DomainOverflow { point, dim } => write!(
-                f,
-                "point {point} left the plan's domain cube along axis {dim}; rebuild required"
-            ),
-            UpdateError::PointCountChanged { old, new } => {
-                write!(f, "point count changed from {old} to {new}; rebuild required")
-            }
-            UpdateError::StructureOutgrown { depth, covered } => write!(
-                f,
-                "updated tree reaches depth {depth} but operators cover only level {covered}; \
-                 rebuild required"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for UpdateError {}
-
-impl From<kifmm_tree::UpdateError> for UpdateError {
-    fn from(e: kifmm_tree::UpdateError) -> Self {
-        match e {
-            kifmm_tree::UpdateError::DomainOverflow { point, dim } => {
-                UpdateError::DomainOverflow { point, dim }
-            }
-            kifmm_tree::UpdateError::PointCountChanged { old, new } => {
-                UpdateError::PointCountChanged { old, new }
-            }
-        }
-    }
-}
-
-/// Verify the operator table carries every level a depth-`depth` tree
-/// executes (`FIRST_FMM_LEVEL..=depth`), turning a would-be panic deep in
-/// an engine pass into a typed build-time error.
-pub(crate) fn check_operator_coverage(
-    ops: &crate::operators::OperatorTable,
-    depth: u8,
-) -> Result<(), BuildError> {
-    for level in FIRST_FMM_LEVEL..=depth {
-        if ops.try_at(level).is_none() {
-            return Err(BuildError::MissingOperators { level, depth });
-        }
-    }
-    Ok(())
-}
 
 /// FNV-1a over the bit patterns of a point set (length-prefixed,
 /// word-granular, hashed in fixed-size chunks whose digests are folded
@@ -300,12 +202,7 @@ impl<K: Kernel> Plan<K> {
         opts: FmmOptions,
         cache: &PrecomputeCache<K>,
     ) -> Result<Self, BuildError> {
-        if opts.order < 2 {
-            return Err(BuildError::OrderTooSmall(opts.order));
-        }
-        if opts.max_pts_per_leaf == 0 {
-            return Err(BuildError::ZeroLeafCapacity);
-        }
+        opts.validate()?;
         if points.is_empty() {
             return Err(BuildError::EmptyPoints);
         }
@@ -317,7 +214,6 @@ impl<K: Kernel> Plan<K> {
         let depth = tree.depth();
         let root_half = tree.domain.half;
         let pre = cache.get_or_build(&kernel, &opts, root_half, depth);
-        check_operator_coverage(&pre.ops, depth)?;
         Ok(Self::over(kernel, opts, tree, lists, pre, points))
     }
 
@@ -1246,23 +1142,31 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 3));
     }
 
+    /// Why a plan needs no coverage check: its tables are built (and
+    /// cached) for its own tree's depth, so every level the tree reaches
+    /// has operators — on a shallow uniform tree and a deep clustered one,
+    /// for homogeneous kernels (one shared slot) and ModifiedLaplace (one
+    /// slot per level) alike.
     #[test]
-    fn missing_operator_levels_surface_as_build_error() {
-        use crate::operators::OperatorTable;
-        // A table built for a depth-1 tree has no level-2 operators; a
-        // depth-3 tree demanding them must get a typed error, not the
-        // mid-evaluation `OperatorTable::at` panic.
-        let shallow = OperatorTable::build(&Laplace, 3, 1.0, 1);
-        assert_eq!(
-            check_operator_coverage(&shallow, 3),
-            Err(BuildError::MissingOperators { level: 2, depth: 3 })
-        );
-        let err = BuildError::MissingOperators { level: 2, depth: 3 };
-        assert!(err.to_string().contains("level-2"), "{err}");
-        let full = OperatorTable::build(&Laplace, 3, 1.0, 3);
-        assert_eq!(check_operator_coverage(&full, 3), Ok(()));
-        // Shallow trees demand nothing and pass vacuously.
-        assert_eq!(check_operator_coverage(&shallow, 1), Ok(()));
+    fn operator_tables_cover_every_level_of_the_tree() {
+        fn check<K: Kernel>(kernel: K) {
+            let clouds = [kifmm_geom::uniform_cube(1500, 81), kifmm_geom::corner_clusters(1500, 82)];
+            let depths: Vec<u8> = clouds
+                .iter()
+                .map(|pts| {
+                    let plan = Plan::try_new(kernel.clone(), pts, opts_small()).unwrap();
+                    let (ops, depth) = (&plan.precomputed().ops, plan.tree.depth());
+                    for l in FIRST_FMM_LEVEL..=depth {
+                        assert!(ops.try_at(l).is_some(), "{}: level {l} of {depth}", kernel.name());
+                    }
+                    depth
+                })
+                .collect();
+            assert!(depths[0] >= FIRST_FMM_LEVEL && depths[1] > depths[0], "{depths:?}");
+        }
+        check(Laplace);
+        check(ModifiedLaplace::new(2.0));
+        check(Stokes::default());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! accelerate it (§1, "the multipole-to-local translations are accelerated
 //! using local FFTs").
 
-use kifmm_geom::Point3;
+use kifmm_kernels::Point3;
 
 /// Scale of the upward-equivalent / downward-check surface relative to the
 /// box half-width.

@@ -74,8 +74,8 @@ pub fn fibonacci_sphere(center: Point3, radius: f64, n: usize) -> Vec<Point3> {
 /// spheres centered on an 8×8×8 Cartesian grid in `[−1, 1]³`
 /// (lat/long-sampled, so locally non-uniform at high rates).
 ///
-/// Returns one point set; use [`sphere_grid_patches`] when the partitioner
-/// needs the per-sphere structure.
+/// Returns one point set; [`sphere_grid_patches`] keeps the per-sphere
+/// structure.
 pub fn sphere_grid(total: usize, grid: usize) -> Vec<Point3> {
     sphere_grid_patches(total, grid).into_iter().flatten().collect()
 }

@@ -1,4 +1,4 @@
-//! Particle distributions and surface patches for the SC'03 evaluation.
+//! Particle distributions for the SC'03 evaluation.
 //!
 //! §4 of the paper uses two particle sets inside the cube `[−1, 1]³`:
 //!
@@ -10,20 +10,18 @@
 //!    cube ([`corner_clusters`]).
 //!
 //! Densities are random in `[0, 1]` ([`random_densities`]), as in the paper.
-//! The partitioner in `kifmm-tree` consumes [`SurfacePatch`]es — the paper
-//! partitions input surface patches by weight rather than raw particles.
+//! This is test and benchmark data: no library crate depends on it outside
+//! its tests (the `kifmm` facade re-exports it as `kifmm::geom`).
 
 #![forbid(unsafe_code)]
 
 pub mod distributions;
-pub mod patch;
 pub mod rng;
 
 pub use distributions::{
     corner_clusters, fibonacci_sphere, latlong_sphere, random_densities, sphere_grid,
     sphere_grid_patches, uniform_cube,
 };
-pub use patch::SurfacePatch;
 pub use rng::Rng;
 
 /// A 3-D point (matches `kifmm_kernels::Point3`).

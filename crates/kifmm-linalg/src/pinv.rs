@@ -18,6 +18,10 @@ use crate::svd::svd;
 /// amplifies rounding noise in the check potentials faster than it adds
 /// far-field resolution (measured: at p = 8/10 the far-field error is
 /// ~5e-9 with this cutoff but *degrades* to 1.8e-6/4e-3 at 1e-16).
+///
+/// A constant, not an option: the FMM's operator tables are cached by
+/// `(kernel, depth, root half-width, order)`, so a settable tolerance that
+/// is not part of those keys would be served stale tables.
 pub const DEFAULT_PINV_TOL: f64 = 1e-10;
 
 /// Moore–Penrose pseudoinverse with the [`DEFAULT_PINV_TOL`] truncation.

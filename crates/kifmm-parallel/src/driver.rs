@@ -1,5 +1,10 @@
 //! The distributed interaction calculation (paper §3.2).
 //!
+//! Construction is collective and has one body, [`ParallelFmm::try_new`]:
+//! every rank passes its local points and the same options, and bad input
+//! is refused on every rank at once, before the tree build's first
+//! collective. `new` and `with_cache` are its panicking forwards.
+//!
 //! Per evaluation, each rank:
 //!
 //! 1. begins the ghost-density exchange: the plan reads this rank's
@@ -56,7 +61,7 @@ use crate::global_tree::{build_distributed_tree_with, DistributedTree};
 use crate::ownership::Ownership;
 use kifmm_core::engine::{ActiveSet, LocalSources, PassEngine, Scratch, SourceProvider};
 use kifmm_core::{
-    BuildError, EvalReport, FmmBuilder, FmmOptions, Meter, Phase, PrecomputeCache,
+    BuildError, EvalReport, FmmOptions, Meter, Phase, PrecomputeCache,
     Precomputed, FIRST_FMM_LEVEL,
 };
 use kifmm_kernels::{Kernel, Point3};
@@ -155,17 +160,15 @@ pub struct ParallelFmm<K: Kernel> {
 }
 
 impl<K: Kernel> ParallelFmm<K> {
-    /// Collective constructor: every rank passes its local points.
+    /// Collective constructor with a fresh operator cache: as
+    /// [`ParallelFmm::try_new`], panicking on every rank with the
+    /// [`BuildError`]'s message.
     pub fn new(comm: &Comm, kernel: K, local_points: &[Point3], opts: FmmOptions) -> Self {
-        let cache = PrecomputeCache::new();
-        Self::with_cache(comm, kernel, local_points, opts, &cache)
+        Self::with_cache(comm, kernel, local_points, opts, &PrecomputeCache::new())
     }
 
-    /// As [`ParallelFmm::new`], but sharing the particle-independent
-    /// operator tables through `cache`. On a real cluster each rank holds
-    /// its own (identical) tables; virtual ranks co-hosted in one process
-    /// share them — the tables are immutable, so this changes memory
-    /// footprint, not results.
+    /// As [`ParallelFmm::try_new`], panicking on every rank with the
+    /// [`BuildError`]'s message.
     pub fn with_cache(
         comm: &Comm,
         kernel: K,
@@ -173,6 +176,42 @@ impl<K: Kernel> ParallelFmm<K> {
         opts: FmmOptions,
         cache: &PrecomputeCache<K>,
     ) -> Self {
+        Self::try_new(comm, kernel, local_points, opts, cache).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The collective constructor: every rank passes its local points and
+    /// the same options, and every rank returns the same verdict. The
+    /// particle-independent operator tables come from `cache`; on a real
+    /// cluster each rank holds its own (identical) tables, while virtual
+    /// ranks co-hosted in one process share them — the tables are
+    /// immutable, so this changes memory footprint, not results.
+    ///
+    /// Bad input is refused before the first tree-build collective, so no
+    /// rank is left waiting in one: the options by
+    /// [`FmmOptions::validate`] (the same on every rank), the points by one
+    /// `allgatherv` of each rank's count and first non-finite coordinate.
+    /// A globally empty point set is [`BuildError::EmptyPoints`]; an empty
+    /// rank among populated ones builds.
+    pub fn try_new(
+        comm: &Comm,
+        kernel: K,
+        local_points: &[Point3],
+        opts: FmmOptions,
+        cache: &PrecomputeCache<K>,
+    ) -> Result<Self, BuildError> {
+        opts.validate()?;
+        let mut local = vec![local_points.len() as u64];
+        if let Some((point, dim)) = first_non_finite(local_points) {
+            local.extend([point as u64, dim as u64]);
+        }
+        let verdicts = allgatherv_u64(comm, &local);
+        if let Some(bad) = verdicts.iter().find(|v| v.len() > 1) {
+            return Err(BuildError::NonFinitePoint { point: bad[1] as usize, dim: bad[2] as usize });
+        }
+        if verdicts.iter().all(|v| v[0] == 0) {
+            return Err(BuildError::EmptyPoints);
+        }
+
         let t0 = Instant::now();
         let dtree = build_distributed_tree_with(
             comm,
@@ -244,7 +283,7 @@ impl<K: Kernel> ParallelFmm<K> {
             ActiveSet::build(&dtree.tree, |b| active.mask[b as usize] && waits[b as usize] == w)
         };
         let (interior, boundary) = (half(false), half(true));
-        ParallelFmm {
+        Ok(ParallelFmm {
             kernel,
             opts,
             dtree,
@@ -262,7 +301,7 @@ impl<K: Kernel> ParallelFmm<K> {
             equiv_route,
             setup_seconds: tree_seconds + t1.elapsed().as_secs_f64(),
             trace: Tracer::disabled(),
-        }
+        })
     }
 
     /// Attach a tracer shared by all ranks; each [`ParallelFmm::eval`]
@@ -439,64 +478,6 @@ impl<K: Kernel> ParallelFmm<K> {
     }
 }
 
-/// Distributed construction from the same fluent [`FmmBuilder`] chain that
-/// builds a shared-memory `Session`:
-///
-/// ```ignore
-/// let pfmm = Fmm::builder(Laplace)
-///     .points(&local_points)
-///     .order(6)
-///     .trace(tracer.clone())
-///     .build_parallel(comm);
-/// let report = pfmm.eval(comm, &local_densities);
-/// ```
-pub trait BuildParallel<K: Kernel>: Sized {
-    /// Fallible collective constructor: every rank calls this with its
-    /// local points. The builder's tracer carries over.
-    fn try_build_parallel(self, comm: &Comm) -> Result<ParallelFmm<K>, BuildError>;
-
-    /// As [`BuildParallel::try_build_parallel`], panicking on invalid
-    /// builder state (the historical behaviour).
-    fn build_parallel(self, comm: &Comm) -> ParallelFmm<K> {
-        self.try_build_parallel(comm).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-impl<K: Kernel> BuildParallel<K> for FmmBuilder<'_, K> {
-    fn try_build_parallel(self, comm: &Comm) -> Result<ParallelFmm<K>, BuildError> {
-        let (kernel, points, opts, trace, cache) = self.into_parts();
-        let points = points.ok_or(BuildError::MissingPoints)?;
-        // Every rank holds the same options, so these verdicts need no
-        // collective agreement (unlike the point checks below).
-        if opts.order < 2 {
-            return Err(BuildError::OrderTooSmall(opts.order));
-        }
-        if opts.max_pts_per_leaf == 0 {
-            return Err(BuildError::ZeroLeafCapacity);
-        }
-        // Agree on the verdict collectively: a rank returning alone would
-        // leave its peers blocked in the tree build's collectives. Each
-        // rank publishes its point count, then its first bad coordinate.
-        let mut local = vec![points.len() as u64];
-        if let Some((point, dim)) = first_non_finite(points) {
-            local.extend([point as u64, dim as u64]);
-        }
-        let verdicts = allgatherv_u64(comm, &local);
-        if let Some(bad) = verdicts.iter().find(|v| v.len() > 1) {
-            return Err(BuildError::NonFinitePoint { point: bad[1] as usize, dim: bad[2] as usize });
-        }
-        if verdicts.iter().all(|v| v[0] == 0) {
-            return Err(BuildError::EmptyPoints);
-        }
-        let mut pfmm = match cache {
-            Some(cache) => ParallelFmm::with_cache(comm, kernel, points, opts, cache),
-            None => ParallelFmm::new(comm, kernel, points, opts),
-        };
-        pfmm.set_trace(trace);
-        Ok(pfmm)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -556,10 +537,9 @@ mod tests {
         chunks[1][5][2] = f64::NAN;
         chunks[2][0][0] = f64::INFINITY;
         let out = run(3, move |comm| {
-            Fmm::builder(Laplace)
-                .points(&chunks[comm.rank()])
-                .try_build_parallel(comm)
-                .map(|_| ())
+            let opts = FmmOptions::default();
+            let cache = PrecomputeCache::new();
+            ParallelFmm::try_new(comm, Laplace, &chunks[comm.rank()], opts, &cache).map(|_| ())
         });
         for verdict in out {
             assert_eq!(verdict, Err(BuildError::NonFinitePoint { point: 5, dim: 2 }));
@@ -571,21 +551,51 @@ mod tests {
     /// still builds.
     #[test]
     fn globally_empty_point_set_fails_the_build_on_every_rank() {
-        let out = run(2, |comm| {
-            Fmm::builder(Laplace).points(&[]).try_build_parallel(comm).map(|_| ())
-        });
+        let build = |comm: &Comm, local: &[Point3]| {
+            ParallelFmm::try_new(comm, Laplace, local, FmmOptions::default(), &PrecomputeCache::new())
+        };
+        let out = run(2, |comm| build(comm, &[]).map(|_| ()));
         assert_eq!(out, vec![Err(BuildError::EmptyPoints); 2]);
         let all = uniform_cube(300, 79);
         let out = run(2, move |comm| {
             let local: &[Point3] = if comm.rank() == 0 { &all } else { &[] };
-            Fmm::builder(Laplace).points(local).try_build_parallel(comm).map(|p| p.local_len())
+            build(comm, local).map(|p| p.local_len())
         });
         assert_eq!(out, vec![Ok(300), Ok(0)]);
     }
 
-    /// Builder construction + distributed eval + tracing: every rank records
-    /// an "Up" span, comm byte counters are nonzero for >1 rank, and the
-    /// async overlap events come in matched begin/end pairs.
+    /// The panicking constructor refuses what `try_new` refuses, on every
+    /// rank, with the [`BuildError`]'s text — never a `debug_assert!` or a
+    /// tree-build `assert!` on some ranks while the others wait.
+    #[test]
+    fn new_refuses_bad_input_on_every_rank_with_the_build_error() {
+        let chunks = split_points(&uniform_cube(400, 80), 3);
+        let mut one_nan = chunks.clone();
+        one_nan[2][7][1] = f64::NAN;
+        let order_one = FmmOptions { order: 1, ..Default::default() };
+        let no_leaf = FmmOptions { max_pts_per_leaf: 0, ..Default::default() };
+        let empty = vec![Vec::new(); 3];
+        let cases = [
+            (&chunks, order_one, BuildError::OrderTooSmall(1)),
+            (&chunks, no_leaf, BuildError::ZeroLeafCapacity),
+            (&one_nan, FmmOptions::default(), BuildError::NonFinitePoint { point: 7, dim: 1 }),
+            (&empty, FmmOptions::default(), BuildError::EmptyPoints),
+        ];
+        for (local, opts, expect) in cases {
+            let panicked = std::panic::catch_unwind(|| {
+                run(3, |comm| {
+                    ParallelFmm::new(comm, Laplace, &local[comm.rank()], opts);
+                })
+            })
+            .expect_err(&format!("{expect:?} was built"));
+            let msg = panicked.downcast_ref::<String>().expect("a formatted panic message");
+            assert_eq!(*msg, expect.to_string());
+        }
+    }
+
+    /// Construction + tracer + distributed eval: the potentials match
+    /// serial, every rank records an "Up" span, and comm byte counters are
+    /// nonzero for >1 rank.
     #[test]
     fn builder_bind_and_trace() {
         let all = uniform_cube(800, 77);
@@ -602,18 +612,17 @@ mod tests {
         );
         let out = run(3, move |comm| {
             let r = comm.rank();
-            let pfmm = Fmm::builder(Laplace)
-                .points(&chunks2[r])
-                .options(opts)
-                .trace(tracer2.clone())
-                .build_parallel(comm);
+            let cache = PrecomputeCache::new();
+            let mut pfmm = ParallelFmm::try_new(comm, Laplace, &chunks2[r], opts, &cache)
+                .expect("valid input");
+            pfmm.set_trace(tracer2.clone());
             assert_eq!(pfmm.local_len(), chunks2[r].len());
             assert_eq!(pfmm.kernel.src_dim(), 1);
             pfmm.eval(comm, &vec![1.0; chunks2[r].len()]).potentials
         });
         for (r, pot) in out.iter().enumerate() {
             let e = rel_l2_error(pot, &serial[r]);
-            assert!(e < 1e-9, "rank {r} builder path error {e}");
+            assert!(e < 1e-9, "rank {r} traced path error {e}");
         }
         let per_rank = tracer.span_records();
         assert_eq!(per_rank.len(), 3, "one span track per rank");

@@ -26,7 +26,7 @@
 //! rank-local point ranges attached — the paper notes the array for a
 //! 200M-point run is under 16 MB, i.e. it deliberately fits on every rank.
 
-use kifmm_geom::Point3;
+use kifmm_kernels::Point3;
 use kifmm_mpi::{allreduce_f64, allreduce_u64, Comm, ReduceOp};
 use kifmm_tree::{morton_codes, refine_sorted_codes, sort_codes, Domain, Octree, TreeBuild};
 

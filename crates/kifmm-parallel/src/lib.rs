@@ -10,14 +10,15 @@
 //!   ghost sources and partial upward equivalent densities, coalesced
 //!   into one packed message per (phase, peer) pair and pollable so
 //!   communication drains underneath compute;
-//! * [`driver`] — [`ParallelFmm`]: the three-stage interaction calculation
-//!   with communication overlapped against the upward pass and the
-//!   U/X-list computations, and no synchronization inside the computation
-//!   passes.
+//! * [`driver`] — [`ParallelFmm`]: one collective constructor
+//!   ([`ParallelFmm::try_new`], which refuses bad input on every rank at
+//!   once) and the three-stage interaction calculation with communication
+//!   overlapped against the upward pass and the U/X-list computations, and
+//!   no synchronization inside the computation passes.
 //!
-//! Partition the input first (surface patches via
-//! `kifmm_tree::partition_patches`, or raw points via
-//! `kifmm_tree::partition_points`), hand each rank its chunk, and evaluate.
+//! Partition the points first (`kifmm_tree::partition_points`, §3.1's
+//! "Morton curve partitioning directly on the particles"), hand each rank
+//! its chunk, build, and evaluate.
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +27,7 @@ pub mod exchange;
 pub mod global_tree;
 pub mod ownership;
 
-pub use driver::{BuildParallel, ParallelFmm};
+pub use driver::ParallelFmm;
 pub use exchange::{Combine, ExchangePlan, ExchangeRoute, UserKind};
 pub use global_tree::{build_distributed_tree_with, DistributedTree};
 pub use ownership::Ownership;

@@ -5,7 +5,7 @@
 //! curve), the adaptive [`Octree`] (boxes refined until they hold at most
 //! `s` points), the four adaptive interaction lists
 //! ([`build_lists`]: U/V/W/X), and the Morton-curve [`partition`]er used
-//! for distributing surface patches across ranks.
+//! for distributing points across ranks.
 //!
 //! Every tree — serial, incremental and distributed — is derived by the
 //! one refinement loop of the [`linearize`] module from a Morton-code
@@ -37,7 +37,5 @@ pub use morton::{
     morton_codes, point_in_domain, point_key, sort_codes, try_point_key, MortonKey, MAX_LEVEL,
 };
 pub use octree::{first_non_finite, Domain, Node, Octree, NO_NODE};
-pub use partition::{
-    partition_patches, partition_points, partition_weighted_points, split_by_weight, Partition,
-};
+pub use partition::{partition_points, partition_weighted_points, split_by_weight, Partition};
 pub use update::{update_octree, TreeUpdate, UpdateError};

@@ -340,12 +340,6 @@ impl Octree {
         }
         orig
     }
-
-    /// Same-level adjacent boxes that exist in the tree ("colleagues").
-    pub fn colleagues(&self, node: u32) -> Vec<u32> {
-        let key = self.nodes[node as usize].key;
-        key.neighbors().iter().filter_map(|k| self.find(k)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,16 @@
 //! Morton-curve partitioning (paper §3.1).
 //!
-//! Input surface patches are ordered along the Morton space-filling curve
-//! by their centroids and then cut into contiguous groups of (nearly)
-//! equal weight, one group per processor. A direct point-level partitioner
-//! is also provided ("alternatively, we could use Morton curve partitioning
-//! directly on the particles"). Both are one curve cut over the
-//! `(code, index)` order every tree sorts its points in
-//! ([`crate::morton::sort_codes`]); [`Partition::gather`] deals the items
-//! out.
+//! The paper orders input surface patches along the Morton curve and cuts
+//! them into contiguous groups of (nearly) equal weight, one per
+//! processor; "alternatively, we could use Morton curve partitioning
+//! directly on the particles", which is what this module does: points,
+//! each weighing 1 ([`partition_points`]) or a given weight
+//! ([`partition_weighted_points`]), are cut along the `(code, index)`
+//! order every tree sorts its points in ([`crate::morton::sort_codes`]);
+//! [`Partition::gather`] deals them out.
 
 use crate::morton::{morton_codes, sort_codes};
 use crate::octree::Domain;
-use kifmm_geom::SurfacePatch;
 
 /// Assignment of items to `num_parts` contiguous Morton-curve segments.
 #[derive(Clone, Debug)]
@@ -69,39 +68,9 @@ pub fn split_by_weight(weights: &[f64], num_parts: usize) -> Vec<std::ops::Range
     cuts
 }
 
-/// The one curve cut behind the three entry points: order the items by
-/// the `(code, index)` of their `keys` in `domain` ([`sort_codes`]: items
-/// with coincident codes stay in index order), then cut by weight.
-fn cut_curve(keys: &[[f64; 3]], domain: Domain, weights: &[f64], num_parts: usize) -> Partition {
-    assert_eq!(keys.len(), weights.len(), "one weight per item");
-    if let Some(i) = weights.iter().position(|w| !(w.is_finite() && *w >= 0.0)) {
-        panic!("partition: item {i} has weight {}, not finite and ≥ 0", weights[i]);
-    }
-    let codes = morton_codes(keys, &domain)
-        .unwrap_or_else(|(i, dim)| panic!("partition: item {i} is not finite along axis {dim}"));
-    let (_, order) = sort_codes(&codes);
-    let along: Vec<f64> = order.iter().map(|&i| weights[i as usize]).collect();
-    let groups = split_by_weight(&along, num_parts)
-        .into_iter()
-        .map(|r| order[r].iter().map(|&i| i as usize).collect())
-        .collect();
-    Partition { groups }
-}
-
-/// Partition surface patches across `num_parts` ranks: sort by centroid
-/// Morton code, cut by weight.
-pub fn partition_patches(patches: &[SurfacePatch], num_parts: usize) -> Partition {
-    let centroids: Vec<[f64; 3]> = patches.iter().map(SurfacePatch::centroid).collect();
-    // The cube of every patch point, and of the centroids: the mean of a
-    // flat patch can round a hair past the face it lies in.
-    let all_points: Vec<[f64; 3]> =
-        patches.iter().flat_map(|p| p.points.iter().copied()).chain(centroids.iter().copied()).collect();
-    assert!(!all_points.is_empty(), "cannot partition empty input");
-    let weights: Vec<f64> = patches.iter().map(|p| p.weight).collect();
-    cut_curve(&centroids, Domain::containing(&all_points), &weights, num_parts)
-}
-
-/// Partition points with per-point weights, each finite and ≥ 0.
+/// Partition points with per-point weights, each finite and ≥ 0: order
+/// them by `(code, index)` ([`sort_codes`]: coincident points stay in
+/// index order), then cut by weight.
 ///
 /// This is the cut for the paper's planned fix of its non-uniform
 /// imbalance. §3.1: "Work estimates from a previous time step could be used
@@ -116,7 +85,19 @@ pub fn partition_weighted_points(
     num_parts: usize,
 ) -> Partition {
     assert!(!points.is_empty(), "cannot partition empty input");
-    cut_curve(points, Domain::containing(points), weights, num_parts)
+    assert_eq!(points.len(), weights.len(), "one weight per item");
+    if let Some(i) = weights.iter().position(|w| !(w.is_finite() && *w >= 0.0)) {
+        panic!("partition: item {i} has weight {}, not finite and ≥ 0", weights[i]);
+    }
+    let codes = morton_codes(points, &Domain::containing(points))
+        .unwrap_or_else(|(i, dim)| panic!("partition: item {i} is not finite along axis {dim}"));
+    let (_, order) = sort_codes(&codes);
+    let along: Vec<f64> = order.iter().map(|&i| weights[i as usize]).collect();
+    let groups = split_by_weight(&along, num_parts)
+        .into_iter()
+        .map(|r| order[r].iter().map(|&i| i as usize).collect())
+        .collect();
+    Partition { groups }
 }
 
 /// Partition raw points directly (weight 1 each).
@@ -127,7 +108,7 @@ pub fn partition_points(points: &[[f64; 3]], num_parts: usize) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kifmm_geom::{sphere_grid_patches, uniform_cube};
+    use kifmm_geom::uniform_cube;
 
     #[test]
     fn split_exact_when_divisible() {
@@ -149,23 +130,6 @@ mod tests {
             }
             assert_eq!(expect, w.len());
         }
-    }
-
-    #[test]
-    fn patch_partition_balances_weight() {
-        let patches: Vec<_> = sphere_grid_patches(8192, 8)
-            .into_iter()
-            .map(kifmm_geom::SurfacePatch::from_points)
-            .collect();
-        let p = partition_patches(&patches, 16);
-        assert_eq!(p.groups.len(), 16);
-        let total: usize = p.groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, 512);
-        let group_weights: Vec<f64> =
-            p.groups.iter().map(|g| g.iter().map(|&i| patches[i].weight).sum()).collect();
-        let avg = group_weights.iter().sum::<f64>() / 16.0;
-        let max = group_weights.iter().fold(0.0_f64, |m, &w| m.max(w));
-        assert!(max / avg < 1.2, "imbalance {}", max / avg);
     }
 
     #[test]
@@ -202,8 +166,8 @@ mod tests {
         }
     }
 
-    /// The body the three entry points each carried before they shared
-    /// [`cut_curve`]: a stable by-key sort, the key recomputed per compare.
+    /// The body each entry point carried before they shared one cut: a
+    /// stable by-key sort, the key recomputed per compare.
     fn by_key_groups(keys: &[[f64; 3]], domain: Domain, weights: &[f64], parts: usize) -> Vec<Vec<usize>> {
         use crate::morton::{point_key, MAX_LEVEL};
         let mut order: Vec<usize> = (0..keys.len()).collect();
@@ -213,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn the_three_entry_points_cut_one_curve() {
+    fn both_entry_points_cut_one_curve() {
         let pts = uniform_cube(3000, 4);
         let domain = Domain::containing(&pts);
         let weights: Vec<f64> = (0..3000).map(|i| 1.0 + (i % 7) as f64).collect();
@@ -224,14 +188,6 @@ mod tests {
                 by_key_groups(&pts, domain, &weights, parts)
             );
         }
-        let patches: Vec<SurfacePatch> =
-            pts.chunks(25).map(|c| SurfacePatch::from_points(c.to_vec())).collect();
-        let centroids: Vec<[f64; 3]> = patches.iter().map(SurfacePatch::centroid).collect();
-        let patch_weights: Vec<f64> = patches.iter().map(|p| p.weight).collect();
-        assert_eq!(
-            partition_patches(&patches, 5).groups,
-            by_key_groups(&centroids, domain, &patch_weights, 5)
-        );
     }
 
     #[test]

@@ -22,8 +22,10 @@ use crate::morton::{morton_codes, sort_codes, sort_pairs};
 use crate::octree::Octree;
 use kifmm_runtime::{num_threads, par_each, zip_eq};
 
-/// Why an incremental update could not be applied. Both cases mean the
-/// caller must fall back to a full rebuild over a fresh domain.
+/// Why an incremental update could not be applied: [`update_octree`]
+/// returns the first two, `kifmm_core::Plan::update_points` adds the
+/// third. Every case means the caller must fall back to a full rebuild
+/// (`kifmm_core::PlanCache::get_or_update` does so itself).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateError {
     /// `points[point]` drifted outside the tree's computational domain in
@@ -42,6 +44,14 @@ pub enum UpdateError {
         /// Points handed to the update.
         new: usize,
     },
+    /// The patched tree is deeper than the plan's operator tables cover
+    /// (points clustered more tightly than at plan time).
+    StructureOutgrown {
+        /// Depth the updated tree reached.
+        depth: u8,
+        /// Deepest level the existing operator tables cover.
+        covered: u8,
+    },
 }
 
 impl std::fmt::Display for UpdateError {
@@ -55,6 +65,11 @@ impl std::fmt::Display for UpdateError {
             UpdateError::PointCountChanged { old, new } => write!(
                 f,
                 "incremental update re-bins the same point set: tree has {old} points, got {new}"
+            ),
+            UpdateError::StructureOutgrown { depth, covered } => write!(
+                f,
+                "updated tree reaches depth {depth} but operators cover only level {covered}; \
+                 rebuild required"
             ),
         }
     }

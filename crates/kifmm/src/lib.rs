@@ -42,7 +42,7 @@
 //! | [`kernels`] | [`Laplace`], [`ModifiedLaplace`], [`Stokes`], the [`Kernel`] trait |
 //! | [`core`] | [`Plan`] / [`Session`] (alias [`Fmm`]), surfaces, translation operators, FFT M2L, the phase meter |
 //! | [`tree`] | Morton keys, adaptive octrees, U/V/W/X lists, partitioning |
-//! | [`parallel`] | [`ParallelFmm`]: the distributed driver of paper §3 |
+//! | [`parallel`] | [`ParallelFmm`]: the distributed driver of paper §3, built collectively through [`ParallelFmm::try_new`] |
 //! | [`mpi`] | the in-process message-passing substrate |
 //! | [`solver`] | GMRES and FMM-backed boundary integral operators |
 //! | [`geom`] | the paper's particle distributions (512 spheres, corners) |
@@ -72,6 +72,6 @@ pub use kifmm_core::{
 pub use kifmm_kernels::{
     CustomKernel, Gaussian, Kelvin, Kernel, Laplace, ModifiedLaplace, Point3, Stokes,
 };
-pub use kifmm_parallel::{BuildParallel, ParallelFmm};
+pub use kifmm_parallel::ParallelFmm;
 pub use kifmm_solver::{gmres, GmresOptions, SingleLayerOperator, SurfaceQuadrature};
 pub use kifmm_trace::{Counter, Tracer};

@@ -167,6 +167,39 @@ if [ -n "$inversions" ]; then
 fi
 echo "inversion-site gate: OK (pinv/svd called from build_level only)"
 
+# 5j. One-build-boundary gate: a distributed FMM is built through one
+#     validated constructor (`ParallelFmm::try_new`), the options are
+#     judged by one function (`FmmOptions::validate`, fmm.rs), update
+#     failures have one type (`kifmm_tree::UpdateError`), and the library
+#     crates use the test-data crate `kifmm-geom` in their tests only. The
+#     removed twins — the builder trait, its hidden decomposer, the
+#     unreachable operator-coverage check, the second pseudoinverse
+#     tolerance, the patch partitioner — may not come back.
+twins=$(grep -rnwE 'BuildParallel|into_parts|try_build_parallel|check_operator_coverage|MissingOperators|PINV_TOL|SurfacePatch|partition_patches' \
+    crates tests examples || true)
+option_errs=$(find crates/*/src -name '*.rs' -not -path 'crates/kifmm-core/src/fmm.rs' | while read -r f; do
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /BuildError::(OrderTooSmall|ZeroLeafCapacity)/ && !/=>/ { print f ":" FNR ": " $0 }
+    ' "$f"
+done)
+update_enums=$(grep -rn 'enum UpdateError' crates/*/src | wc -l)
+geom_deps=$(for c in tree core parallel; do
+    awk -v f="crates/kifmm-$c/Cargo.toml" '
+        /^\[/ { deps = ($0 == "[dependencies]"); next }
+        deps && /^kifmm-geom/ { print f ": " $0 }
+    ' "crates/kifmm-$c/Cargo.toml"
+done)
+if [ -n "$twins$option_errs$geom_deps" ] || [ "$update_enums" -ne 1 ]; then
+    echo "FAIL: a second build path, option check or update-error type, or a library dependency on kifmm-geom:"
+    echo "$twins"
+    echo "$option_errs"
+    echo "enum UpdateError definitions under crates/*/src: $update_enums"
+    echo "$geom_deps"
+    exit 1
+fi
+echo "build-boundary gate: OK (one distributed constructor, one option verdict, one UpdateError, kifmm-geom in dev-dependencies)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
@@ -252,5 +285,5 @@ echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime l
 echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src)"
 # The vector microkernels hold the workspace's `unsafe` loads: growth shows here.
 echo "non-test lines: kifmm-linalg/src/simd.rs $(nontest crates/kifmm-linalg/src/simd.rs)"
-echo "non-test lines: kifmm-tree/src $(nontest_dir crates/kifmm-tree/src), kifmm-parallel/src $(nontest_dir crates/kifmm-parallel/src)"
+echo "non-test lines: kifmm-tree/src $(nontest_dir crates/kifmm-tree/src), kifmm-parallel/src $(nontest_dir crates/kifmm-parallel/src), kifmm-geom/src $(nontest_dir crates/kifmm-geom/src)"
 echo "verify: ALL OK"

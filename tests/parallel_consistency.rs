@@ -7,9 +7,8 @@ use kifmm::mpi::{encode_tag, Comm};
 use kifmm::parallel::exchange::{Combine, ExchangeRoute, UserKind, NS_GATHER, NS_SCATTER};
 use kifmm::parallel::{Ownership, ParallelFmm};
 use kifmm_testkit::serial_reference;
-use kifmm::tree::{partition_patches, partition_points};
+use kifmm::tree::{partition_points, partition_weighted_points};
 use kifmm::{rel_l2_error, FmmOptions, Laplace, Phase, Stokes};
-use kifmm_geom::SurfacePatch;
 
 fn split(all: &[[f64; 3]], ranks: usize) -> Vec<Vec<[f64; 3]>> {
     partition_points(all, ranks).gather(all)
@@ -74,15 +73,20 @@ fn communication_grows_with_ranks() {
 
 #[test]
 fn patch_partitioned_input_matches_serial() {
-    // The paper's preferred partitioning granularity: surface patches.
-    let patches: Vec<SurfacePatch> = kifmm::geom::sphere_grid_patches(3000, 4)
-        .into_iter()
-        .map(SurfacePatch::from_points)
-        .collect();
-    let chunks: Vec<Vec<[f64; 3]>> = partition_patches(&patches, 3)
+    // The paper's partitioning granularity: whole surface patches (here
+    // the 64 spheres), cut along the curve by their centroids, each
+    // weighing its point count.
+    let patches = kifmm::geom::sphere_grid_patches(3000, 4);
+    let centroid = |p: &Vec<[f64; 3]>| {
+        let sum = p.iter().fold([0.0; 3], |a, x| [a[0] + x[0], a[1] + x[1], a[2] + x[2]]);
+        sum.map(|c| c / p.len() as f64)
+    };
+    let centroids: Vec<[f64; 3]> = patches.iter().map(centroid).collect();
+    let weights: Vec<f64> = patches.iter().map(|p| p.len() as f64).collect();
+    let chunks: Vec<Vec<[f64; 3]>> = partition_weighted_points(&centroids, &weights, 3)
         .gather(&patches)
         .into_iter()
-        .map(|group| group.into_iter().flat_map(|patch| patch.points).collect())
+        .map(|group| group.concat())
         .collect();
     let dens: Vec<Vec<f64>> = chunks
         .iter()

@@ -3,8 +3,9 @@
 //! invariance, and tree/list invariants under random input.
 
 use kifmm::tree::{build_lists, Octree};
+use kifmm::core::PrecomputeCache;
 use kifmm::{
-    direct_eval, rel_l2_error, BuildError, BuildParallel, Fmm, FmmOptions, Laplace, PlanCache,
+    direct_eval, rel_l2_error, BuildError, Fmm, FmmOptions, Laplace, ParallelFmm, PlanCache,
 };
 use kifmm_testkit::{check, prop_assert, prop_assert_eq, Gen};
 
@@ -198,7 +199,7 @@ fn zero_leaf_capacity_is_a_typed_build_error() {
     let chunks = kifmm_testkit::split_points(&pts, 2);
     let ranks = kifmm::mpi::run(2, |comm| {
         let local = &chunks[comm.rank()];
-        Fmm::builder(Laplace).points(local).options(opts).try_build_parallel(comm).map(|_| ())
+        ParallelFmm::try_new(comm, Laplace, local, opts, &PrecomputeCache::new()).map(|_| ())
     });
     assert_eq!(ranks, vec![expect; 2]);
 }
