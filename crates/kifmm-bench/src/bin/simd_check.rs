@@ -6,16 +6,18 @@
 //! reduction the 4-lane path performs in registers. This binary flips
 //! `set_force_scalar` in-process and asserts that identity at two levels:
 //!
-//! 1. the raw microkernels (`dot`, `axpy`, and the Laplace near-field
-//!    pass `inv_dist_dots` at every batch width up to `SWEEP`) on awkward
-//!    lengths (empty, sub-lane, lane-straddling remainders), and
+//! 1. the raw microkernels (`dot`, `axpy`, the Jacobi rotations `rot` and
+//!    `rot_dot`, and the Laplace near-field pass `inv_dist_dots` at every
+//!    batch width up to `SWEEP`) on awkward lengths (empty, sub-lane,
+//!    lane-straddling remainders) — the rotations also with ±0, NaN and
+//!    ±∞ lanes — and
 //! 2. a full FMM evaluation (near-field P2P is the consumer) for a
 //!    point-kernel and a matrix-kernel case, plus a Laplace `eval_many`
 //!    at k = 9, which crosses the `SWEEP`-RHS chunk of `inv_dist_dots`.
 //!
 //! 3. the length checks the `unsafe` vector loads rest on: this is a
-//!    release binary (debug assertions off), so a mismatched `dot`/`axpy`,
-//!    a short density slice or more than `SWEEP` right-hand sides into
+//!    release binary (debug assertions off), so a mismatched `dot`/`axpy`/
+//!    `rot`/`rot_dot`, a short density slice or more than `SWEEP` right-hand sides into
 //!    `inv_dist_dots`, or a short density slice into `Laplace.p2p` must
 //!    still panic rather than read past a buffer.
 //!
@@ -50,12 +52,14 @@ fn check_microkernels() {
         let pts: Vec<[f64; 3]> = x.iter().zip(&y).map(|(&a, &b)| [a, b, a * b]).collect();
         let dens: Vec<Vec<f64>> = (0..simd::SWEEP).map(|q| noise(n, 41 + q as u64)).collect();
         let dots_v = inv_dist_dots_all(&pts, &dens);
+        let rot_v = rotations(&x, &y);
 
         simd::set_force_scalar(true);
         let dot_s = simd::dot(&x, &y);
         let mut axpy_s = y.clone();
         simd::axpy(0.37, &x, &mut axpy_s);
         let dots_s = inv_dist_dots_all(&pts, &dens);
+        let rot_s = rotations(&x, &y);
         simd::set_force_scalar(false);
 
         assert!(
@@ -64,8 +68,37 @@ fn check_microkernels() {
         );
         assert_eq!(axpy_v, axpy_s, "axpy diverges at n={n}");
         assert_eq!(dots_v, dots_s, "inv_dist_dots diverges at n={n}");
+        assert_eq!(rot_v, rot_s, "rot/rot_dot diverge at n={n}");
     }
-    println!("simd-check microkernels: dot/axpy/inv_dist_dots bit-identical OK");
+    println!("simd-check microkernels: dot/axpy/rot/rot_dot/inv_dist_dots bit-identical OK");
+}
+
+/// The bits of `rot` and `rot_dot` (both rotated slices and the returned
+/// dot) on `x`, `y` and `z = x·y`, plain and with ±0, NaN and ±∞ planted
+/// in `x` and `y` where the length allows. Every NaN reads as one pattern:
+/// where two NaNs of different sign meet in a sum (`∞ − ∞` makes the
+/// negative one), IEEE-754 leaves the result's sign and payload to the
+/// operand order, which the compiler may commute.
+fn rotations(x: &[f64], y: &[f64]) -> Vec<u64> {
+    let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let (mut xs, mut ys) = (x.to_vec(), y.to_vec());
+    for (i, v) in specials.into_iter().enumerate() {
+        if let (Some(a), Some(b)) = (xs.get_mut(3 * i), ys.get_mut(3 * i + 1)) {
+            (*a, *b) = (v, specials[(i + 2) % specials.len()]);
+        }
+    }
+    let z: Vec<f64> = x.iter().zip(y).map(|(a, b)| a * b).collect();
+    let (c, s) = (0.6, -0.8);
+    let mut bits = Vec::new();
+    for (x, y) in [(x.to_vec(), y.to_vec()), (xs, ys)] {
+        let (mut xr, mut yr) = (x.clone(), y.clone());
+        simd::rot(&mut xr, &mut yr, c, s);
+        let (mut xd, mut yd) = (x, y);
+        let d = simd::rot_dot(&mut xd, &mut yd, &z, c, s);
+        let nan_blind = |v: &f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        bits.extend([xr, yr, xd, yd].iter().flatten().chain([&d]).map(nan_blind));
+    }
+    bits
 }
 
 /// The bits of `inv_dist_dots` at every batch width `k ≤ SWEEP`, from a
@@ -136,6 +169,13 @@ fn check_length_asserts() {
         std::hint::black_box(simd::dot(&x, &y));
     });
     let axpy = panics(|| simd::axpy(0.5, &x, &mut y.clone()));
+    let rot = panics(|| simd::rot(&mut x.clone(), &mut y.clone(), 0.6, 0.8));
+    let rot_dot_y = panics(|| {
+        std::hint::black_box(simd::rot_dot(&mut x.clone(), &mut y.clone(), &x, 0.6, 0.8));
+    });
+    let rot_dot_z = panics(|| {
+        std::hint::black_box(simd::rot_dot(&mut x.clone(), &mut x.clone(), &y, 0.6, 0.8));
+    });
     let pts = kifmm::geom::uniform_cube(8, 7);
     let (d8, d7) = (noise(8, 8), noise(7, 8));
     let short = panics(|| simd::inv_dist_dots(pts[0], &pts, &[&d8, &d7], &mut [0.0; 2]));
@@ -144,11 +184,14 @@ fn check_length_asserts() {
     std::panic::set_hook(hook);
     assert!(dot, "simd::dot accepted slices of different lengths");
     assert!(axpy, "simd::axpy accepted slices of different lengths");
+    assert!(rot, "simd::rot accepted slices of different lengths");
+    assert!(rot_dot_y, "simd::rot_dot accepted a short y");
+    assert!(rot_dot_z, "simd::rot_dot accepted a short z");
     assert!(short, "simd::inv_dist_dots accepted a density slice shorter than its sources");
     assert!(wide, "simd::inv_dist_dots accepted 9 right-hand sides");
     assert!(p2p, "Laplace.p2p accepted a density slice shorter than its sources");
     println!(
-        "simd-check length asserts: mismatched dot/axpy, short or 9-wide inv_dist_dots, short p2p panic in release OK"
+        "simd-check length asserts: mismatched dot/axpy/rot/rot_dot, short or 9-wide inv_dist_dots, short p2p panic in release OK"
     );
 }
 

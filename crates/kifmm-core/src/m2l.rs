@@ -383,22 +383,50 @@ impl ChunkJob<'_> {
 /// Build the 316 kernel-tensor spectra for boxes of half-width `half`,
 /// chunk-major.
 ///
-/// For direction `v` (target-to-source offset in box widths), the tensor on
-/// the wrapped `(2p)³` grid holds `K(d·h − 2r·v)` where `d ∈ (−p, p)³` is
-/// the (check-point − equivalent-point) lattice displacement and
-/// `h = 2·RAD_INNER·r/(p−1)` the lattice spacing.
+/// A component grid that is bit for bit its transpose's, already
+/// transformed ([`transposed_twin`]), copies that spectrum: a symmetric
+/// 3 × 3 kernel (Stokes, Kelvin) runs 6 transforms per direction, not 9.
 fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64) -> Vec<f64> {
-    let (p, m) = (plan.order(), plan.side());
-    let g = m * m * m;
     let slab = plan.half_len();
-    let h = 2.0 * RAD_INNER * half / (p - 1) as f64;
-    let side = 2.0 * half;
-    let kdim = kernel.trg_dim() * kernel.src_dim();
+    let g = plan.side().pow(3);
+    let dims = (kernel.trg_dim(), kernel.src_dim());
+    let kdim = dims.0 * dims.1;
     let mut out = vec![0.0; slab / F * DIRS * kdim * CL];
-    let mut block = vec![0.0; kdim];
     let mut grids = vec![0.0; kdim * g];
     let mut specs = vec![0.0; kdim * 2 * slab];
     let mut scratch = Vec::new();
+    for (d, v) in v_list_directions().into_iter().enumerate() {
+        fill_grids(kernel, plan, half, v, &mut grids);
+        for c in 0..kdim {
+            match transposed_twin(&grids, dims, c) {
+                Some(t) => specs.copy_within(t * 2 * slab..(t + 1) * 2 * slab, c * 2 * slab),
+                None => plan.forward_full(
+                    &grids[c * g..(c + 1) * g],
+                    &mut specs[c * 2 * slab..(c + 1) * 2 * slab],
+                    &mut scratch,
+                ),
+            }
+        }
+        for (ch, table) in out.chunks_exact_mut(DIRS * kdim * CL).enumerate() {
+            pack_chunk(slab, ch, &specs, &mut table[d * kdim * CL..(d + 1) * kdim * CL]);
+        }
+    }
+    out
+}
+
+/// Fill one wrapped `(2p)³` grid per kernel component (`grids` holds
+/// `trg·src` of them, component-major) with the tensor of direction `v`
+/// for boxes of half-width `half`.
+///
+/// Grid point `d ∈ (−p, p)³`, the (check-point − equivalent-point) lattice
+/// displacement, holds `K(d·h − 2r·v)` with `h = 2·RAD_INNER·r/(p−1)` the
+/// lattice spacing.
+fn fill_grids<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64, v: [i32; 3], grids: &mut [f64]) {
+    let (p, m) = (plan.order(), plan.side());
+    let g = m * m * m;
+    let h = 2.0 * RAD_INNER * half / (p - 1) as f64;
+    let side = 2.0 * half;
+    let mut block = vec![0.0; kernel.trg_dim() * kernel.src_dim()];
     // Map a wrapped grid coordinate to the displacement it represents:
     // w ∈ [0, p) → d = w; w ∈ (m−p, m) → d = w − m; w = p unused (m = 2p).
     let unwrap = |w: usize| -> Option<i64> {
@@ -410,36 +438,42 @@ fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64) -> Vec<f64> 
             None
         }
     };
-    for (d, v) in v_list_directions().into_iter().enumerate() {
-        for w0 in 0..m {
-            let Some(d0) = unwrap(w0) else { continue };
-            for w1 in 0..m {
-                let Some(d1) = unwrap(w1) else { continue };
-                for w2 in 0..m {
-                    let Some(d2) = unwrap(w2) else { continue };
-                    // x − y for check point of B minus equivalent point of
-                    // A, with c_A − c_B = side·v.
-                    let x = [
-                        d0 as f64 * h - side * v[0] as f64,
-                        d1 as f64 * h - side * v[1] as f64,
-                        d2 as f64 * h - side * v[2] as f64,
-                    ];
-                    kernel.eval(x, [0.0; 3], &mut block);
-                    let vi = (w0 * m + w1) * m + w2;
-                    for c in 0..kdim {
-                        grids[c * g + vi] = block[c];
-                    }
+    for w0 in 0..m {
+        let Some(d0) = unwrap(w0) else { continue };
+        for w1 in 0..m {
+            let Some(d1) = unwrap(w1) else { continue };
+            for w2 in 0..m {
+                let Some(d2) = unwrap(w2) else { continue };
+                // x − y for check point of B minus equivalent point of
+                // A, with c_A − c_B = side·v.
+                let x = [
+                    d0 as f64 * h - side * v[0] as f64,
+                    d1 as f64 * h - side * v[1] as f64,
+                    d2 as f64 * h - side * v[2] as f64,
+                ];
+                kernel.eval(x, [0.0; 3], &mut block);
+                let vi = (w0 * m + w1) * m + w2;
+                for (c, &k) in block.iter().enumerate() {
+                    grids[c * g + vi] = k;
                 }
             }
         }
-        for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab)) {
-            plan.forward_full(grid, spec, &mut scratch);
-        }
-        for (ch, table) in out.chunks_exact_mut(DIRS * kdim * CL).enumerate() {
-            pack_chunk(slab, ch, &specs, &mut table[d * kdim * CL..(d + 1) * kdim * CL]);
-        }
     }
-    out
+}
+
+/// Component `(s, t)` of a `trg × src` kernel, if it precedes component
+/// `c = (t, s)` and its grid has the same bit patterns: its spectrum is
+/// then `c`'s too. Bits, not `==`: `-0.0 == 0.0`, yet the two transform
+/// to different bits.
+fn transposed_twin(grids: &[f64], (trg, src): (usize, usize), c: usize) -> Option<usize> {
+    let (t, s) = (c / src, c % src);
+    let twin = s * src + t;
+    if s >= trg || t >= src || twin >= c {
+        return None;
+    }
+    let g = grids.len() / (trg * src);
+    let (a, b) = (&grids[twin * g..(twin + 1) * g], &grids[c * g..(c + 1) * g]);
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()).then_some(twin)
 }
 
 /// The dense M2L of paper footnote 5, kept only as the reference
@@ -519,6 +553,50 @@ mod tests {
             assert_eq!(dir_id(d) as usize, i, "{d:?}");
         }
         assert!(dir_id([1, -1, 0]) as usize >= DIRS, "near-field offsets have no tensor");
+    }
+
+    /// The tensor table with transposed components copied equals the one
+    /// that transforms every component, bit for bit. Stokes copies 3 of 9
+    /// spectra per direction; a 3 × 3 kernel that is not symmetric copies
+    /// none.
+    #[test]
+    fn tensor_build_copies_only_bitwise_transposes() {
+        fn case<K: Kernel>(kernel: &K, transforms: usize) {
+            let plan = RealFft3::new(4);
+            let (slab, g) = (plan.half_len(), plan.side().pow(3));
+            let dims = (kernel.trg_dim(), kernel.src_dim());
+            let kdim = dims.0 * dims.1;
+            let half = 0.125;
+            let mut want = vec![0.0; slab / F * DIRS * kdim * CL];
+            let mut grids = vec![0.0; kdim * g];
+            let mut specs = vec![0.0; kdim * 2 * slab];
+            let mut scratch = Vec::new();
+            for (d, v) in v_list_directions().into_iter().enumerate() {
+                fill_grids(kernel, &plan, half, v, &mut grids);
+                let twins = (0..kdim).filter(|&c| transposed_twin(&grids, dims, c).is_some());
+                assert_eq!(kdim - twins.count(), transforms, "{} {v:?}", kernel.name());
+                for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab)) {
+                    plan.forward_full(grid, spec, &mut scratch);
+                }
+                for (ch, table) in want.chunks_exact_mut(DIRS * kdim * CL).enumerate() {
+                    pack_chunk(slab, ch, &specs, &mut table[d * kdim * CL..(d + 1) * kdim * CL]);
+                }
+            }
+            let got = build_tensors(kernel, &plan, half);
+            assert!(
+                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{}: copied spectra differ from transformed ones",
+                kernel.name()
+            );
+        }
+        case(&Stokes::default(), 6);
+        let skew = kifmm_kernels::CustomKernel::new("skew-3x3", 3, 3, Some(-1.0), |x, y, b| {
+            let r = (0..3).map(|i| (x[i] - y[i]).powi(2)).sum::<f64>().sqrt();
+            for (i, v) in b.iter_mut().enumerate() {
+                *v = (1 + i) as f64 / r;
+            }
+        });
+        case(&skew, 9);
     }
 
     /// The FFT path must agree with the dense reference to near machine

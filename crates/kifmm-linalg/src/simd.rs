@@ -9,12 +9,22 @@
 //!   rounded).
 //! * [`axpy`] — elementwise `y[i] += alpha·x[i]`; one rounding per element
 //!   either way.
+//! * [`rot`] — the plane rotation `x ← c·x − s·y`, `y ← s·x + c·y`, element
+//!   by element, each as two products then one sub/add (never FMA).
+//! * [`rot_dot`] — the same rotation, which also returns `dot(x_new, z)`
+//!   for a third slice `z`, reduced exactly as [`dot`]: the one-sided
+//!   Jacobi SVD gets its next Gram entry while the rotated row is still in
+//!   registers.
 //! * [`inv_dist_dots`] — the Laplace near-field microkernel: one pass over
 //!   a target's sources computes `w = 1/√r²` (0 at a coincident pair,
 //!   `r² = 0`) in a register and feeds it to up to [`SWEEP`] right-hand
 //!   sides' lane accumulators, each reduced like [`dot`] — so every sum is
 //!   bit-for-bit `dot(dens, w)` over the weights `w`, which IEEE-754 fixes
 //!   exactly because `sqrt` and `div` are correctly rounded.
+//!
+//! A NaN result is NaN on both paths, but not always the same NaN: where
+//! two NaNs of different sign meet in a sum (`∞ − ∞` makes the negative
+//! one), IEEE-754 leaves the survivor to the operand order.
 //!
 //! Dispatch is resolved once per process: compiled out entirely on
 //! non-x86_64 targets, otherwise gated on
@@ -92,6 +102,25 @@ pub fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
+}
+
+/// Scalar reference for [`rot`].
+#[inline]
+pub fn rot_scalar(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    debug_assert_eq!(x.len(), y.len());
+    for (a, b) in x.iter_mut().zip(y.iter_mut()) {
+        let (xi, yi) = (*a, *b);
+        *a = c * xi - s * yi;
+        *b = s * xi + c * yi;
+    }
+}
+
+/// Scalar reference for [`rot_dot`]: [`rot_scalar`], then [`dot_scalar`]
+/// over the new `x` and `z` — two passes where the vector path takes one.
+#[inline]
+pub fn rot_dot_scalar(x: &mut [f64], y: &mut [f64], z: &[f64], c: f64, s: f64) -> f64 {
+    rot_scalar(x, y, c, s);
+    dot_scalar(x, z)
 }
 
 /// Right-hand sides one [`inv_dist_dots`] call takes: their lane
@@ -196,6 +225,75 @@ mod x86 {
         for i in 4 * chunks..n {
             *yp.add(i) += alpha * *xp.add(i);
         }
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support ([`super::simd_active`]) and
+    /// that `y.len() == x.len()`: `y` is read and written out to `x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+        let n = x.len();
+        let chunks = n / 4;
+        let (cv, sv) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+        let (xp, yp) = (x.as_mut_ptr(), y.as_mut_ptr());
+        // SAFETY (every pointer access below): offsets stay < n as in
+        // `dot`; both slices hold n elements (caller contract) and, both
+        // being exclusive borrows, cannot overlap.
+        for k in 0..chunks {
+            let i = 4 * k;
+            let xv = _mm256_loadu_pd(xp.add(i));
+            let yv = _mm256_loadu_pd(yp.add(i));
+            let xn = _mm256_sub_pd(_mm256_mul_pd(cv, xv), _mm256_mul_pd(sv, yv));
+            let yn = _mm256_add_pd(_mm256_mul_pd(sv, xv), _mm256_mul_pd(cv, yv));
+            _mm256_storeu_pd(xp.add(i), xn);
+            _mm256_storeu_pd(yp.add(i), yn);
+        }
+        for i in 4 * chunks..n {
+            let (xi, yi) = (*xp.add(i), *yp.add(i));
+            *xp.add(i) = c * xi - s * yi;
+            *yp.add(i) = s * xi + c * yi;
+        }
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support ([`super::simd_active`]) and
+    /// that `y.len() == z.len() == x.len()`: `y` is read and written and
+    /// `z` read out to `x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rot_dot(x: &mut [f64], y: &mut [f64], z: &[f64], c: f64, s: f64) -> f64 {
+        let n = x.len();
+        let chunks = n / 4;
+        let (cv, sv) = (_mm256_set1_pd(c), _mm256_set1_pd(s));
+        let (xp, yp, zp) = (x.as_mut_ptr(), y.as_mut_ptr(), z.as_ptr());
+        // One vector accumulator = the scalar path's four lane sums.
+        let mut acc = _mm256_setzero_pd();
+        // SAFETY (every pointer access below): offsets stay < n as in
+        // `dot`; all three slices hold n elements (caller contract), and
+        // the exclusively borrowed `x`, `y` overlap neither each other
+        // nor `z`.
+        for k in 0..chunks {
+            let i = 4 * k;
+            let xv = _mm256_loadu_pd(xp.add(i));
+            let yv = _mm256_loadu_pd(yp.add(i));
+            let xn = _mm256_sub_pd(_mm256_mul_pd(cv, xv), _mm256_mul_pd(sv, yv));
+            let yn = _mm256_add_pd(_mm256_mul_pd(sv, xv), _mm256_mul_pd(cv, yv));
+            _mm256_storeu_pd(xp.add(i), xn);
+            _mm256_storeu_pd(yp.add(i), yn);
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(xn, _mm256_loadu_pd(zp.add(i))));
+        }
+        let lo = _mm256_castpd256_pd128(acc); // lanes s0, s1
+        let hi = _mm256_extractf128_pd::<1>(acc); // lanes s2, s3
+        let s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
+        let s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
+        let mut sum = _mm_cvtsd_f64(_mm_add_sd(s01, s23));
+        for i in 4 * chunks..n {
+            let (xi, yi) = (*xp.add(i), *yp.add(i));
+            let xn = c * xi - s * yi;
+            *xp.add(i) = xn;
+            *yp.add(i) = s * xi + c * yi;
+            sum += xn * *zp.add(i);
+        }
+        sum
     }
 
     /// # Safety
@@ -319,6 +417,37 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     axpy_scalar(alpha, x, y)
 }
 
+/// The plane rotation `x[i] ← c·x[i] − s·y[i]`, `y[i] ← s·x[i] + c·y[i]`
+/// (old values on the right); vector and scalar paths are bit-identical.
+/// Panics if the lengths differ.
+#[inline]
+pub fn rot(x: &mut [f64], y: &mut [f64], c: f64, s: f64) {
+    assert_eq!(x.len(), y.len(), "rot: slices must have equal lengths");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: AVX2 verified by `simd_active`; lengths asserted equal
+        // just above.
+        return unsafe { x86::rot(x, y, c, s) };
+    }
+    rot_scalar(x, y, c, s)
+}
+
+/// [`rot`], returning `dot(x, z)` over the rotated `x` — bit-for-bit what
+/// [`dot`] returns after the rotation, in one pass. Vector and scalar
+/// paths are bit-identical. Panics unless all three lengths agree.
+#[inline]
+pub fn rot_dot(x: &mut [f64], y: &mut [f64], z: &[f64], c: f64, s: f64) -> f64 {
+    assert_eq!(x.len(), y.len(), "rot_dot: slices must have equal lengths");
+    assert_eq!(x.len(), z.len(), "rot_dot: slices must have equal lengths");
+    #[cfg(target_arch = "x86_64")]
+    if simd_active() {
+        // SAFETY: AVX2 verified by `simd_active`; lengths asserted equal
+        // just above.
+        return unsafe { x86::rot_dot(x, y, z, c, s) };
+    }
+    rot_dot_scalar(x, y, z, c, s)
+}
+
 /// For every right-hand side `q`, `sums[q] = Σ_i dens[q][i] · w_i` with
 /// `w_i = 1/√|x − sources[i]|²` (0 at a coincident pair) — one pass over
 /// the sources that keeps each weight in a register for every right-hand
@@ -343,8 +472,12 @@ pub fn inv_dist_dots(x: [f64; 3], sources: &[[f64; 3]], dens: &[&[f64]], sums: &
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Held by every test in this crate that flips [`set_force_scalar`]:
+    /// the switch is process-wide and the tests run concurrently.
+    pub(crate) static FORCE_SCALAR: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>) {
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) as f64).sin() * 1e3).collect();
@@ -374,6 +507,51 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "n = {n}");
             }
         }
+    }
+
+    /// Every remainder class, with ±0, NaN and ±∞ lanes: the vector path
+    /// equals the scalar twin, and `rot_dot` returns `dot` of the rotated
+    /// `x` with the rotation of `rot`. A NaN matches any NaN (IEEE-754
+    /// leaves a sum of two NaNs to the operand order).
+    #[test]
+    fn rot_and_rot_dot_simd_match_scalar_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let dot_bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 33, 1003] {
+            let (mut x0, mut y0) = vecs(n);
+            let z = vecs(n + 1).1[1..].to_vec();
+            let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            for (i, v) in specials.into_iter().enumerate() {
+                if 3 * i + 2 < n {
+                    x0[3 * i + 1] = v;
+                    y0[3 * i + 2] = v;
+                }
+            }
+            let (c, s) = (0.8, -0.6);
+            let (mut xs, mut ys) = (x0.clone(), y0.clone());
+            rot_scalar(&mut xs, &mut ys, c, s);
+            let (mut xv, mut yv) = (x0.clone(), y0.clone());
+            rot(&mut xv, &mut yv, c, s);
+            assert_eq!((bits(&xv), bits(&yv)), (bits(&xs), bits(&ys)), "rot n = {n}");
+            let expect = dot_bits(dot_scalar(&xs, &z));
+            let (mut xd, mut yd) = (x0.clone(), y0.clone());
+            assert_eq!(dot_bits(rot_dot(&mut xd, &mut yd, &z, c, s)), expect, "rot_dot n = {n}");
+            assert_eq!((bits(&xd), bits(&yd)), (bits(&xs), bits(&ys)), "rot_dot n = {n}");
+            let (mut xd, mut yd) = (x0.clone(), y0.clone());
+            let scalar = rot_dot_scalar(&mut xd, &mut yd, &z, c, s);
+            assert_eq!(dot_bits(scalar), expect, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn rot_and_rot_dot_check_their_lengths() {
+        let panics = |f: &mut dyn FnMut()| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        };
+        let (mut x, mut y, z) = ([1.0; 5], [2.0; 5], [3.0; 5]);
+        assert!(panics(&mut || rot(&mut x, &mut y[..4], 0.6, 0.8)), "short y");
+        assert!(panics(&mut || _ = rot_dot(&mut x, &mut y[..4], &z, 0.6, 0.8)), "short y");
+        assert!(panics(&mut || _ = rot_dot(&mut x, &mut y, &z[..4], 0.6, 0.8)), "short z");
     }
 
     /// Every remainder class of the 4-source blocks and every batch width,
@@ -427,6 +605,7 @@ mod tests {
 
     #[test]
     fn force_scalar_switch_round_trips() {
+        let _flip = FORCE_SCALAR.lock().unwrap();
         let (x, y) = vecs(100);
         let auto = dot(&x, &y);
         set_force_scalar(true);

@@ -200,6 +200,25 @@ if [ -n "$twins$option_errs$geom_deps" ] || [ "$update_enums" -ne 1 ]; then
 fi
 echo "build-boundary gate: OK (one distributed constructor, one option verdict, one UpdateError, kifmm-geom in dev-dependencies)"
 
+# 5k. One-rotation gate: every Jacobi rotation of the SVD runs through
+#     `simd::rot`/`simd::rot_dot`, whose scalar twins sit beside the AVX2
+#     bodies in simd.rs (gate 8 holds them bit-identical). No element-wise
+#     rotation loop may come back to svd.rs outside its test module, where
+#     the `plain_jacobi` oracle keeps its own.
+rotations=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /rotate_rows|iter_mut\(\)\.zip\([^)]*iter_mut\(\)\)|[A-Za-z0-9_]+ \* [A-Za-z0-9_]+ [-+] [A-Za-z0-9_]+ \* [A-Za-z0-9_]+/ {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/kifmm-linalg/src/svd.rs)
+if [ -n "$rotations" ]; then
+    echo "FAIL: a rotation loop in svd.rs outside simd::rot/rot_dot:"
+    echo "$rotations"
+    exit 1
+fi
+echo "rotation gate: OK (Jacobi rotates through simd::rot/rot_dot only)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
@@ -219,14 +238,15 @@ echo "service-throughput gate: OK"
 KIFMM_N=3000 cargo run -q --release --offline -p kifmm-bench --bin ablation_m2l > /dev/null
 echo "m2l-ablation gate: OK"
 
-# 8. SIMD gate: the vector microkernels (`dot`, `axpy`, `inv_dist_dots`)
-#    and the FMM evaluations built on them — a Laplace `eval_many` at
-#    k = 9 among them — must be bit-identical to the scalar reference path
-#    (flipped in-process via set_force_scalar), and — this being a release
-#    binary, debug assertions off — mismatched `dot`/`axpy` lengths, a
-#    short density slice or 9 right-hand sides into `inv_dist_dots`, and a
-#    short density slice into `Laplace.p2p` must panic, not read out of
-#    bounds.
+# 8. SIMD gate: the vector microkernels (`dot`, `axpy`, the Jacobi
+#    rotations `rot`/`rot_dot` — also on ±0, NaN and ±∞ lanes — and
+#    `inv_dist_dots`) and the FMM evaluations built on them — a Laplace
+#    `eval_many` at k = 9 among them — must be bit-identical to the scalar
+#    reference path (flipped in-process via set_force_scalar), and — this
+#    being a release binary, debug assertions off — mismatched
+#    `dot`/`axpy`/`rot`/`rot_dot` lengths, a short density slice or 9
+#    right-hand sides into `inv_dist_dots`, and a short density slice into
+#    `Laplace.p2p` must panic, not read out of bounds.
 cargo run -q --release --offline -p kifmm-bench --bin simd_check > /dev/null
 echo "simd gate: OK"
 
