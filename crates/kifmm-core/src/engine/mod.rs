@@ -299,11 +299,10 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if depth < FIRST_FMM_LEVEL {
             return 0;
         }
-        let (ns, _, cs) = self.dims();
+        let (_, _, cs) = self.dims();
         let nrhs = src.nrhs();
         assert_eq!(store.nrhs(), nrhs, "store shaped for the batch width");
         let csb = cs * nrhs;
-        let kf = self.kernel.flops_per_eval();
         let threads = self.dispatch.threads();
         let mut flops = 0u64;
         // The level's check rows are both a source and a destination of
@@ -323,6 +322,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             // shared by the whole batch.
             rows.clear();
             rows.resize(nb * csb, 0.0);
+            let s2m = AtomicU64::new(0);
             par_each(threads, rows.chunks_mut(csb), || (), |(), i, chk| {
                 let ni = act[i];
                 let node = &self.tree.nodes[ni as usize];
@@ -330,14 +330,12 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                     let c = self.tree.domain.box_center(&node.key);
                     let uc = surface_points(self.order, RAD_OUTER, c, half);
                     let mut outs: Vec<&mut [f64]> = chk.chunks_mut(cs).collect();
-                    self.p2p_box(src, ni, &uc, &mut Vec::with_capacity(nrhs), &mut outs, None);
+                    let f =
+                        self.p2p_box(src, ni, &uc, &mut Vec::with_capacity(nrhs), &mut outs, None);
+                    s2m.fetch_add(f, Ordering::Relaxed);
                 }
             });
-            for &ni in act {
-                if self.tree.nodes[ni as usize].is_leaf() {
-                    flops += (src.sources(ni, 0).0.len() * ns * nrhs) as u64 * kf;
-                }
-            }
+            flops += s2m.into_inner();
             // M2M: one multi-RHS GEMM per child octant over all active
             // (parent, child) pairs of this level; the sequential
             // octant-order scatter-add keeps parent sums deterministic.
@@ -473,6 +471,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     ) -> u64 {
         // Shallower trees have no V lists and no M2L tables.
         let Some(fft) = self.pre.m2l_fft.as_ref() else { return 0 };
+        let (_, scale) = self.pre.ops.at(level);
         let (_, es, cs) = self.dims();
         let nrhs = store.nrhs();
         let (esb, csb) = (es * nrhs, cs * nrhs);
@@ -538,14 +537,14 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             tile.resize(run.len() * tw * glen, 0.0);
             par_each(threads, tile.chunks_mut(run.len() * tc), || (), |(), c, acc| {
                 let table = &spectra[c * needed.len() * sc..(c + 1) * needed.len() * sc];
-                fft.hadamard_chunk(level, c, vlists, nrhs, table, acc);
+                fft.hadamard_chunk(scale, c, vlists, nrhs, table, acc);
             });
             let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize + 1);
             let acc: &[f64] = tile;
             let check = &mut store.check[lo * csb..hi * csb];
             par_each(threads, check.chunks_mut(csb), M2lScratch::default, |s, i, slot| {
                 if let Ok(j) = run.binary_search(&((lo + i) as u32)) {
-                    fft.extract_check(level, acc, j, slot, s);
+                    fft.extract_check(scale, acc, j, slot, s);
                 }
             });
         }
@@ -567,14 +566,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         if depth < FIRST_FMM_LEVEL {
             return 0;
         }
-        let (ns, _, cs) = self.dims();
+        let (_, _, cs) = self.dims();
         let nrhs = src.nrhs();
         assert_eq!(store.nrhs(), nrhs, "store shaped for the batch width");
         let csb = cs * nrhs;
-        let kf = self.kernel.flops_per_eval();
         let threads = self.dispatch.threads();
         let mask = &self.active.mask;
-        let mut flops = 0u64;
+        let flops = AtomicU64::new(0);
         for level in FIRST_FMM_LEVEL..=depth {
             let (ls, le) = self.level_range(level);
             let half = self.tree.domain.box_half(level);
@@ -589,17 +587,14 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 let dc = surface_points(self.order, RAD_INNER, c, half);
                 let mut outs: Vec<&mut [f64]> = slot.chunks_mut(cs).collect();
                 let mut dens = Vec::with_capacity(nrhs);
-                for &a in &self.lists.x[ni] {
-                    self.p2p_box(src, a, &dc, &mut dens, &mut outs, None);
-                }
+                let f: u64 = self.lists.x[ni]
+                    .iter()
+                    .map(|&a| self.p2p_box(src, a, &dc, &mut dens, &mut outs, None))
+                    .sum();
+                flops.fetch_add(f, Ordering::Relaxed);
             });
-            for &ni in &self.active.levels[level as usize] {
-                for &a in &self.lists.x[ni as usize] {
-                    flops += (src.sources(a, 0).0.len() * ns * nrhs) as u64 * kf;
-                }
-            }
         }
-        flops
+        flops.into_inner()
     }
 
     /// L2L pass, top-down: parent downward equivalents onto child check

@@ -157,12 +157,6 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
         self
     }
 
-    /// Octree depth cap.
-    pub fn max_level(mut self, level: u8) -> Self {
-        self.opts.max_level = level;
-        self
-    }
-
     /// What each evaluation produces (default potentials only). With
     /// [`OutputSpec::PotentialAndGradient`], reports carry
     /// `trg_dim·3` gradient components per point alongside the

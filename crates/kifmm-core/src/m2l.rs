@@ -33,22 +33,19 @@
 //! list. [`M2lFft::pack_chunk`] and [`M2lFft::extract_check`] are the only
 //! box-major ↔ chunk-major crossings.
 //!
-//! The tensor table holds one set of 316 entries per slot of the
-//! [`LevelRule`]: one slot for a homogeneous kernel, whose level factor
-//! `fwd` is applied when the check potential is read off the grid, one
-//! slot per level otherwise.
+//! The tensor table holds one set of 316 entries per slot of the plan's
+//! one [`LevelRule`], the operator table's: one slot for a homogeneous
+//! kernel, one per level otherwise. The engine supplies a level's slot and
+//! its factor `fwd`, applied as the check potential is read off the grid,
+//! as one [`LevelScale`].
 
 use crate::engine::ExpansionStore;
-use crate::operators::LevelRule;
+use crate::operators::{LevelRule, LevelScale};
 use crate::surface::{surface_grid_indices, surface_points, RAD_INNER};
 use kifmm_fft::RealFft3;
 use kifmm_kernels::{assemble, Kernel};
 use kifmm_linalg::Mat;
 use kifmm_tree::{InteractionLists, Octree};
-
-/// Plan construction checks the operator tables cover every level of the
-/// tree, and the M2L tables are built from the same rule.
-const NO_LEVEL: &str = "M2L asked for a level the plan validated";
 
 /// Number of V-list directions.
 const DIRS: usize = 316;
@@ -158,10 +155,9 @@ pub struct M2lFft<K: Kernel> {
     plan: RealFft3,
     /// Index into the `p³` corner cube of each surface point.
     surf_idx: Vec<usize>,
-    /// Kernel tensor spectra, one table per slot of `rule`, chunk-major:
-    /// `[chunk][direction][TRG·SRC][re|im][F]`.
+    /// Kernel tensor spectra, one table per slot of the rule they were
+    /// built from, chunk-major: `[chunk][direction][TRG·SRC][re|im][F]`.
     tensors: Vec<Vec<f64>>,
-    rule: LevelRule,
     /// Kernel block dims, captured at build (dims are runtime values so
     /// closure kernels flow through the same machinery).
     src_dim: usize,
@@ -170,20 +166,17 @@ pub struct M2lFft<K: Kernel> {
 }
 
 impl<K: Kernel> M2lFft<K> {
-    /// Build tensors for levels `2..=depth` of a tree with root half-width
-    /// `root_half`.
-    pub fn build(kernel: &K, p: usize, root_half: f64, depth: u8) -> Self {
+    /// Build one tensor set per slot of `rule`, at the slot's half-width.
+    pub fn build(kernel: &K, p: usize, rule: &LevelRule) -> Self {
         let plan = RealFft3::new(p);
         let surf_idx =
             surface_grid_indices(p).into_iter().map(|[i, j, k]| (i * p + j) * p + k).collect();
-        let rule = LevelRule::new(kernel, root_half, depth);
         let tensors =
             rule.slot_halves().iter().map(|&half| build_tensors(kernel, &plan, half)).collect();
         M2lFft {
             plan,
             surf_idx,
             tensors,
-            rule,
             src_dim: kernel.src_dim(),
             trg_dim: kernel.trg_dim(),
             _kernel: std::marker::PhantomData,
@@ -241,9 +234,9 @@ impl<K: Kernel> M2lFft<K> {
         pack_chunk(self.slab_len(), c, boxes, dst);
     }
 
-    /// One chunk of the Hadamard stage for a tile of targets: for target
-    /// `j` with V list `lists[j]` and each of the `nrhs` right-hand sides
-    /// `q`,
+    /// One chunk of the Hadamard stage for a tile of targets of a level
+    /// that reads tensor slot `scale.slot`: for target `j` with V list
+    /// `lists[j]` and each of the `nrhs` right-hand sides `q`,
     /// `acc[j][q][t] = Σ_pairs Σ_s K̂_dir[t][s] ⊙ spectra[slot][q][s]`
     /// on the chunk's `F` frequencies, summed in list order from zero
     /// with `s` innermost. `spectra` is chunk `c` of the source table
@@ -256,17 +249,16 @@ impl<K: Kernel> M2lFft<K> {
     /// [`kifmm_fft::pointwise_mul_add`] performs, term for term.
     pub fn hadamard_chunk(
         &self,
-        level: u8,
+        scale: LevelScale,
         c: usize,
         lists: &PairLists,
         nrhs: usize,
         spectra: &[f64],
         acc: &mut [f64],
     ) {
-        let slot = self.rule.at(level).expect(NO_LEVEL).slot;
         let (td, sd) = (self.trg_dim, self.src_dim);
         let kb = DIRS * td * sd * CL;
-        let kernels = &self.tensors[slot][c * kb..(c + 1) * kb];
+        let kernels = &self.tensors[scale.slot][c * kb..(c + 1) * kb];
         debug_assert_eq!(acc.len(), lists.len() * nrhs * td * CL);
         let job = ChunkJob { lists, nrhs, kernels, spectra };
         // Fixed block shapes let the compiler unroll the block loops and
@@ -282,11 +274,11 @@ impl<K: Kernel> M2lFft<K> {
     /// Gather target `j`'s accumulated spectra out of a chunk-major tile
     /// of targets (`nrhs·TRG_DIM` grids each), inverse-transform them
     /// and add the surface values into the target's downward check block
-    /// (`nrhs` rows of `n_s·TRG_DIM`, point-major), applying the
-    /// homogeneity scale for `level`.
+    /// (`nrhs` rows of `n_s·TRG_DIM`, point-major), times the level factor
+    /// `scale.fwd`.
     pub fn extract_check(
         &self,
-        level: u8,
+        scale: LevelScale,
         tile: &[f64],
         j: usize,
         check: &mut [f64],
@@ -298,7 +290,6 @@ impl<K: Kernel> M2lFft<K> {
         let width = check.len() / cs * td;
         debug_assert_eq!(check.len() % cs, 0);
         debug_assert_eq!(tile.len() % (self.chunks() * width * CL), 0);
-        let scale = self.rule.at(level).expect(NO_LEVEL).fwd;
         // Both buffers are overwritten in full below.
         sc.spec.resize(width * 2 * slab, 0.0);
         sc.corner.resize(self.plan.order().pow(3), 0.0);
@@ -314,7 +305,7 @@ impl<K: Kernel> M2lFft<K> {
             self.plan.inverse_corner(spec, &mut sc.corner, &mut sc.fft);
             let (row, t) = (&mut check[x / td * cs..(x / td + 1) * cs], x % td);
             for (pt, &ci) in self.surf_idx.iter().enumerate() {
-                row[pt * td + t] += scale * sc.corner[ci];
+                row[pt * td + t] += scale.fwd * sc.corner[ci];
             }
         }
     }
@@ -637,7 +628,9 @@ mod tests {
         let ns = crate::surface::num_surface_points(p);
         let equiv: Vec<f64> = (0..ns * sd).map(|i| ((i * 13 % 17) as f64) / 17.0 - 0.4).collect();
 
-        let fft = M2lFft::build(kernel, p, 1.0, depth);
+        let rule = LevelRule::new(kernel, 1.0, depth);
+        let scale = rule.at(level).unwrap();
+        let fft = M2lFft::build(kernel, p, &rule);
         let mut sc = M2lScratch::default();
         let glen = 2 * fft.slab_len();
         let mut src = vec![0.0; sd * glen];
@@ -652,13 +645,13 @@ mod tests {
             let spectra = &mut spectra[c * sd * CL..(c + 1) * sd * CL];
             fft.pack_chunk(c, &src, spectra);
             let acc = &mut tile[c * DIRS * td * CL..(c + 1) * DIRS * td * CL];
-            fft.hadamard_chunk(level, c, &lists, 1, spectra, acc);
+            fft.hadamard_chunk(scale, c, &lists, 1, spectra, acc);
         }
 
         let dense = DenseM2l::assemble(kernel, p, 1.0 / f64::from(1u32 << level));
         for (d, (op, dir)) in dense.ops.iter().zip(v_list_directions()).enumerate() {
             let mut got = vec![0.0; ns * td];
-            fft.extract_check(level, &tile, d, &mut got, &mut sc);
+            fft.extract_check(scale, &tile, d, &mut got, &mut sc);
             let mut want = vec![0.0; ns * td];
             kifmm_linalg::gemv(1.0, op, &equiv, 0.0, &mut want);
             let scale = want.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -683,7 +676,8 @@ mod tests {
         use kifmm_geom::rng::Rng;
 
         fn case<K: Kernel>(kernel: &K, nrhs: usize, rng: &mut Rng) {
-            let fft = M2lFft::build(kernel, 3, 1.0, 2);
+            let rule = LevelRule::new(kernel, 1.0, 2);
+            let fft = M2lFft::build(kernel, 3, &rule);
             let (sd, td) = (kernel.src_dim(), kernel.trg_dim());
             let (slab, chunks) = (fft.slab_len(), fft.chunks());
             let (nsrc, ntrg) = (9, 7);
@@ -707,7 +701,7 @@ mod tests {
                 let spectra = &mut spectra[c * nsrc * sw * CL..(c + 1) * nsrc * sw * CL];
                 fft.pack_chunk(c, &boxes, spectra);
                 let acc = &mut tile[c * ntrg * nrhs * td * CL..(c + 1) * ntrg * nrhs * td * CL];
-                fft.hadamard_chunk(2, c, &lists, nrhs, spectra, acc);
+                fft.hadamard_chunk(rule.at(2).unwrap(), c, &lists, nrhs, spectra, acc);
             }
             // Reference: interleaved-complex slabs, one pair at a time.
             let complex = |re: &[f64], im: &[f64]| -> Vec<C64> {
@@ -763,7 +757,7 @@ mod tests {
 
     #[test]
     fn homogeneous_levels_share_tensors() {
-        let fft = M2lFft::build(&Laplace, 4, 1.0, 6);
+        let fft = M2lFft::build(&Laplace, 4, &LevelRule::new(&Laplace, 1.0, 6));
         assert_eq!(fft.tensors.len(), 1, "Laplace shares one tensor slot");
         assert_eq!(fft.bytes(), 316 * fft.slab_len() * 16);
     }
@@ -771,7 +765,7 @@ mod tests {
     #[test]
     fn inhomogeneous_levels_get_own_tensors() {
         let k = kifmm_kernels::ModifiedLaplace::new(1.0);
-        let fft = M2lFft::build(&k, 3, 1.0, 4);
+        let fft = M2lFft::build(&k, 3, &LevelRule::new(&k, 1.0, 4));
         assert_eq!(fft.tensors.len(), 3, "levels 2, 3, 4");
         assert_eq!(fft.bytes(), 3 * 316 * fft.slab_len() * 16);
     }
@@ -779,7 +773,8 @@ mod tests {
     /// A 3×3 kernel holds nine half-spectra per direction.
     #[test]
     fn vector_kernel_tensor_bytes() {
-        let fft = M2lFft::build(&Stokes::default(), 3, 1.0, 4);
+        let stokes = Stokes::default();
+        let fft = M2lFft::build(&stokes, 3, &LevelRule::new(&stokes, 1.0, 4));
         assert_eq!(fft.bytes(), 316 * 9 * fft.slab_len() * 16);
     }
 
@@ -789,10 +784,11 @@ mod tests {
     #[test]
     fn gaussian_gets_per_level_tensors() {
         let k = kifmm_kernels::Gaussian::new(0.8);
-        let fft = M2lFft::build(&k, 3, 1.0, 5);
+        let rule = LevelRule::new(&k, 1.0, 5);
+        let fft = M2lFft::build(&k, 3, &rule);
         assert_eq!(fft.tensors.len(), 4, "own tensors for levels 2, 3, 4, 5");
         for l in 2..=5u8 {
-            let at = fft.rule.at(l).unwrap();
+            let at = rule.at(l).unwrap();
             assert_eq!(at.slot, l as usize - 2, "level {l} maps to its own slot");
             assert_eq!(at.fwd, 1.0, "no rescale for level {l}");
         }

@@ -16,9 +16,10 @@
 //!   forward map of the L2L translation (2.5)).
 //!
 //! [`LevelRule`] is the only place outside `kifmm-kernels` that looks at
-//! [`Kernel::homogeneity`]. For a kernel homogeneous of degree `d`
-//! (Laplace, Stokes: `d = −1`) every table — these operators, the FFT M2L
-//! tensors, the dense M2L matrices — is assembled **once**, at the
+//! [`Kernel::homogeneity`], and a plan has one: its [`OperatorTable`]'s,
+//! which the FFT M2L tensors are built from. For a kernel homogeneous of
+//! degree `d` (Laplace, Stokes: `d = −1`) every table — these operators
+//! and the FFT M2L tensors — is assembled **once**, at the
 //! reference level, and level `l` multiplies it by `fwd = (r_l/r_ref)^d`
 //! (forward maps) or `inv = (r_l/r_ref)^−d` (inversions) as it is applied:
 //! the engine hands the factor to `gemm_slices` as `alpha`, which forms
@@ -122,6 +123,11 @@ impl OperatorTable {
         let rule = LevelRule::new(kernel, root_half, depth);
         let slots = rule.slot_halves().iter().map(|&h| build_level(kernel, order, h)).collect();
         OperatorTable { slots, rule }
+    }
+
+    /// The plan's one [`LevelRule`], which the M2L tensors are built from.
+    pub fn rule(&self) -> &LevelRule {
+        &self.rule
     }
 
     /// Operators `level` reads and the factors it applies them with, or

@@ -13,9 +13,10 @@
 //!   checked out of a [`Pool`], one per evaluation in flight) plus the
 //!   execution policy (tracer, serial/pool dispatch);
 //! * a [`PlanCache`] memoizes plans by
-//!   `(kernel id, order, output, leaf capacity, depth cap, geometry)`
-//!   with an LRU byte bound, so a service answering repeated requests
-//!   against recurring geometries skips setup entirely on a warm hit.
+//!   `(kernel id, order, output, leaf capacity, depth cap, root cube,
+//!   geometry)` with an LRU byte bound, so a service answering repeated
+//!   requests against recurring geometries skips setup entirely on a warm
+//!   hit — and gets, bit for bit, the plan a miss would have built.
 
 use crate::engine::{
     ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, Scratch,
@@ -28,9 +29,10 @@ use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{num_threads, par_each, par_map, zip_eq, Dispatch, Pool};
 use kifmm_tree::{
-    build_lists, first_non_finite, update_octree, InteractionLists, Octree, UpdateError,
+    build_lists, first_non_finite, update_octree, Domain, InteractionLists, Octree, UpdateError,
 };
 use kifmm_trace::Tracer;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -125,7 +127,9 @@ pub fn kernel_name_hash(name: &str) -> u64 {
     h
 }
 
-/// The identity of a [`Plan`] inside a [`PlanCache`].
+/// The identity of a [`Plan`] inside a [`PlanCache`]: everything a build
+/// reads, so two lookups with one key are served one plan only when a
+/// build for either would produce it bit for bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// [`Kernel::id_bits`] — parameter fingerprint.
@@ -141,13 +145,19 @@ pub struct PlanKey {
     pub max_pts_per_leaf: usize,
     /// Octree depth cap.
     pub max_level: u8,
+    /// Bits of the root cube's center and half-width. The same points
+    /// over another cube make another tree and other potentials: a cold
+    /// build fits the cube to its points, a patched plan keeps its base's.
+    pub root: [u64; 4],
     /// [`geometry_hash`] of the point set.
     pub geometry: u64,
 }
 
 impl PlanKey {
-    /// Assemble the key for `(kernel, opts, geometry)`.
-    pub fn new<K: Kernel>(kernel: &K, opts: &FmmOptions, geometry: u64) -> Self {
+    /// Assemble the key for `(kernel, opts)` over the point set with
+    /// [`geometry_hash`] `geometry` in the root cube `root`.
+    pub fn new<K: Kernel>(kernel: &K, opts: &FmmOptions, root: &Domain, geometry: u64) -> Self {
+        let [x, y, z] = root.center.map(f64::to_bits);
         PlanKey {
             kernel_id: kernel.id_bits(),
             kernel_name: kernel_name_hash(kernel.name()),
@@ -155,6 +165,7 @@ impl PlanKey {
             output: opts.output,
             max_pts_per_leaf: opts.max_pts_per_leaf,
             max_level: opts.max_level,
+            root: [x, y, z, root.half.to_bits()],
             geometry,
         }
     }
@@ -177,7 +188,6 @@ pub struct Plan<K: Kernel> {
     pub(crate) pre: Arc<Precomputed<K>>,
     /// Points permuted into Morton order (leaf ranges contiguous).
     pub(crate) sorted_points: Vec<Point3>,
-    pub(crate) num_points: usize,
     /// Every box is active: a plan covers the whole tree.
     pub(crate) active: ActiveSet,
     geometry: u64,
@@ -237,8 +247,8 @@ impl<K: Kernel> Plan<K> {
             }
         });
         let active = ActiveSet::build(&tree, |_| true);
-        let (num_points, geometry) = (points.len(), geometry_hash(points));
-        Plan { kernel, opts, tree, lists, pre, sorted_points, num_points, active, geometry }
+        let geometry = geometry_hash(points);
+        Plan { kernel, opts, tree, lists, pre, sorted_points, active, geometry }
     }
 
     /// Patch this plan for a moved point set instead of rebuilding it:
@@ -278,11 +288,6 @@ impl<K: Kernel> Plan<K> {
         Ok(Self::over(self.kernel.clone(), self.opts, tree, lists, self.pre.clone(), new_points))
     }
 
-    /// This plan's cache identity.
-    pub fn key(&self) -> PlanKey {
-        PlanKey::new(&self.kernel, &self.opts, self.geometry)
-    }
-
     /// [`geometry_hash`] of the point set the plan was built over.
     pub fn geometry_hash(&self) -> u64 {
         self.geometry
@@ -290,12 +295,12 @@ impl<K: Kernel> Plan<K> {
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.num_points
+        self.sorted_points.len()
     }
 
     /// True when empty (never; construction requires points).
     pub fn is_empty(&self) -> bool {
-        self.num_points == 0
+        self.sorted_points.is_empty()
     }
 
     /// The kernel.
@@ -322,7 +327,7 @@ impl<K: Kernel> Plan<K> {
     /// budgets its LRU bound against: tree, lists and points from their
     /// lengths, operator tables as [`Precomputed::bytes`] reports them.
     pub fn approx_bytes(&self) -> usize {
-        let tree = self.tree.num_nodes() * 96 + self.num_points * 4;
+        let tree = self.tree.num_nodes() * 96 + self.len() * 4;
         let lists: usize = [&self.lists.u, &self.lists.v, &self.lists.w, &self.lists.x]
             .iter()
             .map(|l| l.iter().map(Vec::len).sum::<usize>() * 4 + l.len() * 24)
@@ -407,7 +412,7 @@ impl<K: Kernel> Plan<K> {
         for d in densities {
             assert_eq!(
                 d.len(),
-                self.num_points * sd,
+                self.len() * sd,
                 "each density vector must have src_dim entries per point"
             );
         }
@@ -532,32 +537,34 @@ impl<K: Kernel> std::ops::Deref for Session<K> {
     }
 }
 
-struct CacheEntry<K: Kernel> {
-    key: PlanKey,
-    plan: Arc<Plan<K>>,
+/// One key's plan, set once by the first caller to miss; later same-key
+/// callers block in `get_or_init` and share its outcome. `Err(None)` is a
+/// patch that does not apply ([`PlanCache::get_or_update`] files one under
+/// its key, which [`PlanCache::get_or_plan`] shares in the same cube;
+/// either then builds cold). No error is cached. If the builder panics
+/// the cell stays empty and the next caller builds.
+type Flight<K> = Arc<OnceLock<Result<Arc<Plan<K>>, Option<BuildError>>>>;
+
+/// A key's place in the cache: its flight, and once that holds a plan,
+/// the plan's bytes (0 while in flight) and last-use stamp.
+struct Slot<K: Kernel> {
+    flight: Flight<K>,
     bytes: usize,
     stamp: u64,
-}
-
-/// One in-progress build: the first thread to miss on a key initializes
-/// the cell, later same-key callers block in `get_or_init` and share its
-/// outcome. (If the builder panics the cell stays empty and the next
-/// caller builds.)
-type Flight<K> = Arc<OnceLock<Result<Arc<Plan<K>>, BuildError>>>;
-
-struct CacheState<K: Kernel> {
-    entries: Vec<CacheEntry<K>>,
-    building: std::collections::HashMap<PlanKey, Flight<K>>,
 }
 
 /// An LRU-bounded memoization of [`Plan`]s keyed by [`PlanKey`]. One
 /// cache serves one kernel *type* (the type parameter); kernel
 /// *parameters* are distinguished through [`Kernel::id_bits`].
 ///
+/// A hit is the plan a miss would build, bit for bit: cold builds are
+/// filed under their points' own cube, patches under their base's, and
+/// over one cube a patch is the cold build ([`Plan::update_points`]).
+///
 /// Lookups are counted once, here: [`PlanCache::hits`],
 /// [`PlanCache::misses`] and [`PlanCache::updates`].
 pub struct PlanCache<K: Kernel> {
-    inner: Mutex<CacheState<K>>,
+    slots: Mutex<HashMap<PlanKey, Slot<K>>>,
     clock: AtomicU64,
     max_bytes: usize,
     hits: AtomicU64,
@@ -571,7 +578,7 @@ impl<K: Kernel> PlanCache<K> {
     /// once the bound is exceeded (the most recent plan is always kept).
     pub fn new(max_bytes: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(CacheState { entries: Vec::new(), building: Default::default() }),
+            slots: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
             max_bytes,
             hits: AtomicU64::new(0),
@@ -603,7 +610,7 @@ impl<K: Kernel> PlanCache<K> {
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.state().entries.len()
+        self.slots().values().filter(|s| s.bytes > 0).count()
     }
 
     /// True when no plan is resident.
@@ -611,54 +618,68 @@ impl<K: Kernel> PlanCache<K> {
         self.len() == 0
     }
 
-    /// The cache state. A poisoned lock only means another user panicked
+    /// The slot map. A poisoned lock only means another user panicked
     /// between two consistent states, so the guard is recovered.
-    fn state(&self) -> std::sync::MutexGuard<'_, CacheState<K>> {
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn slots(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Slot<K>>> {
+        self.slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Fetch the plan for `(kernel, points, opts)`, building it on a
     /// miss. A warm hit performs no tree construction and no operator
-    /// precomputation — only the geometry hash (one linear scan of the
-    /// points). Concurrent misses on one key build once: the others wait
-    /// for the first and share its plan, counted as hits (or its error,
-    /// which is not cached). Misses on other keys build concurrently.
+    /// precomputation — only the geometry hash and the bounding box (one
+    /// linear scan of the points each). Concurrent misses on one key
+    /// build once: the others wait for the first and share its plan,
+    /// counted as hits (or its error, which is not cached). Misses on
+    /// other keys build concurrently.
     pub fn get_or_plan(
         &self,
         kernel: &K,
         points: &[Point3],
         opts: FmmOptions,
     ) -> Result<Arc<Plan<K>>, BuildError> {
-        let key = PlanKey::new(kernel, &opts, geometry_hash(points));
-        self.get_or_build(key, || self.plan_miss(kernel, points, opts))
+        // An empty set has no root cube to key on; its build fails.
+        if points.is_empty() {
+            return Plan::try_new(kernel.clone(), points, opts).map(Arc::new);
+        }
+        let key = PlanKey::new(kernel, &opts, &Domain::containing(points), geometry_hash(points));
+        loop {
+            match self.lookup(key, || self.plan_miss(kernel, points, opts).map_err(Some)) {
+                Ok(plan) => return Ok(plan),
+                Err(Some(e)) => return Err(e),
+                // A concurrent `get_or_update` in this same cube filed a
+                // patch that did not apply; its slot is gone, so build.
+                Err(None) => {}
+            }
+        }
     }
 
-    /// Fetch the plan for `base`'s kernel/options over `new_points`,
-    /// *patching* `base` via [`Plan::update_points`] on a miss instead of
-    /// building from scratch — the time-stepping fast path (points move a
-    /// little every step, so the tree is re-derived from a near-sorted
-    /// permutation and the operator tables are shared). When the patch is
-    /// impossible ([`UpdateError`]: domain drift, changed point count,
-    /// deeper structure than the operators cover) this falls back to a
-    /// full build. Single-flight per key, like [`PlanCache::get_or_plan`].
+    /// Fetch the plan for `base`'s kernel/options over `new_points` in
+    /// `base`'s root cube, *patching* `base` via [`Plan::update_points`]
+    /// on a miss instead of building from scratch — the time-stepping fast
+    /// path (points move a little every step, so the tree is re-derived
+    /// from a near-sorted permutation and the operator tables are shared).
+    /// When the patch is impossible ([`UpdateError`]: domain drift,
+    /// changed point count, deeper structure than the operators cover)
+    /// this is [`PlanCache::get_or_plan`]; the patch's key holds patches
+    /// only. Single-flight per key, like [`PlanCache::get_or_plan`].
     ///
-    /// Counters: a cached plan for the new geometry counts as a hit, a
+    /// Counters: a cached patch for the new geometry counts as a hit, a
     /// successful patch as an *update* ([`PlanCache::updates`]), and the
-    /// fallback as a miss.
+    /// fallback as [`PlanCache::get_or_plan`] counts it.
     pub fn get_or_update(
         &self,
         base: &Arc<Plan<K>>,
         new_points: &[Point3],
     ) -> Result<Arc<Plan<K>>, BuildError> {
         let opts = *base.options();
-        let key = PlanKey::new(base.kernel(), &opts, geometry_hash(new_points));
-        self.get_or_build(key, || match base.update_points(new_points) {
-            Ok(plan) => {
-                self.updates.fetch_add(1, Ordering::Relaxed);
-                Ok(plan)
-            }
-            Err(_) => self.plan_miss(base.kernel(), new_points, opts),
-        })
+        let geometry = geometry_hash(new_points);
+        let key = PlanKey::new(base.kernel(), &opts, &base.tree.domain, geometry);
+        let patched = self.lookup(key, || {
+            let plan = base.update_points(new_points).map_err(|_| None)?;
+            self.updates.fetch_add(1, Ordering::Relaxed);
+            Ok(plan)
+        });
+        patched.or_else(|_| self.get_or_plan(base.kernel(), new_points, opts))
     }
 
     /// A full build, counted as a miss when it succeeds.
@@ -673,23 +694,23 @@ impl<K: Kernel> PlanCache<K> {
         Ok(plan)
     }
 
-    /// Serve `key` from the cache or from a build already in flight;
-    /// otherwise run `build` outside the lock (a slow build must not
-    /// serialize lookups of other keys) and make its plan resident.
-    fn get_or_build(
+    /// Serve `key` from its slot — a resident plan or a build in flight —
+    /// or else run `build` outside the lock (a slow build must not
+    /// serialize lookups of other keys), then make its plan resident and
+    /// run LRU eviction. The first caller to see a build fail drops its
+    /// slot.
+    fn lookup(
         &self,
         key: PlanKey,
-        build: impl FnOnce() -> Result<Plan<K>, BuildError>,
-    ) -> Result<Arc<Plan<K>>, BuildError> {
+        build: impl FnOnce() -> Result<Plan<K>, Option<BuildError>>,
+    ) -> Result<Arc<Plan<K>>, Option<BuildError>> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let flight = {
-            let mut state = self.state();
-            if let Some(e) = state.entries.iter_mut().find(|e| e.key == key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(e.plan.clone());
-            }
-            state.building.entry(key).or_default().clone()
+            let mut slots = self.slots();
+            let empty = || Slot { flight: Default::default(), bytes: 0, stamp };
+            let slot = slots.entry(key).or_insert_with(empty);
+            slot.stamp = stamp;
+            slot.flight.clone()
         };
         let mut ran = false;
         let result = flight
@@ -698,42 +719,32 @@ impl<K: Kernel> PlanCache<K> {
                 build().map(Arc::new)
             })
             .clone();
-        if ran {
-            // Errors are not cached: the next caller retries.
-            let resident = result.as_ref().ok().map(|plan| CacheEntry {
-                key,
-                plan: plan.clone(),
-                bytes: plan.approx_bytes(),
-                stamp,
-            });
-            self.retire_flight(key, resident);
-        } else if result.is_ok() {
+        if result.is_ok() && !ran {
             self.hits.fetch_add(1, Ordering::Relaxed);
+            return result;
+        }
+        let mut slots = self.slots();
+        let Ok(plan) = &result else {
+            // A later caller may already have put a new slot under the key.
+            if slots.get(&key).is_some_and(|s| Arc::ptr_eq(&s.flight, &flight)) {
+                slots.remove(&key);
+            }
+            return result;
+        };
+        // Eviction passes over a slot in flight, and only a failed flight's
+        // slot is dropped, so the slot that ran the build is still there.
+        slots.get_mut(&key).expect("a slot in flight is never evicted").bytes = plan.approx_bytes();
+        let mut total: usize = slots.values().map(|s| s.bytes).sum();
+        while total > self.max_bytes {
+            let lru = slots
+                .iter()
+                .filter(|(k, s)| s.bytes > 0 && **k != key)
+                .min_by_key(|(_, s)| s.stamp)
+                .map(|(k, _)| *k);
+            let Some(victim) = lru else { break };
+            total -= slots.remove(&victim).map_or(0, |s| s.bytes);
         }
         result
-    }
-
-    /// Drop `key`'s finished flight (only the caller that ran its build
-    /// does) and, when it produced a plan, make that plan resident and run
-    /// LRU eviction.
-    fn retire_flight(&self, key: PlanKey, resident: Option<CacheEntry<K>>) {
-        let mut state = self.state();
-        state.building.remove(&key);
-        let Some(entry) = resident else { return };
-        let newest = entry.stamp;
-        let entries = &mut state.entries;
-        entries.push(entry);
-        let mut total: usize = entries.iter().map(|e| e.bytes).sum();
-        while total > self.max_bytes && entries.len() > 1 {
-            let (idx, _) = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.stamp != newest)
-                .min_by_key(|(_, e)| e.stamp)
-                .expect("len > 1 so a non-newest entry exists");
-            total -= entries[idx].bytes;
-            entries.remove(idx);
-        }
     }
 }
 
@@ -974,6 +985,74 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses(), cache.updates()), (2, 2, 1));
     }
 
+    /// A patched plan keeps its base's root cube, a cold build fits one to
+    /// its points: after `get_or_update` files the patch, `get_or_plan`
+    /// over the same moved points must not be served it, but the plan
+    /// `Plan::try_new` builds, bit for bit.
+    #[test]
+    fn a_cache_hit_is_the_plan_a_miss_would_build() {
+        let pts = cloud(900, 41);
+        let cache = PlanCache::unbounded();
+        let base = cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
+        let moved = shrink_toward(&pts, base.tree.domain.center, 0.999);
+        let patched = cache.get_or_update(&base, &moved).unwrap();
+        assert_eq!(patched.tree.domain, base.tree.domain, "a patch keeps its base's cube");
+        let served = cache.get_or_plan(&Laplace, &moved, opts_small()).unwrap();
+        let fresh = Plan::try_new(Laplace, &moved, opts_small()).unwrap();
+        assert_eq!(served.tree.domain, fresh.tree.domain, "served a plan over another cube");
+        let d = densities(900, 1, 5);
+        let [a, b] = [served.clone(), Arc::new(fresh)].map(|plan| Session::new(plan).eval(&d));
+        assert!(
+            a.potentials.iter().zip(&b.potentials).all(|(x, y)| x.to_bits() == y.to_bits()),
+            "a cache hit differs from the plan a miss builds"
+        );
+        // Asked again, the cold build is the hit.
+        let again = cache.get_or_plan(&Laplace, &moved, opts_small()).unwrap();
+        assert!(Arc::ptr_eq(&again, &served));
+        assert_eq!((cache.hits(), cache.misses(), cache.updates()), (1, 2, 1));
+    }
+
+    /// An empty set has no root cube to key on: the cache hands back the
+    /// build's own error (a bad option's first) and files nothing.
+    #[test]
+    fn plan_cache_refuses_an_empty_set_like_a_build() {
+        let cache = PlanCache::unbounded();
+        let get = |opts| cache.get_or_plan(&Laplace, &[], opts).map(|_| ());
+        assert_eq!(get(opts_small()), Err(BuildError::EmptyPoints));
+        assert_eq!(get(FmmOptions { order: 1, ..opts_small() }), Err(BuildError::OrderTooSmall(1)));
+        assert_eq!((cache.len(), cache.misses()), (0, 0));
+    }
+
+    /// A `get_or_plan` that waits on a same-cube `get_or_update` flight
+    /// whose patch does not apply builds the plan itself. The patch side
+    /// fails only once the lookup holds its flight too.
+    #[test]
+    fn plan_cache_get_or_plan_outlives_a_failed_patch_of_its_key() {
+        let pts = cloud(300, 43);
+        let cache = PlanCache::unbounded();
+        let root = Domain::containing(&pts);
+        let key = PlanKey::new(&Laplace, &opts_small(), &root, geometry_hash(&pts));
+        let holders = || cache.slots().get(&key).map_or(0, |s| Arc::strong_count(&s.flight));
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                cache.lookup(key, || {
+                    while holders() < 3 {
+                        assert!(Instant::now() < deadline, "the lookup never joined the flight");
+                        std::thread::yield_now();
+                    }
+                    Err(None)
+                })
+            });
+            while holders() == 0 {
+                std::thread::yield_now();
+            }
+            let plan = cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
+            assert_eq!(plan.len(), 300);
+        });
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 1, 1));
+    }
+
     #[test]
     fn eval_many_bitwise_matrix_kernel() {
         // Stokes: SRC_DIM = TRG_DIM = 3 exercises the interleaved-block
@@ -1093,8 +1172,9 @@ mod tests {
         // closures are indistinguishable by parameter fingerprint…
         assert_eq!(a.id_bits(), b.id_bits(), "both closure kernels fingerprint to 0");
         // …and only the folded-in name hash separates their keys.
-        let ka = PlanKey::new(&a, &opts_small(), 42);
-        let kb = PlanKey::new(&b, &opts_small(), 42);
+        let root = Domain { center: [0.0; 3], half: 1.0 };
+        let ka = PlanKey::new(&a, &opts_small(), &root, 42);
+        let kb = PlanKey::new(&b, &opts_small(), &root, 42);
         assert_ne!(ka.kernel_name, kb.kernel_name);
         assert_ne!(ka, kb, "keys must differ despite equal id_bits");
         assert_eq!(PlanKey { kernel_name: kb.kernel_name, ..ka }, kb, "only the name separates them");
@@ -1409,6 +1489,39 @@ mod tests {
         fmm.set_parallel_eval(true);
         let p = fmm.eval(&dens).stats;
         assert_eq!(s.flops, p.flops, "flop accounting must agree exactly");
+    }
+
+    /// Per-phase flop counts of one clustered Laplace and one clustered
+    /// Stokes plan, for `eval` and `eval_many` (k = 3), pinned to the
+    /// values captured before the upward and X passes took their S2M and
+    /// X counts from the near-field calls instead of recounting them. The
+    /// driver cross-checks compare one path with another and would not see
+    /// a counting change every path shares. Each row is `PhaseStats::flops`
+    /// (Up, Comm, DownU, DownV, DownW, DownX, Eval).
+    #[test]
+    fn phase_flop_counts_are_pinned() {
+        fn flops<K: Kernel>(kernel: K, pts: &[Point3], s: usize) -> [[u64; 7]; 2] {
+            let opts = FmmOptions { order: 4, max_pts_per_leaf: s, ..Default::default() };
+            let session = Session::from_plan(Plan::try_new(kernel, pts, opts).unwrap());
+            let sd = session.kernel().src_dim();
+            let dens: Vec<Vec<f64>> = (0..3).map(|q| densities(pts.len(), sd, q)).collect();
+            let refs: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
+            [session.eval(&dens[0]).stats.flops, session.eval_many(&refs)[0].stats.flops]
+        }
+        let laplace = flops(Laplace, &kifmm_geom::corner_clusters(2000, 61), 20);
+        let mut pts = cloud(300, 9);
+        for p in cloud(300, 10) {
+            pts.push([0.9 + p[0] * 0.05, 0.9 + p[1] * 0.05, 0.9 + p[2] * 0.05]);
+        }
+        let stokes = flops(Stokes::default(), &pts, 12);
+        for rows in [&laplace, &stokes] {
+            let [up, _, u, v, w, x, eval] = rows[0];
+            assert!([up, u, v, w, x, eval].iter().all(|&f| f > 0), "every pass runs: {rows:?}");
+        }
+        let laplace_one = [7954688, 0, 1802160, 11791360, 5757024, 5757024, 7954688];
+        let stokes_one = [18352656, 0, 1977948, 149114880, 4346496, 4346496, 18352656];
+        assert_eq!(laplace, [laplace_one, laplace_one.map(|f| 3 * f)], "Laplace");
+        assert_eq!(stokes, [stokes_one, stokes_one.map(|f| 3 * f)], "Stokes");
     }
 
     #[test]

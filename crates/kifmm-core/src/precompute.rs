@@ -2,11 +2,15 @@
 //!
 //! Everything the FMM precomputes — the check/equivalent pseudoinverses,
 //! the M2M/L2L forward maps and the 316 M2L kernel-tensor FFTs, each held
-//! once per slot of the [`crate::operators::LevelRule`] — depends only on
+//! once per slot of the operator table's one
+//! [`crate::operators::LevelRule`] — depends only on
 //! `(kernel, order, root half-width, depth)`, not on the particle data.
 //! [`Precomputed`] bundles those tables and [`PrecomputeCache`]
 //! deduplicates them across evaluators, keyed on all four (the kernel by
 //! its parameters and its name).
+//!
+//! The cache is [`crate::PlanCache`]'s shape: one map of per-key
+//! `OnceLock` slots, its lock held for the lookup only.
 //!
 //! The cache matters for the virtual-rank benches: on a real cluster every
 //! MPI rank builds (identical) tables against its own memory, but when the
@@ -20,7 +24,7 @@ use crate::operators::{OperatorTable, FIRST_FMM_LEVEL};
 use crate::plan::kernel_name_hash;
 use kifmm_kernels::Kernel;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// All particle-independent tables for one FMM configuration.
 pub struct Precomputed<K: Kernel> {
@@ -35,7 +39,7 @@ impl<K: Kernel> Precomputed<K> {
     pub fn build(kernel: &K, opts: &FmmOptions, root_half: f64, depth: u8) -> Self {
         let ops = OperatorTable::build(kernel, opts.order, root_half, depth);
         let m2l_fft =
-            (depth >= FIRST_FMM_LEVEL).then(|| M2lFft::build(kernel, opts.order, root_half, depth));
+            (depth >= FIRST_FMM_LEVEL).then(|| M2lFft::build(kernel, opts.order, ops.rule()));
         Precomputed { ops, m2l_fft }
     }
 
@@ -49,12 +53,16 @@ impl<K: Kernel> Precomputed<K> {
 /// order)`: everything [`Precomputed::build`] reads.
 type TableKey = (u64, u64, u8, u64, usize);
 
+/// One key's tables, set once by the first caller to miss. If that build
+/// panics the cell stays empty and the next caller builds.
+type TableSlot<K> = Arc<OnceLock<Arc<Precomputed<K>>>>;
+
 /// A concurrent cache of [`Precomputed`] tables keyed by configuration,
 /// the kernel's parameters and name included (the type parameter alone
 /// does not tell `ModifiedLaplace::new(1.0)` from `new(3.0)`, nor one
 /// closure kernel from another).
 pub struct PrecomputeCache<K: Kernel> {
-    map: Mutex<HashMap<TableKey, Arc<Precomputed<K>>>>,
+    map: Mutex<HashMap<TableKey, TableSlot<K>>>,
 }
 
 impl<K: Kernel> Default for PrecomputeCache<K> {
@@ -70,8 +78,8 @@ impl<K: Kernel> PrecomputeCache<K> {
     }
 
     /// Fetch or build the tables for `(opts, root_half, depth)`. The first
-    /// caller builds while holding the lock; concurrent callers with the
-    /// same key wait and then share the result.
+    /// caller of a key builds outside the lock; concurrent callers with
+    /// the same key wait on its slot and share the result.
     pub fn get_or_build(
         &self,
         kernel: &K,
@@ -86,13 +94,14 @@ impl<K: Kernel> PrecomputeCache<K> {
             root_half.to_bits(),
             opts.order,
         );
-        // A poisoned lock only means some other cache user panicked
-        // mid-build; the map itself is always in a consistent state, so
-        // recover the guard rather than cascading the panic.
-        let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        map.entry(key)
-            .or_insert_with(|| Arc::new(Precomputed::build(kernel, opts, root_half, depth)))
-            .clone()
+        // A poisoned lock only means some other cache user panicked during
+        // a lookup; the map is always in a consistent state, so recover
+        // the guard rather than cascading the panic.
+        let slot = {
+            let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            map.entry(key).or_default().clone()
+        };
+        slot.get_or_init(|| Arc::new(Precomputed::build(kernel, opts, root_half, depth))).clone()
     }
 }
 
@@ -148,6 +157,43 @@ mod tests {
         let a = check(&cache, closure("screened-1", 1.0), &pts, &dens);
         let b = check(&cache, closure("screened-3", 3.0), &pts, &dens);
         assert!(!Arc::ptr_eq(&a, &b), "one closure's tables served to another");
+    }
+
+    /// Key a's build waits inside its kernel evaluations until key b's
+    /// build has started, which it can only do if a build does not hold
+    /// the cache for every other key.
+    #[test]
+    fn distinct_keys_build_concurrently() {
+        use kifmm_kernels::CustomKernel;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        let a_started = Arc::new(AtomicBool::new(false));
+        let b_started = Arc::new(AtomicBool::new(false));
+        let (a_mark, b_wait) = (a_started.clone(), b_started.clone());
+        let a = CustomKernel::new("a", 1, 1, Some(-1.0), move |x, y, block| {
+            a_mark.store(true, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !b_wait.load(Ordering::SeqCst) {
+                assert!(Instant::now() < deadline, "key b's build never started");
+                std::thread::yield_now();
+            }
+            Kernel::eval(&Laplace, x, y, block)
+        });
+        let b_mark = b_started.clone();
+        let b = CustomKernel::new("b", 1, 1, Some(-1.0), move |x, y, block| {
+            b_mark.store(true, Ordering::SeqCst);
+            Kernel::eval(&Laplace, x, y, block)
+        });
+        let cache = PrecomputeCache::new();
+        let opts = FmmOptions { order: 3, ..Default::default() };
+        std::thread::scope(|scope| {
+            scope.spawn(|| cache.get_or_build(&a, &opts, 1.0, 2));
+            while !a_started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            scope.spawn(|| cache.get_or_build(&b, &opts, 1.0, 2));
+        });
+        assert!(b_started.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl<K: Kernel> Session<K> {
     /// session's dispatch, tracer and pooled scratch.
     pub fn evaluate_at(&self, densities: &[f64], targets: &[Point3]) -> Vec<f64> {
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        assert_eq!(densities.len(), self.num_points * sd, "density length");
+        assert_eq!(densities.len(), self.len() * sd, "density length");
         let dens = self.tree.to_morton(densities, sd);
         let (tree, domain) = (&self.tree, self.tree.domain);
         // `(leaf, target)` of every target a leaf serves; the others —

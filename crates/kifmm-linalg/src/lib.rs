@@ -23,5 +23,5 @@ pub mod svd;
 
 pub use blas::{axpy, dot, gemm, gemm_slices, gemm_tn, gemv, nrm2};
 pub use matrix::Mat;
-pub use pinv::{pinv, pinv_with_tol};
+pub use pinv::pinv;
 pub use svd::{svd, Svd};

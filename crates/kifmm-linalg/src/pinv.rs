@@ -6,7 +6,7 @@
 //! systems are exponentially ill-conditioned in the surface resolution `p`,
 //! so a plain solve would amplify noise; the paper regularizes by inverting
 //! with a (truncated) pseudoinverse. Singular values below
-//! `tol · σ_max` are treated as exact zeros.
+//! `DEFAULT_PINV_TOL · σ_max` are treated as exact zeros.
 
 use crate::matrix::Mat;
 use crate::svd::svd;
@@ -24,18 +24,14 @@ use crate::svd::svd;
 /// is not part of those keys would be served stale tables.
 pub const DEFAULT_PINV_TOL: f64 = 1e-10;
 
-/// Moore–Penrose pseudoinverse with the [`DEFAULT_PINV_TOL`] truncation.
-pub fn pinv(a: &Mat) -> Mat {
-    pinv_with_tol(a, DEFAULT_PINV_TOL)
-}
-
 /// Moore–Penrose pseudoinverse: `A⁺ = V Σ⁺ Uᵀ`, zeroing singular values
-/// below `tol * σ_max`. Returns an `n × m` matrix for an `m × n` input.
-pub fn pinv_with_tol(a: &Mat, tol: f64) -> Mat {
+/// below `DEFAULT_PINV_TOL · σ_max`. Returns an `n × m` matrix for an
+/// `m × n` input.
+pub fn pinv(a: &Mat) -> Mat {
     let f = svd(a);
     let (m, n) = a.shape();
     let k = f.s.len();
-    let cutoff = f.s.first().copied().unwrap_or(0.0) * tol;
+    let cutoff = f.s.first().copied().unwrap_or(0.0) * DEFAULT_PINV_TOL;
     // B = Σ⁺ Uᵀ (k × m), then A⁺ = Vᵀᵀ B = V B.
     let mut b = f.u.transpose();
     for i in 0..k {

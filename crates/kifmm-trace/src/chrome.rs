@@ -29,7 +29,7 @@ pub(crate) fn export(tracer: &Tracer) -> String {
     let Some(sink) = tracer.sink() else {
         return "{\"traceEvents\":[]}".to_string();
     };
-    let dumps = sink.dump();
+    let ranks = sink.ranks();
     let mut out = String::with_capacity(1 << 16);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
@@ -46,16 +46,15 @@ pub(crate) fn export(tracer: &Tracer) -> String {
          \"args\":{\"name\":\"kifmm\"}}",
     );
 
-    for d in &dumps {
+    for (&rank, buf) in ranks.iter() {
         // Thread (rank track) metadata.
         sep(&mut out);
         out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-             \"args\":{{\"name\":\"rank {}\"}}}}",
-            d.rank, d.rank
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{rank},\
+             \"args\":{{\"name\":\"rank {rank}\"}}}}"
         ));
 
-        for s in &d.spans {
+        for s in &buf.spans() {
             sep(&mut out);
             out.push_str("{\"name\":");
             push_str_lit(&mut out, s.name);
@@ -65,7 +64,7 @@ pub(crate) fn export(tracer: &Tracer) -> String {
             push_f64(&mut out, us(s.t0));
             out.push_str(",\"dur\":");
             push_f64(&mut out, us(s.wall));
-            out.push_str(&format!(",\"pid\":0,\"tid\":{}", d.rank));
+            out.push_str(&format!(",\"pid\":0,\"tid\":{}", rank));
             out.push_str(",\"args\":{\"cpu_us\":");
             push_f64(&mut out, us(s.cpu));
             if let Some(n) = s.n {
@@ -74,7 +73,7 @@ pub(crate) fn export(tracer: &Tracer) -> String {
             out.push_str("}}");
         }
 
-        for a in &d.asyncs {
+        for a in &buf.lock().asyncs {
             sep(&mut out);
             out.push_str("{\"name\":");
             push_str_lit(&mut out, a.name);
@@ -82,11 +81,11 @@ pub(crate) fn export(tracer: &Tracer) -> String {
             out.push_str(&format!(
                 ",\"cat\":\"comm\",\"ph\":\"{}\",\"id\":\"r{}-{}\",\"ts\":",
                 if a.begin { 'b' } else { 'e' },
-                d.rank,
+                rank,
                 a.id
             ));
             push_f64(&mut out, us(a.ts));
-            out.push_str(&format!(",\"pid\":0,\"tid\":{}}}", d.rank));
+            out.push_str(&format!(",\"pid\":0,\"tid\":{}}}", rank));
         }
 
         // Final counter values as one instant event per rank.
@@ -94,13 +93,13 @@ pub(crate) fn export(tracer: &Tracer) -> String {
         out.push_str(&format!(
             "{{\"name\":\"counters\",\"cat\":\"meta\",\"ph\":\"I\",\"s\":\"t\",\
              \"ts\":0,\"pid\":0,\"tid\":{},\"args\":{{",
-            d.rank
+            rank
         ));
         for (i, c) in Counter::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\":{}", c.name(), d.counters[*c as usize]));
+            out.push_str(&format!("\"{}\":{}", c.name(), buf.counter(*c)));
         }
         out.push_str("}}");
     }

@@ -11,8 +11,10 @@
 //!   one branch, so an untraced evaluation pays nothing measurable);
 //!   [`Tracer::enabled`] records into **per-rank ring buffers**.
 //! * [`RankTracer`] — one virtual rank's (thread's) handle, obtained via
-//!   [`Tracer::rank`]. Spans and counters recorded through it land in
-//!   that rank's buffer only, so rank threads never contend.
+//!   [`Tracer::rank`]: the rank's buffer itself, so a clone is one `Arc`
+//!   bump. Spans and counters recorded through it land in that rank's
+//!   buffer only, so rank threads never contend. The sink keeps the
+//!   buffers in one map ordered by rank id, which every reader walks.
 //! * [`Span`] — an RAII guard from [`RankTracer::span`] charging **wall
 //!   time and thread-CPU time** to a `(category, name)` pair. Guards are
 //!   strictly nested by construction (scope-based drop on one thread).
@@ -34,6 +36,7 @@ mod chrome;
 mod jsonw;
 
 use kifmm_runtime::thread_cpu_time;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -108,15 +111,6 @@ pub struct SpanRecord {
     pub cpu: f64,
 }
 
-impl SpanRecord {
-    /// The structural identity of the span — everything except the
-    /// timings. Two runs of the same deterministic computation produce
-    /// identical structural-key sequences (asserted in tests).
-    pub fn structural_key(&self) -> (u64, u32, &'static str, &'static str, Option<u64>) {
-        (self.seq, self.depth, self.cat, self.name, self.n)
-    }
-}
-
 /// One async (overlap) event: a begin/end pair drawn as a bar above the
 /// rank's track in the chrome trace viewer, visualizing an exchange that
 /// is in flight while compute spans run underneath it.
@@ -148,17 +142,18 @@ struct RankState {
     asyncs: Vec<AsyncRecord>,
 }
 
-/// One virtual rank's buffer: ring of spans + counters.
+/// One virtual rank's buffer: ring of spans + counters, timed from the
+/// sink's epoch.
 struct RankBuf {
-    rank: usize,
+    epoch: Instant,
     state: Mutex<RankState>,
     counters: [AtomicU64; Counter::COUNT],
 }
 
 impl RankBuf {
-    fn new(rank: usize) -> Self {
+    fn new(epoch: Instant) -> Self {
         RankBuf {
-            rank,
+            epoch,
             state: Mutex::new(RankState {
                 spans: Vec::new(),
                 head: 0,
@@ -174,21 +169,30 @@ impl RankBuf {
     fn lock(&self) -> MutexGuard<'_, RankState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+
+    /// Completed spans, sorted by open order (`seq`).
+    fn spans(&self) -> Vec<SpanRecord> {
+        let mut spans = self.lock().spans.clone();
+        spans.sort_by_key(|s| s.seq);
+        spans
+    }
+
+    fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// Shared sink state behind an enabled [`Tracer`].
 struct TraceSink {
     epoch: Instant,
-    ranks: Mutex<Vec<Arc<RankBuf>>>,
+    ranks: Mutex<BTreeMap<usize, Arc<RankBuf>>>,
 }
 
 impl TraceSink {
-    /// Rank buffers sorted by rank id.
-    fn sorted_ranks(&self) -> Vec<Arc<RankBuf>> {
-        let mut bufs: Vec<Arc<RankBuf>> =
-            self.ranks.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
-        bufs.sort_by_key(|b| b.rank);
-        bufs
+    /// The rank buffers by rank id. A poisoned lock only means another
+    /// user panicked between two consistent states.
+    fn ranks(&self) -> MutexGuard<'_, BTreeMap<usize, Arc<RankBuf>>> {
+        self.ranks.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -211,11 +215,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.inner {
             None => write!(f, "Tracer(disabled)"),
-            Some(s) => write!(
-                f,
-                "Tracer(enabled, {} ranks)",
-                s.ranks.lock().map(|r| r.len()).unwrap_or(0)
-            ),
+            Some(s) => write!(f, "Tracer(enabled, {} ranks)", s.ranks().len()),
         }
     }
 }
@@ -231,7 +231,7 @@ impl Tracer {
         Tracer {
             inner: Some(Arc::new(TraceSink {
                 epoch: Instant::now(),
-                ranks: Mutex::new(Vec::new()),
+                ranks: Mutex::new(BTreeMap::new()),
             })),
         }
     }
@@ -247,17 +247,9 @@ impl Tracer {
         let Some(sink) = &self.inner else {
             return RankTracer { inner: None };
         };
-        let mut ranks = sink.ranks.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let buf = match ranks.iter().find(|b| b.rank == rank) {
-            Some(b) => b.clone(),
-            None => {
-                let b = Arc::new(RankBuf::new(rank));
-                ranks.push(b.clone());
-                b
-            }
-        };
-        drop(ranks);
-        RankTracer { inner: Some(RankHandle { epoch: sink.epoch, buf }) }
+        let mut ranks = sink.ranks();
+        let buf = ranks.entry(rank).or_insert_with(|| Arc::new(RankBuf::new(sink.epoch)));
+        RankTracer { inner: Some(buf.clone()) }
     }
 
     /// Completed spans per rank (ascending rank id), each sorted by open
@@ -266,26 +258,14 @@ impl Tracer {
         let Some(sink) = &self.inner else {
             return Vec::new();
         };
-        sink.sorted_ranks()
-            .iter()
-            .map(|b| {
-                let st = b.lock();
-                let mut spans = st.spans.clone();
-                spans.sort_by_key(|s| s.seq);
-                spans
-            })
-            .collect()
+        sink.ranks().values().map(|b| b.spans()).collect()
     }
 
     /// A counter summed over all ranks.
     pub fn counter_total(&self, c: Counter) -> u64 {
         match &self.inner {
             None => 0,
-            Some(s) => s
-                .sorted_ranks()
-                .iter()
-                .map(|b| b.counters[c as usize].load(Ordering::Relaxed))
-                .sum(),
+            Some(s) => s.ranks().values().map(|b| b.counter(c)).sum(),
         }
     }
 
@@ -293,11 +273,7 @@ impl Tracer {
     pub fn rank_counter(&self, rank: usize, c: Counter) -> u64 {
         match &self.inner {
             None => 0,
-            Some(s) => s
-                .sorted_ranks()
-                .iter()
-                .find(|b| b.rank == rank)
-                .map_or(0, |b| b.counters[c as usize].load(Ordering::Relaxed)),
+            Some(s) => s.ranks().get(&rank).map_or(0, |b| b.counter(c)),
         }
     }
 
@@ -305,7 +281,7 @@ impl Tracer {
     pub fn dropped_spans(&self) -> u64 {
         match &self.inner {
             None => 0,
-            Some(s) => s.sorted_ranks().iter().map(|b| b.lock().dropped).sum(),
+            Some(s) => s.ranks().values().map(|b| b.lock().dropped).sum(),
         }
     }
 
@@ -320,44 +296,12 @@ impl Tracer {
     }
 }
 
-// Crate-internal accessors for the chrome exporter.
-pub(crate) struct RankDump {
-    pub(crate) rank: usize,
-    pub(crate) spans: Vec<SpanRecord>,
-    pub(crate) asyncs: Vec<AsyncRecord>,
-    pub(crate) counters: [u64; Counter::COUNT],
-}
-
-impl TraceSink {
-    pub(crate) fn dump(&self) -> Vec<RankDump> {
-        self.sorted_ranks()
-            .iter()
-            .map(|b| {
-                let st = b.lock();
-                let mut spans = st.spans.clone();
-                spans.sort_by_key(|s| s.seq);
-                RankDump {
-                    rank: b.rank,
-                    spans,
-                    asyncs: st.asyncs.clone(),
-                    counters: std::array::from_fn(|i| b.counters[i].load(Ordering::Relaxed)),
-                }
-            })
-            .collect()
-    }
-}
-
-/// A rank-bound recording handle (see [`Tracer::rank`]). Cloning is cheap
-/// (two `Arc` bumps) and the clone records into the same rank buffer.
+/// A rank-bound recording handle (see [`Tracer::rank`]): the rank's
+/// buffer. Cloning is one `Arc` bump and the clone records into the same
+/// buffer.
 #[derive(Clone)]
 pub struct RankTracer {
-    inner: Option<RankHandle>,
-}
-
-#[derive(Clone)]
-struct RankHandle {
-    epoch: Instant,
-    buf: Arc<RankBuf>,
+    inner: Option<Arc<RankBuf>>,
 }
 
 impl Default for RankTracer {
@@ -382,11 +326,11 @@ impl RankTracer {
     /// else.
     #[inline]
     pub fn span(&self, cat: &'static str, name: &'static str) -> Span {
-        let Some(h) = &self.inner else {
+        let Some(buf) = &self.inner else {
             return Span { inner: None };
         };
         let (seq, depth) = {
-            let mut st = h.buf.lock();
+            let mut st = buf.lock();
             let seq = st.seq;
             st.seq += 1;
             let depth = st.depth;
@@ -395,13 +339,13 @@ impl RankTracer {
         };
         Span {
             inner: Some(SpanInner {
-                handle: h.clone(),
+                buf: buf.clone(),
                 cat,
                 name,
                 n: None,
                 seq,
                 depth,
-                t0: h.epoch.elapsed().as_secs_f64(),
+                t0: buf.epoch.elapsed().as_secs_f64(),
                 cpu0: thread_cpu_time(),
             }),
         }
@@ -410,8 +354,8 @@ impl RankTracer {
     /// Add `v` to counter `c` on this rank.
     #[inline]
     pub fn add(&self, c: Counter, v: u64) {
-        if let Some(h) = &self.inner {
-            h.buf.counters[c as usize].fetch_add(v, Ordering::Relaxed);
+        if let Some(buf) = &self.inner {
+            buf.counters[c as usize].fetch_add(v, Ordering::Relaxed);
         }
     }
 
@@ -430,9 +374,9 @@ impl RankTracer {
     }
 
     fn async_event(&self, name: &'static str, id: u64, begin: bool) {
-        if let Some(h) = &self.inner {
-            let ts = h.epoch.elapsed().as_secs_f64();
-            let mut st = h.buf.lock();
+        if let Some(buf) = &self.inner {
+            let ts = buf.epoch.elapsed().as_secs_f64();
+            let mut st = buf.lock();
             if st.asyncs.len() < DEFAULT_CAPACITY {
                 st.asyncs.push(AsyncRecord { id, name, begin, ts });
             }
@@ -446,7 +390,7 @@ pub struct Span {
 }
 
 struct SpanInner {
-    handle: RankHandle,
+    buf: Arc<RankBuf>,
     cat: &'static str,
     name: &'static str,
     n: Option<u64>,
@@ -472,7 +416,7 @@ impl Drop for Span {
         let Some(i) = self.inner.take() else {
             return;
         };
-        let wall = (i.handle.epoch.elapsed().as_secs_f64() - i.t0).max(0.0);
+        let wall = (i.buf.epoch.elapsed().as_secs_f64() - i.t0).max(0.0);
         let cpu = (thread_cpu_time() - i.cpu0).max(0.0);
         let rec = SpanRecord {
             seq: i.seq,
@@ -484,7 +428,7 @@ impl Drop for Span {
             wall,
             cpu,
         };
-        let mut st = i.handle.buf.lock();
+        let mut st = i.buf.lock();
         st.depth = st.depth.saturating_sub(1);
         if st.spans.len() < DEFAULT_CAPACITY {
             st.spans.push(rec);

@@ -97,18 +97,29 @@ echo "one-charging-site gate: OK (one Meter, traffic charged once)"
 # 5f. One-level-rule gate: which table a level reads, times what, is
 #     decided once (`operators::LevelRule`), and the box half-width lives
 #     on `Domain` only. Outside `kifmm-kernels`, `homogeneity()` may be
-#     read in operators.rs alone, and no struct under kifmm-core may grow
-#     a `box_half` field again.
+#     read in operators.rs alone; outside test modules a rule is made
+#     (`LevelRule::new(`) in operators.rs alone — the operator table's,
+#     which the M2L tensors are built from; and no struct under kifmm-core
+#     may grow a `box_half` field again.
 forks=$(grep -rn 'homogeneity()' crates/*/src | grep -v '^crates/kifmm-kernels/' \
     | grep -v '^crates/kifmm-core/src/operators.rs:' || true)
+rules=$(find crates/*/src examples -name '*.rs' -not -path 'crates/kifmm-core/src/operators.rs' \
+    | while read -r f; do
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /^[ \t]*\/\// { next }
+        /LevelRule::new\(/ { print f ":" FNR ": " $0 }
+    ' "$f"
+done)
 halves=$(grep -rn 'box_half:' crates/kifmm-core/src || true)
-if [ -n "$forks$halves" ]; then
+if [ -n "$forks$rules$halves" ]; then
     echo "FAIL: a second level rule or a second copy of the box half-width reintroduced:"
     echo "$forks"
+    echo "$rules"
     echo "$halves"
     exit 1
 fi
-echo "level-rule gate: OK (homogeneity() read in operators.rs only, no box_half field)"
+echo "level-rule gate: OK (homogeneity() read and LevelRule made in operators.rs only, no box_half field)"
 
 # 5g. One-tree gate: the octant-cut refinement loop is written once
 #     (`kifmm_tree::refine_sorted_codes`, linearize.rs) for the serial
@@ -146,8 +157,8 @@ if [ -n "$m2l_struct$embeds" ]; then
 fi
 echo "hadamard gate: OK (dense chunk-major tensors, one Hadamard path)"
 
-# 5i. One-inversion-site gate: outside test modules, `pinv(` /
-#     `pinv_with_tol(` / `svd(` are called under crates/*/src only from
+# 5i. One-inversion-site gate: outside test modules, `pinv(` / `svd(`
+#     are called under crates/*/src only from
 #     `kifmm-linalg` itself and from `operators.rs::build_level` — the one
 #     place that knows a symmetric kernel's second inversion is the
 #     transpose of its first, so no inversion can grow beside it that pays
@@ -157,7 +168,7 @@ inversions=$(find crates/*/src -name '*.rs' -not -path 'crates/kifmm-linalg/*' |
         /^#\[cfg\(test\)\]/ { exit }
         /^fn build_level/, /^}/ { if (f == "crates/kifmm-core/src/operators.rs") next }
         /^[ \t]*\/\// { next }
-        /(^|[^A-Za-z0-9_])(pinv|pinv_with_tol|svd)\(/ { print f ":" FNR ": " $0 }
+        /(^|[^A-Za-z0-9_])(pinv|svd)\(/ { print f ":" FNR ": " $0 }
     ' "$f"
 done)
 if [ -n "$inversions" ]; then
@@ -218,6 +229,23 @@ if [ -n "$rotations" ]; then
     exit 1
 fi
 echo "rotation gate: OK (Jacobi rotates through simd::rot/rot_dot only)"
+
+# 5l. One-copy gate: each fact on the set-up path is kept once — the plan
+#     cache and the table cache are one map of per-key `OnceLock` slots,
+#     the tracer's rank buffers one map by rank id that `RankTracer`
+#     holds directly, the level rule the operator table's alone, the
+#     pseudoinverse tolerance a constant. The removed second copies — the
+#     resident-plan list and its flight map, the rank list and its
+#     handle/dump copies, the M2L tables' own rule, the tolerance
+#     argument — may not come back.
+copies=$(grep -rnwE 'CacheEntry|CacheState|retire_flight|RankDump|RankHandle|sorted_ranks|NO_LEVEL|pinv_with_tol' \
+    crates tests examples || true)
+if [ -n "$copies" ]; then
+    echo "FAIL: a removed second copy reintroduced:"
+    echo "$copies"
+    exit 1
+fi
+echo "one-copy gate: OK (one cache map, one rank map, one level rule, one pinv)"
 
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
@@ -302,7 +330,7 @@ for f in m2l engine/mod precompute; do
     m2l=$((m2l + $(nontest "crates/kifmm-core/src/$f.rs")))
 done
 echo "non-test lines: M2L path (m2l+engine/mod+precompute) $m2l, kifmm-runtime lib.rs $(nontest crates/kifmm-runtime/src/lib.rs)"
-echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src)"
+echo "non-test lines: kifmm-mpi/src $(nontest_dir crates/kifmm-mpi/src), kifmm-fft/src $(nontest_dir crates/kifmm-fft/src), kifmm-trace/src $(nontest_dir crates/kifmm-trace/src)"
 # The vector microkernels hold the workspace's `unsafe` loads: growth shows here.
 echo "non-test lines: kifmm-linalg/src/simd.rs $(nontest crates/kifmm-linalg/src/simd.rs)"
 echo "non-test lines: kifmm-tree/src $(nontest_dir crates/kifmm-tree/src), kifmm-parallel/src $(nontest_dir crates/kifmm-parallel/src), kifmm-geom/src $(nontest_dir crates/kifmm-geom/src)"

@@ -13,11 +13,12 @@ fn points(n: usize, seed: u64) -> Vec<[f64; 3]> {
     kifmm::geom::uniform_cube(n, seed)
 }
 
-/// Structural span sequence for every rank the tracer saw.
+/// Structural span sequence (each span but its timings) for every rank
+/// the tracer saw: two runs of one deterministic computation repeat it.
 fn span_keys(t: &Tracer) -> Vec<Vec<(u64, u32, &'static str, &'static str, Option<u64>)>> {
     t.span_records()
         .iter()
-        .map(|spans| spans.iter().map(|s| s.structural_key()).collect())
+        .map(|spans| spans.iter().map(|s| (s.seq, s.depth, s.cat, s.name, s.n)).collect())
         .collect()
 }
 
