@@ -199,8 +199,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// A zeroed [`ExpansionStore`] sized for this tree and `nrhs`
     /// simultaneous charge vectors.
     pub fn new_store_many(&self, nrhs: usize) -> ExpansionStore {
-        let (_, es, cs) = self.dims();
-        ExpansionStore::with_nrhs(self.tree.num_nodes(), es, cs, nrhs)
+        let mut store = ExpansionStore::default();
+        self.prepare_store(&mut store, nrhs);
+        store
     }
 
     /// Reshape a pooled store for this tree and `nrhs`, zeroing it.

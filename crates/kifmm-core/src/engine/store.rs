@@ -37,28 +37,10 @@ pub struct ExpansionStore {
 }
 
 impl ExpansionStore {
-    /// Zeroed single-RHS storage for `num_nodes` boxes with equivalent
-    /// rows of `es` and check rows of `cs` values.
-    pub fn new(num_nodes: usize, es: usize, cs: usize) -> Self {
-        Self::with_nrhs(num_nodes, es, cs, 1)
-    }
-
-    /// Zeroed storage for `nrhs` simultaneous charge vectors.
-    pub fn with_nrhs(num_nodes: usize, es: usize, cs: usize, nrhs: usize) -> Self {
-        assert!(nrhs >= 1, "at least one right-hand side");
-        ExpansionStore {
-            es,
-            cs,
-            nrhs,
-            up: vec![0.0; num_nodes * es * nrhs],
-            down: vec![0.0; num_nodes * es * nrhs],
-            check: vec![0.0; num_nodes * cs * nrhs],
-        }
-    }
-
     /// Reshape (if needed) for the given geometry and RHS count, then
-    /// zero every slab. Pooled stores are routed through this so one
-    /// pooled allocation serves evaluations of any batch width.
+    /// zero every slab. Every store is shaped here — a fresh one from
+    /// [`ExpansionStore::default`], or a pooled one, so one pooled
+    /// allocation serves evaluations of any batch width.
     pub fn ensure(&mut self, num_nodes: usize, es: usize, cs: usize, nrhs: usize) {
         assert!(nrhs >= 1, "at least one right-hand side");
         self.es = es;

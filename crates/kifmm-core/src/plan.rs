@@ -27,7 +27,7 @@ use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
 use crate::stats::{Meter, Phase};
 use kifmm_kernels::{Kernel, Point3};
-use kifmm_runtime::{num_threads, par_each, par_map, zip_eq, Dispatch, Pool};
+use kifmm_runtime::{par_map, Dispatch, Pool};
 use kifmm_tree::{
     build_lists, first_non_finite, update_octree, Domain, InteractionLists, Octree, UpdateError,
 };
@@ -88,8 +88,8 @@ pub fn geometry_hash(points: &[Point3]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     const CHUNK: usize = 1 << 16;
-    fn digest(seed: u64, points: &[Point3]) -> u64 {
-        let mut h = seed;
+    fn digest(points: &[Point3]) -> u64 {
+        let mut h = OFFSET;
         for p in points {
             for c in p {
                 h ^= c.to_bits();
@@ -100,10 +100,7 @@ pub fn geometry_hash(points: &[Point3]) -> u64 {
     }
     let mut h = OFFSET ^ points.len() as u64;
     h = h.wrapping_mul(PRIME);
-    if points.len() <= CHUNK {
-        return digest(h, points);
-    }
-    for d in par_map(points.chunks(CHUNK), |chunk| digest(OFFSET, chunk)) {
+    for d in par_map(points.chunks(CHUNK), digest) {
         h ^= d;
         h = h.wrapping_mul(PRIME);
     }
@@ -238,25 +235,19 @@ impl<K: Kernel> Plan<K> {
         pre: Arc<Precomputed<K>>,
         points: &[Point3],
     ) -> Self {
-        let mut sorted_points = vec![[0.0f64; 3]; points.len()];
-        const CHUNK: usize = 1 << 16;
-        let chunks = zip_eq(sorted_points.chunks_mut(CHUNK), tree.perm.chunks(CHUNK));
-        par_each(num_threads(), chunks, || (), |(), _, (out, perm)| {
-            for (slot, &i) in out.iter_mut().zip(perm) {
-                *slot = points[i as usize];
-            }
-        });
+        let sorted_points = tree.to_morton(points, 1);
         let active = ActiveSet::build(&tree, |_| true);
         let geometry = geometry_hash(points);
         Plan { kernel, opts, tree, lists, pre, sorted_points, active, geometry }
     }
 
     /// Patch this plan for a moved point set instead of rebuilding it:
-    /// re-sort with the old permutation as a near-sorted hint, re-derive
-    /// the structure, and — when the structure is unchanged, the common
-    /// case for small motion — reuse the interaction lists wholesale. The
-    /// operator tables (`Arc<Precomputed>`) are always shared: they depend
-    /// on the domain and depth, not on the points. The result is the plan
+    /// rebuild the tree over this plan's root cube
+    /// (`kifmm_tree::update_octree`) and — when the structure is
+    /// unchanged, the common case for small motion — reuse the
+    /// interaction lists wholesale. The operator tables
+    /// (`Arc<Precomputed>`) are always shared: they depend on the domain
+    /// and depth, not on the points. The result is the plan
     /// [`Plan::try_new`] would build over this plan's root cube, bit for
     /// bit: one curve order (`kifmm_tree::sort_codes`), coincident points
     /// included.
@@ -656,8 +647,8 @@ impl<K: Kernel> PlanCache<K> {
     /// Fetch the plan for `base`'s kernel/options over `new_points` in
     /// `base`'s root cube, *patching* `base` via [`Plan::update_points`]
     /// on a miss instead of building from scratch — the time-stepping fast
-    /// path (points move a little every step, so the tree is re-derived
-    /// from a near-sorted permutation and the operator tables are shared).
+    /// path (points move a little every step, so the tree is rebuilt in the
+    /// old root cube and the operator tables are shared).
     /// When the patch is impossible ([`UpdateError`]: domain drift,
     /// changed point count, deeper structure than the operators cover)
     /// this is [`PlanCache::get_or_plan`]; the patch's key holds patches
@@ -839,8 +830,9 @@ mod tests {
 
     /// With the root cube pinned (eight fixed corners, center exactly 0) a
     /// fresh plan fits the cube the patch keeps, and the two are one plan:
-    /// same permutation, same bits — on each branch of the re-sort, over a
-    /// cloud with a pile of coincident points (tied max-depth codes).
+    /// same permutation, same bits — under motion inside a cell, a swap of
+    /// curve neighbours and a reflection, over a cloud with a pile of
+    /// coincident points (tied max-depth codes).
     #[test]
     fn update_points_equals_a_fresh_plan_bitwise_on_every_branch() {
         let mut pts = kifmm_geom::uniform_cube(1200, 26);
@@ -852,9 +844,7 @@ mod tests {
         }
         let base = Plan::try_new(Laplace, &pts, opts_small()).unwrap();
         let dens = densities(1200, 1, 9);
-        let check = |moved: &[Point3], branch: &str, taken: fn(usize) -> bool| {
-            let resort = update_octree(&base.tree, moved, 20, base.opts.max_level).unwrap();
-            assert!(taken(resort.moved), "{branch}: {} points displaced", resort.moved);
+        let check = |moved: &[Point3], branch: &str| {
             let upd = base.update_points(moved).unwrap();
             let fresh = Plan::try_new(Laplace, moved, opts_small()).unwrap();
             assert!(upd.tree.perm == fresh.tree.perm, "{branch}: permutation differs");
@@ -862,11 +852,11 @@ mod tests {
             let [a, b] = [upd, fresh].map(|plan| Session::from_plan(plan).eval(&dens).potentials);
             assert!(a == b, "{branch}: potentials differ");
         };
-        // Still sorted: a pile member moves inside its max-depth cell.
+        // A pile member moves inside its max-depth cell.
         let mut nudged = pts.clone();
         nudged[48][0] += 1e-8;
-        check(&nudged, "still sorted", |moved| moved == 0);
-        // Backbone merge: two neighbours of the old order share a cell
+        check(&nudged, "nudge");
+        // Two neighbours of the old order share a cell
         // with their indices the wrong way round (the codes alone stay
         // non-decreasing), and a point from further along the curve joins
         // the pile between members of lower and higher index.
@@ -877,10 +867,10 @@ mod tests {
         let pile_end = perm.iter().rposition(|&i| pts[i as usize] == [0.3, -0.2, 0.6]).unwrap();
         let joiner = perm[pile_end + 1..].iter().find(|&&i| (48..1168).contains(&i)).unwrap();
         joined[*joiner as usize] = [0.3, -0.2, 0.6];
-        check(&joined, "backbone merge", |moved| moved > 0 && moved * 4 <= 1200);
-        // Full sort: reflect through the center; the pile stays a pile.
+        check(&joined, "swap and join");
+        // Reflect through the center; the pile stays a pile.
         let flipped: Vec<Point3> = pts.iter().map(|p| p.map(|c| -c)).collect();
-        check(&flipped, "full sort", |moved| moved * 4 > 1200);
+        check(&flipped, "reflection");
     }
 
     #[test]

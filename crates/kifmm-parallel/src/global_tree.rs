@@ -72,7 +72,6 @@ pub fn build_distributed_tree_with(
         panic!("rank {}: point {point} is not finite along axis {dim}", comm.rank())
     });
     let (sorted_codes, perm) = sort_codes(&codes);
-    let sorted_points: Vec<Point3> = perm.iter().map(|&i| local_points[i as usize]).collect();
 
     let mut root = [local_points.len() as u64];
     allreduce_u64(comm, &mut root, ReduceOp::Sum);
@@ -84,6 +83,7 @@ pub fn build_distributed_tree_with(
         });
 
     let tree = Octree::from_parts(domain, nodes, perm, levels);
+    let sorted_points = tree.to_morton(local_points, 1);
     DistributedTree { tree, global_counts, sorted_points }
 }
 

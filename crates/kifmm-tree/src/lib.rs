@@ -13,8 +13,9 @@
 //! ([`morton_codes`] then [`sort_codes`]: `(code, index)` pairs, so a
 //! cloud has one permutation whoever builds over it). The distributed
 //! driver feeds that loop the paper's per-level Allreduce counts, and
-//! [`update`] patches an existing tree for slightly moved points instead
-//! of rebuilding it.
+//! [`update`] rebuilds a tree for moved points inside its old root cube,
+//! so a plan keeps its operator tables and, when the boxes are unchanged,
+//! its interaction lists.
 //!
 //! (Warren & Salmon's SC'92/SC'93 parallel hashed octree papers are cited
 //! as references 23 and 24 in the reproduction target.)

@@ -264,18 +264,13 @@ pub fn morton_codes(points: &[[f64; 3]], domain: &Domain) -> Result<Vec<u64>, (u
     }
 }
 
-/// Sort `(code, index)` pairs: the curve order, ties on equal codes broken
-/// by index, so the order is total and the same for any thread count.
-pub(crate) fn sort_pairs(pairs: &mut [(u64, u32)]) {
-    kifmm_runtime::par_sort_unstable(pairs);
-}
-
 /// Curve order of `codes`: `(sorted_codes, perm)` with
-/// `sorted_codes[k] == codes[perm[k]]`, equal codes in index order
-/// ([`sort_pairs`]). The pair vector is dropped before returning.
+/// `sorted_codes[k] == codes[perm[k]]`. It sorts `(code, index)` pairs, so
+/// equal codes keep index order and the order is total and the same for
+/// any thread count. The pair vector is dropped before returning.
 pub fn sort_codes(codes: &[u64]) -> (Vec<u64>, Vec<u32>) {
     let mut pairs: Vec<(u64, u32)> = codes.iter().copied().zip(0u32..).collect();
-    sort_pairs(&mut pairs);
+    kifmm_runtime::par_sort_unstable(&mut pairs);
     pairs.into_iter().unzip()
 }
 

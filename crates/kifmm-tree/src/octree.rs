@@ -133,33 +133,41 @@ pub struct Octree {
 impl Octree {
     /// Build the adaptive tree: subdivide while a box holds more than
     /// `max_pts_per_leaf` points (the paper's `s`), up to `max_level`.
-    pub fn build(points: &[[f64; 3]], max_pts_per_leaf: usize, max_level: u8) -> Octree {
-        let domain = Domain::containing(points);
-        Self::build_in_domain(domain, points, max_pts_per_leaf, max_level)
-    }
-
-    /// Build within a caller-specified domain, which must contain every
-    /// point.
     ///
     /// # Panics
-    /// Naming the first point outside `domain` and the axis it leaves
-    /// the cube along.
+    /// On a NaN or infinite coordinate, naming the point and the axis
+    /// ([`first_non_finite`]); the containing cube holds every finite point.
+    pub fn build(points: &[[f64; 3]], max_pts_per_leaf: usize, max_level: u8) -> Octree {
+        let domain = Domain::containing(points);
+        Self::build_in_domain(domain, points, max_pts_per_leaf, max_level).unwrap_or_else(|_| {
+            let (point, dim) =
+                first_non_finite(points).expect("the containing cube holds every finite point");
+            panic!("Octree::build: point {point} is not finite along axis {dim}")
+        })
+    }
+
+    /// Build within a caller-specified domain: sort the points along the
+    /// curve ([`sort_codes`]), then refine from the counts — the one
+    /// derivation every tree, the incremental update's included, runs.
+    ///
+    /// # Errors
+    /// `(point, axis)` of the first point outside the closed `domain` cube
+    /// (`NaN` included) and the first axis it leaves the cube along, the
+    /// convention of [`morton_codes`]. No point is clamped into a boundary
+    /// box.
     pub fn build_in_domain(
         domain: Domain,
         points: &[[f64; 3]],
         max_pts_per_leaf: usize,
         max_level: u8,
-    ) -> Octree {
-        let codes = morton_codes(points, &domain).unwrap_or_else(|(point, dim)| {
-            panic!("Octree::build_in_domain: point {point} lies outside the domain along axis {dim}")
-        });
-        let (sorted_codes, perm) = sort_codes(&codes);
+    ) -> Result<Octree, (usize, usize)> {
+        let (sorted_codes, perm) = sort_codes(&morton_codes(points, &domain)?);
 
-        // The refinement loop shared with the distributed builds and the
-        // incremental update; local counts are global here.
+        // The refinement loop shared with the distributed build; local
+        // counts are global here.
         let (nodes, levels) =
             crate::linearize::structure_from_sorted_codes(&sorted_codes, max_pts_per_leaf, max_level);
-        Self::from_parts(domain, nodes, perm, levels)
+        Ok(Self::from_parts(domain, nodes, perm, levels))
     }
 
     /// Assemble a tree from prebuilt parts (used by the distributed driver,
@@ -322,11 +330,12 @@ impl Octree {
     }
 
     /// Gather per-point data (`dim` interleaved components per point) from
-    /// the caller's original point order into Morton order.
-    pub fn to_morton(&self, orig: &[f64], dim: usize) -> Vec<f64> {
-        let mut sorted = vec![0.0; self.perm.len() * dim];
-        for (row, &o) in sorted.chunks_exact_mut(dim).zip(&self.perm) {
-            row.copy_from_slice(&orig[o as usize * dim..(o as usize + 1) * dim]);
+    /// the caller's original point order into Morton order — densities as
+    /// `f64` rows, or the points themselves (`dim = 1`).
+    pub fn to_morton<T: Copy>(&self, orig: &[T], dim: usize) -> Vec<T> {
+        let mut sorted = Vec::with_capacity(self.perm.len() * dim);
+        for &o in &self.perm {
+            sorted.extend_from_slice(&orig[o as usize * dim..(o as usize + 1) * dim]);
         }
         sorted
     }
@@ -386,17 +395,31 @@ mod tests {
         }
     }
 
-    /// A caller's domain that misses a point is a bug at the call site:
-    /// clamping the point into a boundary leaf would pass every
+    /// A caller's domain that misses a point is refused, naming the first
+    /// one: clamping the point into a boundary leaf would pass every
     /// `check_parts` invariant and evaluate the wrong geometry.
     #[test]
-    #[should_panic(expected = "point 41 lies outside the domain along axis 1")]
     fn build_in_domain_refuses_a_point_outside_the_domain() {
         let mut pts = cloud(100);
         let domain = Domain::containing(&pts);
         pts[41][1] = domain.center[1] - 1.5 * domain.half;
         pts[77][0] = domain.center[0] + 2.0 * domain.half;
-        Octree::build_in_domain(domain, &pts, 10, MAX_LEVEL);
+        let built = Octree::build_in_domain(domain, &pts, 10, MAX_LEVEL);
+        assert_eq!(built.map(|t| t.perm.len()), Err((41, 1)));
+    }
+
+    /// `build` fits the cube to the points, so only a non-finite
+    /// coordinate can fall outside it — named even when infinities of
+    /// both signs leave the fitted cube with a NaN centre, outside which
+    /// every point (point 0 first) lies.
+    #[test]
+    #[should_panic(expected = "Octree::build: point 17 is not finite along axis 2")]
+    fn build_panics_naming_a_non_finite_point() {
+        let mut pts = cloud(50);
+        pts[17][2] = f64::NAN;
+        pts[30][0] = f64::INFINITY;
+        pts[31][0] = f64::NEG_INFINITY;
+        Octree::build(&pts, 10, MAX_LEVEL);
     }
 
     #[test]
@@ -480,6 +503,12 @@ mod tests {
             assert_eq!(sorted[si * 3..si * 3 + 3], data[o as usize * 3..o as usize * 3 + 3]);
         }
         assert_eq!(t.from_morton(&sorted, 3), data);
+        // Whole points gather as one row each: the same order.
+        let sorted_pts = t.to_morton(&pts, 1);
+        assert_eq!(sorted_pts.len(), pts.len());
+        for (si, &o) in t.perm.iter().enumerate() {
+            assert_eq!(sorted_pts[si], pts[o as usize]);
+        }
     }
 
     #[test]

@@ -135,9 +135,9 @@ fn main() {
 /// every step presents the identical geometry. When bodies move *relative
 /// to each other* the cache can never hit, and before PR 9 every step
 /// paid full FMM setup. [`PlanCache::get_or_update`] patches the previous
-/// step's plan instead ([`Plan::update_points`]): the nodes are re-sorted
-/// with the old permutation as a near-sorted hint and the operator tables
-/// are shared, so only the changed tree boxes are paid for.
+/// step's plan instead ([`Plan::update_points`]): the tree is rebuilt in
+/// the old root cube and the operator tables are shared, so only the tree
+/// (and, when its boxes changed, the interaction lists) is paid for.
 ///
 /// Physics: the middle sphere of a horizontal row sits in the downwash of
 /// both neighbors and settles faster than the edge spheres (drafting), so

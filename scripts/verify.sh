@@ -247,6 +247,29 @@ if [ -n "$copies" ]; then
 fi
 echo "one-copy gate: OK (one cache map, one rank map, one level rule, one pinv)"
 
+# 5m. One-tree-build gate: a patched tree is a fresh build over the old
+#     root cube — `update_octree` calls `Octree::build_in_domain` and
+#     neither encodes, sorts nor refines itself outside its test module.
+#     The removed second sort (the displaced-pair sort and its switch
+#     percentage) and the second and third ways to shape an
+#     `ExpansionStore` may not come back.
+rebuilds=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /Octree::build_in_domain\(/ { built = 1 }
+    /morton_codes\(|sort_codes\(|structure_from_sorted_codes\(/ { print FILENAME ":" FNR ": " $0 }
+    END { if (!built) print "update.rs: update_octree does not call Octree::build_in_domain" }
+' crates/kifmm-tree/src/update.rs)
+twins=$(grep -rnE 'FULL_SORT_PERCENT|sort_pairs|ExpansionStore::new|with_nrhs' \
+    crates tests examples || true)
+if [ -n "$rebuilds$twins" ]; then
+    echo "FAIL: a second tree derivation in update.rs or a removed twin reintroduced:"
+    echo "$rebuilds"
+    echo "$twins"
+    exit 1
+fi
+echo "one-tree-build gate: OK (update_octree builds through Octree::build_in_domain)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
@@ -288,8 +311,8 @@ echo "trace-cost gate: OK"
 #    serial `Octree::build` (keys, levels, global counts) at every rank
 #    count P ∈ {1, 2, 4, 8}, and the incremental plan update (1% point
 #    motion) must cost at most half of a from-scratch rebuild (the
-#    1M-point run lands near 0.18; the small-N geometry pays the same
-#    fixed overheads over far less work) — and exits nonzero otherwise.
+#    1M-point run lands at 0.27–0.39, this N near 0.19) — and exits
+#    nonzero otherwise.
 KIFMM_N=30000 cargo run -q --release --offline --example tree_build > /dev/null
 echo "tree-build gate: OK"
 
