@@ -226,6 +226,28 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         LeafTargets { points: self.targets, ranges: &self.active.leaves }
     }
 
+    /// The one batch check of every driver: a batch holds at least one
+    /// density vector, each with `src_dim` entries per engine point (in
+    /// the caller's point order). Panics before any work otherwise;
+    /// returns the batch in Morton order.
+    pub fn sort_batch(&self, densities: &[&[f64]]) -> Vec<Vec<f64>> {
+        assert!(!densities.is_empty(), "a batch holds at least one density vector");
+        let sd = self.kernel.src_dim();
+        for d in densities {
+            assert!(
+                d.len() == self.targets.len() * sd,
+                "each density vector must have src_dim entries per point"
+            );
+        }
+        densities.iter().map(|d| self.tree.to_morton(d, sd)).collect()
+    }
+
+    /// The engine's own points as the sources of a Morton-ordered batch
+    /// (from [`PassEngine::sort_batch`]).
+    pub fn sources<'b>(&'b self, dens: &'b [&'b [f64]]) -> LocalSources<'b> {
+        LocalSources { tree: self.tree, points: self.targets, dens, src_dim: self.kernel.src_dim() }
+    }
+
     /// Number of active boxes the upward pass touches (levels ≥ 2).
     pub fn active_cell_count(&self) -> u64 {
         self.active.levels.iter().skip(FIRST_FMM_LEVEL as usize).map(|l| l.len() as u64).sum()

@@ -208,7 +208,7 @@ impl<'a, K: Kernel> FmmBuilder<'a, K> {
     }
 
     /// Build only the immutable [`Plan`] (tree, lists, operator tables) —
-    /// the shareable setup artifact of the plan/execute split. The tracer
+    /// the shareable set-up artifact; [`Session`]s evaluate. The tracer
     /// set on this builder belongs to a [`Session`] and is not part of the
     /// plan; open sessions over the plan to evaluate.
     pub fn try_plan(self) -> Result<Plan<K>, BuildError> {

@@ -17,8 +17,9 @@
 //!    densities, and the downward equivalent density, all evaluated at the
 //!    targets.
 //!
-//! All pass mathematics lives in [`crate::engine`]; the setup/execute
-//! split lives in [`crate::plan`]. [`Fmm`] is an alias of [`Session`]:
+//! All pass mathematics lives in [`crate::engine`]; set-up ([`Plan`]) and
+//! evaluation ([`Session`]) live in [`crate::plan`]. [`Fmm`] is an alias
+//! of [`Session`]:
 //! `Fmm::builder(kernel).points(&pts).build()` returns a `Session` over a
 //! freshly built [`Plan`], ready for `eval`/`eval_many`/`evaluate_at`.
 //! Callers that evaluate from many threads or reuse setup across requests

@@ -1,4 +1,4 @@
-//! Plan/execute split: [`Plan`], [`Session`] and [`PlanCache`].
+//! Set-up and evaluation apart: [`Plan`], [`Session`] and [`PlanCache`].
 //!
 //! Building an FMM is expensive (tree, interaction lists, pseudoinverse
 //! inversions, M2L tensor FFTs); evaluating one is cheap and, in the
@@ -11,21 +11,20 @@
 //! * a [`Session`] is a cheap front end over an `Arc<Plan>` holding the
 //!   *mutable* per-evaluation state (expansion stores and workspaces
 //!   checked out of a [`Pool`], one per evaluation in flight) plus the
-//!   execution policy (tracer, serial/pool dispatch);
+//!   execution policy (tracer, serial/pool dispatch); `eval_many` and
+//!   `evaluate_at` run through its one evaluation body;
 //! * a [`PlanCache`] memoizes plans by
 //!   `(kernel id, order, output, leaf capacity, depth cap, root cube,
 //!   geometry)` with an LRU byte bound, so a service answering repeated
 //!   requests against recurring geometries skips setup entirely on a warm
 //!   hit — and gets, bit for bit, the plan a miss would have built.
 
-use crate::engine::{
-    ActiveSet, EngineWorkspace, ExpansionStore, LocalSources, PassEngine, Scratch,
-};
+use crate::engine::{ActiveSet, LeafTargets, PassEngine, Scratch};
 use crate::evaluator::{EvalReport, FmmBuilder};
 use crate::fmm::FmmOptions;
 use crate::operators::FIRST_FMM_LEVEL;
 use crate::precompute::{Precomputed, PrecomputeCache};
-use crate::stats::{Meter, Phase};
+use crate::stats::{Meter, Phase, PhaseStats};
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_runtime::{par_map, Dispatch, Pool};
 use kifmm_tree::{
@@ -170,9 +169,9 @@ impl PlanKey {
 
 /// Everything FMM setup produces for one `(kernel, options, point set)`:
 /// tree, interaction lists, Morton-sorted points, precomputed inversions
-/// and M2L tables. Immutable and `Send + Sync` — any number of threads
-/// may [`Plan::execute`] against one plan concurrently (each execution
-/// brings its own [`ExpansionStore`]/[`EngineWorkspace`]).
+/// and M2L tables — set-up data only. Immutable and `Send + Sync`: any
+/// number of [`Session`]s evaluate against one plan concurrently, each
+/// bringing its own scratch.
 pub struct Plan<K: Kernel> {
     pub(crate) kernel: K,
     pub(crate) opts: FmmOptions,
@@ -187,7 +186,6 @@ pub struct Plan<K: Kernel> {
     pub(crate) sorted_points: Vec<Point3>,
     /// Every box is active: a plan covers the whole tree.
     pub(crate) active: ActiveSet,
-    geometry: u64,
 }
 
 impl<K: Kernel> Plan<K> {
@@ -225,8 +223,8 @@ impl<K: Kernel> Plan<K> {
     }
 
     /// What both constructors end with: the points permuted into Morton
-    /// order, the all-active set and the geometry hash, over a finished
-    /// tree, lists and operator tables.
+    /// order and the all-active set, over a finished tree, lists and
+    /// operator tables.
     fn over(
         kernel: K,
         opts: FmmOptions,
@@ -237,8 +235,7 @@ impl<K: Kernel> Plan<K> {
     ) -> Self {
         let sorted_points = tree.to_morton(points, 1);
         let active = ActiveSet::build(&tree, |_| true);
-        let geometry = geometry_hash(points);
-        Plan { kernel, opts, tree, lists, pre, sorted_points, active, geometry }
+        Plan { kernel, opts, tree, lists, pre, sorted_points, active }
     }
 
     /// Patch this plan for a moved point set instead of rebuilding it:
@@ -279,11 +276,6 @@ impl<K: Kernel> Plan<K> {
         Ok(Self::over(self.kernel.clone(), self.opts, tree, lists, self.pre.clone(), new_points))
     }
 
-    /// [`geometry_hash`] of the point set the plan was built over.
-    pub fn geometry_hash(&self) -> u64 {
-        self.geometry
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.sorted_points.len()
@@ -314,17 +306,30 @@ impl<K: Kernel> Plan<K> {
         &self.sorted_points
     }
 
-    /// Estimated resident bytes of the plan — the quantity [`PlanCache`]
-    /// budgets its LRU bound against: tree, lists and points from their
-    /// lengths, operator tables as [`Precomputed::bytes`] reports them.
+    /// Estimated resident bytes of the plan: tree, lists and points from
+    /// their lengths, operator tables as [`Precomputed::bytes`] reports
+    /// them.
     pub fn approx_bytes(&self) -> usize {
+        self.parts().iter().map(|&(_, bytes)| bytes).sum()
+    }
+
+    /// [`Plan::approx_bytes`] in three parts, each under the address that
+    /// identifies it: the plan's own tree and points, its lists and its
+    /// operator tables. The last two are `Arc`s a patched plan shares with
+    /// its base ([`Plan::update_points`]), so [`PlanCache`] charges each
+    /// address once.
+    fn parts(&self) -> [(usize, usize); 3] {
         let tree = self.tree.num_nodes() * 96 + self.len() * 4;
         let lists: usize = [&self.lists.u, &self.lists.v, &self.lists.w, &self.lists.x]
             .iter()
             .map(|l| l.iter().map(Vec::len).sum::<usize>() * 4 + l.len() * 24)
             .sum();
         let points = self.sorted_points.len() * 24;
-        self.pre.bytes() + tree + lists + points
+        [
+            (self as *const Self as usize, tree + points),
+            (Arc::as_ptr(&self.lists) as usize, lists),
+            (Arc::as_ptr(&self.pre) as usize, self.pre.bytes()),
+        ]
     }
 
     /// Borrow the prepared state into a [`PassEngine`] under the given
@@ -340,91 +345,6 @@ impl<K: Kernel> Plan<K> {
             dispatch,
             &self.active,
         )
-    }
-
-    /// The far-field half of an evaluation — Up → M2L → X → L2L — for the
-    /// Morton-sorted batch in `src`, every pass charged through `meter`.
-    /// Reshapes `store` for the batch and leaves its `up`/`down` rows
-    /// final: [`Plan::execute`] and [`Session::evaluate_at`] both run
-    /// [`PassEngine::leaf_phase`] from here, at their own targets.
-    pub(crate) fn far_field(
-        &self,
-        engine: &PassEngine<'_, K>,
-        src: &LocalSources<'_>,
-        store: &mut ExpansionStore,
-        ws: &mut EngineWorkspace,
-        meter: &mut Meter<'_>,
-    ) {
-        engine.prepare_store(store, src.dens.len());
-        let depth = self.tree.depth();
-        if depth < FIRST_FMM_LEVEL {
-            return;
-        }
-        meter.compute(Phase::Up, "Up", None, || engine.upward(src, store, ws));
-        meter.touched(engine.active_cell_count());
-        for level in FIRST_FMM_LEVEL..=depth {
-            meter.compute(Phase::DownV, "m2l", Some(level), || engine.m2l_level(level, store, ws));
-        }
-        meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(src, store));
-        meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
-    }
-
-    /// Execute the plan for a batch of `k = densities.len()` charge
-    /// vectors (each in original point order, `SRC_DIM` interleaved
-    /// components per point), running every FMM pass **once** over the
-    /// whole batch: the per-level translation GEMMs widen their column
-    /// blocks `k`-fold, the FFT M2L reuses each direction tensor across
-    /// the batch, and the dense passes share pair geometry through
-    /// [`Kernel::p2p_many`]. Returns one report per RHS (original point
-    /// order), each carrying the per-phase statistics of the batch.
-    ///
-    /// Each output vector is bit-identical to what a single-RHS execution
-    /// of that density vector produces (asserted in tests); `k = 1` is the
-    /// same code with a batch of one.
-    ///
-    /// The caller provides the mutable evaluation state; `store`/`ws` are
-    /// reshaped as needed ([`Session`] pools them, so steady-state
-    /// evaluations allocate only their output vectors).
-    ///
-    /// Phase seconds are on the [`Meter`]'s clock for `dispatch`; flop
-    /// counts come from the engine and are identical for both policies.
-    /// Gradients (`trg_dim·3` interleaved per point) are produced only when
-    /// the plan was built with [`crate::OutputSpec::PotentialAndGradient`].
-    pub fn execute(
-        &self,
-        densities: &[&[f64]],
-        dispatch: Dispatch,
-        trace: &Tracer,
-        store: &mut ExpansionStore,
-        ws: &mut EngineWorkspace,
-    ) -> Vec<EvalReport> {
-        assert!(!densities.is_empty(), "at least one density vector");
-        let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        for d in densities {
-            assert_eq!(
-                d.len(),
-                self.len() * sd,
-                "each density vector must have src_dim entries per point"
-            );
-        }
-        let rt = trace.rank(0);
-        let mut meter = Meter::new(&rt, dispatch);
-        let dens_sorted: Vec<Vec<f64>> =
-            densities.iter().map(|d| self.tree.to_morton(d, sd)).collect();
-        let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(Vec::as_slice).collect();
-        let engine = self.engine(dispatch);
-        let src = LocalSources {
-            tree: &self.tree,
-            points: &self.sorted_points,
-            dens: &dens_refs,
-            src_dim: sd,
-        };
-        self.far_field(&engine, &src, store, ws, &mut meter);
-
-        let wants_grad = self.opts.output.wants_gradient();
-        let (pots, grads) =
-            engine.leaf_phase(&src, store, engine.own_targets(), wants_grad, &mut meter);
-        EvalReport::assemble(&self.tree, td, pots, grads, &meter.stats, trace)
     }
 }
 
@@ -442,7 +362,7 @@ pub struct Session<K: Kernel> {
     plan: Arc<Plan<K>>,
     pool: Pool<Scratch>,
     trace: Tracer,
-    dispatch: Dispatch,
+    pub(crate) dispatch: Dispatch,
 }
 
 impl<K: Kernel> Session<K> {
@@ -489,34 +409,70 @@ impl<K: Kernel> Session<K> {
         self.dispatch = if parallel { Dispatch::Pool } else { Dispatch::Serial };
     }
 
-    pub(crate) fn dispatch(&self) -> Dispatch {
-        self.dispatch
-    }
-
-    /// Run `f` on a scratch pair checked out of the pool (a fresh one when
-    /// none is idle), returning the pair afterwards. A pair whose
-    /// evaluation panics is dropped, never pooled.
-    pub(crate) fn with_scratch<T>(
-        &self,
-        f: impl FnOnce(&mut ExpansionStore, &mut EngineWorkspace) -> T,
-    ) -> T {
-        self.pool.with(Scratch::default, |(store, ws)| f(store, ws))
-    }
-
     /// Evaluate potentials for one density vector (original point order,
     /// `SRC_DIM` interleaved components per point).
     pub fn eval(&self, densities: &[f64]) -> EvalReport {
         self.eval_many(&[densities]).pop().expect("one report per RHS")
     }
 
-    /// Evaluate a batch of `k` density vectors through **one** set of FMM
-    /// passes (see [`Plan::execute`]). Returns one report per RHS; the
-    /// per-phase statistics describe the shared batch execution and are
-    /// carried by every report.
+    /// Evaluate a batch of `k = densities.len()` charge vectors (each in
+    /// original point order, `SRC_DIM` interleaved components per point),
+    /// running every FMM pass **once** over the whole batch: the per-level
+    /// translation GEMMs widen their column blocks `k`-fold, the FFT M2L
+    /// reuses each direction tensor across the batch, and the dense passes
+    /// share pair geometry through [`Kernel::p2p_many`]. Returns one report
+    /// per RHS (original point order), each carrying the per-phase
+    /// statistics of the shared batch execution.
+    ///
+    /// Each output vector is bit-identical to what a single-RHS evaluation
+    /// of that density vector produces (asserted in tests); `k = 1` is the
+    /// same code with a batch of one. Gradients (`trg_dim·3` interleaved
+    /// per point) are produced only when the plan was built with
+    /// [`crate::OutputSpec::PotentialAndGradient`].
     pub fn eval_many(&self, densities: &[&[f64]]) -> Vec<EvalReport> {
-        self.with_scratch(|store, ws| {
-            self.plan.execute(densities, self.dispatch(), &self.trace, store, ws)
-        })
+        let engine = self.plan.engine(self.dispatch);
+        let dens = engine.sort_batch(densities);
+        let wants_grad = self.opts.output.wants_gradient();
+        let (pots, grads, stats) = self.evaluate(&engine, &dens, engine.own_targets(), wants_grad);
+        EvalReport::assemble(&self.tree, self.kernel.trg_dim(), pots, grads, &stats, &self.trace)
+    }
+
+    /// The one evaluation body: the far field of the Morton-ordered batch
+    /// `dens` (from [`PassEngine::sort_batch`]) — Up → M2L → X → L2L —
+    /// then the leaf phase at `at`, every pass charged through one
+    /// [`Meter`] on one scratch pair checked out of the pool (a fresh one
+    /// when none is idle; a pair whose evaluation panics is dropped, never
+    /// pooled). Returns one potential vector per RHS indexed like
+    /// `at.points`, the gradients likewise when `wants_grad` (else none),
+    /// and the batch's statistics. Phase seconds are on the meter's clock
+    /// for the session's dispatch; flop counts are the same under both.
+    pub(crate) fn evaluate(
+        &self,
+        engine: &PassEngine<'_, K>,
+        dens: &[Vec<f64>],
+        at: LeafTargets<'_>,
+        wants_grad: bool,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, PhaseStats) {
+        let dens: Vec<&[f64]> = dens.iter().map(Vec::as_slice).collect();
+        let src = engine.sources(&dens);
+        let depth = self.tree.depth();
+        let rt = self.trace.rank(0);
+        let mut meter = Meter::new(&rt, self.dispatch);
+        let (pots, grads) = self.pool.with(Scratch::default, |(store, ws)| {
+            engine.prepare_store(store, dens.len());
+            if depth >= FIRST_FMM_LEVEL {
+                meter.compute(Phase::Up, "Up", None, || engine.upward(&src, store, ws));
+                meter.touched(engine.active_cell_count());
+                for level in FIRST_FMM_LEVEL..=depth {
+                    let m2l = || engine.m2l_level(level, store, ws);
+                    meter.compute(Phase::DownV, "m2l", Some(level), m2l);
+                }
+                meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&src, store));
+                meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
+            }
+            engine.leaf_phase(&src, store, at, wants_grad, &mut meter)
+        });
+        (pots, grads, meter.stats)
     }
 }
 
@@ -536,12 +492,25 @@ impl<K: Kernel> std::ops::Deref for Session<K> {
 /// the cell stays empty and the next caller builds.
 type Flight<K> = Arc<OnceLock<Result<Arc<Plan<K>>, Option<BuildError>>>>;
 
-/// A key's place in the cache: its flight, and once that holds a plan,
-/// the plan's bytes (0 while in flight) and last-use stamp.
+/// A key's place in the cache: its flight and its last-use stamp.
 struct Slot<K: Kernel> {
     flight: Flight<K>,
-    bytes: usize,
     stamp: u64,
+}
+
+impl<K: Kernel> Slot<K> {
+    /// The slot's plan, once its flight has built one.
+    fn plan(&self) -> Option<&Arc<Plan<K>>> {
+        self.flight.get()?.as_ref().ok()
+    }
+}
+
+/// The bytes the resident plans hold, each shared part counted once
+/// ([`Plan::parts`]).
+fn resident_bytes<K: Kernel>(slots: &HashMap<PlanKey, Slot<K>>) -> usize {
+    let parts: HashMap<usize, usize> =
+        slots.values().filter_map(Slot::plan).flat_map(|p| p.parts()).collect();
+    parts.values().sum()
 }
 
 /// An LRU-bounded memoization of [`Plan`]s keyed by [`PlanKey`]. One
@@ -565,7 +534,8 @@ pub struct PlanCache<K: Kernel> {
 
 impl<K: Kernel> PlanCache<K> {
     /// Cache bounded to roughly `max_bytes` of resident plan memory
-    /// ([`Plan::approx_bytes`]); the least-recently-used plans are evicted
+    /// ([`Plan::approx_bytes`], with the operator tables and lists that
+    /// plans share charged once); the least-recently-used plans are evicted
     /// once the bound is exceeded (the most recent plan is always kept).
     pub fn new(max_bytes: usize) -> Self {
         PlanCache {
@@ -601,7 +571,7 @@ impl<K: Kernel> PlanCache<K> {
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.slots().values().filter(|s| s.bytes > 0).count()
+        self.slots().values().filter(|s| s.plan().is_some()).count()
     }
 
     /// True when no plan is resident.
@@ -698,7 +668,7 @@ impl<K: Kernel> PlanCache<K> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let flight = {
             let mut slots = self.slots();
-            let empty = || Slot { flight: Default::default(), bytes: 0, stamp };
+            let empty = || Slot { flight: Default::default(), stamp };
             let slot = slots.entry(key).or_insert_with(empty);
             slot.stamp = stamp;
             slot.flight.clone()
@@ -715,25 +685,21 @@ impl<K: Kernel> PlanCache<K> {
             return result;
         }
         let mut slots = self.slots();
-        let Ok(plan) = &result else {
+        if result.is_err() {
             // A later caller may already have put a new slot under the key.
             if slots.get(&key).is_some_and(|s| Arc::ptr_eq(&s.flight, &flight)) {
                 slots.remove(&key);
             }
             return result;
-        };
-        // Eviction passes over a slot in flight, and only a failed flight's
-        // slot is dropped, so the slot that ran the build is still there.
-        slots.get_mut(&key).expect("a slot in flight is never evicted").bytes = plan.approx_bytes();
-        let mut total: usize = slots.values().map(|s| s.bytes).sum();
-        while total > self.max_bytes {
+        }
+        while resident_bytes(&slots) > self.max_bytes {
             let lru = slots
                 .iter()
-                .filter(|(k, s)| s.bytes > 0 && **k != key)
+                .filter(|(k, s)| s.plan().is_some() && **k != key)
                 .min_by_key(|(_, s)| s.stamp)
                 .map(|(k, _)| *k);
             let Some(victim) = lru else { break };
-            total -= slots.remove(&victim).map_or(0, |s| s.bytes);
+            slots.remove(&victim);
         }
         result
     }
@@ -795,7 +761,7 @@ mod tests {
         let upd = plan.update_points(&pts).unwrap();
         assert!(upd.tree.structure_eq(&plan.tree));
         assert_eq!(upd.lists, plan.lists);
-        assert_eq!(upd.geometry_hash(), plan.geometry_hash());
+        assert_eq!(upd.morton_points(), plan.morton_points());
         let d = densities(800, 1, 3);
         let a = Session::from_plan(plan).eval(&d).potentials;
         let b = Session::from_plan(upd).eval(&d).potentials;
@@ -1276,6 +1242,37 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (2, 4), "B was the victim");
     }
 
+    /// Patches share their base's operator tables (and its lists while
+    /// the boxes are unchanged): the byte bound charges each shared part
+    /// once, so a base and three patches fit in 1.1 × (one table set plus
+    /// the four plans' own bytes), where a charge per plan keeps only one.
+    #[test]
+    fn plan_cache_charges_shared_tables_once() {
+        let pts = cloud(900, 45);
+        let base = Plan::try_new(Laplace, &pts, opts_small()).unwrap();
+        let center = base.tree.domain.center;
+        let moved: Vec<Vec<Point3>> =
+            [0.999, 0.998, 0.997].map(|f| shrink_toward(&pts, center, f)).to_vec();
+        let tables = base.pre.bytes();
+        let own: usize = std::iter::once(base.approx_bytes())
+            .chain(moved.iter().map(|m| base.update_points(m).unwrap().approx_bytes()))
+            .map(|b| b - tables)
+            .sum();
+        let bound = (tables + own) * 11 / 10;
+        assert!(4 * tables + own > bound, "a charge per plan must overflow the bound");
+        let cache = PlanCache::new(bound);
+        let base = cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
+        for m in &moved {
+            cache.get_or_update(&base, m).unwrap();
+        }
+        assert_eq!((cache.misses(), cache.updates(), cache.len()), (1, 3, 4));
+        cache.get_or_plan(&Laplace, &pts, opts_small()).unwrap();
+        for m in &moved {
+            cache.get_or_update(&base, m).unwrap();
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.updates()), (4, 1, 3), "all four stayed");
+    }
+
     /// Inhomogeneous kernels hold one set of 316 M2L tensors and one
     /// operator block per level; the LRU budget must charge every level of
     /// both, and a homogeneous kernel's single table must not grow with
@@ -1379,14 +1376,20 @@ mod tests {
         assert_eq!((cache.misses(), cache.hits(), cache.len()), (2, 0, 2));
     }
 
-    /// An evaluation that panics with a scratch pair checked out (a
-    /// wrong-length second density) drops that pair: the session stays
+    /// An evaluation that panics with a scratch pair checked out (its
+    /// kernel panics inside the passes) drops that pair: the session stays
     /// usable and its next evaluations match a fresh session bit for bit.
     #[test]
     fn a_panicking_evaluation_leaves_the_scratch_pool_usable() {
         let pts = cloud(500, 41);
         let d = densities(500, 1, 4);
-        let plan = Arc::new(Plan::try_new(Laplace, &pts, opts_small()).unwrap());
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = fail.clone();
+        let kernel = kifmm_kernels::CustomKernel::new("failing", 1, 1, Some(-1.0), move |x, y, g| {
+            assert!(!flag.load(Ordering::Relaxed), "kernel failure");
+            Kernel::eval(&Laplace, x, y, g)
+        });
+        let plan = Arc::new(Plan::try_new(kernel, &pts, opts_small()).unwrap());
         for parallel in [false, true] {
             let fresh = |parallel| {
                 let mut s = Session::new(plan.clone());
@@ -1396,11 +1399,10 @@ mod tests {
             let expect = fresh(parallel).eval(&d).potentials;
             let session = fresh(parallel);
             session.eval(&d);
-            let short = &d[..499];
-            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.eval_many(&[&d, short])
-            }));
-            assert!(hit.is_err(), "a wrong-length density must panic");
+            fail.store(true, Ordering::Relaxed);
+            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.eval(&d)));
+            fail.store(false, Ordering::Relaxed);
+            assert!(hit.is_err(), "a failing kernel must panic");
             for _ in 0..2 {
                 assert!(session.eval(&d).potentials == expect, "parallel = {parallel}");
             }

@@ -136,8 +136,9 @@ impl PhaseStats {
 }
 
 /// The one place a pass is charged. Every driver — serial and pool
-/// (`Plan::execute`), distributed (`ParallelFmm::eval_many`) — runs each
-/// pass through [`Meter::compute`] and each communication step through
+/// (`Session`'s one evaluation body), distributed
+/// (`ParallelFmm::eval_many`) — runs each pass through
+/// [`Meter::compute`] and each communication step through
 /// [`Meter::comm`], so the span timeline, [`PhaseStats`] and
 /// [`Counter::Flops`] are sinks of the same event and cannot drift apart.
 /// An evaluation's traffic is charged the same way, once, through

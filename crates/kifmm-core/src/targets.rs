@@ -16,9 +16,8 @@
 //! computational domain) fall back to exact direct summation — correct
 //! always, and rare when targets live near the geometry.
 
-use crate::engine::{LeafTargets, LocalSources};
+use crate::engine::LeafTargets;
 use crate::plan::Session;
-use crate::stats::Meter;
 use kifmm_kernels::{Kernel, Point3};
 use kifmm_tree::{point_in_domain, point_key, MAX_LEVEL};
 
@@ -26,12 +25,12 @@ impl<K: Kernel> Session<K> {
     /// Evaluate the potential at arbitrary `targets` (not necessarily the
     /// source points). Returns `TRG_DIM` components per target. The
     /// targets are binned by the leaf box containing them and read the far
-    /// field through the same leaf passes as [`Session::eval`], under this
-    /// session's dispatch, tracer and pooled scratch.
+    /// field through the same evaluation body as [`Session::eval`], under
+    /// this session's dispatch, tracer and pooled scratch.
     pub fn evaluate_at(&self, densities: &[f64], targets: &[Point3]) -> Vec<f64> {
-        let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        assert_eq!(densities.len(), self.len() * sd, "density length");
-        let dens = self.tree.to_morton(densities, sd);
+        let engine = self.engine(self.dispatch);
+        let dens = engine.sort_batch(&[densities]);
+        let td = self.kernel.trg_dim();
         let (tree, domain) = (&self.tree, self.tree.domain);
         // `(leaf, target)` of every target a leaf serves; the others —
         // outside the domain cube, or in a source-free pocket of an
@@ -57,27 +56,15 @@ impl<K: Kernel> Session<K> {
                     _ => ranges.push((ni, j, j + 1)),
                 }
             }
-            let engine = self.engine(self.dispatch());
-            let src = LocalSources {
-                tree,
-                points: &self.sorted_points,
-                dens: &[&dens],
-                src_dim: sd,
-            };
-            let rt = self.trace().rank(0);
-            let mut meter = Meter::new(&rt, self.dispatch());
-            let (pots, _) = self.with_scratch(|store, ws| {
-                self.far_field(&engine, &src, store, ws, &mut meter);
-                let at = LeafTargets { points: &points, ranges: &ranges };
-                engine.leaf_phase(&src, store, at, false, &mut meter)
-            });
+            let at = LeafTargets { points: &points, ranges: &ranges };
+            let (pots, _, _) = self.evaluate(&engine, &dens, at, false);
             for (row, &(_, ti)) in pots[0].chunks_exact(td).zip(&binned) {
                 out[ti * td..(ti + 1) * td].copy_from_slice(row);
             }
         }
         for ti in exact {
             let slot = &mut out[ti * td..(ti + 1) * td];
-            self.kernel.p2p(&targets[ti..=ti], &self.sorted_points, &dens, slot);
+            self.kernel.p2p(&targets[ti..=ti], &self.sorted_points, &dens[0], slot);
         }
         out
     }

@@ -125,14 +125,19 @@ pub(crate) fn radial_p2p_grad_many(
 #[inline]
 pub(crate) fn stokeslet_block(x: Point3, y: Point3, block: &mut [f64], c: f64, a: f64) {
     debug_assert_eq!(block.len(), 9);
-    let (dx, dy, dz, r2) = displacement(x, y);
+    let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
     if r2 == 0.0 {
         block.fill(0.0);
         return;
     }
     let r = r2.sqrt();
     let iso = c * a / r;
-    let inv_r3 = c / (r2 * r);
+    let mut inv_r3 = c / (r2 * r);
+    if !inv_r3.is_normal() {
+        // `r³` left f64's normal range (|r| beyond about 1e±102): the
+        // same term as (d/r)⊗(d/r)·c/r.
+        (dx, dy, dz, inv_r3) = (dx / r, dy / r, dz / r, c / r);
+    }
     block[0] = iso + dx * dx * inv_r3;
     block[1] = dx * dy * inv_r3;
     block[2] = dx * dz * inv_r3;
@@ -195,14 +200,19 @@ pub(crate) fn stokeslet_p2p_many(
         for (ti, &x) in targets.iter().enumerate() {
             let mut acc = [[0.0f64; 3]; SWEEP];
             for (si, &y) in sources.iter().enumerate() {
-                let (dx, dy, dz, r2) = displacement(x, y);
+                let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
                 if r2 == 0.0 {
                     continue;
                 }
                 let r = r2.sqrt();
                 let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
+                let mut inv_r3 = inv_r / r2;
                 let iso = a * inv_r;
+                if !inv_r3.is_normal() {
+                    // As in `stokeslet_block`: the unit vector carries the
+                    // r⊗r/r³ term where 1/r³ is out of range.
+                    (dx, dy, dz, inv_r3) = (dx * inv_r, dy * inv_r, dz * inv_r, inv_r);
+                }
                 for (u, d) in acc.iter_mut().zip(dens) {
                     let (f0, f1, f2) = (d[3 * si], d[3 * si + 1], d[3 * si + 2]);
                     let rdotf = dx * f0 + dy * f1 + dz * f2;

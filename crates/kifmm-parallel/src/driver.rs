@@ -35,13 +35,14 @@
 //! progress whenever the driver touches them between compute stages,
 //! matching the paper's "logically separated" design while keeping
 //! communication under compute. Every box's check potentials accumulate
-//! M2L first and X second, as in `Plan::far_field`, and every target's
-//! V list is summed in list order whichever of the two M2L sweeps it
-//! falls in — what differs from the serial evaluator is only that the
-//! upward equivalents of a shared box are the owner's sum of per-rank
-//! partials. At P = 1 there are no partials, and both drivers sort their
-//! points through `kifmm_tree::sort_codes`: the potentials are
-//! bit-identical to serial on every cloud, coincident points included.
+//! M2L first and X second, as in the shared-memory evaluation body
+//! (`Session::eval_many`), and every target's V list is summed in list
+//! order whichever of the two M2L sweeps it falls in — what differs
+//! from the serial evaluator is only that the upward equivalents of a
+//! shared box are the owner's sum of per-rank partials. At P = 1 there
+//! are no partials, and both drivers sort their points through
+//! `kifmm_tree::sort_codes`: the potentials are bit-identical to serial
+//! on every cloud, coincident points included.
 //!
 //! The traffic an evaluation moved is read off the substrate's one ledger
 //! ([`Comm::stats`]) at its entry and exit and charged once, through
@@ -59,7 +60,7 @@
 use crate::exchange::{drive, Combine, ExchangeRoute, UserKind};
 use crate::global_tree::{build_distributed_tree_with, DistributedTree};
 use crate::ownership::Ownership;
-use kifmm_core::engine::{ActiveSet, LocalSources, PassEngine, Scratch, SourceProvider};
+use kifmm_core::engine::{ActiveSet, PassEngine, Scratch, SourceProvider};
 use kifmm_core::{
     BuildError, EvalReport, FmmOptions, Meter, Phase, PrecomputeCache,
     Precomputed, FIRST_FMM_LEVEL,
@@ -358,28 +359,17 @@ impl<K: Kernel> ParallelFmm<K> {
     /// whole `es·k` blocks. Returns one [`EvalReport`] per RHS, in input
     /// order (each report carries the shared per-sweep [`kifmm_core::PhaseStats`]).
     pub fn eval_many(&self, comm: &Comm, densities: &[&[f64]]) -> Vec<EvalReport> {
-        let k = densities.len();
-        assert!(k >= 1, "at least one right-hand side");
+        let engine = self.engine();
+        let dens_sorted = engine.sort_batch(densities);
+        let k = dens_sorted.len();
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
-        for d in densities {
-            assert_eq!(d.len(), self.local_len() * sd, "density length");
-        }
         let tree = &self.dtree.tree;
         let depth = tree.depth();
         let rt = self.trace.rank(comm.rank());
         let mut meter = Meter::new(&rt, Dispatch::Serial);
         let ledger = comm.stats();
-
-        let dens_sorted: Vec<Vec<f64>> = densities.iter().map(|d| tree.to_morton(d, sd)).collect();
-        let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(|v| v.as_slice()).collect();
-
-        let engine = self.engine();
-        let local_src = LocalSources {
-            tree,
-            points: &self.dtree.sorted_points,
-            dens: &dens_refs,
-            src_dim: sd,
-        };
+        let dens_refs: Vec<&[f64]> = dens_sorted.iter().map(Vec::as_slice).collect();
+        let local_src = engine.sources(&dens_refs);
         let (pots, grads) = self.scratch.with(Scratch::default, |(store, ws)| {
             engine.prepare_store(store, k);
 

@@ -51,24 +51,26 @@ pub fn gmres(
     }
     let mut x = x0.map(|v| v.to_vec()).unwrap_or_else(|| vec![0.0; n]);
     let m = opts.restart.max(1);
+    // The residual r = b − A x that starts a cycle: b itself for a zero
+    // guess (no product), and after every cycle the true residual, which
+    // is that cycle's convergence test too.
     let mut total_iters = 0usize;
-    let mut rel = f64::INFINITY;
-
-    'outer: while total_iters < opts.max_iter {
-        // r = b − A x
-        let ax = matvec(&x);
-        total_iters += 1;
-        let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-        let beta = norm(&r);
-        rel = beta / bnorm;
-        if rel <= opts.tol {
-            break;
+    let mut r = match x0 {
+        Some(x0) => {
+            total_iters += 1;
+            residual(&matvec, b, x0)
         }
+        None => b.to_vec(),
+    };
+    let mut beta = norm(&r);
+    let mut rel = beta / bnorm;
+
+    while rel > opts.tol && total_iters < opts.max_iter {
         for v in &mut r {
             *v /= beta;
         }
         // Arnoldi basis and Hessenberg factors.
-        let mut basis: Vec<Vec<f64>> = vec![r];
+        let mut basis: Vec<Vec<f64>> = vec![std::mem::take(&mut r)];
         let mut h: Vec<Vec<f64>> = Vec::new(); // h[j] has j+2 entries
         let mut cs: Vec<f64> = Vec::new();
         let mut sn: Vec<f64> = Vec::new();
@@ -114,12 +116,10 @@ pub fn gmres(
             if rel <= opts.tol || breakdown {
                 break;
             }
-            if !breakdown {
-                for v in &mut w {
-                    *v /= hlast;
-                }
-                basis.push(w);
+            for v in &mut w {
+                *v /= hlast;
             }
+            basis.push(w);
         }
         // Back-substitute y from the triangularized system.
         let mut y = vec![0.0; k_used];
@@ -135,19 +135,23 @@ pub fn gmres(
                 *xv += yj * vv;
             }
         }
-        if rel <= opts.tol {
-            // Recompute the true residual to guard against drift.
-            let ax = matvec(&x);
-            total_iters += 1;
-            let r: f64 =
-                b.iter().zip(&ax).map(|(bi, ai)| (bi - ai) * (bi - ai)).sum::<f64>().sqrt();
-            rel = r / bnorm;
-            if rel <= opts.tol {
-                break 'outer;
-            }
+        // The true residual tests this cycle (an estimate that drifted
+        // below `tol` fails it) and starts the next; with the budget spent
+        // and the estimate above `tol` there is no next cycle.
+        if rel > opts.tol && total_iters >= opts.max_iter {
+            break;
         }
+        r = residual(&matvec, b, &x);
+        total_iters += 1;
+        beta = norm(&r);
+        rel = beta / bnorm;
     }
     GmresResult { x, iterations: total_iters, residual: rel, converged: rel <= opts.tol }
+}
+
+/// `b − A x`, one product.
+fn residual(matvec: impl Fn(&[f64]) -> Vec<f64>, b: &[f64], x: &[f64]) -> Vec<f64> {
+    b.iter().zip(&matvec(x)).map(|(bi, ai)| bi - ai).collect()
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -241,6 +245,28 @@ mod tests {
         let r = gmres(|x| a.matvec(x), &b, Some(&x0), GmresOptions::default());
         assert!(r.converged);
         assert!(r.iterations <= 1, "exact guess needs no Arnoldi steps");
+    }
+
+    /// A zero guess starts from r = b, not from a product A·0: on a matrix
+    /// with three distinct eigenvalues GMRES is exact after three Arnoldi
+    /// steps, and the one true residual after the cycle makes four.
+    #[test]
+    fn a_zero_guess_costs_no_product() {
+        let n = 12;
+        let a = Mat::from_fn(n, n, |i, j| if i == j { [1.0, 2.0, 5.0][i % 3] } else { 0.0 });
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * i as f64).collect();
+        let products = std::cell::Cell::new(0);
+        let r = gmres(
+            |x| {
+                products.set(products.get() + 1);
+                a.matvec(x)
+            },
+            &b,
+            None,
+            GmresOptions { tol: 1e-10, ..Default::default() },
+        );
+        assert!(r.converged, "residual {}", r.residual);
+        assert_eq!((products.get(), r.iterations), (4, 4));
     }
 
     #[test]

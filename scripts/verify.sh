@@ -270,6 +270,36 @@ if [ -n "$rebuilds$twins" ]; then
 fi
 echo "one-tree-build gate: OK (update_octree builds through Octree::build_in_domain)"
 
+# 5n. One-evaluation-body gate: `Session` runs every shared-memory
+#     evaluation (`eval_many` at the plan's points, `evaluate_at` at binned
+#     targets) through one private body, and `Plan` holds set-up data only;
+#     every driver checks and permutes its batch through one engine call
+#     (`PassEngine::sort_batch`). Outside test modules under crates/*/src
+#     the removed twins — `Plan::execute`, `Plan::far_field`,
+#     `Session::with_scratch`, a `geometry_hash()` method, the drivers'
+#     own "density length" checks — may not come back, and each
+#     batch-check message appears once.
+nontest_src() {
+    find crates/*/src -name '*.rs' | sort | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit } { print f ":" FNR ": " $0 }' "$f"
+    done
+}
+twins=$(nontest_src \
+    | grep -E 'fn (execute|far_field|with_scratch)\(|fn geometry_hash\(&|\.geometry_hash\(\)|"density length"' \
+    || true)
+checks=$(for m in 'a batch holds at least one density vector' \
+    'each density vector must have src_dim entries per point'; do
+    n=$(nontest_src | grep -cF "\"$m\"" || true)
+    [ "$n" -eq 1 ] || echo "\"$m\" appears $n times"
+done)
+if [ -n "$twins$checks" ]; then
+    echo "FAIL: a second evaluation body or a second batch check reintroduced:"
+    echo "$twins"
+    echo "$checks"
+    exit 1
+fi
+echo "one-evaluation-body gate: OK (one Session body, one batch check in PassEngine::sort_batch)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8

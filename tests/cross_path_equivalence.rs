@@ -220,3 +220,42 @@ mod fft_vs_dense_oracle {
         agrees(shadow_laplace(), true);
     }
 }
+
+/// The batch check is one engine call that every driver makes before any
+/// work: a short density vector and an empty batch panic with its one
+/// message through `Session::eval_many`, `Session::evaluate_at` (binned
+/// targets, only an outside target, no targets) and, at P = 2,
+/// `ParallelFmm::eval_many`.
+#[test]
+fn every_driver_refuses_a_bad_batch_with_one_message() {
+    const SHORT: &str = "each density vector must have src_dim entries per point";
+    const EMPTY: &str = "a batch holds at least one density vector";
+    fn message(call: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+            .expect_err("a bad batch must panic");
+        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| payload.downcast_ref::<String>().cloned()).expect("a text message")
+    }
+    let pts = uniform(600, 91);
+    let fmm = Fmm::builder(Laplace).points(&pts).options(opts()).build();
+    let d = vec![1.0; pts.len()];
+    let short = &d[1..];
+    assert_eq!(message(|| drop(fmm.eval_many(&[&d, short]))), SHORT);
+    assert_eq!(message(|| drop(fmm.eval_many(&[]))), EMPTY);
+    for targets in [&pts[..5], &[[9.0, 9.0, 9.0]], &[]] {
+        assert_eq!(message(|| drop(fmm.evaluate_at(short, targets))), SHORT, "{targets:?}");
+    }
+    let chunks = kifmm_testkit::split_points(&pts, 2);
+    for (empty, expect) in [(false, SHORT), (true, EMPTY)] {
+        let chunks = chunks.clone();
+        let got = message(move || {
+            kifmm::mpi::run(2, |comm| {
+                let pfmm = kifmm::ParallelFmm::new(comm, Laplace, &chunks[comm.rank()], opts());
+                let d = vec![1.0; pfmm.local_len()];
+                let batch: &[&[f64]] = if empty { &[] } else { &[&d, &d[1..]] };
+                drop(pfmm.eval_many(comm, batch));
+            });
+        });
+        assert_eq!(got, expect);
+    }
+}

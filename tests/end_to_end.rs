@@ -3,7 +3,9 @@
 //! Appendix A, at the paper's accuracy setting (relative error ~1e-5,
 //! `p = 6`).
 
-use kifmm::{direct_eval, rel_l2_error, Fmm, FmmOptions, Laplace, ModifiedLaplace, Stokes};
+use kifmm::{
+    direct_eval, rel_l2_error, Fmm, FmmOptions, Kelvin, Laplace, ModifiedLaplace, Stokes,
+};
 
 const N: usize = 4000;
 
@@ -90,4 +92,34 @@ fn linear_complexity_in_counted_flops() {
         "FMM ({}) must beat direct ({direct_flops})",
         flops[1]
     );
+}
+
+/// The Stokeslet family is homogeneous of degree −1: on a cloud scaled by
+/// s, s × the potentials are the unit-scale ones. At s = 1e±150, 1/r³
+/// leaves f64's range (it overflows at 1e−150, where the plan's check
+/// matrices would come out infinite, and vanishes at 1e150, dropping the
+/// r⊗r term from the direct sum and the FMM alike). Both must stay as
+/// close to the unit-scale direct sum as they are at unit scale.
+#[test]
+fn stokeslet_potentials_hold_at_extreme_scales() {
+    fn check<K: kifmm::Kernel>(kernel: K) {
+        let unit = kifmm::geom::uniform_cube(3000, 12);
+        let dens = kifmm::geom::random_densities(unit.len(), 3, 13);
+        let truth = direct_eval(&kernel, &unit, &dens);
+        for s in [1e-150, 1e150] {
+            let points: Vec<[f64; 3]> = unit.iter().map(|p| p.map(|c| c * s)).collect();
+            let fmm = Fmm::builder(kernel.clone()).points(&points).order(6).build();
+            let direct = direct_eval(&kernel, &points, &dens);
+            // The direct sum loses only rounding; the FMM its order-6 error.
+            for (path, u, tol) in
+                [("direct", direct, 1e-12), ("FMM", fmm.eval(&dens).potentials, 1e-3)]
+            {
+                let scaled: Vec<f64> = u.iter().map(|v| v * s).collect();
+                let err = rel_l2_error(&scaled, &truth);
+                assert!(err < tol, "{}, s = {s:e}, {path}: error {err:e}", kernel.name());
+            }
+        }
+    }
+    check(Stokes::default());
+    check(Kelvin::default());
 }
