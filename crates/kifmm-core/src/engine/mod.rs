@@ -23,9 +23,9 @@
 //! Expansions live in a flat per-level-contiguous [`ExpansionStore`], which
 //! lets the translation passes run as **per-level batched operators**: the
 //! M2M/L2L GEMVs of one level collapse into a handful of multi-RHS GEMMs
-//! ([`kifmm_linalg::gemm_slices`]), and the FFT M2L transforms a whole
-//! level's source spectra into one frequency-chunk-major table that tiles
-//! of targets then sweep chunk by chunk (see [`crate::m2l`] for the
+//! ([`kifmm_linalg::gemm_slices`]), and the FFT M2L sweeps tiles of
+//! targets chunk by chunk over one frequency-chunk-major table of the
+//! source spectra those tiles still read (see [`crate::m2l`] for the
 //! layout). The drivers contribute only orchestration — permutation,
 //! spans, timing, and (for the distributed path) the two overlapped
 //! exchanges.
@@ -46,7 +46,7 @@
 
 mod store;
 
-pub use store::{EngineWorkspace, ExpansionStore, Scratch};
+pub use store::{EngineWorkspace, ExpansionStore, Scratch, SlotPlan};
 
 use crate::m2l::{self, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
@@ -64,10 +64,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// It is a memory bound, not a cache fit: every (tile, chunk) pays a cold
 /// first touch of the kernel and source runs it reads, so larger tiles
 /// measured faster (8 MiB: Hadamard stage −20 % on a 4 096-box level),
-/// but a tile must stay well under the (1 − 7/12) of the old full-grid
-/// spectra slab the half-spectrum table freed, on levels of a few dozen
-/// boxes too — 2 MiB does on every benchmark workload.
+/// but the accumulator tile is held next to the spectra table, and the
+/// run of targets it holds sets how many sources are live at once: at
+/// Laplace p = 6 a 2 MiB run is 130 targets, and a uniform 4 096-box
+/// level's table holds 1 456 sources (36 %).
 const TILE_BYTES: usize = 2 << 20;
+
+/// Boxes of `grids` half-spectra of `glen` f64s each that one tile holds.
+fn tile_boxes(grids: usize, glen: usize) -> usize {
+    (TILE_BYTES / (grids * glen * 8)).max(1)
+}
 
 /// Where a pass reads the source points and densities of a leaf box: the
 /// local Morton-sorted arrays (serial/shared-memory, and the distributed
@@ -469,9 +475,12 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// costs one scan. Returns the flop count.
     ///
     /// *Sources*: every box some active target's V list names is
-    /// forward-transformed once — a byte-bounded batch at a time,
-    /// box-major into `ws.tile`, then packed into the level's
-    /// frequency-chunk-major spectra table.
+    /// forward-transformed once, by the first run of targets (below)
+    /// that names it — a byte-bounded batch at a time, box-major into
+    /// `ws.tile` — and packed into its slot of the frequency-chunk-major
+    /// spectra table. A [`SlotPlan`], made before the first transform,
+    /// gives the box that slot from that run to the last run that names
+    /// it, so the table holds the sources live at once, not the level's.
     ///
     /// *Targets*, a [`TILE_BYTES`] run of consecutive (hence
     /// Morton-neighbouring) targets at a time: the tile's V lists are
@@ -500,70 +509,64 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let (esb, csb) = (es * nrhs, cs * nrhs);
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
         let (ls, le) = self.level_range(level);
-        let EngineWorkspace { targets, needed, slot_of, spectra, tile, vlists, .. } = ws;
+        let EngineWorkspace { targets, slots, spectra, tile, vlists, .. } = ws;
         targets.clear();
-        needed.clear();
-        for &ni in &self.active.levels[level as usize] {
-            let vlist = &self.lists.v[ni as usize];
-            if !vlist.is_empty() {
-                targets.push(ni);
-                needed.extend_from_slice(vlist);
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        if needed.is_empty() {
+        let act = &self.active.levels[level as usize];
+        targets.extend(act.iter().copied().filter(|&ni| !self.lists.v[ni as usize].is_empty()));
+        if targets.is_empty() {
             return 0;
         }
-        slot_of.clear();
-        slot_of.resize(le - ls, u32::MAX);
-        for (slot, &a) in needed.iter().enumerate() {
-            slot_of[a as usize - ls] = slot as u32;
-        }
-        let (targets, needed, slot_of): (&[u32], &[u32], &[u32]) = (targets, needed, slot_of);
+        let targets: &[u32] = targets;
         let threads = self.dispatch.threads();
         // f64s per box-major grid, grids per source / target box, and
         // f64s per box in one chunk of a chunk-major table.
         let glen = 2 * fft.slab_len();
         let (sw, tw) = (nrhs * sd, nrhs * td);
         let (sc, tc) = (sw * 2 * m2l::F, tw * 2 * m2l::F);
-        let boxes_per_tile = |width: usize| (TILE_BYTES / (width * glen * 8)).max(1);
+        let run_len = tile_boxes(tw, glen);
+        slots.plan(targets, run_len, &self.lists.v, ls..le);
+        let slots: &SlotPlan = slots;
+        let table_len = slots.capacity() * sc;
 
-        // No zero-fill on reuse: packing overwrites every slot.
-        spectra.resize(needed.len() * sw * glen, 0.0);
+        // No zero-fill on reuse: a slot is packed before a run reads it,
+        // and both uses of the tile overwrite what they then read. The
+        // tile is sized once per call, not per run: a resize that grows
+        // zero-fills the growth.
+        spectra.resize(slots.capacity() * sw * glen, 0.0);
+        tile.resize((tile_boxes(sw, glen) * sw).max(run_len * tw) * glen, 0.0);
         let up: &[f64] = &store.up;
-        let per_batch = boxes_per_tile(sw);
-        for (b, batch) in needed.chunks(per_batch).enumerate() {
-            tile.resize(batch.len() * sw * glen, 0.0);
-            par_each(threads, tile.chunks_mut(sw * glen), M2lScratch::default, |s, i, out| {
-                let a = batch[i] as usize;
-                fft.transform_source(&up[a * esb..(a + 1) * esb], out, s);
-            });
-            let first = b * per_batch;
-            let staged: &[f64] = tile;
-            par_each(threads, spectra.chunks_mut(needed.len() * sc), || (), |(), c, table| {
-                fft.pack_chunk(c, staged, &mut table[first * sc..(first + batch.len()) * sc]);
-            });
-        }
+        for (r, run) in targets.chunks(run_len).enumerate() {
+            for batch in slots.fresh(r).chunks(tile_boxes(sw, glen)) {
+                let staged = &mut tile[..batch.len() * sw * glen];
+                par_each(threads, staged.chunks_mut(sw * glen), M2lScratch::default, |s, i, out| {
+                    let a = batch[i] as usize;
+                    fft.transform_source(&up[a * esb..(a + 1) * esb], out, s);
+                });
+                let staged: &[f64] = staged;
+                par_each(threads, spectra.chunks_mut(table_len), || (), |(), c, table| {
+                    for (&a, grids) in batch.iter().zip(staged.chunks_exact(sw * glen)) {
+                        let slot = slots.slot(a) as usize;
+                        fft.pack_chunk(c, grids, &mut table[slot * sc..(slot + 1) * sc]);
+                    }
+                });
+            }
 
-        let spectra: &[f64] = spectra;
-        for run in targets.chunks(boxes_per_tile(tw)) {
             vlists.clear();
             for &ni in run {
                 let bkey = self.tree.nodes[ni as usize].key;
                 vlists.push(self.lists.v[ni as usize].iter().map(|&a| {
                     let dir = m2l::dir_id(bkey.offset_to(&self.tree.nodes[a as usize].key));
-                    [slot_of[a as usize - ls], dir]
+                    [slots.slot(a), dir]
                 }));
             }
-            let vlists: &PairLists = vlists;
-            tile.resize(run.len() * tw * glen, 0.0);
-            par_each(threads, tile.chunks_mut(run.len() * tc), || (), |(), c, acc| {
-                let table = &spectra[c * needed.len() * sc..(c + 1) * needed.len() * sc];
+            let (vlists, spectra): (&PairLists, &[f64]) = (vlists, spectra);
+            let acc = &mut tile[..run.len() * tw * glen];
+            par_each(threads, acc.chunks_mut(run.len() * tc), || (), |(), c, acc| {
+                let table = &spectra[c * table_len..(c + 1) * table_len];
                 fft.hadamard_chunk(scale, c, vlists, nrhs, table, acc);
             });
             let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize + 1);
-            let acc: &[f64] = tile;
+            let acc: &[f64] = acc;
             let check = &mut store.check[lo * csb..hi * csb];
             par_each(threads, check.chunks_mut(csb), M2lScratch::default, |s, i, slot| {
                 if let Ok(j) = run.binary_search(&((lo + i) as u32)) {
@@ -574,7 +577,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
 
         // The nominal model: 5·n·log₂n per transform on the full grid,
         // 8 flops per half-spectrum entry per block per pair.
-        let mut flops = (needed.len() * nrhs) as u64 * fft.fft_flops(sd);
+        let mut flops = (slots.sources() * nrhs) as u64 * fft.fft_flops(sd);
         for &ni in targets {
             let nv = self.lists.v[ni as usize].len() as u64;
             flops += nrhs as u64 * (nv * (td * sd * fft.slab_len() * 8) as u64 + fft.fft_flops(td));
@@ -925,6 +928,60 @@ mod tests {
         dense.sweep(tree, lists, LEVEL, &mut oracle);
         let err = crate::rel_l2_error(&full.check, &oracle.check);
         assert!(err < 1e-9, "{}: FFT vs dense M2L level {err}", kernel.name());
+    }
+
+    /// The slot plan of a uniform depth-4 tree's leaf level (a 16³ lattice,
+    /// one point per box), at the run length Laplace at p = 6 sweeps with:
+    /// every V source is transformed once, by the first run that reads it;
+    /// two sources share a slot only if the first's last reader runs
+    /// before the second's first; and the table holds at most 0.4 of the
+    /// level's sources. Integers only — no transform runs.
+    #[test]
+    fn m2l_slots_hold_only_the_live_window() {
+        let lattice = (0..4096).map(|i: usize| [i / 256, i / 16 % 16, i % 16]);
+        let points: Vec<Point3> = lattice.map(|c| c.map(|c| (c as f64 + 0.5) / 16.0)).collect();
+        let domain = kifmm_tree::Domain { center: [0.5; 3], half: 0.5 };
+        let tree = Octree::build_in_domain(domain, &points, 1, 4).unwrap();
+        let lists = kifmm_tree::build_lists(&tree);
+        let level = &tree.levels[4];
+        assert_eq!((tree.depth(), level.len()), (4, 4096), "a uniform depth-4 tree");
+        let range = level[0] as usize..level[level.len() - 1] as usize + 1;
+        let targets: Vec<u32> =
+            level.iter().copied().filter(|&ni| !lists.v[ni as usize].is_empty()).collect();
+        let run_len = tile_boxes(1, 2 * kifmm_fft::RealFft3::new(6).half_len());
+        let mut slots = SlotPlan::default();
+        slots.plan(&targets, run_len, &lists.v, range);
+
+        // Per source: the run that transforms it and the last run reading it.
+        let mut window = std::collections::BTreeMap::new();
+        for (r, run) in targets.chunks(run_len).enumerate() {
+            for &a in slots.fresh(r) {
+                assert!(window.insert(a, (r, r)).is_none(), "box {a} transformed twice");
+            }
+            for &a in run.iter().flat_map(|&ni| &lists.v[ni as usize]) {
+                let w = window.get_mut(&a).expect("a source is transformed before it is read");
+                assert!(w.0 <= r, "box {a} read in run {r} before its transform in run {}", w.0);
+                w.1 = r;
+            }
+        }
+        let distinct: std::collections::BTreeSet<u32> =
+            targets.iter().flat_map(|&ni| lists.v[ni as usize].iter().copied()).collect();
+        assert!(window.keys().eq(distinct.iter()), "every V source gets exactly one slot");
+        assert_eq!(slots.sources(), distinct.len());
+
+        let mut holders = vec![Vec::new(); slots.capacity()];
+        for (&a, &w) in &window {
+            holders[slots.slot(a) as usize].push(w);
+        }
+        for (slot, held) in holders.iter_mut().enumerate() {
+            held.sort_unstable();
+            for pair in held.windows(2) {
+                let [(_, last), (next, _)] = [pair[0], pair[1]];
+                assert!(last < next, "slot {slot}: freed in run {last}, retaken in run {next}");
+            }
+        }
+        let share = slots.capacity() as f64 / distinct.len() as f64;
+        assert!(share <= 0.4, "{} of {} sources live at once", slots.capacity(), distinct.len());
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! and `k = 1` reduces to the original single-RHS layout exactly.
 
 use crate::m2l::PairLists;
+use std::ops::Range;
 
 /// Expansion state of one evaluation: upward equivalents, downward check
 /// potentials and downward equivalents, node-major (`block(ni)` = the
@@ -115,19 +116,115 @@ pub struct EngineWorkspace {
     /// The M2L targets of one call (active, non-empty V list), ascending
     /// — Morton order within the level.
     pub targets: Vec<u32>,
-    /// Sorted, deduplicated V-list source boxes of those targets.
-    pub needed: Vec<u32>,
-    /// Position in `needed` of each box of the level (by offset from the
-    /// level's first node id).
-    pub slot_of: Vec<u32>,
-    /// Half-spectra of every `needed` box, frequency-chunk-major:
-    /// `[chunk][needed box][RHS][SRC_DIM][re|im][F]`.
+    /// Which slot of `spectra` each V-list source of those targets holds,
+    /// and which run of targets transforms it.
+    pub slots: SlotPlan,
+    /// Half-spectra of the live V-list sources, frequency-chunk-major:
+    /// `[chunk][slot][RHS][SRC_DIM][re|im][F]`, `slots.capacity()` slots
+    /// per chunk.
     pub spectra: Vec<f64>,
     /// One byte-bounded tile of boxes: first a batch of source spectra
     /// staged box-major on their way into `spectra`, then the chunk-major
     /// Hadamard accumulators of a run of targets,
     /// `[chunk][target][RHS][TRG_DIM][re|im][F]`.
     pub tile: Vec<f64>,
-    /// V lists of the tile's targets as `[slot in needed, direction id]`.
+    /// V lists of the tile's targets as `[source slot, direction id]`.
     pub vlists: PairLists,
+}
+
+/// The slots of one level's FFT-M2L source-spectra table. The targets are
+/// swept in runs; a V-list source needs its spectrum from the first run
+/// whose V lists name it to the last, so it takes a slot when a run first
+/// names it and gives the slot back after the last such run, for a later
+/// run's new sources to reuse. The table then holds only the sources live
+/// at once ([`SlotPlan::capacity`]), not every source of the level.
+#[derive(Default)]
+pub struct SlotPlan {
+    /// First node id of the level; boxes are indexed by offset from it.
+    first: usize,
+    /// V entries not yet swept that name each box of the level.
+    count: Vec<u32>,
+    /// The slot of each box of the level, `u32::MAX` if no V list names it.
+    slot_of: Vec<u32>,
+    /// Slots given back, reused last in first out.
+    free: Vec<u32>,
+    /// The sources each run names first, run after run, in list order.
+    fresh: Vec<u32>,
+    /// Start of each run's sources in `fresh`, plus the end.
+    fresh_at: Vec<u32>,
+    /// The most slots held at once.
+    capacity: usize,
+}
+
+impl SlotPlan {
+    /// Plan the slots for `targets` swept `run_len` at a time, `v` being
+    /// the V lists by node id and `level` the level's node-id range. One
+    /// integer pass: count the V entries naming each source, then per
+    /// run give each newly named source a slot (a freed one first) and,
+    /// once the run is swept, free the slots of sources no later run
+    /// names.
+    pub fn plan(&mut self, targets: &[u32], run_len: usize, v: &[Vec<u32>], level: Range<usize>) {
+        let SlotPlan { first, count, slot_of, free, fresh, fresh_at, capacity } = self;
+        *first = level.start;
+        count.clear();
+        count.resize(level.len(), 0);
+        slot_of.clear();
+        slot_of.resize(level.len(), u32::MAX);
+        free.clear();
+        fresh.clear();
+        fresh_at.clear();
+        fresh_at.push(0);
+        *capacity = 0;
+        for a in entries(targets, v, *first) {
+            count[a] += 1;
+        }
+        for run in targets.chunks(run_len) {
+            for a in entries(run, v, *first) {
+                if slot_of[a] == u32::MAX {
+                    slot_of[a] = free.pop().unwrap_or_else(|| {
+                        *capacity += 1;
+                        *capacity as u32 - 1
+                    });
+                    fresh.push((*first + a) as u32);
+                }
+            }
+            fresh_at.push(fresh.len() as u32);
+            for a in entries(run, v, *first) {
+                count[a] -= 1;
+                if count[a] == 0 {
+                    free.push(slot_of[a]);
+                }
+            }
+        }
+    }
+
+    /// Slots the table needs: the most sources live at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Distinct sources planned: each is transformed once.
+    pub fn sources(&self) -> usize {
+        self.fresh.len()
+    }
+
+    /// The slot of source box `a`.
+    pub fn slot(&self, a: u32) -> u32 {
+        self.slot_of[a as usize - self.first]
+    }
+
+    /// The sources run `run` names first, in list order: the ones it
+    /// transforms before its sweep.
+    pub fn fresh(&self, run: usize) -> &[u32] {
+        &self.fresh[self.fresh_at[run] as usize..self.fresh_at[run + 1] as usize]
+    }
+}
+
+/// The V entries of a run of targets, as offsets from node id `first`.
+fn entries<'a>(
+    run: &'a [u32],
+    v: &'a [Vec<u32>],
+    first: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    run.iter().flat_map(move |&ni| &v[ni as usize]).map(move |&a| a as usize - first)
 }

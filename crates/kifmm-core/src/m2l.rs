@@ -25,8 +25,8 @@
 //! **frequency-chunk-major**: the spectrum is cut into chunks of [`F`]
 //! consecutive frequencies, and a table of `n` items with `width` grids
 //! each is stored `[chunk][item][grid][re|im][F]`. The kernel tensors
-//! (`316` directions × `td·sd` blocks), a level's source spectra
-//! (`nrhs·sd` grids per source) and a tile of target accumulators
+//! (`316` directions × `td·sd` blocks), a level's live source spectra
+//! (`nrhs·sd` grids per slot) and a tile of target accumulators
 //! (`nrhs·td` grids per target) all use that one shape, so
 //! [`M2lFft::hadamard_chunk`] works on three contiguous runs per chunk
 //! and keeps one target's accumulator in registers over its whole V

@@ -75,9 +75,11 @@ pub(crate) fn radial_p2p_many(
 }
 
 /// Potential + gradient loop of a scalar radial kernel: `weights(r²)`
-/// returns `(w_p, w_g)` with `G = scale · w_p` and `∇ₓG = −scale · w_g ·
-/// (x − y)`, shared by the potential and the three gradient components of
-/// every right-hand side in the sweep.
+/// returns `(w_p, w_g, u)` with `G = scale · w_p` and `∇ₓG = −scale · w_g ·
+/// u · (x − y)`, shared by the potential and the three gradient components
+/// of every right-hand side in the sweep. `u` is `1`, or `1/r` where the
+/// kernel carries the unit vector because `w_g` alone would leave f64's
+/// range (`1 · d` is `d` exactly, so in-range bits are those of `w_g · d`).
 #[inline]
 pub(crate) fn radial_p2p_grad_many(
     targets: &[Point3],
@@ -86,7 +88,7 @@ pub(crate) fn radial_p2p_grad_many(
     potentials: &mut [&mut [f64]],
     gradients: &mut [&mut [f64]],
     scale: f64,
-    weights: impl Fn(f64) -> (f64, f64),
+    weights: impl Fn(f64) -> (f64, f64, f64),
 ) {
     check_shapes((1, 1), targets.len(), sources.len(), densities, potentials, Some(gradients));
     for ((dens, pots), grads) in
@@ -99,7 +101,8 @@ pub(crate) fn radial_p2p_grad_many(
                 if r2 == 0.0 {
                     continue;
                 }
-                let (wp, wg) = weights(r2);
+                let (wp, wg, u) = weights(r2);
+                let (dx, dy, dz) = (dx * u, dy * u, dz * u);
                 for (a, d) in acc.iter_mut().zip(dens) {
                     let q = d[si];
                     a[0] += q * wp;
@@ -160,9 +163,16 @@ pub(crate) fn stokeslet_grad_block(x: Point3, y: Point3, block: &mut [f64], c: f
         return;
     }
     let r = r2.sqrt();
-    let inv_r3 = c / (r2 * r);
-    let inv_r5x3 = 3.0 * inv_r3 / r2;
-    let rv = [dx, dy, dz];
+    let mut rv = [dx, dy, dz];
+    let mut inv_r3 = c / (r2 * r);
+    let mut inv_r5x3 = 3.0 * inv_r3 / r2;
+    if !inv_r5x3.is_normal() {
+        // `r⁵` left f64's normal range (|r| beyond about 1e±61): the same
+        // terms on the unit vector d/r, each over r².
+        rv = rv.map(|v| v / r);
+        inv_r3 = c / r2;
+        inv_r5x3 = 3.0 * inv_r3;
+    }
     for i in 0..3 {
         for k in 0..3 {
             for j in 0..3 {
@@ -233,7 +243,9 @@ pub(crate) fn stokeslet_p2p_many(
 
 /// Potential + gradient loop of the Stokeslet family (see
 /// [`stokeslet_p2p_many`]), sharing `1/r`, `1/r³`, `3/r⁵` per pair and
-/// `r·f` per right-hand side.
+/// `r·f` per right-hand side. Where `1/r⁵` is out of range the unit vector
+/// carries every term, as in [`stokeslet_grad_block`]: the gradient's
+/// factors become `1/r²`, the potential's `r⊗r` factor `1/r`.
 #[inline]
 pub(crate) fn stokeslet_p2p_grad_many(
     targets: &[Point3],
@@ -257,17 +269,25 @@ pub(crate) fn stokeslet_p2p_grad_many(
                 }
                 let r = r2.sqrt();
                 let inv_r = 1.0 / r;
-                let inv_r3 = inv_r / r2;
-                let inv_r5x3 = 3.0 * inv_r3 / r2;
+                let mut inv_r3 = inv_r / r2;
+                let mut inv_r5x3 = 3.0 * inv_r3 / r2;
                 let iso = a * inv_r;
-                let rv = [dx, dy, dz];
+                let mut rv = [dx, dy, dz];
+                // The factor of the potential's r⊗r term.
+                let mut pot3 = inv_r3;
+                if !inv_r5x3.is_normal() {
+                    rv = rv.map(|v| v * inv_r);
+                    (pot3, inv_r3) = (inv_r, inv_r * inv_r);
+                    inv_r5x3 = 3.0 * inv_r3;
+                }
                 for ((u, g), d) in acc.iter_mut().zip(dens) {
                     let fv = [d[3 * si], d[3 * si + 1], d[3 * si + 2]];
                     let rdotf = rv[0] * fv[0] + rv[1] * fv[1] + rv[2] * fv[2];
                     let s = rdotf * inv_r3;
                     let s5 = rdotf * inv_r5x3;
+                    let sp = rdotf * pot3;
                     for i in 0..3 {
-                        u[i] += fv[i] * iso + rv[i] * s;
+                        u[i] += fv[i] * iso + rv[i] * sp;
                         for k in 0..3 {
                             let mut v =
                                 (rv[i] * fv[k] - a * fv[i] * rv[k]) * inv_r3 - rv[i] * rv[k] * s5;

@@ -141,7 +141,7 @@ impl Kernel for Gaussian {
         let (inv2s2, invs2) = (self.inv_two_sigma2(), self.inv_sigma2());
         let weights = |r2: f64| {
             let e = (-r2 * inv2s2).exp();
-            (e, e * invs2)
+            (e, e * invs2, 1.0)
         };
         radial_p2p_grad_many(targets, sources, densities, potentials, gradients, 1.0, weights);
     }

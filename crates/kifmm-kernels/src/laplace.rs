@@ -50,12 +50,18 @@ impl Kernel for Laplace {
     #[inline]
     fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
         debug_assert_eq!(block.len(), 3);
-        let (dx, dy, dz, r2) = displacement(x, y);
+        let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
         if r2 == 0.0 {
             block.fill(0.0);
             return;
         }
-        let inv_r3 = FOUR_PI_INV / (r2 * r2.sqrt());
+        let r = r2.sqrt();
+        let mut inv_r3 = FOUR_PI_INV / (r2 * r);
+        if !inv_r3.is_normal() {
+            // `r³` left f64's normal range (|r| beyond about 1e±102): the
+            // same term as (d/r)/(4π r²).
+            (dx, dy, dz, inv_r3) = (dx / r, dy / r, dz / r, FOUR_PI_INV / r2);
+        }
         block[0] = -dx * inv_r3;
         block[1] = -dy * inv_r3;
         block[2] = -dz * inv_r3;
@@ -86,7 +92,8 @@ impl Kernel for Laplace {
     }
 
     /// Shares `1/r` and `1/r³` between the potential and the three
-    /// gradient components.
+    /// gradient components (`1/r²` on the unit vector where `1/r³` is out
+    /// of range, as in [`Laplace::eval_grad`]).
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -97,7 +104,12 @@ impl Kernel for Laplace {
     ) {
         let weights = |r2: f64| {
             let inv_r = 1.0 / r2.sqrt();
-            (inv_r, inv_r / r2)
+            let inv_r3 = inv_r / r2;
+            if inv_r3.is_normal() {
+                (inv_r, inv_r3, 1.0)
+            } else {
+                (inv_r, inv_r * inv_r, inv_r)
+            }
         };
         radial_p2p_grad_many(
             targets, sources, densities, potentials, gradients, FOUR_PI_INV, weights,

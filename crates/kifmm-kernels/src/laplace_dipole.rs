@@ -47,19 +47,26 @@ impl Kernel for LaplaceDipole {
     #[inline]
     fn eval(&self, x: Point3, y: Point3, block: &mut [f64]) {
         debug_assert_eq!(block.len(), 3);
-        let (dx, dy, dz, r2) = displacement(x, y);
+        let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
         if r2 == 0.0 {
             block.fill(0.0);
             return;
         }
-        let inv_r3 = FOUR_PI_INV / (r2 * r2.sqrt());
+        let r = r2.sqrt();
+        let mut inv_r3 = FOUR_PI_INV / (r2 * r);
+        if !inv_r3.is_normal() {
+            // `r³` left f64's normal range (|r| beyond about 1e±102): the
+            // same term as (d/r)/(4π r²).
+            (dx, dy, dz, inv_r3) = (dx / r, dy / r, dz / r, FOUR_PI_INV / r2);
+        }
         block[0] = dx * inv_r3;
         block[1] = dy * inv_r3;
         block[2] = dz * inv_r3;
     }
 
     /// One pass over the sources per target with `dx,dy,dz,1/r³` in
-    /// registers, the batch innermost.
+    /// registers (the unit vector and `1/r²` where `1/r³` is out of
+    /// range), the batch innermost.
     fn p2p_many(
         &self,
         targets: &[Point3],
@@ -72,11 +79,17 @@ impl Kernel for LaplaceDipole {
             for (ti, &x) in targets.iter().enumerate() {
                 let mut acc = [0.0f64; SWEEP];
                 for (si, &y) in sources.iter().enumerate() {
-                    let (dx, dy, dz, r2) = displacement(x, y);
+                    let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
                     if r2 == 0.0 {
                         continue;
                     }
-                    let inv_r3 = 1.0 / (r2 * r2.sqrt());
+                    let r = r2.sqrt();
+                    let mut inv_r3 = 1.0 / (r2 * r);
+                    if !inv_r3.is_normal() {
+                        // As in `eval`: the unit vector over r².
+                        let inv_r = 1.0 / r;
+                        (dx, dy, dz, inv_r3) = (dx * inv_r, dy * inv_r, dz * inv_r, inv_r * inv_r);
+                    }
                     for (a, d) in acc.iter_mut().zip(dens) {
                         *a += (dx * d[3 * si] + dy * d[3 * si + 1] + dz * d[3 * si + 2]) * inv_r3;
                     }

@@ -140,7 +140,7 @@ impl Kernel for ModifiedLaplace {
         let weights = |r2: f64| {
             let r = r2.sqrt();
             let e = (-lambda * r).exp();
-            (e / r, e * (1.0 + lambda * r) / (r2 * r))
+            (e / r, e * (1.0 + lambda * r) / (r2 * r), 1.0)
         };
         radial_p2p_grad_many(
             targets, sources, densities, potentials, gradients, FOUR_PI_INV, weights,

@@ -300,6 +300,33 @@ if [ -n "$twins$checks" ]; then
 fi
 echo "one-evaluation-body gate: OK (one Session body, one batch check in PassEngine::sort_batch)"
 
+# 5o. Live-window gate: the FFT M2L's source-spectra table holds only the
+#     sources live at once — a V-list source keeps its slot from the first
+#     run of targets that names it to the last (`SlotPlan`). Outside test
+#     modules the level-wide sorted, deduplicated source list may not come
+#     back: engine/mod.rs sorts and dedups nothing and names no `needed`,
+#     `EngineWorkspace` has no `needed` field, and every sizing of
+#     `spectra` is by the slot plan's capacity.
+window=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    /\.sort(_unstable)?\(\)|\.dedup\(|needed/ { print FILENAME ":" FNR ": " $0 }
+    /spectra\.(resize|reserve|extend)|spectra *= *vec!/ {
+        sized++
+        if ($0 !~ /slots\.capacity\(\)/) print FILENAME ":" FNR ": " $0
+    }
+    END { if (!sized) print FILENAME ": the spectra table is not sized here" }
+' crates/kifmm-core/src/engine/mod.rs)
+fields=$(awk '/^#\[cfg\(test\)\]/ { exit } /needed *:/ { print FILENAME ":" FNR ": " $0 }' \
+    crates/kifmm-core/src/engine/store.rs)
+if [ -n "$window$fields" ]; then
+    echo "FAIL: the level-wide source list or a table not sized by the slot plan reintroduced:"
+    echo "$window"
+    echo "$fields"
+    exit 1
+fi
+echo "live-window gate: OK (the M2L spectra table is sized by SlotPlan::capacity)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8

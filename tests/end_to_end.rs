@@ -3,8 +3,10 @@
 //! Appendix A, at the paper's accuracy setting (relative error ~1e-5,
 //! `p = 6`).
 
+use kifmm::kernels::LaplaceDipole;
 use kifmm::{
-    direct_eval, rel_l2_error, Fmm, FmmOptions, Kelvin, Laplace, ModifiedLaplace, Stokes,
+    direct_eval, direct_eval_grad, rel_l2_error, Fmm, FmmOptions, Kelvin, Laplace, ModifiedLaplace,
+    OutputSpec, Stokes,
 };
 
 const N: usize = 4000;
@@ -94,32 +96,60 @@ fn linear_complexity_in_counted_flops() {
     );
 }
 
-/// The Stokeslet family is homogeneous of degree −1: on a cloud scaled by
-/// s, s × the potentials are the unit-scale ones. At s = 1e±150, 1/r³
-/// leaves f64's range (it overflows at 1e−150, where the plan's check
-/// matrices would come out infinite, and vanishes at 1e150, dropping the
-/// r⊗r term from the direct sum and the FMM alike). Both must stay as
-/// close to the unit-scale direct sum as they are at unit scale.
-#[test]
-fn stokeslet_potentials_hold_at_extreme_scales() {
-    fn check<K: kifmm::Kernel>(kernel: K) {
-        let unit = kifmm::geom::uniform_cube(3000, 12);
-        let dens = kifmm::geom::random_densities(unit.len(), 3, 13);
-        let truth = direct_eval(&kernel, &unit, &dens);
-        for s in [1e-150, 1e150] {
-            let points: Vec<[f64; 3]> = unit.iter().map(|p| p.map(|c| c * s)).collect();
-            let fmm = Fmm::builder(kernel.clone()).points(&points).order(6).build();
-            let direct = direct_eval(&kernel, &points, &dens);
-            // The direct sum loses only rounding; the FMM its order-6 error.
-            for (path, u, tol) in
-                [("direct", direct, 1e-12), ("FMM", fmm.eval(&dens).potentials, 1e-3)]
-            {
-                let scaled: Vec<f64> = u.iter().map(|v| v * s).collect();
-                let err = rel_l2_error(&scaled, &truth);
-                assert!(err < tol, "{}, s = {s:e}, {path}: error {err:e}", kernel.name());
-            }
+/// A kernel output homogeneous of degree −`degree` (the potentials when
+/// `gradients` is false): on a cloud scaled by s, s^degree × the output
+/// is the unit-scale one. At s = 1e±150 the direct sum and the FMM must
+/// stay as close to the unit-scale direct sum as they are at unit scale:
+/// the direct sum loses only rounding, the FMM its order-6 error
+/// (`fmm_tol`).
+fn holds_at_extreme_scales<K: kifmm::Kernel>(
+    kernel: K,
+    gradients: bool,
+    degree: i32,
+    fmm_tol: f64,
+) {
+    let output = |points: &[[f64; 3]], dens: &[f64]| {
+        if gradients {
+            direct_eval_grad(&kernel, points, dens).1
+        } else {
+            direct_eval(&kernel, points, dens)
+        }
+    };
+    let unit = kifmm::geom::uniform_cube(3000, 12);
+    let dens = kifmm::geom::random_densities(unit.len(), kernel.src_dim(), 13);
+    let truth = output(&unit, &dens);
+    let spec = if gradients { OutputSpec::PotentialAndGradient } else { OutputSpec::Potential };
+    for s in [1e-150, 1e150] {
+        let points: Vec<[f64; 3]> = unit.iter().map(|p| p.map(|c| c * s)).collect();
+        let fmm = Fmm::builder(kernel.clone()).points(&points).order(6).output(spec).build();
+        let report = fmm.eval(&dens);
+        let approx = if gradients { report.gradients } else { report.potentials };
+        let direct = output(&points, &dens);
+        for (path, u, tol) in [("direct", direct, 1e-12), ("FMM", approx, fmm_tol)] {
+            let scaled: Vec<f64> = u.iter().map(|v| v * s.powi(degree)).collect();
+            let err = rel_l2_error(&scaled, &truth);
+            assert!(err < tol, "{}, s = {s:e}, {path}: error {err:e}", kernel.name());
         }
     }
-    check(Stokes::default());
-    check(Kelvin::default());
+}
+
+/// The Stokeslet family is homogeneous of degree −1. At s = 1e±150, 1/r³
+/// leaves f64's range (it overflows at 1e−150, where the plan's check
+/// matrices would come out infinite, and vanishes at 1e150, dropping the
+/// r⊗r term from the direct sum and the FMM alike).
+#[test]
+fn stokeslet_potentials_hold_at_extreme_scales() {
+    holds_at_extreme_scales(Stokes::default(), false, 1, 1e-3);
+    holds_at_extreme_scales(Kelvin::default(), false, 1, 1e-3);
+}
+
+/// The gradients of Laplace and Stokes and the Laplace dipole's potential
+/// are homogeneous of degree −2. Their blocks form 1/r³ or 1/r⁵, which
+/// leave f64's range at s = 1e±150 well before the potentials' 1/r does.
+/// The FMM bounds are the deep-tree ones of tests/gradients.rs.
+#[test]
+fn gradients_hold_at_extreme_scales() {
+    holds_at_extreme_scales(Laplace, true, 2, 1e-4);
+    holds_at_extreme_scales(Stokes::default(), true, 2, 1e-3);
+    holds_at_extreme_scales(LaplaceDipole, false, 2, 1e-4);
 }
