@@ -25,9 +25,9 @@
 //! **frequency-chunk-major**: the spectrum is cut into chunks of [`F`]
 //! consecutive frequencies, and a table of `n` items with `width` grids
 //! each is stored `[chunk][item][grid][re|im][F]`. The kernel tensors
-//! (`316` directions × `td·sd` blocks), a level's live source spectra
-//! (`nrhs·sd` grids per slot) and a tile of target accumulators
-//! (`nrhs·td` grids per target) all use that one shape, so
+//! (`316` directions × the block's stored components), a level's live
+//! source spectra (`nrhs·sd` grids per slot) and a tile of target
+//! accumulators (`nrhs·td` grids per target) all use that one shape, so
 //! [`M2lFft::hadamard_chunk`] works on three contiguous runs per chunk
 //! and keeps one target's accumulator in registers over its whole V
 //! list. [`M2lFft::pack_chunk`] and [`M2lFft::extract_check`] are the only
@@ -38,6 +38,13 @@
 //! kernel, one per level otherwise. The engine supplies a level's slot and
 //! its factor `fwd`, applied as the check potential is read off the grid,
 //! as one [`LevelScale`].
+//!
+//! A block component `(t, s)` whose grid is bit for bit its transpose's
+//! in every direction of every slot ([`transposed_twin`]) has that
+//! component's spectrum too, so it is stored once: every table holds the
+//! same stored components (Stokes and Kelvin 6 of 9, a scalar kernel 1),
+//! and the Hadamard stage reads block component `t·sd + s` through one
+//! component map.
 
 use crate::engine::ExpansionStore;
 use crate::operators::{LevelRule, LevelScale};
@@ -156,8 +163,11 @@ pub struct M2lFft<K: Kernel> {
     /// Index into the `p³` corner cube of each surface point.
     surf_idx: Vec<usize>,
     /// Kernel tensor spectra, one table per slot of the rule they were
-    /// built from, chunk-major: `[chunk][direction][TRG·SRC][re|im][F]`.
+    /// built from, chunk-major: `[chunk][direction][stored comp][re|im][F]`.
     tensors: Vec<Vec<f64>>,
+    /// Stored component of each block component `t·SRC + s`, the same for
+    /// every table.
+    comps: Vec<usize>,
     /// Kernel block dims, captured at build (dims are runtime values so
     /// closure kernels flow through the same machinery).
     src_dim: usize,
@@ -171,12 +181,15 @@ impl<K: Kernel> M2lFft<K> {
         let plan = RealFft3::new(p);
         let surf_idx =
             surface_grid_indices(p).into_iter().map(|[i, j, k]| (i * p + j) * p + k).collect();
+        let halves = rule.slot_halves();
+        let comps = component_map(kernel, &plan, halves);
         let tensors =
-            rule.slot_halves().iter().map(|&half| build_tensors(kernel, &plan, half)).collect();
+            halves.iter().map(|&half| build_tensors(kernel, &plan, half, &comps)).collect();
         M2lFft {
             plan,
             surf_idx,
             tensors,
+            comps,
             src_dim: kernel.src_dim(),
             trg_dim: kernel.trg_dim(),
             _kernel: std::marker::PhantomData,
@@ -256,18 +269,21 @@ impl<K: Kernel> M2lFft<K> {
         spectra: &[f64],
         acc: &mut [f64],
     ) {
-        let (td, sd) = (self.trg_dim, self.src_dim);
-        let kb = DIRS * td * sd * CL;
+        let (td, sd, ns) = (self.trg_dim, self.src_dim, stored(&self.comps));
+        let kb = DIRS * ns * CL;
         let kernels = &self.tensors[scale.slot][c * kb..(c + 1) * kb];
         debug_assert_eq!(acc.len(), lists.len() * nrhs * td * CL);
         let job = ChunkJob { lists, nrhs, kernels, spectra };
-        // Fixed block shapes let the compiler unroll the block loops and
-        // keep the accumulator in registers; other shapes run the same
-        // code on a heap accumulator.
+        // Fixed block shapes let the compiler unroll the block loops, keep
+        // the accumulator in registers and the component map in a local
+        // array; other shapes run the same code on a heap accumulator.
         match (td, sd) {
-            (1, 1) => job.run(&mut [[0.0; CL]; 1], 1, acc),
-            (3, 3) => job.run(&mut [[0.0; CL]; 3], 3, acc),
-            _ => job.run(&mut vec![[0.0; CL]; td], sd, acc),
+            (1, 1) => job.run(&mut [[0.0; CL]; 1], 1, &[0], 1, acc),
+            (3, 3) => {
+                let comps: [usize; 9] = self.comps[..].try_into().expect("3 × 3 components");
+                job.run(&mut [[0.0; CL]; 3], 3, &comps, ns, acc)
+            }
+            _ => job.run(&mut vec![[0.0; CL]; td], sd, &self.comps, ns, acc),
         }
     }
 
@@ -332,7 +348,7 @@ fn pack_chunk(slab: usize, c: usize, grids: &[f64], dst: &mut [f64]) {
 struct ChunkJob<'a> {
     lists: &'a PairLists,
     nrhs: usize,
-    /// `[direction][t·sd + s][re|im][F]`.
+    /// `[direction][stored comp][re|im][F]`.
     kernels: &'a [f64],
     /// `[slot][q][s][re|im][F]`.
     spectra: &'a [f64],
@@ -340,11 +356,13 @@ struct ChunkJob<'a> {
 
 impl ChunkJob<'_> {
     /// Run the chunk with `local` (one `[re|im][F]` row per target
-    /// component) as the accumulator of one `(target, rhs)` at a time.
+    /// component) as the accumulator of one `(target, rhs)` at a time,
+    /// reading block component `t·sd + s` from kernel run `comps[t·sd + s]`
+    /// of the `ns` stored per direction.
     #[inline(always)]
-    fn run(&self, local: &mut [[f64; CL]], sd: usize, acc: &mut [f64]) {
+    fn run(&self, local: &mut [[f64; CL]], sd: usize, comps: &[usize], ns: usize, acc: &mut [f64]) {
         let td = local.len();
-        let (kb, sb) = (td * sd * CL, sd * CL);
+        let (kb, sb) = (ns * CL, sd * CL);
         let mut out = acc.chunks_exact_mut(td * CL);
         for list in self.lists.iter() {
             for q in 0..self.nrhs {
@@ -354,7 +372,7 @@ impl ChunkJob<'_> {
                     let x = &self.spectra[(slot as usize * self.nrhs + q) * sb..][..sb];
                     for (t, a) in local.iter_mut().enumerate() {
                         for s in 0..sd {
-                            let k = &k[(t * sd + s) * CL..][..CL];
+                            let k = &k[comps[t * sd + s] * CL..][..CL];
                             let x = &x[s * CL..][..CL];
                             for f in 0..F {
                                 a[f] = a[f] + k[f] * x[f] - k[F + f] * x[F + f];
@@ -371,35 +389,68 @@ impl ChunkJob<'_> {
     }
 }
 
-/// Build the 316 kernel-tensor spectra for boxes of half-width `half`,
-/// chunk-major.
-///
-/// A component grid that is bit for bit its transpose's, already
-/// transformed ([`transposed_twin`]), copies that spectrum: a symmetric
-/// 3 × 3 kernel (Stokes, Kelvin) runs 6 transforms per direction, not 9.
-fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64) -> Vec<f64> {
-    let slab = plan.half_len();
-    let g = plan.side().pow(3);
+/// The stored component of each block component `c = (t, s)` of a
+/// `trg × src` kernel: its transpose's where [`transposed_twin`] holds in
+/// every direction of every slot half-width in `halves`, else the next
+/// new one, in order of `c`.
+fn component_map<K: Kernel>(kernel: &K, plan: &RealFft3, halves: &[f64]) -> Vec<usize> {
     let dims = (kernel.trg_dim(), kernel.src_dim());
     let kdim = dims.0 * dims.1;
-    let mut out = vec![0.0; slab / F * DIRS * kdim * CL];
-    let mut grids = vec![0.0; kdim * g];
-    let mut specs = vec![0.0; kdim * 2 * slab];
+    let mut grids = vec![0.0; kdim * plan.side().pow(3)];
+    let mut twin = vec![None; kdim];
+    let mut first = true;
+    'scan: for &half in halves {
+        for v in v_list_directions() {
+            fill_grids(kernel, plan, half, v, &mut grids);
+            for (c, twin) in twin.iter_mut().enumerate() {
+                if first || twin.is_some() {
+                    *twin = transposed_twin(&grids, dims, c);
+                }
+            }
+            first = false;
+            if twin.iter().all(Option::is_none) {
+                break 'scan;
+            }
+        }
+    }
+    let mut comps = Vec::with_capacity(kdim);
+    for t in twin {
+        let k = match t {
+            Some(t) => comps[t],
+            None => stored(&comps),
+        };
+        comps.push(k);
+    }
+    comps
+}
+
+/// Number of distinct stored components in a component map.
+fn stored(comps: &[usize]) -> usize {
+    comps.iter().max().map_or(0, |&k| k + 1)
+}
+
+/// Build the 316 kernel-tensor spectra for boxes of half-width `half`,
+/// chunk-major, holding the stored components of `comps`
+/// ([`component_map`]): each is the transform of the first block
+/// component that maps to it, and no spectrum is stored twice.
+fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64, comps: &[usize]) -> Vec<f64> {
+    let slab = plan.half_len();
+    let g = plan.side().pow(3);
+    let stored = stored(comps);
+    let firsts: Vec<usize> =
+        (0..comps.len()).filter(|&c| !comps[..c].contains(&comps[c])).collect();
+    debug_assert!(firsts.iter().enumerate().all(|(k, &c)| comps[c] == k));
+    let mut out = vec![0.0; slab / F * DIRS * stored * CL];
+    let mut grids = vec![0.0; comps.len() * g];
+    let mut specs = vec![0.0; stored * 2 * slab];
     let mut scratch = Vec::new();
     for (d, v) in v_list_directions().into_iter().enumerate() {
         fill_grids(kernel, plan, half, v, &mut grids);
-        for c in 0..kdim {
-            match transposed_twin(&grids, dims, c) {
-                Some(t) => specs.copy_within(t * 2 * slab..(t + 1) * 2 * slab, c * 2 * slab),
-                None => plan.forward_full(
-                    &grids[c * g..(c + 1) * g],
-                    &mut specs[c * 2 * slab..(c + 1) * 2 * slab],
-                    &mut scratch,
-                ),
-            }
+        for (&c, spec) in firsts.iter().zip(specs.chunks_exact_mut(2 * slab)) {
+            plan.forward_full(&grids[c * g..(c + 1) * g], spec, &mut scratch);
         }
-        for (ch, table) in out.chunks_exact_mut(DIRS * kdim * CL).enumerate() {
-            pack_chunk(slab, ch, &specs, &mut table[d * kdim * CL..(d + 1) * kdim * CL]);
+        for (ch, table) in out.chunks_exact_mut(DIRS * stored * CL).enumerate() {
+            pack_chunk(slab, ch, &specs, &mut table[d * stored * CL..(d + 1) * stored * CL]);
         }
     }
     out
@@ -455,7 +506,8 @@ fn fill_grids<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64, v: [i32; 3], gr
 /// Component `(s, t)` of a `trg × src` kernel, if it precedes component
 /// `c = (t, s)` and its grid has the same bit patterns: its spectrum is
 /// then `c`'s too. Bits, not `==`: `-0.0 == 0.0`, yet the two transform
-/// to different bits.
+/// to different bits. The one test [`component_map`] folds over every
+/// direction and slot.
 fn transposed_twin(grids: &[f64], (trg, src): (usize, usize), c: usize) -> Option<usize> {
     let (t, s) = (c / src, c % src);
     let twin = s * src + t;
@@ -526,7 +578,7 @@ impl DenseM2l {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kifmm_kernels::{Laplace, Stokes};
+    use kifmm_kernels::{Laplace, Point3, Stokes};
 
     #[test]
     fn directions_exclude_near_field() {
@@ -546,48 +598,96 @@ mod tests {
         assert!(dir_id([1, -1, 0]) as usize >= DIRS, "near-field offsets have no tensor");
     }
 
-    /// The tensor table with transposed components copied equals the one
-    /// that transforms every component, bit for bit. Stokes copies 3 of 9
-    /// spectra per direction; a 3 × 3 kernel that is not symmetric copies
-    /// none.
+    /// The compacted tensor tables, read through the component map, equal
+    /// tables that transform and store every component, bit for bit, on
+    /// every slot. A component shares its transpose's run only where the
+    /// two grids match in every direction of every slot: Stokes and Kelvin
+    /// store 6 of 9; a skew 3 × 3 kernel and kernels symmetric only where
+    /// x₀ < 0 or only on some slots store 9; one whose (1, 0) entry alone
+    /// breaks symmetry in some directions stores 7; a scalar kernel over
+    /// three slots stores 1.
     #[test]
     fn tensor_build_copies_only_bitwise_transposes() {
-        fn case<K: Kernel>(kernel: &K, transforms: usize) {
-            let plan = RealFft3::new(4);
+        fn case<K: Kernel>(kernel: &K, depth: u8, count: usize) {
+            let (p, name) = (4, kernel.name());
+            let rule = LevelRule::new(kernel, 1.0, depth);
+            let fft = M2lFft::build(kernel, p, &rule);
+            assert_eq!(stored(&fft.comps), count, "{name}: stored components");
+            assert_eq!(fft.tensors.len(), rule.slot_halves().len());
+            let plan = RealFft3::new(p);
             let (slab, g) = (plan.half_len(), plan.side().pow(3));
-            let dims = (kernel.trg_dim(), kernel.src_dim());
-            let kdim = dims.0 * dims.1;
-            let half = 0.125;
-            let mut want = vec![0.0; slab / F * DIRS * kdim * CL];
+            let kdim = kernel.trg_dim() * kernel.src_dim();
             let mut grids = vec![0.0; kdim * g];
             let mut specs = vec![0.0; kdim * 2 * slab];
             let mut scratch = Vec::new();
-            for (d, v) in v_list_directions().into_iter().enumerate() {
-                fill_grids(kernel, &plan, half, v, &mut grids);
-                let twins = (0..kdim).filter(|&c| transposed_twin(&grids, dims, c).is_some());
-                assert_eq!(kdim - twins.count(), transforms, "{} {v:?}", kernel.name());
-                for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab)) {
-                    plan.forward_full(grid, spec, &mut scratch);
-                }
-                for (ch, table) in want.chunks_exact_mut(DIRS * kdim * CL).enumerate() {
-                    pack_chunk(slab, ch, &specs, &mut table[d * kdim * CL..(d + 1) * kdim * CL]);
+            for (table, &half) in fft.tensors.iter().zip(rule.slot_halves()) {
+                assert_eq!(table.len(), fft.chunks() * DIRS * count * CL, "{name}: table size");
+                for (d, v) in v_list_directions().into_iter().enumerate() {
+                    fill_grids(kernel, &plan, half, v, &mut grids);
+                    for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab))
+                    {
+                        plan.forward_full(grid, spec, &mut scratch);
+                    }
+                    for (c, spec) in specs.chunks_exact(2 * slab).enumerate() {
+                        for w in 0..slab {
+                            let o = (((w / F) * DIRS + d) * count + fft.comps[c]) * CL + w % F;
+                            assert_eq!(
+                                (table[o].to_bits(), table[o + F].to_bits()),
+                                (spec[w].to_bits(), spec[slab + w].to_bits()),
+                                "{name}: half {half} direction {v:?} component {c} w={w}"
+                            );
+                        }
+                    }
                 }
             }
-            let got = build_tensors(kernel, &plan, half);
-            assert!(
-                got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{}: copied spectra differ from transformed ones",
-                kernel.name()
-            );
         }
-        case(&Stokes::default(), 6);
-        let skew = kifmm_kernels::CustomKernel::new("skew-3x3", 3, 3, Some(-1.0), |x, y, b| {
-            let r = (0..3).map(|i| (x[i] - y[i]).powi(2)).sum::<f64>().sqrt();
-            for (i, v) in b.iter_mut().enumerate() {
-                *v = (1 + i) as f64 / r;
-            }
-        });
-        case(&skew, 9);
+        let r = |x: Point3, y: Point3| (0..3).map(|i| (x[i] - y[i]).powi(2)).sum::<f64>().sqrt();
+        case(&Stokes::default(), 3, 6);
+        case(&kifmm_kernels::Kelvin::new(1.1, 0.3), 3, 6);
+        let skew =
+            kifmm_kernels::CustomKernel::new("skew-3x3", 3, 3, Some(-1.0), move |x, y, b| {
+                for (i, v) in b.iter_mut().enumerate() {
+                    *v = (1 + i) as f64 / r(x, y);
+                }
+            });
+        case(&skew, 3, 9);
+        // (1 + t + s)/r where x₀ < 0, (1 + 3t + s)/r elsewhere.
+        let half_sym =
+            kifmm_kernels::CustomKernel::new("half-sym", 3, 3, Some(-1.0), move |x, y, b| {
+                let step = if x[0] < y[0] { 1 } else { 3 };
+                for (i, v) in b.iter_mut().enumerate() {
+                    *v = (1 + step * (i / 3) + i % 3) as f64 / r(x, y);
+                }
+            });
+        // It is symmetric in some directions, and still keeps all nine.
+        let plan = RealFft3::new(4);
+        let mut grids = vec![0.0; 9 * plan.side().pow(3)];
+        fill_grids(&half_sym, &plan, 0.25, [3, 0, 0], &mut grids);
+        assert_eq!(transposed_twin(&grids, (3, 3), 3), Some(1), "symmetric at v = (3, 0, 0)");
+        case(&half_sym, 3, 9);
+        // Only block entry (1, 0) differs from (0, 1), and only where
+        // |x₀| < 0.3: the other two pairs stay shared, so 7 are stored.
+        let one_pair =
+            kifmm_kernels::CustomKernel::new("one-pair", 3, 3, Some(-1.0), move |x, y, b| {
+                for (i, v) in b.iter_mut().enumerate() {
+                    let bump = usize::from(i == 3 && (x[0] - y[0]).abs() < 0.3);
+                    *v = (1 + i / 3 + i % 3 + bump) as f64 / r(x, y);
+                }
+            });
+        case(&one_pair, 3, 7);
+        // Symmetric on some slots only (levels 2–4, half-widths 1/4 … 1/16):
+        // asymmetric where r < 0.3 (not on level 2's grids) or r > 1.2 (only
+        // on levels 2 and 3), so the map reads every slot.
+        for (tag, near, far) in [("asym-near", 0.3, f64::MAX), ("asym-far", 0.0, 1.2)] {
+            let per_slot = kifmm_kernels::CustomKernel::new(tag, 3, 3, None, move |x, y, b| {
+                let step = if (near..far).contains(&r(x, y)) { 1 } else { 3 };
+                for (i, v) in b.iter_mut().enumerate() {
+                    *v = (1 + step * (i / 3) + i % 3) as f64 / r(x, y);
+                }
+            });
+            case(&per_slot, 4, 9);
+        }
+        case(&kifmm_kernels::ModifiedLaplace::new(1.0), 4, 1);
     }
 
     /// The FFT path must agree with the dense reference to near machine
@@ -667,7 +767,8 @@ mod tests {
 
     /// The chunk-major Hadamard stage against the per-pair
     /// `pointwise_mul_add` accumulation it replaced, over the same pair
-    /// lists in the same order: bit for bit, for 1×1, 3×3 and 1×3 blocks,
+    /// lists in the same order, each block component's kernel read through
+    /// the component map: bit for bit, for 1×1, 3×3 (Stokes, Kelvin) and 1×3 blocks,
     /// several batch widths, and V lists that include empty and
     /// single-entry ones.
     #[test]
@@ -710,7 +811,8 @@ mod tests {
             let kernel_slab = |dir: usize, ts: usize| -> Vec<C64> {
                 (0..slab)
                     .map(|w| {
-                        let o = (((w / F) * DIRS + dir) * td * sd + ts) * CL + w % F;
+                        let o = (((w / F) * DIRS + dir) * stored(&fft.comps) + fft.comps[ts]) * CL
+                            + w % F;
                         C64::new(fft.tensors[0][o], fft.tensors[0][o + F])
                     })
                     .collect()
@@ -751,6 +853,7 @@ mod tests {
         for nrhs in [1, 3, 8] {
             case(&Laplace, nrhs, &mut rng);
             case(&Stokes::default(), nrhs, &mut rng);
+            case(&kifmm_kernels::Kelvin::new(1.1, 0.3), nrhs, &mut rng);
             case(&kifmm_kernels::LaplaceDipole, nrhs, &mut rng);
         }
     }
@@ -770,12 +873,14 @@ mod tests {
         assert_eq!(fft.bytes(), 3 * 316 * fft.slab_len() * 16);
     }
 
-    /// A 3×3 kernel holds nine half-spectra per direction.
+    /// Stokes holds six half-spectra per direction, not nine: its three
+    /// off-diagonal pairs are stored once.
     #[test]
     fn vector_kernel_tensor_bytes() {
         let stokes = Stokes::default();
         let fft = M2lFft::build(&stokes, 3, &LevelRule::new(&stokes, 1.0, 4));
-        assert_eq!(fft.bytes(), 316 * 9 * fft.slab_len() * 16);
+        assert_eq!(fft.comps, [0, 1, 2, 1, 3, 4, 2, 4, 5]);
+        assert_eq!(fft.bytes(), 316 * 6 * fft.slab_len() * 16);
     }
 
     /// The Gaussian declares no homogeneity degree (no power law relates

@@ -536,6 +536,50 @@ mod tests {
         check_grad_against_central_difference(&LaplaceDipole, 1e-12);
     }
 
+    /// `eval_grad` and `p2p_grad_many` of one pair at distance `r` along
+    /// (3, 4, 12)/13, against `want(d, |d|)`, the closed-form gradient.
+    fn check_grad_at_distance<K: Kernel>(kernel: &K, r: f64, want: impl Fn(f64, f64) -> f64) {
+        let y = [-3.0 * r / 13.0, -4.0 * r / 13.0, -12.0 * r / 13.0];
+        let d = y.map(|v| -v);
+        let norm = d.iter().map(|v| v * v).sum::<f64>().sqrt();
+        let mut block = [0.0; 3];
+        kernel.eval_grad([0.0; 3], y, &mut block);
+        let (mut pot, mut grad) = ([0.0], [0.0; 3]);
+        kernel.p2p_grad_many(&[[0.0; 3]], &[y], &[&[1.0]], &mut [&mut pot], &mut [&mut grad]);
+        assert!(pot[0].is_finite(), "{} r={r:e}: potential {}", kernel.name(), pot[0]);
+        for (i, &di) in d.iter().enumerate() {
+            let want = want(di, norm);
+            for (what, got) in [("eval_grad", block[i]), ("p2p_grad_many", grad[i])] {
+                assert!(
+                    got.is_finite() && (got - want).abs() <= 1e-14 * want.abs(),
+                    "{} r={r:e} {what}[{i}]: {got:e}, closed form {want:e}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+
+    /// The gradients of the two kernels without a scale symmetry stay
+    /// finite and on their closed forms where `r³` leaves f64's normal
+    /// range: ModifiedLaplace at 1e−150 … 1e−100 (`−(d/r)·e^{−λr}(1 + λr)/(4π r²)`),
+    /// the Gaussian at 1e±150 (`−(d/σ²)·e^{−r²/(2σ²)}`, `−d/σ²` and `0` there).
+    #[test]
+    fn radial_gradients_hold_at_extreme_distances() {
+        let k = ModifiedLaplace::new(1.3);
+        for r in [1e-150, 1e-130, 1e-110, 1e-105, 1e-103, 1e-100] {
+            check_grad_at_distance(&k, r, |d, r| {
+                let e = (-k.lambda * r).exp();
+                -(d / r) * (e * (1.0 + k.lambda * r) / (4.0 * std::f64::consts::PI * r * r))
+            });
+        }
+        let g = Gaussian::new(0.7);
+        let gauss = |d: f64, r: f64| -(d / (0.7 * 0.7)) * (-(r * r) / (2.0 * 0.7 * 0.7)).exp();
+        check_grad_at_distance(&g, 1e-150, gauss);
+        check_grad_at_distance(&g, 1e150, gauss);
+        check_grad_at_distance(&g, 1e-150, |d, _| -d / (0.7 * 0.7));
+        check_grad_at_distance(&g, 1e150, |_, _| 0.0);
+    }
+
     #[test]
     fn grad_zero_at_coincident_pair() {
         let mut b9 = vec![1.0; 3];

@@ -89,14 +89,20 @@ impl Kernel for ModifiedLaplace {
     #[inline]
     fn eval_grad(&self, x: Point3, y: Point3, block: &mut [f64]) {
         debug_assert_eq!(block.len(), 3);
-        let (dx, dy, dz, r2) = displacement(x, y);
+        let (mut dx, mut dy, mut dz, r2) = displacement(x, y);
         if r2 == 0.0 {
             block.fill(0.0);
             return;
         }
         let r = r2.sqrt();
         let e = (-self.lambda * r).exp();
-        let s = FOUR_PI_INV * e * (1.0 + self.lambda * r) / (r2 * r);
+        let mut r3 = r2 * r;
+        if !r3.is_normal() {
+            // `r³` left f64's normal range (|r| beyond about 1e±102): the
+            // same term as (d/r)·e(1 + λr)/(4π r²).
+            (dx, dy, dz, r3) = (dx / r, dy / r, dz / r, r2);
+        }
+        let s = FOUR_PI_INV * e * (1.0 + self.lambda * r) / r3;
         block[0] = -dx * s;
         block[1] = -dy * s;
         block[2] = -dz * s;
@@ -127,7 +133,8 @@ impl Kernel for ModifiedLaplace {
     }
 
     /// Shares `e^{−λr}` between the potential and the three gradient
-    /// components.
+    /// components (`1/r²` on the unit vector where `r³` is out of range,
+    /// as in [`ModifiedLaplace::eval_grad`]).
     fn p2p_grad_many(
         &self,
         targets: &[Point3],
@@ -140,7 +147,12 @@ impl Kernel for ModifiedLaplace {
         let weights = |r2: f64| {
             let r = r2.sqrt();
             let e = (-lambda * r).exp();
-            (e / r, e * (1.0 + lambda * r) / (r2 * r), 1.0)
+            let r3 = r2 * r;
+            if r3.is_normal() {
+                (e / r, e * (1.0 + lambda * r) / r3, 1.0)
+            } else {
+                (e / r, e * (1.0 + lambda * r) / r2, 1.0 / r)
+            }
         };
         radial_p2p_grad_many(
             targets, sources, densities, potentials, gradients, FOUR_PI_INV, weights,

@@ -327,6 +327,42 @@ if [ -n "$window$fields" ]; then
 fi
 echo "live-window gate: OK (the M2L spectra table is sized by SlotPlan::capacity)"
 
+# 5p. Stored-component gate: the M2L tensor tables hold each distinct
+#     kernel component once — a component that is bit for bit its
+#     transpose's in every direction of every slot reads the transpose's
+#     run through `M2lFft`'s component map. Outside test modules in
+#     m2l.rs: every size or stride over the 316 directions is by the
+#     stored-component count (`stored`, `ns`), never by the block's
+#     `td·sd`; `ChunkJob` reads block component `t·sd + s` only through
+#     `comps[t * sd + s]`; and no spectrum is copied (`copy_within`).
+stored=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /DIRS \*/ {
+        sized++
+        if (code !~ /stored|[^A-Za-z0-9_]ns[^A-Za-z0-9_]/ \
+            || code ~ /kdim|td \* sd|trg_dim|src_dim|comps\.len\(\)/) print FILENAME ":" FNR ": " $0
+    }
+    /^impl ChunkJob/ { job = 1 }
+    job && /t \* sd \+ s/ {
+        if ($0 ~ /comps\[t \* sd \+ s\]/) mapped++
+        else print FILENAME ":" FNR ": " $0
+    }
+    job && /^}/ { job = 0 }
+    /copy_within/ { print FILENAME ":" FNR ": " $0 }
+    END {
+        if (!sized) print FILENAME ": no tensor table sized over the directions"
+        if (!mapped) print FILENAME ": ChunkJob does not read kernel runs through the component map"
+    }
+' crates/kifmm-core/src/m2l.rs)
+if [ -n "$stored" ]; then
+    echo "FAIL: an M2L tensor table holding every block component, or a kernel run read around the map:"
+    echo "$stored"
+    exit 1
+fi
+echo "stored-component gate: OK (M2L tensors sized by stored components, read through the map)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8
