@@ -484,7 +484,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     ///
     /// *Targets*, a [`TILE_BYTES`] run of consecutive (hence
     /// Morton-neighbouring) targets at a time: the tile's V lists are
-    /// resolved once to `(source slot, direction id)` pairs; the Hadamard
+    /// resolved once to `(source slot, direction entry)` pairs; the Hadamard
     /// stage then runs chunks outermost, targets inside, V pairs
     /// innermost, so per chunk the tile reads one contiguous run of
     /// kernel tensors, the few sources its neighbourhood shares, and
@@ -555,7 +555,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             for &ni in run {
                 let bkey = self.tree.nodes[ni as usize].key;
                 vlists.push(self.lists.v[ni as usize].iter().map(|&a| {
-                    let dir = m2l::dir_id(bkey.offset_to(&self.tree.nodes[a as usize].key));
+                    let dir = fft.direction(bkey.offset_to(&self.tree.nodes[a as usize].key));
                     [slots.slot(a), dir]
                 }));
             }

@@ -128,7 +128,7 @@ pub struct EngineWorkspace {
     /// Hadamard accumulators of a run of targets,
     /// `[chunk][target][RHS][TRG_DIM][re|im][F]`.
     pub tile: Vec<f64>,
-    /// V lists of the tile's targets as `[source slot, direction id]`.
+    /// V lists of the tile's targets as `[source slot, direction entry]`.
     pub vlists: PairLists,
 }
 

@@ -12,8 +12,8 @@
 //! surface density into a zero-padded `(2p)³` volume grid turns it into a
 //! circular convolution: one forward transform per source box, one
 //! Hadamard product per V-list interaction (using a precomputed
-//! kernel-tensor spectrum per each of the 316 relative directions), and
-//! one inverse transform per target box.
+//! kernel-tensor spectrum per relative direction), and one inverse
+//! transform per target box.
 //!
 //! ## Layout
 //!
@@ -25,7 +25,7 @@
 //! **frequency-chunk-major**: the spectrum is cut into chunks of [`F`]
 //! consecutive frequencies, and a table of `n` items with `width` grids
 //! each is stored `[chunk][item][grid][re|im][F]`. The kernel tensors
-//! (`316` directions × the block's stored components), a level's live
+//! (stored directions × the block's stored components), a level's live
 //! source spectra (`nrhs·sd` grids per slot) and a tile of target
 //! accumulators (`nrhs·td` grids per target) all use that one shape, so
 //! [`M2lFft::hadamard_chunk`] works on three contiguous runs per chunk
@@ -33,9 +33,9 @@
 //! list. [`M2lFft::pack_chunk`] and [`M2lFft::extract_check`] are the only
 //! box-major ↔ chunk-major crossings.
 //!
-//! The tensor table holds one set of 316 entries per slot of the plan's
-//! one [`LevelRule`], the operator table's: one slot for a homogeneous
-//! kernel, one per level otherwise. The engine supplies a level's slot and
+//! The tensor table holds one set of stored directions per slot of the
+//! plan's one [`LevelRule`], the operator table's: one slot for a
+//! homogeneous kernel, one per level otherwise. The engine supplies a level's slot and
 //! its factor `fwd`, applied as the check potential is read off the grid,
 //! as one [`LevelScale`].
 //!
@@ -45,6 +45,15 @@
 //! same stored components (Stokes and Kelvin 6 of 9, a scalar kernel 1),
 //! and the Hadamard stage reads block component `t·sd + s` through one
 //! component map.
+//!
+//! The grid of direction `−v` is the grid of `v` reflected through the
+//! origin wherever the kernel is even, `K(−x) = K(x)`, so its spectrum is
+//! the complex conjugate of `v`'s. A pair whose grids show that by value
+//! in every slot ([`reflected_twin`]) stores `v`'s spectrum only, and `−v`
+//! reads it with the imaginary part negated: every kernel but an odd one
+//! (`LaplaceDipole`) stores 158 of the 316 directions. The Hadamard stage
+//! reaches a direction's run through one direction map, whose entries the
+//! V lists carry ([`M2lFft::direction`]).
 
 use crate::engine::ExpansionStore;
 use crate::operators::{LevelRule, LevelScale};
@@ -56,6 +65,10 @@ use kifmm_tree::{InteractionLists, Octree};
 
 /// Number of V-list directions.
 const DIRS: usize = 316;
+
+/// Flag of a direction entry ([`M2lFft::direction`]) whose stored
+/// spectrum is read conjugated.
+const CONJ: u32 = 1 << 31;
 
 /// Frequencies per chunk of the chunk-major tables: one target's
 /// `re`/`im` accumulator for a 1×1 kernel is then four 2-lane vectors,
@@ -95,9 +108,11 @@ const DIR_IDS: [u16; 343] = {
     ids
 };
 
-/// Index of a V-list offset (target-to-source, in box widths) into the
-/// direction axis of the tensor table. Panics on an offset outside
-/// `[−3, 3]³`; a near-field offset yields an id past the table.
+/// Id of a V-list offset (target-to-source, in box widths), its index in
+/// [`v_list_directions`]: the offset `−v` has id `315 − dir_id(v)`. The
+/// tensor tables are indexed by the stored direction the id maps to
+/// ([`M2lFft::direction`]). Panics on an offset outside `[−3, 3]³`; a
+/// near-field offset yields an id past the 316.
 pub fn dir_id(offset: [i32; 3]) -> u32 {
     let [x, y, z] = offset.map(|v| (v + 3) as usize);
     assert!(x < 7 && y < 7 && z < 7, "offset {offset:?} is not a V-list direction");
@@ -105,7 +120,8 @@ pub fn dir_id(offset: [i32; 3]) -> u32 {
 }
 
 /// The V lists of a run of targets as the Hadamard stage reads them: per
-/// target, in list order, `[source slot, direction id]` pairs.
+/// target, in list order, `[source slot, direction entry]` pairs (entries
+/// from [`M2lFft::direction`]).
 #[derive(Default)]
 pub struct PairLists {
     /// Start of each target's run in `pairs`, plus the end.
@@ -163,8 +179,13 @@ pub struct M2lFft<K: Kernel> {
     /// Index into the `p³` corner cube of each surface point.
     surf_idx: Vec<usize>,
     /// Kernel tensor spectra, one table per slot of the rule they were
-    /// built from, chunk-major: `[chunk][direction][stored comp][re|im][F]`.
+    /// built from, chunk-major:
+    /// `[chunk][stored direction][stored comp][re|im][F]`.
     tensors: Vec<Vec<f64>>,
+    /// Entry of each direction id ([`dir_id`]): the stored direction it
+    /// reads, with [`CONJ`] set where it reads it conjugated; the same for
+    /// every table.
+    dirs: Vec<u32>,
     /// Stored component of each block component `t·SRC + s`, the same for
     /// every table.
     comps: Vec<usize>,
@@ -182,13 +203,15 @@ impl<K: Kernel> M2lFft<K> {
         let surf_idx =
             surface_grid_indices(p).into_iter().map(|[i, j, k]| (i * p + j) * p + k).collect();
         let halves = rule.slot_halves();
+        let dirs = direction_map(kernel, &plan, halves);
         let comps = component_map(kernel, &plan, halves);
         let tensors =
-            halves.iter().map(|&half| build_tensors(kernel, &plan, half, &comps)).collect();
+            halves.iter().map(|&half| build_tensors(kernel, &plan, half, &dirs, &comps)).collect();
         M2lFft {
             plan,
             surf_idx,
             tensors,
+            dirs,
             comps,
             src_dim: kernel.src_dim(),
             trg_dim: kernel.trg_dim(),
@@ -217,6 +240,14 @@ impl<K: Kernel> M2lFft<K> {
     /// Bytes of kernel-tensor spectra held.
     pub fn bytes(&self) -> usize {
         self.tensors.iter().map(Vec::len).sum::<usize>() * std::mem::size_of::<f64>()
+    }
+
+    /// The direction entry a V list carries for a pair at `offset`
+    /// (target to source, in box widths; see [`dir_id`]): the stored
+    /// direction whose tensors the pair reads, and whether it reads them
+    /// conjugated.
+    pub fn direction(&self, offset: [i32; 3]) -> u32 {
+        self.dirs[dir_id(offset) as usize]
     }
 
     /// Forward-transform a box's upward equivalent densities (`nrhs` rows
@@ -252,9 +283,10 @@ impl<K: Kernel> M2lFft<K> {
     /// `lists[j]` and each of the `nrhs` right-hand sides `q`,
     /// `acc[j][q][t] = Σ_pairs Σ_s K̂_dir[t][s] ⊙ spectra[slot][q][s]`
     /// on the chunk's `F` frequencies, summed in list order from zero
-    /// with `s` innermost. `spectra` is chunk `c` of the source table
-    /// (`[slot][q][s][re|im][F]`), `acc` chunk `c` of the tile
-    /// (`[j][q][t][re|im][F]`), overwritten.
+    /// with `s` innermost, `K̂_dir` the stored tensor of the pair's
+    /// direction entry, conjugated where the entry says so. `spectra` is
+    /// chunk `c` of the source table (`[slot][q][s][re|im][F]`), `acc`
+    /// chunk `c` of the tile (`[j][q][t][re|im][F]`), overwritten.
     ///
     /// Each `(j, q)` accumulator lives in locals across the pair loop, so
     /// a pair costs one pass over its kernel and source runs and no
@@ -270,7 +302,7 @@ impl<K: Kernel> M2lFft<K> {
         acc: &mut [f64],
     ) {
         let (td, sd, ns) = (self.trg_dim, self.src_dim, stored(&self.comps));
-        let kb = DIRS * ns * CL;
+        let kb = stored_dirs(&self.dirs) * ns * CL;
         let kernels = &self.tensors[scale.slot][c * kb..(c + 1) * kb];
         debug_assert_eq!(acc.len(), lists.len() * nrhs * td * CL);
         let job = ChunkJob { lists, nrhs, kernels, spectra };
@@ -348,7 +380,7 @@ fn pack_chunk(slab: usize, c: usize, grids: &[f64], dst: &mut [f64]) {
 struct ChunkJob<'a> {
     lists: &'a PairLists,
     nrhs: usize,
-    /// `[direction][stored comp][re|im][F]`.
+    /// `[stored direction][stored comp][re|im][F]`.
     kernels: &'a [f64],
     /// `[slot][q][s][re|im][F]`.
     spectra: &'a [f64],
@@ -358,7 +390,10 @@ impl ChunkJob<'_> {
     /// Run the chunk with `local` (one `[re|im][F]` row per target
     /// component) as the accumulator of one `(target, rhs)` at a time,
     /// reading block component `t·sd + s` from kernel run `comps[t·sd + s]`
-    /// of the `ns` stored per direction.
+    /// of the `ns` stored per direction, in the stored direction of the
+    /// pair's entry. A conjugated entry reads the imaginary part as
+    /// `sg·k_im` with `sg = −1`: exact, so `a − (−k_im)·x_im` has the bits
+    /// of `a + k_im·x_im` and the contraction order is the unconjugated one.
     #[inline(always)]
     fn run(&self, local: &mut [[f64; CL]], sd: usize, comps: &[usize], ns: usize, acc: &mut [f64]) {
         let td = local.len();
@@ -367,16 +402,18 @@ impl ChunkJob<'_> {
         for list in self.lists.iter() {
             for q in 0..self.nrhs {
                 local.fill([0.0; CL]);
-                for &[slot, dir] in list {
-                    let k = &self.kernels[dir as usize * kb..][..kb];
+                for &[slot, entry] in list {
+                    let sg = if entry & CONJ == 0 { 1.0 } else { -1.0 };
+                    let k = &self.kernels[(entry & !CONJ) as usize * kb..][..kb];
                     let x = &self.spectra[(slot as usize * self.nrhs + q) * sb..][..sb];
                     for (t, a) in local.iter_mut().enumerate() {
                         for s in 0..sd {
                             let k = &k[comps[t * sd + s] * CL..][..CL];
                             let x = &x[s * CL..][..CL];
                             for f in 0..F {
-                                a[f] = a[f] + k[f] * x[f] - k[F + f] * x[F + f];
-                                a[F + f] = a[F + f] + k[f] * x[F + f] + k[F + f] * x[f];
+                                let ki = sg * k[F + f];
+                                a[f] = a[f] + k[f] * x[f] - ki * x[F + f];
+                                a[F + f] = a[F + f] + k[f] * x[F + f] + ki * x[f];
                             }
                         }
                     }
@@ -387,6 +424,58 @@ impl ChunkJob<'_> {
             }
         }
     }
+}
+
+/// The entry of each direction id ([`dir_id`]): direction `d ≥ 158` reads
+/// the stored spectrum of its opposite `315 − d` conjugated where
+/// [`reflected_twin`] holds for the pair in every slot half-width in
+/// `halves`; every other direction is the next new stored one, in order of
+/// `d` (so direction `d < 158` is stored at index `d`). The one place the
+/// direction map is decided.
+fn direction_map<K: Kernel>(kernel: &K, plan: &RealFft3, halves: &[f64]) -> Vec<u32> {
+    let dirs = v_list_directions();
+    let grid_len = kernel.trg_dim() * kernel.src_dim() * plan.side().pow(3);
+    let (mut plus, mut minus) = (vec![0.0; grid_len], vec![0.0; grid_len]);
+    let mut folds = vec![true; DIRS / 2];
+    for &half in halves {
+        for (d, fold) in folds.iter_mut().enumerate().filter(|(_, fold)| **fold) {
+            fill_grids(kernel, plan, half, dirs[d], &mut plus);
+            fill_grids(kernel, plan, half, dirs[DIRS - 1 - d], &mut minus);
+            *fold = reflected_twin(&plus, &minus, plan.side());
+        }
+    }
+    let mut map: Vec<u32> = Vec::with_capacity(DIRS);
+    for d in 0..DIRS {
+        let e = match folds.get(DIRS - 1 - d) {
+            Some(true) => map[DIRS - 1 - d] | CONJ,
+            _ => stored_dirs(&map) as u32,
+        };
+        map.push(e);
+    }
+    map
+}
+
+/// Number of stored directions in a direction map.
+fn stored_dirs(dirs: &[u32]) -> usize {
+    dirs.iter().filter(|&&e| e & CONJ == 0).count()
+}
+
+/// Whether `minus`, the grids of direction `−v`, holds the values of
+/// `plus`, the grids of `v`, at every reflected index `w → (m − w) mod m`
+/// of every component (`m` the grid side): `−v`'s spectra are then the
+/// conjugates of `v`'s. By value, not bits: on the axis lines a Stokes
+/// entry is `(+0)·(±a)`, and the two grids differ there only in the sign
+/// of a zero. The identity holds for the values, and the conjugated read
+/// replaces `−v`'s computed spectrum anyway.
+fn reflected_twin(plus: &[f64], minus: &[f64], m: usize) -> bool {
+    let r = |w: usize| if w == 0 { 0 } else { m - w };
+    let mut grids = plus.chunks_exact(m * m * m).zip(minus.chunks_exact(m * m * m));
+    grids.all(|(plus, minus)| {
+        (0..m * m).all(|row| {
+            let (minus, mirror) = (&minus[row * m..][..m], (r(row / m) * m + r(row % m)) * m);
+            (0..m).all(|w2| minus[w2] == plus[mirror + r(w2)])
+        })
+    })
 }
 
 /// The stored component of each block component `c = (t, s)` of a
@@ -429,27 +518,36 @@ fn stored(comps: &[usize]) -> usize {
     comps.iter().max().map_or(0, |&k| k + 1)
 }
 
-/// Build the 316 kernel-tensor spectra for boxes of half-width `half`,
-/// chunk-major, holding the stored components of `comps`
+/// Build the kernel-tensor spectra for boxes of half-width `half`,
+/// chunk-major, holding the stored directions of `dirs`
+/// ([`direction_map`]) and the stored components of `comps`
 /// ([`component_map`]): each is the transform of the first block
-/// component that maps to it, and no spectrum is stored twice.
-fn build_tensors<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64, comps: &[usize]) -> Vec<f64> {
+/// component that maps to it, and no spectrum is transformed or stored
+/// twice.
+fn build_tensors<K: Kernel>(
+    kernel: &K,
+    plan: &RealFft3,
+    half: f64,
+    dirs: &[u32],
+    comps: &[usize],
+) -> Vec<f64> {
     let slab = plan.half_len();
     let g = plan.side().pow(3);
-    let stored = stored(comps);
+    let (nd, stored) = (stored_dirs(dirs), stored(comps));
     let firsts: Vec<usize> =
         (0..comps.len()).filter(|&c| !comps[..c].contains(&comps[c])).collect();
     debug_assert!(firsts.iter().enumerate().all(|(k, &c)| comps[c] == k));
-    let mut out = vec![0.0; slab / F * DIRS * stored * CL];
+    let mut out = vec![0.0; slab / F * nd * stored * CL];
     let mut grids = vec![0.0; comps.len() * g];
     let mut specs = vec![0.0; stored * 2 * slab];
     let mut scratch = Vec::new();
-    for (d, v) in v_list_directions().into_iter().enumerate() {
+    for (&e, v) in dirs.iter().zip(v_list_directions()).filter(|(&e, _)| e & CONJ == 0) {
+        let d = e as usize;
         fill_grids(kernel, plan, half, v, &mut grids);
         for (&c, spec) in firsts.iter().zip(specs.chunks_exact_mut(2 * slab)) {
             plan.forward_full(&grids[c * g..(c + 1) * g], spec, &mut scratch);
         }
-        for (ch, table) in out.chunks_exact_mut(DIRS * stored * CL).enumerate() {
+        for (ch, table) in out.chunks_exact_mut(nd * stored * CL).enumerate() {
             pack_chunk(slab, ch, &specs, &mut table[d * stored * CL..(d + 1) * stored * CL]);
         }
     }
@@ -590,18 +688,122 @@ mod tests {
         }
     }
 
+    /// Ids follow the lexicographic direction list, so the opposite offset
+    /// `−v` has id `315 − dir_id(v)`.
     #[test]
     fn direction_ids_follow_the_direction_list() {
         for (i, d) in v_list_directions().into_iter().enumerate() {
             assert_eq!(dir_id(d) as usize, i, "{d:?}");
+            assert_eq!(dir_id(d.map(|c| -c)) as usize, DIRS - 1 - i, "−{d:?}");
         }
         assert!(dir_id([1, -1, 0]) as usize >= DIRS, "near-field offsets have no tensor");
     }
 
-    /// The compacted tensor tables, read through the component map, equal
-    /// tables that transform and store every component, bit for bit, on
-    /// every slot. A component shares its transpose's run only where the
-    /// two grids match in every direction of every slot: Stokes and Kelvin
+    /// Every entry of `fft`'s tables, read through both maps, against
+    /// transforming and storing every direction and block component: bit
+    /// for bit where the entry is stored, within 1e-15 of the table's
+    /// largest entry where it is read conjugated.
+    fn check_against_full_build<K: Kernel>(kernel: &K, fft: &M2lFft<K>, rule: &LevelRule) {
+        let (name, ns, nd) = (kernel.name(), stored(&fft.comps), stored_dirs(&fft.dirs));
+        assert_eq!(fft.tensors.len(), rule.slot_halves().len());
+        let plan = &fft.plan;
+        let (slab, g) = (plan.half_len(), plan.side().pow(3));
+        let kdim = kernel.trg_dim() * kernel.src_dim();
+        let mut grids = vec![0.0; kdim * g];
+        let mut specs = vec![0.0; kdim * 2 * slab];
+        let mut scratch = Vec::new();
+        for (table, &half) in fft.tensors.iter().zip(rule.slot_halves()) {
+            assert_eq!(table.len(), fft.chunks() * nd * ns * CL, "{name}: table size");
+            let largest = table.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (d, v) in v_list_directions().into_iter().enumerate() {
+                let (k, sg) = ((fft.dirs[d] & !CONJ) as usize, fft.dirs[d] & CONJ != 0);
+                fill_grids(kernel, plan, half, v, &mut grids);
+                for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab)) {
+                    plan.forward_full(grid, spec, &mut scratch);
+                }
+                for (c, spec) in specs.chunks_exact(2 * slab).enumerate() {
+                    for w in 0..slab {
+                        let o = (((w / F) * nd + k) * ns + fft.comps[c]) * CL + w % F;
+                        let (re, im) = (table[o], if sg { -table[o + F] } else { table[o + F] });
+                        let at = format!("{name}: half {half} direction {v:?} component {c} w={w}");
+                        if sg {
+                            let gap = (re - spec[w]).abs().max((im - spec[slab + w]).abs());
+                            assert!(gap <= 1e-15 * largest, "{at}: conjugate off by {gap:e}");
+                        } else {
+                            assert_eq!(
+                                (re.to_bits(), im.to_bits()),
+                                (spec[w].to_bits(), spec[slab + w].to_bits()),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A direction reads its opposite's spectrum conjugated only where the
+    /// kernel is even on every grid of every slot: every kernel but an odd
+    /// one stores 158 of the 316 directions; `LaplaceDipole` and a closure
+    /// odd in x₀ store all 316, and a closure even except far out along
+    /// +x₀ keeps both directions of the 49 pairs with |v₀| = 3. Stored
+    /// directions are numbered in id order and a folded `d` reads
+    /// `315 − d`; read through the maps, the tables match a full build.
+    #[test]
+    fn direction_map_folds_opposites_of_even_kernels() {
+        fn case<K: Kernel>(kernel: &K, depth: u8, count: usize) {
+            let rule = LevelRule::new(kernel, 1.0, depth);
+            let fft = M2lFft::build(kernel, 4, &rule);
+            assert_eq!(stored_dirs(&fft.dirs), count, "{}: stored directions", kernel.name());
+            let mut next = 0;
+            for (d, &e) in fft.dirs.iter().enumerate() {
+                if e & CONJ == 0 {
+                    assert_eq!(e, next, "{}: stored in id order", kernel.name());
+                    next += 1;
+                } else {
+                    assert!(d >= DIRS / 2, "{}: {d} folds onto a later id", kernel.name());
+                    assert_eq!(e, fft.dirs[DIRS - 1 - d] | CONJ, "{}: {d}", kernel.name());
+                }
+            }
+            check_against_full_build(kernel, &fft, &rule);
+        }
+        let r = |x: Point3, y: Point3| (0..3).map(|i| (x[i] - y[i]).powi(2)).sum::<f64>().sqrt();
+        case(&Laplace, 2, 158);
+        case(&Stokes::default(), 3, 158);
+        case(&kifmm_kernels::Kelvin::new(1.1, 0.3), 3, 158);
+        case(&kifmm_kernels::ModifiedLaplace::new(1.0), 4, 158);
+        case(&kifmm_kernels::Gaussian::new(0.8), 3, 158);
+        let inv_r15 =
+            kifmm_kernels::CustomKernel::new("inv-r-1.5", 1, 1, Some(-1.5), move |x, y, b| {
+                b[0] = 1.0 / (r(x, y) * r(x, y).sqrt());
+            });
+        case(&inv_r15, 3, 158);
+        case(&kifmm_kernels::LaplaceDipole, 3, 316);
+        let odd = kifmm_kernels::CustomKernel::new("odd-x0", 1, 1, Some(-2.0), move |x, y, b| {
+            b[0] = (x[0] - y[0]) / r(x, y).powi(3);
+        });
+        case(&odd, 3, 316);
+        // Level 2 (half-width 1/4): x₀ − y₀ > 1.75 only on the grids of
+        // v₀ = −3, which reach 8.1 half-widths; their opposites read 1/r.
+        let far = kifmm_kernels::CustomKernel::new("far-x0", 1, 1, None, move |x, y, b| {
+            b[0] = if x[0] - y[0] > 1.75 { 2.0 } else { 1.0 } / r(x, y);
+        });
+        case(&far, 2, 158 + 49);
+        // Over levels 2 and 3 the same 49 fail on the first slot only, and
+        // a closure odd only where r < 0.3 fails on the last slot only
+        // (level 2's grids keep r ≥ 0.475).
+        case(&far, 3, 158 + 49);
+        let near = kifmm_kernels::CustomKernel::new("near-x0", 1, 1, None, move |x, y, b| {
+            b[0] = if x[0] > y[0] && r(x, y) < 0.3 { 2.0 } else { 1.0 } / r(x, y);
+        });
+        case(&near, 3, 158 + 27);
+    }
+
+    /// The compacted tensor tables, read through the component map (and the
+    /// direction map), equal tables that transform and store every
+    /// component, bit for bit in every stored direction, on every slot. A
+    /// component shares its transpose's run only where the two grids
+    /// match in every direction of every slot: Stokes and Kelvin
     /// store 6 of 9; a skew 3 × 3 kernel and kernels symmetric only where
     /// x₀ < 0 or only on some slots store 9; one whose (1, 0) entry alone
     /// breaks symmetry in some directions stores 7; a scalar kernel over
@@ -609,37 +811,10 @@ mod tests {
     #[test]
     fn tensor_build_copies_only_bitwise_transposes() {
         fn case<K: Kernel>(kernel: &K, depth: u8, count: usize) {
-            let (p, name) = (4, kernel.name());
             let rule = LevelRule::new(kernel, 1.0, depth);
-            let fft = M2lFft::build(kernel, p, &rule);
-            assert_eq!(stored(&fft.comps), count, "{name}: stored components");
-            assert_eq!(fft.tensors.len(), rule.slot_halves().len());
-            let plan = RealFft3::new(p);
-            let (slab, g) = (plan.half_len(), plan.side().pow(3));
-            let kdim = kernel.trg_dim() * kernel.src_dim();
-            let mut grids = vec![0.0; kdim * g];
-            let mut specs = vec![0.0; kdim * 2 * slab];
-            let mut scratch = Vec::new();
-            for (table, &half) in fft.tensors.iter().zip(rule.slot_halves()) {
-                assert_eq!(table.len(), fft.chunks() * DIRS * count * CL, "{name}: table size");
-                for (d, v) in v_list_directions().into_iter().enumerate() {
-                    fill_grids(kernel, &plan, half, v, &mut grids);
-                    for (grid, spec) in grids.chunks_exact(g).zip(specs.chunks_exact_mut(2 * slab))
-                    {
-                        plan.forward_full(grid, spec, &mut scratch);
-                    }
-                    for (c, spec) in specs.chunks_exact(2 * slab).enumerate() {
-                        for w in 0..slab {
-                            let o = (((w / F) * DIRS + d) * count + fft.comps[c]) * CL + w % F;
-                            assert_eq!(
-                                (table[o].to_bits(), table[o + F].to_bits()),
-                                (spec[w].to_bits(), spec[slab + w].to_bits()),
-                                "{name}: half {half} direction {v:?} component {c} w={w}"
-                            );
-                        }
-                    }
-                }
-            }
+            let fft = M2lFft::build(kernel, 4, &rule);
+            assert_eq!(stored(&fft.comps), count, "{}: stored components", kernel.name());
+            check_against_full_build(kernel, &fft, &rule);
         }
         let r = |x: Point3, y: Point3| (0..3).map(|i| (x[i] - y[i]).powi(2)).sum::<f64>().sqrt();
         case(&Stokes::default(), 3, 6);
@@ -738,8 +913,8 @@ mod tests {
         let mut spectra = vec![0.0; sd * glen];
         let mut tile = vec![f64::NAN; DIRS * td * glen];
         let mut lists = PairLists::default();
-        for d in 0..DIRS as u32 {
-            lists.push([[0, d]].into_iter());
+        for &e in &fft.dirs {
+            lists.push([[0, e]].into_iter());
         }
         for c in 0..fft.chunks() {
             let spectra = &mut spectra[c * sd * CL..(c + 1) * sd * CL];
@@ -768,7 +943,9 @@ mod tests {
     /// The chunk-major Hadamard stage against the per-pair
     /// `pointwise_mul_add` accumulation it replaced, over the same pair
     /// lists in the same order, each block component's kernel read through
-    /// the component map: bit for bit, for 1×1, 3×3 (Stokes, Kelvin) and 1×3 blocks,
+    /// the component map and the direction map, conjugated where the
+    /// direction entry says so: bit for bit, for 1×1, 3×3 (Stokes, Kelvin)
+    /// and 1×3 blocks,
     /// several batch widths, and V lists that include empty and
     /// single-entry ones.
     #[test]
@@ -787,7 +964,7 @@ mod tests {
             for j in 0..ntrg {
                 let len = [0, 1][..].get(j).copied().unwrap_or_else(|| rng.range_usize(0, 12));
                 let list: Vec<[u32; 2]> = (0..len)
-                    .map(|_| [rng.range_usize(0, nsrc) as u32, rng.range_usize(0, DIRS) as u32])
+                    .map(|_| [rng.range_usize(0, nsrc) as u32, fft.dirs[rng.range_usize(0, DIRS)]])
                     .collect();
                 lists.push(list.into_iter());
             }
@@ -808,12 +985,14 @@ mod tests {
             let complex = |re: &[f64], im: &[f64]| -> Vec<C64> {
                 re.iter().zip(im).map(|(&r, &i)| C64::new(r, i)).collect()
             };
-            let kernel_slab = |dir: usize, ts: usize| -> Vec<C64> {
+            let (nd, ns) = (stored_dirs(&fft.dirs), stored(&fft.comps));
+            let kernel_slab = |entry: u32, ts: usize| -> Vec<C64> {
+                let (dir, sg) = ((entry & !CONJ) as usize, entry & CONJ != 0);
                 (0..slab)
                     .map(|w| {
-                        let o = (((w / F) * DIRS + dir) * stored(&fft.comps) + fft.comps[ts]) * CL
-                            + w % F;
-                        C64::new(fft.tensors[0][o], fft.tensors[0][o + F])
+                        let o = (((w / F) * nd + dir) * ns + fft.comps[ts]) * CL + w % F;
+                        let im = fft.tensors[0][o + F];
+                        C64::new(fft.tensors[0][o], if sg { -im } else { im })
                     })
                     .collect()
             };
@@ -826,11 +1005,7 @@ mod tests {
                                 let g = ((slot as usize * nrhs + q) * sd + s) * 2 * slab;
                                 let src =
                                     complex(&boxes[g..g + slab], &boxes[g + slab..g + 2 * slab]);
-                                pointwise_mul_add(
-                                    acc,
-                                    &kernel_slab(dir as usize, t * sd + s),
-                                    &src,
-                                );
+                                pointwise_mul_add(acc, &kernel_slab(dir, t * sd + s), &src);
                             }
                         }
                     }
@@ -862,7 +1037,7 @@ mod tests {
     fn homogeneous_levels_share_tensors() {
         let fft = M2lFft::build(&Laplace, 4, &LevelRule::new(&Laplace, 1.0, 6));
         assert_eq!(fft.tensors.len(), 1, "Laplace shares one tensor slot");
-        assert_eq!(fft.bytes(), 316 * fft.slab_len() * 16);
+        assert_eq!(fft.bytes(), 158 * fft.slab_len() * 16);
     }
 
     #[test]
@@ -870,17 +1045,19 @@ mod tests {
         let k = kifmm_kernels::ModifiedLaplace::new(1.0);
         let fft = M2lFft::build(&k, 3, &LevelRule::new(&k, 1.0, 4));
         assert_eq!(fft.tensors.len(), 3, "levels 2, 3, 4");
-        assert_eq!(fft.bytes(), 3 * 316 * fft.slab_len() * 16);
+        assert_eq!(fft.bytes(), 3 * 158 * fft.slab_len() * 16);
     }
 
-    /// Stokes holds six half-spectra per direction, not nine: its three
-    /// off-diagonal pairs are stored once.
+    /// Stokes holds six half-spectra per stored direction, not nine: its
+    /// three off-diagonal pairs are stored once, and of each ±v pair only
+    /// v is stored.
     #[test]
     fn vector_kernel_tensor_bytes() {
         let stokes = Stokes::default();
         let fft = M2lFft::build(&stokes, 3, &LevelRule::new(&stokes, 1.0, 4));
         assert_eq!(fft.comps, [0, 1, 2, 1, 3, 4, 2, 4, 5]);
-        assert_eq!(fft.bytes(), 316 * 6 * fft.slab_len() * 16);
+        assert_eq!(stored_dirs(&fft.dirs), 158);
+        assert_eq!(fft.bytes(), 158 * 6 * fft.slab_len() * 16);
     }
 
     /// The Gaussian declares no homogeneity degree (no power law relates

@@ -1287,12 +1287,12 @@ mod tests {
         assert!(depth >= 3, "need several operator levels (depth {depth})");
         let op_levels = depth - FIRST_FMM_LEVEL as usize + 1;
         let ns = crate::surface::num_surface_points(opts.order);
-        // Per level: 316 half-spectrum tensors (split re/im, 16 bytes an
-        // entry) and 18 dense operators. Same tree, lists and points: the
-        // estimates differ exactly by the extra levels of both (homog
-        // holds one of each).
+        // Per level: 158 half-spectrum tensors, one of each ±v pair
+        // (split re/im, 16 bytes an entry), and 18 dense operators. Same
+        // tree, lists and points: the estimates differ exactly by the extra
+        // levels of both (homog holds one of each).
         let slab = homog.pre.m2l_fft.as_ref().expect("FFT tables").slab_len();
-        let tables = 316 * slab * 16 + 18 * ns * ns * 8;
+        let tables = 158 * slab * 16 + 18 * ns * ns * 8;
         assert_eq!(inhomog.approx_bytes() - homog.approx_bytes(), (op_levels - 1) * tables);
         assert_eq!(homog.pre.bytes(), tables);
         let shallow = Plan::try_new(Laplace, &pts, FmmOptions { max_level: 2, ..opts }).unwrap();

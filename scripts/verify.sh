@@ -327,41 +327,71 @@ if [ -n "$window$fields" ]; then
 fi
 echo "live-window gate: OK (the M2L spectra table is sized by SlotPlan::capacity)"
 
-# 5p. Stored-component gate: the M2L tensor tables hold each distinct
+# 5p. Stored-tensor gate: the M2L tensor tables hold each distinct
 #     kernel component once — a component that is bit for bit its
 #     transpose's in every direction of every slot reads the transpose's
-#     run through `M2lFft`'s component map. Outside test modules in
-#     m2l.rs: every size or stride over the 316 directions is by the
-#     stored-component count (`stored`, `ns`), never by the block's
-#     `td·sd`; `ChunkJob` reads block component `t·sd + s` only through
-#     `comps[t * sd + s]`; and no spectrum is copied (`copy_within`).
+#     run through `M2lFft`'s component map — and one direction of each ±v
+#     pair whose grids are reflections by value — the other reads it
+#     conjugated through the direction map. Outside test modules in
+#     m2l.rs: no size or stride runs over all 316 directions (`DIRS *`),
+#     every one over the stored directions (`nd`, `stored_dirs(…)`) is
+#     by the stored-component count (`stored`, `ns`) and `CL`, and none is
+#     by the block's `kdim`, `td * sd` or `comps.len()`; `ChunkJob` reaches
+#     a kernel run only through the pair's direction entry
+#     (`entry & !CONJ`), reads its imaginary part only as `sg * k[F + f]`
+#     with `sg` from `entry & CONJ`, and reads block component
+#     `t·sd + s` only through `comps[t * sd + s]`; no spectrum is copied
+#     (`copy_within`). Outside test modules under crates/*/src, the
+#     direction map is decided in one function: `| CONJ` and a call of
+#     `reflected_twin` appear only in `fn direction_map`, and `dir_id(`
+#     is called only in m2l.rs (a pair's entry comes from
+#     `M2lFft::direction`).
 stored=$(awk '
     /^#\[cfg\(test\)\]/ { exit }
     /^[ \t]*\/\// { next }
     { code = $0; sub(/\/\/.*/, "", code) }
-    code ~ /DIRS \*/ {
+    code ~ /DIRS \*|\* DIRS/ { print FILENAME ":" FNR ": " $0 }
+    code ~ /(^|[^A-Za-z0-9_])(nd|stored_dirs\([^)]*\)) \*/ {
         sized++
-        if (code !~ /stored|[^A-Za-z0-9_]ns[^A-Za-z0-9_]/ \
-            || code ~ /kdim|td \* sd|trg_dim|src_dim|comps\.len\(\)/) print FILENAME ":" FNR ": " $0
+        if (code !~ /(nd|stored_dirs\([^)]*\)) \* (stored|ns) \* CL/) print FILENAME ":" FNR ": " $0
     }
+    code ~ /(kdim|td \* sd|comps\.len\(\)) \* CL/ { print FILENAME ":" FNR ": " $0 }
     /^impl ChunkJob/ { job = 1 }
     job && /t \* sd \+ s/ {
         if ($0 ~ /comps\[t \* sd \+ s\]/) mapped++
         else print FILENAME ":" FNR ": " $0
     }
+    job && /kernels\[/ {
+        if (code ~ /kernels\[\(entry & !CONJ\)/) entered++
+        else print FILENAME ":" FNR ": " $0
+    }
+    job && /k\[F \+ f\]/ && code !~ /sg \* k\[F \+ f\]/ { print FILENAME ":" FNR ": " $0 }
+    job && code ~ /sg = if entry & CONJ/ { signed++ }
     job && /^}/ { job = 0 }
     /copy_within/ { print FILENAME ":" FNR ": " $0 }
     END {
-        if (!sized) print FILENAME ": no tensor table sized over the directions"
+        if (!sized) print FILENAME ": no tensor table sized over the stored directions"
         if (!mapped) print FILENAME ": ChunkJob does not read kernel runs through the component map"
+        if (!entered) print FILENAME ": ChunkJob does not read kernel runs through the direction entry"
+        if (!signed) print FILENAME ": ChunkJob does not take the sign from the direction entry"
     }
 ' crates/kifmm-core/src/m2l.rs)
-if [ -n "$stored" ]; then
-    echo "FAIL: an M2L tensor table holding every block component, or a kernel run read around the map:"
+decided=$(nontest_src | awk '
+    { split($0, a, ": "); f = a[1]; code = substr($0, length(f) + 3) }
+    code ~ /^[ \t]*\/\// { next }
+    f ~ /m2l\.rs:/ && code ~ /^fn direction_map/ { inmap = 1 }
+    (code ~ /\| CONJ/ || (code ~ /reflected_twin\(/ && code !~ /fn reflected_twin\(/)) \
+        && !(inmap && f ~ /m2l\.rs:/) { print $0 }
+    code ~ /(^|[^_A-Za-z])dir_id\(/ && code !~ /fn dir_id\(/ && f !~ /m2l\.rs:/ { print $0 }
+    inmap && code ~ /^}/ { inmap = 0 }
+')
+if [ -n "$stored$decided" ]; then
+    echo "FAIL: an M2L tensor table over every direction or component, a kernel run read around the maps, or a second direction-map decision:"
     echo "$stored"
+    echo "$decided"
     exit 1
 fi
-echo "stored-component gate: OK (M2L tensors sized by stored components, read through the map)"
+echo "stored-tensor gate: OK (M2L tensors sized by stored directions × stored components, read through both maps)"
 
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and

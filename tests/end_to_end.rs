@@ -143,13 +143,57 @@ fn stokeslet_potentials_hold_at_extreme_scales() {
     holds_at_extreme_scales(Kelvin::default(), false, 1, 1e-3);
 }
 
-/// The gradients of Laplace and Stokes and the Laplace dipole's potential
-/// are homogeneous of degree −2. Their blocks form 1/r³ or 1/r⁵, which
-/// leave f64's range at s = 1e±150 well before the potentials' 1/r does.
-/// The FMM bounds are the deep-tree ones of tests/gradients.rs.
+/// The gradients of Laplace, Stokes and Kelvin and the Laplace dipole's
+/// potential are homogeneous of degree −2. Their blocks form 1/r³ or 1/r⁵,
+/// which leave f64's range at s = 1e±150 well before the potentials' 1/r
+/// does. The FMM bounds are the deep-tree ones of tests/gradients.rs.
 #[test]
 fn gradients_hold_at_extreme_scales() {
     holds_at_extreme_scales(Laplace, true, 2, 1e-4);
     holds_at_extreme_scales(Stokes::default(), true, 2, 1e-3);
+    holds_at_extreme_scales(Kelvin::default(), true, 2, 1e-3);
     holds_at_extreme_scales(LaplaceDipole, false, 2, 1e-4);
+}
+
+/// The FMM against the direct sum on one cloud: finite, and within `tol`.
+fn matches_direct<K: kifmm::Kernel>(kernel: K, cloud: &str, points: &[[f64; 3]], tol: f64) {
+    let dens = kifmm::geom::random_densities(points.len(), kernel.src_dim(), 11);
+    let fmm = Fmm::builder(kernel.clone())
+        .points(points)
+        .options(FmmOptions { max_pts_per_leaf: 40, ..Default::default() })
+        .build();
+    let approx = fmm.eval(&dens).potentials;
+    assert!(approx.iter().all(|v| v.is_finite()), "{} on {cloud}: non-finite", kernel.name());
+    let err = rel_l2_error(&approx, &direct_eval(&kernel, points, &dens));
+    assert!(err < tol, "{} on {cloud}: relative error {err:e} (tol {tol:e})", kernel.name());
+}
+
+/// Degenerate clouds keep the paper's accuracy: points on one line, on
+/// one tilted plane, on the six faces of their own bounding cube (the
+/// root box's faces), a single point, and fewer points than a leaf holds.
+#[test]
+fn degenerate_clouds_match_direct() {
+    let cube = kifmm::geom::uniform_cube(3000, 21);
+    let line: Vec<[f64; 3]> = cube.iter().map(|p| [p[0], 0.3 * p[0], -0.7 * p[0]]).collect();
+    let plane: Vec<[f64; 3]> = cube.iter().map(|p| [p[0], p[1], 0.2 * p[0] - 0.5 * p[1]]).collect();
+    let faces: Vec<[f64; 3]> = cube
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let mut q = p;
+            q[i % 3] = p[i % 3].signum();
+            q
+        })
+        .collect();
+    let clouds = [
+        ("a line", line),
+        ("a plane", plane),
+        ("the cube faces", faces),
+        ("one point", cube[..1].to_vec()),
+        ("seven points", cube[..7].to_vec()),
+    ];
+    for (cloud, points) in &clouds {
+        matches_direct(Laplace, cloud, points, 1e-5);
+        matches_direct(Stokes::default(), cloud, points, 1e-3);
+    }
 }
