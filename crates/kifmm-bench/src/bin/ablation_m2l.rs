@@ -94,8 +94,8 @@ fn case<K: Kernel>(kernel: K, points: &[[f64; 3]], order: usize) -> Vec<String> 
         let ops = DenseM2l::assemble(&kernel, order, tree.domain.box_half(level));
         fft.time(|| engine.m2l_level(level, &mut fft_store, &mut ws));
         dense.time(|| ops.sweep(tree, lists, level, &mut dense_store));
-        let ids = &tree.levels[level as usize];
-        let slab = ids[0] as usize * cs..(ids[ids.len() - 1] as usize + 1) * cs;
+        let rows = fft_store.rows().local_level(level);
+        let slab = rows.start * cs..rows.end * cs;
         let err = rel_l2_error(&fft_store.check[slab.clone()], &dense_store.check[slab]);
         if err.is_nan() || err > worst {
             worst = err;

@@ -20,7 +20,9 @@
 //!   Both produce bit-identical results (each output element is computed by
 //!   exactly one task with the serial instruction order).
 //!
-//! Expansions live in a flat per-level-contiguous [`ExpansionStore`], which
+//! Expansions live in a flat per-level-contiguous [`ExpansionStore`] that
+//! holds rows only for the boxes the driver touches, through a
+//! [`StoreRows`] map decided once per [`ActiveSet`]. Per-level contiguity
 //! lets the translation passes run as **per-level batched operators**: the
 //! M2M/L2L GEMVs of one level collapse into a handful of multi-RHS GEMMs
 //! ([`kifmm_linalg::gemm_slices`]), and the FFT M2L sweeps tiles of
@@ -46,7 +48,7 @@
 
 mod store;
 
-pub use store::{EngineWorkspace, ExpansionStore, Scratch, SlotPlan};
+pub use store::{EngineWorkspace, ExpansionStore, Scratch, SlotPlan, StoreRows};
 
 use crate::m2l::{self, M2lScratch, PairLists};
 use crate::operators::FIRST_FMM_LEVEL;
@@ -58,6 +60,7 @@ use kifmm_linalg::{gemm_slices, Mat};
 use kifmm_runtime::{par_each, Dispatch};
 use kifmm_tree::{InteractionLists, Octree, NO_NODE};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Byte budget of one FFT-M2L tile (`EngineWorkspace::tile`): a batch of
 /// source spectra being staged, or the accumulators of a run of targets.
@@ -112,7 +115,8 @@ impl SourceProvider for LocalSources<'_> {
 
 /// The node-ownership filter of one driver, in the shapes the passes need:
 /// a membership mask, per-level active id lists, and the active leaves in
-/// target-point order.
+/// target-point order — and, once a store is shaped for it, the
+/// [`StoreRows`] map of the boxes it touches.
 pub struct ActiveSet {
     /// `mask[ni]` — box `ni` is computed by this driver.
     pub mask: Vec<bool>,
@@ -121,6 +125,9 @@ pub struct ActiveSet {
     /// `(leaf, pt_start, pt_end)` of every active leaf, ordered by
     /// `pt_start` (they partition the local target range).
     pub leaves: Vec<(u32, usize, usize)>,
+    /// The store rows of the boxes this set touches, decided by the first
+    /// [`PassEngine::prepare_store`] over it.
+    rows: OnceLock<Arc<StoreRows>>,
 }
 
 /// The points a leaf phase evaluates at: each `(leaf, start, end)` of
@@ -154,7 +161,7 @@ impl ActiveSet {
             }
         }
         leaves.sort_by_key(|&(_, start, _)| start);
-        ActiveSet { mask, levels, leaves }
+        ActiveSet { mask, levels, leaves, rows: OnceLock::new() }
     }
 }
 
@@ -197,23 +204,30 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         (ns, ns * self.kernel.src_dim(), ns * self.kernel.trg_dim())
     }
 
-    /// A zeroed single-RHS [`ExpansionStore`] sized for this tree.
+    /// A zeroed single-RHS [`ExpansionStore`] shaped for this engine's
+    /// [`ActiveSet`].
     pub fn new_store(&self) -> ExpansionStore {
         self.new_store_many(1)
     }
 
-    /// A zeroed [`ExpansionStore`] sized for this tree and `nrhs`
-    /// simultaneous charge vectors.
+    /// A zeroed [`ExpansionStore`] shaped for this engine's [`ActiveSet`]
+    /// and `nrhs` simultaneous charge vectors.
     pub fn new_store_many(&self, nrhs: usize) -> ExpansionStore {
         let mut store = ExpansionStore::default();
         self.prepare_store(&mut store, nrhs);
         store
     }
 
-    /// Reshape a pooled store for this tree and `nrhs`, zeroing it.
+    /// Reshape a pooled store for this engine's [`ActiveSet`] and `nrhs`,
+    /// zeroing it: rows for the boxes the set touches ([`StoreRows`],
+    /// decided on the set's first call and shared after).
     pub fn prepare_store(&self, store: &mut ExpansionStore, nrhs: usize) {
         let (_, es, cs) = self.dims();
-        store.ensure(self.tree.num_nodes(), es, cs, nrhs);
+        let rows = self
+            .active
+            .rows
+            .get_or_init(|| Arc::new(StoreRows::build(self.tree, self.lists, self.active)));
+        store.ensure(rows, es, cs, nrhs);
     }
 
     /// The same engine over another [`ActiveSet`] of the same tree. M2L
@@ -221,7 +235,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     /// level over two complementary sets leaves bitwise what one pass over
     /// their union leaves — this is what lets the distributed driver
     /// evaluate interior targets while the ghost equivalents their boundary
-    /// peers need are still in flight.
+    /// peers need are still in flight. The passes index the store through
+    /// its own map, so an engine over a subset runs on a store shaped for
+    /// the whole set.
     pub fn with_active(self, active: &'a ActiveSet) -> Self {
         PassEngine { active, ..self }
     }
@@ -368,12 +384,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             // M2M: one multi-RHS GEMM per child octant over all active
             // (parent, child) pairs of this level; the sequential
             // octant-order scatter-add keeps parent sums deterministic.
+            let map = store.rows();
             for oct in 0..8 {
                 ws.pairs.clear();
                 for (i, &ni) in act.iter().enumerate() {
                     let ci = self.tree.nodes[ni as usize].children[oct];
                     if ci != NO_NODE && self.active.mask[ci as usize] {
-                        ws.pairs.push((i as u32, ci));
+                        ws.pairs.push((i as u32, map.up(ci) as u32));
                     }
                 }
                 let op = &lops.ue2uc[oct];
@@ -381,7 +398,7 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             }
             // Level-wide check → equivalent inversion, one GEMM.
             ws.pairs.clear();
-            ws.pairs.extend(act.iter().enumerate().map(|(j, &ni)| (ni, j as u32)));
+            ws.pairs.extend(act.iter().enumerate().map(|(j, &ni)| (map.up(ni) as u32, j as u32)));
             flops += self.translate(&lops.uc2ue, scale.inv, nrhs, &rows, &mut store.up, false, ws);
         }
         ws.rows = rows;
@@ -389,13 +406,15 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
     }
 
     /// The engine's one box → box translation (M2M, L2L and the two check
-    /// → equivalent inversions): for every `(dst box, src box)` of
-    /// `ws.pairs`, apply `alpha · op` — a table shared across levels times
-    /// this level's factor, formed entry by entry inside the GEMM — to the
-    /// source's block in the node-major slab `src` (`nrhs` rows of
-    /// `op.cols()`) and add it to — or, without `accumulate`, store it as —
-    /// the destination's block in `dst` (`nrhs` rows of `op.rows()`), all
-    /// pairs in one multi-RHS GEMM. Returns the flop count.
+    /// → equivalent inversions): for every `(dst row, src row)` of
+    /// `ws.pairs` — rows of the slabs, resolved through the store's map
+    /// when the pairs are made — apply `alpha · op` — a table shared
+    /// across levels times this level's factor, formed entry by entry
+    /// inside the GEMM — to the source's block in the slab `src` (`nrhs`
+    /// rows of `op.cols()`) and add it to — or, without `accumulate`,
+    /// store it as — the destination's block in `dst` (`nrhs` rows of
+    /// `op.rows()`), all pairs in one multi-RHS GEMM. Returns the flop
+    /// count.
     #[allow(clippy::too_many_arguments)]
     fn translate(
         &self,
@@ -414,8 +433,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         }
         ws.xin.clear();
         ws.xin.resize(k * ncols, 0.0);
-        for (j, &(_, b)) in ws.pairs.iter().enumerate() {
-            let blk = &src[b as usize * k * nrhs..(b as usize + 1) * k * nrhs];
+        for (j, &(_, src_row)) in ws.pairs.iter().enumerate() {
+            let src_row = src_row as usize;
+            let blk = &src[src_row * k * nrhs..(src_row + 1) * k * nrhs];
             for q in 0..nrhs {
                 for r in 0..k {
                     ws.xin[r * ncols + j * nrhs + q] = blk[q * k + r];
@@ -425,8 +445,9 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         ws.yout.clear();
         ws.yout.resize(m * ncols, 0.0);
         self.apply_op_cols(op, alpha, &ws.xin, &mut ws.yout, ncols);
-        for (j, &(a, _)) in ws.pairs.iter().enumerate() {
-            let blk = &mut dst[a as usize * m * nrhs..(a as usize + 1) * m * nrhs];
+        for (j, &(dst_row, _)) in ws.pairs.iter().enumerate() {
+            let dst_row = dst_row as usize;
+            let blk = &mut dst[dst_row * m * nrhs..(dst_row + 1) * m * nrhs];
             for q in 0..nrhs {
                 for (r, v) in blk[q * m..(q + 1) * m].iter_mut().enumerate() {
                     let y = ws.yout[r * ncols + j * nrhs + q];
@@ -504,19 +525,21 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         // Shallower trees have no V lists and no M2L tables.
         let Some(fft) = self.pre.m2l_fft.as_ref() else { return 0 };
         let (_, scale) = self.pre.ops.at(level);
-        let (_, es, cs) = self.dims();
+        let (_, _, cs) = self.dims();
         let nrhs = store.nrhs();
-        let (esb, csb) = (es * nrhs, cs * nrhs);
+        let csb = cs * nrhs;
         let (sd, td) = (self.kernel.src_dim(), self.kernel.trg_dim());
         let (ls, le) = self.level_range(level);
-        let EngineWorkspace { targets, slots, spectra, tile, vlists, .. } = ws;
+        let EngineWorkspace { targets, target_rows, slots, spectra, tile, vlists, .. } = ws;
         targets.clear();
         let act = &self.active.levels[level as usize];
         targets.extend(act.iter().copied().filter(|&ni| !self.lists.v[ni as usize].is_empty()));
         if targets.is_empty() {
             return 0;
         }
-        let targets: &[u32] = targets;
+        target_rows.clear();
+        target_rows.extend(targets.iter().map(|&ni| store.rows().local(ni) as u32));
+        let (targets, target_rows): (&[u32], &[u32]) = (targets, target_rows);
         let threads = self.dispatch.threads();
         // f64s per box-major grid, grids per source / target box, and
         // f64s per box in one chunk of a chunk-major table.
@@ -534,13 +557,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         // zero-fills the growth.
         spectra.resize(slots.capacity() * sw * glen, 0.0);
         tile.resize((tile_boxes(sw, glen) * sw).max(run_len * tw) * glen, 0.0);
-        let up: &[f64] = &store.up;
-        for (r, run) in targets.chunks(run_len).enumerate() {
+        let runs = targets.chunks(run_len).zip(target_rows.chunks(run_len));
+        for (r, (run, run_rows)) in runs.enumerate() {
             for batch in slots.fresh(r).chunks(tile_boxes(sw, glen)) {
                 let staged = &mut tile[..batch.len() * sw * glen];
+                let up: &ExpansionStore = store;
                 par_each(threads, staged.chunks_mut(sw * glen), M2lScratch::default, |s, i, out| {
-                    let a = batch[i] as usize;
-                    fft.transform_source(&up[a * esb..(a + 1) * esb], out, s);
+                    fft.transform_source(up.up(batch[i]), out, s);
                 });
                 let staged: &[f64] = staged;
                 par_each(threads, spectra.chunks_mut(table_len), || (), |(), c, table| {
@@ -565,11 +588,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 let table = &spectra[c * table_len..(c + 1) * table_len];
                 fft.hadamard_chunk(scale, c, vlists, nrhs, table, acc);
             });
-            let (lo, hi) = (run[0] as usize, run[run.len() - 1] as usize + 1);
+            // The run's rows ascend with its targets, between its first
+            // and last one's.
+            let (lo_row, hi_row) = (run_rows[0] as usize, run_rows[run.len() - 1] as usize + 1);
             let acc: &[f64] = acc;
-            let check = &mut store.check[lo * csb..hi * csb];
+            let check = &mut store.check[lo_row * csb..hi_row * csb];
             par_each(threads, check.chunks_mut(csb), M2lScratch::default, |s, i, slot| {
-                if let Ok(j) = run.binary_search(&((lo + i) as u32)) {
+                if let Ok(j) = run_rows.binary_search(&((lo_row + i) as u32)) {
                     fft.extract_check(scale, acc, j, slot, s);
                 }
             });
@@ -599,12 +624,13 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
         let threads = self.dispatch.threads();
         let mask = &self.active.mask;
         let flops = AtomicU64::new(0);
+        let (map, check) = store.check_mut();
         for level in FIRST_FMM_LEVEL..=depth {
-            let (ls, le) = self.level_range(level);
+            let level_rows = map.local_level(level);
             let half = self.tree.domain.box_half(level);
-            let slots = store.check[ls * csb..le * csb].chunks_mut(csb);
+            let slots = check[level_rows.start * csb..level_rows.end * csb].chunks_mut(csb);
             par_each(threads, slots, || (), |(), i, slot| {
-                let ni = ls + i;
+                let ni = map.local_node(level_rows.start + i) as usize;
                 if !mask[ni] || self.lists.x[ni].is_empty() {
                     return;
                 }
@@ -644,10 +670,11 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
                 // parent is active too: it contains the box's points.)
                 for oct in 0..8 {
                     ws.pairs.clear();
+                    let map = store.rows();
                     for &ni in act {
                         let node = &self.tree.nodes[ni as usize];
                         if node.key.octant() as usize == oct {
-                            ws.pairs.push((ni, node.parent));
+                            ws.pairs.push((map.local(ni) as u32, map.local(node.parent) as u32));
                         }
                     }
                     let (op, down, check) = (&lops.de2dc[oct], &store.down, &mut store.check);
@@ -656,7 +683,8 @@ impl<'a, K: Kernel> PassEngine<'a, K> {
             }
             // Check → downward equivalent inversion, one GEMM per level.
             ws.pairs.clear();
-            ws.pairs.extend(act.iter().map(|&ni| (ni, ni)));
+            let map = store.rows();
+            ws.pairs.extend(act.iter().map(|&ni| map.local(ni) as u32).map(|row| (row, row)));
             let (check, down) = (&store.check, &mut store.down);
             flops += self.translate(&lops.dc2de, scale.inv, nrhs, check, down, false, ws);
         }
@@ -982,6 +1010,88 @@ mod tests {
         }
         let share = slots.capacity() as f64 / distinct.len() as f64;
         assert!(share <= 0.4, "{} of {} sources live at once", slots.capacity(), distinct.len());
+    }
+
+    /// Every pass over a proper subset of a serial plan's boxes — the
+    /// boxes holding one of the first half of the points, closed under
+    /// parents like a rank's set — with M2L split over two complementary
+    /// halves of it, once on a store shaped by the subset and once on a
+    /// store shaped by the whole tree: every row the subset reads or
+    /// writes, and the potentials at its active leaves, match bit for bit.
+    fn compact_store_is_the_full_store<K: Kernel>(kernel: K, nrhs: usize) {
+        let points = kifmm_geom::corner_clusters(3000, 7);
+        let plan =
+            Fmm::builder(kernel.clone()).points(&points).order(3).max_pts_per_leaf(12).plan();
+        let (tree, lists, n) = (&plan.tree, &plan.lists, plan.len());
+        let holds_first_half = |ni: u32| {
+            let node = &tree.nodes[ni as usize];
+            node.num_points() > 0 && (node.pt_start as usize) < n / 2
+        };
+        let subset = ActiveSet::build(tree, holds_first_half);
+        let halves = [true, false]
+            .map(|keep| ActiveSet::build(tree, |ni| holds_first_half(ni) && (ni % 3 == 0) == keep));
+        let active: Vec<u32> = subset.levels.iter().flatten().copied().collect();
+        assert!(active.len() < tree.num_nodes(), "a proper subset");
+        let reads = |l: &[Vec<u32>]| active.iter().any(|&ni| !l[ni as usize].is_empty());
+        assert!(reads(&lists.v) && reads(&lists.w) && reads(&lists.x), "every pass has work");
+
+        let engine = plan.engine(Dispatch::Serial).with_active(&subset);
+        let dens: Vec<Vec<f64>> = (0..nrhs as u64)
+            .map(|q| kifmm_geom::random_densities(n, kernel.src_dim(), 20 + q))
+            .collect();
+        let sorted = engine.sort_batch(&dens.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let refs: Vec<&[f64]> = sorted.iter().map(Vec::as_slice).collect();
+        let src = engine.sources(&refs);
+        let run = |store: &mut ExpansionStore| {
+            let mut ws = EngineWorkspace::default();
+            engine.upward(&src, store, &mut ws);
+            for level in FIRST_FMM_LEVEL..=tree.depth() {
+                for half in &halves {
+                    plan.engine(Dispatch::Serial)
+                        .with_active(half)
+                        .m2l_level(level, store, &mut ws);
+                }
+            }
+            engine.x_pass(&src, store);
+            engine.l2l(store, &mut ws);
+            let rt = kifmm_trace::RankTracer::disabled();
+            let mut meter = Meter::new(&rt, Dispatch::Serial);
+            engine.leaf_phase(&src, store, engine.own_targets(), false, &mut meter).0
+        };
+        let mut compact = engine.new_store_many(nrhs);
+        let mut full = plan.engine(Dispatch::Serial).new_store_many(nrhs);
+        assert!(compact.up.len() < full.up.len() && compact.check.len() < full.check.len());
+        let (got, want) = (run(&mut compact), run(&mut full));
+        for (q, (got, want)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(bits(got), bits(want), "{}: potentials of RHS {q}", kernel.name());
+        }
+
+        let (_, _, cs) = engine.dims();
+        let csb = cs * nrhs;
+        let check = |store: &ExpansionStore, ni: u32| {
+            let row = store.rows().local(ni);
+            bits(&store.check[row * csb..(row + 1) * csb])
+        };
+        let name = kernel.name();
+        for &ni in &active {
+            let sources = lists.v[ni as usize].iter().chain(&lists.w[ni as usize]);
+            for &a in std::iter::once(&ni).chain(sources) {
+                assert_eq!(bits(compact.up(a)), bits(full.up(a)), "{name}: up row of box {a}");
+            }
+            let down = (bits(compact.down(ni)), bits(full.down(ni)));
+            assert_eq!(down.0, down.1, "{name}: down row of box {ni}");
+            assert_eq!(check(&compact, ni), check(&full, ni), "{name}: check row of box {ni}");
+        }
+    }
+
+    #[test]
+    fn compact_store_matches_the_full_store_laplace_batch() {
+        compact_store_is_the_full_store(Laplace, 2);
+    }
+
+    #[test]
+    fn compact_store_matches_the_full_store_stokes() {
+        compact_store_is_the_full_store(Stokes::default(), 1);
     }
 
     #[test]

@@ -203,8 +203,7 @@ impl<K: Kernel> M2lFft<K> {
         let surf_idx =
             surface_grid_indices(p).into_iter().map(|[i, j, k]| (i * p + j) * p + k).collect();
         let halves = rule.slot_halves();
-        let dirs = direction_map(kernel, &plan, halves);
-        let comps = component_map(kernel, &plan, halves);
+        let (dirs, comps) = tensor_maps(kernel, &plan, halves);
         let tensors =
             halves.iter().map(|&half| build_tensors(kernel, &plan, half, &dirs, &comps)).collect();
         M2lFft {
@@ -426,22 +425,61 @@ impl ChunkJob<'_> {
     }
 }
 
+/// The direction map ([`direction_map`]) and the component map
+/// ([`component_map`]) of `kernel`'s tables over the slot half-widths
+/// `halves`, from one scan of the grids: the direction map's scan fills
+/// every direction's grids once per slot, and the component fold reads
+/// the same grids while some component may still share its transpose's.
+fn tensor_maps<K: Kernel>(kernel: &K, plan: &RealFft3, halves: &[f64]) -> (Vec<u32>, Vec<usize>) {
+    let dims = (kernel.trg_dim(), kernel.src_dim());
+    let mut twins = vec![None; dims.0 * dims.1];
+    let mut first = true;
+    let dirs = direction_map(kernel, plan, halves, |grids| {
+        for (c, twin) in twins.iter_mut().enumerate() {
+            if first || twin.is_some() {
+                *twin = transposed_twin(grids, dims, c);
+            }
+        }
+        first = false;
+        twins.iter().any(Option::is_some)
+    });
+    (dirs, component_map(twins))
+}
+
 /// The entry of each direction id ([`dir_id`]): direction `d ≥ 158` reads
 /// the stored spectrum of its opposite `315 − d` conjugated where
 /// [`reflected_twin`] holds for the pair in every slot half-width in
 /// `halves`; every other direction is the next new stored one, in order of
 /// `d` (so direction `d < 158` is stored at index `d`). The one place the
 /// direction map is decided.
-fn direction_map<K: Kernel>(kernel: &K, plan: &RealFft3, halves: &[f64]) -> Vec<u32> {
+///
+/// `scan` sees the grids of every direction of every slot, in pairs
+/// `(v, −v)`, until it returns `false`: grids the fold no longer needs
+/// are filled only while it still wants them.
+fn direction_map<K: Kernel>(
+    kernel: &K,
+    plan: &RealFft3,
+    halves: &[f64],
+    mut scan: impl FnMut(&[f64]) -> bool,
+) -> Vec<u32> {
     let dirs = v_list_directions();
     let grid_len = kernel.trg_dim() * kernel.src_dim() * plan.side().pow(3);
     let (mut plus, mut minus) = (vec![0.0; grid_len], vec![0.0; grid_len]);
     let mut folds = vec![true; DIRS / 2];
+    let mut scanning = true;
     for &half in halves {
-        for (d, fold) in folds.iter_mut().enumerate().filter(|(_, fold)| **fold) {
+        for (d, fold) in folds.iter_mut().enumerate() {
+            if !*fold && !scanning {
+                continue;
+            }
             fill_grids(kernel, plan, half, dirs[d], &mut plus);
             fill_grids(kernel, plan, half, dirs[DIRS - 1 - d], &mut minus);
-            *fold = reflected_twin(&plus, &minus, plan.side());
+            if *fold {
+                *fold = reflected_twin(&plus, &minus, plan.side());
+            }
+            if scanning {
+                scanning = scan(&plus) && scan(&minus);
+            }
         }
     }
     let mut map: Vec<u32> = Vec::with_capacity(DIRS);
@@ -479,31 +517,12 @@ fn reflected_twin(plus: &[f64], minus: &[f64], m: usize) -> bool {
 }
 
 /// The stored component of each block component `c = (t, s)` of a
-/// `trg × src` kernel: its transpose's where [`transposed_twin`] holds in
-/// every direction of every slot half-width in `halves`, else the next
-/// new one, in order of `c`.
-fn component_map<K: Kernel>(kernel: &K, plan: &RealFft3, halves: &[f64]) -> Vec<usize> {
-    let dims = (kernel.trg_dim(), kernel.src_dim());
-    let kdim = dims.0 * dims.1;
-    let mut grids = vec![0.0; kdim * plan.side().pow(3)];
-    let mut twin = vec![None; kdim];
-    let mut first = true;
-    'scan: for &half in halves {
-        for v in v_list_directions() {
-            fill_grids(kernel, plan, half, v, &mut grids);
-            for (c, twin) in twin.iter_mut().enumerate() {
-                if first || twin.is_some() {
-                    *twin = transposed_twin(&grids, dims, c);
-                }
-            }
-            first = false;
-            if twin.iter().all(Option::is_none) {
-                break 'scan;
-            }
-        }
-    }
-    let mut comps = Vec::with_capacity(kdim);
-    for t in twin {
+/// `trg × src` kernel: its transpose's where [`transposed_twin`] held in
+/// every direction of every slot half-width (`twins[c]`, folded by
+/// [`tensor_maps`]), else the next new one, in order of `c`.
+fn component_map(twins: Vec<Option<usize>>) -> Vec<usize> {
+    let mut comps = Vec::with_capacity(twins.len());
+    for t in twins {
         let k = match t {
             Some(t) => comps[t],
             None => stored(&comps),
@@ -604,7 +623,7 @@ fn fill_grids<K: Kernel>(kernel: &K, plan: &RealFft3, half: f64, v: [i32; 3], gr
 /// Component `(s, t)` of a `trg × src` kernel, if it precedes component
 /// `c = (t, s)` and its grid has the same bit patterns: its spectrum is
 /// then `c`'s too. Bits, not `==`: `-0.0 == 0.0`, yet the two transform
-/// to different bits. The one test [`component_map`] folds over every
+/// to different bits. The one test [`tensor_maps`] folds over every
 /// direction and slot.
 fn transposed_twin(grids: &[f64], (trg, src): (usize, usize), c: usize) -> Option<usize> {
     let (t, s) = (c / src, c % src);
@@ -644,9 +663,10 @@ impl DenseM2l {
     }
 
     /// Serial dense M2L over one level of `tree`, whose boxes must have
-    /// the half-width the operators were assembled at: every box adds its
-    /// V list's contributions, in list order, from `store.up` into
-    /// `store.check`. Returns the flop count.
+    /// the half-width the operators were assembled at: every box of the
+    /// level the store holds a check row for adds its V list's
+    /// contributions, in list order, from `store.up` into `store.check`.
+    /// Returns the flop count.
     pub fn sweep(
         &self,
         tree: &Octree,
@@ -657,12 +677,14 @@ impl DenseM2l {
         assert_eq!(tree.domain.box_half(level), self.half, "operators of another box size");
         let (cs, es, nrhs) = (self.ops[0].rows(), self.ops[0].cols(), store.nrhs());
         let mut flops = 0;
-        for &b in &tree.levels[level as usize] {
+        for b_row in store.rows().local_level(level) {
+            let b = store.rows().local_node(b_row);
             let bkey = tree.nodes[b as usize].key;
             for &a in &lists.v[b as usize] {
                 let op = &self.ops[dir_id(bkey.offset_to(&tree.nodes[a as usize].key)) as usize];
+                let a_row = store.rows().up(a);
                 for q in 0..nrhs {
-                    let (x, y) = ((a as usize * nrhs + q) * es, (b as usize * nrhs + q) * cs);
+                    let (x, y) = ((a_row * nrhs + q) * es, (b_row * nrhs + q) * cs);
                     let (up, check) = (&store.up[x..x + es], &mut store.check[y..y + cs]);
                     kifmm_linalg::gemv(1.0, op, up, 1.0, check);
                     flops += 2 * (cs * es) as u64;

@@ -396,7 +396,8 @@ impl<K: Kernel> ParallelFmm<K> {
 
             // 3. Post the partial-equivalent gather packets. The plan copies
             //    what it needs out of `store.up` here and holds no borrow of
-            //    the store, so M2L can run while it is in flight.
+            //    the store, so M2L can run while it is in flight. It reads
+            //    only boxes this rank contributes to: active, so in the store.
             rt.async_begin("equiv-exchange", ASYNC_EQUIV);
             let mut equiv_plan = meter.comm(Some("equiv-post"), || {
                 self.equiv_route.begin(comm, SALT_EQUIV, Combine::Sum, |b| store.up(b).to_vec())
@@ -424,7 +425,9 @@ impl<K: Kernel> ParallelFmm<K> {
             });
             rt.async_end("equiv-exchange", ASYNC_EQUIV);
             // Install the global sums over this rank's partials (`store.up`
-            // was unchanged while the exchange ran).
+            // was unchanged while the exchange ran). An installed box is a
+            // V or W source of an active box, so it has an `up` row;
+            // `set_up` asserts that it does.
             for (b, v) in &global_equiv {
                 store.set_up(*b, v);
             }
@@ -678,6 +681,64 @@ mod tests {
                 assert!(e <= 1e-12, "RHS {q} diverged from its independent eval: {e}");
             }
         });
+    }
+
+    /// A rank's store holds rows for its share of the tree only: an `up`
+    /// row for each box it computes and each V- or W-list source of one,
+    /// a check and a down row for each box it computes — and every box
+    /// the equivalent exchange installs has an `up` row.
+    #[test]
+    fn a_rank_stores_only_the_boxes_it_touches() {
+        for p in [2, 4] {
+            let chunks = split_points(&corner_clusters(6000, 3), p);
+            let opts = FmmOptions { order: 3, max_pts_per_leaf: 30, ..Default::default() };
+            run(p, move |comm| {
+                let pfmm = ParallelFmm::new(comm, Laplace, &chunks[comm.rank()], opts);
+                let engine = pfmm.engine();
+                let (store, (_, es, cs)) = (engine.new_store(), engine.dims());
+                let (lists, active) = (&pfmm.lists, &pfmm.active.mask);
+                let mut touched = active.clone();
+                for b in (0..active.len()).filter(|&b| active[b]) {
+                    for &a in lists.v[b].iter().chain(&lists.w[b]) {
+                        touched[a as usize] = true;
+                    }
+                }
+                let count = |m: &[bool]| m.iter().filter(|&&x| x).count();
+                let (ups, locals) = (count(&touched), count(active));
+                assert!(locals < ups && ups < active.len(), "P = {p}: a share of the tree");
+                let rows = store.rows();
+                assert_eq!((rows.up_rows(), rows.local_rows()), (ups, locals), "P = {p}");
+                assert_eq!(store.up.len(), ups * es);
+                assert_eq!((store.check.len(), store.down.len()), (locals * cs, locals * es));
+                // `up` panics on a box without a row.
+                let installed = pfmm.equiv_route.installed_boxes().map(|b| rows.up(b));
+                assert!(installed.count() > 0, "P = {p}: the exchange installs boxes");
+            });
+        }
+    }
+
+    /// At P = 8 a rank's store is at most a quarter of the P = 1 store, on
+    /// a clustered cloud and a uniform one.
+    #[test]
+    fn a_rank_store_at_p8_is_a_quarter_of_p1() {
+        let opts = FmmOptions { order: 3, max_pts_per_leaf: 60, ..Default::default() };
+        let lens = |all: &[Point3], p: usize| {
+            let chunks = split_points(all, p);
+            run(p, move |comm| {
+                let pfmm = ParallelFmm::new(comm, Laplace, &chunks[comm.rank()], opts);
+                let store = pfmm.engine().new_store();
+                store.up.len() + store.down.len() + store.check.len()
+            })
+        };
+        for (name, all) in
+            [("corner", corner_clusters(24_000, 1)), ("uniform", uniform_cube(40_000, 1))]
+        {
+            let one = lens(&all, 1)[0];
+            for (r, len) in lens(&all, 8).into_iter().enumerate() {
+                let share = len as f64 / one as f64;
+                assert!(share <= 0.25, "{name}: rank {r} holds {share:.3} of the P = 1 store");
+            }
+        }
     }
 
     #[test]

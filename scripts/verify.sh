@@ -393,6 +393,53 @@ if [ -n "$stored$decided" ]; then
 fi
 echo "stored-tensor gate: OK (M2L tensors sized by stored directions × stored components, read through both maps)"
 
+# 5q. Compact-store gate: a driver's `ExpansionStore` holds rows only for
+#     the boxes it touches — `up` rows for its active boxes and their V/W
+#     sources, check/down rows for its active boxes — through the
+#     `StoreRows` map its `ActiveSet` decides once. Outside test modules:
+#     no store slab is sized by a node count (`num_nodes`) — every sizing
+#     in store.rs is by the map's row counts, and no `ensure(` call names
+#     `num_nodes` anywhere under crates/*/src — and engine/mod.rs reaches
+#     slab rows only through the map: every index into a slab (`up`,
+#     `down`, `check`, `src`, `dst`) is by a row, and no node id is
+#     multiplied into an offset (`… as usize *`).
+compact=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /(up|down|check)\.(resize|reserve)\(|(up|down|check) *= *vec!/ {
+        sized++
+        if (code ~ /num_nodes/ || code !~ /rows\.(up|local)_rows\(\)/) print FILENAME ":" FNR ": " $0
+    }
+    code ~ /fn ensure\(.*num_nodes/ { print FILENAME ":" FNR ": " $0 }
+    END { if (!sized) print FILENAME ": no store slab is sized here" }
+' crates/kifmm-core/src/engine/store.rs)
+shaped=$(nontest_src | grep -E 'ensure\(.*num_nodes' || true)
+rows=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /as usize \*/ { print FILENAME ":" FNR ": " $0 }
+    {
+        rest = code
+        while (match(rest, /(^|[^A-Za-z0-9_])(up|down|check|src|dst)\[[^]]*\]/)) {
+            index_expr = substr(rest, RSTART, RLENGTH)
+            indexed++
+            if (index_expr !~ /row/) print FILENAME ":" FNR ": " $0
+            rest = substr(rest, RSTART + RLENGTH)
+        }
+    }
+    END { if (!indexed) print FILENAME ": no slab is indexed here" }
+' crates/kifmm-core/src/engine/mod.rs)
+if [ -n "$compact$shaped$rows" ]; then
+    echo "FAIL: an expansion store sized by the node count, or a slab indexed around the row map:"
+    echo "$compact"
+    echo "$shaped"
+    echo "$rows"
+    exit 1
+fi
+echo "compact-store gate: OK (store slabs sized and indexed by the StoreRows map)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8

@@ -5,8 +5,8 @@
 
 use kifmm::kernels::LaplaceDipole;
 use kifmm::{
-    direct_eval, direct_eval_grad, rel_l2_error, Fmm, FmmOptions, Kelvin, Laplace, ModifiedLaplace,
-    OutputSpec, Stokes,
+    direct_eval, direct_eval_grad, rel_l2_error, Fmm, FmmOptions, Gaussian, Kelvin, Laplace,
+    ModifiedLaplace, OutputSpec, Stokes,
 };
 
 const N: usize = 4000;
@@ -97,34 +97,36 @@ fn linear_complexity_in_counted_flops() {
 }
 
 /// A kernel output homogeneous of degree −`degree` (the potentials when
-/// `gradients` is false): on a cloud scaled by s, s^degree × the output
-/// is the unit-scale one. At s = 1e±150 the direct sum and the FMM must
-/// stay as close to the unit-scale direct sum as they are at unit scale:
-/// the direct sum loses only rounding, the FMM its order-6 error
-/// (`fmm_tol`).
+/// `gradients` is false) once the kernel's own length scale, if it has
+/// one, scales with the cloud: on a cloud scaled by s, with the kernel
+/// `kernel_at(s)`, s^degree × the output is the unit-scale one. At
+/// s = 1e±150 the direct sum and the FMM must stay as close to the
+/// unit-scale direct sum as they are at unit scale: the direct sum loses
+/// only rounding, the FMM its order-6 error (`fmm_tol`).
 fn holds_at_extreme_scales<K: kifmm::Kernel>(
-    kernel: K,
+    kernel_at: impl Fn(f64) -> K,
     gradients: bool,
     degree: i32,
     fmm_tol: f64,
 ) {
-    let output = |points: &[[f64; 3]], dens: &[f64]| {
+    let output = |kernel: &K, points: &[[f64; 3]], dens: &[f64]| {
         if gradients {
-            direct_eval_grad(&kernel, points, dens).1
+            direct_eval_grad(kernel, points, dens).1
         } else {
-            direct_eval(&kernel, points, dens)
+            direct_eval(kernel, points, dens)
         }
     };
     let unit = kifmm::geom::uniform_cube(3000, 12);
-    let dens = kifmm::geom::random_densities(unit.len(), kernel.src_dim(), 13);
-    let truth = output(&unit, &dens);
+    let dens = kifmm::geom::random_densities(unit.len(), kernel_at(1.0).src_dim(), 13);
+    let truth = output(&kernel_at(1.0), &unit, &dens);
     let spec = if gradients { OutputSpec::PotentialAndGradient } else { OutputSpec::Potential };
     for s in [1e-150, 1e150] {
+        let kernel = kernel_at(s);
         let points: Vec<[f64; 3]> = unit.iter().map(|p| p.map(|c| c * s)).collect();
         let fmm = Fmm::builder(kernel.clone()).points(&points).order(6).output(spec).build();
         let report = fmm.eval(&dens);
         let approx = if gradients { report.gradients } else { report.potentials };
-        let direct = output(&points, &dens);
+        let direct = output(&kernel, &points, &dens);
         for (path, u, tol) in [("direct", direct, 1e-12), ("FMM", approx, fmm_tol)] {
             let scaled: Vec<f64> = u.iter().map(|v| v * s.powi(degree)).collect();
             let err = rel_l2_error(&scaled, &truth);
@@ -139,8 +141,18 @@ fn holds_at_extreme_scales<K: kifmm::Kernel>(
 /// r⊗r term from the direct sum and the FMM alike).
 #[test]
 fn stokeslet_potentials_hold_at_extreme_scales() {
-    holds_at_extreme_scales(Stokes::default(), false, 1, 1e-3);
-    holds_at_extreme_scales(Kelvin::default(), false, 1, 1e-3);
+    holds_at_extreme_scales(|_| Stokes::default(), false, 1, 1e-3);
+    holds_at_extreme_scales(|_| Kelvin::default(), false, 1, 1e-3);
+}
+
+/// The two kernels with a length scale, scaled with the cloud: the
+/// screening length 1/λ (λ/s, potentials of degree −1) and the Gaussian's
+/// bandwidth σ (σ·s, potentials of degree 0). The scaled problem is the
+/// unit one, so the check above applies.
+#[test]
+fn scaled_length_scales_hold_at_extreme_scales() {
+    holds_at_extreme_scales(|s| ModifiedLaplace::new(1.0 / s), false, 1, 1e-5);
+    holds_at_extreme_scales(Gaussian::new, false, 0, 1e-5);
 }
 
 /// The gradients of Laplace, Stokes and Kelvin and the Laplace dipole's
@@ -149,10 +161,10 @@ fn stokeslet_potentials_hold_at_extreme_scales() {
 /// does. The FMM bounds are the deep-tree ones of tests/gradients.rs.
 #[test]
 fn gradients_hold_at_extreme_scales() {
-    holds_at_extreme_scales(Laplace, true, 2, 1e-4);
-    holds_at_extreme_scales(Stokes::default(), true, 2, 1e-3);
-    holds_at_extreme_scales(Kelvin::default(), true, 2, 1e-3);
-    holds_at_extreme_scales(LaplaceDipole, false, 2, 1e-4);
+    holds_at_extreme_scales(|_| Laplace, true, 2, 1e-4);
+    holds_at_extreme_scales(|_| Stokes::default(), true, 2, 1e-3);
+    holds_at_extreme_scales(|_| Kelvin::default(), true, 2, 1e-3);
+    holds_at_extreme_scales(|_| LaplaceDipole, false, 2, 1e-4);
 }
 
 /// The FMM against the direct sum on one cloud: finite, and within `tol`.
