@@ -29,6 +29,11 @@
 //!    L2T on the globally summed equivalents) — from step 5 on, the pass
 //!    order of the serial evaluator.
 //!
+//! Which boxes are in flight is the exchange routes' decision alone (a
+//! rank's *home* boxes, see [`crate::exchange`], never are): the driver
+//! installs exactly what the routes name, and the ghost sources read
+//! every other leaf from the rank's own points and densities.
+//!
 //! No synchronization happens inside the computation passes — the
 //! exchanges are poll-driven state machines
 //! ([`ExchangePlan`](crate::exchange::ExchangePlan)) that make
@@ -60,7 +65,7 @@
 use crate::exchange::{drive, Combine, ExchangeRoute, UserKind};
 use crate::global_tree::{build_distributed_tree_with, DistributedTree};
 use crate::ownership::Ownership;
-use kifmm_core::engine::{ActiveSet, PassEngine, Scratch, SourceProvider};
+use kifmm_core::engine::{ActiveSet, LocalSources, PassEngine, Scratch, SourceProvider};
 use kifmm_core::{
     BuildError, EvalReport, FmmOptions, Meter, Phase, PrecomputeCache,
     Precomputed, FIRST_FMM_LEVEL,
@@ -84,28 +89,31 @@ const SALT_EQUIV: u64 = 2;
 const ASYNC_DENS: u64 = 1;
 const ASYNC_EQUIV: u64 = 2;
 
-/// [`SourceProvider`] over the ghost-exchanged geometry and densities:
-/// the U/X passes read *global* leaf contents, which on a rank live in
-/// the per-box maps filled by the two concatenating exchanges. A box's
-/// density value is RHS-major — `nrhs` equal segments, each the global
-/// ascending-rank concatenation for one charge vector (the
+/// [`SourceProvider`] over the *global* leaf contents the U/X passes
+/// read. A leaf the source exchange installs (one with a remote
+/// contributor) lives in the per-box maps filled by the two concatenating
+/// exchanges: its density value is RHS-major — `nrhs` equal segments, each
+/// the global ascending-rank concatenation for one charge vector (the
 /// [`Combine::ConcatRhs`] wire format), so segment `q` aligns with the
-/// ghost point list for every RHS.
+/// ghost point list for every RHS. Every other leaf is a home leaf, whose
+/// global contents are this rank's own slice in its own order: it is read
+/// from the local Morton-sorted points and densities.
 struct GhostSources<'a> {
     points: &'a HashMap<u32, Vec<Point3>>,
     dens: &'a HashMap<u32, Vec<f64>>,
-    nrhs: usize,
+    home: &'a LocalSources<'a>,
 }
 
 impl SourceProvider for GhostSources<'_> {
     fn nrhs(&self) -> usize {
-        self.nrhs
+        self.home.nrhs()
     }
 
     fn sources(&self, ni: u32, rhs: usize) -> (&[Point3], &[f64]) {
+        let Some(points) = self.points.get(&ni) else { return self.home.sources(ni, rhs) };
         let v = &self.dens[&ni];
-        let seg = v.len() / self.nrhs;
-        (&self.points[&ni], &v[rhs * seg..(rhs + 1) * seg])
+        let seg = v.len() / self.nrhs();
+        (points, &v[rhs * seg..(rhs + 1) * seg])
     }
 }
 
@@ -129,19 +137,21 @@ pub struct ParallelFmm<K: Kernel> {
     /// This rank's ownership filter: the boxes it holds points in.
     active: ActiveSet,
     /// The active boxes whose V lists read no in-flight box — their M2L
-    /// runs under the equivalent exchange. A box is in flight iff the
-    /// exchange will overwrite it with remote content: scatter-received,
-    /// or owned with remote contributors; a sole-contributor owned box is
-    /// final the moment the local upward pass ran, even though its value
-    /// is scattered *to* peers.
+    /// runs under the equivalent exchange. The in-flight boxes are the
+    /// equivalent route's installed boxes, the ones the exchange will
+    /// overwrite with remote content; the route decides which those are
+    /// (a home box, final the moment the local upward pass ran, is not
+    /// one of them, even when its value is scattered *to* peers).
     interior: ActiveSet,
     /// The other active boxes (partition-boundary targets only): their
     /// M2L waits for the globally summed ghosts.
     boundary: ActiveSet,
     /// Pooled expansion storage + scratch, reused across evaluations.
     scratch: Pool<Scratch>,
-    /// Global source points of every leaf this rank uses (ghost geometry,
-    /// exchanged once at construction).
+    /// Global source points of every leaf the source route installs — the
+    /// leaves this rank uses that have a remote contributor (ghost
+    /// geometry, exchanged once at construction). Home leaves are read
+    /// from the rank's own points.
     ghost_points: HashMap<u32, Vec<Point3>>,
     /// Leaves participating in the source exchange (same on all ranks).
     pub src_leaves: Vec<u32>,
@@ -274,9 +284,7 @@ impl<K: Kernel> ParallelFmm<K> {
             ActiveSet::build(&dtree.tree, |b| dtree.tree.nodes[b as usize].num_points() > 0);
         let mut inflight = vec![false; nn];
         for b in equiv_route.installed_boxes() {
-            let bi = b as usize;
-            let sole = own.owner[bi] as usize == comm.rank() && own.contributors(bi).len() == 1;
-            inflight[bi] = !sole;
+            inflight[b as usize] = true;
         }
         let waits: Vec<bool> =
             lists.v.iter().map(|v| v.iter().any(|&a| inflight[a as usize])).collect();
@@ -425,8 +433,9 @@ impl<K: Kernel> ParallelFmm<K> {
             });
             rt.async_end("equiv-exchange", ASYNC_EQUIV);
             // Install the global sums over this rank's partials (`store.up`
-            // was unchanged while the exchange ran). An installed box is a
-            // V or W source of an active box, so it has an `up` row;
+            // was unchanged while the exchange ran); a home box is not
+            // installed, its partial is already the sum. An installed box
+            // is a V or W source of an active box, so it has an `up` row;
             // `set_up` asserts that it does.
             for (b, v) in &global_equiv {
                 store.set_up(*b, v);
@@ -446,7 +455,8 @@ impl<K: Kernel> ParallelFmm<K> {
             //    potentials now hold both M2L and X contributions).
             let ghost_dens = meter.comm(Some("dens-complete"), || dens_plan.complete(comm));
             rt.async_end("dens-exchange", ASYNC_DENS);
-            let ghost_src = GhostSources { points: &self.ghost_points, dens: &ghost_dens, nrhs: k };
+            let ghost_src =
+                GhostSources { points: &self.ghost_points, dens: &ghost_dens, home: &local_src };
             meter.compute(Phase::DownX, "x-list", None, || engine.x_pass(&ghost_src, store));
             meter.compute(Phase::Eval, "l2l", None, || engine.l2l(store, ws));
 
@@ -739,6 +749,78 @@ mod tests {
                 assert!(share <= 0.25, "{name}: rank {r} holds {share:.3} of the P = 1 store");
             }
         }
+    }
+
+    /// The routes install exactly the in-flight boxes: no home box (one
+    /// this rank owns and alone contributes to), and every other box the
+    /// rank uses. The interior/boundary M2L split the installed boxes
+    /// decide is the one the earlier rule built — every used box
+    /// installed, in flight unless it is a sole-contributor box this rank
+    /// owns — recomputed here from the ownership masks.
+    #[test]
+    fn installed_boxes_are_the_in_flight_boxes() {
+        let opts = FmmOptions { order: 3, max_pts_per_leaf: 60, ..Default::default() };
+        for p in [2, 4] {
+            let chunks = split_points(&corner_clusters(24_000, 1), p);
+            run(p, move |comm| {
+                let pfmm = ParallelFmm::new(comm, Laplace, &chunks[comm.rank()], opts);
+                let (me, own, lists) = (comm.rank(), &pfmm.own, &pfmm.lists);
+                let sole = |b: usize| own.owner[b] as usize == me && own.contributors(b).len() == 1;
+                let in_flight = |boxes: &[u32], uses: &dyn Fn(usize) -> bool| -> Vec<u32> {
+                    let flies = |b: &&u32| uses(**b as usize) && !sole(**b as usize);
+                    boxes.iter().filter(flies).copied().collect()
+                };
+                let sorted = |route: &ExchangeRoute| {
+                    let mut v: Vec<u32> = route.installed_boxes().collect();
+                    v.sort_unstable();
+                    v
+                };
+                let mut equiv = in_flight(&pfmm.equiv_boxes, &|b| own.is_equiv_user(b, me));
+                let mut src = in_flight(&pfmm.src_leaves, &|b| own.is_src_user(b, me));
+                equiv.sort_unstable();
+                src.sort_unstable();
+                assert!(!equiv.is_empty() && !src.is_empty(), "P = {p}: some box is in flight");
+                assert_eq!(sorted(&pfmm.equiv_route), equiv, "P = {p}, rank {me}: equivalents");
+                assert_eq!(sorted(&pfmm.src_route), src, "P = {p}, rank {me}: sources");
+
+                let mut inflight = vec![false; lists.v.len()];
+                equiv.iter().for_each(|&b| inflight[b as usize] = true);
+                let waits = |b: usize| lists.v[b].iter().any(|&a| inflight[a as usize]);
+                let active = &pfmm.active.mask;
+                let half = |w: bool| {
+                    let tree = &pfmm.dtree.tree;
+                    ActiveSet::build(tree, |b| active[b as usize] && waits(b as usize) == w)
+                };
+                for (set, expect) in [(&pfmm.interior, half(false)), (&pfmm.boundary, half(true))] {
+                    assert_eq!(set.mask, expect.mask, "P = {p}, rank {me}: M2L split moved");
+                    assert_eq!(set.levels, expect.levels);
+                    assert_eq!(set.leaves, expect.leaves);
+                }
+                assert!(pfmm.boundary.mask.contains(&true), "P = {p}: a boundary exists");
+            });
+        }
+    }
+
+    /// At P = 1 every box is home: neither route installs a box or sends
+    /// a message, an exchange over either route reads no payload and
+    /// yields an empty map (the evaluation's ghost maps), there is no
+    /// ghost geometry, and an evaluation moves nothing.
+    #[test]
+    fn one_rank_moves_no_payload() {
+        let all = corner_clusters(6000, 3);
+        let opts = FmmOptions { order: 3, max_pts_per_leaf: 30, ..Default::default() };
+        run(1, move |comm| {
+            let pfmm = ParallelFmm::new(comm, Laplace, &all, opts);
+            for route in [&pfmm.src_route, &pfmm.equiv_route] {
+                assert_eq!(route.installed_boxes().count(), 0);
+                assert_eq!(route.messages_out(), 0);
+                let read = |b: u32| -> Vec<f64> { panic!("P = 1 read box {b}") };
+                assert!(route.begin(comm, 9, Combine::Sum, read).complete(comm).is_empty());
+            }
+            assert!(pfmm.ghost_points.is_empty(), "no ghost geometry at P = 1");
+            let stats = pfmm.eval(comm, &random_densities(all.len(), 1, 4)).stats;
+            assert_eq!((stats.comm_messages, stats.comm_bytes), (0, 0));
+        });
     }
 
     #[test]

@@ -26,12 +26,25 @@
 //! ids travel inside the packet header), which also retires the additive
 //! tag arithmetic that could collide across salt namespaces.
 //!
+//! ## Home boxes stay home
+//!
+//! A box this rank owns and is the only contributor to is a *home* box
+//! (the paper's "taken" box): its combined payload is this rank's own
+//! part, final the moment the rank computed it. [`ExchangeRoute::build`]
+//! is the one place that rule is decided. A home box is never installed —
+//! [`ExchangeRoute::installed_boxes`] is exactly the set of boxes whose
+//! value the exchange changes, the in-flight boxes — and it is read only
+//! when some other rank uses it and it must be scattered. The caller
+//! reads a home box from its own local data; at P = 1 every box is home
+//! and an exchange moves nothing.
+//!
 //! ## Overlap surface
 //!
 //! [`ExchangeRoute::begin`] is the only call that reads payloads: it asks
-//! the payload closure exactly once per box this rank contributes to,
-//! posts all outgoing gather packets (eager, returns immediately) and
-//! moves this rank's parts of the boxes it owns *into* the
+//! the payload closure exactly once per box whose local part leaves the
+//! rank or is folded with peers' parts, posts all outgoing gather packets
+//! (eager, returns immediately) and moves this rank's parts of the owned
+//! boxes it folds or scatters *into* the
 //! [`ExchangePlan`] it yields — a poll-driven state machine that owns
 //! everything it will fold, so the buffers the payloads were read from
 //! are free to change while it is in flight. [`ExchangePlan::poll`] makes
@@ -116,9 +129,10 @@ pub struct ExchangeRoute {
     scatter_sends: Vec<(usize, Vec<u32>)>,
     /// Boxes this rank uses, grouped by owning peer (ascending).
     scatter_recvs: Vec<(usize, Vec<u32>)>,
-    /// Boxes this rank owns, each with its ascending contributor ranks.
+    /// Boxes this rank owns that are folded from peers' parts or scattered
+    /// to peers, each with its ascending contributor ranks.
     owned: Vec<(u32, Vec<usize>)>,
-    /// The subset of owned boxes this rank also uses itself.
+    /// The owned boxes this rank also uses itself, home boxes excepted.
     owned_used: Vec<u32>,
 }
 
@@ -136,30 +150,31 @@ impl ExchangeRoute {
         for &b in boxes {
             let bi = b as usize;
             let owner = own.owner[bi] as usize;
-            let me_uses = match users {
-                UserKind::Source => own.is_src_user(bi, me),
-                UserKind::Equiv => own.is_equiv_user(bi, me),
+            let user_ranks = match users {
+                UserKind::Source => own.src_users(bi),
+                UserKind::Equiv => own.equiv_users(bi),
             };
+            let me_uses = user_ranks.contains(&me);
             if owner == me {
                 let contributors = own.contributors(bi);
+                // A *home* box: this rank owns it and is its only
+                // contributor, so its value is final here. It is never
+                // installed, and it is read only to be scattered.
+                let home = contributors.len() == 1;
                 for &src in &contributors {
                     if src != me {
                         gr[src].push(b);
                     }
                 }
-                let user_ranks = match users {
-                    UserKind::Source => own.src_users(bi),
-                    UserKind::Equiv => own.equiv_users(bi),
-                };
-                for dst in user_ranks {
-                    if dst != me {
-                        ss[dst].push(b);
-                    }
+                for &dst in user_ranks.iter().filter(|&&dst| dst != me) {
+                    ss[dst].push(b);
                 }
-                if me_uses {
+                if me_uses && !home {
                     owned_used.push(b);
                 }
-                owned.push((b, contributors));
+                if !home || user_ranks.len() > usize::from(me_uses) {
+                    owned.push((b, contributors));
+                }
             } else {
                 if own.is_contributor(bi, me) {
                     gs[owner].push(b);
@@ -189,11 +204,13 @@ impl ExchangeRoute {
     }
 
     /// Boxes whose combined global payload this rank receives from the
-    /// exchange (owned-and-used boxes plus every scatter-received box) —
-    /// exactly the keys the finished plan's map will hold. Everything the
-    /// rank reads *outside* this set is final the moment its local
-    /// contribution exists, which is what lets the driver start compute
-    /// stages that avoid these boxes before the exchange completes.
+    /// exchange (owned-and-used boxes with a remote contributor plus every
+    /// scatter-received box) — exactly the keys the finished plan's map
+    /// will hold, and exactly the boxes in flight. Everything the rank
+    /// reads *outside* this set — home boxes included — is final the
+    /// moment its local contribution exists, which is what lets the driver
+    /// start compute stages that avoid these boxes before the exchange
+    /// completes.
     pub fn installed_boxes(&self) -> impl Iterator<Item = u32> + '_ {
         self.owned_used
             .iter()
@@ -204,11 +221,13 @@ impl ExchangeRoute {
     /// Read this rank's payloads, post its gather packets (eager — one
     /// packed send per owning peer) and return the pending plan.
     ///
-    /// `payload` is called exactly once per box this rank contributes to:
-    /// the boxes it ships to other owners, then the boxes it owns, whose
-    /// local parts move into the plan for the combine fold. Nothing is
-    /// read after `begin` returns. `salt` keeps concurrent exchanges
-    /// (points vs densities vs equivalents) in disjoint tag spaces.
+    /// `payload` is called exactly once per box whose local part leaves
+    /// this rank or is folded with peers' parts: the boxes it ships to
+    /// other owners, then the owned boxes with a remote contributor or a
+    /// remote user, whose local parts move into the plan for the combine
+    /// fold. A home box nobody else uses is never read. Nothing is read
+    /// after `begin` returns. `salt` keeps concurrent exchanges (points vs
+    /// densities vs equivalents) in disjoint tag spaces.
     pub fn begin<'r>(
         &'r self,
         comm: &Comm,
@@ -258,13 +277,14 @@ pub struct ExchangePlan<'r> {
     scattered: bool,
     /// Indices into `route.scatter_recvs` not yet received.
     pending_scatter: Vec<usize>,
-    /// Combined global payload per box this rank uses.
+    /// Combined global payload per in-flight box this rank uses.
     global: HashMap<u32, Vec<f64>>,
 }
 
 impl ExchangePlan<'_> {
     /// Make all progress possible without blocking; returns true once the
-    /// exchange is finished (every used box's global payload assembled).
+    /// exchange is finished (every installed box's global payload
+    /// assembled).
     /// Polling a finished plan does nothing and returns true again.
     pub fn poll(&mut self, comm: &Comm) -> bool {
         // 1. Drain arrived gather packets.
@@ -344,7 +364,7 @@ impl ExchangePlan<'_> {
     }
 
     /// Drive the exchange to completion and return the global payload of
-    /// every used box (at once, if the plan is already finished).
+    /// every installed box (at once, if the plan is already finished).
     pub fn complete(mut self, comm: &Comm) -> HashMap<u32, Vec<f64>> {
         drive(comm, &mut [&mut self]);
         self.global
@@ -407,8 +427,52 @@ mod tests {
         partition_points(all, ranks).gather(all)
     }
 
+    /// A home box of this rank: its only contributor, and so its owner.
+    fn is_home(comm: &Comm, own: &Ownership, b: u32) -> bool {
+        own.contributors(b as usize) == [comm.rank()]
+    }
+
+    /// Check an exchange's result against the new contract over every box
+    /// `boxes` names that this rank uses: a home box is not in `global`
+    /// and the rank's own payload passes `check`; every other used box's
+    /// combined payload passes `check`; and `global` holds exactly the
+    /// route's installed boxes.
+    fn check_used(
+        comm: &Comm,
+        own: &Ownership,
+        (route, boxes, users): (&ExchangeRoute, &[u32], UserKind),
+        global: &HashMap<u32, Vec<f64>>,
+        own_payload: impl Fn(u32) -> Vec<f64>,
+        check: impl Fn(u32, &[f64]),
+    ) {
+        let me = comm.rank();
+        let mut installed: Vec<u32> = route.installed_boxes().collect();
+        let mut used = Vec::new();
+        for &b in boxes {
+            let uses = match users {
+                UserKind::Source => own.is_src_user(b as usize, me),
+                UserKind::Equiv => own.is_equiv_user(b as usize, me),
+            };
+            if !uses {
+                continue;
+            }
+            if is_home(comm, own, b) {
+                assert!(!global.contains_key(&b), "rank {me}: home box {b} was installed");
+                check(b, &own_payload(b));
+            } else {
+                check(b, &global[&b]);
+                used.push(b);
+            }
+        }
+        installed.sort_unstable();
+        used.sort_unstable();
+        assert_eq!(installed, used, "rank {me}: installed = used non-home boxes");
+        assert_eq!(global.len(), used.len(), "rank {me}: nothing else installed");
+    }
+
     /// Ghost-point exchange: every rank ends up with the full global point
-    /// list of every leaf it uses, while sending exactly one message per
+    /// list of every leaf it uses — from the exchange, or for a home leaf
+    /// its own slice — while sending exactly one message per
     /// gather/scatter peer.
     #[test]
     fn ghost_points_reconstruct_global_leaves() {
@@ -438,16 +502,14 @@ mod tests {
                 "one packed message per peer, O(peers) not O(boxes)"
             );
             // Every used leaf's global list has exactly the global count.
-            for &b in &leaves {
-                if own.is_src_user(b as usize, comm.rank()) {
-                    let pts = &global[&b];
-                    assert_eq!(
-                        pts.len() as u64,
-                        3 * dt.global_counts[b as usize],
-                        "global leaf payload size"
-                    );
-                }
-            }
+            let route = (&route, leaves.as_slice(), UserKind::Source);
+            check_used(comm, &own, route, &global, payload, |b, pts| {
+                assert_eq!(
+                    pts.len() as u64,
+                    3 * dt.global_counts[b as usize],
+                    "global leaf payload size"
+                );
+            });
         });
     }
 
@@ -467,11 +529,10 @@ mod tests {
                 |b: u32| -> Vec<f64> { vec![dt.tree.nodes[b as usize].num_points() as f64] };
             let route = ExchangeRoute::build(comm, &own, &boxes, UserKind::Equiv);
             let global = route.begin(comm, 7, Combine::Sum, payload).complete(comm);
-            for &b in &boxes {
-                if own.is_equiv_user(b as usize, comm.rank()) {
-                    assert_eq!(global[&b][0], dt.global_counts[b as usize] as f64);
-                }
-            }
+            let route = (&route, boxes.as_slice(), UserKind::Equiv);
+            check_used(comm, &own, route, &global, payload, |b, v| {
+                assert_eq!(v[0], dt.global_counts[b as usize] as f64);
+            });
         });
     }
 
@@ -497,35 +558,34 @@ mod tests {
             };
             let route = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let global = route.begin(comm, 3, Combine::ConcatRhs(K), payload).complete(comm);
-            for &b in &leaves {
-                if own.is_src_user(b as usize, comm.rank()) {
-                    let nc = own.contributors(b as usize).len();
-                    let v = &global[&b];
-                    assert_eq!(v.len(), K * nc, "K equal segments");
-                    for q in 0..K {
-                        let seg = &v[q * nc..(q + 1) * nc];
-                        let sum: f64 = seg.iter().map(|x| x - q as f64 * 1000.0).sum();
-                        assert_eq!(
-                            sum, dt.global_counts[b as usize] as f64,
-                            "segment q holds every contributor's RHS-q value"
-                        );
-                    }
+            let route = (&route, leaves.as_slice(), UserKind::Source);
+            check_used(comm, &own, route, &global, payload, |b, v| {
+                let nc = own.contributors(b as usize).len();
+                assert_eq!(v.len(), K * nc, "K equal segments");
+                for q in 0..K {
+                    let seg = &v[q * nc..(q + 1) * nc];
+                    let sum: f64 = seg.iter().map(|x| x - q as f64 * 1000.0).sum();
+                    assert_eq!(
+                        sum, dt.global_counts[b as usize] as f64,
+                        "segment q holds every contributor's RHS-q value"
+                    );
                 }
-            }
+            });
         });
     }
 
     /// Two exchanges in flight at once (distinct salts), driven by
     /// interleaved polls — the overlap pattern the driver uses — with the
     /// buffer the payloads are read from overwritten right after `begin`:
-    /// a plan owns what it folds, and `begin` asks for each box once.
+    /// a plan owns what it folds, and `begin` asks for each box it ships
+    /// or folds once, and never for a home box nobody else uses.
     #[test]
     fn interleaved_polling_of_two_exchanges() {
         let all = uniform_cube(1200, 33);
         let chunks = chunked(&all, 4);
         run(4, |comm| {
             let (dt, own) = setup(comm, &chunks, 35);
-            let nn = dt.tree.num_nodes();
+            let (me, nn) = (comm.rank(), dt.tree.num_nodes());
             let leaves: Vec<u32> = dt
                 .tree
                 .leaves()
@@ -533,8 +593,8 @@ mod tests {
                 .collect();
             let boxes: Vec<u32> =
                 (0..nn as u32).filter(|&b| own.has_equiv_users(b as usize)).collect();
-            let mut buffer: Vec<f64> =
-                dt.tree.nodes.iter().map(|nd| nd.num_points() as f64).collect();
+            let counts: Vec<f64> = dt.tree.nodes.iter().map(|nd| nd.num_points() as f64).collect();
+            let mut buffer = counts.clone();
             let mut calls = vec![0u32; nn];
             let r1 = ExchangeRoute::build(comm, &own, &leaves, UserKind::Source);
             let r2 = ExchangeRoute::build(comm, &own, &boxes, UserKind::Equiv);
@@ -544,27 +604,32 @@ mod tests {
                 vec![buffer[b as usize]]
             });
             buffer.fill(f64::NAN);
+            let mut home_reads = 0;
             for &b in &boxes {
-                let contributes = own.is_contributor(b as usize, comm.rank());
-                assert_eq!(calls[b as usize], contributes as u32, "payload calls for box {b}");
+                let bi = b as usize;
+                let contributes = own.is_contributor(bi, me);
+                let shipped = !is_home(comm, &own, b) || own.equiv_users(bi) != [me];
+                assert_eq!(calls[bi], (contributes && shipped) as u32, "payload calls for box {b}");
+                home_reads += (is_home(comm, &own, b) && shipped) as usize;
             }
+            assert!(home_reads > 0, "rank {me}: some home box is scattered, so read");
             drive(comm, &mut [&mut p2, &mut p1]);
             let g2 = p2.complete(comm);
-            for &b in &boxes {
-                if own.is_equiv_user(b as usize, comm.rank()) {
-                    assert_eq!(g2[&b][0], dt.global_counts[b as usize] as f64);
-                }
-            }
+            let route = (&r2, boxes.as_slice(), UserKind::Equiv);
+            let own_part = |b: u32| vec![counts[b as usize]];
+            check_used(comm, &own, route, &g2, own_part, |b, v| {
+                assert_eq!(v[0], dt.global_counts[b as usize] as f64);
+            });
             let g1 = p1.complete(comm);
-            for &b in &leaves {
-                if own.is_src_user(b as usize, comm.rank()) {
-                    // Concat: two floats per contributor, ascending order,
-                    // holding the counts read before the overwrite.
-                    assert_eq!(g1[&b].len(), 2 * own.contributors(b as usize).len());
-                    let sum: f64 = g1[&b].iter().sum();
-                    assert_eq!(sum, 2.0 * dt.global_counts[b as usize] as f64);
-                }
-            }
+            let route = (&r1, leaves.as_slice(), UserKind::Source);
+            let own_part = |b: u32| vec![counts[b as usize]; 2];
+            check_used(comm, &own, route, &g1, own_part, |b, v| {
+                // Concat: two floats per contributor, ascending order,
+                // holding the counts read before the overwrite.
+                assert_eq!(v.len(), 2 * own.contributors(b as usize).len());
+                let sum: f64 = v.iter().sum();
+                assert_eq!(sum, 2.0 * dt.global_counts[b as usize] as f64);
+            });
         });
     }
 }

@@ -440,6 +440,25 @@ if [ -n "$compact$shaped$rows" ]; then
 fi
 echo "compact-store gate: OK (store slabs sized and indexed by the StoreRows map)"
 
+# 5r. Home-box gate: which boxes an exchange installs — the in-flight
+#     boxes, every used box but the home ones this rank owns and alone
+#     contributes to — is decided in exchange.rs alone
+#     (`ExchangeRoute::build`). Outside its test module, driver.rs calls
+#     no `contributors(` and reads no `own.owner`: it takes the in-flight
+#     set from `installed_boxes()` and never re-derives the home rule.
+home=$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^[ \t]*\/\// { next }
+    { code = $0; sub(/\/\/.*/, "", code) }
+    code ~ /contributors\(|own\.owner/ { print FILENAME ":" FNR ": " $0 }
+' crates/kifmm-parallel/src/driver.rs)
+if [ -n "$home" ]; then
+    echo "FAIL: the distributed driver re-derives which boxes an exchange installs:"
+    echo "$home"
+    exit 1
+fi
+echo "home-box gate: OK (the exchange route alone decides the in-flight boxes)"
+
 # 6. Service-throughput gate: the plan/execute service example (small N)
 #    checks itself — the repeated plan lookup must be a warm cache hit and
 #    eval_many(k=8) must amortize to at most 0.55x the wall time of 8

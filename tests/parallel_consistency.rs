@@ -6,7 +6,7 @@
 use kifmm::mpi::{encode_tag, Comm};
 use kifmm::parallel::exchange::{Combine, ExchangeRoute, UserKind, NS_GATHER, NS_SCATTER};
 use kifmm::parallel::{Ownership, ParallelFmm};
-use kifmm_testkit::serial_reference;
+use kifmm_testkit::{check_matches_serial_opts, serial_reference};
 use kifmm::tree::{partition_points, partition_weighted_points};
 use kifmm::{rel_l2_error, FmmOptions, Laplace, Phase, Stokes};
 
@@ -108,11 +108,6 @@ fn patch_partitioned_input_matches_serial() {
     }
 }
 
-/// Coalesced-vs-legacy exchange equivalence at P=4, both `Combine` modes:
-/// the packed per-peer path must reproduce the per-box path's combined
-/// payloads **bitwise** (same ascending-contributor fold), while sending
-/// exactly one gather message per owning peer and one scatter message per
-/// using peer.
 /// The original per-box blocking exchange — one gather message per
 /// (contributed box, owner) and one scatter message per (owned box, user),
 /// tagged per box — as an independent reference for the coalesced
@@ -197,6 +192,34 @@ fn legacy_exchange(
     global
 }
 
+/// Every entry the per-box path returns, checked against the packed path:
+/// a non-home box's combined payload bit for bit; a home box (this rank
+/// its only contributor), which the packed path does not install, against
+/// the rank's own payload.
+fn check_against_legacy(
+    packed: &std::collections::HashMap<u32, Vec<f64>>,
+    legacy: &std::collections::HashMap<u32, Vec<f64>>,
+    home: impl Fn(u32) -> bool,
+    own_payload: impl Fn(u32) -> Vec<f64>,
+) {
+    let mut installed = 0;
+    for (&b, v) in legacy {
+        if home(b) {
+            assert!(!packed.contains_key(&b), "home box {b} was installed");
+            assert_eq!(&own_payload(b), v, "home box {b}: legacy's value is the own payload");
+        } else {
+            assert_eq!(&packed[&b], v, "box {b}: payloads bitwise equal");
+            installed += 1;
+        }
+    }
+    assert_eq!(packed.len(), installed, "packed holds exactly the non-home used boxes");
+}
+
+/// Coalesced-vs-legacy exchange equivalence at P=4, both `Combine` modes:
+/// the packed per-peer path must reproduce the per-box path's combined
+/// payloads **bitwise** (same ascending-contributor fold) on every used box
+/// that is not home, while sending exactly one gather message per owning
+/// peer and one scatter message per using peer.
 #[test]
 fn coalesced_exchange_matches_legacy_bitwise() {
     let all = kifmm::geom::sphere_grid(2500, 8);
@@ -206,6 +229,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
         let r = comm.rank();
         let pfmm = ParallelFmm::new(comm, Laplace, &chunks[r], opts);
         let (own, tree) = (&pfmm.own, &pfmm.dtree.tree);
+        let home = |b: u32| own.contributors(b as usize) == [r];
 
         // Concat over the source leaves (the ghost-density payload shape).
         let dens_of = |b: u32| -> Vec<f64> {
@@ -224,10 +248,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
         );
         let legacy =
             legacy_exchange(comm, own, &pfmm.src_leaves, 10, Combine::ConcatRhs(1), UserKind::Source, dens_of);
-        assert_eq!(packed.len(), legacy.len(), "same set of used boxes");
-        for (b, v) in &legacy {
-            assert_eq!(&packed[b], v, "box {b}: Concat payloads bitwise equal");
-        }
+        check_against_legacy(&packed, &legacy, home, dens_of);
 
         // Sum over the equivalent boxes (the partial-equivalent shape) —
         // irrational per-rank parts so any reordering of the fold would
@@ -242,9 +263,7 @@ fn coalesced_exchange_matches_legacy_bitwise() {
         assert_eq!(sent, route.messages_out(), "O(peers) messages for Sum too");
         let legacy =
             legacy_exchange(comm, own, &pfmm.equiv_boxes, 12, Combine::Sum, UserKind::Equiv, part_of);
-        for (b, v) in &legacy {
-            assert_eq!(&packed[b], v, "box {b}: Sum payloads bitwise equal");
-        }
+        check_against_legacy(&packed, &legacy, home, part_of);
     });
 }
 
@@ -300,4 +319,27 @@ fn empty_rank_is_tolerated() {
         let e = rel_l2_error(&pot, &serial[r]);
         assert!(e < 1e-9 || pot.is_empty(), "rank {r}: error {e}");
     }
+}
+
+/// Degenerate clouds through the distributed driver (ROADMAP item 9(c)):
+/// fewer points than ranks, so one leaf has several contributors and U
+/// reads it through the exchange, not as a home leaf, with empty ranks
+/// beside them; and a collinear cloud.
+#[test]
+fn degenerate_clouds_match_serial() {
+    let opts = FmmOptions { order: 4, max_pts_per_leaf: 20, ..Default::default() };
+    let seven = kifmm::geom::uniform_cube(7, 5);
+    for ranks in [4, 8] {
+        check_matches_serial_opts(Laplace, seven.clone(), ranks, 1, 1e-9, opts);
+        check_matches_serial_opts(Stokes::default(), seven.clone(), ranks, 3, 1e-9, opts);
+    }
+    // One point at P = 3 leaves two ranks empty.
+    check_matches_serial_opts(Laplace, kifmm::geom::uniform_cube(1, 6), 3, 1, 1e-9, opts);
+    let line: Vec<[f64; 3]> = (0..3000)
+        .map(|i| {
+            let t = 2.0 * i as f64 / 2999.0 - 1.0;
+            [t, 0.5 * t, 0.25 * t]
+        })
+        .collect();
+    check_matches_serial_opts(Laplace, line, 4, 1, 1e-9, opts);
 }
